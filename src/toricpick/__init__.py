@@ -21,7 +21,7 @@ from .localization import (GenericVector, assert_generic, chern_number,
                            check_partition, choose_generic,
                            fixed_point_partition_sum, gysin_power,
                            gysin_power_v3, integrate_monomial, integrate_poly,
-                           partitions_of)
+                           localize, partitions_of)
 from .polytope import (DelzantVerdict, Face, FaceLattice, HPolytope, HVector,
                        VertexChart, enumerate_vertices, face_lattice,
                        h_vector, induce_face_polytope, is_delzant,

@@ -17,8 +17,8 @@ from .agw import verify_agw
 from .errors import InputError, RouteDisagreementError, ToricError
 from .invariants import (check_face_todd, check_pick, check_tetrahedron,
                          check_todd, check_untwisted_signature,
-                         twisted_signature_breakdown, twisted_todd_breakdown,
-                         volume_breakdown)
+                         per_vertex_breakdown, twisted_signature_breakdown,
+                         twisted_todd_breakdown, volume_breakdown)
 from .lattice import count_points
 from .localization import (assert_generic, chern_number, check_partition,
                            choose_generic, gysin_power, gysin_power_v3,
@@ -292,7 +292,7 @@ def _compute_value(args, p, u):
             total, per_vertex = volume_breakdown(p, u)
             extras["breakdown"] = {
                 "localization_total": total,
-                "per_vertex": {_point_key(v): c for v, c in per_vertex},
+                "per_vertex": per_vertex_breakdown(per_vertex),
             }
     elif kind == "gysin":
         if args.facet is None or args.power is None:
@@ -309,19 +309,13 @@ def _compute_value(args, p, u):
             if n == 3:
                 breakdown["triple_product_route"] = gysin_power_v3(p, args.facet, uu)
             extras["breakdown"] = breakdown
-    elif kind == "signature-twisted":
-        value, per_vertex = twisted_signature_breakdown(p, u)
-        if args.breakdown:
-            extras["breakdown"] = {"per_vertex": {_point_key(v): c for v, c in per_vertex}}
     else:
-        value, per_vertex = twisted_todd_breakdown(p, u)
+        twisted = (twisted_signature_breakdown if kind == "signature-twisted"
+                   else twisted_todd_breakdown)
+        value, per_vertex = twisted(p, u)
         if args.breakdown:
-            extras["breakdown"] = {"per_vertex": {_point_key(v): c for v, c in per_vertex}}
+            extras["breakdown"] = {"per_vertex": per_vertex_breakdown(per_vertex)}
     return value, extras
-
-
-def _point_key(point):
-    return "(%s)" % ",".join(str(x) for x in point)
 
 
 def cmd_compute(args):

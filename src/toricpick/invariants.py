@@ -6,16 +6,16 @@ Report whose verdict is exact rational equality.
 """
 
 from fractions import Fraction
+from math import factorial, lcm
 
 from .errors import InputError, ShapeError
 from .lattice import (count_points, pick_rhs_3d, weighted_sum_closed,
                       weighted_sum_relint)
-from .localization import (choose_generic, integrate_poly,
-                           integrate_poly_breakdown)
+from .localization import choose_generic, localize
 from .polytope import (enumerate_vertices, face_lattice, h_vector,
                        induce_face_polytope, is_delzant, signature_from_h,
                        volume)
-from .series import MultiPoly, exp_linear, genus_series, product_over_facets
+from .series import MultiPoly, genus_series
 
 
 class Report:
@@ -54,23 +54,38 @@ def kahler_class(p):
     return MultiPoly(m, p.dim, terms)
 
 
-def _twist_factor(p):
-    """exp(w_P) truncated at the dimension."""
-    return exp_linear([-a for a in p.offsets], p.dim)
+def _genus_restriction(p, kind, twist=True):
+    """restrict() for exp(w_P) prod_i g(v_i); kind None drops the genus factor.
 
+    At a vertex the twist exp(-sum a_i v_i) becomes exp(-sum_j a_{i_j} w_j t)
+    and g(v_{i_j}) becomes g(w_j t), so the class restricts to a product of
+    n univariate series truncated at degree n.  They are multiplied over the
+    integers as n! exp and D g, D the common denominator of g, and divided by
+    the accumulated scale once; twist False is exp(0 t) = 1.
+    """
+    n = p.dim
+    g = genus_series(kind, n).coeffs if kind is not None else (1,) + (0,) * n
+    d = lcm(*(c.denominator for c in g))
+    scaled_g = [int(c * d) for c in g]
+    scaled_exp = [factorial(n) // factorial(k) for k in range(n + 1)]
+    scale = factorial(n) * d ** n
 
-def _genus_class(p, kind):
-    return product_over_facets(genus_series(kind, p.dim), len(p.facets), p.dim)
+    def restrict(chart, w):
+        s = -sum(p.offsets[i] * x for i, x in zip(chart.facet_set, w)) if twist else 0
+        out = [c * s ** k for k, c in enumerate(scaled_exp)]
+        for x in w:
+            f = [c * x ** k for k, c in enumerate(scaled_g)]
+            out = [sum(out[i] * f[k - i] for i in range(k + 1)) for k in range(n + 1)]
+        return [Fraction(c, scale) for c in out]
+
+    return restrict
 
 
 def _twisted_genus(p, kind, u):
     _require_delzant(p)
     if u is None:
         u = choose_generic(enumerate_vertices(p))
-    cls = _twist_factor(p)
-    if kind is not None:
-        cls = cls.mul(_genus_class(p, kind))
-    return integrate_poly_breakdown(p, cls, u)
+    return localize(p, u, _genus_restriction(p, kind))
 
 
 def twisted_todd(p, u=None):
@@ -103,8 +118,21 @@ def volume_breakdown(p, u=None):
     return _twisted_genus(p, None, u)
 
 
-def _format_point(point):
-    return "(%s)" % ",".join(str(x) for x in point)
+def per_vertex_breakdown(contributions):
+    """Per-vertex contributions keyed by the rendered point "(x,y,...)"."""
+    return {"(%s)" % ",".join(str(x) for x in v): c for v, c in contributions}
+
+
+def _localize_twice(p, u, restrict):
+    """Both generic vectors, the class at each, and the per-vertex breakdown
+    at the first (u, when given)."""
+    _require_delzant(p)
+    charts = enumerate_vertices(p)
+    u1 = u if u is not None else choose_generic(charts)
+    u2 = choose_generic(charts, exclude=(tuple(u1),))
+    lhs, per_vertex = localize(p, u1, restrict)
+    lhs2, _ = localize(p, u2, restrict)
+    return (u1, u2), lhs, lhs2, per_vertex_breakdown(per_vertex)
 
 
 def check_pick(p, u=None):
@@ -114,13 +142,8 @@ def check_pick(p, u=None):
     reported); the right side is the closed-face weighted sum, cross-checked
     against the relative-interior formulation.
     """
-    _require_delzant(p)
-    charts = enumerate_vertices(p)
-    u1 = u if u is not None else choose_generic(charts)
-    u2 = choose_generic(charts, exclude=(tuple(u1),))
-    cls = _twist_factor(p).mul(_genus_class(p, "SignatureHalf"))
-    lhs, per_vertex = integrate_poly_breakdown(p, cls, u1)
-    lhs2 = integrate_poly(p, cls, u2)
+    vectors, lhs, lhs2, per_vertex = _localize_twice(
+        p, u, _genus_restriction(p, "SignatureHalf"))
     fc = count_points(p)
     rhs = weighted_sum_closed(fc)
     rhs_relint = weighted_sum_relint(fc)
@@ -129,10 +152,10 @@ def check_pick(p, u=None):
         "lhs_at_second_vector": lhs2,
         "relint_formulation_rhs": rhs_relint,
         "closed_count_by_dim": {str(d): fc.closed_by_dim(d) for d in range(n + 1)},
-        "per_vertex": {_format_point(v): c for v, c in per_vertex},
+        "per_vertex": per_vertex,
     }
     if n == 2:
-        area = volume_by_localization(p, u1)
+        area = volume_by_localization(p, vectors[0])
         interior = fc.relint_by_dim(2)
         boundary = fc.total - interior
         breakdown["area"] = area
@@ -140,38 +163,27 @@ def check_pick(p, u=None):
         breakdown["boundary_points"] = boundary
         breakdown["classical_pick_holds"] = area == interior + Fraction(boundary, 2) - 1
     holds = lhs == rhs and lhs2 == lhs and rhs_relint == rhs
-    return Report("pick", p.name, lhs, rhs, holds, breakdown, (u1, u2))
+    return Report("pick", p.name, lhs, rhs, holds, breakdown, vectors)
 
 
 def check_todd(p, u=None):
     """Twisted Todd genus against the brute-force lattice point count."""
-    _require_delzant(p)
-    charts = enumerate_vertices(p)
-    u1 = u if u is not None else choose_generic(charts)
-    u2 = choose_generic(charts, exclude=(tuple(u1),))
-    cls = _twist_factor(p).mul(_genus_class(p, "Todd"))
-    lhs, per_vertex = integrate_poly_breakdown(p, cls, u1)
-    lhs2 = integrate_poly(p, cls, u2)
+    vectors, lhs, lhs2, per_vertex = _localize_twice(p, u, _genus_restriction(p, "Todd"))
     fc = count_points(p)
     rhs = Fraction(fc.total)
     breakdown = {
         "lhs_at_second_vector": lhs2,
         "closed_count_by_dim": {str(d): fc.closed_by_dim(d) for d in range(p.dim + 1)},
-        "per_vertex": {_format_point(v): c for v, c in per_vertex},
+        "per_vertex": per_vertex,
     }
     holds = lhs == rhs and lhs2 == lhs
-    return Report("todd", p.name, lhs, rhs, holds, breakdown, (u1, u2))
+    return Report("todd", p.name, lhs, rhs, holds, breakdown, vectors)
 
 
 def check_untwisted_signature(p, u=None):
     """Constant-twist genus term against the h-vector signature over 2^n."""
-    _require_delzant(p)
-    charts = enumerate_vertices(p)
-    u1 = u if u is not None else choose_generic(charts)
-    u2 = choose_generic(charts, exclude=(tuple(u1),))
-    cls = _genus_class(p, "SignatureHalf")
-    lhs, per_vertex = integrate_poly_breakdown(p, cls, u1)
-    lhs2 = integrate_poly(p, cls, u2)
+    vectors, lhs, lhs2, per_vertex = _localize_twice(
+        p, u, _genus_restriction(p, "SignatureHalf", twist=False))
     hv = h_vector(face_lattice(p))
     sigma = signature_from_h(hv)
     n = p.dim
@@ -180,12 +192,12 @@ def check_untwisted_signature(p, u=None):
         "lhs_at_second_vector": lhs2,
         "h_vector": list(hv.h),
         "signature": sigma,
-        "per_vertex": {_format_point(v): c for v, c in per_vertex},
+        "per_vertex": per_vertex,
     }
     if n == 2:
         breakdown["four_minus_m"] = 4 - len(p.facets)
     holds = lhs == rhs and lhs2 == lhs
-    return Report("signature", p.name, lhs, rhs, holds, breakdown, (u1, u2))
+    return Report("signature", p.name, lhs, rhs, holds, breakdown, vectors)
 
 
 def check_tetrahedron(p):

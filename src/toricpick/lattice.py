@@ -19,8 +19,7 @@ from .polytope import enumerate_vertices, face_lattice
 class FaceCounts:
     """Closed and relative-interior lattice point counts for every face."""
 
-    def __init__(self, polytope, lattice, closed, relint):
-        self.polytope = polytope
+    def __init__(self, lattice, closed, relint):
         self.lattice = lattice
         self.closed = dict(closed)
         self.relint = dict(relint)
@@ -62,12 +61,12 @@ def count_points(p):
     closed = {}
     for fid in range(len(fl.faces)):
         closed[fid] = sum(relint[g] for g in fl.subfaces(fid))
-    return FaceCounts(p, fl, closed, relint)
+    return FaceCounts(fl, closed, relint)
 
 
 def weighted_sum_closed(fc):
     """Closed-count formulation: #(P) + sum_k (-1/2)^k sum_{dim F = n-k} #(F)."""
-    n = fc.polytope.dim
+    n = fc.lattice.dim
     total = Fraction(fc.total)
     for k in range(1, n + 1):
         total += Fraction(-1, 2) ** k * fc.closed_by_dim(n - k)
@@ -76,7 +75,7 @@ def weighted_sum_closed(fc):
 
 def weighted_sum_relint(fc):
     """Interior formulation: relint(P) + sum_k (1/2)^k over faces of codim k."""
-    n = fc.polytope.dim
+    n = fc.lattice.dim
     total = Fraction(fc.relint_by_dim(n))
     for k in range(1, n + 1):
         total += Fraction(1, 2) ** k * fc.relint_by_dim(n - k)
@@ -85,7 +84,7 @@ def weighted_sum_relint(fc):
 
 def pick_rhs_3d(fc):
     """Int + Fac/2 + Edg/4 + Vert/8 from relative-interior counts; 3D only."""
-    if fc.polytope.dim != 3:
+    if fc.lattice.dim != 3:
         raise DimensionError("the tetrahedron-style sum is defined in dimension 3")
     return (Fraction(fc.relint_by_dim(3))
             + Fraction(fc.relint_by_dim(2), 2)

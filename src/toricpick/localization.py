@@ -2,14 +2,14 @@
 
 At the vertex p the facet class v_i restricts to <mu_{p,i}, u> when facet i
 passes through p and to 0 otherwise; the equivariant Euler class is the
-product of the n incident restrictions.  Evaluating a polynomial in the
-facet classes at every vertex and summing restriction/Euler quotients gives
+product of the n incident restrictions.  Restricting a class to each vertex
+as a series in one variable and summing restriction/Euler quotients gives
 the pairing with the fundamental class, independent of the generic vector u.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, prod
 
 from .errors import (DimensionError, GenericityError, InputError,
                      RouteDisagreementError, ToricError)
@@ -120,6 +120,35 @@ def assert_generic(p, u):
     _chart_weights(p, u)
 
 
+def localize(p, u, restrict):
+    """Fixed point sum of a class given by its restrictions to the vertices.
+
+    restrict(chart, w) returns the coefficients c_0..c_n of the class at the
+    chart's vertex as a series in t, where the j-th incident facet class
+    restricts to w_j t and every other facet class to 0.  Degree d sums
+    c_d / prod w over the vertices; every degree below n must sum to exactly
+    0, and a nonzero value there signals a chart bug, not a user error.
+    Returns the degree-n value and the per-vertex contributions, each summed
+    over all degrees.
+    """
+    n = p.dim
+    sums = [Fraction(0)] * (n + 1)
+    contributions = []
+    for c, w in _chart_weights(p, u):
+        coeffs = restrict(c, w)
+        euler = prod(w)
+        for d, cd in enumerate(coeffs):
+            if cd:
+                sums[d] += Fraction(cd, euler)
+        contributions.append((c.vertex, Fraction(sum(coeffs), euler)))
+    for d in range(n):
+        if sums[d] != 0:
+            raise ToricError(
+                "localization of the degree-%d part is %s, expected 0 (chart bug)"
+                % (d, sums[d]))
+    return sums[n], tuple(contributions)
+
+
 def integrate_monomial(p, exponents, u):
     """Localization sum for one monomial in the facet classes.
 
@@ -136,80 +165,35 @@ def integrate_monomial(p, exponents, u):
         raise DimensionError("negative exponent")
     if sum(exponents) > p.dim:
         raise DimensionError("monomial degree exceeds the polytope dimension")
-    total = Fraction(0)
-    for c, w in _chart_weights(p, u):
-        num = Fraction(1)
-        for i, e in enumerate(exponents):
-            if e == 0:
-                continue
-            if i not in c.facet_set:
-                num = Fraction(0)
-                break
-            num *= Fraction(w[c.facet_set.index(i)]) ** e
-        if num == 0:
-            continue
-        den = 1
-        for x in w:
-            den *= x
-        total += num / den
-    return total
+    return integrate_poly(p, MultiPoly(len(p.facets), p.dim, {exponents: 1}), u)
 
 
-def _integrate_parts(p, f, u):
-    """Per-chart, per-degree localization values for a truncated polynomial."""
+def integrate_poly(p, f, u):
+    """Pairing of the degree-n part with the fundamental class."""
+    return integrate_poly_breakdown(p, f, u)[0]
+
+
+def integrate_poly_breakdown(p, f, u):
+    """Integral together with the per-vertex fixed point contributions.
+
+    Each term restricts at a vertex to its coefficient times the weight
+    powers of its facets, or to 0 when one of them misses the vertex.
+    """
     if f.num_vars != len(p.facets):
         raise DimensionError("polynomial has %d variables, polytope has %d facets" % (
             f.num_vars, len(p.facets)))
     if f.trunc > p.dim:
         raise DimensionError("truncation %d exceeds the dimension %d" % (f.trunc, p.dim))
-    data = _chart_weights(p, u)
-    per_chart = []
-    for c, w in data:
-        restr = {i: Fraction(w[pos]) for pos, i in enumerate(c.facet_set)}
-        den = 1
-        for x in w:
-            den *= x
-        by_deg = {}
+
+    def restrict(chart, w):
+        at = dict(zip(chart.facet_set, w))
+        out = [0] * (p.dim + 1)
         for e, coeff in f.terms.items():
-            val = coeff
-            for i, k in enumerate(e):
-                if k == 0:
-                    continue
-                r = restr.get(i)
-                if r is None:
-                    val = Fraction(0)
-                    break
-                val *= r ** k
-            if val:
-                d = sum(e)
-                by_deg[d] = by_deg.get(d, Fraction(0)) + val / den
-        per_chart.append((c, by_deg))
-    return per_chart
+            if all(i in at for i, k in enumerate(e) if k):
+                out[sum(e)] += coeff * prod(at[i] ** k for i, k in enumerate(e) if k)
+        return out
 
-
-def integrate_poly(p, f, u):
-    """Pairing of the degree-n part with the fundamental class.
-
-    Every homogeneous part of degree below n must localize to exactly 0;
-    a nonzero value there signals a chart bug, not a user error.
-    """
-    value, _ = integrate_poly_breakdown(p, f, u)
-    return value
-
-
-def integrate_poly_breakdown(p, f, u):
-    """Integral together with the per-vertex fixed point contributions."""
-    n = p.dim
-    per_chart = _integrate_parts(p, f, u)
-    for d in range(n):
-        s = sum((bd.get(d, Fraction(0)) for _, bd in per_chart), Fraction(0))
-        if s != 0:
-            raise ToricError(
-                "localization of the degree-%d part is %s, expected 0 (chart bug)" % (d, s))
-    value = sum((bd.get(n, Fraction(0)) for _, bd in per_chart), Fraction(0))
-    contributions = tuple(
-        (c.vertex, sum(bd.values(), Fraction(0))) for c, bd in per_chart)
-    return value, contributions
+    return localize(p, u, restrict)
 
 
 def gysin_power(p, facet, k, u):
@@ -347,28 +331,34 @@ def _monomial_coefficients(omega, n):
     return out
 
 
+def _chern_restriction(omega, w):
+    """prod_k e_{omega_k}(v) at a vertex; e_k(v_1..v_m) restricts to e_k(w) t^k."""
+    e = [1] + [0] * len(w)
+    for x in w:
+        for k in range(len(w), 0, -1):
+            e[k] += e[k - 1] * x
+    return [0] * len(w) + [prod(e[k] for k in omega)]
+
+
 def chern_number(p, omega, u=None):
     """Chern number for a partition of n, computed two independent ways.
 
     Route one pushes the literal fixed point formula through the exact
     expansion of the elementary symmetric product into augmented monomials;
-    route two integrates prod_j e_{w_j}(v_1..v_m) directly.  Any
-    disagreement or non-integrality is reported as an error, never patched.
+    route two localizes prod_j e_{w_j}(v_1..v_m), restricted at each vertex to
+    prod_j e_{w_j} of the n weights.  Any disagreement or non-integrality is
+    reported as an error, never patched.
     """
     n = p.dim
     omega = check_partition(omega, n)
     charts = enumerate_vertices(p)
     if u is None:
         u = choose_generic(charts)
-    m = len(p.facets)
     route_fixed = Fraction(0)
     for lam, coeff in _monomial_coefficients(omega, n).items():
         s = fixed_point_partition_sum(p, lam, u)
         route_fixed += coeff * s / _automorphisms(lam)
-    poly = MultiPoly.constant(m, n, 1)
-    for w in omega:
-        poly = poly.mul(elementary_symmetric(w, m, n))
-    route_classes = integrate_poly(p, poly, u)
+    route_classes, _ = localize(p, u, lambda _c, w: _chern_restriction(omega, w))
     if route_fixed != route_classes:
         raise RouteDisagreementError(
             "fixed point route %s disagrees with class route %s for partition %s"

@@ -81,10 +81,6 @@ class VertexChart:
         self.det = lambda_det
         self.mu_matrix = mu_matrix
 
-    def mu_row(self, facet):
-        """Weight row for one incident facet index."""
-        return self.mu_matrix.row(self.facet_set.index(facet))
-
     def __repr__(self):
         return "VertexChart(vertex=%s, facets=%s, det=%d)" % (
             self.vertex, self.facet_set, self.det)
@@ -105,11 +101,12 @@ class Face:
 class FaceLattice:
     """All faces of a simple polytope with the (transitively closed) order."""
 
-    def __init__(self, polytope, faces, leq):
-        self.polytope = polytope
+    def __init__(self, dim, faces, leq):
+        # cached per geometry, and HPolytope equality ignores the name: no polytope here
+        self.dim = dim
         self.faces = tuple(faces)
         self.leq = frozenset(leq)
-        counts = [0] * (polytope.dim + 1)
+        counts = [0] * (dim + 1)
         for f in self.faces:
             counts[f.dim] += 1
         self.f_vector = tuple(counts)
@@ -119,7 +116,7 @@ class FaceLattice:
 
     @property
     def top(self):
-        return self.faces_of_dim(self.polytope.dim)[0]
+        return self.faces_of_dim(self.dim)[0]
 
     def subfaces(self, fid):
         """Ids of all faces below (or equal to) the given one."""
@@ -323,12 +320,12 @@ def face_lattice(p):
         for fi, f in enumerate(faces):
             if gset.issubset(f.vertices):
                 leq.add((gi, fi))
-    return FaceLattice(p, faces, leq)
+    return FaceLattice(n, faces, leq)
 
 
 def h_vector(fl):
     """h-vector from the f-vector: expand sum_i f_i (t-1)^i, read coefficients."""
-    n = fl.polytope.dim
+    n = fl.dim
     coeffs = [0] * (n + 1)
     for i, fi in enumerate(fl.f_vector):
         for j in range(i + 1):

@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import toricpick
 from toricpick import cli, corpus
 from toricpick.errors import InputError
 from toricpick.invariants import Report, check_pick
@@ -265,3 +268,15 @@ def test_argparse_rejects_unknown_usage():
 
 def test_verify_requires_file_for_polytope_kinds(capsys):
     assert cli.main(["verify", "pick"]) == 2
+
+
+def test_python_dash_m_runs_the_cli_without_warnings():
+    package_root = os.path.dirname(os.path.dirname(toricpick.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "toricpick", "verify", "todd",
+         corpus_file("square1"), "--format", "json"],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["holds"] is True

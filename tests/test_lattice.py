@@ -8,6 +8,7 @@ from toricpick.corpus import get, names
 from toricpick.errors import DimensionError
 from toricpick.lattice import (count_points, pick_rhs_3d, weighted_sum_closed,
                                weighted_sum_relint)
+from toricpick.polytope import HPolytope, face_lattice
 
 F = Fraction
 
@@ -72,3 +73,17 @@ def test_pick_rhs_3d():
     assert pick_rhs_3d(fc) == F(0) + F(0, 2) + F(6, 4) + F(4, 8)
     with pytest.raises(DimensionError):
         pick_rhs_3d(count_points(get("square1")))
+
+
+def test_cached_results_carry_no_polytope_name():
+    # HPolytope equality ignores the name, so A and B share one cache entry;
+    # what it holds must not name either of them.
+    facets = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -4), ((0, -1), -7)]
+    a = HPolytope(2, facets, name="A")
+    b = HPolytope(2, facets, name="B")
+    fa = count_points(a)
+    fb = count_points(b)
+    assert fb is fa and face_lattice(b) is fa.lattice
+    for cached in (fb, fb.lattice):
+        assert not hasattr(cached, "polytope")
+    assert fb.lattice.dim == 2 and fb.total == 40
