@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .agw import verify_agw
 from .errors import InputError, RouteDisagreementError, ToricError
@@ -437,9 +438,12 @@ def _common_flags(sub):
                                  "(a second vector is still chosen internally)")
 
 
+# parsing does not change the parser, so one instance serves every call
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except RouteDisagreementError as e:

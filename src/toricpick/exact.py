@@ -122,54 +122,54 @@ def det(m):
     return sign * a[n - 1][n - 1]
 
 
-def _minor(m, i, j):
-    ent = []
-    for r in range(m.rows):
-        if r == i:
-            continue
-        for c in range(m.cols):
-            if c == j:
-                continue
-            ent.append(m[r, c])
-    return IntMatrix(m.rows - 1, m.cols - 1, ent)
+def det_adjugate(rows):
+    """Determinant and adjugate of a square integer matrix given by rows.
+
+    One fraction-free Gauss-Jordan elimination of [A | I]: every entry stays
+    a minor of the augmented matrix, so each division is exact, and at the
+    end the left block is det(PA) I and the right block det(PA) A^-1, where
+    P is the row permutation of the pivoting.  Returns (det, adj) with adj
+    a tuple of rows, adj A = det I; adj is None when det = 0.
+    """
+    n = len(rows)
+    a = [[int(x) for x in r] + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    if any(len(r) != 2 * n for r in a):
+        raise DimensionError("det_adjugate needs a square matrix")
+    sign = 1
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = pivot
+    return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in a)
 
 
 def inverse_unimodular(m):
     """Exact integer inverse of a matrix with determinant +-1 (adjugate)."""
-    if m.rows != m.cols:
-        raise DimensionError("inverse needs a square matrix")
-    d = det(m)
+    d, adj = det_adjugate([m.row(i) for i in range(m.rows)])
     if d not in (1, -1):
         raise NotUnimodularError(d)
-    n = m.rows
-    ent = []
-    for i in range(n):
-        for j in range(n):
-            c = det(_minor(m, j, i))
-            if (i + j) % 2:
-                c = -c
-            ent.append(d * c)
-    return IntMatrix(n, n, ent)
+    return IntMatrix(m.rows, m.cols, [d * x for r in adj for x in r])
 
 
 def solve_rational(a, b):
-    """Solve a*x = b exactly by Cramer's rule; entries of x are rationals."""
-    if a.rows != a.cols:
-        raise DimensionError("solve needs a square matrix")
+    """Solve a*x = b exactly as x = adj(a) b / det(a); entries are rationals."""
     if a.rows != len(b):
         raise DimensionError("solve: %d equations, %d right-hand entries" % (a.rows, len(b)))
-    d = det(a)
+    d, adj = det_adjugate([a.row(i) for i in range(a.rows)])
     if d == 0:
         raise SingularSystemError("system matrix is singular")
-    n = a.rows
-    out = []
-    for j in range(n):
-        ent = []
-        for i in range(n):
-            for c in range(n):
-                ent.append(b[i] if c == j else a[i, c])
-        out.append(Fraction(det(IntMatrix(n, n, ent)), d))
-    return tuple(out)
+    return tuple(Fraction(dot(r, b), d) for r in adj)
 
 
 def frac_rank(rows):

@@ -9,11 +9,12 @@ exact volume and face induction are all derived from it.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 
 from .errors import (DimensionError, InputError, NotSimpleError, UnboundedError)
-from .exact import (IntMatrix, det, dot, frac_rank, integer_kernel_basis,
-                    inverse_unimodular, solve_rational, vector_gcd)
+from .exact import (IntMatrix, det, det_adjugate, dot, frac_rank,
+                    integer_kernel_basis, inverse_unimodular, vector_gcd)
 
 
 class HPolytope:
@@ -44,15 +45,9 @@ class HPolytope:
             raise InputError("polytope needs at least one facet")
         self.dim = dim
         self.facets = tuple(cleaned)
+        self.normals = tuple(nrm for nrm, _ in cleaned)
+        self.offsets = tuple(off for _, off in cleaned)
         self.name = name
-
-    @property
-    def normals(self):
-        return tuple(nrm for nrm, _ in self.facets)
-
-    @property
-    def offsets(self):
-        return tuple(off for _, off in self.facets)
 
     def __eq__(self, other):
         return (isinstance(other, HPolytope) and self.dim == other.dim
@@ -105,11 +100,20 @@ class FaceLattice:
         # cached per geometry, and HPolytope equality ignores the name: no polytope here
         self.dim = dim
         self.faces = tuple(faces)
-        self.leq = frozenset(leq)
         counts = [0] * (dim + 1)
         for f in self.faces:
             counts[f.dim] += 1
         self.f_vector = tuple(counts)
+        # the order is kept as down-sets only: smaller than the pair set
+        down = [[] for _ in self.faces]
+        for g, f in leq:
+            down[f].append(g)
+        self._down = tuple(tuple(sorted(gs)) for gs in down)
+
+    @property
+    def leq(self):
+        """The order as a set of pairs (g, f) with g a face of f."""
+        return frozenset((g, f) for f, gs in enumerate(self._down) for g in gs)
 
     def faces_of_dim(self, d):
         return tuple(i for i, f in enumerate(self.faces) if f.dim == d)
@@ -119,8 +123,8 @@ class FaceLattice:
         return self.faces_of_dim(self.dim)[0]
 
     def subfaces(self, fid):
-        """Ids of all faces below (or equal to) the given one."""
-        return tuple(g for g, f in self.leq if f == fid)
+        """Ids of all faces below (or equal to) the given one, ascending."""
+        return self._down[fid]
 
     def children(self, fid):
         d = self.faces[fid].dim
@@ -170,83 +174,89 @@ class DelzantVerdict:
         return "DelzantVerdict(ok=False, vertex=%s, det=%s)" % (self.vertex, self.det)
 
 
-def _assert_bounded(p):
-    """Reject inputs whose recession cone contains a ray.
+def _corner(p, tight):
+    """Where the facets `tight` (ascending) meet, or None if not in a point.
 
-    The cone {x : <x, lam_i> >= 0} is trivial iff no ray direction works;
-    candidate directions are the integer kernels of (n-1)-subsets of the
-    normals, which cover every extreme ray, plus any kernel direction of
-    the whole normal set (a line in the cone).
+    Returns (Lambda, det, edges, X, slack) from one det_adjugate of Lambda:
+    the n edge directions e_j (rows of adj times sign(det), so that
+    <e_j, lam_{T_k}> = |det| delta_jk, and the rows of Lambda^-1 when
+    |det| = 1), the point X / |det| with X = sum_j a_{T_j} e_j, and |det|
+    times the slack of every facet.
     """
     n = p.dim
-    normals = p.normals
-    full_kernel = integer_kernel_basis(normals, n)
-    if full_kernel:
-        raise UnboundedError("normals do not span; direction %s is unbounded"
-                             % (full_kernel[0],))
+    lam_mat = IntMatrix.from_columns([p.normals[i] for i in tight])
+    d, adj = det_adjugate([lam_mat.row(k) for k in range(n)])
+    if d == 0:
+        return None
+    edges = [tuple(x if d > 0 else -x for x in r) for r in adj]
+    xnum = [sum(p.offsets[t] * e[k] for t, e in zip(tight, edges)) for k in range(n)]
+    slack = [sum(map(mul, xnum, lam)) - a * abs(d) for lam, a in p.facets]
+    return lam_mat, d, edges, xnum, slack
 
-    def in_cone(d):
-        return all(dot(d, lam) >= 0 for lam in normals)
 
-    candidates = []
-    if n == 1:
-        candidates.append((1,))
-    else:
-        for subset in combinations(range(len(normals)), n - 1):
-            kernel = integer_kernel_basis([normals[i] for i in subset], n)
-            if len(kernel) == 1:
-                candidates.append(kernel[0])
-    for d in candidates:
-        if in_cone(d):
-            raise UnboundedError("recession cone contains direction %s" % (d,))
-        neg = tuple(-x for x in d)
-        if in_cone(neg):
-            raise UnboundedError("recession cone contains direction %s" % (neg,))
+def _point(xnum, scale):
+    """The point X / scale, with integer coordinates as int."""
+    return tuple(c // scale if c % scale == 0 else Fraction(c, scale) for c in xnum)
 
 
 @lru_cache(maxsize=None)
 def enumerate_vertices(p):
-    """All vertex charts, deduplicated by coordinates and sorted by them.
+    """All vertex charts, sorted by vertex coordinates.
 
-    Every n-subset of facets with independent normals whose intersection
-    point satisfies the remaining inequalities yields a vertex; a point
-    tight on more than n facets fails the simplicity requirement.
+    From the first feasible n-subset intersection point, an exact pivot walk
+    follows the edges of the vertex graph, which is connected (Balinski).
+    Along e_j, of the facets with <e_j, lam_i> < 0, those at the least ratio
+    slack_i / -<e_j, lam_i> are tight at the neighbour.  An edge no facet
+    blocks is a ray; a neighbour on more than n facets is not simple.  If
+    every edge is blocked and the normals span, P is bounded.
     """
-    _assert_bounded(p)
     n = p.dim
-    m = len(p.facets)
-    seen = {}
-    for subset in combinations(range(m), n):
-        mat = IntMatrix.from_rows([p.normals[i] for i in subset])
-        if det(mat) == 0:
-            continue
-        x = solve_rational(mat, [p.offsets[i] for i in subset])
-        x = tuple(int(c) if c.denominator == 1 else c for c in x)
-        tight = []
-        feasible = True
-        for i, (lam, a) in enumerate(p.facets):
-            slack = dot(x, lam) - a
-            if slack < 0:
-                feasible = False
-                break
-            if slack == 0:
-                tight.append(i)
-        if not feasible:
-            continue
-        if len(tight) > n:
-            raise NotSimpleError(x, tight)
-        if x not in seen:
-            seen[x] = tuple(tight)
-    if not seen:
+    kernel = integer_kernel_basis(p.normals, n)
+    if kernel:
+        raise UnboundedError("normals do not span; direction %s is unbounded"
+                             % (kernel[0],))
+    for subset in combinations(range(len(p.facets)), n):
+        corner = _corner(p, subset)
+        if corner is not None and min(corner[-1]) >= 0:
+            break
+    else:
         raise InputError("inequality system has no solution (empty polytope)")
-    charts = []
-    for x in sorted(seen):
-        tight = seen[x]
-        lam_mat = IntMatrix.from_columns([p.normals[i] for i in tight])
-        d = det(lam_mat)
-        mu = inverse_unimodular(lam_mat) if d in (1, -1) else None
-        charts.append(VertexChart(x, tight, lam_mat, d, mu))
-    return tuple(charts)
+    _, d, _, xnum, slack = corner
+    tight = tuple(i for i, s in enumerate(slack) if s == 0)
+    if len(tight) > n:
+        raise NotSimpleError(_point(xnum, abs(d)), tight)
+    charts = {}
+    queue = [tight]
+    while queue:
+        tight = queue.pop()
+        if tight in charts:
+            continue
+        lam_mat, d, edges, xnum, slack = _corner(p, tight)
+        scale = abs(d)
+        mu = IntMatrix(n, n, [x for e in edges for x in e]) if scale == 1 else None
+        charts[tight] = VertexChart(_point(xnum, scale), tight, lam_mat, d, mu)
+        for j, e in enumerate(edges):
+            best_s, best_r, hits = None, None, []
+            for i, lam in enumerate(p.normals):
+                rate = -sum(map(mul, e, lam))
+                if rate <= 0:
+                    continue
+                if best_s is None or slack[i] * best_r < best_s * rate:
+                    best_s, best_r, hits = slack[i], rate, [i]
+                elif slack[i] * best_r == best_s * rate:
+                    hits.append(i)
+            if best_s is None:
+                g = vector_gcd(e)
+                raise UnboundedError("recession cone contains direction %s"
+                                     % (tuple(c // g for c in e),))
+            nbr = tuple(sorted(tight[:j] + tight[j + 1:] + tuple(hits)))
+            if len(nbr) > n:
+                # x + t e_j at t = best_s / (|d| best_r)
+                y = [best_r * c + best_s * ec for c, ec in zip(xnum, e)]
+                raise NotSimpleError(_point(y, scale * best_r), nbr)
+            if nbr not in charts:
+                queue.append(nbr)
+    return tuple(sorted(charts.values(), key=lambda c: c.vertex))
 
 
 def validate(p):
@@ -376,28 +386,14 @@ def volume(p):
 
 
 def _frac_det(rows):
-    m = [[Fraction(x) for x in r] for r in rows]
-    n = len(m)
-    sign = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / m[c][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    out = Fraction(sign)
-    for i in range(n):
-        out *= m[i][i]
-    return out
+    """Exact determinant of rational rows: clear each row's denominators."""
+    scale = 1
+    ints = []
+    for r in rows:
+        q = lcm(*(Fraction(x).denominator for x in r))
+        ints.append([int(x * q) for x in r])
+        scale *= q
+    return Fraction(det(IntMatrix.from_rows(ints)), scale)
 
 
 def induce_face_polytope(p, face):

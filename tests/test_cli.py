@@ -266,6 +266,39 @@ def test_argparse_rejects_unknown_usage():
         cli.main(["verify", "nonsense", "x.json"])
 
 
+def test_usage_errors_exit_two_between_calls(capsys):
+    for argv in ([], ["frobnicate"], ["verify", "nonsense", "x.json"],
+                 ["compute", "gysin", corpus_file("square1"), "--facet", "x"]):
+        assert cli.main(["verify", "pick", corpus_file("square1"), "--format", "json"]) == 0
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
+def test_back_to_back_calls_match_separate_runs(capsys):
+    runs = [
+        ["verify", "todd", corpus_file("hirzebruch"), "--format", "json"],
+        ["compute", "gysin", corpus_file("prism"), "--facet", "2", "--power", "3",
+         "--breakdown", "--format", "table"],
+        ["compute", "count", corpus_file("square2"), "--faces", "--format", "json"],
+        ["verify", "pick", corpus_file("triangle2"), "--u", "3,5", "--format", "table"],
+        ["compute", "chern", corpus_file("cube1"), "--format", "json"],
+        ["verify", "todd", corpus_file("hirzebruch"), "--format", "table"],
+    ]
+    together = []
+    for argv in runs:
+        code = cli.main(argv)
+        together.append((code, capsys.readouterr().out))
+    package_root = os.path.dirname(os.path.dirname(toricpick.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    for argv, (code, out) in zip(runs, together):
+        proc = subprocess.run([sys.executable, "-m", "toricpick"] + argv, capture_output=True,
+                              text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
+        assert (proc.returncode, proc.stdout) == (code, out), argv
+    assert [code for code, _ in together] == [0, 0, 0, 0, 2, 0]
+
+
 def test_verify_requires_file_for_polytope_kinds(capsys):
     assert cli.main(["verify", "pick"]) == 2
 

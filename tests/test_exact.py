@@ -8,8 +8,8 @@ import pytest
 
 from toricpick.errors import (DimensionError, NotUnimodularError,
                               SingularSystemError)
-from toricpick.exact import (IntMatrix, det, dot, frac_rank, frac_solve,
-                             hermite_rows, integer_kernel_basis,
+from toricpick.exact import (IntMatrix, det, det_adjugate, dot, frac_rank,
+                             frac_solve, hermite_rows, integer_kernel_basis,
                              inverse_unimodular, solve_rational, vector_gcd)
 
 
@@ -86,6 +86,33 @@ def test_det_matches_permutation_expansion():
         for _ in range(25):
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             assert det(IntMatrix.from_rows(rows)) == permutation_det(rows)
+
+
+def test_det_adjugate_identity():
+    rng = random.Random(29)
+    singular = swapped = 0
+    for n in range(6):
+        for _ in range(60):
+            # many zeros, so leading pivots vanish and rows must be swapped
+            rows = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 7)) for _ in range(n)]
+                    for _ in range(n)]
+            if n >= 2 and rng.random() < 0.25:
+                # a dependent row makes the matrix singular
+                rows[-1] = [a - 2 * b for a, b in zip(rows[0], rows[1])]
+            d, adj = det_adjugate(rows)
+            assert d == permutation_det(rows)
+            if d == 0:
+                assert adj is None
+                singular += 1
+                continue
+            swapped += n > 0 and rows[0][0] == 0
+            for i in range(n):
+                for j in range(n):
+                    assert sum(adj[i][k] * rows[k][j] for k in range(n)) == d * (i == j)
+    assert singular > 20 and swapped > 20
+    assert det_adjugate([]) == (1, ())
+    with pytest.raises(DimensionError):
+        det_adjugate([(1, 2)])
 
 
 def test_inverse_unimodular():

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from toricpick.cli import dump_polytope
+from toricpick.cli import main as cli_main
 from toricpick.corpus import get, names, non_delzant_triangle
 from toricpick.errors import (DimensionError, InputError, NotSimpleError,
                               UnboundedError)
-from toricpick.exact import IntMatrix, det
+from toricpick.exact import IntMatrix, det, dot, vector_gcd
 from toricpick.lattice import count_points
 from toricpick.polytope import (HPolytope, HVector, enumerate_vertices,
                                 face_lattice, h_vector, induce_face_polytope,
@@ -70,6 +72,39 @@ def test_unbounded_and_empty_inputs():
         enumerate_vertices(HPolytope(1, [((1,), 1), ((-1,), 0)]))
 
 
+# one fault each: (facets, dim, error class, text of the message)
+SINGLE_FAULTS = {
+    "no-span": (2, [((1, 0), 0), ((-1, 0), -1)], UnboundedError, "do not span"),
+    "unbounded-2d": (2, [((1, 0), 0), ((0, 1), 0), ((1, 1), 1)], UnboundedError,
+                     "recession cone contains direction"),
+    "unbounded-3d": (3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((1, 1, 1), 1),
+                         ((-1, 1, 0), -2)], UnboundedError, "recession cone contains direction"),
+    "empty": (2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)], InputError, "empty polytope"),
+    "not-simple": (3, square_pyramid().facets, NotSimpleError, "not simple"),
+    "redundant": (2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1),
+                      ((1, 1), -5)], InputError, "redundant"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SINGLE_FAULTS))
+def test_single_fault_inputs_name_their_error(fault, tmp_path, capsys):
+    dim, facets, error, text = SINGLE_FAULTS[fault]
+    p = HPolytope(dim, facets)
+    with pytest.raises(error) as err:
+        validate(p)
+    assert text in str(err.value)
+    if text.startswith("recession"):
+        # the named direction is primitive and a ray of the region
+        d = tuple(int(x) for x in str(err.value).split("(")[1].rstrip(")").split(","))
+        assert vector_gcd(d) == 1
+        assert all(dot(d, lam) >= 0 for lam, _ in facets)
+    path = tmp_path / "fault.json"
+    path.write_text(dump_polytope(p))
+    assert cli_main(["compute", "count", str(path), "--format", "json"]) == 2
+    err_text = capsys.readouterr().err
+    assert err_text.startswith("error: ") and text in err_text
+
+
 def test_redundant_facet_rejected():
     # x + y >= -5 never becomes tight on the unit square
     p = HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1),
@@ -112,6 +147,10 @@ def test_face_lattice_order():
     for fid in fl.faces_of_dim(1):
         assert len(fl.children(fid)) == 2
     assert len(fl.subfaces(top)) == 27
+    assert fl.leq == {(g, f) for f in range(len(fl.faces)) for g in range(len(fl.faces))
+                      if set(fl.faces[g].vertices) <= set(fl.faces[f].vertices)}
+    assert all(fl.subfaces(f) == tuple(sorted(g for g, h in fl.leq if h == f))
+               for f in range(len(fl.faces)))
 
 
 def test_h_vectors():
