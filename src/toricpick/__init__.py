@@ -4,10 +4,10 @@ Delzant polytopes, computed by fixed point localization over the rationals."""
 from .agw import (PontryaginPoly, RootPoly, expand_genus_product,
                   pontryagin_label, to_pontryagin, twisted_ahat, verify_agw)
 from .cli import dump_polytope, format_rational, load_polytope, main
-from .errors import (DimensionError, GenericityError, InputError,
-                     NotSimpleError, NotUnimodularError, ParityError,
-                     RouteDisagreementError, ShapeError, SingularSystemError,
-                     ToricError, UnboundedError)
+from .errors import (BudgetError, DimensionError, GenericityError,
+                     InputError, NotSimpleError, NotUnimodularError,
+                     ParityError, RouteDisagreementError, ShapeError,
+                     SingularSystemError, ToricError, UnboundedError)
 from .exact import IntMatrix, Rational, det, integer_kernel_basis, \
     inverse_unimodular, solve_rational
 from .invariants import (Report, check_face_todd, check_pick,

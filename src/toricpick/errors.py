@@ -5,6 +5,10 @@ class ToricError(Exception):
     """Base class for every error raised by this package."""
 
 
+class BudgetError(ToricError):
+    """The estimated work of a computation exceeds its fixed limit."""
+
+
 class DimensionError(ToricError):
     """Operand dimensions do not fit the requested operation."""
 

@@ -7,7 +7,7 @@ the computation path.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionError, NotUnimodularError, SingularSystemError
 
@@ -173,26 +173,31 @@ def solve_rational(a, b):
 
 
 def frac_rank(rows):
-    """Rank over the rationals of a list of vectors."""
-    m = [[Fraction(x) for x in r] for r in rows]
+    """Rank over the rationals of a list of vectors.
+
+    Each row is scaled to integers and eliminated fraction-free, dividing
+    every new row by the gcd of its entries.
+    """
+    m = []
+    for r in rows:
+        q = lcm(*(x.denominator for x in r))
+        m.append([int(x * q) for x in r])
     if not m:
         return 0
-    ncols = len(m[0])
     rank = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(rank, len(m)):
-            if m[i][c] != 0:
-                piv = i
-                break
+    for c in range(len(m[0])):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][c]
+        top = m[rank]
+        pv = top[c]
         for i in range(rank + 1, len(m)):
-            if m[i][c] != 0:
-                f = m[i][c] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+            f = m[i][c]
+            if f:
+                row = [a * pv - f * b for a, b in zip(m[i], top)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         rank += 1
         if rank == len(m):
             break

@@ -1,7 +1,12 @@
-"""Brute-force lattice point enumeration and the weighted face sums.
+"""Exact lattice point counting by fibers and the weighted face sums.
 
-Counting walks the integer bounding box and assigns each point to the face
-whose relative interior contains it (the face cut out by the inequalities
+Counting walks the integer box of every coordinate but the widest one, k.
+Along each such fiber facet i reads s_i + lam_i[k] x_k >= 0, so the lattice
+points of P on it form one integer interval, found by floor division.  A
+facet with lam_i[k] != 0 is tight at one x_k at most; only those points need
+their own lookup, and the rest of the fiber belongs to the face of the facets
+with lam_i[k] = 0 that are tight along all of it.  Each point is credited to
+the face whose relative interior contains it (the face cut out by the facets
 tight at the point).  This route shares no machinery with the localization
 engine it is used to validate.
 """
@@ -10,10 +15,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import ceil, floor
+from operator import mul
 
-from .errors import DimensionError
-from .exact import dot
+from .errors import BudgetError, DimensionError
 from .polytope import enumerate_vertices, face_lattice
+
+# most fiber-facet steps (fibers x facets) one count may take; at about
+# 1 us a step that is some 10 s
+COUNT_BUDGET = 10 ** 7
 
 
 class FaceCounts:
@@ -36,32 +45,62 @@ class FaceCounts:
         return sum(self.relint[i] for i in self.lattice.faces_of_dim(d))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def count_points(p):
-    """Enumerate integer points of the bounding box and classify by face."""
+    """Count lattice points fiber by fiber and classify each by its face.
+
+    Raises BudgetError, before any walking, when the fibers times the
+    facets exceed COUNT_BUDGET.
+    """
     fl = face_lattice(p)
     charts = enumerate_vertices(p)
-    n = p.dim
-    lo = [floor(min(c.vertex[k] for c in charts)) for k in range(n)]
-    hi = [ceil(max(c.vertex[k] for c in charts)) for k in range(n)]
+    n, m = p.dim, len(p.facets)
+    lo = [floor(min(c.vertex[j] for c in charts)) for j in range(n)]
+    hi = [ceil(max(c.vertex[j] for c in charts)) for j in range(n)]
+    k = max(range(n), key=lambda j: hi[j] - lo[j])  # the first of the widest
+    others = [j for j in range(n) if j != k]
+    fibers = 1
+    for j in others:
+        fibers *= hi[j] - lo[j] + 1
+    if fibers * m > COUNT_BUDGET:
+        raise BudgetError("lattice count needs about %d fiber-facet steps "
+                          "(%d fibers x %d facets), over the limit of %d"
+                          % (fibers * m, fibers, m, COUNT_BUDGET))
     by_facet_set = {frozenset(f.facet_set): i for i, f in enumerate(fl.faces)}
-    relint = {i: 0 for i in range(len(fl.faces))}
-    for point in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        tight = []
-        feasible = True
-        for i, (lam, a) in enumerate(p.facets):
-            slack = dot(point, lam) - a
-            if slack < 0:
-                feasible = False
+    rows = [(i, tuple(lam[j] for j in others), lam[k], a)
+            for i, (lam, a) in enumerate(p.facets)]
+    relint = [0] * len(fl.faces)
+    for y in product(*(range(lo[j], hi[j] + 1) for j in others)):
+        # facet i reads s + c x_k >= 0 along the fiber
+        low, high = lo[k], hi[k]
+        whole, ends = [], []
+        for i, rest, c, a in rows:
+            s = sum(map(mul, y, rest)) - a
+            if c:
+                if s % c == 0:
+                    ends.append((-s // c, i))
+                if c > 0:
+                    low = max(low, -(s // c))
+                else:
+                    high = min(high, s // -c)
+            elif s < 0:
                 break
-            if slack == 0:
-                tight.append(i)
-        if feasible:
-            relint[by_facet_set[frozenset(tight)]] += 1
-    closed = {}
-    for fid in range(len(fl.faces)):
-        closed[fid] = sum(relint[g] for g in fl.subfaces(fid))
-    return FaceCounts(fl, closed, relint)
+            elif s == 0:
+                whole.append(i)
+        else:
+            if low > high:
+                continue
+            tight_at = {}
+            for x, i in ends:
+                if low <= x <= high:
+                    tight_at.setdefault(x, []).append(i)
+            for extra in tight_at.values():
+                relint[by_facet_set[frozenset(whole + extra)]] += 1
+            plain = high - low + 1 - len(tight_at)
+            if plain:
+                relint[by_facet_set[frozenset(whole)]] += plain
+    closed = {fid: sum(relint[g] for g in fl.subfaces(fid)) for fid in range(len(fl.faces))}
+    return FaceCounts(fl, closed, enumerate(relint))
 
 
 def weighted_sum_closed(fc):

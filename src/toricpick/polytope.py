@@ -199,7 +199,7 @@ def _point(xnum, scale):
     return tuple(c // scale if c % scale == 0 else Fraction(c, scale) for c in xnum)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def enumerate_vertices(p):
     """All vertex charts, sorted by vertex coordinates.
 
@@ -290,46 +290,44 @@ def is_delzant(p):
     return DelzantVerdict(True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def face_lattice(p):
-    """Faces of a simple polytope, identified by their vertex sets.
+    """Faces of a simple polytope, keyed by their facet sets.
 
-    Every face arises as the intersection of the facets through one of its
-    vertices, so running over subsets of each vertex's facet set finds all
-    of them.  The canonical facet set of a face is the set of facets
-    containing every one of its vertices; its size must be the codimension,
-    anything else means the polytope is not simple.
+    Every face is cut out by a subset of the facets through any one of its
+    vertices, so one pass over the subsets of each vertex's facet set finds
+    every face with its vertices.  The canonical facet set of a face (the
+    facets containing every one of its vertices) must be that subset and
+    the face must have dimension n minus its size; anything else means the
+    polytope is not simple.  Then g <= f exactly when the facet set of f is
+    a subset of that of g, so the faces above g are the 2^codim subsets of
+    its facet set.
     """
     charts = enumerate_vertices(p)
     n = p.dim
     vertex_facets = [frozenset(c.facet_set) for c in charts]
     points = [c.vertex for c in charts]
     found = {}
-    for vid, incident in enumerate(vertex_facets):
+    for vid, c in enumerate(charts):
         for r in range(n + 1):
-            for sub in combinations(sorted(incident), r):
-                key = frozenset(w for w, fw in enumerate(vertex_facets)
-                                if fw.issuperset(sub))
-                if key in found:
-                    continue
-                found[key] = frozenset.intersection(*(vertex_facets[w] for w in key))
+            for sub in combinations(c.facet_set, r):
+                found.setdefault(sub, []).append(vid)
     faces = []
-    for verts, canon in found.items():
-        dim = n - len(canon)
+    for sub, verts in found.items():
+        canon = frozenset.intersection(*(vertex_facets[w] for w in verts))
+        dim = n - len(sub)
         pts = [points[w] for w in verts]
         rel = [tuple(a - b for a, b in zip(q, pts[0])) for q in pts[1:]]
-        if frac_rank(rel) != dim:
+        if len(canon) != len(sub) or frac_rank(rel) != dim:
             raise NotSimpleError(pts[0], sorted(canon),
                                  "facet subset %s cuts a face of wrong dimension"
-                                 % (sorted(canon),))
-        faces.append(Face(sorted(canon), dim, sorted(verts)))
+                                 % (list(sub),))
+        faces.append(Face(sub, dim, verts))
     faces.sort(key=lambda f: (f.dim, f.facet_set))
-    leq = set()
-    for gi, g in enumerate(faces):
-        gset = set(g.vertices)
-        for fi, f in enumerate(faces):
-            if gset.issubset(f.vertices):
-                leq.add((gi, fi))
+    ids = {f.facet_set: i for i, f in enumerate(faces)}
+    leq = [(gi, ids[sub]) for gi, g in enumerate(faces)
+           for r in range(len(g.facet_set) + 1)
+           for sub in combinations(g.facet_set, r)]
     return FaceLattice(n, faces, leq)
 
 
@@ -352,7 +350,7 @@ def signature_from_h(hv):
     return sum(((-1) ** k) * hk for k, hk in enumerate(hv.h))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def volume(p):
     """Exact Euclidean volume by fanning a triangulation from a base vertex.
 

@@ -1,0 +1,192 @@
+"""The fiber walk of count_points against the box walk it replaced.
+
+The oracle tests every facet at every point of the integer bounding box and
+credits each lattice point of P to the face cut out by its tight facets.
+The program walks fibers along the widest axis instead.  Both must give the
+same closed and relative-interior count for every face, exactly.
+"""
+
+import json
+import random
+from itertools import product
+from math import ceil, comb, floor
+
+import pytest
+
+from toricpick import lattice
+from toricpick.cli import main
+from toricpick.corpus import get, names
+from toricpick.errors import BudgetError
+from toricpick.exact import IntMatrix, dot
+from toricpick.lattice import count_points
+from toricpick.polytope import (HPolytope, enumerate_vertices, face_lattice,
+                                unimodular_transform)
+
+
+def box_walk(p):
+    """(closed, relint) by face id from a walk over the whole bounding box."""
+    fl = face_lattice(p)
+    charts = enumerate_vertices(p)
+    n = p.dim
+    lo = [floor(min(c.vertex[k] for c in charts)) for k in range(n)]
+    hi = [ceil(max(c.vertex[k] for c in charts)) for k in range(n)]
+    by_facet_set = {frozenset(f.facet_set): i for i, f in enumerate(fl.faces)}
+    relint = {i: 0 for i in range(len(fl.faces))}
+    for point in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        slacks = [dot(point, lam) - a for lam, a in p.facets]
+        if min(slacks) >= 0:
+            tight = frozenset(i for i, s in enumerate(slacks) if s == 0)
+            relint[by_facet_set[tight]] += 1
+    closed = {fid: sum(relint[g] for g in fl.subfaces(fid)) for fid in relint}
+    return closed, relint
+
+
+def simplex(n, k=1):
+    facets = [(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
+    return HPolytope(n, facets + [((-1,) * n, -k)])
+
+
+def box(lows, highs):
+    n = len(lows)
+    facets = [(tuple(int(j == i) for j in range(n)), a) for i, a in enumerate(lows)]
+    facets += [(tuple(-int(j == i) for j in range(n)), -b) for i, b in enumerate(highs)]
+    return HPolytope(n, facets)
+
+
+def times(p, q):
+    facets = [(lam + (0,) * q.dim, a) for lam, a in p.facets]
+    facets += [((0,) * p.dim + lam, a) for lam, a in q.facets]
+    return HPolytope(p.dim + q.dim, facets)
+
+
+def dilate(p, k):
+    return HPolytope(p.dim, [(lam, k * a) for lam, a in p.facets])
+
+
+def shear(p, rng):
+    n = p.dim
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1))
+        rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
+    shift = tuple(rng.randint(-9, 9) for _ in range(n))
+    return unimodular_transform(p, IntMatrix.from_rows(rows), shift)
+
+
+def corner_cut_polygon(facet_count, rng):
+    """A 30 x 30 square with corners cut by blow-ups (lam_j + lam_k, a_j + a_k + c)
+    until it has `facet_count` facets, listed in shuffled order; each cut
+    takes c, a third of the shorter edge at the corner, from both edges."""
+    ring = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -30), ((0, -1), -30)]
+    length = [30, 30, 30, 30]
+    while len(ring) < facet_count:
+        j = max(range(len(ring)),
+                key=lambda j: (min(length[j], length[(j + 1) % len(ring)]), rng.random()))
+        k = (j + 1) % len(ring)
+        (lj, aj), (lk, ak) = ring[j], ring[k]
+        c = min(length[j], length[k]) // 3
+        length[j] -= c
+        length[k] -= c
+        ring.insert(j + 1, ((lj[0] + lk[0], lj[1] + lk[1]), aj + ak + c))
+        length.insert(j + 1, c)
+    rng.shuffle(ring)
+    return HPolytope(2, ring)
+
+
+def family():
+    rng = random.Random(43)
+    out = [(name, get(name)) for name in names()]
+    out += [("segment %d..%d" % (a, b), HPolytope(1, [((1,), a), ((-1,), -b)]))
+            for a, b in ((0, 1), (-3, 4), (7, 19))]
+    out.append(("segment reversed", HPolytope(1, [((-1,), -2), ((1,), -5)])))
+    for n, k in ((2, 7), (3, 4), (4, 2)):
+        out.append(("simplex%d dilated %d sheared" % (n, k), shear(simplex(n, k), rng)))
+    for name in ("hirzebruch", "prism", "cube1", "triangle2"):
+        p = dilate(get(name), 3)
+        out.append(("%s dilated 3 sheared" % name, shear(p, rng)))
+    out += [("triangle2 x hirzebruch", times(get("triangle2"), get("hirzebruch"))),
+            ("interval5 x prism", times(get("interval5"), get("prism"))),
+            ("triangle2 x prism", times(get("triangle2"), get("prism"))),
+            ("square2 x simplex2 sheared", shear(times(get("square2"), simplex(2, 2)), rng))]
+    out += [("polygon%d" % k, corner_cut_polygon(k, rng)) for k in (5, 8, 12)]
+    out.append(("rational simplex", HPolytope(3, [((1, 0, 0), 0), ((0, 1, 0), 0),
+                                                  ((0, 0, 1), 0), ((-1, -2, -3), -7)])))
+    # widest extents 6, 6, 2: the walk runs along axis 0, the lower of the tie
+    out.append(("tied box", box((1, -3, 0), (7, 3, 2))))
+    out.append(("tied hexagon", HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -6),
+                                              ((0, -1), -6), ((1, 1), 2), ((-1, -1), -10)])))
+    return out
+
+
+FAMILY = family()
+
+
+@pytest.mark.parametrize("name,p", FAMILY, ids=[name for name, _ in FAMILY])
+def test_fiber_walk_matches_box_walk(name, p):
+    fc = count_points(p)
+    closed, relint = box_walk(p)
+    assert fc.closed == closed
+    assert fc.relint == relint
+
+
+def test_family_reaches_the_cases_it_names():
+    assert {p.dim for _, p in FAMILY} >= {1, 2, 3, 4, 5}
+    rational = dict(FAMILY)["rational simplex"]
+    assert any(c.mu_matrix is None for c in enumerate_vertices(rational))
+    assert max(len(p.facets) for _, p in FAMILY if p.dim == 2) == 12
+    for name in ("tied box", "tied hexagon"):
+        charts = enumerate_vertices(dict(FAMILY)[name])
+        extents = [max(c.vertex[k] for c in charts) - min(c.vertex[k] for c in charts)
+                   for k in range(len(charts[0].vertex))]
+        assert extents.count(max(extents)) >= 2, name
+
+
+@pytest.mark.parametrize("name,p", FAMILY, ids=[name for name, _ in FAMILY])
+def test_face_order_is_facet_set_inclusion(name, p):
+    fl = face_lattice(p)
+    charts = enumerate_vertices(p)
+    for f in fl.faces:
+        assert f.vertices == tuple(v for v, c in enumerate(charts)
+                                   if set(f.facet_set) <= set(c.facet_set))
+    assert fl.leq == {(g, f) for f in range(len(fl.faces)) for g in range(len(fl.faces))
+                      if set(fl.faces[g].vertices) <= set(fl.faces[f].vertices)}
+
+
+def test_dilation_300_tetrahedron_without_the_oracle():
+    assert count_points(simplex(3, 300)).total == comb(303, 3)
+
+
+def tetrahedron_file(tmp_path, k):
+    data = {"name": "tet%d" % k, "dim": 3,
+            "facets": [{"normal": [1, 0, 0], "offset": 0},
+                       {"normal": [0, 1, 0], "offset": 0},
+                       {"normal": [0, 0, 1], "offset": 0},
+                       {"normal": [-1, -1, -1], "offset": -k}]}
+    path = tmp_path / ("tet%d.json" % k)
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_over_budget_raises_before_walking(monkeypatch):
+    # a 5 x 7 box no other test uses: 5 fibers along the wider y axis, 4 facets
+    p = box((31, 17), (35, 23))
+    monkeypatch.setattr(lattice, "COUNT_BUDGET", 19)
+    with pytest.raises(BudgetError, match="about 20 .* limit of 19"):
+        count_points(p)
+    monkeypatch.setattr(lattice, "COUNT_BUDGET", 20)
+    assert count_points(p).total == 35
+
+
+def test_over_budget_exits_two(tmp_path, monkeypatch, capsys):
+    path = tetrahedron_file(tmp_path, 23)
+    monkeypatch.setattr(lattice, "COUNT_BUDGET", 100)
+    assert main(["verify", "pick", path, "--format", "json"]) == 2
+    err = capsys.readouterr().err
+    assert "2304 fiber-facet steps" in err and "limit of 100" in err
+
+
+def test_default_budget_rejects_dilation_1e5_tetrahedron(tmp_path, capsys):
+    path = tetrahedron_file(tmp_path, 10 ** 5)
+    assert main(["compute", "count", path, "--format", "json"]) == 2
+    assert "over the limit of %d" % lattice.COUNT_BUDGET in capsys.readouterr().err

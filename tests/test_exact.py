@@ -151,6 +151,9 @@ def test_frac_rank():
     assert frac_rank([(1, 2), (2, 4)]) == 1
     assert frac_rank([(1, 0, 0), (0, 1, 0), (1, 1, 0)]) == 2
     assert frac_rank([(Fraction(1, 2), 0), (0, 1)]) == 2
+    assert frac_rank([(Fraction(1, 2), Fraction(1, 3)), (3, 2)]) == 1
+    assert frac_rank([(0, 0, 5), (0, 2, 1), (0, 4, Fraction(7, 3))]) == 2
+    assert frac_rank([(0, 0), (0, 0)]) == 0
 
 
 def test_hermite_rows_canonical():

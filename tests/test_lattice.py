@@ -1,14 +1,18 @@
 """Lattice point enumeration and the two weighted face-sum formulations."""
 
+import os
 from fractions import Fraction
 
 import pytest
 
+from toricpick.cli import main
 from toricpick.corpus import get, names
 from toricpick.errors import DimensionError
 from toricpick.lattice import (count_points, pick_rhs_3d, weighted_sum_closed,
                                weighted_sum_relint)
-from toricpick.polytope import HPolytope, face_lattice
+from toricpick.polytope import HPolytope, enumerate_vertices, face_lattice, volume
+
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
 
 F = Fraction
 
@@ -87,3 +91,15 @@ def test_cached_results_carry_no_polytope_name():
     for cached in (fb, fb.lattice):
         assert not hasattr(cached, "polytope")
     assert fb.lattice.dim == 2 and fb.total == 40
+
+
+def test_caches_are_bounded_and_a_corpus_batch_still_hits_them(capsys):
+    for fn in (count_points, face_lattice, enumerate_vertices, volume):
+        assert fn.cache_info().maxsize is not None
+        fn.cache_clear()
+    assert main(["corpus", CORPUS_DIR, "--format", "json"]) == 0
+    capsys.readouterr()
+    # pick, todd and face-todd read one count and one face lattice per file
+    assert count_points.cache_info().misses == len(names())
+    assert count_points.cache_info().hits >= 2 * len(names())
+    assert face_lattice.cache_info().misses == len(names())
