@@ -17,11 +17,10 @@ from .invariants import (Report, check_face_todd, check_pick,
                          volume_by_localization)
 from .lattice import (FaceCounts, count_points, pick_rhs_3d,
                       weighted_sum_closed, weighted_sum_relint)
-from .localization import (GenericVector, assert_generic, chern_number,
-                           check_partition, choose_generic,
-                           fixed_point_partition_sum, gysin_power,
-                           gysin_power_v3, integrate_monomial, integrate_poly,
-                           localize, partitions_of)
+from .localization import (assert_generic, chern_number, check_partition,
+                           choose_generic, fixed_point_partition_sum,
+                           gysin_power, gysin_power_v3, integrate_monomial,
+                           integrate_poly, localize, partitions_of)
 from .polytope import (DelzantVerdict, Face, FaceLattice, HPolytope, HVector,
                        VertexChart, enumerate_vertices, face_lattice,
                        h_vector, induce_face_polytope, is_delzant,

@@ -55,13 +55,14 @@ def kahler_class(p):
 
 
 def _genus_restriction(p, kind, twist=True):
-    """restrict() for exp(w_P) prod_i g(v_i); kind None drops the genus factor.
+    """(restrict, scale) for exp(w_P) prod_i g(v_i), as localize() takes
+    them; kind None drops the genus factor.
 
     At a vertex the twist exp(-sum a_i v_i) becomes exp(-sum_j a_{i_j} w_j t)
     and g(v_{i_j}) becomes g(w_j t), so the class restricts to a product of
     n univariate series truncated at degree n.  They are multiplied over the
-    integers as n! exp and D g, D the common denominator of g, and divided by
-    the accumulated scale once; twist False is exp(0 t) = 1.
+    integers as n! exp and D g, D the common denominator of g, so restrict
+    gives scale = n! D^n times the class; twist False is exp(0 t) = 1.
     """
     n = p.dim
     g = genus_series(kind, n).coeffs if kind is not None else (1,) + (0,) * n
@@ -76,16 +77,16 @@ def _genus_restriction(p, kind, twist=True):
         for x in w:
             f = [c * x ** k for k, c in enumerate(scaled_g)]
             out = [sum(out[i] * f[k - i] for i in range(k + 1)) for k in range(n + 1)]
-        return [Fraction(c, scale) for c in out]
+        return out
 
-    return restrict
+    return restrict, scale
 
 
 def _twisted_genus(p, kind, u):
     _require_delzant(p)
     if u is None:
         u = choose_generic(enumerate_vertices(p))
-    return localize(p, u, _genus_restriction(p, kind))
+    return localize(p, u, *_genus_restriction(p, kind))
 
 
 def twisted_todd(p, u=None):
@@ -123,15 +124,15 @@ def per_vertex_breakdown(contributions):
     return {"(%s)" % ",".join(str(x) for x in v): c for v, c in contributions}
 
 
-def _localize_twice(p, u, restrict):
+def _localize_twice(p, u, restrict, scale):
     """Both generic vectors, the class at each, and the per-vertex breakdown
     at the first (u, when given)."""
     _require_delzant(p)
     charts = enumerate_vertices(p)
     u1 = u if u is not None else choose_generic(charts)
     u2 = choose_generic(charts, exclude=(tuple(u1),))
-    lhs, per_vertex = localize(p, u1, restrict)
-    lhs2, _ = localize(p, u2, restrict)
+    lhs, per_vertex = localize(p, u1, restrict, scale)
+    lhs2, _ = localize(p, u2, restrict, scale)
     return (u1, u2), lhs, lhs2, per_vertex_breakdown(per_vertex)
 
 
@@ -143,7 +144,7 @@ def check_pick(p, u=None):
     against the relative-interior formulation.
     """
     vectors, lhs, lhs2, per_vertex = _localize_twice(
-        p, u, _genus_restriction(p, "SignatureHalf"))
+        p, u, *_genus_restriction(p, "SignatureHalf"))
     fc = count_points(p)
     rhs = weighted_sum_closed(fc)
     rhs_relint = weighted_sum_relint(fc)
@@ -168,7 +169,7 @@ def check_pick(p, u=None):
 
 def check_todd(p, u=None):
     """Twisted Todd genus against the brute-force lattice point count."""
-    vectors, lhs, lhs2, per_vertex = _localize_twice(p, u, _genus_restriction(p, "Todd"))
+    vectors, lhs, lhs2, per_vertex = _localize_twice(p, u, *_genus_restriction(p, "Todd"))
     fc = count_points(p)
     rhs = Fraction(fc.total)
     breakdown = {
@@ -183,7 +184,7 @@ def check_todd(p, u=None):
 def check_untwisted_signature(p, u=None):
     """Constant-twist genus term against the h-vector signature over 2^n."""
     vectors, lhs, lhs2, per_vertex = _localize_twice(
-        p, u, _genus_restriction(p, "SignatureHalf", twist=False))
+        p, u, *_genus_restriction(p, "SignatureHalf", twist=False))
     hv = h_vector(face_lattice(p))
     sigma = signature_from_h(hv)
     n = p.dim

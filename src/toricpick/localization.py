@@ -9,36 +9,13 @@ the pairing with the fundamental class, independent of the generic vector u.
 
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial, prod
+from math import factorial, lcm, prod
+from operator import mul
 
 from .errors import (DimensionError, GenericityError, InputError,
                      RouteDisagreementError, ToricError)
-from .exact import dot
 from .polytope import enumerate_vertices
 from .series import MultiPoly, elementary_symmetric
-
-
-class GenericVector:
-    """Integer vector with nonzero pairing against every weight row in use."""
-
-    def __init__(self, u):
-        self.u = tuple(int(x) for x in u)
-
-    def __iter__(self):
-        return iter(self.u)
-
-    def __len__(self):
-        return len(self.u)
-
-    def __eq__(self, other):
-        other_u = tuple(other) if isinstance(other, (tuple, list, GenericVector)) else None
-        return self.u == other_u
-
-    def __hash__(self):
-        return hash(self.u)
-
-    def __repr__(self):
-        return "GenericVector(%s)" % (self.u,)
 
 
 def _primes():
@@ -78,19 +55,17 @@ def choose_generic(charts, exclude=()):
     n = len(charts[0].vertex)
     skip = {tuple(e) for e in exclude}
     for u in _candidate_vectors(n):
-        if u in skip:
-            continue
-        ok = True
-        for c in charts:
-            if c.mu_matrix is None:
-                raise InputError(
-                    "localization requires a Delzant polytope; vertex %s has det %d"
-                    % (c.vertex, c.det))
-            if any(dot(c.mu_matrix.row(j), u) == 0 for j in range(n)):
-                ok = False
-                break
-        if ok:
-            return GenericVector(u)
+        if u not in skip and all(all(_weights(c, u)) for c in charts):
+            return u
+
+
+def _weights(c, u):
+    """<mu_{p,i_j}, u> for the facets i_j through a Delzant chart's vertex."""
+    if c.mu_matrix is None:
+        raise InputError(
+            "localization requires a Delzant polytope; vertex %s has det %d"
+            % (c.vertex, c.det))
+    return tuple(sum(map(mul, c.mu_matrix.row(j), u)) for j in range(len(u)))
 
 
 def _chart_weights(p, u):
@@ -102,12 +77,8 @@ def _chart_weights(p, u):
         raise DimensionError("generic vector has length %d, expected %d" % (len(uu), n))
     data = []
     for c in charts:
-        if c.mu_matrix is None:
-            raise InputError(
-                "localization requires a Delzant polytope; vertex %s has det %d"
-                % (c.vertex, c.det))
-        w = tuple(dot(c.mu_matrix.row(j), uu) for j in range(n))
-        if any(x == 0 for x in w):
+        w = _weights(c, uu)
+        if not all(w):
             raise GenericityError(
                 "u = %s pairs to zero with a weight at vertex %s; pick another vector"
                 % (uu, c.vertex))
@@ -120,33 +91,40 @@ def assert_generic(p, u):
     _chart_weights(p, u)
 
 
-def localize(p, u, restrict):
+def localize(p, u, restrict, scale=1):
     """Fixed point sum of a class given by its restrictions to the vertices.
 
-    restrict(chart, w) returns the coefficients c_0..c_n of the class at the
-    chart's vertex as a series in t, where the j-th incident facet class
-    restricts to w_j t and every other facet class to 0.  Degree d sums
-    c_d / prod w over the vertices; every degree below n must sum to exactly
-    0, and a nonzero value there signals a chart bug, not a user error.
-    Returns the degree-n value and the per-vertex contributions, each summed
-    over all degrees.
+    restrict(chart, w) returns the integer coefficients c_0..c_n of scale
+    times the class at the chart's vertex as a series in t, where the j-th
+    incident facet class restricts to w_j t and every other facet class to
+    0.  Degree d sums c_d / (scale prod w) over the vertices, accumulated
+    as an integer numerator over the lcm of the Euler products and divided
+    once; every degree below n must sum to exactly 0, and a nonzero value
+    there signals a chart bug, not a user error.  Returns the degree-n
+    value and the per-vertex contributions, each summed over all degrees.
     """
     n = p.dim
-    sums = [Fraction(0)] * (n + 1)
+    nums = [0] * (n + 1)
+    den = 1
     contributions = []
     for c, w in _chart_weights(p, u):
         coeffs = restrict(c, w)
         euler = prod(w)
+        grown = lcm(den, euler)
+        if grown != den:
+            nums = [x * (grown // den) for x in nums]
+            den = grown
+        share = den // euler
         for d, cd in enumerate(coeffs):
             if cd:
-                sums[d] += Fraction(cd, euler)
-        contributions.append((c.vertex, Fraction(sum(coeffs), euler)))
+                nums[d] += cd * share
+        contributions.append((c.vertex, Fraction(sum(coeffs), euler * scale)))
     for d in range(n):
-        if sums[d] != 0:
+        if nums[d]:
             raise ToricError(
                 "localization of the degree-%d part is %s, expected 0 (chart bug)"
-                % (d, sums[d]))
-    return sums[n], tuple(contributions)
+                % (d, Fraction(nums[d], den * scale)))
+    return Fraction(nums[n], den * scale), tuple(contributions)
 
 
 def integrate_monomial(p, exponents, u):
@@ -185,15 +163,19 @@ def integrate_poly_breakdown(p, f, u):
     if f.trunc > p.dim:
         raise DimensionError("truncation %d exceeds the dimension %d" % (f.trunc, p.dim))
 
+    scale = lcm(*(c.denominator for c in f.terms.values()))
+    terms = [(tuple((i, k) for i, k in enumerate(e) if k), sum(e), int(c * scale))
+             for e, c in f.terms.items()]
+
     def restrict(chart, w):
         at = dict(zip(chart.facet_set, w))
         out = [0] * (p.dim + 1)
-        for e, coeff in f.terms.items():
-            if all(i in at for i, k in enumerate(e) if k):
-                out[sum(e)] += coeff * prod(at[i] ** k for i, k in enumerate(e) if k)
+        for powers, d, c in terms:
+            if all(i in at for i, _ in powers):
+                out[d] += c * prod(at[i] ** k for i, k in powers)
         return out
 
-    return localize(p, u, restrict)
+    return localize(p, u, restrict, scale)
 
 
 def gysin_power(p, facet, k, u):
@@ -207,18 +189,16 @@ def gysin_power(p, facet, k, u):
         raise DimensionError("the direct sum is stated for the top power k = n")
     if not 0 <= facet < len(p.facets):
         raise DimensionError("facet index %d out of range" % facet)
-    total = Fraction(0)
+    num, den = 0, 1
     for c, w in _chart_weights(p, u):
         if facet not in c.facet_set:
             continue
-        pos = c.facet_set.index(facet)
-        num = Fraction(w[pos]) ** (n - 1)
-        den = 1
-        for j, x in enumerate(w):
-            if j != pos:
-                den *= x
-        total += num / den
-    return total
+        # w_i^(n-1) / prod_{j != i} w_j = w_i^n / prod w
+        euler = prod(w)
+        grown = lcm(den, euler)
+        num = num * (grown // den) + w[c.facet_set.index(facet)] ** n * (grown // euler)
+        den = grown
+    return Fraction(num, den)
 
 
 def gysin_power_v3(p, facet, u):
@@ -298,19 +278,22 @@ def fixed_point_partition_sum(p, lam, u):
     n = p.dim
     lam = check_partition(lam, n)
     l = len(lam)
-    total = Fraction(0)
+    num, den = 0, 1
     for _c, w in _chart_weights(p, u):
+        # each term prod_{I1} w^(part - 1) / prod_{I2} w, over the Euler
+        # product prod w, has the numerator prod_{I1} w^part
+        vertex = 0
         for i1 in combinations(range(n), l):
-            rest = [w[j] for j in range(n) if j not in i1]
-            den = 1
-            for x in rest:
-                den *= x
             for sigma in permutations(range(l)):
-                num = 1
+                term = 1
                 for slot, j in enumerate(i1):
-                    num *= w[j] ** (lam[sigma[slot]] - 1)
-                total += Fraction(num, den)
-    return total
+                    term *= w[j] ** lam[sigma[slot]]
+                vertex += term
+        euler = prod(w)
+        grown = lcm(den, euler)
+        num = num * (grown // den) + vertex * (grown // euler)
+        den = grown
+    return Fraction(num, den)
 
 
 def _monomial_coefficients(omega, n):

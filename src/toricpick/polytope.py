@@ -9,12 +9,19 @@ exact volume and face induction are all derived from it.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from operator import mul
 
-from .errors import (DimensionError, InputError, NotSimpleError, UnboundedError)
+from .errors import (BudgetError, DimensionError, InputError, NotSimpleError,
+                     UnboundedError)
 from .exact import (IntMatrix, det, det_adjugate, dot, frac_rank,
                     integer_kernel_basis, inverse_unimodular, vector_gcd)
+
+
+# most n-subsets of the facets the search for a first vertex may try, at
+# some 0.1 ms each; an 8-cube written as x_i >= 0, x_i <= 1 side by side
+# needs 4082 of them
+VERTEX_SEARCH_BUDGET = 5000
 
 
 class HPolytope:
@@ -208,14 +215,20 @@ def enumerate_vertices(p):
     Along e_j, of the facets with <e_j, lam_i> < 0, those at the least ratio
     slack_i / -<e_j, lam_i> are tight at the neighbour.  An edge no facet
     blocks is a ray; a neighbour on more than n facets is not simple.  If
-    every edge is blocked and the normals span, P is bounded.
+    every edge is blocked and the normals span, P is bounded.  The search
+    for the first point gives up after VERTEX_SEARCH_BUDGET subsets.
     """
     n = p.dim
     kernel = integer_kernel_basis(p.normals, n)
     if kernel:
         raise UnboundedError("normals do not span; direction %s is unbounded"
                              % (kernel[0],))
-    for subset in combinations(range(len(p.facets)), n):
+    m = len(p.facets)
+    for tries, subset in enumerate(combinations(range(m), n)):
+        if tries == VERTEX_SEARCH_BUDGET:
+            raise BudgetError("no vertex found in %d of the %d %d-subsets of the "
+                              "facets; the search limit is %d"
+                              % (tries, comb(m, n), n, VERTEX_SEARCH_BUDGET))
         corner = _corner(p, subset)
         if corner is not None and min(corner[-1]) >= 0:
             break

@@ -7,6 +7,7 @@ sparse truncated polynomial in the facet classes v_1..v_m.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
@@ -104,6 +105,7 @@ def _cosh(degree, half=False):
     return UniSeries(out)
 
 
+@lru_cache(maxsize=64)
 def genus_series(kind, degree):
     """Exact truncated genus series.
 

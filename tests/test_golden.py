@@ -1,0 +1,81 @@
+"""Byte-for-byte regression of the command line on the bundled corpus.
+
+tests/data/golden_corpus.json holds the argument list, exit code, standard
+output and standard error of every verify/compute command on corpus/ (JSON
+format; --breakdown, --u at the second generic vector, gysin on every facet,
+chern for every partition), of `verify agw` and of `corpus corpus/`.  A
+speed-up must not change a byte of any of them.  After a deliberate change
+of output, rewrite the file from the repository root with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+from toricpick import cli
+from toricpick.corpus import get, names
+from toricpick.localization import choose_generic, partitions_of
+from toricpick.polytope import enumerate_vertices
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+GOLDEN = os.path.join(HERE, "data", "golden_corpus.json")
+
+
+def command_set():
+    """Every argument list, with corpus paths relative to the repository root."""
+    commands = [["verify", "agw"], ["corpus", "corpus"]]
+    for name in names():
+        p = get(name)
+        n, m = p.dim, len(p.facets)
+        path = "corpus/%s.json" % name
+        charts = enumerate_vertices(p)
+        u2 = choose_generic(charts, exclude=(tuple(choose_generic(charts)),))
+        u_flag = ["--u", ",".join(str(x) for x in u2)]
+        for kind in ("pick", "todd", "face-todd", "tetrahedron", "signature"):
+            commands.append(["verify", kind, path])
+        for kind in ("pick", "todd", "signature"):
+            commands.append(["verify", kind, path] + u_flag)
+        for omega in partitions_of(n):
+            commands.append(["compute", "chern", path, "--partition",
+                             ",".join(map(str, omega)), "--breakdown"])
+        commands.append(["compute", "count", path, "--faces"])
+        commands.append(["compute", "hvector", path])
+        commands.append(["compute", "volume", path])
+        for kind in ("volume", "signature-twisted", "todd-twisted"):
+            commands.append(["compute", kind, path, "--breakdown"])
+            commands.append(["compute", kind, path, "--breakdown"] + u_flag)
+        for facet in range(m):
+            commands.append(["compute", "gysin", path, "--facet", str(facet),
+                             "--power", str(n), "--breakdown"])
+    return [argv + ["--format", "json"] for argv in commands]
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+def test_corpus_commands_match_the_recorded_output(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    with open(GOLDEN, "r", encoding="utf-8") as fh:
+        recorded = json.load(fh)
+    assert [r["argv"] for r in recorded] == command_set()
+    for expected in recorded:
+        assert run(expected["argv"]) == expected, " ".join(expected["argv"])
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    rows = [run(argv) for argv in command_set()]
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(rows, fh, indent=1)
+        fh.write("\n")
+    print("wrote %d commands to %s" % (len(rows), GOLDEN), file=sys.stderr)

@@ -121,7 +121,7 @@ def test_genus_restriction_matches_m_variable_class(p):
             cls = m_variable_class(p, kind, twist)
             for u in vectors:
                 expected = oracle(p, cls, u)
-                got = localize(p, u, _genus_restriction(p, kind, twist))
+                got = localize(p, u, *_genus_restriction(p, kind, twist))
                 assert got == expected, (kind, twist, u)
                 assert integrate_poly_breakdown(p, cls, u) == expected, (kind, twist, u)
                 if (kind, twist) in PUBLIC:

@@ -4,17 +4,24 @@ The oracle solves every n-subset of the m facets (Bareiss determinant,
 Cramer's rule, a cofactor inverse per chart) and keeps the feasible
 intersection points.  The program walks the vertex graph instead.  Both
 must give the same charts: vertex, facet set, det, Lambda and mu, exactly.
+The search for the walk's first vertex stays within its budget.
 """
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
+from toricpick import polytope
+from toricpick.cli import dump_polytope
+from toricpick.cli import main as cli_main
 from toricpick.corpus import get, names
+from toricpick.errors import BudgetError, InputError
 from toricpick.exact import IntMatrix, det, dot
-from toricpick.polytope import HPolytope, enumerate_vertices, unimodular_transform
+from toricpick.polytope import (VERTEX_SEARCH_BUDGET, HPolytope,
+                                enumerate_vertices, unimodular_transform)
 
 
 def cramer(rows, b):
@@ -172,3 +179,65 @@ def test_cube8_has_256_unimodular_charts():
         assert c.mu_matrix.mul(c.lambda_matrix) == IntMatrix.identity(8)
         assert c.facet_set == tuple(sorted(i if x == 0 else i + 8
                                            for i, x in enumerate(c.vertex)))
+
+
+def cube_side_by_side(n):
+    """The unit n-cube with x_i >= 0 and x_i <= 1 listed next to each other,
+    so that every early n-subset holds a pair of parallel facets."""
+    facets = []
+    for lam, a in cube(n).facets[:n]:
+        facets += [(lam, a), (tuple(-x for x in lam), -1)]
+    return HPolytope(n, facets)
+
+
+def empty_cube_system(n, k):
+    """The unit n-cube and k facets x_i + x_j >= 10, none of which it meets."""
+    cuts = [(tuple(int(t in pair) for t in range(n)), 10)
+            for pair in list(combinations(range(n), 2))[:k]]
+    return HPolytope(n, list(cube(n).facets) + cuts)
+
+
+def first_vertex_tries(p):
+    """n-subsets the search tries up to and including the first feasible one."""
+    for tries, subset in enumerate(combinations(range(len(p.facets)), p.dim), 1):
+        corner = polytope._corner(p, subset)
+        if corner is not None and min(corner[-1]) >= 0:
+            return tries
+    return None
+
+
+def test_first_vertex_search_stays_far_below_its_budget():
+    assert max(first_vertex_tries(p) for _, p in FAMILY) * 100 < VERTEX_SEARCH_BUDGET
+    # the slowest natural facet order of the largest cube the ladder uses
+    p = cube_side_by_side(8)
+    assert first_vertex_tries(p) == 4082 < VERTEX_SEARCH_BUDGET
+    assert len(enumerate_vertices(p)) == 256
+
+
+def test_empty_system_is_refused_by_the_search_budget(tmp_path, capsys, monkeypatch):
+    """m = 27, C(27, 6) = 296010 subsets: about 29 s to scan them all."""
+    p = empty_cube_system(6, 15)
+    calls = []
+    corner = polytope._corner
+    monkeypatch.setattr(polytope, "_corner", lambda *a: calls.append(1) or corner(*a))
+    with pytest.raises(BudgetError, match="5000 of the 296010 6-subsets"):
+        enumerate_vertices(p)
+    assert len(calls) == VERTEX_SEARCH_BUDGET
+    path = tmp_path / "empty.json"
+    path.write_text(dump_polytope(p))
+    start = time.perf_counter()
+    assert cli_main(["compute", "count", str(path), "--format", "json"]) == 2
+    assert time.perf_counter() - start < 5
+    assert "the search limit is %d" % VERTEX_SEARCH_BUDGET in capsys.readouterr().err
+
+
+def test_small_empty_systems_are_input_errors(monkeypatch):
+    p = empty_cube_system(3, 3)  # C(9, 3) = 84 subsets
+    with pytest.raises(InputError, match="empty polytope"):
+        enumerate_vertices(p)
+    monkeypatch.setattr(polytope, "VERTEX_SEARCH_BUDGET", 84)
+    with pytest.raises(InputError, match="empty polytope"):
+        enumerate_vertices(p)
+    monkeypatch.setattr(polytope, "VERTEX_SEARCH_BUDGET", 83)
+    with pytest.raises(BudgetError, match="83 of the 84 3-subsets"):
+        enumerate_vertices(p)
