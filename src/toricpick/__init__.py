@@ -8,8 +8,8 @@ from .errors import (BudgetError, DimensionError, GenericityError,
                      InputError, NotSimpleError, NotUnimodularError,
                      ParityError, RouteDisagreementError, ShapeError,
                      SingularSystemError, ToricError, UnboundedError)
-from .exact import IntMatrix, Rational, det, integer_kernel_basis, \
-    inverse_unimodular, solve_rational
+from .exact import (IntMatrix, Rational, det, integer_kernel_basis,
+                    inverse_unimodular)
 from .invariants import (Report, check_face_todd, check_pick,
                          check_tetrahedron, check_todd,
                          check_untwisted_signature, kahler_class,

@@ -77,7 +77,9 @@ def polytope_from_dict(data, source="<input>"):
         p = HPolytope(dim, facets, name)
         validate(p)
     except ToricError as e:
-        raise InputError("%s: %s" % (source, e)) from e
+        # name the source but keep the class, which says what is wrong
+        e.args = ("%s: %s" % (source, e),)
+        raise
     return p
 
 

@@ -7,7 +7,7 @@ the computation path.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import DimensionError, NotUnimodularError, SingularSystemError
 
@@ -160,48 +160,6 @@ def inverse_unimodular(m):
     if d not in (1, -1):
         raise NotUnimodularError(d)
     return IntMatrix(m.rows, m.cols, [d * x for r in adj for x in r])
-
-
-def solve_rational(a, b):
-    """Solve a*x = b exactly as x = adj(a) b / det(a); entries are rationals."""
-    if a.rows != len(b):
-        raise DimensionError("solve: %d equations, %d right-hand entries" % (a.rows, len(b)))
-    d, adj = det_adjugate([a.row(i) for i in range(a.rows)])
-    if d == 0:
-        raise SingularSystemError("system matrix is singular")
-    return tuple(Fraction(dot(r, b), d) for r in adj)
-
-
-def frac_rank(rows):
-    """Rank over the rationals of a list of vectors.
-
-    Each row is scaled to integers and eliminated fraction-free, dividing
-    every new row by the gcd of its entries.
-    """
-    m = []
-    for r in rows:
-        q = lcm(*(x.denominator for x in r))
-        m.append([int(x * q) for x in r])
-    if not m:
-        return 0
-    rank = 0
-    for c in range(len(m[0])):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        top = m[rank]
-        pv = top[c]
-        for i in range(rank + 1, len(m)):
-            f = m[i][c]
-            if f:
-                row = [a * pv - f * b for a, b in zip(m[i], top)]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
 
 
 def frac_solve(rows, rhs):

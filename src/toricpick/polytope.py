@@ -6,6 +6,7 @@ vertex charts (Lambda_p and its inverse M_p), the face lattice, h-vector,
 exact volume and face induction are all derived from it.
 """
 
+from bisect import bisect
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -14,8 +15,8 @@ from operator import mul
 
 from .errors import (BudgetError, DimensionError, InputError, NotSimpleError,
                      UnboundedError)
-from .exact import (IntMatrix, det, det_adjugate, dot, frac_rank,
-                    integer_kernel_basis, inverse_unimodular, vector_gcd)
+from .exact import (IntMatrix, det, det_adjugate, dot, integer_kernel_basis,
+                    inverse_unimodular, vector_gcd)
 
 
 # most n-subsets of the facets the search for a first vertex may try, at
@@ -184,21 +185,50 @@ class DelzantVerdict:
 def _corner(p, tight):
     """Where the facets `tight` (ascending) meet, or None if not in a point.
 
-    Returns (Lambda, det, edges, X, slack) from one det_adjugate of Lambda:
-    the n edge directions e_j (rows of adj times sign(det), so that
+    Returns (det, edges, X, slack) from one det_adjugate of Lambda: the n
+    edge directions e_j (rows of adj times sign(det), so that
     <e_j, lam_{T_k}> = |det| delta_jk, and the rows of Lambda^-1 when
     |det| = 1), the point X / |det| with X = sum_j a_{T_j} e_j, and |det|
     times the slack of every facet.
     """
     n = p.dim
-    lam_mat = IntMatrix.from_columns([p.normals[i] for i in tight])
-    d, adj = det_adjugate([lam_mat.row(k) for k in range(n)])
+    d, adj = det_adjugate([[p.normals[i][k] for i in tight] for k in range(n)])
     if d == 0:
         return None
-    edges = [tuple(x if d > 0 else -x for x in r) for r in adj]
+    edges = [[x if d > 0 else -x for x in r] for r in adj]
     xnum = [sum(p.offsets[t] * e[k] for t, e in zip(tight, edges)) for k in range(n)]
     slack = [sum(map(mul, xnum, lam)) - a * abs(d) for lam, a in p.facets]
-    return lam_mat, d, edges, xnum, slack
+    return d, edges, xnum, slack
+
+
+def _pivot(tableau, j, h):
+    """The tableau of the neighbour across edge j, on which facet h is tight.
+
+    A tableau (tight, d, rows) belongs to the vertex on the facets `tight`
+    (ascending) with d = det Lambda.  Row k < n is e_k followed by the rates
+    <e_k, lam_i> of all m facets; row n is X followed by |d| times each
+    slack.  With q = -<e_j, lam_h> > 0 the neighbour has |det| = q, the row
+    for h is -row_j, and every other row becomes
+    (q row_k + row_k[h] row_j) / |d|, where row_k[h] is the rate (or slack)
+    of facet h.  The division is exact (Bareiss): the result is again the
+    signed adjugate data of the neighbour.  Its det is -sign(d) q times the
+    parity of moving h from position j to its sorted place.
+    """
+    tight, d, rows = tableau
+    n = len(tight)
+    scale = abs(d)
+    pivot_row = rows[j]
+    col = n + h
+    q = -pivot_row[col]
+    new_rows = []
+    for row in rows[:j] + rows[j + 1:]:
+        f = row[col]
+        new_rows.append([(q * a + f * b) // scale for a, b in zip(row, pivot_row)])
+    rest = tight[:j] + tight[j + 1:]
+    pos = bisect(rest, h)
+    new_rows.insert(pos, [-b for b in pivot_row])
+    sign = (-1 if d > 0 else 1) * (-1 if (pos - j) % 2 else 1)
+    return rest[:pos] + (h,) + rest[pos:], sign * q, new_rows
 
 
 def _point(xnum, scale):
@@ -216,7 +246,15 @@ def enumerate_vertices(p):
     slack_i / -<e_j, lam_i> are tight at the neighbour.  An edge no facet
     blocks is a ray; a neighbour on more than n facets is not simple.  If
     every edge is blocked and the normals span, P is bounded.  The search
-    for the first point gives up after VERTEX_SEARCH_BUDGET subsets.
+    for the first point gives up after VERTEX_SEARCH_BUDGET subsets; it is
+    the only place a determinant is eliminated.  A neighbour's integer
+    tableau is pivoted (see _pivot) from the one that pushed it, when popped.
+
+    On return the walk certifies that P is bounded, that every vertex lies
+    on exactly n facets with independent normals and that every edge has
+    positive length.  So P is simple and full-dimensional, and any k of the
+    facets through a vertex cut out a face of dimension n - k on no other
+    facet.
     """
     n = p.dim
     kernel = integer_kernel_basis(p.normals, n)
@@ -234,26 +272,35 @@ def enumerate_vertices(p):
             break
     else:
         raise InputError("inequality system has no solution (empty polytope)")
-    _, d, _, xnum, slack = corner
+    d, edges, xnum, slack = corner
     tight = tuple(i for i, s in enumerate(slack) if s == 0)
     if len(tight) > n:
         raise NotSimpleError(_point(xnum, abs(d)), tight)
+    rows = [e + [sum(map(mul, e, lam)) for lam in p.normals] for e in edges]
+    rows.append(xnum + slack)
     charts = {}
-    queue = [tight]
+    # lazy pivots: (neighbour, tableau it is pivoted from, edge, entering facet)
+    queue = [(tight, (tight, d, rows), None, None)]
     while queue:
-        tight = queue.pop()
+        tight, tableau, j, h = queue.pop()
         if tight in charts:
             continue
-        lam_mat, d, edges, xnum, slack = _corner(p, tight)
+        if j is not None:
+            tableau = _pivot(tableau, j, h)
+        _, d, rows = tableau
         scale = abs(d)
-        mu = IntMatrix(n, n, [x for e in edges for x in e]) if scale == 1 else None
+        lam_mat = IntMatrix(n, n, [p.normals[i][k] for k in range(n) for i in tight])
+        mu = IntMatrix(n, n, [x for r in rows[:n] for x in r[:n]]) if scale == 1 else None
+        xnum = rows[n][:n]
         charts[tight] = VertexChart(_point(xnum, scale), tight, lam_mat, d, mu)
-        for j, e in enumerate(edges):
+        slack = rows[n][n:]
+        for j in range(n):
+            e = rows[j][:n]
             best_s, best_r, hits = None, None, []
-            for i, lam in enumerate(p.normals):
-                rate = -sum(map(mul, e, lam))
-                if rate <= 0:
+            for i, rate in enumerate(rows[j][n:]):
+                if rate >= 0:
                     continue
+                rate = -rate
                 if best_s is None or slack[i] * best_r < best_s * rate:
                     best_s, best_r, hits = slack[i], rate, [i]
                 elif slack[i] * best_r == best_s * rate:
@@ -268,29 +315,23 @@ def enumerate_vertices(p):
                 y = [best_r * c + best_s * ec for c, ec in zip(xnum, e)]
                 raise NotSimpleError(_point(y, scale * best_r), nbr)
             if nbr not in charts:
-                queue.append(nbr)
+                queue.append((nbr, tableau, j, hits[0]))
     return tuple(sorted(charts.values(), key=lambda c: c.vertex))
 
 
 def validate(p):
     """Full input check: bounded, simple, full-dimensional, irredundant.
 
-    Returns the vertex charts on success so callers do not recompute them.
+    enumerate_vertices certifies all but irredundancy (see its docstring),
+    and a facet that supports a face supports one of dimension n - 1, so
+    what is left is that every facet lies in some vertex chart.  Returns
+    the vertex charts on success so callers do not recompute them.
     """
     charts = enumerate_vertices(p)
-    n = p.dim
-    base = charts[0].vertex
-    diffs = [tuple(a - b for a, b in zip(c.vertex, base)) for c in charts[1:]]
-    if frac_rank(diffs) < n:
-        raise InputError("polytope is not full-dimensional")
+    used = {i for c in charts for i in c.facet_set}
     for i in range(len(p.facets)):
-        pts = [c.vertex for c in charts if i in c.facet_set]
-        if not pts:
+        if i not in used:
             raise InputError("facet %d is redundant (supports no face)" % i)
-        rel = [tuple(a - b for a, b in zip(q, pts[0])) for q in pts[1:]]
-        if frac_rank(rel) != n - 1:
-            raise InputError("facet %d is redundant (supports a face of dimension < %d)"
-                             % (i, n - 1))
     return charts
 
 
@@ -309,17 +350,16 @@ def face_lattice(p):
 
     Every face is cut out by a subset of the facets through any one of its
     vertices, so one pass over the subsets of each vertex's facet set finds
-    every face with its vertices.  The canonical facet set of a face (the
-    facets containing every one of its vertices) must be that subset and
-    the face must have dimension n minus its size; anything else means the
-    polytope is not simple.  Then g <= f exactly when the facet set of f is
-    a subset of that of g, so the faces above g are the 2^codim subsets of
-    its facet set.
+    every face with its vertices.  The walk certifies that such a subset
+    cuts out a face of dimension n minus its size; its canonical facet set
+    (the facets containing every one of its vertices) must be the subset
+    itself, or the polytope is not simple.  Then g <= f exactly when the
+    facet set of f is a subset of that of g, so the faces above g are the
+    2^codim subsets of its facet set.
     """
     charts = enumerate_vertices(p)
     n = p.dim
     vertex_facets = [frozenset(c.facet_set) for c in charts]
-    points = [c.vertex for c in charts]
     found = {}
     for vid, c in enumerate(charts):
         for r in range(n + 1):
@@ -328,14 +368,11 @@ def face_lattice(p):
     faces = []
     for sub, verts in found.items():
         canon = frozenset.intersection(*(vertex_facets[w] for w in verts))
-        dim = n - len(sub)
-        pts = [points[w] for w in verts]
-        rel = [tuple(a - b for a, b in zip(q, pts[0])) for q in pts[1:]]
-        if len(canon) != len(sub) or frac_rank(rel) != dim:
-            raise NotSimpleError(pts[0], sorted(canon),
+        if len(canon) != len(sub):
+            raise NotSimpleError(charts[verts[0]].vertex, sorted(canon),
                                  "facet subset %s cuts a face of wrong dimension"
                                  % (list(sub),))
-        faces.append(Face(sub, dim, verts))
+        faces.append(Face(sub, n - len(sub), verts))
     faces.sort(key=lambda f: (f.dim, f.facet_set))
     ids = {f.facet_set: i for i, f in enumerate(faces)}
     leq = [(gi, ids[sub]) for gi, g in enumerate(faces)

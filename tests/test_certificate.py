@@ -1,0 +1,92 @@
+"""The walk's certificate against the rank checks it replaced.
+
+`validate` and `face_lattice` no longer take ranks: a polytope the vertex
+walk accepts is simple and full-dimensional, and every face cut out by a
+subset of a vertex's facets has the dimension the subset says.  The oracle
+is the earlier input check, the walk followed by a rank over the rationals
+of the vertices, of each facet's vertices and of each face's vertices.  On
+random small systems both must accept the same inputs and reject the rest
+with the same error class and message, and accepted inputs must give the
+subset scan's charts.
+
+The full sweep (seeds 1 and 2) runs from the repository root with
+
+    PYTHONPATH=src python tests/test_certificate.py
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+from oracles import rank_checked_validate, subset_scan
+from toricpick.errors import ToricError
+from toricpick.exact import vector_gcd
+from toricpick.polytope import HPolytope, face_lattice, validate
+
+# systems per seed: the tier-1 share and the full sweep
+TIER1_SYSTEMS = 2000
+FULL_SYSTEMS = 20000
+
+
+# the primitive normals with entries in [-2, 2], by dimension
+NORMALS = {n: [lam for lam in product(range(-2, 3), repeat=n) if vector_gcd(lam) == 1]
+           for n in (1, 2, 3)}
+
+
+def random_systems(seed, count):
+    """Systems in dims 1-3 with 1 to n + 4 distinct primitive normals (at
+    most 2 in dim 1) and offsets, every entry in [-2, 2]."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        m = rng.randint(1, min(n + 4, len(NORMALS[n])))
+        normals = rng.sample(NORMALS[n], m)
+        out.append(HPolytope(n, [(lam, rng.randint(-2, 2)) for lam in normals]))
+    return out
+
+
+def outcome(check, p):
+    try:
+        charts = check(p)
+    except ToricError as e:
+        return type(e).__name__, str(e)
+    return "accepted", [(c.vertex, c.facet_set, c.det, c.lambda_matrix, c.mu_matrix)
+                        for c in charts]
+
+
+def trusted(p):
+    charts = validate(p)
+    face_lattice(p)
+    return charts
+
+
+def sweep(seed, count):
+    """(systems, accepted, rejections by class); asserts agreement on each."""
+    systems = random_systems(seed, count)
+    accepted, rejected = 0, {}
+    for p in systems:
+        expected = outcome(rank_checked_validate, p)
+        assert outcome(trusted, p) == expected, p.facets
+        if expected[0] == "accepted":
+            accepted += 1
+            assert expected[1] == subset_scan(p), p.facets
+        else:
+            rejected[expected[0]] = rejected.get(expected[0], 0) + 1
+    return len(systems), accepted, rejected
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_certificate_matches_rank_checks(seed):
+    systems, accepted, rejected = sweep(seed, TIER1_SYSTEMS)
+    # the draws reach acceptance and every kind of rejection the walk names
+    assert accepted >= 10
+    assert set(rejected) == {"InputError", "UnboundedError", "NotSimpleError"}
+
+
+if __name__ == "__main__":
+    for seed in (1, 2):
+        systems, accepted, rejected = sweep(seed, FULL_SYSTEMS)
+        print("seed %d: %d systems, %d accepted, rejected %s"
+              % (seed, systems, accepted, dict(sorted(rejected.items()))))

@@ -13,14 +13,14 @@ from math import ceil, comb, floor
 
 import pytest
 
+from families import box, corner_cut_polygon, dilate, shear, simplex, times
 from toricpick import lattice
 from toricpick.cli import main
 from toricpick.corpus import get, names
 from toricpick.errors import BudgetError
-from toricpick.exact import IntMatrix, dot
+from toricpick.exact import dot
 from toricpick.lattice import count_points
-from toricpick.polytope import (HPolytope, enumerate_vertices, face_lattice,
-                                unimodular_transform)
+from toricpick.polytope import HPolytope, enumerate_vertices, face_lattice
 
 
 def box_walk(p):
@@ -41,59 +41,6 @@ def box_walk(p):
     return closed, relint
 
 
-def simplex(n, k=1):
-    facets = [(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
-    return HPolytope(n, facets + [((-1,) * n, -k)])
-
-
-def box(lows, highs):
-    n = len(lows)
-    facets = [(tuple(int(j == i) for j in range(n)), a) for i, a in enumerate(lows)]
-    facets += [(tuple(-int(j == i) for j in range(n)), -b) for i, b in enumerate(highs)]
-    return HPolytope(n, facets)
-
-
-def times(p, q):
-    facets = [(lam + (0,) * q.dim, a) for lam, a in p.facets]
-    facets += [((0,) * p.dim + lam, a) for lam, a in q.facets]
-    return HPolytope(p.dim + q.dim, facets)
-
-
-def dilate(p, k):
-    return HPolytope(p.dim, [(lam, k * a) for lam, a in p.facets])
-
-
-def shear(p, rng):
-    n = p.dim
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(2 * n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-1, 1))
-        rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
-    shift = tuple(rng.randint(-9, 9) for _ in range(n))
-    return unimodular_transform(p, IntMatrix.from_rows(rows), shift)
-
-
-def corner_cut_polygon(facet_count, rng):
-    """A 30 x 30 square with corners cut by blow-ups (lam_j + lam_k, a_j + a_k + c)
-    until it has `facet_count` facets, listed in shuffled order; each cut
-    takes c, a third of the shorter edge at the corner, from both edges."""
-    ring = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -30), ((0, -1), -30)]
-    length = [30, 30, 30, 30]
-    while len(ring) < facet_count:
-        j = max(range(len(ring)),
-                key=lambda j: (min(length[j], length[(j + 1) % len(ring)]), rng.random()))
-        k = (j + 1) % len(ring)
-        (lj, aj), (lk, ak) = ring[j], ring[k]
-        c = min(length[j], length[k]) // 3
-        length[j] -= c
-        length[k] -= c
-        ring.insert(j + 1, ((lj[0] + lk[0], lj[1] + lk[1]), aj + ak + c))
-        length.insert(j + 1, c)
-    rng.shuffle(ring)
-    return HPolytope(2, ring)
-
-
 def family():
     rng = random.Random(43)
     out = [(name, get(name)) for name in names()]
@@ -109,7 +56,7 @@ def family():
             ("interval5 x prism", times(get("interval5"), get("prism"))),
             ("triangle2 x prism", times(get("triangle2"), get("prism"))),
             ("square2 x simplex2 sheared", shear(times(get("square2"), simplex(2, 2)), rng))]
-    out += [("polygon%d" % k, corner_cut_polygon(k, rng)) for k in (5, 8, 12)]
+    out += [("polygon%d" % k, corner_cut_polygon(k, 30, rng)) for k in (5, 8, 12)]
     out.append(("rational simplex", HPolytope(3, [((1, 0, 0), 0), ((0, 1, 0), 0),
                                                   ((0, 0, 1), 0), ((-1, -2, -3), -7)])))
     # widest extents 6, 6, 2: the walk runs along axis 0, the lower of the tie

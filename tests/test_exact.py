@@ -6,11 +6,12 @@ from itertools import permutations
 
 import pytest
 
+from oracles import frac_rank
 from toricpick.errors import (DimensionError, NotUnimodularError,
                               SingularSystemError)
-from toricpick.exact import (IntMatrix, det, det_adjugate, dot, frac_rank,
-                             frac_solve, hermite_rows, integer_kernel_basis,
-                             inverse_unimodular, solve_rational, vector_gcd)
+from toricpick.exact import (IntMatrix, det, det_adjugate, dot, frac_solve,
+                             hermite_rows, integer_kernel_basis,
+                             inverse_unimodular, vector_gcd)
 
 
 def permutation_det(rows):
@@ -128,12 +129,20 @@ def test_inverse_unimodular():
     assert err.value.det == 2
 
 
+def adjugate_solve(rows, b):
+    """x = adj(A) b / det(A), the solve the vertex charts are built on."""
+    d, adj = det_adjugate(rows)
+    if d == 0:
+        return None
+    return tuple(Fraction(dot(r, b), d) for r in adj)
+
+
 def test_solve_rational():
-    a = IntMatrix.from_rows([(2, 1), (1, 3)])
-    x = solve_rational(a, (5, 10))
-    assert x == (Fraction(1), Fraction(3))
+    rows = [(2, 1), (1, 3)]
+    assert adjugate_solve(rows, (5, 10)) == (Fraction(1), Fraction(3)) == frac_solve(rows, (5, 10))
+    assert adjugate_solve([(1, 2), (2, 4)], (1, 1)) is None
     with pytest.raises(SingularSystemError):
-        solve_rational(IntMatrix.from_rows([(1, 2), (2, 4)]), (1, 1))
+        frac_solve([(1, 2), (2, 4)], (1, 1))
 
 
 def test_solve_agrees_with_fraction_elimination():
@@ -143,7 +152,18 @@ def test_solve_agrees_with_fraction_elimination():
         m = random_unimodular(n, rng)
         rows = [m.row(i) for i in range(n)]
         b = [rng.randint(-9, 9) for _ in range(n)]
-        assert solve_rational(m, b) == frac_solve(rows, b)
+        assert adjugate_solve(rows, b) == frac_solve(rows, b)
+    # |det| > 1: the division by det is a genuine rational one
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        b = [rng.randint(-9, 9) for _ in range(n)]
+        x = adjugate_solve(rows, b)
+        if x is None:
+            with pytest.raises(SingularSystemError):
+                frac_solve(rows, b)
+        else:
+            assert x == frac_solve(rows, b)
 
 
 def test_frac_rank():

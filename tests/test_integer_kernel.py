@@ -15,6 +15,7 @@ from math import prod
 
 import pytest
 
+from families import corner_cut_polygon, cube, simplex, simplex2_squared
 from toricpick import localization
 from toricpick.corpus import get, names
 from toricpick.errors import ToricError
@@ -23,7 +24,7 @@ from toricpick.localization import (_chart_weights, check_partition,
                                     choose_generic, fixed_point_partition_sum,
                                     gysin_power, integrate_monomial, localize,
                                     partitions_of)
-from toricpick.polytope import HPolytope, enumerate_vertices
+from toricpick.polytope import enumerate_vertices
 from toricpick.series import GENUS_KINDS
 
 
@@ -63,49 +64,9 @@ def oracle_partition_sum(p, lam, u):
     return total
 
 
-def unit_facets(n):
-    return [(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
-
-
-def cube(n):
-    facets = unit_facets(n) + [(tuple(-int(j == i) for j in range(n)), -1)
-                               for i in range(n)]
-    return HPolytope(n, facets, name="cube%d" % n)
-
-
-def simplex(n):
-    return HPolytope(n, unit_facets(n) + [((-1,) * n, -1)], name="simplex%d" % n)
-
-
-def simplex2_squared():
-    facets = [((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0), ((-1, -1, 0, 0), -1),
-              ((0, 0, 1, 0), 0), ((0, 0, 0, 1), 0), ((0, 0, -1, -1), -2)]
-    return HPolytope(4, facets, name="simplex2xsimplex2")
-
-
-def corner_cut_polygon(facet_count):
-    """A square of side 300 whose corners are cut, one at a time, until it
-    has `facet_count` facets.  Cutting the corner between cyclically adjacent
-    facets (lam_j, a_j), (lam_k, a_k) by (lam_j + lam_k, a_j + a_k + c) is a
-    blow-up, so the polygon stays Delzant while both edges there are longer
-    than c; the corner cut is one whose shorter edge is longest."""
-    ring = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -300), ((0, -1), -300)]
-    length = [300] * 4  # lattice length of the edge on each facet
-    while len(ring) < facet_count:
-        j = max(range(len(ring)), key=lambda j: min(length[j], length[(j + 1) % len(ring)]))
-        k = (j + 1) % len(ring)
-        (lj, aj), (lk, ak) = ring[j], ring[k]
-        c = min(length[j], length[k]) // 3
-        length[j] -= c
-        length[k] -= c
-        ring.insert(j + 1, ((lj[0] + lk[0], lj[1] + lk[1]), aj + ak + c))
-        length.insert(j + 1, c)
-    return HPolytope(2, ring, name="polygon%d" % facet_count)
-
-
 POLYTOPES = ([get(name) for name in names()]
              + [cube(4), simplex(5), simplex2_squared()]
-             + [corner_cut_polygon(k) for k in (10, 14, 30)])
+             + [corner_cut_polygon(k, 300) for k in (10, 14, 30)])
 
 
 def two_vectors(p):
@@ -139,7 +100,7 @@ def test_sign_changing_euler_products():
     """The first vertex has a negative Euler product and later ones a
     positive one, so the common denominator meets both signs."""
     cases = [(get("square1"), (-1, 2)), (get("simplex3_1"), (-1, 2, 4)),
-             (corner_cut_polygon(14), (-1, 3))]
+             (corner_cut_polygon(14, 300), (-1, 3))]
     for p, u in cases:
         eulers = [prod(w) for _c, w in _chart_weights(p, u)]
         assert eulers[0] < 0 and max(eulers) > 0, (p.name, eulers)
@@ -175,7 +136,7 @@ class CountedFraction(Fraction):
         return Fraction(*args)
 
 
-@pytest.mark.parametrize("p", [cube(4), simplex(5), corner_cut_polygon(30)],
+@pytest.mark.parametrize("p", [cube(4), simplex(5), corner_cut_polygon(30, 300)],
                          ids=lambda p: p.name)
 def test_one_fraction_per_vertex_at_most(p, monkeypatch):
     monkeypatch.setattr(localization, "Fraction", CountedFraction)

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from toricpick.cli import dump_polytope
+from toricpick.cli import dump_polytope, load_polytope
 from toricpick.cli import main as cli_main
 from toricpick.corpus import get, names, non_delzant_triangle
 from toricpick.errors import (DimensionError, InputError, NotSimpleError,
-                              UnboundedError)
+                              ToricError, UnboundedError)
 from toricpick.exact import IntMatrix, det, dot, vector_gcd
 from toricpick.lattice import count_points
 from toricpick.polytope import (HPolytope, HVector, enumerate_vertices,
@@ -100,6 +100,11 @@ def test_single_fault_inputs_name_their_error(fault, tmp_path, capsys):
         assert all(dot(d, lam) >= 0 for lam, _ in facets)
     path = tmp_path / "fault.json"
     path.write_text(dump_polytope(p))
+    # loading keeps the class and prefixes the file name
+    with pytest.raises(ToricError) as loaded:
+        load_polytope(str(path))
+    assert type(loaded.value) is error
+    assert str(loaded.value) == "%s: %s" % (path, err.value)
     assert cli_main(["compute", "count", str(path), "--format", "json"]) == 2
     err_text = capsys.readouterr().err
     assert err_text.startswith("error: ") and text in err_text

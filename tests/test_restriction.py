@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from families import cube, cut_octagon, simplex, simplex2_squared
 from toricpick.corpus import get, names
 from toricpick.errors import ToricError
 from toricpick.exact import dot
@@ -19,51 +20,14 @@ from toricpick.invariants import (_genus_restriction, twisted_signature_breakdow
 from toricpick.localization import (chern_number, choose_generic,
                                     integrate_poly_breakdown, localize,
                                     partitions_of)
-from toricpick.polytope import HPolytope, enumerate_vertices
+from toricpick.polytope import enumerate_vertices
 from toricpick.series import (GENUS_KINDS, MultiPoly, elementary_symmetric,
                               exp_linear, genus_series, product_over_facets)
 
 
-def cube(n):
-    facets = [(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
-    facets += [(tuple(-int(j == i) for j in range(n)), -1) for i in range(n)]
-    return HPolytope(n, facets, name="cube%d" % n)
-
-
-def simplex(n):
-    facets = [(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
-    return HPolytope(n, facets + [((-1,) * n, -1)], name="simplex%d" % n)
-
-
-def simplex2_squared():
-    facets = [((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0), ((-1, -1, 0, 0), -1),
-              ((0, 0, 1, 0), 0), ((0, 0, 0, 1), 0), ((0, 0, -1, -1), -2)]
-    return HPolytope(4, facets, name="simplex2xsimplex2")
-
-
-def corner_cut_polygon(cuts):
-    """A square of side 40 with 4 corners cut at depth 8, then `cuts` of the
-    octagon's corners cut at depth 2.  Cutting the corner between cyclically
-    adjacent facets (lam_j, a_j), (lam_k, a_k) by (lam_j + lam_k, a_j + a_k + c)
-    is a blow-up, so the polygon stays Delzant."""
-    ring = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -40), ((0, -1), -40)]
-
-    def cut(ring, pos, depth):
-        (lj, aj), (lk, ak) = ring[pos], ring[(pos + 1) % len(ring)]
-        new = ((lj[0] + lk[0], lj[1] + lk[1]), aj + ak + depth)
-        return ring[:pos + 1] + [new] + ring[pos + 1:]
-
-    # descending positions, so each cut leaves the earlier corners in place
-    for pos in (3, 2, 1, 0):
-        ring = cut(ring, pos, 8)
-    for pos in reversed(range(cuts)):
-        ring = cut(ring, pos, 2)
-    return HPolytope(2, ring, name="polygon%d" % len(ring))
-
-
 POLYTOPES = ([get(name) for name in names()]
              + [cube(4), simplex(5), simplex2_squared()]
-             + [corner_cut_polygon(k) for k in (2, 4, 6)])
+             + [cut_octagon(k) for k in (2, 4, 6)])
 
 
 def oracle(p, cls, u):
@@ -128,7 +92,7 @@ def test_genus_restriction_matches_m_variable_class(p):
                     assert PUBLIC[kind, twist](p, u) == expected, (kind, u)
 
 
-@pytest.mark.parametrize("p", [cube(4), simplex(5), corner_cut_polygon(6)],
+@pytest.mark.parametrize("p", [cube(4), simplex(5), cut_octagon(6)],
                          ids=lambda p: p.name)
 def test_chern_class_route_matches_m_variable_class(p):
     n, m = p.dim, len(p.facets)

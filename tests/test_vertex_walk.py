@@ -2,126 +2,38 @@
 
 The oracle solves every n-subset of the m facets (Bareiss determinant,
 Cramer's rule, a cofactor inverse per chart) and keeps the feasible
-intersection points.  The program walks the vertex graph instead.  Both
-must give the same charts: vertex, facet set, det, Lambda and mu, exactly.
-The search for the walk's first vertex stays within its budget.
+intersection points.  The program walks the vertex graph instead, pivoting
+an integer tableau from vertex to vertex.  Both must give the same charts:
+vertex, facet set, det, Lambda and mu, exactly.  The search for the walk's
+first vertex stays within its budget, and it is the only place a
+determinant is eliminated.
 """
 
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
+from families import (corner_cut_polygon, cube, dilate, random_shear,
+                      shuffled, simplex, times, weighted_simplex)
+from oracles import subset_scan
 from toricpick import polytope
-from toricpick.cli import dump_polytope
+from toricpick.cli import dump_polytope, load_polytope
 from toricpick.cli import main as cli_main
 from toricpick.corpus import get, names
 from toricpick.errors import BudgetError, InputError
-from toricpick.exact import IntMatrix, det, dot
+from toricpick.exact import IntMatrix
 from toricpick.polytope import (VERTEX_SEARCH_BUDGET, HPolytope,
                                 enumerate_vertices, unimodular_transform)
-
-
-def cramer(rows, b):
-    n = len(rows)
-    d = det(IntMatrix.from_rows(rows))
-    return tuple(Fraction(det(IntMatrix.from_rows(
-        [[b[i] if c == j else rows[i][c] for c in range(n)] for i in range(n)])), d)
-        for j in range(n))
-
-
-def cofactor_inverse(m, d):
-    n = m.rows
-    ent = []
-    for i in range(n):
-        for j in range(n):
-            minor = [[m[r, c] for c in range(n) if c != i] for r in range(n) if r != j]
-            ent.append(d * (-1) ** (i + j) * det(IntMatrix.from_rows(minor)))
-    return IntMatrix(n, n, ent)
-
-
-def subset_scan(p):
-    """(vertex, facet_set, det, Lambda, mu) per vertex, sorted by vertex."""
-    n = p.dim
-    seen = {}
-    for subset in combinations(range(len(p.facets)), n):
-        rows = [p.normals[i] for i in subset]
-        if det(IntMatrix.from_rows(rows)) == 0:
-            continue
-        x = cramer(rows, [p.offsets[i] for i in subset])
-        x = tuple(int(c) if c.denominator == 1 else c for c in x)
-        slacks = [dot(x, lam) - a for lam, a in p.facets]
-        if min(slacks) < 0:
-            continue
-        tight = tuple(i for i, s in enumerate(slacks) if s == 0)
-        assert len(tight) == n, "oracle input is not simple"
-        seen[x] = tight
-    out = []
-    for x in sorted(seen):
-        lam = IntMatrix.from_columns([p.normals[i] for i in seen[x]])
-        d = det(lam)
-        out.append((x, seen[x], d, lam, cofactor_inverse(lam, d) if d in (1, -1) else None))
-    return out
 
 
 def charts_of(p):
     return [(c.vertex, c.facet_set, c.det, c.lambda_matrix, c.mu_matrix)
             for c in enumerate_vertices(p)]
-
-
-def cube(n):
-    facets = [(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
-    facets += [(tuple(-int(j == i) for j in range(n)), -1) for i in range(n)]
-    return HPolytope(n, facets, name="cube%d" % n)
-
-
-def simplex(n, k=1):
-    facets = [(tuple(int(j == i) for j in range(n)), 0) for i in range(n)]
-    return HPolytope(n, facets + [((-1,) * n, -k)], name="simplex%d" % n)
-
-
-def times(p, q):
-    facets = [(lam + (0,) * q.dim, a) for lam, a in p.facets]
-    facets += [((0,) * p.dim + lam, a) for lam, a in q.facets]
-    return HPolytope(p.dim + q.dim, facets)
-
-
-def corner_cut_polygon(facet_count, rng):
-    """A square of side 120 with corners cut until it has `facet_count`
-    facets, listed in shuffled order.  A corner between cyclically adjacent
-    facets (lam_j, a_j), (lam_k, a_k) is cut by (lam_j + lam_k, a_j + a_k + c),
-    a blow-up, so the polygon stays Delzant while both edges at the corner
-    are longer than c; the cut takes c from each of them and adds an edge of
-    lattice length c.  The corner cut is one whose shorter edge is longest."""
-    ring = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -120), ((0, -1), -120)]
-    length = [120, 120, 120, 120]  # lattice length of the edge on each facet
-    while len(ring) < facet_count:
-        j = max(range(len(ring)),
-                key=lambda j: (min(length[j], length[(j + 1) % len(ring)]), rng.random()))
-        k = (j + 1) % len(ring)
-        (lj, aj), (lk, ak) = ring[j], ring[k]
-        c = min(length[j], length[k]) // 3
-        length[j] -= c
-        length[k] -= c
-        ring.insert(j + 1, ((lj[0] + lk[0], lj[1] + lk[1]), aj + ak + c))
-        length.insert(j + 1, c)
-    rng.shuffle(ring)
-    return HPolytope(2, ring, name="polygon%d" % facet_count)
-
-
-def dilate(p, k):
-    return HPolytope(p.dim, [(lam, k * a) for lam, a in p.facets])
-
-
-def random_shear(n, rng):
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(3 * n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-2, -1, 1, 2))
-        rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
-    return IntMatrix.from_rows(rows)
 
 
 def family():
@@ -133,7 +45,7 @@ def family():
             ("simplex3_2 x simplex2", times(get("simplex3_2"), simplex(2, 3))),
             ("cube3 x interval", times(cube(3), get("interval5"))),
             ("prism x prism", times(get("prism"), get("prism")))]
-    out += [("polygon%d" % k, corner_cut_polygon(k, rng)) for k in (5, 8, 13, 20, 26, 30)]
+    out += [("polygon%d" % k, corner_cut_polygon(k, 120, rng)) for k in (5, 8, 13, 20, 26, 30)]
     for name in ("hirzebruch", "prism", "simplex3_2", "triangle3"):
         p = get(name)
         for k in (2, 5):
@@ -143,13 +55,45 @@ def family():
             out.append(("%s sheared" % name,
                         unimodular_transform(p, random_shear(p.dim, rng), shift)))
     # simple but not Delzant: rational vertices and charts without mu
-    out.append(("rational triangle", HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -2), -1)])))
-    out.append(("rational simplex", HPolytope(3, [((1, 0, 0), 0), ((0, 1, 0), 0),
-                                                  ((0, 0, 1), 0), ((-1, -2, -3), -5)])))
+    out.append(("rational triangle", weighted_simplex((1, 2), 1)))
+    out.append(("rational simplex", weighted_simplex((1, 2, 3), 5)))
     # 1-D segments, in both facet orders
     out += [("segment %d..%d" % (a, b), HPolytope(1, [((1,), a), ((-1,), -b)]))
             for a, b in ((0, 1), (-3, 4), (7, 19))]
     out.append(("segment reversed", HPolytope(1, [((-1,), -2), ((1,), -5)])))
+    return out + pivot_family()
+
+
+def pivot_family():
+    """Inputs whose pivots divide by |det| > 1 and move the entering facet
+    across the tight set, so the walk's exact division and its det sign are
+    both exercised: weighted simplices with coprime weights, sheared
+    dilations of non-Delzant polytopes, and facets in shuffled order."""
+    rng = random.Random(47)
+    out = []
+    for n in (2, 3, 4):
+        for _ in range(3):
+            weights = [rng.randint(1, 6) for _ in range(n)]
+            while gcd(*weights) != 1:
+                weights[rng.randrange(n)] = rng.randint(1, 6)
+            k = rng.randint(1, 9)
+            out.append(("rational simplex %s / %d" % ("-".join(map(str, weights)), k),
+                        weighted_simplex(weights, k)))
+    bases = [("rational triangle 2-3", weighted_simplex((2, 3), 1)),
+             ("rational simplex", weighted_simplex((1, 2, 3), 5)),
+             ("rational triangle x simplex", times(weighted_simplex((2, 3), 4),
+                                                   weighted_simplex((1, 1, 2), 2)))]
+    for name, p in bases:
+        for k in (3, 7):
+            shift = tuple(rng.randint(-9, 9) for _ in range(p.dim))
+            out.append(("%s dilated %d sheared" % (name, k),
+                        unimodular_transform(dilate(p, k), random_shear(p.dim, rng), shift)))
+    for name, p in (("cube4", cube(4)), ("prism x triangle", times(get("prism"), get("triangle2"))),
+                    ("rational simplex", weighted_simplex((1, 2, 3), 5)),
+                    ("hirzebruch x rational triangle",
+                     times(get("hirzebruch"), weighted_simplex((2, 3), 6)))):
+        for order in (1, 2):
+            out.append(("%s shuffled %d" % (name, order), shuffled(p, rng)))
     return out
 
 
@@ -169,6 +113,11 @@ def test_family_reaches_the_cases_it_names():
     assert any(c.mu_matrix is None for c in charts)
     assert any(isinstance(x, Fraction) for c in charts for x in c.vertex)
     assert {p.dim for _, p in FAMILY} >= {1, 2, 3, 4, 5, 6}
+    sheared = [p for name, p in FAMILY if name.startswith("rational") and "sheared" in name]
+    assert len(sheared) == 6
+    for p in sheared:
+        assert sum(abs(c.det) > 1 for c in enumerate_vertices(p)) >= 2
+    assert sum("shuffled" in name for name, _ in FAMILY) == 8
 
 
 def test_cube8_has_256_unimodular_charts():
@@ -214,6 +163,22 @@ def test_first_vertex_search_stays_far_below_its_budget():
     assert len(enumerate_vertices(p)) == 256
 
 
+def test_determinants_run_only_in_the_first_vertex_search(monkeypatch):
+    """Every chart after the first is pivoted from a neighbour's tableau."""
+    cases = [p for _, p in FAMILY] + [cube_side_by_side(8)]
+    tries = [first_vertex_tries(p) for p in cases]
+    assert tries[-1] == 4082
+    calls = []
+    corner, eliminate = polytope._corner, polytope.det_adjugate
+    monkeypatch.setattr(polytope, "_corner", lambda *a: calls.append("corner") or corner(*a))
+    monkeypatch.setattr(polytope, "det_adjugate",
+                        lambda *a: calls.append("det") or eliminate(*a))
+    for p, t in zip(cases, tries):
+        calls.clear()
+        enumerate_vertices.__wrapped__(p)
+        assert calls.count("corner") == calls.count("det") == t
+
+
 def test_empty_system_is_refused_by_the_search_budget(tmp_path, capsys, monkeypatch):
     """m = 27, C(27, 6) = 296010 subsets: about 29 s to scan them all."""
     p = empty_cube_system(6, 15)
@@ -225,6 +190,8 @@ def test_empty_system_is_refused_by_the_search_budget(tmp_path, capsys, monkeypa
     assert len(calls) == VERTEX_SEARCH_BUDGET
     path = tmp_path / "empty.json"
     path.write_text(dump_polytope(p))
+    with pytest.raises(BudgetError, match="^%s: no vertex found" % re.escape(str(path))):
+        load_polytope(str(path))
     start = time.perf_counter()
     assert cli_main(["compute", "count", str(path), "--format", "json"]) == 2
     assert time.perf_counter() - start < 5
