@@ -12,9 +12,8 @@ from .exact import (IntMatrix, Rational, det, integer_kernel_basis,
                     inverse_unimodular)
 from .invariants import (Report, check_face_todd, check_pick,
                          check_tetrahedron, check_todd,
-                         check_untwisted_signature, kahler_class,
-                         twisted_signature, twisted_todd,
-                         volume_by_localization)
+                         check_untwisted_signature, twisted_signature,
+                         twisted_todd, volume_by_localization)
 from .lattice import (FaceCounts, count_points, pick_rhs_3d,
                       weighted_sum_closed, weighted_sum_relint)
 from .localization import (assert_generic, chern_number, check_partition,
@@ -26,7 +25,7 @@ from .polytope import (DelzantVerdict, Face, FaceLattice, HPolytope, HVector,
                        h_vector, induce_face_polytope, is_delzant,
                        signature_from_h, unimodular_transform, validate,
                        volume)
-from .series import (MultiPoly, UniSeries, elementary_symmetric, exp_linear,
-                     genus_series, product_over_facets)
+from .series import (MultiPoly, UniSeries, elementary_to_monomial,
+                     exp_linear, genus_series, product_over_facets)
 
 __version__ = "0.1.0"

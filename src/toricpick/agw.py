@@ -9,12 +9,12 @@ root has degree 2.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 from .errors import ParityError, ShapeError
 from .exact import frac_solve
 from .localization import partitions_of
-from .series import MultiPoly, UniSeries, elementary_symmetric, genus_series
+from .series import UniSeries, elementary_to_monomial, genus_series
 
 NUM_ROOTS = 6
 DEGREE = 12
@@ -40,16 +40,6 @@ class RootPoly:
     def homogeneous(self, d):
         """Part of root-degree d (cohomological degree 2d)."""
         return RootPoly({lam: c for lam, c in self.coeffs.items() if sum(lam) == d})
-
-    def add(self, other):
-        out = dict(self.coeffs)
-        for lam, c in other.coeffs.items():
-            out[lam] = out.get(lam, Fraction(0)) + c
-        return RootPoly(out)
-
-    def scale(self, s):
-        s = Fraction(s)
-        return RootPoly({lam: c * s for lam, c in self.coeffs.items()})
 
     def __eq__(self, other):
         return isinstance(other, RootPoly) and self.coeffs == other.coeffs
@@ -161,44 +151,26 @@ def twisted_ahat(roots=NUM_ROOTS, degree=DEGREE):
     d = a.mul(two_cosh)
     coeffs = {}
     for lam in _root_partitions(xdeg, roots):
-        padded = lam + (0,) * (roots - len(lam))
-        total = Fraction(0)
-        for j in range(roots):
-            term = d.c(padded[j])
-            if not term:
-                continue
-            for i in range(roots):
-                if i != j:
-                    term *= a.c(padded[i])
-                    if not term:
-                        break
-            total += term
+        # a root of exponent 0 carries A's constant term 1, so only the
+        # parts of lam multiply; the distinguished root is a part or not,
+        # and with two parts where A vanishes every term vanishes
+        f = [a.c(x) for x in lam]
+        if f.count(0) > 1:
+            continue
+        total = (roots - len(lam)) * d.c(0) * prod(f)
+        for j, x in enumerate(lam):
+            total += d.c(x) * prod(f[:j] + f[j + 1:])
         if total:
             coeffs[lam] = total
     return RootPoly(coeffs)
-
-
-def _elementary_in_monomials(nu, ydeg):
-    """Expansion of prod_k e_{nu_k}(y_1..y_6) on the monomial basis."""
-    poly = MultiPoly.constant(NUM_ROOTS, ydeg, 1)
-    for part in nu:
-        poly = poly.mul(elementary_symmetric(part, NUM_ROOTS, ydeg))
-    out = {}
-    for lam in partitions_of(ydeg):
-        if len(lam) > NUM_ROOTS:
-            continue
-        rep = lam + (0,) * (NUM_ROOTS - len(lam))
-        c = poly.coefficient(rep)
-        if c:
-            out[lam] = c
-    return out
 
 
 def to_pontryagin(r, degree=DEGREE):
     """Rewrite an even symmetric RootPoly in the p_k = e_k(squares) basis.
 
     Works one root-degree at a time: the e-product-to-monomial transition
-    matrix over partitions of the half degree is solved exactly.
+    matrix over partitions of the half degree (entries counted as 0-1
+    matrices by elementary_to_monomial) is solved exactly.
     """
     xdeg = degree // 2
     out = {}
@@ -214,13 +186,8 @@ def to_pontryagin(r, degree=DEGREE):
         ydeg = d // 2
         lams = [lam for lam in partitions_of(ydeg) if len(lam) <= NUM_ROOTS]
         nus = [nu for nu in partitions_of(ydeg) if max(nu) <= NUM_ROOTS]
-        matrix = []
-        rhs = []
-        basis = {nu: _elementary_in_monomials(nu, ydeg) for nu in nus}
-        for lam in lams:
-            matrix.append([basis[nu].get(lam, Fraction(0)) for nu in nus])
-            target = part.get(tuple(2 * x for x in lam), Fraction(0))
-            rhs.append(target)
+        matrix = [[elementary_to_monomial(nu, lam) for nu in nus] for lam in lams]
+        rhs = [part.get(tuple(2 * x for x in lam), Fraction(0)) for lam in lams]
         solution = frac_solve(matrix, rhs)
         for nu, c in zip(nus, solution):
             if c:

@@ -4,7 +4,8 @@ The input format is a JSON object {"name", "dim", "facets": [{"normal",
 "offset"}, ...]} over integers only.  Reports print as sorted-key JSON or
 as a plain table, rationals render as "p/q" (just "p" when the denominator
 is 1), and the exit code is 0 when the checked identity holds or the value
-was computed, 1 when an identity fails, and 2 for invalid input.
+was computed, 1 when an identity fails, 2 for invalid input, and 141 when
+the reader of standard output closed it early.
 """
 
 import argparse
@@ -457,7 +458,15 @@ def main(argv=None):
 
 
 def entry():
-    sys.exit(main())
+    """Console entry point.  A reader that closes stdout early (say `head`)
+    ends the run with 141, as SIGPIPE would; stdout then goes to devnull."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -45,6 +45,13 @@ class IntMatrix:
         self.entries = entries
 
     @classmethod
+    def _of_ints(cls, rows, cols, entries):
+        """Wrap a tuple of rows * cols ints without converting or checking."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.entries = rows, cols, entries
+        return m
+
+    @classmethod
     def from_rows(cls, rows):
         rows = [tuple(r) for r in rows]
         ncols = len(rows[0]) if rows else 0

@@ -15,7 +15,7 @@ from .localization import choose_generic, localize
 from .polytope import (enumerate_vertices, face_lattice, h_vector,
                        induce_face_polytope, is_delzant, signature_from_h,
                        volume)
-from .series import MultiPoly, genus_series
+from .series import genus_series
 
 
 class Report:
@@ -41,17 +41,6 @@ def _require_delzant(p):
         raise InputError(
             "polytope %s is not Delzant: vertex %s has det %d"
             % (p.name or "", verdict.vertex, verdict.det))
-
-
-def kahler_class(p):
-    """The degree-1 class -sum a_i v_i carried by the offsets."""
-    m = len(p.facets)
-    terms = {}
-    for i, a in enumerate(p.offsets):
-        if a:
-            e = tuple(1 if j == i else 0 for j in range(m))
-            terms[e] = -a
-    return MultiPoly(m, p.dim, terms)
 
 
 def _genus_restriction(p, kind, twist=True):

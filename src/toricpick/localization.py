@@ -8,14 +8,15 @@ the pairing with the fundamental class, independent of the generic vector u.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import lru_cache
+from itertools import product
 from math import factorial, lcm, prod
 from operator import mul
 
 from .errors import (DimensionError, GenericityError, InputError,
                      RouteDisagreementError, ToricError)
 from .polytope import enumerate_vertices
-from .series import MultiPoly, elementary_symmetric
+from .series import MultiPoly, elementary_to_monomial
 
 
 def _primes():
@@ -266,29 +267,46 @@ def _automorphisms(lam):
     return out
 
 
-def fixed_point_partition_sum(p, lam, u):
-    """Literal fixed point formula for a partition: ordered disjoint index
-    tuples at each vertex and all permutations of the parts.
+@lru_cache(maxsize=256)
+def _placements(lam):
+    """States of the m_lam dynamic programme (parts placed per distinct
+    size), ordered by the number placed: the sizes, that number per state,
+    and per state the (index, size position) of each state one part short."""
+    sizes = sorted(set(lam))
+    states = sorted(product(*(range(lam.count(s) + 1) for s in sizes)), key=sum)
+    index = {st: i for i, st in enumerate(states)}
+    return sizes, [sum(st) for st in states], [
+        [(index[st[:k] + (x - 1,) + st[k + 1:]], k) for k, x in enumerate(st) if x]
+        for st in states]
 
-    At a vertex, splitting the n incident facets into a sorted l-tuple I1
-    and its sorted complement I2 and summing the weight powers over
-    permutations evaluates the augmented monomial symmetric function of the
-    restrictions over the Euler class.
+
+def _monomial_symmetric(lam, w):
+    """m_lam(w), each distinct monomial of shape lam in the weights once.
+
+    Weight by weight, each takes one part of lam not yet placed or none.
+    After j of the n weights only states with between l - (n - j) and j of
+    the l parts placed can still finish, so only those are updated, the
+    most placed first, so that each reads the values from before weight j.
     """
-    n = p.dim
-    lam = check_partition(lam, n)
-    l = len(lam)
+    sizes, placed, steps = _placements(lam)
+    n, l = len(w), len(lam)
+    val = [1] + [0] * (len(steps) - 1)
+    for j, x in enumerate(w, 1):
+        power = [x ** s for s in sizes]
+        for i in range(len(steps) - 1, 0, -1):
+            if l - n + j <= placed[i] <= j:
+                for src, k in steps[i]:
+                    val[i] += val[src] * power[k]
+    return val[-1]
+
+
+def _fixed_point_sum(p, terms, u):
+    """Sum over the vertices of sum_lam c_lam m_lam(w) / prod w for the
+    (lam, c_lam) terms, accumulated as an integer numerator over the lcm of
+    the Euler products and divided once."""
     num, den = 0, 1
     for _c, w in _chart_weights(p, u):
-        # each term prod_{I1} w^(part - 1) / prod_{I2} w, over the Euler
-        # product prod w, has the numerator prod_{I1} w^part
-        vertex = 0
-        for i1 in combinations(range(n), l):
-            for sigma in permutations(range(l)):
-                term = 1
-                for slot, j in enumerate(i1):
-                    term *= w[j] ** lam[sigma[slot]]
-                vertex += term
+        vertex = sum(c * _monomial_symmetric(lam, w) for lam, c in terms)
         euler = prod(w)
         grown = lcm(den, euler)
         num = num * (grown // den) + vertex * (grown // euler)
@@ -296,22 +314,24 @@ def fixed_point_partition_sum(p, lam, u):
     return Fraction(num, den)
 
 
-def _monomial_coefficients(omega, n):
-    """Monomial-symmetric expansion of prod_j e_{w_j} in n variables.
+def fixed_point_partition_sum(p, lam, u):
+    """Literal fixed point formula for a partition of n.
 
-    n variables suffice because every partition of n has at most n parts.
-    Returns {lam: coefficient of m_lam} over partitions of n.
+    At a vertex it sums, over ordered l-tuples of distinct incident facets
+    and the parts of lam placed on them, prod w^part over the Euler product.
+    Every distinct monomial arises aut(lam) times, so the value is
+    aut(lam) sum_p m_lam(w_p) / prod w_p, computed by _monomial_symmetric.
     """
-    poly = MultiPoly.constant(n, n, 1)
-    for w in omega:
-        poly = poly.mul(elementary_symmetric(w, n, n))
-    out = {}
-    for lam in partitions_of(n):
-        rep = lam + (0,) * (n - len(lam))
-        c = poly.coefficient(rep)
-        if c:
-            out[lam] = c
-    return out
+    lam = check_partition(lam, p.dim)
+    return _fixed_point_sum(p, ((lam, _automorphisms(lam)),), u)
+
+
+def _chern_fixed_point(p, omega, u):
+    """Route one: e_omega = sum_lam c_lam m_lam with c_lam counted as 0-1
+    matrices, each m_lam evaluated by the fixed point formula."""
+    terms = [(lam, c) for lam in partitions_of(p.dim)
+             if (c := elementary_to_monomial(omega, lam))]
+    return _fixed_point_sum(p, terms, u)
 
 
 def _chern_restriction(omega, w):
@@ -326,21 +346,19 @@ def _chern_restriction(omega, w):
 def chern_number(p, omega, u=None):
     """Chern number for a partition of n, computed two independent ways.
 
-    Route one pushes the literal fixed point formula through the exact
-    expansion of the elementary symmetric product into augmented monomials;
-    route two localizes prod_j e_{w_j}(v_1..v_m), restricted at each vertex to
-    prod_j e_{w_j} of the n weights.  Any disagreement or non-integrality is
-    reported as an error, never patched.
+    Route one expands the elementary symmetric product into monomial
+    symmetric functions by integer counts and evaluates each by the literal
+    fixed point formula, without the e_k of the weights; route two localizes
+    prod_j e_{w_j}(v_1..v_m), restricted at each vertex to prod_j e_{w_j} of
+    the n weights.  Any disagreement or non-integrality is reported as an
+    error, never patched.
     """
     n = p.dim
     omega = check_partition(omega, n)
     charts = enumerate_vertices(p)
     if u is None:
         u = choose_generic(charts)
-    route_fixed = Fraction(0)
-    for lam, coeff in _monomial_coefficients(omega, n).items():
-        s = fixed_point_partition_sum(p, lam, u)
-        route_fixed += coeff * s / _automorphisms(lam)
+    route_fixed = _chern_fixed_point(p, omega, u)
     route_classes, _ = localize(p, u, lambda _c, w: _chern_restriction(omega, w))
     if route_fixed != route_classes:
         raise RouteDisagreementError(

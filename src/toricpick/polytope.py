@@ -289,8 +289,10 @@ def enumerate_vertices(p):
             tableau = _pivot(tableau, j, h)
         _, d, rows = tableau
         scale = abs(d)
-        lam_mat = IntMatrix(n, n, [p.normals[i][k] for k in range(n) for i in tight])
-        mu = IntMatrix(n, n, [x for r in rows[:n] for x in r[:n]]) if scale == 1 else None
+        lam_mat = IntMatrix._of_ints(
+            n, n, tuple(p.normals[i][k] for k in range(n) for i in tight))
+        mu = (IntMatrix._of_ints(n, n, tuple(x for r in rows[:n] for x in r[:n]))
+              if scale == 1 else None)
         xnum = rows[n][:n]
         charts[tight] = VertexChart(_point(xnum, scale), tight, lam_mat, d, mu)
         slack = rows[n][n:]

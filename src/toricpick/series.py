@@ -3,7 +3,8 @@
 UniSeries holds a univariate series truncated at an explicit degree; the
 four genus series (Todd, SignatureHalf, AHat, L) are produced by exact
 division of truncated exponential and hyperbolic series.  MultiPoly is a
-sparse truncated polynomial in the facet classes v_1..v_m.
+sparse truncated polynomial in the facet classes v_1..v_m.  The e-to-m
+transition of symmetric functions is an integer count, elementary_to_monomial.
 """
 
 from fractions import Fraction
@@ -255,14 +256,18 @@ def exp_linear(coeffs, trunc):
     return result
 
 
-def elementary_symmetric(k, num_vars, trunc):
-    """e_k(v_1..v_m) as a MultiPoly; zero when k exceeds the variable count."""
-    if k < 0:
-        raise ShapeError("negative elementary symmetric index")
-    if k > num_vars or k > trunc:
-        return MultiPoly.zero(num_vars, trunc)
-    terms = {}
-    for subset in combinations(range(num_vars), k):
-        e = tuple(1 if j in subset else 0 for j in range(num_vars))
-        terms[e] = 1
-    return MultiPoly(num_vars, trunc, terms)
+@lru_cache(maxsize=4096)
+def elementary_to_monomial(omega, lam):
+    """Coefficient of the monomial symmetric m_lam in e_omega = prod_k e_{omega_k}.
+
+    It is the number of 0-1 matrices with row sums omega and column sums lam
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.6), the same in
+    any number of variables at least the length of lam; both are tuples.
+    The first row puts its 1s in some of the columns that still need one,
+    and the other rows fill what those columns need then, sorted.
+    """
+    if not omega:
+        return int(not any(lam))
+    return sum(elementary_to_monomial(omega[1:], tuple(sorted(
+        (x - (i in ones) for i, x in enumerate(lam)), reverse=True)))
+        for ones in combinations([i for i, x in enumerate(lam) if x], omega[0]))

@@ -4,6 +4,9 @@ Every generator is deterministic; those that draw random choices take a
 seeded random.Random, so a test's cases are fixed by its seed.
 """
 
+import random
+
+from toricpick.corpus import get, names
 from toricpick.exact import IntMatrix
 from toricpick.polytope import HPolytope, unimodular_transform
 
@@ -115,3 +118,24 @@ def shuffled(p, rng):
     facets = list(p.facets)
     rng.shuffle(facets)
     return HPolytope(p.dim, facets, name=p.name)
+
+
+def delzant_family(max_dim=8):
+    """(name, polytope) Delzant inputs up to max_dim: the corpus, cubes and
+    dilated simplices, products, dilations, unimodular images, corner-cut
+    polygons and shuffled facet orders."""
+    rng = random.Random(53)
+    out = [(name, get(name)) for name in names()]
+    out += [("cube%d" % n, cube(n)) for n in range(4, 9)]
+    out += [("simplex%d (%d)" % (n, k), simplex(n, k)) for n in range(4, 9) for k in (1, 2)]
+    out += [("simplex2 x simplex2", simplex2_squared()),
+            ("hirzebruch x prism", times(get("hirzebruch"), get("prism"))),
+            ("prism x prism", times(get("prism"), get("prism")))]
+    for name in ("hirzebruch", "prism", "simplex3_2"):
+        out.append(("%s dilated 3" % name, dilate(get(name), 3)))
+        out.append(("%s sheared" % name, shear(get(name), rng)))
+    out += [("polygon%d" % k, corner_cut_polygon(k, 120, rng)) for k in (8, 20)]
+    out += [("%s shuffled" % name, shuffled(p, rng))
+            for name, p in (("cube4", cube(4)),
+                            ("prism x triangle2", times(get("prism"), get("triangle2"))))]
+    return [(name, p) for name, p in out if p.dim <= max_dim]

@@ -5,12 +5,15 @@ Each is kept so that a differential test can hold the faster route in
 """
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd, lcm
+from functools import lru_cache
+from itertools import combinations, permutations
+from math import gcd, lcm, prod
 
-from toricpick.errors import InputError, NotSimpleError
+from toricpick.errors import InputError, NotSimpleError, ShapeError
 from toricpick.exact import IntMatrix, det, dot
+from toricpick.localization import _chart_weights, check_partition, partitions_of
 from toricpick.polytope import enumerate_vertices
+from toricpick.series import MultiPoly
 
 
 def frac_rank(rows):
@@ -126,3 +129,73 @@ def subset_scan(p):
         d = det(lam)
         out.append((x, seen[x], d, lam, _cofactor_inverse(lam, d) if d in (1, -1) else None))
     return out
+
+
+def elementary_symmetric(k, num_vars, trunc):
+    """e_k(v_1..v_m) as a MultiPoly; zero when k exceeds the variable count."""
+    if k < 0:
+        raise ShapeError("negative elementary symmetric index")
+    if k > num_vars or k > trunc:
+        return MultiPoly.zero(num_vars, trunc)
+    terms = {}
+    for subset in combinations(range(num_vars), k):
+        e = tuple(1 if j in subset else 0 for j in range(num_vars))
+        terms[e] = 1
+    return MultiPoly(num_vars, trunc, terms)
+
+
+@lru_cache(maxsize=None)
+def _elementary_product(parts, num_vars, degree):
+    """prod_k e_{parts_k} as a MultiPoly, parts ascending, so that the
+    partitions of one degree share their products of small parts."""
+    if not parts:
+        return MultiPoly.constant(num_vars, degree, 1)
+    return _elementary_product(parts[:-1], num_vars, degree).mul(
+        elementary_symmetric(parts[-1], num_vars, degree))
+
+
+def monomial_coefficients(omega, num_vars, degree):
+    """{lam: coefficient of m_lam} in prod_k e_{omega_k}(v_1..v_num_vars),
+    read off the expanded MultiPoly product, over partitions of degree with
+    at most num_vars parts."""
+    poly = _elementary_product(tuple(sorted(omega)), num_vars, degree)
+    out = {}
+    for lam in partitions_of(degree):
+        if len(lam) <= num_vars:
+            c = poly.coefficient(lam + (0,) * (num_vars - len(lam)))
+            if c:
+                out[lam] = c
+    return out
+
+
+def permutation_partition_sum(p, lam, u):
+    """The literal fixed point formula: at each vertex every sorted l-tuple
+    of the n incident weights and every permutation of the parts on it."""
+    n = p.dim
+    lam = check_partition(lam, n)
+    l = len(lam)
+    num, den = 0, 1
+    for _c, w in _chart_weights(p, u):
+        vertex = 0
+        for i1 in combinations(range(n), l):
+            for sigma in permutations(range(l)):
+                term = 1
+                for slot, j in enumerate(i1):
+                    term *= w[j] ** lam[sigma[slot]]
+                vertex += term
+        euler = prod(w)
+        grown = lcm(den, euler)
+        num = num * (grown // den) + vertex * (grown // euler)
+        den = grown
+    return Fraction(num, den)
+
+
+def kahler_class(p):
+    """The degree-1 class -sum a_i v_i carried by the offsets."""
+    m = len(p.facets)
+    terms = {}
+    for i, a in enumerate(p.offsets):
+        if a:
+            e = tuple(1 if j == i else 0 for j in range(m))
+            terms[e] = -a
+    return MultiPoly(m, p.dim, terms)

@@ -1,0 +1,134 @@
+"""Chern numbers by integer symmetric-function counts.
+
+Route one of `chern_number` evaluates each monomial symmetric function m_lam
+at a vertex by a dynamic programme over the weights, and takes the
+coefficient of m_lam in e_omega as a count of 0-1 matrices.  Here both are
+held to the routes they replaced (every ordered index tuple and permutation
+of the parts; the expanded product of MultiPoly elementary symmetric
+polynomials), and the Chern numbers to closed forms that need no oracle.
+"""
+
+import inspect
+from math import comb, factorial, prod
+
+import pytest
+
+from families import cube, delzant_family, simplex
+from oracles import monomial_coefficients, permutation_partition_sum
+from toricpick import localization
+from toricpick.localization import (chern_number, choose_generic,
+                                    fixed_point_partition_sum, partitions_of)
+from toricpick.polytope import enumerate_vertices
+from toricpick.series import elementary_to_monomial
+
+SMALL = delzant_family(6)
+
+
+def two_vectors(p):
+    charts = enumerate_vertices(p)
+    u1 = choose_generic(charts)
+    return u1, choose_generic(charts, exclude=(u1,))
+
+
+@pytest.mark.parametrize("name,p", SMALL, ids=[name for name, _ in SMALL])
+def test_partition_sum_matches_the_permutation_oracle(name, p):
+    for u in two_vectors(p):
+        for lam in partitions_of(p.dim):
+            assert fixed_point_partition_sum(p, lam, u) == permutation_partition_sum(p, lam, u), (
+                lam, u)
+
+
+def test_family_reaches_dimension_six():
+    assert {p.dim for _, p in SMALL} == {1, 2, 3, 4, 5, 6}
+    assert len(SMALL) >= 30
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_zero_one_matrix_counts_match_the_multipoly_expansion(d):
+    for omega in partitions_of(d):
+        expanded = monomial_coefficients(omega, d, d)
+        counted = {lam: elementary_to_monomial(omega, lam) for lam in partitions_of(d)}
+        assert counted == {lam: expanded.get(lam, 0) for lam in partitions_of(d)}, omega
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_zero_one_matrix_counts_in_six_roots(d):
+    """The restriction to_pontryagin uses: six variables, so e_k with k > 6
+    vanishes and only lam with at most six parts occur."""
+    for omega in partitions_of(d):
+        expanded = monomial_coefficients(omega, 6, d)
+        counted = {lam: elementary_to_monomial(omega, lam)
+                   for lam in partitions_of(d) if len(lam) <= 6}
+        assert counted == {lam: expanded.get(lam, 0) for lam in counted}, omega
+
+
+def test_zero_one_matrix_count_edge_cases():
+    assert elementary_to_monomial((), ()) == 1
+    assert elementary_to_monomial((1,) * 8, (1,) * 8) == factorial(8)
+    assert elementary_to_monomial((3,), (1, 1, 1)) == 1
+    assert elementary_to_monomial((3,), (2, 1)) == 0
+    assert elementary_to_monomial((2, 1), (1, 1, 1)) == 3
+    assert elementary_to_monomial((1, 2), (1, 1, 1)) == 3
+    assert elementary_to_monomial((2,), (1, 1, 0)) == 1
+    assert elementary_to_monomial((2,), (1,)) == 0
+    # row and column sums that differ leave a column short: no matrix
+    assert elementary_to_monomial((), (1,)) == 0
+    assert elementary_to_monomial((1,), (1, 1)) == 0
+    assert elementary_to_monomial((2, 1), (2, 2)) == 0
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_projective_space_chern_numbers(n):
+    """c(CP^n) = (1 + h)^(n+1) and h^n = 1."""
+    p = simplex(n, 2)
+    for omega in partitions_of(n):
+        assert chern_number(p, omega) == prod(comb(n + 1, k) for k in omega), omega
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_product_of_projective_lines_chern_numbers(n):
+    """c((P^1)^n) = prod (1 + 2 x_i) with x_i^2 = 0 and x_1..x_n = 1, so
+    c_omega counts ordered splittings of the n factors, times 2^n."""
+    p = cube(n)
+    omegas = partitions_of(n) if n < 8 else [(1,) * 8, (2, 2, 2, 1, 1), (4, 3, 1), (8,)]
+    values = {omega: chern_number(p, omega) for omega in omegas}
+    for omega, value in values.items():
+        assert value == 2 ** n * factorial(n) // prod(factorial(k) for k in omega), omega
+    if n == 8:
+        assert values[(1,) * 8] == 10321920
+
+
+def test_fixed_point_route_shares_nothing_with_the_class_route(monkeypatch):
+    """No permutation enumeration and no MultiPoly beyond the input type of
+    integrate_poly; route one runs with the class route disabled."""
+    source = inspect.getsource(localization)
+    assert "permutations" not in source
+    assert source.count("MultiPoly") == 2  # the import and integrate_monomial
+
+    def forbidden(*_args, **_kw):
+        raise AssertionError("route one reached the class route")
+
+    p = dict(SMALL)["prism x prism"]
+    u = two_vectors(p)[0]
+    expected = {omega: chern_number(p, omega, u) for omega in partitions_of(p.dim)}
+    monkeypatch.setattr(localization, "_chern_restriction", forbidden)
+    monkeypatch.setattr(localization, "localize", forbidden)
+    for omega, value in expected.items():
+        assert localization._chern_fixed_point(p, omega, u) == value
+        for lam in partitions_of(p.dim):
+            fixed_point_partition_sum(p, lam, u)
+
+
+def test_class_route_restricts_once_per_vertex(monkeypatch):
+    """Inside chern_number only route two restricts e_omega to a vertex."""
+    calls = []
+    original = localization._chern_restriction
+
+    def counted(omega, w):
+        calls.append(w)
+        return original(omega, w)
+
+    monkeypatch.setattr(localization, "_chern_restriction", counted)
+    p = cube(5)
+    chern_number(p, (2, 2, 1))
+    assert len(calls) == len(enumerate_vertices(p))

@@ -313,3 +313,22 @@ def test_python_dash_m_runs_the_cli_without_warnings():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert json.loads(proc.stdout)["holds"] is True
+
+
+def test_closed_pipe_exits_141_without_a_traceback():
+    """The read end is closed before the child starts, so its first write
+    to stdout fails with EPIPE whatever the timing."""
+    package_root = os.path.dirname(os.path.dirname(toricpick.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "toricpick", "compute", "count",
+             corpus_file("simplex3_2"), "--faces", "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141, proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -4,13 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import kahler_class
 from toricpick.corpus import get, names, non_delzant_triangle
 from toricpick.errors import InputError, ShapeError
 from toricpick.invariants import (check_face_todd, check_pick,
                                   check_tetrahedron, check_todd,
-                                  check_untwisted_signature, kahler_class,
-                                  twisted_signature, twisted_todd,
-                                  volume_by_localization)
+                                  check_untwisted_signature, twisted_signature,
+                                  twisted_todd, volume_by_localization)
 from toricpick.lattice import count_points, weighted_sum_closed
 from toricpick.localization import choose_generic
 from toricpick.polytope import (enumerate_vertices, face_lattice, h_vector,

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from families import cube, cut_octagon, simplex, simplex2_squared
+from oracles import elementary_symmetric
 from toricpick.corpus import get, names
 from toricpick.errors import ToricError
 from toricpick.exact import dot
@@ -21,8 +22,8 @@ from toricpick.localization import (chern_number, choose_generic,
                                     integrate_poly_breakdown, localize,
                                     partitions_of)
 from toricpick.polytope import enumerate_vertices
-from toricpick.series import (GENUS_KINDS, MultiPoly, elementary_symmetric,
-                              exp_linear, genus_series, product_over_facets)
+from toricpick.series import (GENUS_KINDS, MultiPoly, exp_linear, genus_series,
+                              product_over_facets)
 
 
 POLYTOPES = ([get(name) for name in names()]

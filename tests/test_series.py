@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import elementary_symmetric
 from toricpick.errors import ShapeError
-from toricpick.series import (GENUS_KINDS, MultiPoly, UniSeries,
-                              elementary_symmetric, exp_linear, genus_series,
-                              product_over_facets)
+from toricpick.series import (GENUS_KINDS, MultiPoly, UniSeries, exp_linear,
+                              genus_series, product_over_facets)
 
 F = Fraction
 
