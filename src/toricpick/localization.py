@@ -69,48 +69,58 @@ def _weights(c, u):
     return tuple(sum(map(mul, c.mu_matrix.row(j), u)) for j in range(len(u)))
 
 
+@lru_cache(maxsize=4)  # a sweep over the faces of p at one u reuses them
 def _chart_weights(p, u):
-    """Per-chart weight tuples <mu_{p,i_j}, u> with genericity enforced."""
+    """Per-chart weight tuples <mu_{p,i_j}, u> with genericity enforced; u
+    is a tuple."""
     charts = enumerate_vertices(p)
-    uu = tuple(u)
     n = p.dim
-    if len(uu) != n:
-        raise DimensionError("generic vector has length %d, expected %d" % (len(uu), n))
+    if len(u) != n:
+        raise DimensionError("generic vector has length %d, expected %d" % (len(u), n))
     data = []
     for c in charts:
-        w = _weights(c, uu)
+        w = _weights(c, u)
         if not all(w):
             raise GenericityError(
                 "u = %s pairs to zero with a weight at vertex %s; pick another vector"
-                % (uu, c.vertex))
+                % (u, c.vertex))
         data.append((c, w))
-    return data
+    return tuple(data)
 
 
 def assert_generic(p, u):
     """Check a candidate vector against every weight; raise if any pairs to zero."""
-    _chart_weights(p, u)
+    _chart_weights(p, tuple(u))
 
 
-def localize(p, u, restrict, scale=1):
+def localize(p, u, restrict, scale=1, face=None):
     """Fixed point sum of a class given by its restrictions to the vertices.
 
-    restrict(chart, w) returns the integer coefficients c_0..c_n of scale
+    restrict(chart, w) returns the integer coefficients c_0..c_k of scale
     times the class at the chart's vertex as a series in t, where the j-th
     incident facet class restricts to w_j t and every other facet class to
     0.  Degree d sums c_d / (scale prod w) over the vertices, accumulated
     as an integer numerator over the lcm of the Euler products and divided
-    once; every degree below n must sum to exactly 0, and a nonzero value
-    there signals a chart bug, not a user error.  Returns the degree-n
+    once; every degree below k must sum to exactly 0, and a nonzero value
+    there signals a chart bug, not a user error.  Returns the degree-k
     value and the per-vertex contributions, each summed over all degrees.
+
+    k is n, or dim F for a face F of face_lattice(p): the sum is then over
+    the vertices of F, its Euler products take only the w_j with facet_set[j]
+    not a facet of F (the edges in F), and restrict still gets all n w_j.
     """
-    n = p.dim
-    nums = [0] * (n + 1)
+    data = _chart_weights(p, tuple(u))
+    k = p.dim
+    if face is not None:
+        data = [data[v] for v in face.vertices]
+        k = face.dim
+    nums = [0] * (k + 1)
     den = 1
     contributions = []
-    for c, w in _chart_weights(p, u):
+    for c, w in data:
         coeffs = restrict(c, w)
-        euler = prod(w)
+        euler = prod(w if face is None else
+                     (x for i, x in zip(c.facet_set, w) if i not in face.facet_set))
         grown = lcm(den, euler)
         if grown != den:
             nums = [x * (grown // den) for x in nums]
@@ -120,12 +130,12 @@ def localize(p, u, restrict, scale=1):
             if cd:
                 nums[d] += cd * share
         contributions.append((c.vertex, Fraction(sum(coeffs), euler * scale)))
-    for d in range(n):
+    for d in range(k):
         if nums[d]:
             raise ToricError(
                 "localization of the degree-%d part is %s, expected 0 (chart bug)"
                 % (d, Fraction(nums[d], den * scale)))
-    return Fraction(nums[n], den * scale), tuple(contributions)
+    return Fraction(nums[k], den * scale), tuple(contributions)
 
 
 def integrate_monomial(p, exponents, u):
@@ -191,7 +201,7 @@ def gysin_power(p, facet, k, u):
     if not 0 <= facet < len(p.facets):
         raise DimensionError("facet index %d out of range" % facet)
     num, den = 0, 1
-    for c, w in _chart_weights(p, u):
+    for c, w in _chart_weights(p, tuple(u)):
         if facet not in c.facet_set:
             continue
         # w_i^(n-1) / prod_{j != i} w_j = w_i^n / prod w
@@ -305,7 +315,7 @@ def _fixed_point_sum(p, terms, u):
     (lam, c_lam) terms, accumulated as an integer numerator over the lcm of
     the Euler products and divided once."""
     num, den = 0, 1
-    for _c, w in _chart_weights(p, u):
+    for _c, w in _chart_weights(p, tuple(u)):
         vertex = sum(c * _monomial_symmetric(lam, w) for lam, c in terms)
         euler = prod(w)
         grown = lcm(den, euler)

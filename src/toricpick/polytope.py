@@ -24,6 +24,9 @@ from .exact import (IntMatrix, det, det_adjugate, dot, integer_kernel_basis,
 # needs 4082 of them
 VERTEX_SEARCH_BUDGET = 5000
 
+# most pairs of the face order by face_lattice's estimate (the 8-cube's is 545 308)
+FACE_BUDGET = 6 * 10 ** 6
+
 
 class HPolytope:
     """Lattice polytope {x : <x, lam_i> >= a_i} with primitive inward normals."""
@@ -358,9 +361,18 @@ def face_lattice(p):
     itself, or the polytope is not simple.  Then g <= f exactly when the
     facet set of f is a subset of that of g, so the faces above g are the
     2^codim subsets of its facet set.
+
+    A BudgetError comes first if the order may exceed FACE_BUDGET pairs: a
+    vertex is on C(n, d) faces of dimension d, each with d + 1 vertices or
+    more and 2^(n-d) faces above it, so V vertices give at most
+    V (3^(n+1) - 2^(n+1)) / (n + 1) pairs, exactly that many for a simplex.
     """
     charts = enumerate_vertices(p)
     n = p.dim
+    pairs = len(charts) * (3 ** (n + 1) - 2 ** (n + 1)) // (n + 1)
+    if pairs > FACE_BUDGET:
+        raise BudgetError("face order may hold about %d pairs (%d vertices in dimension "
+                          "%d), over the limit of %d" % (pairs, len(charts), n, FACE_BUDGET))
     vertex_facets = [frozenset(c.facet_set) for c in charts]
     found = {}
     for vid, c in enumerate(charts):
@@ -389,12 +401,8 @@ def h_vector(fl):
     coeffs = [0] * (n + 1)
     for i, fi in enumerate(fl.f_vector):
         for j in range(i + 1):
-            coeffs[j] += fi * _binom(i, j) * ((-1) ** (i - j))
+            coeffs[j] += fi * comb(i, j) * ((-1) ** (i - j))
     return HVector(tuple(coeffs[n - k] for k in range(n + 1)))
-
-
-def _binom(a, b):
-    return factorial(a) // (factorial(b) * factorial(a - b))
 
 
 def signature_from_h(hv):
@@ -407,12 +415,15 @@ def volume(p):
     """Exact Euclidean volume by fanning a triangulation from a base vertex.
 
     Facets are triangulated recursively in dimension; each top simplex
-    contributes |det of edge matrix| / n!.
+    contributes |det of edge matrix| / n!.  With the vertices scaled by the
+    lcm D of their denominators, the determinants are of integers and the
+    sum is divided once, by n! D^n.
     """
     fl = face_lattice(p)
     charts = enumerate_vertices(p)
-    points = [c.vertex for c in charts]
     n = p.dim
+    scale = lcm(*(x.denominator for c in charts for x in c.vertex))
+    points = [tuple(int(x * scale) for x in c.vertex) for c in charts]
 
     def simplices(fid):
         face = fl.faces[fid]
@@ -427,23 +438,12 @@ def volume(p):
                 out.append(s + (base,))
         return out
 
-    total = Fraction(0)
+    total = 0
     for s in simplices(fl.top):
         apex = points[s[-1]]
-        edges = [tuple(a - b for a, b in zip(points[w], apex)) for w in s[:-1]]
-        total += abs(_frac_det(edges))
-    return total / factorial(n)
-
-
-def _frac_det(rows):
-    """Exact determinant of rational rows: clear each row's denominators."""
-    scale = 1
-    ints = []
-    for r in rows:
-        q = lcm(*(Fraction(x).denominator for x in r))
-        ints.append([int(x * q) for x in r])
-        scale *= q
-    return Fraction(det(IntMatrix.from_rows(ints)), scale)
+        total += abs(det(IntMatrix._of_ints(n, n, tuple(
+            a - b for w in s[:-1] for a, b in zip(points[w], apex)))))
+    return Fraction(total, factorial(n) * scale ** n)
 
 
 def induce_face_polytope(p, face):

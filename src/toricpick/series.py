@@ -203,9 +203,6 @@ class MultiPoly:
     def coefficient(self, e):
         return self.terms.get(tuple(e), Fraction(0))
 
-    def degrees(self):
-        return sorted({sum(e) for e in self.terms})
-
     def items(self):
         """Terms in a deterministic (sorted exponent) order."""
         return sorted(self.terms.items())

@@ -7,12 +7,13 @@ Each is kept so that a differential test can hold the faster route in
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
+from operator import add
 
 from toricpick.errors import InputError, NotSimpleError, ShapeError
 from toricpick.exact import IntMatrix, det, dot
 from toricpick.localization import _chart_weights, check_partition, partitions_of
-from toricpick.polytope import enumerate_vertices
+from toricpick.polytope import enumerate_vertices, face_lattice
 from toricpick.series import MultiPoly
 
 
@@ -131,6 +132,32 @@ def subset_scan(p):
     return out
 
 
+def fraction_volume(p):
+    """The triangulation volume with a Fraction for every entry: each
+    simplex's edge rows are cleared of denominators one row at a time."""
+    fl = face_lattice(p)
+    points = [c.vertex for c in enumerate_vertices(p)]
+
+    def simplices(fid):
+        face = fl.faces[fid]
+        if face.dim == 0:
+            return [(face.vertices[0],)]
+        base = min(face.vertices, key=lambda w: points[w])
+        return [s + (base,) for gid in fl.children(fid)
+                if base not in fl.faces[gid].vertices for s in simplices(gid)]
+
+    total = Fraction(0)
+    for s in simplices(fl.top):
+        scale, rows = 1, []
+        for w in s[:-1]:
+            r = [Fraction(a) - b for a, b in zip(points[w], points[s[-1]])]
+            q = lcm(*(x.denominator for x in r))
+            rows.append([int(x * q) for x in r])
+            scale *= q
+        total += abs(Fraction(det(IntMatrix.from_rows(rows)), scale))
+    return total / factorial(p.dim)
+
+
 def elementary_symmetric(k, num_vars, trunc):
     """e_k(v_1..v_m) as a MultiPoly; zero when k exceeds the variable count."""
     if k < 0:
@@ -146,23 +173,35 @@ def elementary_symmetric(k, num_vars, trunc):
 
 @lru_cache(maxsize=None)
 def _elementary_product(parts, num_vars, degree):
-    """prod_k e_{parts_k} as a MultiPoly, parts ascending, so that the
-    partitions of one degree share their products of small parts."""
+    """prod_k e_{parts_k}(v_1..v_num_vars) expanded term by term, as a dict
+    from exponent tuples to integer coefficients, without terms above the
+    degree; parts ascending, so that the partitions of one degree share
+    their products of small parts."""
     if not parts:
-        return MultiPoly.constant(num_vars, degree, 1)
-    return _elementary_product(parts[:-1], num_vars, degree).mul(
-        elementary_symmetric(parts[-1], num_vars, degree))
+        return {(0,) * num_vars: 1}
+    k = parts[-1]
+    # the monomials of e_k: one exponent 1 on each of k distinct variables
+    factor = [tuple(int(j in subset) for j in range(num_vars))
+              for subset in combinations(range(num_vars), k)]
+    out = {}
+    for e, c in _elementary_product(parts[:-1], num_vars, degree).items():
+        if sum(e) + k > degree:
+            continue
+        for f in factor:
+            key = tuple(map(add, e, f))
+            out[key] = out.get(key, 0) + c
+    return out
 
 
 def monomial_coefficients(omega, num_vars, degree):
     """{lam: coefficient of m_lam} in prod_k e_{omega_k}(v_1..v_num_vars),
-    read off the expanded MultiPoly product, over partitions of degree with
-    at most num_vars parts."""
-    poly = _elementary_product(tuple(sorted(omega)), num_vars, degree)
+    read off the expanded product, over partitions of degree with at most
+    num_vars parts."""
+    terms = _elementary_product(tuple(sorted(omega)), num_vars, degree)
     out = {}
     for lam in partitions_of(degree):
         if len(lam) <= num_vars:
-            c = poly.coefficient(lam + (0,) * (num_vars - len(lam)))
+            c = terms.get(lam + (0,) * (num_vars - len(lam)), 0)
             if c:
                 out[lam] = c
     return out

@@ -4,8 +4,8 @@ Route one of `chern_number` evaluates each monomial symmetric function m_lam
 at a vertex by a dynamic programme over the weights, and takes the
 coefficient of m_lam in e_omega as a count of 0-1 matrices.  Here both are
 held to the routes they replaced (every ordered index tuple and permutation
-of the parts; the expanded product of MultiPoly elementary symmetric
-polynomials), and the Chern numbers to closed forms that need no oracle.
+of the parts; the product of elementary symmetric polynomials expanded
+term by term), and the Chern numbers to closed forms that need no oracle.
 """
 
 import inspect

@@ -1,15 +1,20 @@
 """Polytope construction, vertex charts, faces, volume and face induction."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from families import (cube, delzant_family, random_shear, simplex, times,
+                      weighted_simplex)
+from oracles import fraction_volume
+from toricpick import localization, polytope
 from toricpick.cli import dump_polytope, load_polytope
 from toricpick.cli import main as cli_main
 from toricpick.corpus import get, names, non_delzant_triangle
-from toricpick.errors import (DimensionError, InputError, NotSimpleError,
-                              ToricError, UnboundedError)
+from toricpick.errors import (BudgetError, DimensionError, InputError,
+                              NotSimpleError, ToricError, UnboundedError)
 from toricpick.exact import IntMatrix, det, dot, vector_gcd
 from toricpick.lattice import count_points
 from toricpick.polytope import (HPolytope, HVector, enumerate_vertices,
@@ -189,6 +194,68 @@ def test_volume_known_values():
     assert volume(get("simplex3_1")) == F(1, 6)
     assert volume(get("simplex3_2")) == F(4, 3)
     assert volume(get("prism")) == F(1, 2)
+
+
+def test_volume_matches_the_fraction_per_entry_oracle(monkeypatch):
+    """Integer determinants over one common scale, on lattice polytopes and
+    on ones with rational vertices; localization is never called."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("volume called localization")
+
+    for name in ("localize", "_chart_weights", "choose_generic"):
+        monkeypatch.setattr(localization, name, forbidden)
+        assert name not in vars(polytope)
+    rng = random.Random(29)
+    cases = [p for _, p in delzant_family(5)]
+    cases += [weighted_simplex(w, k) for w, k in (((2, 3), 5), ((2, 3, 5), 7),
+                                                   ((1, 2, 4, 3), 6))]
+    cases += [times(weighted_simplex((2, 3), 5), get("triangle2"))]
+    cases += [polytope.unimodular_transform(weighted_simplex((3, 2, 5), 7),
+                                            random_shear(3, rng), (1, -2, 0))]
+    for p in cases:
+        assert volume.__wrapped__(p) == fraction_volume(p), p
+
+
+def order_size(fl):
+    return sum(len(fl.subfaces(f)) for f in range(len(fl.faces)))
+
+
+def face_order_estimate(p):
+    """The pairs face_lattice expects: V (3^(n+1) - 2^(n+1)) / (n + 1)."""
+    n = p.dim
+    return len(enumerate_vertices(p)) * (3 ** (n + 1) - 2 ** (n + 1)) // (n + 1)
+
+
+def test_face_budget_boundary(monkeypatch):
+    """For a simplex the estimate is the exact size of the order."""
+    p = simplex(5, 3)
+    pairs = order_size(face_lattice(p))
+    assert pairs == 3 ** 6 - 2 ** 6 == face_order_estimate(p)
+    monkeypatch.setattr(polytope, "FACE_BUDGET", pairs - 1)
+    with pytest.raises(BudgetError, match="about %d pairs \\(6 vertices in dimension 5\\), "
+                                          "over the limit of %d" % (pairs, pairs - 1)):
+        face_lattice.__wrapped__(p)
+    monkeypatch.setattr(polytope, "FACE_BUDGET", pairs)
+    assert order_size(face_lattice.__wrapped__(p)) == pairs
+
+
+def test_face_budget_bounds_the_order_and_admits_the_8_cube():
+    for _, p in delzant_family(8):
+        assert order_size(face_lattice(p)) <= face_order_estimate(p) <= polytope.FACE_BUDGET // 10
+    assert face_order_estimate(cube(8)) == 545308
+    assert order_size(face_lattice(cube(8))) == 5 ** 8
+
+
+def test_sixteen_simplex_exits_two_at_once(tmp_path, capsys):
+    """Its order would hold 3^17 - 2^17 pairs, some 130 million."""
+    path = tmp_path / "simplex16.json"
+    path.write_text(dump_polytope(simplex(16)))
+    start = time.perf_counter()
+    assert cli_main(["verify", "pick", str(path), "--format", "json"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "about %d pairs" % (3 ** 17 - 2 ** 17) in err
+    assert "over the limit of %d" % polytope.FACE_BUDGET in err
 
 
 def test_induce_face_polytope_on_cube_facet():
