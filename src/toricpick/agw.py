@@ -11,8 +11,8 @@ root has degree 2.
 from fractions import Fraction
 from math import factorial, prod
 
-from .errors import ParityError, ShapeError
-from .exact import frac_solve
+from .errors import ParityError, ShapeError, SingularSystemError
+from .exact import det_adjugate, dot
 from .localization import partitions_of
 from .series import UniSeries, elementary_to_monomial, genus_series
 
@@ -170,7 +170,8 @@ def to_pontryagin(r, degree=DEGREE):
 
     Works one root-degree at a time: the e-product-to-monomial transition
     matrix over partitions of the half degree (entries counted as 0-1
-    matrices by elementary_to_monomial) is solved exactly.
+    matrices by elementary_to_monomial) is solved exactly over the
+    integers, as adj(A) b / det(A).
     """
     xdeg = degree // 2
     out = {}
@@ -188,8 +189,11 @@ def to_pontryagin(r, degree=DEGREE):
         nus = [nu for nu in partitions_of(ydeg) if max(nu) <= NUM_ROOTS]
         matrix = [[elementary_to_monomial(nu, lam) for nu in nus] for lam in lams]
         rhs = [part.get(tuple(2 * x for x in lam), Fraction(0)) for lam in lams]
-        solution = frac_solve(matrix, rhs)
-        for nu, c in zip(nus, solution):
+        den, adj = det_adjugate(matrix)
+        if den == 0:
+            raise SingularSystemError("e-to-m transition in root-degree %d is singular" % d)
+        for nu, row in zip(nus, adj):
+            c = Fraction(dot(row, rhs)) / den
             if c:
                 out[nu] = out.get(nu, Fraction(0)) + c
     return PontryaginPoly(out)

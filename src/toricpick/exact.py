@@ -9,7 +9,7 @@ the computation path.
 from fractions import Fraction
 from math import gcd
 
-from .errors import DimensionError, NotUnimodularError, SingularSystemError
+from .errors import DimensionError, NotUnimodularError
 
 # Rational values are plain fractions.Fraction: always in lowest terms,
 # positive denominator, canonical zero.  The alias fixes the name used
@@ -167,28 +167,6 @@ def inverse_unimodular(m):
     if d not in (1, -1):
         raise NotUnimodularError(d)
     return IntMatrix(m.rows, m.cols, [d * x for r in adj for x in r])
-
-
-def frac_solve(rows, rhs):
-    """Solve a square rational system exactly by Gaussian elimination."""
-    n = len(rows)
-    m = [[Fraction(x) for x in r] + [Fraction(rhs[i])] for i, r in enumerate(rows)]
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            raise SingularSystemError("system matrix is singular")
-        m[c], m[piv] = m[piv], m[c]
-        pv = m[c][c]
-        m[c] = [x / pv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return tuple(m[i][n] for i in range(n))
 
 
 def _echelon_transform(mat, width):

@@ -66,7 +66,6 @@ def count_points(p):
         raise BudgetError("lattice count needs about %d fiber-facet steps "
                           "(%d fibers x %d facets), over the limit of %d"
                           % (fibers * m, fibers, m, COUNT_BUDGET))
-    by_facet_set = {frozenset(f.facet_set): i for i, f in enumerate(fl.faces)}
     rows = [(i, tuple(lam[j] for j in others), lam[k], a)
             for i, (lam, a) in enumerate(p.facets)]
     relint = [0] * len(fl.faces)
@@ -95,12 +94,17 @@ def count_points(p):
                 if low <= x <= high:
                     tight_at.setdefault(x, []).append(i)
             for extra in tight_at.values():
-                relint[by_facet_set[frozenset(whole + extra)]] += 1
+                relint[fl.face_id[tuple(sorted(whole + extra))]] += 1
             plain = high - low + 1 - len(tight_at)
             if plain:
-                relint[by_facet_set[frozenset(whole)]] += plain
-    closed = {fid: sum(relint[g] for g in fl.subfaces(fid)) for fid in range(len(fl.faces))}
-    return FaceCounts(fl, closed, enumerate(relint))
+                relint[fl.face_id[tuple(whole)]] += plain
+    # each point is in the closure of every face above its own
+    closed = [0] * len(fl.faces)
+    for gid, c in enumerate(relint):
+        if c:
+            for fid in fl.above(gid):
+                closed[fid] += c
+    return FaceCounts(fl, enumerate(closed), enumerate(relint))
 
 
 def weighted_sum_closed(fc):

@@ -24,7 +24,8 @@ from .exact import (IntMatrix, det, det_adjugate, dot, integer_kernel_basis,
 # needs 4082 of them
 VERTEX_SEARCH_BUDGET = 5000
 
-# most pairs of the face order by face_lattice's estimate (the 8-cube's is 545 308)
+# most pairs of the face order by face_lattice's estimate (the 8-cube's is 545 308);
+# the order is not stored, but listing it takes a step per pair and closing counts at most
 FACE_BUDGET = 6 * 10 ** 6
 
 
@@ -75,15 +76,15 @@ class HPolytope:
 class VertexChart:
     """Fixed point data at a vertex.
 
-    lambda_matrix has the incident normals as columns in ascending facet
-    order; mu_matrix is its exact integer inverse whenever |det| = 1 (rows
-    are the localization weights), and None otherwise.
+    facet_set lists the incident facets in ascending order, and det is the
+    determinant of Lambda, the matrix with their normals as columns.
+    mu_matrix is the exact integer inverse of Lambda whenever |det| = 1
+    (rows are the localization weights), and None otherwise.
     """
 
-    def __init__(self, vertex, facet_set, lambda_matrix, lambda_det, mu_matrix):
+    def __init__(self, vertex, facet_set, lambda_det, mu_matrix):
         self.vertex = tuple(vertex)
         self.facet_set = tuple(facet_set)
-        self.lambda_matrix = lambda_matrix
         self.det = lambda_det
         self.mu_matrix = mu_matrix
 
@@ -105,41 +106,49 @@ class Face:
 
 
 class FaceLattice:
-    """All faces of a simple polytope with the (transitively closed) order."""
+    """All faces of a simple polytope, each keyed by its facet set.
 
-    def __init__(self, dim, faces, leq):
+    The order is not stored: g is a face of f exactly when the facet set of
+    f is a subset of that of g.  face_id maps a facet set to its face id,
+    and vertex_facets holds the facet set of each vertex chart.
+    """
+
+    def __init__(self, dim, faces, vertex_facets):
         # cached per geometry, and HPolytope equality ignores the name: no polytope here
         self.dim = dim
         self.faces = tuple(faces)
+        self.vertex_facets = tuple(vertex_facets)
         counts = [0] * (dim + 1)
         for f in self.faces:
             counts[f.dim] += 1
         self.f_vector = tuple(counts)
-        # the order is kept as down-sets only: smaller than the pair set
-        down = [[] for _ in self.faces]
-        for g, f in leq:
-            down[f].append(g)
-        self._down = tuple(tuple(sorted(gs)) for gs in down)
+        self.face_id = {f.facet_set: i for i, f in enumerate(self.faces)}
 
     @property
     def leq(self):
         """The order as a set of pairs (g, f) with g a face of f."""
-        return frozenset((g, f) for f, gs in enumerate(self._down) for g in gs)
+        return frozenset((g, f) for g in range(len(self.faces)) for f in self.above(g))
 
     def faces_of_dim(self, d):
         return tuple(i for i, f in enumerate(self.faces) if f.dim == d)
 
     @property
     def top(self):
-        return self.faces_of_dim(self.dim)[0]
+        return self.face_id[()]
 
-    def subfaces(self, fid):
-        """Ids of all faces below (or equal to) the given one, ascending."""
-        return self._down[fid]
+    def above(self, gid):
+        """Ids of the faces containing the given one (itself included): the
+        subsets of its facet set."""
+        fs = self.faces[gid].facet_set
+        return [self.face_id[sub] for r in range(len(fs) + 1) for sub in combinations(fs, r)]
 
     def children(self, fid):
-        d = self.faces[fid].dim
-        return tuple(g for g in self.subfaces(fid) if self.faces[g].dim == d - 1)
+        """Ids of the facets of a face, ascending.  Each adds to the face's
+        facet set one facet through a vertex of the face."""
+        face = self.faces[fid]
+        extra = {i for w in face.vertices for i in self.vertex_facets[w]}
+        extra.difference_update(face.facet_set)
+        return sorted(self.face_id[tuple(sorted(face.facet_set + (i,)))] for i in extra)
 
 
 class HVector:
@@ -292,12 +301,10 @@ def enumerate_vertices(p):
             tableau = _pivot(tableau, j, h)
         _, d, rows = tableau
         scale = abs(d)
-        lam_mat = IntMatrix._of_ints(
-            n, n, tuple(p.normals[i][k] for k in range(n) for i in tight))
         mu = (IntMatrix._of_ints(n, n, tuple(x for r in rows[:n] for x in r[:n]))
               if scale == 1 else None)
         xnum = rows[n][:n]
-        charts[tight] = VertexChart(_point(xnum, scale), tight, lam_mat, d, mu)
+        charts[tight] = VertexChart(_point(xnum, scale), tight, d, mu)
         slack = rows[n][n:]
         for j in range(n):
             e = rows[j][:n]
@@ -360,7 +367,7 @@ def face_lattice(p):
     (the facets containing every one of its vertices) must be the subset
     itself, or the polytope is not simple.  Then g <= f exactly when the
     facet set of f is a subset of that of g, so the faces above g are the
-    2^codim subsets of its facet set.
+    2^codim subsets of its facet set, and the order needs no storage.
 
     A BudgetError comes first if the order may exceed FACE_BUDGET pairs: a
     vertex is on C(n, d) faces of dimension d, each with d + 1 vertices or
@@ -388,11 +395,7 @@ def face_lattice(p):
                                  % (list(sub),))
         faces.append(Face(sub, n - len(sub), verts))
     faces.sort(key=lambda f: (f.dim, f.facet_set))
-    ids = {f.facet_set: i for i, f in enumerate(faces)}
-    leq = [(gi, ids[sub]) for gi, g in enumerate(faces)
-           for r in range(len(g.facet_set) + 1)
-           for sub in combinations(g.facet_set, r)]
-    return FaceLattice(n, faces, leq)
+    return FaceLattice(n, faces, (c.facet_set for c in charts))
 
 
 def h_vector(fl):
@@ -460,8 +463,6 @@ def induce_face_polytope(p, face):
     if face.dim >= n:
         raise DimensionError("face induction expects a proper face")
     fl = face_lattice(p)
-    fid = next(i for i, f in enumerate(fl.faces)
-               if f.facet_set == face.facet_set and f.dim == face.dim)
     charts = enumerate_vertices(p)
     rows = [p.normals[i] for i in face.facet_set]
     basis = integer_kernel_basis(rows, n)
@@ -474,12 +475,8 @@ def induce_face_polytope(p, face):
         raise InputError("face has a non-lattice vertex %s" % (base,))
     base = tuple(int(x) for x in base)
     new_facets = []
-    for gid in fl.children(fid):
-        extra = set(fl.faces[gid].facet_set) - set(face.facet_set)
-        if len(extra) != 1:
-            raise NotSimpleError((), fl.faces[gid].facet_set,
-                                 "child face adds more than one facet")
-        i = extra.pop()
+    for gid in fl.children(fl.face_id[face.facet_set]):
+        i, = set(fl.faces[gid].facet_set) - set(face.facet_set)
         lam, a = p.facets[i]
         nu = tuple(dot(b, lam) for b in basis)
         off = a - dot(base, lam)

@@ -6,11 +6,12 @@ Each is kept so that a differential test can hold the faster route in
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
-from math import factorial, gcd, lcm, prod
+from itertools import combinations, permutations, product
+from math import ceil, factorial, floor, gcd, lcm, prod
 from operator import add
 
-from toricpick.errors import InputError, NotSimpleError, ShapeError
+from toricpick.errors import (InputError, NotSimpleError, ShapeError,
+                              SingularSystemError)
 from toricpick.exact import IntMatrix, det, dot
 from toricpick.localization import _chart_weights, check_partition, partitions_of
 from toricpick.polytope import enumerate_vertices, face_lattice
@@ -47,6 +48,28 @@ def frac_rank(rows):
         if rank == len(m):
             break
     return rank
+
+
+def frac_solve(rows, rhs):
+    """Solve a square rational system exactly by Gaussian elimination."""
+    n = len(rows)
+    m = [[Fraction(x) for x in r] + [Fraction(rhs[i])] for i, r in enumerate(rows)]
+    for c in range(n):
+        piv = None
+        for i in range(c, n):
+            if m[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            raise SingularSystemError("system matrix is singular")
+        m[c], m[piv] = m[piv], m[c]
+        pv = m[c][c]
+        m[c] = [x / pv for x in m[c]]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return tuple(m[i][n] for i in range(n))
 
 
 def _differences(points):
@@ -132,10 +155,55 @@ def subset_scan(p):
     return out
 
 
+def lambda_matrix(p, chart):
+    """Lambda at a vertex: the normals of its facets as columns, ascending."""
+    return IntMatrix.from_columns([p.normals[i] for i in chart.facet_set])
+
+
+def inclusion_order(fl):
+    """The face order by its definition, over all F^2 pairs: the down-set
+    of f lists, ascending, every g whose vertices are all vertices of f."""
+    verts = [frozenset(f.vertices) for f in fl.faces]
+    return [tuple(g for g, vg in enumerate(verts) if vg <= vf) for vf in verts]
+
+
+def inclusion_children(fl):
+    """The facets of each face, read from inclusion_order."""
+    return [tuple(g for g in down if fl.faces[g].dim == fl.faces[f].dim - 1)
+            for f, down in enumerate(inclusion_order(fl))]
+
+
+def box_walk(p):
+    """(closed, relint) by face id from a walk over the whole bounding box.
+
+    Every facet is tested at every point.  A lattice point of P is credited
+    to the face whose vertices are those on all its tight facets, and the
+    closed counts sum relint over inclusion_order.
+    """
+    fl = face_lattice(p)
+    charts = enumerate_vertices(p)
+    n = p.dim
+    lo = [floor(min(c.vertex[k] for c in charts)) for k in range(n)]
+    hi = [ceil(max(c.vertex[k] for c in charts)) for k in range(n)]
+    by_vertices = {frozenset(f.vertices): i for i, f in enumerate(fl.faces)}
+    relint = {i: 0 for i in range(len(fl.faces))}
+    for point in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        slacks = [dot(point, lam) - a for lam, a in p.facets]
+        if min(slacks) >= 0:
+            tight = {i for i, s in enumerate(slacks) if s == 0}
+            verts = frozenset(w for w, c in enumerate(charts) if tight <= set(c.facet_set))
+            relint[by_vertices[verts]] += 1
+    closed = {f: sum(relint[g] for g in down)
+              for f, down in enumerate(inclusion_order(fl))}
+    return closed, relint
+
+
 def fraction_volume(p):
     """The triangulation volume with a Fraction for every entry: each
-    simplex's edge rows are cleared of denominators one row at a time."""
+    simplex's edge rows are cleared of denominators one row at a time, and
+    the facets of each face come from inclusion_order."""
     fl = face_lattice(p)
+    children = inclusion_children(fl)
     points = [c.vertex for c in enumerate_vertices(p)]
 
     def simplices(fid):
@@ -143,7 +211,7 @@ def fraction_volume(p):
         if face.dim == 0:
             return [(face.vertices[0],)]
         base = min(face.vertices, key=lambda w: points[w])
-        return [s + (base,) for gid in fl.children(fid)
+        return [s + (base,) for gid in children[fid]
                 if base not in fl.faces[gid].vertices for s in simplices(gid)]
 
     total = Fraction(0)

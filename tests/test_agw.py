@@ -1,15 +1,19 @@
 """Degree-12 cancellation identity: genus expansions, the Pontryagin
 rewrite, and frozen coefficient tables for all three genera."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from oracles import frac_solve
+from toricpick import agw
 from toricpick.agw import (DEGREE, NUM_ROOTS, PontryaginPoly, RootPoly,
                            expand_genus_product, pontryagin_label,
                            to_pontryagin, twisted_ahat, verify_agw)
-from toricpick.errors import ParityError, ShapeError
-from toricpick.series import genus_series
+from toricpick.errors import ParityError, ShapeError, SingularSystemError
+from toricpick.localization import partitions_of
+from toricpick.series import elementary_to_monomial, genus_series
 
 F = Fraction
 
@@ -90,6 +94,31 @@ def test_twisted_ahat_pontryagin_table():
     for weight, table in TWISTED_TABLE.items():
         part = poly.homogeneous(weight)
         assert part == PontryaginPoly(table), weight
+
+
+def test_pontryagin_rewrite_matches_fraction_elimination():
+    """adj(A) b / det(A) over the integers against Gaussian elimination over
+    Fractions, on the three genera and on random even symmetric polynomials."""
+    rng = random.Random(31)
+    polys = [expand_genus_product(genus_series(g, DEGREE // 2)) for g in ("L", "AHat")]
+    polys.append(twisted_ahat())
+    for _ in range(5):
+        polys.append(RootPoly({tuple(2 * x for x in lam): F(rng.randint(-9, 9), rng.randint(1, 9))
+                               for d in (1, 2, 3) for lam in partitions_of(d)}))
+    for r in polys:
+        poly = to_pontryagin(r)
+        for weight in (1, 2, 3):
+            lams = [lam for lam in partitions_of(weight) if len(lam) <= NUM_ROOTS]
+            nus = [nu for nu in partitions_of(weight) if max(nu) <= NUM_ROOTS]
+            matrix = [[elementary_to_monomial(nu, lam) for nu in nus] for lam in lams]
+            rhs = [r.coeffs.get(tuple(2 * x for x in lam), 0) for lam in lams]
+            assert tuple(poly.coefficient(nu) for nu in nus) == frac_solve(matrix, rhs)
+
+
+def test_pontryagin_rewrite_refuses_a_singular_system(monkeypatch):
+    monkeypatch.setattr(agw, "elementary_to_monomial", lambda nu, lam: 1)
+    with pytest.raises(SingularSystemError, match="root-degree 4"):
+        to_pontryagin(RootPoly({(2, 2): 1}))
 
 
 def test_top_weight_combination_by_hand():

@@ -19,7 +19,7 @@ from itertools import product
 
 import pytest
 
-from oracles import rank_checked_validate, subset_scan
+from oracles import lambda_matrix, rank_checked_validate, subset_scan
 from toricpick.errors import ToricError
 from toricpick.exact import vector_gcd
 from toricpick.polytope import HPolytope, face_lattice, validate
@@ -52,7 +52,7 @@ def outcome(check, p):
         charts = check(p)
     except ToricError as e:
         return type(e).__name__, str(e)
-    return "accepted", [(c.vertex, c.facet_set, c.det, c.lambda_matrix, c.mu_matrix)
+    return "accepted", [(c.vertex, c.facet_set, c.det, lambda_matrix(p, c), c.mu_matrix)
                         for c in charts]
 
 

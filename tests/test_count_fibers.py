@@ -8,37 +8,18 @@ same closed and relative-interior count for every face, exactly.
 
 import json
 import random
-from itertools import product
-from math import ceil, comb, floor
+from math import comb
 
 import pytest
 
 from families import box, corner_cut_polygon, dilate, shear, simplex, times
+from oracles import box_walk
 from toricpick import lattice
 from toricpick.cli import main
 from toricpick.corpus import get, names
 from toricpick.errors import BudgetError
-from toricpick.exact import dot
 from toricpick.lattice import count_points
 from toricpick.polytope import HPolytope, enumerate_vertices, face_lattice
-
-
-def box_walk(p):
-    """(closed, relint) by face id from a walk over the whole bounding box."""
-    fl = face_lattice(p)
-    charts = enumerate_vertices(p)
-    n = p.dim
-    lo = [floor(min(c.vertex[k] for c in charts)) for k in range(n)]
-    hi = [ceil(max(c.vertex[k] for c in charts)) for k in range(n)]
-    by_facet_set = {frozenset(f.facet_set): i for i, f in enumerate(fl.faces)}
-    relint = {i: 0 for i in range(len(fl.faces))}
-    for point in product(*(range(a, b + 1) for a, b in zip(lo, hi))):
-        slacks = [dot(point, lam) - a for lam, a in p.facets]
-        if min(slacks) >= 0:
-            tight = frozenset(i for i, s in enumerate(slacks) if s == 0)
-            relint[by_facet_set[tight]] += 1
-    closed = {fid: sum(relint[g] for g in fl.subfaces(fid)) for fid in relint}
-    return closed, relint
 
 
 def family():

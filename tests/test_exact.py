@@ -6,12 +6,12 @@ from itertools import permutations
 
 import pytest
 
-from oracles import frac_rank
+from oracles import frac_rank, frac_solve
 from toricpick.errors import (DimensionError, NotUnimodularError,
                               SingularSystemError)
-from toricpick.exact import (IntMatrix, det, det_adjugate, dot, frac_solve,
-                             hermite_rows, integer_kernel_basis,
-                             inverse_unimodular, vector_gcd)
+from toricpick.exact import (IntMatrix, det, det_adjugate, dot, hermite_rows,
+                             integer_kernel_basis, inverse_unimodular,
+                             vector_gcd)
 
 
 def permutation_det(rows):
@@ -130,7 +130,8 @@ def test_inverse_unimodular():
 
 
 def adjugate_solve(rows, b):
-    """x = adj(A) b / det(A), the solve the vertex charts are built on."""
+    """x = adj(A) b / det(A), the solve the vertex charts and the
+    Pontryagin basis change are built on."""
     d, adj = det_adjugate(rows)
     if d == 0:
         return None

@@ -20,7 +20,7 @@ import pytest
 
 from families import (corner_cut_polygon, cube, dilate, random_shear,
                       shuffled, simplex, times, weighted_simplex)
-from oracles import subset_scan
+from oracles import lambda_matrix, subset_scan
 from toricpick import polytope
 from toricpick.cli import dump_polytope, load_polytope
 from toricpick.cli import main as cli_main
@@ -32,7 +32,7 @@ from toricpick.polytope import (VERTEX_SEARCH_BUDGET, HPolytope,
 
 
 def charts_of(p):
-    return [(c.vertex, c.facet_set, c.det, c.lambda_matrix, c.mu_matrix)
+    return [(c.vertex, c.facet_set, c.det, lambda_matrix(p, c), c.mu_matrix)
             for c in enumerate_vertices(p)]
 
 
@@ -121,11 +121,12 @@ def test_family_reaches_the_cases_it_names():
 
 
 def test_cube8_has_256_unimodular_charts():
-    charts = enumerate_vertices(cube(8))
+    p = cube(8)
+    charts = enumerate_vertices(p)
     assert [c.vertex for c in charts] == sorted(product((0, 1), repeat=8))
     for c in charts:
         assert c.det in (1, -1)
-        assert c.mu_matrix.mul(c.lambda_matrix) == IntMatrix.identity(8)
+        assert c.mu_matrix.mul(lambda_matrix(p, c)) == IntMatrix.identity(8)
         assert c.facet_set == tuple(sorted(i if x == 0 else i + 8
                                            for i, x in enumerate(c.vertex)))
 
