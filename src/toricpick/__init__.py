@@ -19,13 +19,12 @@ from .lattice import (FaceCounts, count_points, pick_rhs_3d,
 from .localization import (assert_generic, chern_number, check_partition,
                            choose_generic, fixed_point_partition_sum,
                            gysin_power, gysin_power_v3, integrate_monomial,
-                           integrate_poly, localize, partitions_of)
+                           localize, partitions_of)
 from .polytope import (DelzantVerdict, Face, FaceLattice, HPolytope, HVector,
                        VertexChart, enumerate_vertices, face_lattice,
                        h_vector, induce_face_polytope, is_delzant,
                        signature_from_h, unimodular_transform, validate,
                        volume)
-from .series import (MultiPoly, UniSeries, elementary_to_monomial,
-                     exp_linear, genus_series, product_over_facets)
+from .series import UniSeries, elementary_to_monomial, genus_series
 
 __version__ = "0.1.0"

@@ -5,6 +5,9 @@ passes through p and to 0 otherwise; the equivariant Euler class is the
 product of the n incident restrictions.  Restricting a class to each vertex
 as a series in one variable and summing restriction/Euler quotients gives
 the pairing with the fundamental class, independent of the generic vector u.
+Monomials, genus classes and Chern classes all integrate through that one
+sum, localize; no class is expanded in the m facet classes.  Gysin powers
+and the fixed point Chern route sum their own weights, independently.
 """
 
 from fractions import Fraction
@@ -16,7 +19,7 @@ from operator import mul
 from .errors import (DimensionError, GenericityError, InputError,
                      RouteDisagreementError, ToricError)
 from .polytope import enumerate_vertices
-from .series import MultiPoly, elementary_to_monomial
+from .series import elementary_to_monomial
 
 
 def _primes():
@@ -141,9 +144,9 @@ def localize(p, u, restrict, scale=1, face=None):
 def integrate_monomial(p, exponents, u):
     """Localization sum for one monomial in the facet classes.
 
-    A chart contributes only when every facet with positive exponent passes
-    through its vertex; the value is the weight monomial over the Euler
-    product.  Degrees below n sum to exactly 0, degree n gives the
+    At a vertex the monomial restricts to the product of the weight powers
+    of its facets in degree sum(e), or to 0 when one of them misses the
+    vertex.  Degrees below n sum to exactly 0, degree n gives the
     intersection number.
     """
     exponents = tuple(int(e) for e in exponents)
@@ -152,41 +155,18 @@ def integrate_monomial(p, exponents, u):
             len(exponents), len(p.facets)))
     if any(e < 0 for e in exponents):
         raise DimensionError("negative exponent")
-    if sum(exponents) > p.dim:
+    degree = sum(exponents)
+    if degree > p.dim:
         raise DimensionError("monomial degree exceeds the polytope dimension")
-    return integrate_poly(p, MultiPoly(len(p.facets), p.dim, {exponents: 1}), u)
-
-
-def integrate_poly(p, f, u):
-    """Pairing of the degree-n part with the fundamental class."""
-    return integrate_poly_breakdown(p, f, u)[0]
-
-
-def integrate_poly_breakdown(p, f, u):
-    """Integral together with the per-vertex fixed point contributions.
-
-    Each term restricts at a vertex to its coefficient times the weight
-    powers of its facets, or to 0 when one of them misses the vertex.
-    """
-    if f.num_vars != len(p.facets):
-        raise DimensionError("polynomial has %d variables, polytope has %d facets" % (
-            f.num_vars, len(p.facets)))
-    if f.trunc > p.dim:
-        raise DimensionError("truncation %d exceeds the dimension %d" % (f.trunc, p.dim))
-
-    scale = lcm(*(c.denominator for c in f.terms.values()))
-    terms = [(tuple((i, k) for i, k in enumerate(e) if k), sum(e), int(c * scale))
-             for e, c in f.terms.items()]
+    powers = [(i, k) for i, k in enumerate(exponents) if k]
 
     def restrict(chart, w):
         at = dict(zip(chart.facet_set, w))
-        out = [0] * (p.dim + 1)
-        for powers, d, c in terms:
-            if all(i in at for i, _ in powers):
-                out[d] += c * prod(at[i] ** k for i, k in powers)
-        return out
+        if not all(i in at for i, _ in powers):
+            return ()
+        return [0] * degree + [prod(at[i] ** k for i, k in powers)]
 
-    return localize(p, u, restrict, scale)
+    return localize(p, u, restrict)[0]
 
 
 def gysin_power(p, facet, k, u):

@@ -24,6 +24,10 @@ from .exact import (IntMatrix, det, det_adjugate, dot, integer_kernel_basis,
 # needs 4082 of them
 VERTEX_SEARCH_BUDGET = 5000
 
+# most vertex charts the walk may build, at some 0.2-0.4 ms and up to 20 kB each
+# (the 20-cube takes 4 s and 215 MB to be refused); a 13-cube has 8192
+WALK_BUDGET = 10 ** 4
+
 # most pairs of the face order by face_lattice's estimate (the 8-cube's is 545 308);
 # the order is not stored, but listing it takes a step per pair and closing counts at most
 FACE_BUDGET = 6 * 10 ** 6
@@ -259,7 +263,8 @@ def enumerate_vertices(p):
     blocks is a ray; a neighbour on more than n facets is not simple.  If
     every edge is blocked and the normals span, P is bounded.  The search
     for the first point gives up after VERTEX_SEARCH_BUDGET subsets; it is
-    the only place a determinant is eliminated.  A neighbour's integer
+    the only place a determinant is eliminated.  The walk itself gives up
+    before it builds more than WALK_BUDGET charts.  A neighbour's integer
     tableau is pivoted (see _pivot) from the one that pushed it, when popped.
 
     On return the walk certifies that P is bounded, that every vertex lies
@@ -297,6 +302,9 @@ def enumerate_vertices(p):
         tight, tableau, j, h = queue.pop()
         if tight in charts:
             continue
+        if len(charts) == WALK_BUDGET:
+            raise BudgetError("vertex walk reached %d charts with more to visit; "
+                              "the limit is %d" % (len(charts), WALK_BUDGET))
         if j is not None:
             tableau = _pivot(tableau, j, h)
         _, d, rows = tableau

@@ -1,10 +1,11 @@
-"""Genus power series and truncated polynomials in the facet classes.
+"""Genus power series and the e-to-m transition of symmetric functions.
 
 UniSeries holds a univariate series truncated at an explicit degree; the
 four genus series (Todd, SignatureHalf, AHat, L) are produced by exact
-division of truncated exponential and hyperbolic series.  MultiPoly is a
-sparse truncated polynomial in the facet classes v_1..v_m.  The e-to-m
-transition of symmetric functions is an integer count, elementary_to_monomial.
+division of truncated exponential and hyperbolic series.  A class in the
+facet classes is never expanded here: localization restricts each factor
+to a vertex as a series in one variable.  The e-to-m transition of
+symmetric functions is an integer count, elementary_to_monomial.
 """
 
 from fractions import Fraction
@@ -31,18 +32,6 @@ class UniSeries:
 
     def c(self, k):
         return self.coeffs[k] if 0 <= k <= self.degree else Fraction(0)
-
-    def truncate(self, d):
-        if d >= self.degree:
-            return self
-        return UniSeries(self.coeffs[:d + 1])
-
-    def add(self, other):
-        d = min(self.degree, other.degree)
-        return UniSeries([self.c(k) + other.c(k) for k in range(d + 1)])
-
-    def scale(self, s):
-        return UniSeries([c * Fraction(s) for c in self.coeffs])
 
     def mul(self, other):
         d = min(self.degree, other.degree)
@@ -128,129 +117,6 @@ def genus_series(kind, degree):
     if kind == "AHat":
         return _sinh_over_y(degree, half=True).reciprocal()
     raise ShapeError("unknown genus kind %r; expected one of %s" % (kind, (GENUS_KINDS,)))
-
-
-class MultiPoly:
-    """Sparse polynomial in v_1..v_m over rationals, truncated by total degree.
-
-    Terms map exponent tuples (length num_vars, total degree <= trunc) to
-    nonzero rational coefficients.
-    """
-
-    def __init__(self, num_vars, trunc, terms=None):
-        self.num_vars = num_vars
-        self.trunc = trunc
-        clean = {}
-        for e, c in (terms or {}).items():
-            e = tuple(int(x) for x in e)
-            if len(e) != num_vars:
-                raise ShapeError("exponent %r has wrong length for %d variables" % (e, num_vars))
-            if any(x < 0 for x in e):
-                raise ShapeError("negative exponent in %r" % (e,))
-            if sum(e) > trunc:
-                raise ShapeError("exponent %r exceeds truncation %d" % (e, trunc))
-            c = Fraction(c)
-            if c:
-                clean[e] = clean.get(e, Fraction(0)) + c
-        self.terms = {e: c for e, c in clean.items() if c}
-
-    @classmethod
-    def zero(cls, num_vars, trunc):
-        return cls(num_vars, trunc, {})
-
-    @classmethod
-    def constant(cls, num_vars, trunc, value):
-        return cls(num_vars, trunc, {(0,) * num_vars: value})
-
-    @classmethod
-    def variable(cls, i, num_vars, trunc):
-        e = tuple(1 if j == i else 0 for j in range(num_vars))
-        return cls(num_vars, trunc, {e: 1})
-
-    def _check_shape(self, other):
-        if self.num_vars != other.num_vars or self.trunc != other.trunc:
-            raise ShapeError("mismatched polynomials: %d vars/deg %d vs %d vars/deg %d" % (
-                self.num_vars, self.trunc, other.num_vars, other.trunc))
-
-    def add(self, other):
-        self._check_shape(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MultiPoly(self.num_vars, self.trunc, out)
-
-    def scale(self, s):
-        s = Fraction(s)
-        return MultiPoly(self.num_vars, self.trunc,
-                         {e: c * s for e, c in self.terms.items()})
-
-    def mul(self, other):
-        self._check_shape(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if d1 + sum(e2) > self.trunc:
-                    continue
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.num_vars, self.trunc, out)
-
-    def homogeneous_part(self, d):
-        return MultiPoly(self.num_vars, self.trunc,
-                         {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def coefficient(self, e):
-        return self.terms.get(tuple(e), Fraction(0))
-
-    def items(self):
-        """Terms in a deterministic (sorted exponent) order."""
-        return sorted(self.terms.items())
-
-    def __eq__(self, other):
-        return (isinstance(other, MultiPoly) and self.num_vars == other.num_vars
-                and self.trunc == other.trunc and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.num_vars, self.trunc, tuple(self.items())))
-
-    def __repr__(self):
-        return "MultiPoly(%d, %d, %r)" % (self.num_vars, self.trunc, dict(self.items()))
-
-
-def product_over_facets(g, num_vars, trunc):
-    """prod_i g(v_i) truncated at total degree; g must have constant term 1."""
-    if g.c(0) != 1:
-        raise ShapeError("facet products need a series with constant term 1")
-    result = MultiPoly.constant(num_vars, trunc, 1)
-    for i in range(num_vars):
-        factor_terms = {}
-        for k in range(trunc + 1):
-            c = g.c(k)
-            if c:
-                e = tuple(k if j == i else 0 for j in range(num_vars))
-                factor_terms[e] = c
-        result = result.mul(MultiPoly(num_vars, trunc, factor_terms))
-    return result
-
-
-def exp_linear(coeffs, trunc):
-    """exp(sum c_i v_i) truncated at total degree."""
-    num_vars = len(coeffs)
-    lin_terms = {}
-    for i, c in enumerate(coeffs):
-        if c:
-            e = tuple(1 if j == i else 0 for j in range(num_vars))
-            lin_terms[e] = Fraction(c)
-    lin = MultiPoly(num_vars, trunc, lin_terms)
-    result = MultiPoly.constant(num_vars, trunc, 1)
-    power = MultiPoly.constant(num_vars, trunc, 1)
-    for k in range(1, trunc + 1):
-        power = power.mul(lin).scale(Fraction(1, k))
-        if not power.terms:
-            break
-        result = result.add(power)
-    return result
 
 
 @lru_cache(maxsize=4096)

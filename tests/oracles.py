@@ -15,7 +15,6 @@ from toricpick.errors import (InputError, NotSimpleError, ShapeError,
 from toricpick.exact import IntMatrix, det, dot
 from toricpick.localization import _chart_weights, check_partition, partitions_of
 from toricpick.polytope import enumerate_vertices, face_lattice
-from toricpick.series import MultiPoly
 
 
 def frac_rank(rows):
@@ -224,6 +223,99 @@ def fraction_volume(p):
             scale *= q
         total += abs(Fraction(det(IntMatrix.from_rows(rows)), scale))
     return total / factorial(p.dim)
+
+
+class MultiPoly:
+    """The class route the program replaced: a sparse polynomial in the
+    facet classes v_1..v_m over the rationals, truncated by total degree.
+
+    Terms map exponent tuples (length num_vars, total degree <= trunc) to
+    nonzero rational coefficients.
+    """
+
+    def __init__(self, num_vars, trunc, terms=None):
+        self.num_vars = num_vars
+        self.trunc = trunc
+        self.terms = {}
+        for e, c in (terms or {}).items():
+            e = tuple(e)
+            if len(e) != num_vars or min(e, default=0) < 0 or sum(e) > trunc:
+                raise ShapeError("exponent %r does not fit %d variables truncated at %d"
+                                 % (e, num_vars, trunc))
+            c = self.terms.get(e, 0) + Fraction(c)
+            if c:
+                self.terms[e] = c
+            else:
+                self.terms.pop(e, None)
+
+    @classmethod
+    def zero(cls, num_vars, trunc):
+        return cls(num_vars, trunc)
+
+    @classmethod
+    def constant(cls, num_vars, trunc, value):
+        return cls(num_vars, trunc, {(0,) * num_vars: value})
+
+    def mul(self, other):
+        if (self.num_vars, self.trunc) != (other.num_vars, other.trunc):
+            raise ShapeError("mismatched polynomials")
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                if sum(e1) + sum(e2) <= self.trunc:
+                    e = tuple(map(add, e1, e2))
+                    out[e] = out.get(e, 0) + c1 * c2
+        return MultiPoly(self.num_vars, self.trunc, out)
+
+
+def _facet_product(factors, trunc):
+    """prod_i f_i(v_i) truncated at total degree, f_i given by the list of
+    its coefficients."""
+    m = len(factors)
+    result = MultiPoly.constant(m, trunc, 1)
+    for i, f in enumerate(factors):
+        result = result.mul(MultiPoly(m, trunc, {
+            tuple(k if j == i else 0 for j in range(m)): c
+            for k, c in enumerate(f[:trunc + 1])}))
+    return result
+
+
+def product_over_facets(g, num_vars, trunc):
+    """prod_i g(v_i) truncated at total degree; g must have constant term 1."""
+    if g.c(0) != 1:
+        raise ShapeError("facet products need a series with constant term 1")
+    return _facet_product([[g.c(k) for k in range(trunc + 1)]] * num_vars, trunc)
+
+
+def exp_linear(coeffs, trunc):
+    """exp(sum c_i v_i) = prod_i exp(c_i v_i) truncated at total degree."""
+    return _facet_product([[Fraction(c) ** k / factorial(k) for k in range(trunc + 1)]
+                           for c in coeffs], trunc)
+
+
+def integrate_terms(p, cls, u):
+    """Integral and per-vertex contributions of an m-variable class by
+    evaluating every term at every vertex chart; degrees below n must
+    sum to 0."""
+    n = p.dim
+    by_degree = [Fraction(0)] * (n + 1)
+    contributions = []
+    for chart in enumerate_vertices(p):
+        w = [dot(chart.mu_matrix.row(j), u) for j in range(n)]
+        at = dict(zip(chart.facet_set, w))
+        euler = prod(w)
+        contribution = Fraction(0)
+        for e, coeff in cls.terms.items():
+            if any(k and i not in at for i, k in enumerate(e)):
+                continue
+            value = coeff / euler
+            for i, k in enumerate(e):
+                value *= Fraction(at.get(i, 1)) ** k
+            by_degree[sum(e)] += value
+            contribution += value
+        contributions.append((chart.vertex, contribution))
+    assert by_degree[:n] == [0] * n
+    return by_degree[n], tuple(contributions)
 
 
 def elementary_symmetric(k, num_vars, trunc):

@@ -99,11 +99,11 @@ def test_product_of_projective_lines_chern_numbers(n):
 
 
 def test_fixed_point_route_shares_nothing_with_the_class_route(monkeypatch):
-    """No permutation enumeration and no MultiPoly beyond the input type of
-    integrate_poly; route one runs with the class route disabled."""
+    """No permutation enumeration and no m-variable polynomial; route one
+    runs with the class route disabled."""
     source = inspect.getsource(localization)
     assert "permutations" not in source
-    assert source.count("MultiPoly") == 2  # the import and integrate_monomial
+    assert "MultiPoly" not in source
 
     def forbidden(*_args, **_kw):
         raise AssertionError("route one reached the class route")

@@ -6,17 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import exp_linear
 from toricpick.corpus import get, names, non_delzant_triangle
 from toricpick.errors import (DimensionError, GenericityError, InputError,
                               ToricError)
+from toricpick.invariants import volume_by_localization
 from toricpick.localization import (assert_generic,
                                     chern_number, check_partition,
                                     choose_generic, fixed_point_partition_sum,
                                     gysin_power, gysin_power_v3,
-                                    integrate_monomial, integrate_poly,
-                                    partitions_of)
+                                    integrate_monomial, partitions_of)
 from toricpick.polytope import enumerate_vertices
-from toricpick.series import exp_linear
 
 F = Fraction
 
@@ -104,14 +104,13 @@ def test_u_independence_on_monomials():
             assert integrate_monomial(p, e, u1) == integrate_monomial(p, e, u2)
 
 
-def test_integrate_poly_matches_monomial_sum():
+def test_monomial_sum_matches_twisted_volume():
     p = get("triangle2")
     u = choose_generic(enumerate_vertices(p))
     w = exp_linear([-a for a in p.offsets], p.dim)
-    total = integrate_poly(p, w, u)
-    by_hand = sum(c * integrate_monomial(p, e, u)
-                  for e, c in w.homogeneous_part(2).items())
-    assert total == by_hand == 2
+    by_monomials = sum(c * integrate_monomial(p, e, u)
+                       for e, c in w.terms.items() if sum(e) == 2)
+    assert by_monomials == volume_by_localization(p, u) == 2
 
 
 def test_gysin_power_on_simplex_facets():

@@ -1,60 +1,35 @@
 """Restriction-first localization against the m-variable class route.
 
 The oracle builds the class exp(w_P) prod_i g(v_i) as a polynomial in all m
-facet classes (exp_linear, product_over_facets) and evaluates every term at
-every vertex chart; the program restricts each factor to the vertex as a
-series in one variable.  Both must give the same integral and the same
-per-vertex contributions, exactly.
+facet classes (oracles.exp_linear, product_over_facets) and evaluates every
+term at every vertex chart (oracles.integrate_terms); the program restricts
+each factor to the vertex as a series in one variable.  Both must give the
+same integral and the same per-vertex contributions, exactly.  Monomials
+are held to the same oracle one at a time.
 """
 
-from fractions import Fraction
+import random
+from itertools import product
 
 import pytest
 
-from families import cube, cut_octagon, simplex, simplex2_squared
-from oracles import elementary_symmetric
+from families import cube, cut_octagon, delzant_family, simplex, simplex2_squared
+from oracles import (MultiPoly, elementary_symmetric, exp_linear, integrate_terms,
+                     product_over_facets)
 from toricpick.corpus import get, names
 from toricpick.errors import ToricError
-from toricpick.exact import dot
 from toricpick.invariants import (_genus_restriction, twisted_signature_breakdown,
                                   twisted_todd_breakdown, volume_breakdown)
 from toricpick.localization import (chern_number, choose_generic,
-                                    integrate_poly_breakdown, localize,
-                                    partitions_of)
+                                    integrate_monomial, localize, partitions_of)
 from toricpick.polytope import enumerate_vertices
-from toricpick.series import (GENUS_KINDS, MultiPoly, exp_linear, genus_series,
-                              product_over_facets)
+from toricpick.series import GENUS_KINDS, genus_series
 
 
 POLYTOPES = ([get(name) for name in names()]
              + [cube(4), simplex(5), simplex2_squared()]
              + [cut_octagon(k) for k in (2, 4, 6)])
-
-
-def oracle(p, cls, u):
-    """Integral and per-vertex contributions of an m-variable class by
-    evaluating every term at every vertex chart."""
-    n = p.dim
-    by_degree = [Fraction(0)] * (n + 1)
-    contributions = []
-    for chart in enumerate_vertices(p):
-        w = [dot(chart.mu_matrix.row(j), u) for j in range(n)]
-        at = dict(zip(chart.facet_set, w))
-        euler = 1
-        for x in w:
-            euler *= x
-        contribution = Fraction(0)
-        for e, coeff in cls.terms.items():
-            if any(k and i not in at for i, k in enumerate(e)):
-                continue
-            value = coeff / euler
-            for i, k in enumerate(e):
-                value *= Fraction(at.get(i, 1)) ** k
-            by_degree[sum(e)] += value
-            contribution += value
-        contributions.append((chart.vertex, contribution))
-    assert by_degree[:n] == [0] * n
-    return by_degree[n], tuple(contributions)
+FAMILY = delzant_family(6)
 
 
 def m_variable_class(p, kind, twist):
@@ -85,10 +60,9 @@ def test_genus_restriction_matches_m_variable_class(p):
         for twist in (True, False) if kind is not None else (True,):
             cls = m_variable_class(p, kind, twist)
             for u in vectors:
-                expected = oracle(p, cls, u)
+                expected = integrate_terms(p, cls, u)
                 got = localize(p, u, *_genus_restriction(p, kind, twist))
                 assert got == expected, (kind, twist, u)
-                assert integrate_poly_breakdown(p, cls, u) == expected, (kind, twist, u)
                 if (kind, twist) in PUBLIC:
                     assert PUBLIC[kind, twist](p, u) == expected, (kind, u)
 
@@ -102,7 +76,39 @@ def test_chern_class_route_matches_m_variable_class(p):
         cls = MultiPoly.constant(m, n, 1)
         for k in omega:
             cls = cls.mul(elementary_symmetric(k, m, n))
-        assert chern_number(p, omega, u) == oracle(p, cls, u)[0], omega
+        assert chern_number(p, omega, u) == integrate_terms(p, cls, u)[0], omega
+
+
+def assert_monomial_matches_terms(p, e, vectors):
+    n, m = p.dim, len(p.facets)
+    for u in vectors:
+        got = integrate_monomial(p, e, u)
+        assert got == integrate_terms(p, MultiPoly(m, n, {e: 1}), u)[0], (e, u)
+        if sum(e) < n:
+            assert got == 0, (e, u)
+
+
+@pytest.mark.parametrize("name", names())
+def test_monomial_restriction_matches_terms_on_corpus(name):
+    """Every monomial of degree at most n, at both generic vectors."""
+    p = get(name)
+    vectors = two_vectors(p)
+    for e in product(range(p.dim + 1), repeat=len(p.facets)):
+        if sum(e) <= p.dim:
+            assert_monomial_matches_terms(p, e, vectors)
+
+
+@pytest.mark.parametrize("name,p", FAMILY, ids=[name for name, _ in FAMILY])
+def test_monomial_restriction_matches_terms_on_family(name, p):
+    """Seeded random monomials, most of degree n, at both generic vectors."""
+    rng = random.Random(name)
+    n, m = p.dim, len(p.facets)
+    vectors = two_vectors(p)
+    for _ in range(12):
+        e = [0] * m
+        for _ in range(n if rng.random() < 0.75 else rng.randint(0, n - 1)):
+            e[rng.randrange(m)] += 1
+        assert_monomial_matches_terms(p, tuple(e), vectors)
 
 
 def test_uncancelled_low_degree_is_a_chart_bug():

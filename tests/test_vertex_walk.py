@@ -27,7 +27,7 @@ from toricpick.cli import main as cli_main
 from toricpick.corpus import get, names
 from toricpick.errors import BudgetError, InputError
 from toricpick.exact import IntMatrix
-from toricpick.polytope import (VERTEX_SEARCH_BUDGET, HPolytope,
+from toricpick.polytope import (VERTEX_SEARCH_BUDGET, WALK_BUDGET, HPolytope,
                                 enumerate_vertices, unimodular_transform)
 
 
@@ -209,3 +209,26 @@ def test_small_empty_systems_are_input_errors(monkeypatch):
     monkeypatch.setattr(polytope, "VERTEX_SEARCH_BUDGET", 83)
     with pytest.raises(BudgetError, match="83 of the 84 3-subsets"):
         enumerate_vertices(p)
+
+
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_walk_budget_boundary(k, monkeypatch):
+    """The walk builds 2^k charts on a k-cube and refuses at one fewer."""
+    p = cube(k)
+    monkeypatch.setattr(polytope, "WALK_BUDGET", 2 ** k)
+    assert len(enumerate_vertices.__wrapped__(p)) == 2 ** k
+    monkeypatch.setattr(polytope, "WALK_BUDGET", 2 ** k - 1)
+    with pytest.raises(BudgetError, match="reached %d charts with more to visit; "
+                                          "the limit is %d" % (2 ** k - 1, 2 ** k - 1)):
+        enumerate_vertices.__wrapped__(p)
+
+
+def test_fourteen_cube_exits_two_on_the_walk_budget(tmp_path, capsys):
+    """The 13-cube's 8192 charts fit the limit, the 14-cube's 16384 do not."""
+    assert 2 ** 13 <= WALK_BUDGET < 2 ** 14
+    path = tmp_path / "cube14.json"
+    path.write_text(dump_polytope(cube(14)))
+    start = time.perf_counter()
+    assert cli_main(["verify", "pick", str(path)]) == 2
+    assert time.perf_counter() - start < 10
+    assert "the limit is %d" % WALK_BUDGET in capsys.readouterr().err
