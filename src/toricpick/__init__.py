@@ -5,17 +5,16 @@ from .agw import (PontryaginPoly, RootPoly, expand_genus_product,
                   pontryagin_label, to_pontryagin, twisted_ahat, verify_agw)
 from .cli import dump_polytope, format_rational, load_polytope, main
 from .errors import (BudgetError, DimensionError, GenericityError,
-                     InputError, NotSimpleError, NotUnimodularError,
-                     ParityError, RouteDisagreementError, ShapeError,
-                     SingularSystemError, ToricError, UnboundedError)
-from .exact import (IntMatrix, Rational, det, integer_kernel_basis,
-                    inverse_unimodular)
+                     InputError, NotSimpleError, ParityError,
+                     RouteDisagreementError, ShapeError, SingularSystemError,
+                     ToricError, UnboundedError)
+from .exact import det, kernel_vector
 from .invariants import (Report, check_face_todd, check_pick,
                          check_tetrahedron, check_todd,
                          check_untwisted_signature, twisted_signature,
                          twisted_todd, volume_by_localization)
-from .lattice import (FaceCounts, count_points, pick_rhs_3d,
-                      weighted_sum_closed, weighted_sum_relint)
+from .lattice import (FaceCounts, count_points, weighted_sum_closed,
+                      weighted_sum_relint)
 from .localization import (assert_generic, chern_number, check_partition,
                            choose_generic, fixed_point_partition_sum,
                            gysin_power, gysin_power_v3, integrate_monomial,
@@ -23,8 +22,7 @@ from .localization import (assert_generic, chern_number, check_partition,
 from .polytope import (DelzantVerdict, Face, FaceLattice, HPolytope, HVector,
                        VertexChart, enumerate_vertices, face_lattice,
                        h_vector, induce_face_polytope, is_delzant,
-                       signature_from_h, unimodular_transform, validate,
-                       volume)
+                       signature_from_h, validate, volume)
 from .series import UniSeries, elementary_to_monomial, genus_series
 
 __version__ = "0.1.0"

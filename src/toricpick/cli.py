@@ -91,9 +91,12 @@ def load_polytope(path):
             text = handle.read()
     except OSError as e:
         raise InputError("cannot read %s: %s" % (path, e.strerror or e)) from e
+    except UnicodeDecodeError as e:
+        raise InputError("%s: not UTF-8 text: %s" % (path, e)) from e
     try:
         data = json.loads(text)
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
+        # RecursionError: arrays or objects nested past the parser's depth
         raise InputError("%s: invalid JSON: %s" % (path, e)) from e
     return polytope_from_dict(data, source=path)
 

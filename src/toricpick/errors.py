@@ -21,14 +21,6 @@ class InputError(ToricError):
     """Invalid polytope input: malformed, degenerate, redundant, or empty."""
 
 
-class NotUnimodularError(ToricError):
-    """A matrix expected to have determinant +-1 does not; carries the det."""
-
-    def __init__(self, det, message=None):
-        super().__init__(message or "matrix is not unimodular (det = %d)" % det)
-        self.det = det
-
-
 class SingularSystemError(ToricError):
     """A linear system has no unique solution."""
 

@@ -1,20 +1,14 @@
-"""Exact rational arithmetic and small integer linear algebra.
+"""Exact integer linear algebra on matrices given as lists of rows.
 
 Everything downstream (vertex coordinates, fixed point sums, genus
 coefficients) stays in exact arithmetic: rationals are fractions.Fraction
-and matrices carry arbitrary-precision integers.  No floating point enters
-the computation path.
+and matrix entries are arbitrary-precision integers.  No floating point
+enters the computation path.
 """
 
-from fractions import Fraction
 from math import gcd
 
-from .errors import DimensionError, NotUnimodularError
-
-# Rational values are plain fractions.Fraction: always in lowest terms,
-# positive denominator, canonical zero.  The alias fixes the name used
-# throughout the package.
-Rational = Fraction
+from .errors import DimensionError
 
 
 def dot(u, v):
@@ -32,84 +26,15 @@ def vector_gcd(v):
     return g
 
 
-class IntMatrix:
-    """Dense integer matrix, row major, immutable."""
-
-    def __init__(self, rows, cols, entries):
-        entries = tuple(int(x) for x in entries)
-        if len(entries) != rows * cols:
-            raise DimensionError(
-                "IntMatrix: expected %d entries, got %d" % (rows * cols, len(entries)))
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def _of_ints(cls, rows, cols, entries):
-        """Wrap a tuple of rows * cols ints without converting or checking."""
-        m = object.__new__(cls)
-        m.rows, m.cols, m.entries = rows, cols, entries
-        return m
-
-    @classmethod
-    def from_rows(cls, rows):
-        rows = [tuple(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise DimensionError("IntMatrix.from_rows: ragged rows")
-        return cls(len(rows), ncols, [x for r in rows for x in r])
-
-    @classmethod
-    def from_columns(cls, cols):
-        return cls.from_rows(list(zip(*cols)))
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def column(self, j):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def transpose(self):
-        return IntMatrix.from_rows([self.column(j) for j in range(self.cols)])
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise DimensionError("matrix product: %dx%d times %dx%d" % (
-                self.rows, self.cols, other.rows, other.cols))
-        ent = []
-        for i in range(self.rows):
-            r = self.row(i)
-            for j in range(other.cols):
-                ent.append(dot(r, other.column(j)))
-        return IntMatrix(self.rows, other.cols, ent)
-
-    def __eq__(self, other):
-        return (isinstance(other, IntMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return "IntMatrix(%r)" % [list(self.row(i)) for i in range(self.rows)]
-
-
-def det(m):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
+def det(rows):
+    """Exact determinant of a square integer matrix given by rows, by
+    fraction-free (Bareiss) elimination."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    if any(len(r) != n for r in a):
         raise DimensionError("determinant needs a square matrix")
-    n = m.rows
     if n == 0:
         return 1
-    a = [[m[i, j] for j in range(n)] for i in range(n)]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -161,82 +86,44 @@ def det_adjugate(rows):
     return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in a)
 
 
-def inverse_unimodular(m):
-    """Exact integer inverse of a matrix with determinant +-1 (adjugate)."""
-    d, adj = det_adjugate([m.row(i) for i in range(m.rows)])
-    if d not in (1, -1):
-        raise NotUnimodularError(d)
-    return IntMatrix(m.rows, m.cols, [d * x for r in adj for x in r])
+def kernel_vector(rows, n):
+    """A primitive integer d != 0 in Z^n with <d, r> = 0 for every row, or
+    None when the rows span Q^n.
 
-
-def _echelon_transform(mat, width):
-    """Integer row echelon form via unimodular row operations.
-
-    Returns (h, u, pivots) with u * mat = h, u unimodular and h in echelon
-    shape; pivots lists the pivot column of each nonzero row of h.
+    One fraction-free Gauss-Jordan elimination (as in det_adjugate) brings
+    the pivot columns to D I, D the last pivot; the first free column f
+    then gives d_f = D and d_c = -a[i][f] at the pivot c of row i, the
+    other free columns 0.  d is divided by its gcd and signed so that its
+    first nonzero entry is positive, which fixes it when the kernel is a
+    line.
     """
-    h = [list(r) for r in mat]
-    k = len(h)
-    u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    r = 0
+    a = [list(r) for r in rows]
+    if any(len(r) != n for r in a):
+        raise DimensionError("kernel_vector: rows must have length %d" % n)
     pivots = []
-    for c in range(width):
-        if r == k:
-            break
-        while True:
-            live = [i for i in range(r, k) if h[i][c] != 0]
-            if not live:
-                break
-            i0 = min(live, key=lambda i: (abs(h[i][c]), i))
-            if i0 != r:
-                h[r], h[i0] = h[i0], h[r]
-                u[r], u[i0] = u[i0], u[r]
-            for i in range(r + 1, k):
-                if h[i][c]:
-                    q = h[i][c] // h[r][c]
-                    if q:
-                        h[i] = [a - q * b for a, b in zip(h[i], h[r])]
-                        u[i] = [a - q * b for a, b in zip(u[i], u[r])]
-            if all(h[i][c] == 0 for i in range(r + 1, k)):
-                pivots.append(c)
-                r += 1
-                break
-    return h, u, pivots
-
-
-def hermite_rows(rows):
-    """Canonical row form of an integer lattice basis.
-
-    Unimodular row operations only, so the row lattice is unchanged:
-    echelon shape, positive pivots, entries above each pivot reduced.
-    """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return ()
-    h, _u, pivots = _echelon_transform(rows, len(rows[0]))
-    h = h[:len(pivots)]
-    for idx in range(len(pivots)):
-        c = pivots[idx]
-        if h[idx][c] < 0:
-            h[idx] = [-x for x in h[idx]]
-        for above in range(idx):
-            q = h[above][c] // h[idx][c]
-            if q:
-                h[above] = [a - q * b for a, b in zip(h[above], h[idx])]
-    return tuple(tuple(r) for r in h)
-
-
-def integer_kernel_basis(vectors, n):
-    """Basis of the saturated integer kernel {d in Z^n : <d, v> = 0 for all v}.
-
-    Carrying a unimodular transform to echelon form makes the result a basis
-    of every integer point of the rational kernel, not merely a finite-index
-    sublattice.  Rows come back in canonical (Hermite) form.
-    """
-    vectors = [tuple(v) for v in vectors]
-    if not vectors:
-        return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    mat = [[v[i] for v in vectors] for i in range(n)]
-    h, u, _pivots = _echelon_transform(mat, len(vectors))
-    basis = [tuple(u[i]) for i in range(n) if all(x == 0 for x in h[i])]
-    return hermite_rows(basis)
+    prev = 1
+    for c in range(n):
+        k = len(pivots)
+        piv = next((i for i in range(k, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[k], a[piv] = a[piv], a[k]
+        pivot_row = a[k]
+        pivot = pivot_row[c]
+        for i in range(len(a)):
+            if i != k:
+                f = a[i][c]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = pivot
+        pivots.append(c)
+    if len(pivots) == n:
+        return None
+    f = next(c for c in range(n) if c not in pivots)
+    d = [0] * n
+    d[f] = prev
+    for i, c in enumerate(pivots):
+        d[c] = -a[i][f]
+    g = vector_gcd(d)
+    if next(x for x in d if x) < 0:
+        g = -g
+    return tuple(x // g for x in d)

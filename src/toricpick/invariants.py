@@ -10,8 +10,7 @@ from math import factorial, lcm
 from operator import mul
 
 from .errors import InputError, ShapeError
-from .lattice import (count_points, pick_rhs_3d, weighted_sum_closed,
-                      weighted_sum_relint)
+from .lattice import count_points, weighted_sum_closed, weighted_sum_relint
 from .localization import choose_generic, localize
 from .polytope import (enumerate_vertices, face_lattice, h_vector, is_delzant,
                        signature_from_h, volume)
@@ -201,7 +200,7 @@ def check_tetrahedron(p):
                          % (p.dim, len(p.facets)))
     _require_delzant(p)
     fc = count_points(p)
-    lhs = pick_rhs_3d(fc)
+    lhs = weighted_sum_relint(fc)
     vol = volume(p)
     offset_term = Fraction(sum(p.offsets), 3)
     rhs = vol - offset_term

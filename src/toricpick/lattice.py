@@ -17,7 +17,7 @@ from itertools import product
 from math import ceil, floor
 from operator import mul
 
-from .errors import BudgetError, DimensionError
+from .errors import BudgetError
 from .polytope import enumerate_vertices, face_lattice
 
 # most fiber-facet steps (fibers x facets) one count may take; at about
@@ -123,13 +123,3 @@ def weighted_sum_relint(fc):
     for k in range(1, n + 1):
         total += Fraction(1, 2) ** k * fc.relint_by_dim(n - k)
     return total
-
-
-def pick_rhs_3d(fc):
-    """Int + Fac/2 + Edg/4 + Vert/8 from relative-interior counts; 3D only."""
-    if fc.lattice.dim != 3:
-        raise DimensionError("the tetrahedron-style sum is defined in dimension 3")
-    return (Fraction(fc.relint_by_dim(3))
-            + Fraction(fc.relint_by_dim(2), 2)
-            + Fraction(fc.relint_by_dim(1), 4)
-            + Fraction(fc.relint_by_dim(0), 8))

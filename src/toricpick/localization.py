@@ -69,7 +69,7 @@ def _weights(c, u):
         raise InputError(
             "localization requires a Delzant polytope; vertex %s has det %d"
             % (c.vertex, c.det))
-    return tuple(sum(map(mul, c.mu_matrix.row(j), u)) for j in range(len(u)))
+    return tuple(sum(map(mul, r, u)) for r in c.mu_matrix)
 
 
 @lru_cache(maxsize=4)  # a sweep over the faces of p at one u reuses them

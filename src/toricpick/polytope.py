@@ -15,8 +15,7 @@ from operator import mul
 
 from .errors import (BudgetError, DimensionError, InputError, NotSimpleError,
                      UnboundedError)
-from .exact import (IntMatrix, det, det_adjugate, dot, integer_kernel_basis,
-                    inverse_unimodular, vector_gcd)
+from .exact import det, det_adjugate, dot, kernel_vector, vector_gcd
 
 
 # most n-subsets of the facets the search for a first vertex may try, at
@@ -82,8 +81,9 @@ class VertexChart:
 
     facet_set lists the incident facets in ascending order, and det is the
     determinant of Lambda, the matrix with their normals as columns.
-    mu_matrix is the exact integer inverse of Lambda whenever |det| = 1
-    (rows are the localization weights), and None otherwise.
+    mu_matrix is the exact integer inverse M of Lambda as a tuple of n rows
+    whenever |det| = 1 (row j, dual to facet facet_set[j], gives the
+    localization weight of that facet), and None otherwise.
     """
 
     def __init__(self, vertex, facet_set, lambda_det, mu_matrix):
@@ -274,10 +274,9 @@ def enumerate_vertices(p):
     facet.
     """
     n = p.dim
-    kernel = integer_kernel_basis(p.normals, n)
+    kernel = kernel_vector(p.normals, n)
     if kernel:
-        raise UnboundedError("normals do not span; direction %s is unbounded"
-                             % (kernel[0],))
+        raise UnboundedError("normals do not span; direction %s is unbounded" % (kernel,))
     m = len(p.facets)
     for tries, subset in enumerate(combinations(range(m), n)):
         if tries == VERTEX_SEARCH_BUDGET:
@@ -309,8 +308,7 @@ def enumerate_vertices(p):
             tableau = _pivot(tableau, j, h)
         _, d, rows = tableau
         scale = abs(d)
-        mu = (IntMatrix._of_ints(n, n, tuple(x for r in rows[:n] for x in r[:n]))
-              if scale == 1 else None)
+        mu = tuple(tuple(r[:n]) for r in rows[:n]) if scale == 1 else None
         xnum = rows[n][:n]
         charts[tight] = VertexChart(_point(xnum, scale), tight, d, mu)
         slack = rows[n][n:]
@@ -452,36 +450,32 @@ def volume(p):
     total = 0
     for s in simplices(fl.top):
         apex = points[s[-1]]
-        total += abs(det(IntMatrix._of_ints(n, n, tuple(
-            a - b for w in s[:-1] for a, b in zip(points[w], apex)))))
+        total += abs(det([[a - b for a, b in zip(points[w], apex)] for w in s[:-1]]))
     return Fraction(total, factorial(n) * scale ** n)
 
 
 def induce_face_polytope(p, face):
     """A proper face as a lattice polytope in its own integral affine chart.
 
-    The chart is the saturated integer kernel of the facet normals through
-    the face (canonical basis rows) anchored at the face's earliest-chart
-    vertex, so lattice points of the face correspond bijectively to lattice
-    points of the result.
+    The chart is anchored at the face's earliest-chart vertex.  Its basis
+    is the rows of that vertex's M_p dual to the facets not through the
+    face: they are orthogonal to the face's normals, and since M_p is
+    unimodular they are a basis of the lattice points of the face's span.
+    So lattice points of the face correspond bijectively to lattice points
+    of the result.  The base vertex must be Delzant.
     """
-    n = p.dim
     if face.dim == 0:
         raise DimensionError("a vertex needs no chart; use its point directly")
-    if face.dim >= n:
+    if face.dim >= p.dim:
         raise DimensionError("face induction expects a proper face")
     fl = face_lattice(p)
     charts = enumerate_vertices(p)
-    rows = [p.normals[i] for i in face.facet_set]
-    basis = integer_kernel_basis(rows, n)
-    if len(basis) != face.dim:
-        raise NotSimpleError((), face.facet_set,
-                             "face normals have deficient rank")
-    base_vid = min(face.vertices, key=lambda w: charts[w].facet_set)
-    base = charts[base_vid].vertex
-    if any(x.denominator != 1 for x in base):
-        raise InputError("face has a non-lattice vertex %s" % (base,))
-    base = tuple(int(x) for x in base)
+    chart = charts[min(face.vertices, key=lambda w: charts[w].facet_set)]
+    if chart.mu_matrix is None:
+        raise InputError("a face chart requires a Delzant vertex; vertex %s has det %d"
+                         % (chart.vertex, chart.det))
+    basis = [r for i, r in zip(chart.facet_set, chart.mu_matrix) if i not in face.facet_set]
+    base = chart.vertex
     new_facets = []
     for gid in fl.children(fl.face_id[face.facet_set]):
         i, = set(fl.faces[gid].facet_set) - set(face.facet_set)
@@ -495,20 +489,3 @@ def induce_face_polytope(p, face):
     new_facets.sort()
     label = "%s/face%s" % (p.name or "polytope", "-".join(map(str, face.facet_set)))
     return HPolytope(face.dim, [(nu, off) for _, nu, off in new_facets], name=label)
-
-
-def unimodular_transform(p, u_matrix, shift):
-    """Image polytope under x -> U x + t for unimodular U and integer t.
-
-    Normals map by the inverse transpose and offsets pick up <t, lam'>, so
-    the new system cuts out exactly the image point set.
-    """
-    n = p.dim
-    if len(shift) != n:
-        raise DimensionError("shift has wrong length")
-    uinv = inverse_unimodular(u_matrix)
-    facets = []
-    for lam, a in p.facets:
-        lam2 = tuple(dot(uinv.column(r), lam) for r in range(n))
-        facets.append((lam2, a + dot(shift, lam2)))
-    return HPolytope(n, facets, name=p.name)

@@ -7,8 +7,8 @@ seeded random.Random, so a test's cases are fixed by its seed.
 import random
 
 from toricpick.corpus import get, names
-from toricpick.exact import IntMatrix
-from toricpick.polytope import HPolytope, unimodular_transform
+from toricpick.exact import det_adjugate, dot
+from toricpick.polytope import HPolytope
 
 
 def box(lows, highs, name=None):
@@ -94,15 +94,33 @@ def cut_octagon(cuts):
     return HPolytope(2, ring, name="polygon%d" % len(ring))
 
 
+def unimodular_transform(p, u_rows, shift):
+    """Image polytope under x -> U x + t for U of det +-1, given by rows,
+    and integer t.
+
+    Normals map by the inverse transpose, U^-1 = det(U) adj(U), and offsets
+    pick up <t, lam'>, so the new system cuts out exactly the image point
+    set.
+    """
+    d, adj = det_adjugate(u_rows)
+    if d not in (1, -1):
+        raise ValueError("U is not unimodular (det = %d)" % d)
+    facets = []
+    for lam, a in p.facets:
+        lam2 = tuple(d * dot(col, lam) for col in zip(*adj))
+        facets.append((lam2, a + dot(shift, lam2)))
+    return HPolytope(p.dim, facets, name=p.name)
+
+
 def random_shear(n, rng, steps_per_dim=3, coeffs=(-2, -1, 1, 2)):
-    """A unimodular matrix: the identity after steps_per_dim * n random
-    row additions with multipliers drawn from coeffs."""
+    """A unimodular matrix, as rows: the identity after steps_per_dim * n
+    random row additions with multipliers drawn from coeffs."""
     rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(steps_per_dim * n):
         i, j = rng.sample(range(n), 2)
         c = rng.choice(coeffs)
         rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
-    return IntMatrix.from_rows(rows)
+    return rows
 
 
 def shear(p, rng):

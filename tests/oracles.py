@@ -12,7 +12,7 @@ from operator import add
 
 from toricpick.errors import (InputError, NotSimpleError, ShapeError,
                               SingularSystemError)
-from toricpick.exact import IntMatrix, det, dot
+from toricpick.exact import det, dot
 from toricpick.localization import _chart_weights, check_partition, partitions_of
 from toricpick.polytope import enumerate_vertices, face_lattice
 
@@ -109,20 +109,18 @@ def rank_checked_validate(p):
 
 def _cramer(rows, b):
     n = len(rows)
-    d = det(IntMatrix.from_rows(rows))
-    return tuple(Fraction(det(IntMatrix.from_rows(
-        [[b[i] if c == j else rows[i][c] for c in range(n)] for i in range(n)])), d)
-        for j in range(n))
+    d = det(rows)
+    return tuple(Fraction(det([[b[i] if c == j else rows[i][c] for c in range(n)]
+                               for i in range(n)]), d)
+                 for j in range(n))
 
 
 def _cofactor_inverse(m, d):
-    n = m.rows
-    ent = []
-    for i in range(n):
-        for j in range(n):
-            minor = [[m[r, c] for c in range(n) if c != i] for r in range(n) if r != j]
-            ent.append(d * (-1) ** (i + j) * det(IntMatrix.from_rows(minor)))
-    return IntMatrix(n, n, ent)
+    n = len(m)
+    return tuple(tuple(d * (-1) ** (i + j) * det([[m[r][c] for c in range(n) if c != i]
+                                                  for r in range(n) if r != j])
+                       for j in range(n))
+                 for i in range(n))
 
 
 def subset_scan(p):
@@ -136,7 +134,7 @@ def subset_scan(p):
     seen = {}
     for subset in combinations(range(len(p.facets)), n):
         rows = [p.normals[i] for i in subset]
-        if det(IntMatrix.from_rows(rows)) == 0:
+        if det(rows) == 0:
             continue
         x = _cramer(rows, [p.offsets[i] for i in subset])
         x = tuple(int(c) if c.denominator == 1 else c for c in x)
@@ -148,15 +146,99 @@ def subset_scan(p):
         seen[x] = tight
     out = []
     for x in sorted(seen):
-        lam = IntMatrix.from_columns([p.normals[i] for i in seen[x]])
+        lam = tuple(zip(*(p.normals[i] for i in seen[x])))
         d = det(lam)
         out.append((x, seen[x], d, lam, _cofactor_inverse(lam, d) if d in (1, -1) else None))
     return out
 
 
 def lambda_matrix(p, chart):
-    """Lambda at a vertex: the normals of its facets as columns, ascending."""
-    return IntMatrix.from_columns([p.normals[i] for i in chart.facet_set])
+    """Lambda at a vertex, as rows: the normals of its facets as columns,
+    ascending."""
+    return tuple(zip(*(p.normals[i] for i in chart.facet_set)))
+
+
+def mat_mul(a, b):
+    """The product of two integer matrices given by rows, as row tuples."""
+    return tuple(tuple(dot(r, c) for c in zip(*b)) for r in a)
+
+
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _echelon_transform(mat, width):
+    """Integer row echelon form via unimodular row operations.
+
+    Returns (h, u, pivots) with u * mat = h, u unimodular and h in echelon
+    shape; pivots lists the pivot column of each nonzero row of h.
+    """
+    h = [list(r) for r in mat]
+    k = len(h)
+    u = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    r = 0
+    pivots = []
+    for c in range(width):
+        if r == k:
+            break
+        while True:
+            live = [i for i in range(r, k) if h[i][c] != 0]
+            if not live:
+                break
+            i0 = min(live, key=lambda i: (abs(h[i][c]), i))
+            if i0 != r:
+                h[r], h[i0] = h[i0], h[r]
+                u[r], u[i0] = u[i0], u[r]
+            for i in range(r + 1, k):
+                if h[i][c]:
+                    q = h[i][c] // h[r][c]
+                    if q:
+                        h[i] = [a - q * b for a, b in zip(h[i], h[r])]
+                        u[i] = [a - q * b for a, b in zip(u[i], u[r])]
+            if all(h[i][c] == 0 for i in range(r + 1, k)):
+                pivots.append(c)
+                r += 1
+                break
+    return h, u, pivots
+
+
+def hermite_rows(rows):
+    """Canonical row form of an integer lattice basis.
+
+    Unimodular row operations only, so the row lattice is unchanged:
+    echelon shape, positive pivots, entries above each pivot reduced.
+    """
+    rows = [list(r) for r in rows]
+    if not rows:
+        return ()
+    h, _u, pivots = _echelon_transform(rows, len(rows[0]))
+    h = h[:len(pivots)]
+    for idx in range(len(pivots)):
+        c = pivots[idx]
+        if h[idx][c] < 0:
+            h[idx] = [-x for x in h[idx]]
+        for above in range(idx):
+            q = h[above][c] // h[idx][c]
+            if q:
+                h[above] = [a - q * b for a, b in zip(h[above], h[idx])]
+    return tuple(tuple(r) for r in h)
+
+
+def integer_kernel_basis(vectors, n):
+    """The span check and face charts the program replaced: a basis of the
+    saturated integer kernel {d in Z^n : <d, v> = 0 for all v}.
+
+    Carrying a unimodular transform to echelon form makes the result a basis
+    of every integer point of the rational kernel, not merely a finite-index
+    sublattice.  Rows come back in canonical (Hermite) form.
+    """
+    vectors = [tuple(v) for v in vectors]
+    if not vectors:
+        return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    mat = [[v[i] for v in vectors] for i in range(n)]
+    h, u, _pivots = _echelon_transform(mat, len(vectors))
+    basis = [tuple(u[i]) for i in range(n) if all(x == 0 for x in h[i])]
+    return hermite_rows(basis)
 
 
 def inclusion_order(fl):
@@ -221,7 +303,7 @@ def fraction_volume(p):
             q = lcm(*(x.denominator for x in r))
             rows.append([int(x * q) for x in r])
             scale *= q
-        total += abs(Fraction(det(IntMatrix.from_rows(rows)), scale))
+        total += abs(Fraction(det(rows), scale))
     return total / factorial(p.dim)
 
 
@@ -301,7 +383,7 @@ def integrate_terms(p, cls, u):
     by_degree = [Fraction(0)] * (n + 1)
     contributions = []
     for chart in enumerate_vertices(p):
-        w = [dot(chart.mu_matrix.row(j), u) for j in range(n)]
+        w = [dot(r, u) for r in chart.mu_matrix]
         at = dict(zip(chart.facet_set, w))
         euler = prod(w)
         contribution = Fraction(0)

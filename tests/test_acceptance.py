@@ -7,9 +7,9 @@ checked with exact rational arithmetic; there are no tolerances anywhere.
 import random
 from fractions import Fraction
 
+from families import unimodular_transform
 from toricpick import corpus
 from toricpick.agw import verify_agw
-from toricpick.exact import IntMatrix
 from toricpick.invariants import (
     check_face_todd,
     check_pick,
@@ -33,7 +33,6 @@ from toricpick.polytope import (
     face_lattice,
     h_vector,
     signature_from_h,
-    unimodular_transform,
 )
 
 ALL_NAMES = (
@@ -60,14 +59,14 @@ def random_unimodular(n, rng, shears=8):
     """Random determinant +-1 integer matrix built from row shears and swaps."""
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     if n == 1:
-        return IntMatrix.from_rows([[rng.choice([-1, 1])]])
+        return [[rng.choice([-1, 1])]]
     for _ in range(shears):
         i, j = rng.sample(range(n), 2)
         c = rng.randint(-3, 3)
         rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
         if rng.random() < 0.3:
             rows[i], rows[j] = rows[j], rows[i]
-    return IntMatrix.from_rows(rows)
+    return rows
 
 
 def test_criterion_01_pick_identity_exact_on_full_corpus():

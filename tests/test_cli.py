@@ -77,6 +77,43 @@ def test_load_rejects_malformed_files(tmp_path):
         cli.load_polytope(str(tmp_path / "missing.json"))
 
 
+# bytes json cannot take: a byte order mark that is not UTF-8, and arrays
+# nested past the parser's recursion limit
+UNREADABLE = {"non-utf8": b'\xff\xfe{"dim": 1}', "nested": b"[" * 200000}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_files_exit_two_naming_the_path(case, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(UNREADABLE[case])
+    assert cli.main(["verify", "pick", str(path), "--format", "json"]) == 2
+    assert capsys.readouterr().err.startswith("error: %s: " % path)
+    target = tmp_path / "corpus"
+    target.mkdir()
+    (target / "bad.json").write_bytes(UNREADABLE[case])
+    (target / "square1.json").write_text(cli.dump_polytope(corpus.get("square1")))
+    assert cli.main(["corpus", str(target), "--format", "json"]) == 2
+    assert capsys.readouterr().err.startswith("error: %s: " % (target / "bad.json"))
+
+
+# normals that do not span: a corank-1 pair in the plane, whose line has one
+# primitive direction up to sign, and a corank-2 pair in space, whose printed
+# direction is the first of the kernel plane the elimination meets
+NO_SPAN = {
+    "corank1": (2, [((1, -2), 0), ((-1, 2), -3)], "(2, 1)"),
+    "corank2": (3, [((2, 3, 1), 0), ((-2, -3, -1), -1)], "(3, -2, 0)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_SPAN))
+def test_unbounded_direction_message(case, tmp_path, capsys):
+    dim, facets, direction = NO_SPAN[case]
+    path = write(tmp_path, "slab.json", cli.dump_polytope(HPolytope(dim, facets)))
+    assert cli.main(["verify", "pick", path, "--format", "json"]) == 2
+    assert capsys.readouterr().err == (
+        "error: %s: normals do not span; direction %s is unbounded\n" % (path, direction))
+
+
 def test_verify_pick_json_output(capsys):
     code = cli.main(["verify", "pick", corpus_file("square1"), "--format", "json"])
     out = capsys.readouterr().out

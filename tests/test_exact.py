@@ -6,12 +6,12 @@ from itertools import permutations
 
 import pytest
 
-from oracles import frac_rank, frac_solve
-from toricpick.errors import (DimensionError, NotUnimodularError,
-                              SingularSystemError)
-from toricpick.exact import (IntMatrix, det, det_adjugate, dot, hermite_rows,
-                             integer_kernel_basis, inverse_unimodular,
-                             vector_gcd)
+from families import unimodular_transform
+from oracles import (frac_rank, frac_solve, hermite_rows, identity,
+                     integer_kernel_basis, mat_mul)
+from toricpick.corpus import get
+from toricpick.errors import DimensionError, SingularSystemError
+from toricpick.exact import det, det_adjugate, dot, kernel_vector, vector_gcd
 
 
 def permutation_det(rows):
@@ -30,7 +30,7 @@ def permutation_det(rows):
 def random_unimodular(n, rng, shears=8):
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     if n == 1:
-        return IntMatrix.from_rows([[rng.choice([-1, 1])]])
+        return [[rng.choice([-1, 1])]]
     for _ in range(shears):
         i, j = rng.sample(range(n), 2)
         c = rng.choice([-2, -1, 1, 2])
@@ -38,7 +38,7 @@ def random_unimodular(n, rng, shears=8):
     if rng.random() < 0.5:
         i, j = rng.sample(range(n), 2)
         rows[i], rows[j] = rows[j], rows[i]
-    return IntMatrix.from_rows(rows)
+    return rows
 
 
 def test_dot_and_gcd():
@@ -50,35 +50,19 @@ def test_dot_and_gcd():
     assert vector_gcd((3, 5)) == 1
 
 
-def test_matrix_shape_and_access():
-    m = IntMatrix.from_rows([(1, 2, 3), (4, 5, 6)])
-    assert (m.rows, m.cols) == (2, 3)
-    assert m[1, 2] == 6
-    assert m.row(0) == (1, 2, 3)
-    assert m.column(1) == (2, 5)
-    assert m.transpose().row(1) == (2, 5)
-    assert IntMatrix.from_columns([(1, 4), (2, 5), (3, 6)]) == m
-    with pytest.raises(DimensionError):
-        IntMatrix(2, 2, [1, 2, 3])
-    with pytest.raises(DimensionError):
-        IntMatrix.from_rows([(1, 2), (3,)])
-
-
-def test_matrix_product():
-    a = IntMatrix.from_rows([(1, 2), (3, 4)])
-    b = IntMatrix.from_rows([(0, 1), (1, 0)])
-    assert a.mul(b) == IntMatrix.from_rows([(2, 1), (4, 3)])
-    with pytest.raises(DimensionError):
-        a.mul(IntMatrix.from_rows([(1, 2, 3)]))
-
-
 def test_det_small_cases():
-    assert det(IntMatrix.identity(0)) == 1
-    assert det(IntMatrix.identity(3)) == 1
-    assert det(IntMatrix.from_rows([(2,)])) == 2
-    assert det(IntMatrix.from_rows([(1, 2), (3, 4)])) == -2
-    assert det(IntMatrix.from_rows([(0, 1), (1, 0)])) == -1
-    assert det(IntMatrix.from_rows([(1, 2), (2, 4)])) == 0
+    assert det(identity(0)) == 1
+    assert det(identity(3)) == 1
+    assert det([(2,)]) == 2
+    assert det([(1, 2), (3, 4)]) == -2
+    assert det([(0, 1), (1, 0)]) == -1
+    assert det([(1, 2), (2, 4)]) == 0
+    with pytest.raises(DimensionError):
+        det([(1, 2, 3), (4, 5, 6)])
+    # the rows passed in are not changed
+    rows = [[0, 1], [1, 0]]
+    det(rows)
+    assert rows == [[0, 1], [1, 0]]
 
 
 def test_det_matches_permutation_expansion():
@@ -86,7 +70,7 @@ def test_det_matches_permutation_expansion():
     for n in (1, 2, 3, 4):
         for _ in range(25):
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            assert det(IntMatrix.from_rows(rows)) == permutation_det(rows)
+            assert det(rows) == permutation_det(rows)
 
 
 def test_det_adjugate_identity():
@@ -117,16 +101,19 @@ def test_det_adjugate_identity():
 
 
 def test_inverse_unimodular():
+    """det(U) adj(U) is the inverse of U when det(U) = +-1: the inverse the
+    test families' unimodular_transform maps normals with."""
     rng = random.Random(23)
     for n in (1, 2, 3, 4):
         for _ in range(10):
             m = random_unimodular(n, rng)
-            inv = inverse_unimodular(m)
-            assert m.mul(inv) == IntMatrix.identity(n)
-            assert inv.mul(m) == IntMatrix.identity(n)
-    with pytest.raises(NotUnimodularError) as err:
-        inverse_unimodular(IntMatrix.from_rows([(2, 0), (0, 1)]))
-    assert err.value.det == 2
+            d, adj = det_adjugate(m)
+            assert d in (1, -1)
+            inv = tuple(tuple(d * x for x in r) for r in adj)
+            assert mat_mul(m, inv) == identity(n)
+            assert mat_mul(inv, m) == identity(n)
+    with pytest.raises(ValueError, match="det = 2"):
+        unimodular_transform(get("square1"), [(2, 0), (0, 1)], (0, 0))
 
 
 def adjugate_solve(rows, b):
@@ -150,8 +137,7 @@ def test_solve_agrees_with_fraction_elimination():
     rng = random.Random(5)
     for _ in range(20):
         n = rng.randint(1, 4)
-        m = random_unimodular(n, rng)
-        rows = [m.row(i) for i in range(n)]
+        rows = random_unimodular(n, rng)
         b = [rng.randint(-9, 9) for _ in range(n)]
         assert adjugate_solve(rows, b) == frac_solve(rows, b)
     # |det| > 1: the division by det is a genuine rational one
@@ -212,3 +198,55 @@ def test_integer_kernel_basis_random_saturation():
         # saturation: scaling the constraints must not change the kernel
         scaled = [tuple(3 * x for x in v) for v in vectors]
         assert integer_kernel_basis(scaled, n) == basis
+
+
+def test_kernel_vector_small_cases():
+    assert kernel_vector([], 2) == (1, 0)
+    assert kernel_vector([(2, 4)], 2) == (2, -1)
+    assert kernel_vector([(-2, -4)], 2) == (2, -1)
+    assert kernel_vector([(1, 0), (0, 1)], 2) is None
+    assert kernel_vector([(1, 0), (-1, 0)], 2) == (0, 1)
+    assert kernel_vector([(0, 0, 3), (0, 0, -1)], 3) == (1, 0, 0)
+    # a zero column ahead of the pivots and a dependent row behind them
+    assert kernel_vector([(0, 2, 1), (0, 4, 2), (0, 1, 3)], 3) == (1, 0, 0)
+    assert kernel_vector([(1, 1, 1), (2, 2, 2)], 3) == (1, -1, 0)
+    with pytest.raises(DimensionError):
+        kernel_vector([(1, 2)], 3)
+
+
+def rank_deficient_rows(rng, n):
+    """Up to n + 2 rows in dimension n, each an integer combination of r
+    random rows (0 <= r <= n), so the rank is at most r."""
+    r = rng.randint(0, n)
+    base = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+    rows = []
+    for _ in range(rng.randint(0, n + 2)):
+        coeffs = [rng.randint(-2, 2) for _ in range(r)]
+        rows.append([sum(c * b[k] for c, b in zip(coeffs, base)) for k in range(n)])
+    return rows
+
+
+def test_kernel_vector_against_the_saturated_kernel():
+    """None exactly when the rows span; otherwise a primitive vector
+    orthogonal to every row, in the saturated kernel, and for a kernel line
+    its Hermite row, the direction the span check printed before."""
+    rng = random.Random(61)
+    seen = {"span": 0, "line": 0, "wider": 0}
+    for n in range(1, 6):
+        for _ in range(300):
+            rows = rank_deficient_rows(rng, n)
+            basis = integer_kernel_basis(rows, n)
+            d = kernel_vector(rows, n)
+            if not basis:
+                assert d is None, rows
+                seen["span"] += 1
+                continue
+            assert vector_gcd(d) == 1, rows
+            assert all(dot(d, r) == 0 for r in rows), rows
+            assert hermite_rows(list(basis) + [d]) == basis, rows
+            if len(basis) == 1:
+                assert d == basis[0], rows
+                seen["line"] += 1
+            else:
+                seen["wider"] += 1
+    assert min(seen.values()) > 200, seen

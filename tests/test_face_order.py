@@ -12,9 +12,10 @@ from collections import Counter
 
 import pytest
 
-from families import corner_cut_polygon, cube, dilate, shear, simplex, times
-from oracles import (box_walk, fraction_volume, inclusion_children,
-                     inclusion_order)
+from families import (corner_cut_polygon, cube, delzant_family, dilate, shear,
+                      simplex, times)
+from oracles import (box_walk, fraction_volume, hermite_rows,
+                     inclusion_children, inclusion_order, integer_kernel_basis)
 from toricpick.corpus import get
 from toricpick.lattice import count_points
 from toricpick.polytope import (enumerate_vertices, face_lattice,
@@ -77,6 +78,25 @@ def test_induced_faces_match_the_inclusion_order(name, p):
         assert count_points(q).total == closed[fid]
         dims = Counter(fl.faces[g].dim for g in down[fid])
         assert face_lattice(q).f_vector == tuple(dims[d] for d in range(face.dim + 1))
+
+
+CHART_CASES = FAMILY + delzant_family(6)
+
+
+@pytest.mark.parametrize("name,p", CHART_CASES, ids=[name for name, _ in CHART_CASES])
+def test_face_chart_rows_span_the_saturated_kernel(name, p):
+    """The face chart's basis, the rows of M_p at the face's earliest-chart
+    vertex dual to the facets off the face, is a basis of the saturated
+    integer kernel of the face's normals: both have one Hermite form."""
+    charts = enumerate_vertices(p)
+    for face in face_lattice(p).faces:
+        if face.dim == p.dim:
+            continue
+        chart = charts[min(face.vertices, key=lambda w: charts[w].facet_set)]
+        rows = [r for i, r in zip(chart.facet_set, chart.mu_matrix)
+                if i not in face.facet_set]
+        kernel = integer_kernel_basis([p.normals[i] for i in face.facet_set], p.dim)
+        assert hermite_rows(rows) == kernel, face
 
 
 def test_family_reaches_the_cases_it_names():

@@ -3,14 +3,11 @@
 import os
 from fractions import Fraction
 
-import pytest
-
 from oracles import inclusion_order
 from toricpick.cli import main
 from toricpick.corpus import get, names
-from toricpick.errors import DimensionError
-from toricpick.lattice import (count_points, pick_rhs_3d, weighted_sum_closed,
-                               weighted_sum_relint)
+from toricpick.invariants import check_tetrahedron
+from toricpick.lattice import count_points, weighted_sum_closed, weighted_sum_relint
 from toricpick.polytope import HPolytope, enumerate_vertices, face_lattice, volume
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
@@ -72,10 +69,11 @@ def test_weighted_sum_values():
 
 
 def test_pick_rhs_3d():
+    """Int + Fac/2 + Edg/4 + Vert/8, the tetrahedron check's left side, is
+    the relative-interior sum at n = 3."""
     fc = count_points(get("simplex3_2"))
-    assert pick_rhs_3d(fc) == F(0) + F(0, 2) + F(6, 4) + F(4, 8)
-    with pytest.raises(DimensionError):
-        pick_rhs_3d(count_points(get("square1")))
+    assert weighted_sum_relint(fc) == F(0) + F(0, 2) + F(6, 4) + F(4, 8)
+    assert check_tetrahedron(get("simplex3_2")).lhs == F(2)
 
 
 def test_cached_results_carry_no_polytope_name():

@@ -1,5 +1,6 @@
 """Polytope construction, vertex charts, faces, volume and face induction."""
 
+import os
 import random
 import time
 from fractions import Fraction
@@ -7,22 +8,22 @@ from fractions import Fraction
 import pytest
 
 from families import (cube, delzant_family, random_shear, simplex, times,
-                      weighted_simplex)
-from oracles import fraction_volume, lambda_matrix
+                      unimodular_transform, weighted_simplex)
+from oracles import fraction_volume, identity, lambda_matrix, mat_mul
 from toricpick import localization, polytope
 from toricpick.cli import dump_polytope, load_polytope
 from toricpick.cli import main as cli_main
 from toricpick.corpus import get, names, non_delzant_triangle
 from toricpick.errors import (BudgetError, DimensionError, InputError,
                               NotSimpleError, ToricError, UnboundedError)
-from toricpick.exact import IntMatrix, det, dot, vector_gcd
+from toricpick.exact import det, dot, vector_gcd
 from toricpick.lattice import count_points
 from toricpick.polytope import (HPolytope, HVector, enumerate_vertices,
                                 face_lattice, h_vector, induce_face_polytope,
-                                is_delzant, signature_from_h,
-                                unimodular_transform, validate, volume)
+                                is_delzant, signature_from_h, validate, volume)
 
 F = Fraction
+P112 = os.path.join(os.path.dirname(__file__), "data", "p112.json")
 
 
 def square_pyramid():
@@ -57,10 +58,9 @@ def test_square_vertex_charts():
     origin = charts[0]
     assert origin.facet_set == (0, 1)
     assert abs(origin.det) == 1
-    assert lambda_matrix(p, origin).column(0) == (1, 0)
+    assert [r[0] for r in lambda_matrix(p, origin)] == [1, 0]
     # rows of the inverse pair dual to the columns
-    prod = origin.mu_matrix.mul(lambda_matrix(p, origin))
-    assert prod == IntMatrix.identity(2)
+    assert mat_mul(origin.mu_matrix, lambda_matrix(p, origin)) == identity(2)
     for c in charts:
         assert c.det in (1, -1)
         assert c.mu_matrix is not None
@@ -208,8 +208,8 @@ def test_volume_matches_the_fraction_per_entry_oracle(monkeypatch):
     cases += [weighted_simplex(w, k) for w, k in (((2, 3), 5), ((2, 3, 5), 7),
                                                    ((1, 2, 4, 3), 6))]
     cases += [times(weighted_simplex((2, 3), 5), get("triangle2"))]
-    cases += [polytope.unimodular_transform(weighted_simplex((3, 2, 5), 7),
-                                            random_shear(3, rng), (1, -2, 0))]
+    cases += [unimodular_transform(weighted_simplex((3, 2, 5), 7),
+                                   random_shear(3, rng), (1, -2, 0))]
     for p in cases:
         assert volume.__wrapped__(p) == fraction_volume(p), p
 
@@ -284,6 +284,19 @@ def test_induce_face_polytope_rejects_trivial_dims():
         induce_face_polytope(p, fl.faces[fl.top])
 
 
+def test_induce_face_polytope_needs_a_delzant_base_vertex():
+    """p112's edge on facet 2 runs from (2, 0) to (0, 1), whose chart has
+    det -2 and comes first; the other two edges start at Delzant (0, 0)."""
+    p = load_polytope(P112)
+    fl = face_lattice(p)
+    edge = fl.faces[fl.face_id[(2,)]]
+    with pytest.raises(InputError, match=r"vertex \(0, 1\) has det -2"):
+        induce_face_polytope(p, edge)
+    for facets in ((0,), (1,)):
+        assert count_points(induce_face_polytope(p, fl.faces[fl.face_id[facets]])).total \
+            == count_points(p).closed[fl.face_id[facets]]
+
+
 def test_unimodular_transform_preserves_lattice_data():
     rng = random.Random(3)
     for name in ("square2", "hirzebruch", "simplex3_2", "prism"):
@@ -295,10 +308,9 @@ def test_unimodular_transform_preserves_lattice_data():
                 i, j = rng.sample(range(n), 2)
                 c = rng.choice([-2, -1, 1, 2])
                 rows[j] = [a + c * b for a, b in zip(rows[j], rows[i])]
-            u = IntMatrix.from_rows(rows)
-            assert det(u) in (1, -1)
+            assert det(rows) in (1, -1)
             shift = tuple(rng.randint(-4, 4) for _ in range(n))
-            q = unimodular_transform(p, u, shift)
+            q = unimodular_transform(p, rows, shift)
             assert is_delzant(q)
             assert volume(q) == volume(p)
             assert count_points(q).total == count_points(p).total

@@ -19,16 +19,16 @@ from math import gcd
 import pytest
 
 from families import (corner_cut_polygon, cube, dilate, random_shear,
-                      shuffled, simplex, times, weighted_simplex)
-from oracles import lambda_matrix, subset_scan
+                      shuffled, simplex, times, unimodular_transform,
+                      weighted_simplex)
+from oracles import identity, lambda_matrix, mat_mul, subset_scan
 from toricpick import polytope
 from toricpick.cli import dump_polytope, load_polytope
 from toricpick.cli import main as cli_main
 from toricpick.corpus import get, names
 from toricpick.errors import BudgetError, InputError
-from toricpick.exact import IntMatrix
 from toricpick.polytope import (VERTEX_SEARCH_BUDGET, WALK_BUDGET, HPolytope,
-                                enumerate_vertices, unimodular_transform)
+                                enumerate_vertices)
 
 
 def charts_of(p):
@@ -126,7 +126,7 @@ def test_cube8_has_256_unimodular_charts():
     assert [c.vertex for c in charts] == sorted(product((0, 1), repeat=8))
     for c in charts:
         assert c.det in (1, -1)
-        assert c.mu_matrix.mul(lambda_matrix(p, c)) == IntMatrix.identity(8)
+        assert mat_mul(c.mu_matrix, lambda_matrix(p, c)) == identity(8)
         assert c.facet_set == tuple(sorted(i if x == 0 else i + 8
                                            for i, x in enumerate(c.vertex)))
 
