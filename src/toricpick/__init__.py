@@ -1,8 +1,8 @@
 """Exact lattice point, signature and characteristic number identities for
 Delzant polytopes, computed by fixed point localization over the rationals."""
 
-from .agw import (PontryaginPoly, RootPoly, expand_genus_product,
-                  pontryagin_label, to_pontryagin, twisted_ahat, verify_agw)
+from .agw import (expand_genus_product, pontryagin_label, to_pontryagin,
+                  twisted_ahat, verify_agw)
 from .cli import dump_polytope, format_rational, load_polytope, main
 from .errors import (BudgetError, DimensionError, GenericityError,
                      InputError, NotSimpleError, ParityError,
@@ -23,6 +23,6 @@ from .polytope import (DelzantVerdict, Face, FaceLattice, HPolytope, HVector,
                        VertexChart, enumerate_vertices, face_lattice,
                        h_vector, induce_face_polytope, is_delzant,
                        signature_from_h, validate, volume)
-from .series import UniSeries, elementary_to_monomial, genus_series
+from .series import elementary_to_monomial, genus_series
 
 __version__ = "0.1.0"

@@ -55,7 +55,7 @@ def _genus_restriction(p, kind, twist=True, face=None):
     """
     n = p.dim if face is None else face.dim
     normal = () if face is None else face.facet_set
-    g = genus_series(kind, n).coeffs if kind is not None else (1,) + (0,) * n
+    g = genus_series(kind, n) if kind is not None else (1,) + (0,) * n
     d = lcm(*(c.denominator for c in g))
     scaled_g = [int(c * d) for c in g]
     scaled_exp = [factorial(n) // factorial(k) for k in range(n + 1)]

@@ -18,6 +18,7 @@ from operator import mul
 
 from .errors import (DimensionError, GenericityError, InputError,
                      RouteDisagreementError, ToricError)
+from .exact import det
 from .polytope import enumerate_vertices
 from .series import elementary_to_monomial
 
@@ -169,6 +170,19 @@ def integrate_monomial(p, exponents, u):
     return localize(p, u, restrict)[0]
 
 
+def _vertex_sum(p, u, numerator):
+    """Sum over the vertices of numerator(chart, w) / prod w, an integer
+    numerator accumulated over the lcm of the Euler products and divided
+    once; the fixed point routes' own sum, apart from localize."""
+    num, den = 0, 1
+    for c, w in _chart_weights(p, tuple(u)):
+        euler = prod(w)
+        grown = lcm(den, euler)
+        num = num * (grown // den) + numerator(c, w) * (grown // euler)
+        den = grown
+    return Fraction(num, den)
+
+
 def gysin_power(p, facet, k, u):
     """Direct fixed point sum for the n-th power of one facet class.
 
@@ -180,16 +194,9 @@ def gysin_power(p, facet, k, u):
         raise DimensionError("the direct sum is stated for the top power k = n")
     if not 0 <= facet < len(p.facets):
         raise DimensionError("facet index %d out of range" % facet)
-    num, den = 0, 1
-    for c, w in _chart_weights(p, tuple(u)):
-        if facet not in c.facet_set:
-            continue
-        # w_i^(n-1) / prod_{j != i} w_j = w_i^n / prod w
-        euler = prod(w)
-        grown = lcm(den, euler)
-        num = num * (grown // den) + w[c.facet_set.index(facet)] ** n * (grown // euler)
-        den = grown
-    return Fraction(num, den)
+    # w_i^(n-1) / prod_{j != i} w_j = w_i^n / prod w
+    return _vertex_sum(p, u, lambda c, w: (
+        w[c.facet_set.index(facet)] ** n if facet in c.facet_set else 0))
 
 
 def gysin_power_v3(p, facet, u):
@@ -211,19 +218,13 @@ def gysin_power_v3(p, facet, u):
         others = [i for i in c.facet_set if i != facet]
         lam_i = p.normals[facet]
         lam_j, lam_k = p.normals[others[0]], p.normals[others[1]]
-        a = _det3(uu, lam_j, lam_k)
-        b = _det3(uu, lam_k, lam_i)
-        cden = _det3(uu, lam_i, lam_j)
+        a = det((uu, lam_j, lam_k))
+        b = det((uu, lam_k, lam_i))
+        cden = det((uu, lam_i, lam_j))
         if b == 0 or cden == 0:
             raise GenericityError("u = %s is not generic at vertex %s" % (uu, c.vertex))
         total += Fraction(a * a, b * cden)
     return total
-
-
-def _det3(r0, r1, r2):
-    return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
-            - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
-            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
 
 
 def partitions_of(n):
@@ -292,16 +293,9 @@ def _monomial_symmetric(lam, w):
 
 def _fixed_point_sum(p, terms, u):
     """Sum over the vertices of sum_lam c_lam m_lam(w) / prod w for the
-    (lam, c_lam) terms, accumulated as an integer numerator over the lcm of
-    the Euler products and divided once."""
-    num, den = 0, 1
-    for _c, w in _chart_weights(p, tuple(u)):
-        vertex = sum(c * _monomial_symmetric(lam, w) for lam, c in terms)
-        euler = prod(w)
-        grown = lcm(den, euler)
-        num = num * (grown // den) + vertex * (grown // euler)
-        den = grown
-    return Fraction(num, den)
+    (lam, c_lam) terms."""
+    return _vertex_sum(p, u, lambda _c, w: sum(
+        c * _monomial_symmetric(lam, w) for lam, c in terms))
 
 
 def fixed_point_partition_sum(p, lam, u):

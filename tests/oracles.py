@@ -7,7 +7,7 @@ Each is kept so that a differential test can hold the faster route in
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import ceil, factorial, floor, gcd, lcm, prod
+from math import ceil, comb, factorial, floor, gcd, lcm, prod
 from operator import add
 
 from toricpick.errors import (InputError, NotSimpleError, ShapeError,
@@ -363,10 +363,21 @@ def _facet_product(factors, trunc):
 
 
 def product_over_facets(g, num_vars, trunc):
-    """prod_i g(v_i) truncated at total degree; g must have constant term 1."""
-    if g.c(0) != 1:
+    """prod_i g(v_i) truncated at total degree, g a coefficient tuple (read
+    as 0 past its end); g must have constant term 1."""
+    if g[0] != 1:
         raise ShapeError("facet products need a series with constant term 1")
-    return _facet_product([[g.c(k) for k in range(trunc + 1)]] * num_vars, trunc)
+    return _facet_product([[g[k] if k < len(g) else 0 for k in range(trunc + 1)]]
+                          * num_vars, trunc)
+
+
+def bernoulli(n):
+    """Bernoulli numbers B_0..B_n with B_1 = -1/2, from the recurrence
+    sum_{j=0}^{k} C(k+1, j) B_j = 0 for k >= 1."""
+    b = [Fraction(1)]
+    for k in range(1, n + 1):
+        b.append(-sum(comb(k + 1, j) * b[j] for j in range(k)) / (k + 1))
+    return b
 
 
 def exp_linear(coeffs, trunc):

@@ -17,7 +17,8 @@ from families import cube, delzant_family, simplex
 from oracles import monomial_coefficients, permutation_partition_sum
 from toricpick import localization
 from toricpick.localization import (chern_number, choose_generic,
-                                    fixed_point_partition_sum, partitions_of)
+                                    fixed_point_partition_sum, gysin_power,
+                                    integrate_monomial, partitions_of)
 from toricpick.polytope import enumerate_vertices
 from toricpick.series import elementary_to_monomial
 
@@ -100,7 +101,7 @@ def test_product_of_projective_lines_chern_numbers(n):
 
 def test_fixed_point_route_shares_nothing_with_the_class_route(monkeypatch):
     """No permutation enumeration and no m-variable polynomial; route one
-    runs with the class route disabled."""
+    and the Gysin powers run with the class route disabled."""
     source = inspect.getsource(localization)
     assert "permutations" not in source
     assert "MultiPoly" not in source
@@ -111,12 +112,16 @@ def test_fixed_point_route_shares_nothing_with_the_class_route(monkeypatch):
     p = dict(SMALL)["prism x prism"]
     u = two_vectors(p)[0]
     expected = {omega: chern_number(p, omega, u) for omega in partitions_of(p.dim)}
+    powers = [integrate_monomial(p, [p.dim * (i == f) for i in range(len(p.facets))], u)
+              for f in range(len(p.facets))]
     monkeypatch.setattr(localization, "_chern_restriction", forbidden)
     monkeypatch.setattr(localization, "localize", forbidden)
     for omega, value in expected.items():
         assert localization._chern_fixed_point(p, omega, u) == value
         for lam in partitions_of(p.dim):
             fixed_point_partition_sum(p, lam, u)
+    for f, value in enumerate(powers):
+        assert gysin_power(p, f, p.dim, u) == value, f
 
 
 def test_class_route_restricts_once_per_vertex(monkeypatch):
