@@ -11,8 +11,8 @@ from .errors import (BudgetError, DimensionError, GenericityError,
 from .exact import det, kernel_vector
 from .invariants import (Report, check_face_todd, check_pick,
                          check_tetrahedron, check_todd,
-                         check_untwisted_signature, twisted_signature,
-                         twisted_todd, volume_by_localization)
+                         check_untwisted_signature, twisted_signature_breakdown,
+                         twisted_todd_breakdown, volume_by_localization)
 from .lattice import (FaceCounts, count_points, weighted_sum_closed,
                       weighted_sum_relint)
 from .localization import (assert_generic, chern_number, check_partition,

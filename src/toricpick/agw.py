@@ -16,10 +16,10 @@ keys are partitions, and zero coefficients are left out.
 from fractions import Fraction
 from math import prod
 
-from .errors import DimensionError, ParityError, ShapeError, SingularSystemError
+from .errors import DimensionError, ParityError, SingularSystemError
 from .exact import det_adjugate, dot
 from .invariants import Report
-from .localization import partitions_of
+from .localization import check_partition, partitions_of
 from .series import elementary_to_monomial, genus_series, hyperbolic, mul
 
 NUM_ROOTS = 6
@@ -101,11 +101,11 @@ def to_pontryagin(r):
     Works one root-degree at a time: the e-product-to-monomial transition
     matrix over partitions of the half degree (entries counted as 0-1
     matrices by elementary_to_monomial) is solved exactly over the
-    integers, as adj(A) b / det(A).
+    integers, as adj(A) b / det(A).  Keys other than () must be partitions.
     """
     for lam in r:
-        if list(lam) != sorted(lam, reverse=True):
-            raise ShapeError("partition key %s is not weakly decreasing" % (lam,))
+        if lam:
+            check_partition(lam)
     out = {}
     for d in sorted({sum(lam) for lam, c in r.items() if c and sum(lam) <= DEGREE // 2}):
         if any(x % 2 for lam, c in r.items() if c and sum(lam) == d for x in lam):

@@ -81,23 +81,13 @@ def _twisted_genus(p, kind, u):
     return localize(p, u, *_genus_restriction(p, kind))
 
 
-def twisted_todd(p, u=None):
-    """<exp(w_P) prod Td(v_i), [M_P]>; equals the lattice point count."""
-    return _twisted_genus(p, "Todd", u)[0]
-
-
 def twisted_todd_breakdown(p, u=None):
-    """Twisted Todd genus together with its per-vertex contributions."""
+    """<exp(w_P) prod Td(v_i), [M_P]>, the lattice point count, and its vertex terms."""
     return _twisted_genus(p, "Todd", u)
 
 
-def twisted_signature(p, u=None):
-    """<exp(w_P) prod (v_i/2)/tanh(v_i/2), [M_P]>."""
-    return _twisted_genus(p, "SignatureHalf", u)[0]
-
-
 def twisted_signature_breakdown(p, u=None):
-    """Twisted signature together with its per-vertex contributions."""
+    """<exp(w_P) prod (v_i/2)/tanh(v_i/2), [M_P]> and its per-vertex terms."""
     return _twisted_genus(p, "SignatureHalf", u)
 
 

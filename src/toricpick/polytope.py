@@ -168,15 +168,6 @@ class HVector:
         if self.h != self.h[::-1]:
             raise InputError("h-vector is not palindromic: %s" % (self.h,))
 
-    @property
-    def n(self):
-        return len(self.h) - 1
-
-    def polynomial(self, t):
-        """Evaluate h_P at an exact argument."""
-        n = self.n
-        return sum(Fraction(self.h[k]) * Fraction(t) ** (n - k) for k in range(n + 1))
-
     def __repr__(self):
         return "HVector(%s)" % (self.h,)
 

@@ -1,14 +1,32 @@
 """Polytope families shared by the tests.
 
 Every generator is deterministic; those that draw random choices take a
-seeded random.Random, so a test's cases are fixed by its seed.
+seeded random.Random, so a test's cases are fixed by its seed.  The bundled
+corpus is read from its files, corpus/*.json, which are its only source.
 """
 
+import functools
+import os
 import random
 
-from toricpick.corpus import get, names
+from toricpick.cli import load_polytope
 from toricpick.exact import det_adjugate, dot
 from toricpick.polytope import HPolytope
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+CORPUS_DIR = os.path.join(os.path.dirname(HERE), "corpus")
+P112 = os.path.join(HERE, "data", "p112.json")
+
+# the bundled Delzant polytopes, in the fixed order of reports and golden file
+CORPUS_NAMES = ("interval1", "interval2", "interval5", "square1", "square2",
+                "rect2x3", "triangle1", "triangle2", "triangle3", "hirzebruch",
+                "cube1", "simplex3_1", "simplex3_2", "prism")
+
+
+@functools.lru_cache(maxsize=None)
+def get(name):
+    """The bundled polytope corpus/<name>.json."""
+    return load_polytope(os.path.join(CORPUS_DIR, name + ".json"))
 
 
 def box(lows, highs, name=None):
@@ -143,7 +161,7 @@ def delzant_family(max_dim=8):
     dilated simplices, products, dilations, unimodular images, corner-cut
     polygons and shuffled facet orders."""
     rng = random.Random(53)
-    out = [(name, get(name)) for name in names()]
+    out = [(name, get(name)) for name in CORPUS_NAMES]
     out += [("cube%d" % n, cube(n)) for n in range(4, 9)]
     out += [("simplex%d (%d)" % (n, k), simplex(n, k)) for n in range(4, 9) for k in (1, 2)]
     out += [("simplex2 x simplex2", simplex2_squared()),

@@ -11,8 +11,7 @@ from toricpick import agw
 from toricpick.agw import (DEGREE, NUM_ROOTS, expand_genus_product,
                            pontryagin_label, to_pontryagin, twisted_ahat,
                            verify_agw)
-from toricpick.errors import (DimensionError, ParityError, ShapeError,
-                              SingularSystemError)
+from toricpick.errors import DimensionError, ParityError, SingularSystemError
 from toricpick.localization import partitions_of
 from toricpick.series import elementary_to_monomial, genus_series
 
@@ -48,8 +47,13 @@ def test_pontryagin_label():
 
 
 def test_to_pontryagin_validates_partitions():
-    with pytest.raises(ShapeError, match="not weakly decreasing"):
+    # the rule and the error class are localization.check_partition's
+    with pytest.raises(DimensionError, match="weakly decreasing"):
         to_pontryagin({(1, 2): 1})
+    for key in ((2, 0), (-2,)):
+        with pytest.raises(DimensionError, match="parts must be positive"):
+            to_pontryagin({key: 5})
+    assert to_pontryagin({(): 3}) == {(): F(3)}
     with pytest.raises(ParityError, match="root-degree 2 part has an odd exponent"):
         to_pontryagin({(1, 1): 1})
     # m_(2,2)(x) = e_2(x^2) = p_2; a zero coefficient counts as absent, so

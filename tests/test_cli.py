@@ -2,20 +2,18 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 import toricpick
-from toricpick import cli, corpus
+from families import CORPUS_DIR, CORPUS_NAMES, P112, get
+from toricpick import cli
 from toricpick.errors import InputError
 from toricpick.invariants import Report, check_pick
 from toricpick.polytope import HPolytope
-
-HERE = os.path.dirname(__file__)
-CORPUS_DIR = os.path.normpath(os.path.join(HERE, os.pardir, "corpus"))
-P112 = os.path.join(HERE, "data", "p112.json")
 
 
 def write(tmp_path, name, text):
@@ -37,7 +35,7 @@ def test_format_rational():
 
 
 def test_dump_load_round_trip(tmp_path):
-    p = corpus.get("hirzebruch")
+    p = get("hirzebruch")
     path = write(tmp_path, "h.json", cli.dump_polytope(p))
     q = cli.load_polytope(path)
     assert q == p and q.name == "hirzebruch"
@@ -47,12 +45,16 @@ def test_dump_load_round_trip(tmp_path):
     assert r == nameless and r.name is None
 
 
+def test_corpus_names_match_the_files():
+    stems = [os.path.splitext(f) for f in os.listdir(CORPUS_DIR)]
+    assert sorted(CORPUS_NAMES) == sorted(stem for stem, ext in stems if ext == ".json")
+
+
 def test_bundled_corpus_files_in_sync():
-    for name in corpus.names():
-        with open(corpus_file(name), "r", encoding="utf-8") as fh:
-            assert fh.read() == cli.dump_polytope(corpus.get(name)), name
-    with open(P112, "r", encoding="utf-8") as fh:
-        assert fh.read() == cli.dump_polytope(corpus.non_delzant_triangle())
+    """Each bundled file is the canonical dump of what it parses to."""
+    for path in [corpus_file(name) for name in CORPUS_NAMES] + [P112]:
+        with open(path, "r", encoding="utf-8") as fh:
+            assert fh.read() == cli.dump_polytope(cli.load_polytope(path)), path
 
 
 def test_load_rejects_malformed_files(tmp_path):
@@ -91,7 +93,7 @@ def test_unreadable_files_exit_two_naming_the_path(case, tmp_path, capsys):
     target = tmp_path / "corpus"
     target.mkdir()
     (target / "bad.json").write_bytes(UNREADABLE[case])
-    (target / "square1.json").write_text(cli.dump_polytope(corpus.get("square1")))
+    shutil.copy(corpus_file("square1"), target)
     assert cli.main(["corpus", str(target), "--format", "json"]) == 2
     assert capsys.readouterr().err.startswith("error: %s: " % (target / "bad.json"))
 
@@ -127,7 +129,7 @@ def test_verify_pick_json_output(capsys):
     assert data["holds"] is True
     assert data["generic_vectors"] == [[1, 2], [1, 3]]
     # round trip: the printed report is exactly its own parse
-    assert data == cli.report_to_dict(check_pick(corpus.get("square1")))
+    assert data == cli.report_to_dict(check_pick(get("square1")))
 
 
 def test_output_is_byte_stable(capsys):
@@ -263,8 +265,7 @@ def test_compute_twisted_genera(capsys):
 
 def test_corpus_command(tmp_path, capsys):
     target = tmp_path / "corpus"
-    target.mkdir()
-    corpus.write_corpus(str(target))
+    shutil.copytree(CORPUS_DIR, target)
     code = cli.main(["corpus", str(target), "--format", "table"])
     out = capsys.readouterr().out
     assert code == 0
@@ -273,17 +274,15 @@ def test_corpus_command(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert code == 0
     assert data["all_hold"] is True
-    assert len(data["files"]) == len(corpus.names())
+    assert len(data["files"]) == len(CORPUS_NAMES)
     tets = [f for f in data["files"] if "tetrahedron" in f["checks"]]
     assert sorted(f["polytope"] for f in tets) == ["simplex3_1", "simplex3_2"]
 
 
 def test_corpus_command_rejects_bad_file(tmp_path, capsys):
     target = tmp_path / "corpus"
-    target.mkdir()
-    corpus.write_corpus(str(target))
-    with open(P112) as fh:
-        (target / "p112.json").write_text(fh.read())
+    shutil.copytree(CORPUS_DIR, target)
+    shutil.copy(P112, target)
     code = cli.main(["corpus", str(target)])
     err = capsys.readouterr().err
     assert code == 2

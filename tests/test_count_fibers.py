@@ -12,11 +12,11 @@ from math import comb
 
 import pytest
 
-from families import box, corner_cut_polygon, dilate, shear, simplex, times
+from families import (CORPUS_NAMES, box, corner_cut_polygon, dilate, get, shear,
+                      simplex, times)
 from oracles import box_walk
 from toricpick import lattice
 from toricpick.cli import main
-from toricpick.corpus import get, names
 from toricpick.errors import BudgetError
 from toricpick.lattice import count_points
 from toricpick.polytope import HPolytope, enumerate_vertices, face_lattice
@@ -24,7 +24,7 @@ from toricpick.polytope import HPolytope, enumerate_vertices, face_lattice
 
 def family():
     rng = random.Random(43)
-    out = [(name, get(name)) for name in names()]
+    out = [(name, get(name)) for name in CORPUS_NAMES]
     out += [("segment %d..%d" % (a, b), HPolytope(1, [((1,), a), ((-1,), -b)]))
             for a, b in ((0, 1), (-3, 4), (7, 19))]
     out.append(("segment reversed", HPolytope(1, [((-1,), -2), ((1,), -5)])))

@@ -6,10 +6,9 @@ from itertools import permutations
 
 import pytest
 
-from families import unimodular_transform
+from families import get, unimodular_transform
 from oracles import (frac_rank, frac_solve, hermite_rows, identity,
                      integer_kernel_basis, mat_mul)
-from toricpick.corpus import get
 from toricpick.errors import DimensionError, SingularSystemError
 from toricpick.exact import det, det_adjugate, dot, kernel_vector, vector_gcd
 

@@ -10,12 +10,11 @@ replaced presented each face as a polytope in its own integral chart
 
 import pytest
 
-from families import cube, delzant_family, simplex, times
+from families import cube, delzant_family, get, simplex, times
 from toricpick import invariants, lattice, localization, polytope
-from toricpick.corpus import get
 from toricpick.errors import ToricError
 from toricpick.invariants import (_genus_restriction, check_face_todd,
-                                  twisted_todd)
+                                  twisted_todd_breakdown)
 from toricpick.localization import assert_generic, choose_generic, localize
 from toricpick.polytope import (enumerate_vertices, face_lattice,
                                 induce_face_polytope)
@@ -32,8 +31,8 @@ def induced_todd(p, face):
     if face.dim == 0:
         return 1
     if face.dim == p.dim:
-        return twisted_todd(p)
-    return twisted_todd(induce_face_polytope(p, face))
+        return twisted_todd_breakdown(p)[0]
+    return twisted_todd_breakdown(induce_face_polytope(p, face))[0]
 
 
 @pytest.mark.parametrize("name,p", FAMILY, ids=[name for name, _ in FAMILY])

@@ -12,11 +12,10 @@ from collections import Counter
 
 import pytest
 
-from families import (corner_cut_polygon, cube, delzant_family, dilate, shear,
-                      simplex, times)
+from families import (corner_cut_polygon, cube, delzant_family, dilate, get,
+                      shear, simplex, times)
 from oracles import (box_walk, fraction_volume, hermite_rows,
                      inclusion_children, inclusion_order, integer_kernel_basis)
-from toricpick.corpus import get
 from toricpick.lattice import count_points
 from toricpick.polytope import (enumerate_vertices, face_lattice,
                                 induce_face_polytope, volume)

@@ -16,8 +16,8 @@ import json
 import os
 import sys
 
+from families import CORPUS_NAMES, get
 from toricpick import cli
-from toricpick.corpus import get, names
 from toricpick.localization import choose_generic, partitions_of
 from toricpick.polytope import enumerate_vertices
 
@@ -29,7 +29,7 @@ GOLDEN = os.path.join(HERE, "data", "golden_corpus.json")
 def command_set():
     """Every argument list, with corpus paths relative to the repository root."""
     commands = [["verify", "agw"], ["corpus", "corpus"]]
-    for name in names():
+    for name in CORPUS_NAMES:
         p = get(name)
         n, m = p.dim, len(p.facets)
         path = "corpus/%s.json" % name

@@ -15,9 +15,9 @@ from math import prod
 
 import pytest
 
-from families import corner_cut_polygon, cube, simplex, simplex2_squared
+from families import (CORPUS_NAMES, corner_cut_polygon, cube, get, simplex,
+                      simplex2_squared)
 from toricpick import localization
-from toricpick.corpus import get, names
 from toricpick.errors import ToricError
 from toricpick.invariants import _genus_restriction
 from toricpick.localization import (_chart_weights, check_partition,
@@ -64,7 +64,7 @@ def oracle_partition_sum(p, lam, u):
     return total
 
 
-POLYTOPES = ([get(name) for name in names()]
+POLYTOPES = ([get(name) for name in CORPUS_NAMES]
              + [cube(4), simplex(5), simplex2_squared()]
              + [corner_cut_polygon(k, 300) for k in (10, 14, 30)])
 

@@ -3,9 +3,9 @@
 import os
 from fractions import Fraction
 
+from families import CORPUS_NAMES, get
 from oracles import inclusion_order
 from toricpick.cli import main
-from toricpick.corpus import get, names
 from toricpick.invariants import check_tetrahedron
 from toricpick.lattice import count_points, weighted_sum_closed, weighted_sum_relint
 from toricpick.polytope import HPolytope, enumerate_vertices, face_lattice, volume
@@ -24,7 +24,7 @@ KNOWN_TOTALS = {
 
 
 def test_totals_on_corpus():
-    for name in names():
+    for name in CORPUS_NAMES:
         assert count_points(get(name)).total == KNOWN_TOTALS[name], name
 
 
@@ -48,14 +48,14 @@ def test_face_classification_simplex():
 
 
 def test_closed_equals_relint_sum():
-    for name in names():
+    for name in CORPUS_NAMES:
         fc = count_points(get(name))
         for fid, down in enumerate(inclusion_order(fc.lattice)):
             assert fc.closed[fid] == sum(fc.relint[g] for g in down)
 
 
 def test_weighted_sums_agree_on_corpus():
-    for name in names():
+    for name in CORPUS_NAMES:
         fc = count_points(get(name))
         assert weighted_sum_closed(fc) == weighted_sum_relint(fc), name
 
@@ -97,6 +97,6 @@ def test_caches_are_bounded_and_a_corpus_batch_still_hits_them(capsys):
     assert main(["corpus", CORPUS_DIR, "--format", "json"]) == 0
     capsys.readouterr()
     # pick, todd and face-todd read one count and one face lattice per file
-    assert count_points.cache_info().misses == len(names())
-    assert count_points.cache_info().hits >= 2 * len(names())
-    assert face_lattice.cache_info().misses == len(names())
+    assert count_points.cache_info().misses == len(CORPUS_NAMES)
+    assert count_points.cache_info().hits >= 2 * len(CORPUS_NAMES)
+    assert face_lattice.cache_info().misses == len(CORPUS_NAMES)

@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from families import CORPUS_NAMES, P112, get
 from oracles import exp_linear
-from toricpick.corpus import get, names, non_delzant_triangle
+from toricpick.cli import load_polytope
 from toricpick.errors import (DimensionError, GenericityError, InputError,
                               ToricError)
 from toricpick.invariants import volume_by_localization
@@ -40,7 +41,7 @@ def test_choose_generic_policy():
 
 
 def test_choose_generic_rejects_non_delzant():
-    charts = enumerate_vertices(non_delzant_triangle())
+    charts = enumerate_vertices(load_polytope(P112))
     with pytest.raises(InputError):
         choose_generic(charts)
 
@@ -91,7 +92,7 @@ def test_sub_top_degree_vanishes():
 
 def test_u_independence_on_monomials():
     rng = random.Random(29)
-    for name in names():
+    for name in CORPUS_NAMES:
         p = get(name)
         n = p.dim
         m = len(p.facets)
@@ -191,13 +192,13 @@ def test_chern_numbers_spot_values():
 
 
 def test_chern_top_partition_counts_vertices():
-    for name in names():
+    for name in CORPUS_NAMES:
         p = get(name)
         assert chern_number(p, (p.dim,)) == len(enumerate_vertices(p))
 
 
 def test_chern_numbers_are_integers_for_all_partitions():
-    for name in names():
+    for name in CORPUS_NAMES:
         p = get(name)
         for omega in partitions_of(p.dim):
             value = chern_number(p, omega)
@@ -210,6 +211,6 @@ def test_chern_rejects_wrong_partition_total():
 
 
 def test_localization_rejects_non_delzant():
-    p = non_delzant_triangle()
+    p = load_polytope(P112)
     with pytest.raises(InputError):
         integrate_monomial(p, (1, 1, 0), (1, 2))

@@ -1,19 +1,18 @@
 """Polytope construction, vertex charts, faces, volume and face induction."""
 
-import os
 import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from families import (cube, delzant_family, random_shear, simplex, times,
-                      unimodular_transform, weighted_simplex)
+from families import (CORPUS_NAMES, P112, cube, delzant_family, get,
+                      random_shear, simplex, times, unimodular_transform,
+                      weighted_simplex)
 from oracles import fraction_volume, identity, lambda_matrix, mat_mul
 from toricpick import localization, polytope
 from toricpick.cli import dump_polytope, load_polytope
 from toricpick.cli import main as cli_main
-from toricpick.corpus import get, names, non_delzant_triangle
 from toricpick.errors import (BudgetError, DimensionError, InputError,
                               NotSimpleError, ToricError, UnboundedError)
 from toricpick.exact import det, dot, vector_gcd
@@ -23,7 +22,6 @@ from toricpick.polytope import (HPolytope, HVector, enumerate_vertices,
                                 is_delzant, signature_from_h, validate, volume)
 
 F = Fraction
-P112 = os.path.join(os.path.dirname(__file__), "data", "p112.json")
 
 
 def square_pyramid():
@@ -131,9 +129,9 @@ def test_not_simple_vertex_reported():
 
 
 def test_delzant_verdict():
-    for name in names():
+    for name in CORPUS_NAMES:
         assert is_delzant(get(name))
-    verdict = is_delzant(non_delzant_triangle())
+    verdict = is_delzant(load_polytope(P112))
     assert not verdict
     assert verdict.vertex == (0, 1)
     assert verdict.det == -2
@@ -176,7 +174,7 @@ def test_h_vector_validation_and_signature():
     with pytest.raises(InputError):
         HVector((2, 1, 2))
     hv = HVector((1, 3, 3, 1))
-    assert hv.polynomial(-1) == 0
+    assert sum(h * (-1) ** (3 - k) for k, h in enumerate(hv.h)) == 0  # h_P(-1)
     assert signature_from_h(hv) == 0
     assert signature_from_h(HVector((1, 1, 1))) == 1
 

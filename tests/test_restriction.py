@@ -13,10 +13,10 @@ from itertools import product
 
 import pytest
 
-from families import cube, cut_octagon, delzant_family, simplex, simplex2_squared
+from families import (CORPUS_NAMES, cube, cut_octagon, delzant_family, get, simplex,
+                      simplex2_squared)
 from oracles import (MultiPoly, elementary_symmetric, exp_linear, integrate_terms,
                      product_over_facets)
-from toricpick.corpus import get, names
 from toricpick.errors import ToricError
 from toricpick.invariants import (_genus_restriction, twisted_signature_breakdown,
                                   twisted_todd_breakdown, volume_breakdown)
@@ -26,7 +26,7 @@ from toricpick.polytope import enumerate_vertices
 from toricpick.series import GENUS_KINDS, genus_series
 
 
-POLYTOPES = ([get(name) for name in names()]
+POLYTOPES = ([get(name) for name in CORPUS_NAMES]
              + [cube(4), simplex(5), simplex2_squared()]
              + [cut_octagon(k) for k in (2, 4, 6)])
 FAMILY = delzant_family(6)
@@ -88,7 +88,7 @@ def assert_monomial_matches_terms(p, e, vectors):
             assert got == 0, (e, u)
 
 
-@pytest.mark.parametrize("name", names())
+@pytest.mark.parametrize("name", CORPUS_NAMES)
 def test_monomial_restriction_matches_terms_on_corpus(name):
     """Every monomial of degree at most n, at both generic vectors."""
     p = get(name)

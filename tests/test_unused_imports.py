@@ -1,0 +1,46 @@
+"""Every name a module of src/toricpick imports is used in that module.
+
+No linter ships with the project, so this stdlib check stands in for one:
+code removals tend to leave their imports behind.  __init__.py is skipped,
+since it imports only to re-export.
+"""
+
+import ast
+import glob
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src", "toricpick")
+MODULES = sorted(p for p in glob.glob(os.path.join(SRC, "*.py"))
+                 if os.path.basename(p) != "__init__.py")
+
+
+def unused_imports(source):
+    """Names bound by import statements that no expression reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                # `import a.b` binds `a`
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_the_check_finds_an_unused_import():
+    source = "import os\nimport os.path as osp\nfrom math import gcd, lcm\nprint(lcm)\n"
+    assert unused_imports(source) == [(1, "os"), (2, "osp"), (3, "gcd")]
+    assert unused_imports("import os.path\nos.getcwd()\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_no_unused_imports(path):
+    with open(path, encoding="utf-8") as fh:
+        assert unused_imports(fh.read()) == [], path

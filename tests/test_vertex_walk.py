@@ -18,14 +18,13 @@ from math import gcd
 
 import pytest
 
-from families import (corner_cut_polygon, cube, dilate, random_shear,
-                      shuffled, simplex, times, unimodular_transform,
-                      weighted_simplex)
+from families import (CORPUS_NAMES, corner_cut_polygon, cube, dilate, get,
+                      random_shear, shuffled, simplex, times,
+                      unimodular_transform, weighted_simplex)
 from oracles import identity, lambda_matrix, mat_mul, subset_scan
 from toricpick import polytope
 from toricpick.cli import dump_polytope, load_polytope
 from toricpick.cli import main as cli_main
-from toricpick.corpus import get, names
 from toricpick.errors import BudgetError, InputError
 from toricpick.polytope import (VERTEX_SEARCH_BUDGET, WALK_BUDGET, HPolytope,
                                 enumerate_vertices)
@@ -38,7 +37,7 @@ def charts_of(p):
 
 def family():
     rng = random.Random(41)
-    out = [(name, get(name)) for name in names()]
+    out = [(name, get(name)) for name in CORPUS_NAMES]
     out += [("simplex2xsquare", times(simplex(2), get("square2"))),
             ("interval x hirzebruch", times(get("interval2"), get("hirzebruch"))),
             ("prism x triangle", times(get("prism"), get("triangle2"))),
