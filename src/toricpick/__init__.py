@@ -6,13 +6,13 @@ from .agw import (expand_genus_product, pontryagin_label, to_pontryagin,
 from .cli import dump_polytope, format_rational, load_polytope, main
 from .errors import (BudgetError, DimensionError, GenericityError,
                      InputError, NotSimpleError, ParityError,
-                     RouteDisagreementError, ShapeError, SingularSystemError,
-                     ToricError, UnboundedError)
-from .exact import det, kernel_vector
+                     RouteDisagreementError, ShapeError, ToricError,
+                     UnboundedError)
+from .exact import det
 from .invariants import (Report, check_face_todd, check_pick,
                          check_tetrahedron, check_todd,
                          check_untwisted_signature, twisted_signature_breakdown,
-                         twisted_todd_breakdown, volume_by_localization)
+                         twisted_todd_breakdown, volume_breakdown)
 from .lattice import (FaceCounts, count_points, weighted_sum_closed,
                       weighted_sum_relint)
 from .localization import (assert_generic, chern_number, check_partition,

@@ -16,8 +16,7 @@ keys are partitions, and zero coefficients are left out.
 from fractions import Fraction
 from math import prod
 
-from .errors import DimensionError, ParityError, SingularSystemError
-from .exact import det_adjugate, dot
+from .errors import DimensionError, ParityError
 from .invariants import Report
 from .localization import check_partition, partitions_of
 from .series import elementary_to_monomial, genus_series, hyperbolic, mul
@@ -98,10 +97,13 @@ def to_pontryagin(r):
     """Rewrite an even symmetric polynomial {lam: c} in the p_k =
     e_k(squares) basis, up to root-degree DEGREE / 2.
 
-    Works one root-degree at a time: the e-product-to-monomial transition
-    matrix over partitions of the half degree (entries counted as 0-1
-    matrices by elementary_to_monomial) is solved exactly over the
-    integers, as adj(A) b / det(A).  Keys other than () must be partitions.
+    Works one root-degree at a time.  In the squares, e_{lam'} (lam' the
+    conjugate partition) is m_lam plus monomials lower in dominance order
+    (Macdonald I.6), hence later in the decreasing lexicographic order of
+    partitions_of.  So the coefficient left on m_lam, in that order, is the
+    one of p_{lam'}, and e_{lam'}'s share of the later coefficients, counted
+    by elementary_to_monomial, is subtracted from them.  Keys other than ()
+    must be partitions.
     """
     for lam in r:
         if lam:
@@ -111,16 +113,14 @@ def to_pontryagin(r):
         if any(x % 2 for lam, c in r.items() if c and sum(lam) == d for x in lam):
             raise ParityError("root-degree %d part has an odd exponent" % d)
         lams = [lam for lam in partitions_of(d // 2) if len(lam) <= NUM_ROOTS]
-        nus = [nu for nu in partitions_of(d // 2) if max(nu, default=0) <= NUM_ROOTS]
-        matrix = [[elementary_to_monomial(nu, lam) for nu in nus] for lam in lams]
-        rhs = [r.get(tuple(2 * x for x in lam), Fraction(0)) for lam in lams]
-        den, adj = det_adjugate(matrix)
-        if den == 0:
-            raise SingularSystemError("e-to-m transition in root-degree %d is singular" % d)
-        for nu, row in zip(nus, adj):
-            c = Fraction(dot(row, rhs)) / den
+        left = {lam: Fraction(r.get(tuple(2 * x for x in lam), 0)) for lam in lams}
+        for k, lam in enumerate(lams):
+            c = left[lam]
             if c:
+                nu = tuple(sum(x > i for x in lam) for i in range(max(lam, default=0)))
                 out[nu] = c
+                for mu in lams[k + 1:]:
+                    left[mu] -= c * elementary_to_monomial(nu, mu)
     return out
 
 

@@ -21,10 +21,6 @@ class InputError(ToricError):
     """Invalid polytope input: malformed, degenerate, redundant, or empty."""
 
 
-class SingularSystemError(ToricError):
-    """A linear system has no unique solution."""
-
-
 class UnboundedError(ToricError):
     """The inequality system does not bound a polytope."""
 

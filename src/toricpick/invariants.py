@@ -91,11 +91,6 @@ def twisted_signature_breakdown(p, u=None):
     return _twisted_genus(p, "SignatureHalf", u)
 
 
-def volume_by_localization(p, u=None):
-    """<exp(w_P), [M_P]> = w_P^n/n!, the Euclidean volume by fixed points."""
-    return _twisted_genus(p, None, u)[0]
-
-
 def volume_breakdown(p, u=None):
     """Euclidean volume by fixed points with per-vertex contributions."""
     return _twisted_genus(p, None, u)
@@ -138,7 +133,7 @@ def check_pick(p, u=None):
         "per_vertex": per_vertex,
     }
     if n == 2:
-        area = volume_by_localization(p, vectors[0])
+        area = volume_breakdown(p, vectors[0])[0]
         interior = fc.relint_by_dim(2)
         boundary = fc.total - interior
         breakdown["area"] = area

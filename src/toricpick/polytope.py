@@ -11,16 +11,14 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, factorial, lcm
-from operator import mul
 
 from .errors import (BudgetError, DimensionError, InputError, NotSimpleError,
                      UnboundedError)
-from .exact import det, det_adjugate, dot, kernel_vector, vector_gcd
+from .exact import det, dot, vector_gcd
 
 
-# most n-subsets of the facets the search for a first vertex may try, at
-# some 0.1 ms each; an 8-cube written as x_i >= 0, x_i <= 1 side by side
-# needs 4082 of them
+# most phase-one pivots the search for a first vertex may take, a guard
+# against a cycling bug: no corpus, test-family or benchmark input needs 10
 VERTEX_SEARCH_BUDGET = 5000
 
 # most vertex charts the walk may build, at some 0.2-0.4 ms and up to 20 kB each
@@ -189,37 +187,21 @@ class DelzantVerdict:
         return "DelzantVerdict(ok=False, vertex=%s, det=%s)" % (self.vertex, self.det)
 
 
-def _corner(p, tight):
-    """Where the facets `tight` (ascending) meet, or None if not in a point.
-
-    Returns (det, edges, X, slack) from one det_adjugate of Lambda: the n
-    edge directions e_j (rows of adj times sign(det), so that
-    <e_j, lam_{T_k}> = |det| delta_jk, and the rows of Lambda^-1 when
-    |det| = 1), the point X / |det| with X = sum_j a_{T_j} e_j, and |det|
-    times the slack of every facet.
-    """
-    n = p.dim
-    d, adj = det_adjugate([[p.normals[i][k] for i in tight] for k in range(n)])
-    if d == 0:
-        return None
-    edges = [[x if d > 0 else -x for x in r] for r in adj]
-    xnum = [sum(p.offsets[t] * e[k] for t, e in zip(tight, edges)) for k in range(n)]
-    slack = [sum(map(mul, xnum, lam)) - a * abs(d) for lam, a in p.facets]
-    return d, edges, xnum, slack
-
-
 def _pivot(tableau, j, h):
     """The tableau of the neighbour across edge j, on which facet h is tight.
 
     A tableau (tight, d, rows) belongs to the vertex on the facets `tight`
     (ascending) with d = det Lambda.  Row k < n is e_k followed by the rates
     <e_k, lam_i> of all m facets; row n is X followed by |d| times each
-    slack.  With q = -<e_j, lam_h> > 0 the neighbour has |det| = q, the row
-    for h is -row_j, and every other row becomes
-    (q row_k + row_k[h] row_j) / |d|, where row_k[h] is the rate (or slack)
-    of facet h.  The division is exact (Bareiss): the result is again the
-    signed adjugate data of the neighbour.  Its det is -sign(d) q times the
-    parity of moving h from position j to its sorted place.
+    slack.  With q = -<e_j, lam_h> != 0 the neighbour has |det| = |q|, the
+    row for h is -sign(q) row_j, and every other row becomes
+    sign(q) (q row_k + row_k[h] row_j) / |d|, where row_k[h] is the rate (or
+    slack) of facet h.  The division is exact (Bareiss): the result is again
+    the signed adjugate data of the neighbour, each edge pointing into its
+    facet's side.  Its det is -sign(d) q times the parity of moving h from
+    position j to its sorted place.  The walk steps onto a facet it meets
+    (q > 0); the first-vertex search also onto one it crosses from the
+    infeasible side (q < 0).
     """
     tight, d, rows = tableau
     n = len(tight)
@@ -227,13 +209,15 @@ def _pivot(tableau, j, h):
     pivot_row = rows[j]
     col = n + h
     q = -pivot_row[col]
+    # sign(q) (q row_k + f row_j) = |q| row_k + f (sign(q) row_j)
+    step, step_row = (q, pivot_row) if q > 0 else (-q, [-b for b in pivot_row])
     new_rows = []
     for row in rows[:j] + rows[j + 1:]:
         f = row[col]
-        new_rows.append([(q * a + f * b) // scale for a, b in zip(row, pivot_row)])
+        new_rows.append([(step * a + f * b) // scale for a, b in zip(row, step_row)])
     rest = tight[:j] + tight[j + 1:]
     pos = bisect(rest, h)
-    new_rows.insert(pos, [-b for b in pivot_row])
+    new_rows.insert(pos, [-b for b in step_row])
     sign = (-1 if d > 0 else 1) * (-1 if (pos - j) % 2 else 1)
     return rest[:pos] + (h,) + rest[pos:], sign * q, new_rows
 
@@ -243,18 +227,79 @@ def _point(xnum, scale):
     return tuple(c // scale if c % scale == 0 else Fraction(c, scale) for c in xnum)
 
 
+def _first_vertex(p):
+    """The tableau (see _pivot) of a vertex of P, by pivots from the
+    coordinate frame.
+
+    The frame is the vertex 0 of n virtual facets -n..-1, the coordinate
+    hyperplanes, with unit edges and det 1: its rates are lam_i[k] and its
+    slacks -a_i.  Phase 0 swaps each virtual facet for the first facet with
+    a nonzero rate along its edge; an edge with none is orthogonal to every
+    normal, so P is not bounded.  Phase 1 raises the sum of the negative
+    slacks by Bland's rule (Bland 1977): the first tight facet whose edge
+    raises it leaves, and of the feasible facets whose slack falls along
+    that edge and the infeasible ones whose slack rises, the one at the
+    least ratio enters, the smallest on a tie.  If no edge raises the sum,
+    it is negative on the whole cone of the edges, which holds P, so P is
+    empty.  Phase 1 gives up after VERTEX_SEARCH_BUDGET pivots.
+    """
+    n = p.dim
+    rows = [[int(i == k) for i in range(n)] + [lam[k] for lam in p.normals]
+            for k in range(n)]
+    rows.append([0] * n + [-a for a in p.offsets])
+    tableau = (tuple(range(-n, 0)), 1, rows)
+    for _ in range(n):
+        # the virtual facets sort first, so the next one is at position 0
+        row = tableau[2][0]
+        h = next((i for i, rate in enumerate(row[n:]) if rate), None)
+        if h is None:
+            edge = row[:n]
+            g = vector_gcd(edge)
+            if next(c for c in edge if c) < 0:
+                g = -g
+            raise UnboundedError("normals do not span; direction %s is unbounded"
+                                 % (tuple(c // g for c in edge),))
+        tableau = _pivot(tableau, 0, h)
+    pivots = 0
+    while True:
+        _, d, rows = tableau
+        slack = rows[n][n:]
+        short = [i for i, s in enumerate(slack) if s < 0]
+        if not short:
+            break
+        j = next((j for j in range(n) if sum(rows[j][n + i] for i in short) > 0), None)
+        if j is None:
+            raise InputError("inequality system has no solution (empty polytope)")
+        if pivots == VERTEX_SEARCH_BUDGET:
+            raise BudgetError("no vertex found after %d phase-one pivots; the search "
+                              "limit is %d" % (pivots, VERTEX_SEARCH_BUDGET))
+        best_s, best_r, h = None, None, None
+        for i, (s, rate) in enumerate(zip(slack, rows[j][n:])):
+            # a feasible facet that falls or an infeasible one that rises
+            if rate and (s < 0) == (rate > 0):
+                s, rate = abs(s), abs(rate)
+                if best_s is None or s * best_r < best_s * rate:
+                    best_s, best_r, h = s, rate, i
+        tableau = _pivot(tableau, j, h)
+        pivots += 1
+    zeros = tuple(i for i, s in enumerate(slack) if s == 0)
+    if len(zeros) > n:
+        raise NotSimpleError(_point(rows[n][:n], abs(d)), zeros)
+    return tableau
+
+
 @lru_cache(maxsize=256)
 def enumerate_vertices(p):
     """All vertex charts, sorted by vertex coordinates.
 
-    From the first feasible n-subset intersection point, an exact pivot walk
-    follows the edges of the vertex graph, which is connected (Balinski).
-    Along e_j, of the facets with <e_j, lam_i> < 0, those at the least ratio
-    slack_i / -<e_j, lam_i> are tight at the neighbour.  An edge no facet
-    blocks is a ray; a neighbour on more than n facets is not simple.  If
-    every edge is blocked and the normals span, P is bounded.  The search
-    for the first point gives up after VERTEX_SEARCH_BUDGET subsets; it is
-    the only place a determinant is eliminated.  The walk itself gives up
+    From a first vertex found by phase-one pivots (see _first_vertex), an
+    exact pivot walk follows the edges of the vertex graph, which is
+    connected (Balinski).  Along e_j, of the facets with <e_j, lam_i> < 0,
+    those at the least ratio slack_i / -<e_j, lam_i> are tight at the
+    neighbour.  An edge no facet blocks is a ray; a neighbour on more than
+    n facets is not simple.  If every edge is blocked and the normals span,
+    P is bounded.  No determinant is eliminated: every tableau is pivoted
+    from another, the first from the coordinate frame.  The walk gives up
     before it builds more than WALK_BUDGET charts.  A neighbour's integer
     tableau is pivoted (see _pivot) from the one that pushed it, when popped.
 
@@ -265,29 +310,10 @@ def enumerate_vertices(p):
     facet.
     """
     n = p.dim
-    kernel = kernel_vector(p.normals, n)
-    if kernel:
-        raise UnboundedError("normals do not span; direction %s is unbounded" % (kernel,))
-    m = len(p.facets)
-    for tries, subset in enumerate(combinations(range(m), n)):
-        if tries == VERTEX_SEARCH_BUDGET:
-            raise BudgetError("no vertex found in %d of the %d %d-subsets of the "
-                              "facets; the search limit is %d"
-                              % (tries, comb(m, n), n, VERTEX_SEARCH_BUDGET))
-        corner = _corner(p, subset)
-        if corner is not None and min(corner[-1]) >= 0:
-            break
-    else:
-        raise InputError("inequality system has no solution (empty polytope)")
-    d, edges, xnum, slack = corner
-    tight = tuple(i for i, s in enumerate(slack) if s == 0)
-    if len(tight) > n:
-        raise NotSimpleError(_point(xnum, abs(d)), tight)
-    rows = [e + [sum(map(mul, e, lam)) for lam in p.normals] for e in edges]
-    rows.append(xnum + slack)
+    first = _first_vertex(p)
     charts = {}
     # lazy pivots: (neighbour, tableau it is pivoted from, edge, entering facet)
-    queue = [(tight, (tight, d, rows), None, None)]
+    queue = [(first[0], first, None, None)]
     while queue:
         tight, tableau, j, h = queue.pop()
         if tight in charts:

@@ -9,8 +9,9 @@ import functools
 import os
 import random
 
+from oracles import _cofactor_inverse
 from toricpick.cli import load_polytope
-from toricpick.exact import det_adjugate, dot
+from toricpick.exact import det, dot
 from toricpick.polytope import HPolytope
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -116,16 +117,17 @@ def unimodular_transform(p, u_rows, shift):
     """Image polytope under x -> U x + t for U of det +-1, given by rows,
     and integer t.
 
-    Normals map by the inverse transpose, U^-1 = det(U) adj(U), and offsets
-    pick up <t, lam'>, so the new system cuts out exactly the image point
-    set.
+    Normals map by the inverse transpose, U^-1 = det(U) adj(U) (a cofactor
+    inverse), and offsets pick up <t, lam'>, so the new system cuts out
+    exactly the image point set.
     """
-    d, adj = det_adjugate(u_rows)
+    d = det(u_rows)
     if d not in (1, -1):
         raise ValueError("U is not unimodular (det = %d)" % d)
+    inverse = _cofactor_inverse(u_rows, d)
     facets = []
     for lam, a in p.facets:
-        lam2 = tuple(d * dot(col, lam) for col in zip(*adj))
+        lam2 = tuple(dot(col, lam) for col in zip(*inverse))
         facets.append((lam2, a + dot(shift, lam2)))
     return HPolytope(p.dim, facets, name=p.name)
 

@@ -10,8 +10,7 @@ from itertools import combinations, permutations, product
 from math import ceil, comb, factorial, floor, gcd, lcm, prod
 from operator import add
 
-from toricpick.errors import (InputError, NotSimpleError, ShapeError,
-                              SingularSystemError)
+from toricpick.errors import InputError, NotSimpleError, ShapeError
 from toricpick.exact import det, dot
 from toricpick.localization import _chart_weights, check_partition, partitions_of
 from toricpick.polytope import enumerate_vertices, face_lattice
@@ -60,7 +59,7 @@ def frac_solve(rows, rhs):
                 piv = i
                 break
         if piv is None:
-            raise SingularSystemError("system matrix is singular")
+            raise ValueError("system matrix is singular")
         m[c], m[piv] = m[piv], m[c]
         pv = m[c][c]
         m[c] = [x / pv for x in m[c]]
@@ -123,21 +122,29 @@ def _cofactor_inverse(m, d):
                  for i in range(n))
 
 
+def cramer_points(p):
+    """The points where n facets meet, one per n-subset whose normals are
+    independent (Bareiss determinant, Cramer's rule), integer coordinates as
+    int; a repeated point repeats."""
+    n = p.dim
+    out = []
+    for subset in combinations(range(len(p.facets)), n):
+        rows = [p.normals[i] for i in subset]
+        if det(rows) != 0:
+            x = _cramer(rows, [p.offsets[i] for i in subset])
+            out.append(tuple(int(c) if c.denominator == 1 else c for c in x))
+    return out
+
+
 def subset_scan(p):
     """(vertex, facet_set, det, Lambda, mu) per vertex, sorted by vertex.
 
-    Solves every n-subset of the m facets (Bareiss determinant, Cramer's
-    rule, a cofactor inverse per chart) and keeps the feasible points; the
+    Keeps the feasible cramer_points and gives each a cofactor inverse; the
     input must be simple.
     """
     n = p.dim
     seen = {}
-    for subset in combinations(range(len(p.facets)), n):
-        rows = [p.normals[i] for i in subset]
-        if det(rows) == 0:
-            continue
-        x = _cramer(rows, [p.offsets[i] for i in subset])
-        x = tuple(int(c) if c.denominator == 1 else c for c in x)
+    for x in cramer_points(p):
         slacks = [dot(x, lam) - a for lam, a in p.facets]
         if min(slacks) < 0:
             continue

@@ -13,10 +13,9 @@ from toricpick.invariants import (
     check_face_todd,
     check_pick,
     check_tetrahedron,
-    check_todd,
     check_untwisted_signature,
     twisted_todd_breakdown,
-    volume_by_localization,
+    volume_breakdown,
 )
 from toricpick.lattice import count_points, weighted_sum_closed, weighted_sum_relint
 from toricpick.localization import (
@@ -92,7 +91,7 @@ def test_criterion_03_classical_pick_and_constant_term_in_2d():
         if p.dim != 2:
             continue
         seen += 1
-        area = volume_by_localization(p)
+        area = volume_breakdown(p)[0]
         fc = count_points(p)
         interior = fc.relint_by_dim(2)
         boundary = fc.total - interior

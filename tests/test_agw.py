@@ -7,11 +7,10 @@ from fractions import Fraction
 import pytest
 
 from oracles import frac_solve
-from toricpick import agw
 from toricpick.agw import (DEGREE, NUM_ROOTS, expand_genus_product,
                            pontryagin_label, to_pontryagin, twisted_ahat,
                            verify_agw)
-from toricpick.errors import DimensionError, ParityError, SingularSystemError
+from toricpick.errors import DimensionError, ParityError
 from toricpick.localization import partitions_of
 from toricpick.series import elementary_to_monomial, genus_series
 
@@ -106,8 +105,9 @@ def test_twisted_ahat_pontryagin_table():
 
 
 def test_pontryagin_rewrite_matches_fraction_elimination():
-    """adj(A) b / det(A) over the integers against Gaussian elimination over
-    Fractions, on the three genera and on random even symmetric polynomials."""
+    """The unitriangular peel against Gaussian elimination over Fractions of
+    the whole e-to-m system, on the three genera and on random even
+    symmetric polynomials."""
     rng = random.Random(31)
     polys = [expand_genus_product(genus_series(g, DEGREE // 2)) for g in ("L", "AHat")]
     polys.append(twisted_ahat())
@@ -124,10 +124,24 @@ def test_pontryagin_rewrite_matches_fraction_elimination():
             assert tuple(poly.get(nu, 0) for nu in nus) == frac_solve(matrix, rhs)
 
 
-def test_pontryagin_rewrite_refuses_a_singular_system(monkeypatch):
-    monkeypatch.setattr(agw, "elementary_to_monomial", lambda nu, lam: 1)
-    with pytest.raises(SingularSystemError, match="root-degree 4"):
-        to_pontryagin({(2, 2): 1})
+def conjugate(lam):
+    return tuple(sum(x > i for x in lam) for i in range(max(lam, default=0)))
+
+
+def test_pontryagin_rewrite_peels_a_unitriangular_system():
+    """e_{lam'} is m_lam plus monomials later in the decreasing
+    lexicographic order of partitions_of, so the peel needs no solve, and
+    m_lam in the squares is p_{lam'} less terms from later partitions."""
+    for weight in range(DEGREE // 2 + 1):
+        lams = partitions_of(weight)
+        for k, lam in enumerate(lams):
+            assert elementary_to_monomial(conjugate(lam), lam) == 1, lam
+            assert all(elementary_to_monomial(conjugate(lam), mu) == 0
+                       for mu in lams[:k]), lam
+            if 2 * weight <= DEGREE // 2:
+                poly = to_pontryagin({tuple(2 * x for x in lam): 1})
+                assert poly[conjugate(lam)] == 1, lam
+                assert set(poly) <= {conjugate(mu) for mu in lams[k:]}, lam
 
 
 def test_top_weight_combination_by_hand():

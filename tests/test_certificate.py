@@ -7,7 +7,11 @@ is the earlier input check, the walk followed by a rank over the rationals
 of the vertices, of each facet's vertices and of each face's vertices.  On
 random small systems both must accept the same inputs and reject the rest
 with the same error class and message, and accepted inputs must give the
-subset scan's charts.
+subset scan's charts.  The first vertex is found by phase-one pivots, so two
+verdicts are also held to the scan: a system is an empty polytope exactly
+when some n of its normals are independent and none of the points where n
+facets meet is feasible, and normals that span a hyperplane are refused
+with the primitive generator of their integer kernel.
 
 The full sweep (seeds 1 and 2) runs from the repository root with
 
@@ -19,9 +23,10 @@ from itertools import product
 
 import pytest
 
-from oracles import lambda_matrix, rank_checked_validate, subset_scan
+from oracles import (cramer_points, integer_kernel_basis, lambda_matrix,
+                     rank_checked_validate, subset_scan)
 from toricpick.errors import ToricError
-from toricpick.exact import vector_gcd
+from toricpick.exact import dot, vector_gcd
 from toricpick.polytope import HPolytope, face_lattice, validate
 
 # systems per seed: the tier-1 share and the full sweep
@@ -62,10 +67,19 @@ def trusted(p):
     return charts
 
 
+def scan_finds_empty(p):
+    """Some n normals are independent, and no point where n facets meet
+    satisfies every inequality."""
+    points = cramer_points(p)
+    return bool(points) and all(min(dot(x, lam) - a for lam, a in p.facets) < 0
+                                for x in points)
+
+
 def sweep(seed, count):
-    """(systems, accepted, rejections by class); asserts agreement on each."""
+    """(systems, accepted, rejections by class, empty systems, corank-1
+    systems); asserts agreement on each."""
     systems = random_systems(seed, count)
-    accepted, rejected = 0, {}
+    accepted, rejected, empty, corank1 = 0, {}, 0, 0
     for p in systems:
         expected = outcome(rank_checked_validate, p)
         assert outcome(trusted, p) == expected, p.facets
@@ -74,19 +88,28 @@ def sweep(seed, count):
             assert expected[1] == subset_scan(p), p.facets
         else:
             rejected[expected[0]] = rejected.get(expected[0], 0) + 1
-    return len(systems), accepted, rejected
+        is_empty = expected[0] == "InputError" and "empty polytope" in expected[1]
+        assert is_empty == scan_finds_empty(p), p.facets
+        empty += is_empty
+        kernel = integer_kernel_basis(p.normals, p.dim)
+        assert bool(kernel) == ("normals do not span" in str(expected[1])), p.facets
+        if len(kernel) == 1:
+            assert "direction %s is unbounded" % (kernel[0],) in expected[1], p.facets
+            corank1 += 1
+    return len(systems), accepted, rejected, empty, corank1
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_certificate_matches_rank_checks(seed):
-    systems, accepted, rejected = sweep(seed, TIER1_SYSTEMS)
+    systems, accepted, rejected, empty, corank1 = sweep(seed, TIER1_SYSTEMS)
     # the draws reach acceptance and every kind of rejection the walk names
     assert accepted >= 10
     assert set(rejected) == {"InputError", "UnboundedError", "NotSimpleError"}
+    assert empty >= 100 and corank1 >= 100
 
 
 if __name__ == "__main__":
     for seed in (1, 2):
-        systems, accepted, rejected = sweep(seed, FULL_SYSTEMS)
-        print("seed %d: %d systems, %d accepted, rejected %s"
-              % (seed, systems, accepted, dict(sorted(rejected.items()))))
+        systems, accepted, rejected, empty, corank1 = sweep(seed, FULL_SYSTEMS)
+        print("seed %d: %d systems, %d accepted, rejected %s, %d empty, %d of corank 1"
+              % (seed, systems, accepted, dict(sorted(rejected.items())), empty, corank1))

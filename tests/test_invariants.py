@@ -12,7 +12,7 @@ from toricpick.invariants import (check_face_todd, check_pick,
                                   check_tetrahedron, check_todd,
                                   check_untwisted_signature,
                                   twisted_signature_breakdown,
-                                  twisted_todd_breakdown, volume_by_localization)
+                                  twisted_todd_breakdown, volume_breakdown)
 from toricpick.lattice import count_points, weighted_sum_closed
 from toricpick.localization import choose_generic
 from toricpick.polytope import (enumerate_vertices, face_lattice, h_vector,
@@ -90,7 +90,7 @@ def test_twisted_genera_values():
         p = get(name)
         assert twisted_todd_breakdown(p)[0] == count_points(p).total
         assert twisted_signature_breakdown(p)[0] == weighted_sum_closed(count_points(p))
-        assert volume_by_localization(p) == volume(p)
+        assert volume_breakdown(p)[0] == volume(p)
 
 
 def test_twisted_genera_u_independence():

@@ -1,8 +1,9 @@
-"""Every name a module of src/toricpick imports is used in that module.
+"""Every name a module of src/toricpick or tests imports is used in that
+module.
 
 No linter ships with the project, so this stdlib check stands in for one:
-code removals tend to leave their imports behind.  __init__.py is skipped,
-since it imports only to re-export.
+code removals tend to leave their imports behind.  src/toricpick/__init__.py
+is skipped, since it imports only to re-export.
 """
 
 import ast
@@ -11,10 +12,11 @@ import os
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "toricpick")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src", "toricpick")
 MODULES = sorted(p for p in glob.glob(os.path.join(SRC, "*.py"))
                  if os.path.basename(p) != "__init__.py")
+MODULES += sorted(glob.glob(os.path.join(TESTS, "*.py")))
 
 
 def unused_imports(source):

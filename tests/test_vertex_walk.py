@@ -3,10 +3,11 @@
 The oracle solves every n-subset of the m facets (Bareiss determinant,
 Cramer's rule, a cofactor inverse per chart) and keeps the feasible
 intersection points.  The program walks the vertex graph instead, pivoting
-an integer tableau from vertex to vertex.  Both must give the same charts:
-vertex, facet set, det, Lambda and mu, exactly.  The search for the walk's
-first vertex stays within its budget, and it is the only place a
-determinant is eliminated.
+an integer tableau from vertex to vertex, and finds the first vertex by
+pivoting the same tableau from the coordinate frame.  Both must give the
+same charts: vertex, facet set, det, Lambda and mu, exactly.  The search
+for the first vertex stays far within its pivot budget, and no determinant
+is eliminated.
 """
 
 import random
@@ -18,14 +19,16 @@ from math import gcd
 
 import pytest
 
-from families import (CORPUS_NAMES, corner_cut_polygon, cube, dilate, get,
-                      random_shear, shuffled, simplex, times,
+from families import (CORPUS_NAMES, corner_cut_polygon, cube, delzant_family,
+                      dilate, get, random_shear, shuffled, simplex, times,
                       unimodular_transform, weighted_simplex)
-from oracles import identity, lambda_matrix, mat_mul, subset_scan
+from oracles import (hermite_rows, identity, integer_kernel_basis,
+                     lambda_matrix, mat_mul, subset_scan)
 from toricpick import polytope
 from toricpick.cli import dump_polytope, load_polytope
 from toricpick.cli import main as cli_main
-from toricpick.errors import BudgetError, InputError
+from toricpick.errors import BudgetError, InputError, UnboundedError
+from toricpick.exact import dot, vector_gcd
 from toricpick.polytope import (VERTEX_SEARCH_BUDGET, WALK_BUDGET, HPolytope,
                                 enumerate_vertices)
 
@@ -146,68 +149,123 @@ def empty_cube_system(n, k):
     return HPolytope(n, list(cube(n).facets) + cuts)
 
 
-def first_vertex_tries(p):
-    """n-subsets the search tries up to and including the first feasible one."""
-    for tries, subset in enumerate(combinations(range(len(p.facets)), p.dim), 1):
-        corner = polytope._corner(p, subset)
-        if corner is not None and min(corner[-1]) >= 0:
-            return tries
-    return None
-
-
-def test_first_vertex_search_stays_far_below_its_budget():
-    assert max(first_vertex_tries(p) for _, p in FAMILY) * 100 < VERTEX_SEARCH_BUDGET
-    # the slowest natural facet order of the largest cube the ladder uses
-    p = cube_side_by_side(8)
-    assert first_vertex_tries(p) == 4082 < VERTEX_SEARCH_BUDGET
-    assert len(enumerate_vertices(p)) == 256
-
-
-def test_determinants_run_only_in_the_first_vertex_search(monkeypatch):
-    """Every chart after the first is pivoted from a neighbour's tableau."""
-    cases = [p for _, p in FAMILY] + [cube_side_by_side(8)]
-    tries = [first_vertex_tries(p) for p in cases]
-    assert tries[-1] == 4082
+def phase_one_pivots(p, monkeypatch):
+    """Pivots the first-vertex search takes after the n that span."""
     calls = []
-    corner, eliminate = polytope._corner, polytope.det_adjugate
-    monkeypatch.setattr(polytope, "_corner", lambda *a: calls.append("corner") or corner(*a))
-    monkeypatch.setattr(polytope, "det_adjugate",
-                        lambda *a: calls.append("det") or eliminate(*a))
-    for p, t in zip(cases, tries):
-        calls.clear()
+    pivot = polytope._pivot
+    monkeypatch.setattr(polytope, "_pivot", lambda *a: calls.append(1) or pivot(*a))
+    polytope._first_vertex(p)
+    monkeypatch.undo()
+    return len(calls) - p.dim
+
+
+def test_first_vertex_search_stays_far_below_its_budget(monkeypatch):
+    assert max(phase_one_pivots(p, monkeypatch) for _, p in FAMILY) * 100 < VERTEX_SEARCH_BUDGET
+    # facets written x_i >= 0, x_i <= 1 side by side, the order that starved
+    # the subset scan: it refused the 9-cube after 5000 of its 48620 subsets
+    for n in (8, 9, 13):
+        p = cube_side_by_side(n)
+        assert phase_one_pivots(p, monkeypatch) * 100 < VERTEX_SEARCH_BUDGET
+        assert len(enumerate_vertices.__wrapped__(p)) == 2 ** n
+
+
+def test_enumerate_vertices_eliminates_no_determinant(monkeypatch):
+    """Every chart is pivoted, the first from the coordinate frame."""
+    calls = []
+    eliminate = polytope.det
+    monkeypatch.setattr(polytope, "det", lambda *a: calls.append(1) or eliminate(*a))
+    for p in [p for _, p in FAMILY] + [cube_side_by_side(8)]:
         enumerate_vertices.__wrapped__(p)
-        assert calls.count("corner") == calls.count("det") == t
+    assert calls == []
 
 
-def test_empty_system_is_refused_by_the_search_budget(tmp_path, capsys, monkeypatch):
-    """m = 27, C(27, 6) = 296010 subsets: about 29 s to scan them all."""
+def test_empty_system_exits_two_at_once(tmp_path, capsys):
+    """m = 27, C(27, 6) = 296010 subsets: the subset scan spent its budget
+    of 5000 on them and exited 2 with a BudgetError."""
     p = empty_cube_system(6, 15)
-    calls = []
-    corner = polytope._corner
-    monkeypatch.setattr(polytope, "_corner", lambda *a: calls.append(1) or corner(*a))
-    with pytest.raises(BudgetError, match="5000 of the 296010 6-subsets"):
-        enumerate_vertices(p)
-    assert len(calls) == VERTEX_SEARCH_BUDGET
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="empty polytope"):
+        enumerate_vertices.__wrapped__(p)
+    assert time.perf_counter() - start < 0.1
     path = tmp_path / "empty.json"
     path.write_text(dump_polytope(p))
-    with pytest.raises(BudgetError, match="^%s: no vertex found" % re.escape(str(path))):
+    with pytest.raises(InputError, match="^%s: .*empty polytope" % re.escape(str(path))):
         load_polytope(str(path))
     start = time.perf_counter()
     assert cli_main(["compute", "count", str(path), "--format", "json"]) == 2
-    assert time.perf_counter() - start < 5
-    assert "the search limit is %d" % VERTEX_SEARCH_BUDGET in capsys.readouterr().err
+    assert time.perf_counter() - start < 1
+    assert "empty polytope" in capsys.readouterr().err
 
 
 def test_small_empty_systems_are_input_errors(monkeypatch):
-    p = empty_cube_system(3, 3)  # C(9, 3) = 84 subsets
+    p = empty_cube_system(3, 3)
     with pytest.raises(InputError, match="empty polytope"):
         enumerate_vertices(p)
-    monkeypatch.setattr(polytope, "VERTEX_SEARCH_BUDGET", 84)
+    # emptiness is proved after three phase-one pivots
+    monkeypatch.setattr(polytope, "VERTEX_SEARCH_BUDGET", 3)
     with pytest.raises(InputError, match="empty polytope"):
-        enumerate_vertices(p)
-    monkeypatch.setattr(polytope, "VERTEX_SEARCH_BUDGET", 83)
-    with pytest.raises(BudgetError, match="83 of the 84 3-subsets"):
-        enumerate_vertices(p)
+        enumerate_vertices.__wrapped__(p)
+    monkeypatch.setattr(polytope, "VERTEX_SEARCH_BUDGET", 2)
+    with pytest.raises(BudgetError, match="after 2 phase-one pivots; the search limit is 2"):
+        enumerate_vertices.__wrapped__(p)
+
+
+def test_search_budget_counts_phase_one_pivots(monkeypatch):
+    """The shuffled 20-gon of the Delzant family takes the most pivots."""
+    family = dict(delzant_family(8))
+    assert max(phase_one_pivots(p, monkeypatch) for p in family.values()) == 5
+    p = family["polygon20"]
+    monkeypatch.setattr(polytope, "VERTEX_SEARCH_BUDGET", 5)
+    assert len(enumerate_vertices.__wrapped__(p)) == 20
+    monkeypatch.setattr(polytope, "VERTEX_SEARCH_BUDGET", 4)
+    with pytest.raises(BudgetError, match="after 4 phase-one pivots; the search limit is 4"):
+        enumerate_vertices.__wrapped__(p)
+
+
+def rank_deficient_normals(rng, n):
+    """Up to n + 2 distinct primitive normals in dimension n, each an
+    integer combination of r random rows (0 <= r < n) divided by its gcd,
+    so the rank is below n."""
+    r = rng.randint(0, n - 1)
+    base = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+    normals = set()
+    for _ in range(rng.randint(1, n + 2)):
+        coeffs = [rng.randint(-2, 2) for _ in range(r)]
+        row = [sum(c * b[k] for c, b in zip(coeffs, base)) for k in range(n)]
+        g = vector_gcd(row)
+        if g:
+            normals.add(tuple(x // g for x in row))
+    return sorted(normals)
+
+
+def test_span_direction_against_the_saturated_kernel():
+    """Normals that do not span are refused with a primitive vector
+    orthogonal to every normal, in the saturated kernel, with its first
+    nonzero entry positive; for a kernel line it is the line's Hermite row."""
+    rng = random.Random(61)
+    seen = {"line": 0, "wider": 0}
+    # by hand: a zero first column, opposite normals, kernel lines and planes
+    cases = [(3, [(0, 2, 1), (0, 1, 3)]), (3, [(1, 1, 1)]), (2, [(1, 0), (-1, 0)]),
+             (2, [(1, 2)]), (2, [(-1, -2)]), (3, [(0, 0, 1), (0, 0, -1)])]
+    # in dimension 1 every rank-deficient normal is 0, so no system is left
+    cases += [(n, rank_deficient_normals(rng, n)) for n in range(2, 6) for _ in range(300)]
+    for n, normals in cases:
+        if not normals:
+            continue
+        p = HPolytope(n, [(lam, 0) for lam in normals])
+        with pytest.raises(UnboundedError, match="normals do not span") as err:
+            enumerate_vertices.__wrapped__(p)
+        d = tuple(int(x) for x in str(err.value).split("(")[1].split(")")[0].split(","))
+        basis = integer_kernel_basis(normals, n)
+        assert vector_gcd(d) == 1 and next(x for x in d if x) > 0, normals
+        assert all(dot(d, lam) == 0 for lam in normals), normals
+        assert hermite_rows(list(basis) + [d]) == basis, normals
+        if len(basis) == 1:
+            assert d == basis[0], normals
+            seen["line"] += 1
+        else:
+            seen["wider"] += 1
+    assert min(seen.values()) > 200, seen
 
 
 @pytest.mark.parametrize("k", [1, 3, 6])
