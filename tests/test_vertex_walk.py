@@ -238,33 +238,47 @@ def rank_deficient_normals(rng, n):
     return sorted(normals)
 
 
+def span_direction(n, normals):
+    """The direction `enumerate_vertices` refuses the normals with, checked
+    to be primitive with its first nonzero entry positive, orthogonal to
+    every normal and in the saturated kernel; for a kernel line it is the
+    line's Hermite row.  Returns it with the kernel's rank."""
+    p = HPolytope(n, [(lam, 0) for lam in normals])
+    with pytest.raises(UnboundedError, match="normals do not span") as err:
+        enumerate_vertices.__wrapped__(p)
+    d = tuple(int(x) for x in str(err.value).split("(")[1].split(")")[0].split(","))
+    basis = integer_kernel_basis(normals, n)
+    assert vector_gcd(d) == 1 and next(x for x in d if x) > 0, normals
+    assert all(dot(d, lam) == 0 for lam in normals), normals
+    assert hermite_rows(list(basis) + [d]) == basis, normals
+    if len(basis) == 1:
+        assert d == basis[0], normals
+    return d, len(basis)
+
+
+def test_span_direction_small_cases():
+    """By hand: a zero first column, opposite normals, kernel lines and planes."""
+    assert span_direction(3, [(0, 2, 1), (0, 1, 3)]) == ((1, 0, 0), 1)
+    assert span_direction(2, [(1, 2)]) == ((2, -1), 1)
+    assert span_direction(2, [(-1, -2)]) == ((2, -1), 1)
+    assert span_direction(2, [(1, 0), (-1, 0)]) == ((0, 1), 1)
+    assert span_direction(3, [(1, 1, 1)])[1] == 2
+    assert span_direction(3, [(0, 0, 1), (0, 0, -1)])[1] == 2
+
+
 def test_span_direction_against_the_saturated_kernel():
     """Normals that do not span are refused with a primitive vector
     orthogonal to every normal, in the saturated kernel, with its first
     nonzero entry positive; for a kernel line it is the line's Hermite row."""
     rng = random.Random(61)
     seen = {"line": 0, "wider": 0}
-    # by hand: a zero first column, opposite normals, kernel lines and planes
-    cases = [(3, [(0, 2, 1), (0, 1, 3)]), (3, [(1, 1, 1)]), (2, [(1, 0), (-1, 0)]),
-             (2, [(1, 2)]), (2, [(-1, -2)]), (3, [(0, 0, 1), (0, 0, -1)])]
     # in dimension 1 every rank-deficient normal is 0, so no system is left
-    cases += [(n, rank_deficient_normals(rng, n)) for n in range(2, 6) for _ in range(300)]
-    for n, normals in cases:
-        if not normals:
-            continue
-        p = HPolytope(n, [(lam, 0) for lam in normals])
-        with pytest.raises(UnboundedError, match="normals do not span") as err:
-            enumerate_vertices.__wrapped__(p)
-        d = tuple(int(x) for x in str(err.value).split("(")[1].split(")")[0].split(","))
-        basis = integer_kernel_basis(normals, n)
-        assert vector_gcd(d) == 1 and next(x for x in d if x) > 0, normals
-        assert all(dot(d, lam) == 0 for lam in normals), normals
-        assert hermite_rows(list(basis) + [d]) == basis, normals
-        if len(basis) == 1:
-            assert d == basis[0], normals
-            seen["line"] += 1
-        else:
-            seen["wider"] += 1
+    for n in range(2, 6):
+        for _ in range(300):
+            normals = rank_deficient_normals(rng, n)
+            if normals:
+                _, rank = span_direction(n, normals)
+                seen["line" if rank == 1 else "wider"] += 1
     assert min(seen.values()) > 200, seen
 
 
