@@ -3,7 +3,7 @@ Delzant polytopes, computed by fixed point localization over the rationals."""
 
 from .agw import (expand_genus_product, pontryagin_label, to_pontryagin,
                   twisted_ahat, verify_agw)
-from .cli import dump_polytope, format_rational, load_polytope, main
+from .cli import format_rational, load_polytope, main
 from .errors import (BudgetError, DimensionError, GenericityError,
                      InputError, NotSimpleError, ParityError,
                      RouteDisagreementError, ShapeError, ToricError,
@@ -16,12 +16,11 @@ from .invariants import (Report, check_face_todd, check_pick,
 from .lattice import (FaceCounts, count_points, weighted_sum_closed,
                       weighted_sum_relint)
 from .localization import (assert_generic, chern_number, check_partition,
-                           choose_generic, fixed_point_partition_sum,
-                           gysin_power, gysin_power_v3, integrate_monomial,
-                           localize, partitions_of)
-from .polytope import (DelzantVerdict, Face, FaceLattice, HPolytope, HVector,
-                       VertexChart, enumerate_vertices, face_lattice,
-                       h_vector, induce_face_polytope, is_delzant,
+                           choose_generic, gysin_power, gysin_power_v3,
+                           integrate_monomial, localize, partitions_of)
+from .polytope import (Face, FaceLattice, HPolytope, HVector, VertexChart,
+                       enumerate_vertices, face_lattice, h_vector,
+                       induce_face_polytope, require_delzant,
                        signature_from_h, validate, volume)
 from .series import elementary_to_monomial, genus_series
 

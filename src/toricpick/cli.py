@@ -16,19 +16,27 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .agw import verify_agw
-from .errors import InputError, RouteDisagreementError, ToricError
+from .errors import (InputError, RouteDisagreementError, ShapeError,
+                     ToricError)
 from .invariants import (check_face_todd, check_pick, check_tetrahedron,
                          check_todd, check_untwisted_signature,
                          per_vertex_breakdown, twisted_signature_breakdown,
                          twisted_todd_breakdown, volume_breakdown)
 from .lattice import count_points
-from .localization import (assert_generic, chern_number, check_partition,
-                           choose_generic, gysin_power, gysin_power_v3,
-                           integrate_monomial)
+from .localization import (assert_generic, chern_number, choose_generic,
+                           gysin_power, gysin_power_v3, integrate_monomial)
 from .polytope import (HPolytope, enumerate_vertices, face_lattice, h_vector,
                        signature_from_h, validate, volume)
 
-VERIFY_KINDS = ("pick", "todd", "face-todd", "tetrahedron", "signature", "agw")
+# kind: (check, takes --u) for the identities on one polytope file; corpus runs
+# them all in this order, and a ShapeError marks one not stated for the shape
+CHECKS = {
+    "pick": (check_pick, True),
+    "todd": (check_todd, True),
+    "face-todd": (check_face_todd, False),
+    "signature": (check_untwisted_signature, True),
+    "tetrahedron": (check_tetrahedron, False),
+}
 COMPUTE_KINDS = ("chern", "count", "hvector", "volume", "gysin",
                  "signature-twisted", "todd-twisted")
 
@@ -99,20 +107,6 @@ def load_polytope(path):
         # RecursionError: arrays or objects nested past the parser's depth
         raise InputError("%s: invalid JSON: %s" % (path, e)) from e
     return polytope_from_dict(data, source=path)
-
-
-def dump_polytope(p):
-    """Serialize a polytope to the input file format, one facet per line."""
-    lines = ["{"]
-    if p.name is not None:
-        lines.append('  "name": %s,' % json.dumps(p.name))
-    lines.append('  "dim": %d,' % p.dim)
-    lines.append('  "facets": [')
-    rows = ['    {"normal": %s, "offset": %d}' % (json.dumps(list(normal)), offset)
-            for normal, offset in p.facets]
-    lines.append(",\n".join(rows))
-    lines.extend(["  ]", "}"])
-    return "\n".join(lines) + "\n"
 
 
 def jsonable(value):
@@ -214,50 +208,32 @@ def _parse_u(text, p):
         u = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise InputError("--u must be a comma separated integer vector, got %r" % text)
-    if len(u) != p.dim:
-        raise InputError("--u has length %d, expected %d" % (len(u), p.dim))
     assert_generic(p, u)
     return u
 
 
-def _parse_partition(text, n):
+def _parse_partition(text):
     if text is None:
         raise InputError("compute chern requires --partition")
     try:
-        parts = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise InputError("--partition must be comma separated integers, got %r" % text)
-    parts = tuple(sorted(parts, reverse=True))
-    omega = check_partition(parts, n)
-    return omega
 
 
 def cmd_verify(args):
+    check, takes_u = CHECKS.get(args.kind, (None, False))
+    if args.u is not None and not takes_u:
+        raise InputError("--u does not apply to verify %s" % args.kind)
     if args.kind == "agw":
         if args.file is not None:
             raise InputError("verify agw takes no polytope file")
-        if args.u is not None:
-            raise InputError("--u does not apply to the universal identity")
         report = verify_agw()
+    elif args.file is None:
+        raise InputError("verify %s requires a polytope file" % args.kind)
     else:
-        if args.file is None:
-            raise InputError("verify %s requires a polytope file" % args.kind)
         p = load_polytope(args.file)
-        u = _parse_u(args.u, p) if args.u is not None else None
-        if args.kind == "pick":
-            report = check_pick(p, u=u)
-        elif args.kind == "todd":
-            report = check_todd(p, u=u)
-        elif args.kind == "signature":
-            report = check_untwisted_signature(p, u=u)
-        elif args.kind == "face-todd":
-            if u is not None:
-                raise InputError("--u does not apply to face-todd; faces have mixed dimensions")
-            report = check_face_todd(p)
-        else:
-            if u is not None:
-                raise InputError("--u does not apply to the tetrahedron identity")
-            report = check_tetrahedron(p)
+        report = check(p) if args.u is None else check(p, u=_parse_u(args.u, p))
     data = report_to_dict(report)
     if _chosen_format(args) == "json":
         print(render_json(data))
@@ -272,7 +248,7 @@ def _compute_value(args, p, u):
     n = p.dim
     extras = {}
     if kind == "chern":
-        omega = _parse_partition(args.partition, n)
+        omega = _parse_partition(args.partition)
         value = chern_number(p, omega, u=u)
         if args.breakdown:
             extras["breakdown"] = {"partition": list(omega)}
@@ -304,9 +280,6 @@ def _compute_value(args, p, u):
     elif kind == "gysin":
         if args.facet is None or args.power is None:
             raise InputError("compute gysin requires --facet and --power")
-        if not 0 <= args.facet < len(p.facets):
-            raise InputError("facet index %d out of range [0, %d)"
-                             % (args.facet, len(p.facets)))
         uu = u if u is not None else choose_generic(enumerate_vertices(p))
         value = gysin_power(p, args.facet, args.power, uu)
         if args.breakdown:
@@ -340,26 +313,20 @@ def cmd_compute(args):
     return 0
 
 
-CORPUS_CHECKS = ("pick", "todd", "face-todd", "signature", "tetrahedron", "u-indep")
+CORPUS_CHECKS = (*CHECKS, "u-indep")
 
 
 def _corpus_row(path):
     p = load_polytope(path)
-    pick = check_pick(p)
-    todd = check_todd(p)
-    face_todd = check_face_todd(p)
-    signature = check_untwisted_signature(p)
-    results = {
-        "pick": bool(pick.holds),
-        "todd": bool(todd.holds),
-        "face-todd": bool(face_todd.holds),
-        "signature": bool(signature.holds),
-        "u-indep": pick.breakdown["lhs_at_second_vector"] == pick.lhs,
-    }
-    if p.dim == 3 and len(p.facets) == 4:
-        results["tetrahedron"] = bool(check_tetrahedron(p).holds)
-    else:
-        results["tetrahedron"] = None
+    reports = {}
+    for kind, (check, _) in CHECKS.items():
+        try:
+            reports[kind] = check(p)
+        except ShapeError:
+            pass
+    results = {kind: bool(report.holds) for kind, report in reports.items()}
+    pick = reports["pick"]
+    results["u-indep"] = pick.breakdown["lhs_at_second_vector"] == pick.lhs
     return p, results
 
 
@@ -379,14 +346,14 @@ def cmd_corpus(args):
             if str(e).startswith(path):
                 raise
             raise InputError("%s: %s" % (path, e)) from e
-        holds = all(v for v in results.values() if v is not None)
+        holds = all(results.values())
         rows.append((entry, p.name or "", results, holds))
     all_hold = all(holds for _, _, _, holds in rows)
     if _chosen_format(args) == "json":
         payload = {
             "files": [
                 {"file": entry, "polytope": name, "holds": holds,
-                 "checks": {k: results[k] for k in CORPUS_CHECKS if results[k] is not None}}
+                 "checks": results}
                 for entry, name, results, holds in rows],
             "all_hold": all_hold,
         }
@@ -398,7 +365,7 @@ def cmd_corpus(args):
         for entry, _, results, _ in rows:
             cells = []
             for check in CORPUS_CHECKS:
-                value = results[check]
+                value = results.get(check)
                 cells.append("%-11s" % ("-" if value is None else ("ok" if value else "FAIL")))
             lines.append("%-*s  %s" % (width, entry, "  ".join(cells)))
         lines.append("all identities hold" if all_hold else "FAILURES PRESENT")
@@ -414,7 +381,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     pv = sub.add_parser("verify", help="check one identity; exit 0 iff it holds")
-    pv.add_argument("kind", choices=VERIFY_KINDS)
+    pv.add_argument("kind", choices=(*CHECKS, "agw"))
     pv.add_argument("file", nargs="?", help="polytope JSON file (omitted for agw)")
     _common_flags(pv)
     pv.set_defaults(func=cmd_verify)

@@ -9,11 +9,11 @@ from fractions import Fraction
 from math import factorial, lcm
 from operator import mul
 
-from .errors import InputError, ShapeError
+from .errors import ShapeError
 from .lattice import count_points, weighted_sum_closed, weighted_sum_relint
 from .localization import choose_generic, localize
-from .polytope import (enumerate_vertices, face_lattice, h_vector, is_delzant,
-                       signature_from_h, volume)
+from .polytope import (enumerate_vertices, face_lattice, h_vector,
+                       require_delzant, signature_from_h, volume)
 from .series import genus_series
 
 
@@ -32,14 +32,6 @@ class Report:
     def __repr__(self):
         return "Report(%s on %s: lhs=%s rhs=%s holds=%s)" % (
             self.identity, self.polytope, self.lhs, self.rhs, self.holds)
-
-
-def _require_delzant(p):
-    verdict = is_delzant(p)
-    if not verdict:
-        raise InputError(
-            "polytope %s is not Delzant: vertex %s has det %d"
-            % (p.name or "", verdict.vertex, verdict.det))
 
 
 def _genus_restriction(p, kind, twist=True, face=None):
@@ -74,8 +66,8 @@ def _genus_restriction(p, kind, twist=True, face=None):
     return restrict, scale
 
 
-def _twisted_genus(p, kind, u):
-    _require_delzant(p)
+def _localize_once(p, kind, u):
+    """The class of _genus_restriction at u, or at the first generic vector."""
     if u is None:
         u = choose_generic(enumerate_vertices(p))
     return localize(p, u, *_genus_restriction(p, kind))
@@ -83,17 +75,17 @@ def _twisted_genus(p, kind, u):
 
 def twisted_todd_breakdown(p, u=None):
     """<exp(w_P) prod Td(v_i), [M_P]>, the lattice point count, and its vertex terms."""
-    return _twisted_genus(p, "Todd", u)
+    return _localize_once(p, "Todd", u)
 
 
 def twisted_signature_breakdown(p, u=None):
     """<exp(w_P) prod (v_i/2)/tanh(v_i/2), [M_P]> and its per-vertex terms."""
-    return _twisted_genus(p, "SignatureHalf", u)
+    return _localize_once(p, "SignatureHalf", u)
 
 
 def volume_breakdown(p, u=None):
     """Euclidean volume by fixed points with per-vertex contributions."""
-    return _twisted_genus(p, None, u)
+    return _localize_once(p, None, u)
 
 
 def per_vertex_breakdown(contributions):
@@ -101,16 +93,30 @@ def per_vertex_breakdown(contributions):
     return {"(%s)" % ",".join(str(x) for x in v): c for v, c in contributions}
 
 
-def _localize_twice(p, u, restrict, scale):
-    """Both generic vectors, the class at each, and the per-vertex breakdown
-    at the first (u, when given)."""
-    _require_delzant(p)
+def _localized_check(identity, p, u, kind, twist, independent):
+    """The skeleton of every check whose left side is localized.
+
+    In this order: the gate picks both generic vectors (u first, when
+    given), which refuses a non-Delzant chart; independent() computes the
+    right side under its own budgets and returns (rhs, extra, breakdown);
+    the class is localized at both vectors; and the identity holds when
+    extra does and both localized values equal rhs.
+    """
     charts = enumerate_vertices(p)
-    u1 = u if u is not None else choose_generic(charts)
-    u2 = choose_generic(charts, exclude=(tuple(u1),))
+    u1 = tuple(u) if u is not None else choose_generic(charts)
+    u2 = choose_generic(charts, exclude=(u1,))
+    rhs, extra, breakdown = independent()
+    restrict, scale = _genus_restriction(p, kind, twist)
     lhs, per_vertex = localize(p, u1, restrict, scale)
     lhs2, _ = localize(p, u2, restrict, scale)
-    return (u1, u2), lhs, lhs2, per_vertex_breakdown(per_vertex)
+    breakdown["lhs_at_second_vector"] = lhs2
+    breakdown["per_vertex"] = per_vertex_breakdown(per_vertex)
+    return Report(identity, p.name, lhs, rhs, extra and lhs == rhs == lhs2,
+                  breakdown, (u1, u2))
+
+
+def _closed_by_dim(fc, n):
+    return {str(d): fc.closed_by_dim(d) for d in range(n + 1)}
 
 
 def check_pick(p, u=None):
@@ -118,64 +124,46 @@ def check_pick(p, u=None):
 
     The left side is evaluated at two distinct generic vectors (both are
     reported); the right side is the closed-face weighted sum, cross-checked
-    against the relative-interior formulation.
+    against the relative-interior formulation.  In the plane the breakdown
+    adds classical Pick for the triangulated area.
     """
-    vectors, lhs, lhs2, per_vertex = _localize_twice(
-        p, u, *_genus_restriction(p, "SignatureHalf"))
-    fc = count_points(p)
-    rhs = weighted_sum_closed(fc)
-    rhs_relint = weighted_sum_relint(fc)
-    n = p.dim
-    breakdown = {
-        "lhs_at_second_vector": lhs2,
-        "relint_formulation_rhs": rhs_relint,
-        "closed_count_by_dim": {str(d): fc.closed_by_dim(d) for d in range(n + 1)},
-        "per_vertex": per_vertex,
-    }
-    if n == 2:
-        area = volume_breakdown(p, vectors[0])[0]
-        interior = fc.relint_by_dim(2)
-        boundary = fc.total - interior
-        breakdown["area"] = area
-        breakdown["interior_points"] = interior
-        breakdown["boundary_points"] = boundary
-        breakdown["classical_pick_holds"] = area == interior + Fraction(boundary, 2) - 1
-    holds = lhs == rhs and lhs2 == lhs and rhs_relint == rhs
-    return Report("pick", p.name, lhs, rhs, holds, breakdown, vectors)
+    def independent():
+        fc = count_points(p)
+        rhs = weighted_sum_closed(fc)
+        rhs_relint = weighted_sum_relint(fc)
+        breakdown = {"relint_formulation_rhs": rhs_relint,
+                     "closed_count_by_dim": _closed_by_dim(fc, p.dim)}
+        if p.dim == 2:
+            area = volume(p)
+            interior = fc.relint_by_dim(2)
+            boundary = fc.total - interior
+            breakdown.update(area=area, interior_points=interior, boundary_points=boundary,
+                             classical_pick_holds=area == interior + Fraction(boundary, 2) - 1)
+        return rhs, rhs_relint == rhs, breakdown
+
+    return _localized_check("pick", p, u, "SignatureHalf", True, independent)
 
 
 def check_todd(p, u=None):
     """Twisted Todd genus against the brute-force lattice point count."""
-    vectors, lhs, lhs2, per_vertex = _localize_twice(p, u, *_genus_restriction(p, "Todd"))
-    fc = count_points(p)
-    rhs = Fraction(fc.total)
-    breakdown = {
-        "lhs_at_second_vector": lhs2,
-        "closed_count_by_dim": {str(d): fc.closed_by_dim(d) for d in range(p.dim + 1)},
-        "per_vertex": per_vertex,
-    }
-    holds = lhs == rhs and lhs2 == lhs
-    return Report("todd", p.name, lhs, rhs, holds, breakdown, vectors)
+    def independent():
+        fc = count_points(p)
+        return Fraction(fc.total), True, {"closed_count_by_dim": _closed_by_dim(fc, p.dim)}
+
+    return _localized_check("todd", p, u, "Todd", True, independent)
 
 
 def check_untwisted_signature(p, u=None):
     """Constant-twist genus term against the h-vector signature over 2^n."""
-    vectors, lhs, lhs2, per_vertex = _localize_twice(
-        p, u, *_genus_restriction(p, "SignatureHalf", twist=False))
-    hv = h_vector(face_lattice(p))
-    sigma = signature_from_h(hv)
-    n = p.dim
-    rhs = sigma / 2 ** n
-    breakdown = {
-        "lhs_at_second_vector": lhs2,
-        "h_vector": list(hv.h),
-        "signature": sigma,
-        "per_vertex": per_vertex,
-    }
-    if n == 2:
-        breakdown["four_minus_m"] = 4 - len(p.facets)
-    holds = lhs == rhs and lhs2 == lhs
-    return Report("signature", p.name, lhs, rhs, holds, breakdown, vectors)
+    def independent():
+        hv = h_vector(face_lattice(p))
+        sigma = signature_from_h(hv)
+        breakdown = {"h_vector": list(hv.h), "signature": sigma}
+        if p.dim == 2:
+            breakdown["four_minus_m"] = 4 - len(p.facets)
+        return Fraction(sigma, 2 ** p.dim), True, breakdown
+
+    return _localized_check("signature", p, u, "SignatureHalf", False, independent)
 
 
 def check_tetrahedron(p):
@@ -183,7 +171,7 @@ def check_tetrahedron(p):
     if p.dim != 3 or len(p.facets) != 4:
         raise ShapeError("expected a 3-dimensional polytope with 4 facets, got dim %d with %d"
                          % (p.dim, len(p.facets)))
-    _require_delzant(p)
+    require_delzant(enumerate_vertices(p))
     fc = count_points(p)
     lhs = weighted_sum_relint(fc)
     vol = volume(p)
@@ -204,10 +192,9 @@ def check_face_todd(p):
     Each face is localized as a submanifold of the toric manifold of P at
     one generic vector for P, which pairs nonzero with every edge of P.
     """
-    _require_delzant(p)
-    fl = face_lattice(p)
-    fc = count_points(p)
     u = choose_generic(enumerate_vertices(p))
+    fc = count_points(p)
+    fl = fc.lattice
     got = [localize(p, u, *_genus_restriction(p, "Todd", face=f), face=f)[0]
            for f in fl.faces]
     expected = [Fraction(fc.closed[fid]) for fid in range(len(fl.faces))]

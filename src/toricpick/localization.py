@@ -13,13 +13,13 @@ and the fixed point Chern route sum their own weights, independently.
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, lcm, prod
+from math import lcm, prod
 from operator import mul
 
 from .errors import (DimensionError, GenericityError, InputError,
                      RouteDisagreementError, ToricError)
 from .exact import det
-from .polytope import enumerate_vertices
+from .polytope import enumerate_vertices, require_delzant
 from .series import elementary_to_monomial
 
 
@@ -53,10 +53,12 @@ def choose_generic(charts, exclude=()):
     """First candidate u = (1, t, t^2, ...) that avoids every weight row.
 
     Each bad hyperplane <mu, u> = 0 excludes finitely many t, so the search
-    terminates for any finite chart list.
+    terminates for any finite chart list.  The charts pass the Delzant
+    gate, require_delzant, first.
     """
     if not charts:
         raise InputError("no vertex charts to choose a generic vector for")
+    require_delzant(charts)
     n = len(charts[0].vertex)
     skip = {tuple(e) for e in exclude}
     for u in _candidate_vectors(n):
@@ -66,18 +68,15 @@ def choose_generic(charts, exclude=()):
 
 def _weights(c, u):
     """<mu_{p,i_j}, u> for the facets i_j through a Delzant chart's vertex."""
-    if c.mu_matrix is None:
-        raise InputError(
-            "localization requires a Delzant polytope; vertex %s has det %d"
-            % (c.vertex, c.det))
     return tuple(sum(map(mul, r, u)) for r in c.mu_matrix)
 
 
 @lru_cache(maxsize=4)  # a sweep over the faces of p at one u reuses them
 def _chart_weights(p, u):
     """Per-chart weight tuples <mu_{p,i_j}, u> with genericity enforced; u
-    is a tuple."""
+    is a tuple; P passes the Delzant gate first."""
     charts = enumerate_vertices(p)
+    require_delzant(charts)
     n = p.dim
     if len(u) != n:
         raise DimensionError("generic vector has length %d, expected %d" % (len(u), n))
@@ -251,13 +250,6 @@ def check_partition(omega, n=None):
     return omega
 
 
-def _automorphisms(lam):
-    out = 1
-    for part in set(lam):
-        out *= factorial(lam.count(part))
-    return out
-
-
 @lru_cache(maxsize=256)
 def _placements(lam):
     """States of the m_lam dynamic programme (parts placed per distinct
@@ -296,18 +288,6 @@ def _fixed_point_sum(p, terms, u):
     (lam, c_lam) terms."""
     return _vertex_sum(p, u, lambda _c, w: sum(
         c * _monomial_symmetric(lam, w) for lam, c in terms))
-
-
-def fixed_point_partition_sum(p, lam, u):
-    """Literal fixed point formula for a partition of n.
-
-    At a vertex it sums, over ordered l-tuples of distinct incident facets
-    and the parts of lam placed on them, prod w^part over the Euler product.
-    Every distinct monomial arises aut(lam) times, so the value is
-    aut(lam) sum_p m_lam(w_p) / prod w_p, computed by _monomial_symmetric.
-    """
-    lam = check_partition(lam, p.dim)
-    return _fixed_point_sum(p, ((lam, _automorphisms(lam)),), u)
 
 
 def _chern_fixed_point(p, omega, u):

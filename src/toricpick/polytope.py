@@ -170,23 +170,6 @@ class HVector:
         return "HVector(%s)" % (self.h,)
 
 
-class DelzantVerdict:
-    """Outcome of the smoothness test; names the first offending vertex."""
-
-    def __init__(self, ok, vertex=None, det_value=None):
-        self.ok = ok
-        self.vertex = vertex
-        self.det = det_value
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        if self.ok:
-            return "DelzantVerdict(ok=True)"
-        return "DelzantVerdict(ok=False, vertex=%s, det=%s)" % (self.vertex, self.det)
-
-
 def _pivot(tableau, j, h):
     """The tableau of the neighbour across edge j, on which facet h is tight.
 
@@ -370,13 +353,13 @@ def validate(p):
     return charts
 
 
-def is_delzant(p):
-    """Smoothness test: |det Lambda_p| = 1 at every vertex of a simple polytope."""
-    charts = enumerate_vertices(p)
+def require_delzant(charts):
+    """The Delzant gate: raise InputError naming the first vertex whose
+    incident normals are not a lattice basis (|det Lambda_p| != 1)."""
     for c in charts:
-        if c.det not in (1, -1):
-            return DelzantVerdict(False, c.vertex, c.det)
-    return DelzantVerdict(True)
+        if abs(c.det) != 1:
+            raise InputError("polytope is not Delzant: vertex %s has det %d"
+                             % (c.vertex, c.det))
 
 
 @lru_cache(maxsize=256)

@@ -6,6 +6,7 @@ corpus is read from its files, corpus/*.json, which are its only source.
 """
 
 import functools
+import json
 import os
 import random
 
@@ -22,6 +23,20 @@ P112 = os.path.join(HERE, "data", "p112.json")
 CORPUS_NAMES = ("interval1", "interval2", "interval5", "square1", "square2",
                 "rect2x3", "triangle1", "triangle2", "triangle3", "hirzebruch",
                 "cube1", "simplex3_1", "simplex3_2", "prism")
+
+
+def dump_polytope(p):
+    """Serialize a polytope to the input file format, one facet per line."""
+    lines = ["{"]
+    if p.name is not None:
+        lines.append('  "name": %s,' % json.dumps(p.name))
+    lines.append('  "dim": %d,' % p.dim)
+    lines.append('  "facets": [')
+    rows = ['    {"normal": %s, "offset": %d}' % (json.dumps(list(normal)), offset)
+            for normal, offset in p.facets]
+    lines.append(",\n".join(rows))
+    lines.extend(["  ]", "}"])
+    return "\n".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=None)

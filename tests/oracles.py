@@ -12,7 +12,8 @@ from operator import add
 
 from toricpick.errors import InputError, NotSimpleError, ShapeError
 from toricpick.exact import det, dot
-from toricpick.localization import _chart_weights, check_partition, partitions_of
+from toricpick.localization import (_chart_weights, _fixed_point_sum,
+                                    check_partition, partitions_of)
 from toricpick.polytope import enumerate_vertices, face_lattice
 
 
@@ -465,6 +466,27 @@ def monomial_coefficients(omega, num_vars, degree):
             if c:
                 out[lam] = c
     return out
+
+
+def _automorphisms(lam):
+    out = 1
+    for part in set(lam):
+        out *= factorial(lam.count(part))
+    return out
+
+
+def fixed_point_partition_sum(p, lam, u):
+    """Literal fixed point formula for a partition of n, through the
+    program's m_lam dynamic programme.
+
+    At a vertex it sums, over ordered l-tuples of distinct incident facets
+    and the parts of lam placed on them, prod w^part over the Euler product.
+    Every distinct monomial arises aut(lam) times, so the value is
+    aut(lam) sum_p m_lam(w_p) / prod w_p, the sum localization's Chern
+    route takes for one term.
+    """
+    lam = check_partition(lam, p.dim)
+    return _fixed_point_sum(p, ((lam, _automorphisms(lam)),), u)
 
 
 def permutation_partition_sum(p, lam, u):

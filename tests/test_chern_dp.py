@@ -14,10 +14,10 @@ from math import comb, factorial, prod
 import pytest
 
 from families import cube, delzant_family, simplex
-from oracles import monomial_coefficients, permutation_partition_sum
+from oracles import (fixed_point_partition_sum, monomial_coefficients,
+                     permutation_partition_sum)
 from toricpick import localization
-from toricpick.localization import (chern_number, choose_generic,
-                                    fixed_point_partition_sum, gysin_power,
+from toricpick.localization import (chern_number, choose_generic, gysin_power,
                                     integrate_monomial, partitions_of)
 from toricpick.polytope import enumerate_vertices
 from toricpick.series import elementary_to_monomial

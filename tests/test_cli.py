@@ -5,14 +5,17 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
 import toricpick
-from families import CORPUS_DIR, CORPUS_NAMES, P112, get
+from families import (CORPUS_DIR, CORPUS_NAMES, P112, dump_polytope, get,
+                      simplex)
 from toricpick import cli
 from toricpick.errors import InputError
 from toricpick.invariants import Report, check_pick
+from toricpick.polytope import FACE_BUDGET
 from toricpick.polytope import HPolytope
 
 
@@ -36,11 +39,11 @@ def test_format_rational():
 
 def test_dump_load_round_trip(tmp_path):
     p = get("hirzebruch")
-    path = write(tmp_path, "h.json", cli.dump_polytope(p))
+    path = write(tmp_path, "h.json", dump_polytope(p))
     q = cli.load_polytope(path)
     assert q == p and q.name == "hirzebruch"
     nameless = HPolytope(1, [((1,), 0), ((-1,), -2)])
-    path2 = write(tmp_path, "n.json", cli.dump_polytope(nameless))
+    path2 = write(tmp_path, "n.json", dump_polytope(nameless))
     r = cli.load_polytope(path2)
     assert r == nameless and r.name is None
 
@@ -54,7 +57,7 @@ def test_bundled_corpus_files_in_sync():
     """Each bundled file is the canonical dump of what it parses to."""
     for path in [corpus_file(name) for name in CORPUS_NAMES] + [P112]:
         with open(path, "r", encoding="utf-8") as fh:
-            assert fh.read() == cli.dump_polytope(cli.load_polytope(path)), path
+            assert fh.read() == dump_polytope(cli.load_polytope(path)), path
 
 
 def test_load_rejects_malformed_files(tmp_path):
@@ -110,7 +113,7 @@ NO_SPAN = {
 @pytest.mark.parametrize("case", sorted(NO_SPAN))
 def test_unbounded_direction_message(case, tmp_path, capsys):
     dim, facets, direction = NO_SPAN[case]
-    path = write(tmp_path, "slab.json", cli.dump_polytope(HPolytope(dim, facets)))
+    path = write(tmp_path, "slab.json", dump_polytope(HPolytope(dim, facets)))
     assert cli.main(["verify", "pick", path, "--format", "json"]) == 2
     assert capsys.readouterr().err == (
         "error: %s: normals do not span; direction %s is unbounded\n" % (path, direction))
@@ -156,6 +159,34 @@ def test_verify_rejects_non_delzant(capsys):
     assert "(0, 1)" in err and "-2" in err
 
 
+def test_one_delzant_message_for_every_localized_command(capsys):
+    """Every command that localizes passes the one Delzant gate; those
+    that only walk, count or triangulate still answer."""
+    localized = [["verify", kind, P112] for kind in ("pick", "todd", "face-todd", "signature")]
+    localized += [["compute", "chern", P112, "--partition", "2"],
+                  ["compute", "gysin", P112, "--facet", "0", "--power", "2"],
+                  ["compute", "volume", P112, "--breakdown"],
+                  ["compute", "todd-twisted", P112],
+                  ["compute", "signature-twisted", P112]]
+    for argv in localized:
+        assert cli.main(argv + ["--format", "json"]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert captured.err == "error: polytope is not Delzant: vertex (0, 1) has det -2\n", argv
+    for kind in ("count", "hvector", "volume"):
+        assert cli.main(["compute", kind, P112, "--format", "json"]) == 0, kind
+        assert json.loads(capsys.readouterr().out)["kind"] == kind
+
+
+def test_verify_refuses_the_50_simplex_before_localizing(tmp_path, capsys):
+    """The face budget refuses it before the degree-50 classes are localized."""
+    path = write(tmp_path, "simplex50.json", dump_polytope(simplex(50)))
+    start = time.perf_counter()
+    assert cli.main(["verify", "todd", path, "--format", "json"]) == 2
+    assert time.perf_counter() - start < 5
+    assert "over the limit of %d" % FACE_BUDGET in capsys.readouterr().err
+
+
 def test_verify_agw(capsys):
     code = cli.main(["verify", "agw", "--format", "json"])
     data = json.loads(capsys.readouterr().out)
@@ -184,7 +215,7 @@ def test_verify_shape_mismatch(capsys):
 def test_identity_failure_exits_one(capsys, monkeypatch):
     def fake_check(p, u=None):
         return Report("pick", p.name, 0, 1, False, {}, ())
-    monkeypatch.setattr(cli, "check_pick", fake_check)
+    monkeypatch.setitem(cli.CHECKS, "pick", (fake_check, True))
     assert cli.main(["verify", "pick", corpus_file("square1")]) == 1
 
 
@@ -203,6 +234,10 @@ def test_compute_chern(capsys):
                      "--partition", "3"]) == 2
     assert cli.main(["compute", "chern", corpus_file("triangle1"),
                      "--partition", "x"]) == 2
+    capsys.readouterr()
+    assert cli.main(["compute", "chern", corpus_file("cube1"),
+                     "--partition", "1,2"]) == 2
+    assert "weakly decreasing" in capsys.readouterr().err
 
 
 def test_compute_gysin(capsys):

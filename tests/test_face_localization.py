@@ -71,9 +71,9 @@ def test_only_p_is_walked_and_no_face_is_induced(monkeypatch):
     for module in (invariants, localization, polytope, lattice):
         monkeypatch.setattr(module, "enumerate_vertices",
                             lambda q, walk=walk: walked.append(q) or walk(q))
-    is_delzant = invariants.is_delzant
-    monkeypatch.setattr(invariants, "is_delzant",
-                        lambda q: checked.append(q) or is_delzant(q))
+    gate = localization.require_delzant
+    monkeypatch.setattr(localization, "require_delzant",
+                        lambda charts: checked.append(charts) or gate(charts))
     choose = invariants.choose_generic
     monkeypatch.setattr(invariants, "choose_generic",
                         lambda charts, **kw: chosen.append(charts) or choose(charts, **kw))
@@ -81,7 +81,8 @@ def test_only_p_is_walked_and_no_face_is_induced(monkeypatch):
     assert report.holds
     assert len(report.breakdown["faces"]) == len(face_lattice(p).faces) == 9 * 7
     assert walked and all(q is p for q in walked)
-    assert checked == [p]
+    # once to choose the vector and once to weigh P's charts at it
+    assert checked == [walk(p)] * 2
     assert chosen == [walk(p)]
 
 

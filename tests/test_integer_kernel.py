@@ -17,13 +17,13 @@ import pytest
 
 from families import (CORPUS_NAMES, corner_cut_polygon, cube, get, simplex,
                       simplex2_squared)
+from oracles import fixed_point_partition_sum
 from toricpick import localization
 from toricpick.errors import ToricError
 from toricpick.invariants import _genus_restriction
 from toricpick.localization import (_chart_weights, check_partition,
-                                    choose_generic, fixed_point_partition_sum,
-                                    gysin_power, integrate_monomial, localize,
-                                    partitions_of)
+                                    choose_generic, gysin_power,
+                                    integrate_monomial, localize, partitions_of)
 from toricpick.polytope import enumerate_vertices
 from toricpick.series import GENUS_KINDS
 

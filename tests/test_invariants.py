@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from families import CORPUS_NAMES, P112, get
+from families import CORPUS_NAMES, P112, get, simplex
 from oracles import kahler_class
+from toricpick import invariants
 from toricpick.cli import load_polytope
-from toricpick.errors import InputError, ShapeError
+from toricpick.errors import BudgetError, InputError, ShapeError
 from toricpick.invariants import (check_face_todd, check_pick,
                                   check_tetrahedron, check_todd,
                                   check_untwisted_signature,
@@ -76,6 +77,7 @@ def test_check_untwisted_signature():
         n = p.dim
         h_at_minus_one = sum(h * (-1) ** (n - k) for k, h in enumerate(hv.h))
         assert r.rhs == F((-1) ** n * h_at_minus_one, 2 ** n)
+        assert type(r.rhs) is F, name
         assert r.breakdown["signature"] == signature_from_h(hv)
     two_d = check_untwisted_signature(get("triangle1"))
     assert two_d.lhs == F(1, 4)
@@ -144,6 +146,19 @@ def test_checks_reject_non_delzant():
             check(p)
     with pytest.raises(InputError):
         twisted_todd_breakdown(p)
+
+
+def test_budgets_refuse_before_anything_is_localized(monkeypatch):
+    """Every check computes its budgeted side first: the 16-simplex, whose
+    face order is over FACE_BUDGET, is refused without a localize call."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("localize called")
+
+    monkeypatch.setattr(invariants, "localize", forbidden)
+    p = simplex(16)
+    for check in (check_pick, check_todd, check_untwisted_signature, check_face_todd):
+        with pytest.raises(BudgetError, match="face order"):
+            check(p)
 
 
 def test_report_repr_mentions_verdict():

@@ -7,13 +7,12 @@ from fractions import Fraction
 import pytest
 
 from families import CORPUS_NAMES, P112, get
-from oracles import exp_linear
+from oracles import exp_linear, fixed_point_partition_sum
 from toricpick.cli import load_polytope
 from toricpick.errors import DimensionError, GenericityError, InputError
 from toricpick.invariants import volume_breakdown
-from toricpick.localization import (assert_generic,
-                                    chern_number, check_partition,
-                                    choose_generic, fixed_point_partition_sum,
+from toricpick.localization import (assert_generic, chern_number,
+                                    check_partition, choose_generic,
                                     gysin_power, gysin_power_v3,
                                     integrate_monomial, partitions_of)
 from toricpick.polytope import enumerate_vertices

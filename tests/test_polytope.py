@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from families import (CORPUS_NAMES, P112, cube, delzant_family, get,
-                      random_shear, simplex, times, unimodular_transform,
+from families import (CORPUS_NAMES, P112, cube, delzant_family, dump_polytope,
+                      get, random_shear, simplex, times, unimodular_transform,
                       weighted_simplex)
 from oracles import fraction_volume, identity, lambda_matrix, mat_mul
 from toricpick import localization, polytope
-from toricpick.cli import dump_polytope, load_polytope
+from toricpick.cli import load_polytope
 from toricpick.cli import main as cli_main
 from toricpick.errors import (BudgetError, DimensionError, InputError,
                               NotSimpleError, ToricError, UnboundedError)
@@ -19,7 +19,8 @@ from toricpick.exact import det, dot, vector_gcd
 from toricpick.lattice import count_points
 from toricpick.polytope import (HPolytope, HVector, enumerate_vertices,
                                 face_lattice, h_vector, induce_face_polytope,
-                                is_delzant, signature_from_h, validate, volume)
+                                require_delzant, signature_from_h, validate,
+                                volume)
 
 F = Fraction
 
@@ -130,11 +131,10 @@ def test_not_simple_vertex_reported():
 
 def test_delzant_verdict():
     for name in CORPUS_NAMES:
-        assert is_delzant(get(name))
-    verdict = is_delzant(load_polytope(P112))
-    assert not verdict
-    assert verdict.vertex == (0, 1)
-    assert verdict.det == -2
+        require_delzant(enumerate_vertices(get(name)))
+    with pytest.raises(InputError) as err:
+        require_delzant(enumerate_vertices(load_polytope(P112)))
+    assert str(err.value) == "polytope is not Delzant: vertex (0, 1) has det -2"
 
 
 def test_face_lattice_counts():
@@ -309,7 +309,7 @@ def test_unimodular_transform_preserves_lattice_data():
             assert det(rows) in (1, -1)
             shift = tuple(rng.randint(-4, 4) for _ in range(n))
             q = unimodular_transform(p, rows, shift)
-            assert is_delzant(q)
+            require_delzant(enumerate_vertices(q))
             assert volume(q) == volume(p)
             assert count_points(q).total == count_points(p).total
             assert h_vector(face_lattice(q)).h == h_vector(face_lattice(p)).h

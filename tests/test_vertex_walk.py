@@ -20,12 +20,12 @@ from math import gcd
 import pytest
 
 from families import (CORPUS_NAMES, corner_cut_polygon, cube, delzant_family,
-                      dilate, get, random_shear, shuffled, simplex, times,
-                      unimodular_transform, weighted_simplex)
+                      dilate, dump_polytope, get, random_shear, shuffled,
+                      simplex, times, unimodular_transform, weighted_simplex)
 from oracles import (hermite_rows, identity, integer_kernel_basis,
                      lambda_matrix, mat_mul, subset_scan)
 from toricpick import polytope
-from toricpick.cli import dump_polytope, load_polytope
+from toricpick.cli import load_polytope
 from toricpick.cli import main as cli_main
 from toricpick.errors import BudgetError, InputError, UnboundedError
 from toricpick.exact import dot, vector_gcd
