@@ -1,28 +1,21 @@
-"""Exact lattice point counting by fibers and the weighted face sums.
+"""Exact lattice point counting slab by slab and the weighted face sums.
 
-Counting walks the integer box of every coordinate but the widest one, k.
-Along each such fiber facet i reads s_i + lam_i[k] x_k >= 0, so the lattice
-points of P on it form one integer interval, found by floor division.  A
-facet with lam_i[k] != 0 is tight at one x_k at most; only those points need
-their own lookup, and the rest of the fiber belongs to the face of the facets
-with lam_i[k] = 0 that are tight along all of it.  Each point is credited to
-the face whose relative interior contains it (the face cut out by the facets
-tight at the point).  This route shares no machinery with the localization
-engine it is used to validate.
-"""
+Each integer point of P's exact projection to the outer axes fixes a slab, a
+polygon over the two widest axes swept along u: stretches of columns between
+breakpoints are counted in closed form, and only end columns and breakpoints
+are walked as fibers.  Each point is credited to the face cut out by its
+tight facets; counting shares no machinery with localization."""
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import ceil, floor
-from operator import mul
+from itertools import permutations
+from math import ceil, floor, gcd, prod
 
 from .errors import BudgetError
 from .polytope import enumerate_vertices, face_lattice
 
-# most fiber-facet steps (fibers x facets) one count may take; at about
-# 1 us a step that is some 10 s
-COUNT_BUDGET = 10 ** 7
+# most slab-facet steps (plus projection row pairs) one count may take: 3-11 s
+COUNT_BUDGET = 10 ** 6
 
 
 class FaceCounts:
@@ -45,59 +38,186 @@ class FaceCounts:
         return sum(self.relint[i] for i in self.lattice.faces_of_dim(d))
 
 
+def floor_sum(n, a, b, c):
+    """sum_{i<n} floor((a i + b) / c) for c > 0, in O(log) Euclid-like steps."""
+    total = 0
+    while n > 0:
+        q, a = divmod(a, c)
+        r, b = divmod(b, c)
+        total += q * (n * (n - 1) // 2) + r * n
+        n, b, c, a = *divmod(a * n + b, c), a, c
+    return total
+
+
+def progression_count(s, c, d, first, last):
+    """How many integers u in first..last make s + c u divisible by d > 0."""
+    g = gcd(c, d)
+    if s % g:
+        return 0
+    step = d // g
+    r = -s // g * pow(c // g, -1, step) % step
+    return (last - r) // step - (first - 1 - r) // step
+
+
+def _project(rows, steps):
+    """Fourier-Motzkin with Chernikov's rule: the facet rows, then for each axis
+    0 < j < n - 1 the rows of P's projection to axes 0..j that bound j (axis 0
+    keeps its box), as columns and starting slacks -a, and each axis's rows."""
+    n = len(rows[0][0])
+    system = [(lam, a, 1 << i) for i, (lam, a) in enumerate(rows)]
+    pool, levels, pairs = list(rows), [], 0
+    for k in range(n - 1, 1, -1):
+        pos, neg = ([r for r in system if sign * r[0][k] > 0] for sign in (1, -1))
+        pairs += len(pos) * len(neg)
+        if steps + pairs > COUNT_BUDGET:
+            raise BudgetError("lattice count needs over %d steps (%d slab-facet steps "
+                              "and %d row pairs of the projection), over the limit of %d"
+                              % (steps + pairs, steps, pairs, COUNT_BUDGET))
+        kept = dict.fromkeys((lam[:k], a, h) for lam, a, h in system if not lam[k])
+        for lp, ap, hp in pos:
+            for ln, an, hn in neg:
+                cp, cn = lp[k], -ln[k]
+                lam = tuple(cn * x + cp * y for x, y in zip(lp, ln[:k]))
+                # Chernikov: after n - k eliminations a row of more facets is redundant
+                if any(lam) and bin(hp | hn).count("1") <= n - k + 1:
+                    g = gcd(*lam, cn * ap + cp * an)
+                    kept[tuple(x // g for x in lam), (cn * ap + cp * an) // g, hp | hn] = None
+        system = list(kept)
+        level = [(lam + (0,) * (n - k), a) for lam, a, _ in system if lam[-1]]
+        levels.insert(0, range(len(pool), len(pool) + len(level)))
+        pool += level
+    return list(zip(*(lam for lam, _ in pool))), [()] + levels, [-a for _, a in pool]
+
+
+def _sections(cols, levels, lo, hi, slack, j=0):
+    """(slack, ulo, uhi) for each slab that meets P: row r (facets first) then
+    reads slack[r] + (terms in u and v) >= 0, and ulo..uhi is the u-range."""
+    low, high, col = lo[j], hi[j], cols[j]
+    for r in levels[j]:
+        if col[r] > 0:
+            low = max(low, -(slack[r] // col[r]))
+        else:
+            high = min(high, slack[r] // -col[r])
+    if j == len(levels) - 1:
+        if low <= high:
+            yield slack, low, high
+        return
+    for x in range(low, high + 1):
+        yield from _sections(cols, levels, lo, hi, [k + c * x for k, c in zip(slack, col)], j + 1)
+
+
+def _fiber(facets, u, low, high, relint, face_id):
+    """Credit the points of column u, low <= v <= high; (i, s, c, d) in facets
+    reads s + c u + d v >= 0, and u lies in the slab's u-range."""
+    whole, ends = [], []
+    for i, s, c, d in facets:
+        s += c * u
+        if d > 0:
+            x = -(s // d)
+            if x > low:
+                low = x
+        elif d:
+            x = s // -d
+            if x < high:
+                high = x
+        elif s == 0:
+            whole.append(i)
+        if d and s % d == 0:
+            ends.append((x, i))
+    tight = {}
+    for x, i in ends:
+        if low <= x <= high:
+            tight.setdefault(x, list(whole)).append(i)
+    for ids in tight.values():
+        relint[face_id[tuple(sorted(ids))]] += 1
+    if high - low + 1 > len(tight):
+        relint[face_id[tuple(whole)]] += high - low + 1 - len(tight)
+
+
+def _lowest(lines, num, den):
+    """The lines (i, s, c, d) of least value (s + c u) / d at u = num / den > 0."""
+    best = []
+    for x in lines:
+        y = best[0] if best else x
+        t = (x[1] * den + x[2] * num) * y[3] - (y[1] * den + y[2] * num) * x[3]
+        if t < 0:
+            best = []
+        if t <= 0:
+            best.append(x)
+    return best
+
+
+def _stretch(first, last, lower, upper, whole, relint, face_id):
+    """Credit the columns first..last, bounded by the lines of lower (v >= -(s
+    + c u) / d) and upper (v <= (s + c u) / d) alone, each (i, s, c, d); when
+    both sides are one line, the slab is a segment on both facets."""
+    (_, sa, ca, da), (_, sb, cb, db) = lower[0], upper[0]
+    cols = last - first + 1
+    total = (cols + floor_sum(cols, ca, sa + ca * first, da)
+             + floor_sum(cols, cb, sb + cb * first, db))
+    on_a = progression_count(sa, ca, da, first, last)
+    on_b = progression_count(sb, cb, db, first, last)
+    both = total if sa * db + sb * da == 0 and ca * db + cb * da == 0 else 0
+    for lines, k in ((lower + upper, both), (lower, on_a - both), (upper, on_b - both),
+                     ((), total - on_a - on_b + both)):
+        if k:
+            relint[face_id[tuple(sorted(whole + [x[0] for x in lines]))]] += k
+
+
+def _slab(facets, ulo, uhi, low, high, relint, face_id):
+    """Credit the points of the columns ulo..uhi of one slab (facets as in _fiber)."""
+    for u in {ulo, uhi}:
+        _fiber(facets, u, low, high, relint, face_id)
+    if uhi - ulo < 2:
+        return
+    whole = [i for i, s, c, d in facets if not (s or c or d)]
+    # lower lines v >= -(s + c u) / d and upper ones v <= (s + c u) / |d|: a stretch
+    # ends where two lines of a side cross on its lowest one, at u = num / den; the
+    # stop 2u marks a breakpoint column, 2 floor(u) + 1 a cut between two columns
+    sides = ([f for f in facets if f[3] > 0], [(i, s, c, -d) for i, s, c, d in facets if d < 0])
+    stops = {2 * uhi}
+    for lines in sides:
+        for x, y in permutations(lines, 2):
+            num, den = x[3] * y[1] - y[3] * x[1], y[3] * x[2] - x[3] * y[2]
+            if ulo * den < num < uhi * den and x in _lowest(lines, num, den):
+                stops.add(2 * (num // den) + (num % den > 0))
+    u = ulo + 1
+    for t in sorted(stops):
+        if u <= (t - 1) // 2:
+            _stretch(u, (t - 1) // 2, _lowest(sides[0], u, 1), _lowest(sides[1], u, 1),
+                     whole, relint, face_id)
+        if t % 2 == 0 and t < 2 * uhi:
+            _fiber(facets, t // 2, low, high, relint, face_id)
+        u = t // 2 + 1
+
+
 @lru_cache(maxsize=256)
 def count_points(p):
-    """Count lattice points fiber by fiber and classify each by its face.
-
-    Raises BudgetError, before any walking, when the fibers times the
-    facets exceed COUNT_BUDGET.
-    """
+    """Count lattice points slab by slab and classify each by its face; raises
+    BudgetError, before walking, when the steps would pass COUNT_BUDGET."""
     fl = face_lattice(p)
     charts = enumerate_vertices(p)
     n, m = p.dim, len(p.facets)
-    lo = [floor(min(c.vertex[j] for c in charts)) for j in range(n)]
-    hi = [ceil(max(c.vertex[j] for c in charts)) for j in range(n)]
-    k = max(range(n), key=lambda j: hi[j] - lo[j])  # the first of the widest
-    others = [j for j in range(n) if j != k]
-    fibers = 1
-    for j in others:
-        fibers *= hi[j] - lo[j] + 1
-    if fibers * m > COUNT_BUDGET:
-        raise BudgetError("lattice count needs about %d fiber-facet steps "
-                          "(%d fibers x %d facets), over the limit of %d"
-                          % (fibers * m, fibers, m, COUNT_BUDGET))
-    rows = [(i, tuple(lam[j] for j in others), lam[k], a)
-            for i, (lam, a) in enumerate(p.facets)]
+    box = [(ceil(min(x)), floor(max(x))) for x in zip(*(c.vertex for c in charts))]
+    # v then u: the widest axes, the first of a tie; the outer axes narrowest first
+    by_width = sorted(range(n), key=lambda j: (box[j][0] - box[j][1], j))
+    axes = sorted(by_width[2:], key=lambda j: (box[j][1] - box[j][0], j)) + by_width[1::-1]
+    lo, hi = zip(*(box[j] for j in axes))
+    slabs = prod(hi[j] - lo[j] + 1 for j in range(n - 2))
+    if slabs * m > COUNT_BUDGET:
+        raise BudgetError("lattice count needs about %d slab-facet steps "
+                          "(%d slabs x %d facets), over the limit of %d"
+                          % (slabs * m, slabs, m, COUNT_BUDGET))
+    rows = [(tuple(lam[j] for j in axes), a) for lam, a in p.facets]
     relint = [0] * len(fl.faces)
-    for y in product(*(range(lo[j], hi[j] + 1) for j in others)):
-        # facet i reads s + c x_k >= 0 along the fiber
-        low, high = lo[k], hi[k]
-        whole, ends = [], []
-        for i, rest, c, a in rows:
-            s = sum(map(mul, y, rest)) - a
-            if c:
-                if s % c == 0:
-                    ends.append((-s // c, i))
-                if c > 0:
-                    low = max(low, -(s // c))
-                else:
-                    high = min(high, s // -c)
-            elif s < 0:
-                break
-            elif s == 0:
-                whole.append(i)
-        else:
-            if low > high:
-                continue
-            tight_at = {}
-            for x, i in ends:
-                if low <= x <= high:
-                    tight_at.setdefault(x, []).append(i)
-            for extra in tight_at.values():
-                relint[fl.face_id[tuple(sorted(whole + extra))]] += 1
-            plain = high - low + 1 - len(tight_at)
-            if plain:
-                relint[fl.face_id[tuple(whole)]] += plain
+    if n == 1:
+        _fiber([(i, -a, 0, lam[0]) for i, (lam, a) in enumerate(rows)], 0, lo[0], hi[0],
+               relint, fl.face_id)
+    else:
+        cols, levels, slack = _project(rows, slabs * m)
+        for slack, ulo, uhi in _sections(cols, levels, lo, hi, slack):
+            _slab(list(zip(range(m), slack, cols[-2], cols[-1])), ulo, uhi, lo[-1], hi[-1],
+                  relint, fl.face_id)
     # each point is in the closure of every face above its own
     closed = [0] * len(fl.faces)
     for gid, c in enumerate(relint):

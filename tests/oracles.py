@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import ceil, comb, factorial, floor, gcd, lcm, prod
-from operator import add
+from operator import add, mul
 
 from toricpick.errors import InputError, NotSimpleError, ShapeError
 from toricpick.exact import det, dot
@@ -285,6 +285,61 @@ def box_walk(p):
     closed = {f: sum(relint[g] for g in down)
               for f, down in enumerate(inclusion_order(fl))}
     return closed, relint
+
+
+def fiber_walk(p):
+    """(closed, relint) by face id from the fiber walk that count_points
+    replaced: the integer box of every axis but the widest, k, walked point
+    by point; on each fiber the points of P form one integer interval, and
+    only the points where a facet with lam_i[k] != 0 is tight are classified
+    one by one.
+    """
+    fl = face_lattice(p)
+    charts = enumerate_vertices(p)
+    n = p.dim
+    lo = [floor(min(c.vertex[j] for c in charts)) for j in range(n)]
+    hi = [ceil(max(c.vertex[j] for c in charts)) for j in range(n)]
+    k = max(range(n), key=lambda j: hi[j] - lo[j])  # the first of the widest
+    others = [j for j in range(n) if j != k]
+    rows = [(i, tuple(lam[j] for j in others), lam[k], a)
+            for i, (lam, a) in enumerate(p.facets)]
+    relint = [0] * len(fl.faces)
+    for y in product(*(range(lo[j], hi[j] + 1) for j in others)):
+        # facet i reads s + c x_k >= 0 along the fiber
+        low, high = lo[k], hi[k]
+        whole, ends = [], []
+        for i, rest, c, a in rows:
+            s = sum(map(mul, y, rest)) - a
+            if c:
+                if s % c == 0:
+                    ends.append((-s // c, i))
+                if c > 0:
+                    low = max(low, -(s // c))
+                else:
+                    high = min(high, s // -c)
+            elif s < 0:
+                break
+            elif s == 0:
+                whole.append(i)
+        else:
+            if low > high:
+                continue
+            tight_at = {}
+            for x, i in ends:
+                if low <= x <= high:
+                    tight_at.setdefault(x, []).append(i)
+            for extra in tight_at.values():
+                relint[fl.face_id[tuple(sorted(whole + extra))]] += 1
+            plain = high - low + 1 - len(tight_at)
+            if plain:
+                relint[fl.face_id[tuple(whole)]] += plain
+    # each point is in the closure of every face above its own
+    closed = [0] * len(fl.faces)
+    for gid, c in enumerate(relint):
+        if c:
+            for fid in fl.above(gid):
+                closed[fid] += c
+    return dict(enumerate(closed)), dict(enumerate(relint))
 
 
 def fraction_volume(p):

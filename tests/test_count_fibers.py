@@ -1,13 +1,16 @@
-"""The fiber walk of count_points against the box walk it replaced.
+"""count_points against the box walk, and the counting budget.
 
 The oracle tests every facet at every point of the integer bounding box and
 credits each lattice point of P to the face cut out by its tight facets.
-The program walks fibers along the widest axis instead.  Both must give the
-same closed and relative-interior count for every face, exactly.
+The program walks slabs over the projections of P instead, and
+test_count_slabs.py also holds it to the fiber walk that came between.  Both
+must give the same closed and relative-interior count for every face,
+exactly.
 """
 
 import json
 import random
+import time
 from math import comb
 
 import pytest
@@ -97,24 +100,45 @@ def tetrahedron_file(tmp_path, k):
 
 
 def test_over_budget_raises_before_walking(monkeypatch):
-    # a 5 x 7 box no other test uses: 5 fibers along the wider y axis, 4 facets
-    p = box((31, 17), (35, 23))
-    monkeypatch.setattr(lattice, "COUNT_BUDGET", 19)
-    with pytest.raises(BudgetError, match="about 20 .* limit of 19"):
+    # a 5 x 7 x 4 box no other test uses: v = y and u = x, 4 slabs across
+    # the narrowest axis z, 6 facets, and one row pair to project out v
+    p = box((31, 17, 5), (35, 23, 8))
+    monkeypatch.setattr(lattice, "COUNT_BUDGET", 23)
+    with pytest.raises(BudgetError, match=r"about 24 slab-facet steps \(4 slabs x 6 "
+                                          r"facets\), over the limit of 23"):
         count_points(p)
-    monkeypatch.setattr(lattice, "COUNT_BUDGET", 20)
-    assert count_points(p).total == 35
+    monkeypatch.setattr(lattice, "COUNT_BUDGET", 24)
+    with pytest.raises(BudgetError, match=r"over 25 steps \(24 slab-facet steps and 1 "
+                                          r"row pairs of the projection\), over the limit of 24"):
+        count_points(p)
+    monkeypatch.setattr(lattice, "COUNT_BUDGET", 25)
+    assert count_points(p).total == 140
 
 
 def test_over_budget_exits_two(tmp_path, monkeypatch, capsys):
-    path = tetrahedron_file(tmp_path, 23)
+    path = tetrahedron_file(tmp_path, 25)
     monkeypatch.setattr(lattice, "COUNT_BUDGET", 100)
     assert main(["verify", "pick", path, "--format", "json"]) == 2
     err = capsys.readouterr().err
-    assert "2304 fiber-facet steps" in err and "limit of 100" in err
+    assert "104 slab-facet steps (26 slabs x 4 facets)" in err and "limit of 100" in err
 
 
-def test_default_budget_rejects_dilation_1e5_tetrahedron(tmp_path, capsys):
+def test_default_budget_answers_dilation_1e5_tetrahedron(tmp_path, capsys):
     path = tetrahedron_file(tmp_path, 10 ** 5)
-    assert main(["compute", "count", path, "--format", "json"]) == 2
-    assert "over the limit of %d" % lattice.COUNT_BUDGET in capsys.readouterr().err
+    assert main(["compute", "count", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == comb(10 ** 5 + 3, 3)
+
+
+def test_default_budget_refuses_dilation_1e4_4_simplex(tmp_path, capsys):
+    # (10^4 + 1)^2 slabs over the two outer axes, times 5 facets
+    data = {"name": "simplex4", "dim": 4,
+            "facets": [{"normal": [int(i == j) for j in range(4)], "offset": 0}
+                       for i in range(4)] + [{"normal": [-1] * 4, "offset": -10 ** 4}]}
+    path = tmp_path / "simplex4.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert main(["compute", "count", str(path), "--format", "json"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "500100005 slab-facet steps" in err
+    assert "over the limit of %d" % lattice.COUNT_BUDGET in err
