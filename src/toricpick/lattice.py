@@ -1,20 +1,21 @@
 """Exact lattice point counting slab by slab and the weighted face sums.
 
 Each integer point of P's exact projection to the outer axes fixes a slab, a
-polygon over the two widest axes swept along u: stretches of columns between
-breakpoints are counted in closed form, and only end columns and breakpoints
-are walked as fibers.  Each point is credited to the face cut out by its
-tight facets; counting shares no machinery with localization."""
+polygon over the two widest axes swept along u: each stretch of columns
+between breakpoints of the lower and upper envelopes, and each end or integer
+breakpoint column alone, is counted in closed form.  Each point is credited to
+the face cut out by its tight facets; counting shares no machinery with
+localization."""
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import ceil, floor, gcd, prod
 
 from .errors import BudgetError
 from .polytope import enumerate_vertices, face_lattice
 
-# most slab-facet steps (plus projection row pairs) one count may take: 3-11 s
+# most steps one count may take: a slab costs one per row of the projection
+# (facets included), which bounds its sweep too, and a projected row pair one
 COUNT_BUDGET = 10 ** 6
 
 
@@ -59,7 +60,14 @@ def progression_count(s, c, d, first, last):
     return (last - r) // step - (first - 1 - r) // step
 
 
-def _project(rows, steps):
+def _charge(slabs, rows, pairs):
+    if slabs * rows + pairs > COUNT_BUDGET:
+        raise BudgetError("lattice count needs about %d steps (%d slabs x %d rows and %d "
+                          "row pairs of the projection), over the limit of %d"
+                          % (slabs * rows + pairs, slabs, rows, pairs, COUNT_BUDGET))
+
+
+def _project(rows, slabs):
     """Fourier-Motzkin with Chernikov's rule: the facet rows, then for each axis
     0 < j < n - 1 the rows of P's projection to axes 0..j that bound j (axis 0
     keeps its box), as columns and starting slacks -a, and each axis's rows."""
@@ -69,10 +77,7 @@ def _project(rows, steps):
     for k in range(n - 1, 1, -1):
         pos, neg = ([r for r in system if sign * r[0][k] > 0] for sign in (1, -1))
         pairs += len(pos) * len(neg)
-        if steps + pairs > COUNT_BUDGET:
-            raise BudgetError("lattice count needs over %d steps (%d slab-facet steps "
-                              "and %d row pairs of the projection), over the limit of %d"
-                              % (steps + pairs, steps, pairs, COUNT_BUDGET))
+        _charge(slabs, len(pool), pairs)
         kept = dict.fromkeys((lam[:k], a, h) for lam, a, h in system if not lam[k])
         for lp, ap, hp in pos:
             for ln, an, hn in neg:
@@ -86,6 +91,7 @@ def _project(rows, steps):
         level = [(lam + (0,) * (n - k), a) for lam, a, _ in system if lam[-1]]
         levels.insert(0, range(len(pool), len(pool) + len(level)))
         pool += level
+    _charge(slabs, len(pool), pairs)
     return list(zip(*(lam for lam, _ in pool))), [()] + levels, [-a for _, a in pool]
 
 
@@ -106,57 +112,21 @@ def _sections(cols, levels, lo, hi, slack, j=0):
         yield from _sections(cols, levels, lo, hi, [k + c * x for k, c in zip(slack, col)], j + 1)
 
 
-def _fiber(facets, u, low, high, relint, face_id):
-    """Credit the points of column u, low <= v <= high; (i, s, c, d) in facets
-    reads s + c u + d v >= 0, and u lies in the slab's u-range."""
-    whole, ends = [], []
-    for i, s, c, d in facets:
-        s += c * u
-        if d > 0:
-            x = -(s // d)
-            if x > low:
-                low = x
-        elif d:
-            x = s // -d
-            if x < high:
-                high = x
-        elif s == 0:
-            whole.append(i)
-        if d and s % d == 0:
-            ends.append((x, i))
-    tight = {}
-    for x, i in ends:
-        if low <= x <= high:
-            tight.setdefault(x, list(whole)).append(i)
-    for ids in tight.values():
-        relint[face_id[tuple(sorted(ids))]] += 1
-    if high - low + 1 > len(tight):
-        relint[face_id[tuple(whole)]] += high - low + 1 - len(tight)
-
-
-def _lowest(lines, num, den):
-    """The lines (i, s, c, d) of least value (s + c u) / d at u = num / den > 0."""
-    best = []
-    for x in lines:
-        y = best[0] if best else x
-        t = (x[1] * den + x[2] * num) * y[3] - (y[1] * den + y[2] * num) * x[3]
-        if t < 0:
-            best = []
-        if t <= 0:
-            best.append(x)
-    return best
-
-
 def _stretch(first, last, lower, upper, whole, relint, face_id):
     """Credit the columns first..last, bounded by the lines of lower (v >= -(s
-    + c u) / d) and upper (v <= (s + c u) / d) alone, each (i, s, c, d); when
-    both sides are one line, the slab is a segment on both facets."""
+    + c u) / d) and upper (v <= (s + c u) / d) alone, each (i, s, c, d), and
+    tight on the facets of whole; a point on both sides is on both their
+    lines, as on a slab that is a segment or pinched to one point."""
     (_, sa, ca, da), (_, sb, cb, db) = lower[0], upper[0]
-    cols = last - first + 1
-    total = (cols + floor_sum(cols, ca, sa + ca * first, da)
-             + floor_sum(cols, cb, sb + cb * first, db))
-    on_a = progression_count(sa, ca, da, first, last)
-    on_b = progression_count(sb, cb, db, first, last)
+    if first == last:  # one column: the lines' values there, as lines of slope 0
+        sa, sb, ca, cb = sa + ca * first, sb + cb * first, 0, 0
+        total, on_a, on_b = 1 + sa // da + sb // db, sa % da == 0, sb % db == 0
+    else:
+        cols = last - first + 1
+        total = (cols + floor_sum(cols, ca, sa + ca * first, da)
+                 + floor_sum(cols, cb, sb + cb * first, db))
+        on_a = progression_count(sa, ca, da, first, last)
+        on_b = progression_count(sb, cb, db, first, last)
     both = total if sa * db + sb * da == 0 and ca * db + cb * da == 0 else 0
     for lines, k in ((lower + upper, both), (lower, on_a - both), (upper, on_b - both),
                      ((), total - on_a - on_b + both)):
@@ -164,30 +134,61 @@ def _stretch(first, last, lower, upper, whole, relint, face_id):
             relint[face_id[tuple(sorted(whole + [x[0] for x in lines]))]] += k
 
 
-def _slab(facets, ulo, uhi, low, high, relint, face_id):
-    """Credit the points of the columns ulo..uhi of one slab (facets as in _fiber)."""
-    for u in {ulo, uhi}:
-        _fiber(facets, u, low, high, relint, face_id)
-    if uhi - ulo < 2:
-        return
-    whole = [i for i, s, c, d in facets if not (s or c or d)]
-    # lower lines v >= -(s + c u) / d and upper ones v <= (s + c u) / |d|: a stretch
-    # ends where two lines of a side cross on its lowest one, at u = num / den; the
-    # stop 2u marks a breakpoint column, 2 floor(u) + 1 a cut between two columns
-    sides = ([f for f in facets if f[3] > 0], [(i, s, c, -d) for i, s, c, d in facets if d < 0])
-    stops = {2 * uhi}
-    for lines in sides:
-        for x, y in permutations(lines, 2):
-            num, den = x[3] * y[1] - y[3] * x[1], y[3] * x[2] - x[3] * y[2]
-            if ulo * den < num < uhi * den and x in _lowest(lines, num, den):
-                stops.add(2 * (num // den) + (num % den > 0))
-    u = ulo + 1
-    for t in sorted(stops):
+def _envelope(slack, classes, end):
+    """The pieces, left to right, of the least (s + c u) / d over the lines (i,
+    s = slack[i], c, d > 0) of classes ((i, c, d) of one slope, steepest first):
+    (key, lines through the left end, lines of the piece), the left end at u =
+    key / 2 (an odd key: between two columns); a last (end, None, None) closes
+    the list."""
+    stack = []
+    for ids in classes:
+        group = []  # the lines of least s / d in the class
+        for i, c, d in ids:
+            x = (i, slack[i], c, d)
+            t = x[1] * group[0][3] - group[0][1] * x[3] if group else -1
+            group = [x] if t < 0 else group + [x] if t == 0 else group
+        x, through = group[0], None
+        # a line that meets the new one on its own left end is no piece: the
+        # end keeps the lines through it, and a line below it drops them
+        while len(stack) > 1:
+            p, q, lines, (y, *_) = stack[-1]
+            t = (x[1] * q + x[2] * p) * y[3] - (y[1] * q + y[2] * p) * x[3]
+            if t > 0:
+                break
+            stack.pop()
+            through = lines if t == 0 else None
+        if stack:
+            y = stack[-1][3][0]
+            p, q = x[1] * y[3] - y[1] * x[3], y[2] * x[3] - x[2] * y[3]
+            stack.append((p, q, (through or stack[-1][3]) + group, group))
+        else:
+            stack.append((0, 1, None, group))
+    stack.append((end, 2, None, None))
+    return [(2 * (p // q) + (p % q > 0), lines, group) for p, q, lines, group in stack]
+
+
+def _slab(slack, sides, flat, ulo, uhi, relint, face_id):
+    """Credit the points of the columns ulo..uhi of one slab, where facet i
+    reads slack[i] + c u + d v >= 0: sides holds the lower (d > 0) and upper
+    facets' slope classes with |d|, as in _envelope, and flat (i, c) the rest."""
+    # lower lines v >= -(s + c u) / d and upper ones v <= (s + c u) / |d|: the
+    # least of each side bounds v, and a stretch ends where that one changes;
+    # a facet with d = 0 is tight on the whole slab or on an end column alone
+    whole = {u: [i for i, c in flat if slack[i] + c * u == 0] for u in (ulo, ulo + 1, uhi)}
+    low, high = (_envelope(slack, side, 2 * uhi) for side in sides)
+    u, a, b = ulo, 0, 0
+    while u <= uhi:
+        while low[a + 1][0] < 2 * u:
+            a += 1
+        while high[b + 1][0] < 2 * u:
+            b += 1
+        t = min(2 * uhi, low[a + 1][0], high[b + 1][0]) if u > ulo else 2 * u
         if u <= (t - 1) // 2:
-            _stretch(u, (t - 1) // 2, _lowest(sides[0], u, 1), _lowest(sides[1], u, 1),
-                     whole, relint, face_id)
-        if t % 2 == 0 and t < 2 * uhi:
-            _fiber(facets, t // 2, low, high, relint, face_id)
+            _stretch(u, (t - 1) // 2, low[a][2], high[b][2], whole[ulo + 1], relint, face_id)
+        if t % 2 == 0:
+            _stretch(t // 2, t // 2, low[a + 1][0] == t and low[a + 1][1] or low[a][2],
+                     high[b + 1][0] == t and high[b + 1][1] or high[b][2],
+                     whole.get(t // 2, whole[ulo + 1]), relint, face_id)
         u = t // 2 + 1
 
 
@@ -203,21 +204,20 @@ def count_points(p):
     by_width = sorted(range(n), key=lambda j: (box[j][0] - box[j][1], j))
     axes = sorted(by_width[2:], key=lambda j: (box[j][1] - box[j][0], j)) + by_width[1::-1]
     lo, hi = zip(*(box[j] for j in axes))
-    slabs = prod(hi[j] - lo[j] + 1 for j in range(n - 2))
-    if slabs * m > COUNT_BUDGET:
-        raise BudgetError("lattice count needs about %d slab-facet steps "
-                          "(%d slabs x %d facets), over the limit of %d"
-                          % (slabs * m, slabs, m, COUNT_BUDGET))
     rows = [(tuple(lam[j] for j in axes), a) for lam, a in p.facets]
+    if n == 1:  # a segment is the slab over the point u = 0
+        rows, lo, hi = [((0,) + lam, a) for lam, a in rows], (0,) + lo, (0,) + hi
+    cols, levels, slack = _project(rows, prod(hi[j] - lo[j] + 1 for j in range(len(lo) - 2)))
+    slopes, flat = ({}, {}), []
+    for i, c, d in zip(range(m), cols[-2], cols[-1]):
+        if d:
+            slopes[d < 0].setdefault(Fraction(c, abs(d)), []).append((i, c, abs(d)))
+        else:
+            flat.append((i, c))
+    sides = [[side[k] for k in sorted(side, reverse=True)] for side in slopes]
     relint = [0] * len(fl.faces)
-    if n == 1:
-        _fiber([(i, -a, 0, lam[0]) for i, (lam, a) in enumerate(rows)], 0, lo[0], hi[0],
-               relint, fl.face_id)
-    else:
-        cols, levels, slack = _project(rows, slabs * m)
-        for slack, ulo, uhi in _sections(cols, levels, lo, hi, slack):
-            _slab(list(zip(range(m), slack, cols[-2], cols[-1])), ulo, uhi, lo[-1], hi[-1],
-                  relint, fl.face_id)
+    for slack, ulo, uhi in _sections(cols, levels, lo, hi, slack):
+        _slab(slack, sides, flat, ulo, uhi, relint, fl.face_id)
     # each point is in the closure of every face above its own
     closed = [0] * len(fl.faces)
     for gid, c in enumerate(relint):

@@ -101,17 +101,20 @@ def tetrahedron_file(tmp_path, k):
 
 def test_over_budget_raises_before_walking(monkeypatch):
     # a 5 x 7 x 4 box no other test uses: v = y and u = x, 4 slabs across
-    # the narrowest axis z, 6 facets, and one row pair to project out v
+    # the narrowest axis z, and one row pair to project out v; each slab
+    # costs the 6 facets, and then the 2 projected rows that bound x too
     p = box((31, 17, 5), (35, 23, 8))
-    monkeypatch.setattr(lattice, "COUNT_BUDGET", 23)
-    with pytest.raises(BudgetError, match=r"about 24 slab-facet steps \(4 slabs x 6 "
-                                          r"facets\), over the limit of 23"):
-        count_points(p)
+    monkeypatch.setattr(lattice, "_sections", None)
     monkeypatch.setattr(lattice, "COUNT_BUDGET", 24)
-    with pytest.raises(BudgetError, match=r"over 25 steps \(24 slab-facet steps and 1 "
-                                          r"row pairs of the projection\), over the limit of 24"):
+    with pytest.raises(BudgetError, match=r"about 25 steps \(4 slabs x 6 rows and 1 row "
+                                          r"pairs of the projection\), over the limit of 24"):
         count_points(p)
-    monkeypatch.setattr(lattice, "COUNT_BUDGET", 25)
+    monkeypatch.setattr(lattice, "COUNT_BUDGET", 32)
+    with pytest.raises(BudgetError, match=r"about 33 steps \(4 slabs x 8 rows and 1 row "
+                                          r"pairs of the projection\), over the limit of 32"):
+        count_points(p)
+    monkeypatch.undo()
+    monkeypatch.setattr(lattice, "COUNT_BUDGET", 33)
     assert count_points(p).total == 140
 
 
@@ -120,7 +123,7 @@ def test_over_budget_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(lattice, "COUNT_BUDGET", 100)
     assert main(["verify", "pick", path, "--format", "json"]) == 2
     err = capsys.readouterr().err
-    assert "104 slab-facet steps (26 slabs x 4 facets)" in err and "limit of 100" in err
+    assert "105 steps (26 slabs x 4 rows and 1 row pairs" in err and "limit of 100" in err
 
 
 def test_default_budget_answers_dilation_1e5_tetrahedron(tmp_path, capsys):
@@ -130,7 +133,8 @@ def test_default_budget_answers_dilation_1e5_tetrahedron(tmp_path, capsys):
 
 
 def test_default_budget_refuses_dilation_1e4_4_simplex(tmp_path, capsys):
-    # (10^4 + 1)^2 slabs over the two outer axes, times 5 facets
+    # (10^4 + 1)^2 slabs over the two outer axes, times 5 facets, and one
+    # row pair to project out v
     data = {"name": "simplex4", "dim": 4,
             "facets": [{"normal": [int(i == j) for j in range(4)], "offset": 0}
                        for i in range(4)] + [{"normal": [-1] * 4, "offset": -10 ** 4}]}
@@ -140,5 +144,5 @@ def test_default_budget_refuses_dilation_1e4_4_simplex(tmp_path, capsys):
     assert main(["compute", "count", str(path), "--format", "json"]) == 2
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert "500100005 slab-facet steps" in err
+    assert "500100006 steps (100020001 slabs x 5 rows" in err
     assert "over the limit of %d" % lattice.COUNT_BUDGET in err

@@ -15,7 +15,8 @@ systems of the certificate sweep) runs from the repository root with
 """
 
 import random
-from math import comb
+import time
+from math import atan2, comb, gcd
 
 import pytest
 
@@ -23,7 +24,6 @@ from families import (box, corner_cut_polygon, cube, delzant_family, shear, simp
                       unimodular_transform)
 from oracles import fiber_walk
 from test_certificate import random_systems
-from test_count_fibers import FAMILY
 from toricpick import lattice
 from toricpick.errors import ToricError
 from toricpick.lattice import count_points, floor_sum, progression_count
@@ -97,11 +97,6 @@ def test_progression_count_matches_brute_force():
                     assert progression_count(s, c, d, first, last) == expected
 
 
-@pytest.mark.parametrize("name,p", FAMILY, ids=[name for name, _ in FAMILY])
-def test_slab_walk_matches_fiber_walk_on_the_family(name, p):
-    assert agrees(p)
-
-
 @pytest.mark.parametrize("name,p", delzant_family(5), ids=[name for name, _ in delzant_family(5)])
 def test_slab_walk_matches_fiber_walk_on_delzant_family(name, p):
     assert agrees(p)
@@ -132,25 +127,27 @@ def spy(monkeypatch, name, log):
 
 def walked(monkeypatch, p):
     """count_points(p) afresh, and (ulo, uhi, columns) for each slab, where
-    columns lists (u, points credited) for each column walked as a fiber, in
+    columns lists (u, points credited) for each column credited on its own
+    (the end columns, integer breakpoints and any stretch of one column), in
     the order of u."""
-    slabs, fibers = [], []
-    fiber = lattice._fiber
+    slabs = []
+    slab, stretch = lattice._slab, lattice._stretch
 
-    def counted_fiber(facets, u, low, high, relint, face_id):
-        before = sum(relint)
-        fiber(facets, u, low, high, relint, face_id)
-        fibers.append((facets, u, sum(relint) - before))
-    spy(monkeypatch, "_slab", slabs)
-    monkeypatch.setattr(lattice, "_fiber", counted_fiber)
+    def one_column(first, last, *args):
+        before = sum(args[-2])
+        stretch(first, last, *args)
+        if first == last:
+            slabs[-1][2].append((first, sum(args[-2]) - before))
+    monkeypatch.setattr(lattice, "_slab",
+                        lambda *args: slabs.append((args[3], args[4], [])) or slab(*args))
+    monkeypatch.setattr(lattice, "_stretch", one_column)
     fc = lattice.count_points.__wrapped__(p)
-    return fc, [(args[1], args[2], sorted((u, k) for f, u, k in fibers if f is args[0]))
-                for args in slabs]
+    return fc, [(ulo, uhi, sorted(columns)) for ulo, uhi, columns in slabs]
 
 
 def test_breakpoint_on_the_first_column_of_a_sweep(monkeypatch):
     # two lower lines cross on the first column after a slab's end column,
-    # so that column is walked alone: a slope tie-break there would credit
+    # so that column is counted alone: a slope tie-break there would credit
     # the vertex point to an edge
     p = HPolytope(3, [((1, 0, 0), -2), ((0, 1, -1), 15), ((0, 2, -1), 24),
                       ((-1, -3, 2), -38)])
@@ -159,6 +156,35 @@ def test_breakpoint_on_the_first_column_of_a_sweep(monkeypatch):
     assert (fc.closed, fc.relint) == fiber_walk(p)
     assert fc.total == 4 and fc.relint_by_dim(0) == 4
 
+
+def test_facet_that_meets_a_slab_at_one_breakpoint(monkeypatch):
+    # axes u = y, v = x, outer z: in the slab z = -3 the lower lines of
+    # facets 0 and 2 cross on the column y = 3 at the vertex (3, -1, -3),
+    # and the line of facet 1 passes through that point and lies below P
+    # everywhere else, so the vertex column must credit all three
+    p = HPolytope(3, [((2, 3, 3), -6), ((1, 2, 2), -5), ((0, 1, 2), -7),
+                      ((-3, -6, -7), 12)])
+    log = []
+    spy(monkeypatch, "_stretch", log)
+    fc = lattice.count_points.__wrapped__(p)
+    assert any(first == last == 3 and [x[0] for x in lower] == [0, 1, 2]
+               for first, last, lower, *_ in log)
+    assert (fc.closed, fc.relint) == fiber_walk(p)
+    assert fc.total == 84 and fc.relint_by_dim(0) == 4
+
+def test_breakpoint_past_the_last_column_of_a_slab(monkeypatch):
+    # in the slab z = 16 (u = y from 16 to 19) the lower lines of facets 0
+    # and 2 cross at y = 19 1/2: the stretch must still stop at column 18,
+    # since column 19 is an end column, counted on its own
+    p = HPolytope(3, [((3, 0, 4), 39), ((0, 1, -1), 2), ((2, -1, 4), 24),
+                      ((-3, 0, -4), -46), ((0, -1, 1), -6), ((-2, 1, -4), -28)])
+    ends, envelope = [], lattice._envelope
+    monkeypatch.setattr(lattice, "_envelope", lambda *args: ends.append(
+        (args[2], [key for key, *_ in envelope(*args)[1:]])) or envelope(*args))
+    fc = lattice.count_points.__wrapped__(p)
+    assert (38, [39, 38]) in ends
+    assert (fc.closed, fc.relint) == fiber_walk(p)
+    assert fc.total == 200
 
 def test_section_collapses_to_a_segment(monkeypatch):
     # axes u = x, v = y, outer z: at z = 0 the lower facet y >= z and the
@@ -242,6 +268,35 @@ def test_thin_sheared_cube_costs_its_points_not_its_box():
     fc = count_points(unimodular_transform(cube(3), m, (0, 0, 0)))
     assert fc.total == 8 and fc.relint_by_dim(0) == 8
 
+
+def primitive_polygon(k):
+    """The lattice polygon whose edges are the primitive vectors (p, q) with
+    |p|, |q| <= k, one each in the order of angle: every vertex is a lattice
+    point and no edge holds one more.  Returns it and twice its area."""
+    edges = sorted(((p, q) for p in range(-k, k + 1) for q in range(-k, k + 1)
+                    if gcd(p, q) == 1), key=lambda e: atan2(e[1], e[0]))
+    corners = [(0, 0)]
+    for ex, ey in edges[:-1]:
+        corners.append((corners[-1][0] + ex, corners[-1][1] + ey))
+    facets = [((-ey, ex), ex * y - ey * x) for (x, y), (ex, ey) in zip(corners, edges)]
+    twice_area = sum(x * y2 - x2 * y
+                     for (x, y), (x2, y2) in zip(corners, corners[1:] + corners[:1]))
+    return HPolytope(2, facets), twice_area
+
+
+def test_polygon_with_many_facets_costs_a_sweep_per_side():
+    # 1936 facets, every vertex an integer breakpoint on one side: a sweep
+    # that tried every pair of lines per slab took 43 s on the 1024-gon
+    p, twice_area = primitive_polygon(28)
+    m = len(p.facets)
+    assert m == 1936
+    face_lattice(p)
+    start = time.perf_counter()
+    fc = count_points(p)
+    assert time.perf_counter() - start < 1
+    # Pick: A = I + B / 2 - 1, with B = m
+    assert fc.total == (twice_area + m) // 2 + 1
+    assert [fc.relint_by_dim(d) for d in range(2)] == [m, 0]
 
 def sweep(seed, count):
     """(inputs, by dimension); asserts agreement on each."""
