@@ -67,28 +67,31 @@ def _charge(slabs, rows, pairs):
                           % (slabs * rows + pairs, slabs, rows, pairs, COUNT_BUDGET))
 
 
-def _project(rows, slabs):
+def _project(rows, tight, slabs):
     """Fourier-Motzkin with Chernikov's rule: the facet rows, then for each axis
     0 < j < n - 1 the rows of P's projection to axes 0..j that bound j (axis 0
-    keeps its box), as columns and starting slacks -a, and each axis's rows."""
+    keeps its box), as columns and starting slacks -a, and each axis's rows.
+    tight[i] is the bit mask of the vertices on facet i; a row is tight where
+    both rows it combines are, and one tight at no vertex is dropped."""
     n = len(rows[0][0])
-    system = [(lam, a, 1 << i) for i, (lam, a) in enumerate(rows)]
+    system = [(lam, a, 1 << i, t) for i, ((lam, a), t) in enumerate(zip(rows, tight))]
     pool, levels, pairs = list(rows), [], 0
     for k in range(n - 1, 1, -1):
         pos, neg = ([r for r in system if sign * r[0][k] > 0] for sign in (1, -1))
         pairs += len(pos) * len(neg)
         _charge(slabs, len(pool), pairs)
-        kept = dict.fromkeys((lam[:k], a, h) for lam, a, h in system if not lam[k])
-        for lp, ap, hp in pos:
-            for ln, an, hn in neg:
+        kept = dict.fromkeys((lam[:k], a, h, t) for lam, a, h, t in system if not lam[k])
+        for lp, ap, hp, tp in pos:
+            for ln, an, hn, tn in neg:
                 cp, cn = lp[k], -ln[k]
                 lam = tuple(cn * x + cp * y for x, y in zip(lp, ln[:k]))
                 # Chernikov: after n - k eliminations a row of more facets is redundant
-                if any(lam) and bin(hp | hn).count("1") <= n - k + 1:
+                if any(lam) and tp & tn and bin(hp | hn).count("1") <= n - k + 1:
                     g = gcd(*lam, cn * ap + cp * an)
-                    kept[tuple(x // g for x in lam), (cn * ap + cp * an) // g, hp | hn] = None
+                    kept[tuple(x // g for x in lam), (cn * ap + cp * an) // g, hp | hn,
+                         tp & tn] = None
         system = list(kept)
-        level = [(lam + (0,) * (n - k), a) for lam, a, _ in system if lam[-1]]
+        level = [(lam + (0,) * (n - k), a) for lam, a, *_ in system if lam[-1]]
         levels.insert(0, range(len(pool), len(pool) + len(level)))
         pool += level
     _charge(slabs, len(pool), pairs)
@@ -207,7 +210,12 @@ def count_points(p):
     rows = [(tuple(lam[j] for j in axes), a) for lam, a in p.facets]
     if n == 1:  # a segment is the slab over the point u = 0
         rows, lo, hi = [((0,) + lam, a) for lam, a in rows], (0,) + lo, (0,) + hi
-    cols, levels, slack = _project(rows, prod(hi[j] - lo[j] + 1 for j in range(len(lo) - 2)))
+    tight = [0] * m
+    for v, c in enumerate(charts):
+        for i in c.facet_set:
+            tight[i] |= 1 << v
+    cols, levels, slack = _project(rows, tight,
+                                   prod(hi[j] - lo[j] + 1 for j in range(len(lo) - 2)))
     slopes, flat = ({}, {}), []
     for i, c, d in zip(range(m), cols[-2], cols[-1]):
         if d:

@@ -25,8 +25,9 @@ VERTEX_SEARCH_BUDGET = 5000
 # (the 20-cube takes 4 s and 215 MB to be refused); a 13-cube has 8192
 WALK_BUDGET = 10 ** 4
 
-# most pairs of the face order by face_lattice's estimate (the 8-cube's is 545 308);
-# the order is not stored, but listing it takes a step per pair and closing counts at most
+# most pairs of the face order by face_lattice's estimate (the 8-cube's is 545 308),
+# a step each when counts close over it, and most edge matrix entries volume's
+# simplices may hold (the 8-cube's 40 320 x 64; the 9-cube's 362 880 x 81 is refused)
 FACE_BUDGET = 6 * 10 ** 6
 
 
@@ -210,6 +211,17 @@ def _point(xnum, scale):
     return tuple(c // scale if c % scale == 0 else Fraction(c, scale) for c in xnum)
 
 
+def _entering(slack, rates):
+    """The facet that enters along an edge: of those whose rate is negative,
+    the one at the least ratio slack_i / -rate_i, the smallest on a tie, or
+    None if no rate is negative."""
+    best_s, best_r, h = None, None, None
+    for i, (s, rate) in enumerate(zip(slack, rates)):
+        if rate < 0 and (h is None or s * best_r < best_s * -rate):
+            best_s, best_r, h = s, -rate, i
+    return h
+
+
 def _first_vertex(p):
     """The tableau (see _pivot) of a vertex of P, by pivots from the
     coordinate frame.
@@ -218,25 +230,28 @@ def _first_vertex(p):
     hyperplanes, with unit edges and det 1: its rates are lam_i[k] and its
     slacks -a_i.  Phase 0 swaps each virtual facet for the first facet with
     a nonzero rate along its edge; an edge with none is orthogonal to every
-    normal, so P is not bounded.  Phase 1 raises the sum of the negative
-    slacks by Bland's rule (Bland 1977): the first tight facet whose edge
-    raises it leaves, and of the feasible facets whose slack falls along
-    that edge and the infeasible ones whose slack rises, the one at the
-    least ratio enters, the smallest on a tie.  If no edge raises the sum,
-    it is negative on the whole cone of the edges, which holds P, so P is
-    empty.  Phase 1 gives up after VERTEX_SEARCH_BUDGET pivots.
+    normal, so the normals do not span.  With m < n facets that happens
+    within m + 1 swaps, all in the first m + 1 coordinates, so the frame has
+    only those.  Phase 1 raises the sum of the negative slacks by Bland's
+    rule (Bland 1977): the first tight facet whose edge raises it leaves,
+    and of the feasible facets whose slack falls along that edge and the
+    infeasible ones whose slack rises, the one at the least ratio enters
+    (see _entering).  If no edge raises the sum, it is negative on the whole
+    cone of the edges, which holds P, so P is empty.  Phase 1 gives up after
+    VERTEX_SEARCH_BUDGET pivots.
     """
     n = p.dim
-    rows = [[int(i == k) for i in range(n)] + [lam[k] for lam in p.normals]
-            for k in range(n)]
-    rows.append([0] * n + [-a for a in p.offsets])
-    tableau = (tuple(range(-n, 0)), 1, rows)
-    for _ in range(n):
+    k = min(n, len(p.facets) + 1)
+    rows = [[int(i == r) for i in range(k)] + [lam[r] for lam in p.normals]
+            for r in range(k)]
+    rows.append([0] * k + [-a for a in p.offsets])
+    tableau = (tuple(range(-k, 0)), 1, rows)
+    for _ in range(k):
         # the virtual facets sort first, so the next one is at position 0
         row = tableau[2][0]
-        h = next((i for i, rate in enumerate(row[n:]) if rate), None)
+        h = next((i for i, rate in enumerate(row[k:]) if rate), None)
         if h is None:
-            edge = row[:n]
+            edge = row[:k] + [0] * (n - k)
             g = vector_gcd(edge)
             if next(c for c in edge if c) < 0:
                 g = -g
@@ -245,30 +260,22 @@ def _first_vertex(p):
         tableau = _pivot(tableau, 0, h)
     pivots = 0
     while True:
-        _, d, rows = tableau
+        rows = tableau[2]
         slack = rows[n][n:]
         short = [i for i, s in enumerate(slack) if s < 0]
         if not short:
-            break
+            return tableau
         j = next((j for j in range(n) if sum(rows[j][n + i] for i in short) > 0), None)
         if j is None:
             raise InputError("inequality system has no solution (empty polytope)")
         if pivots == VERTEX_SEARCH_BUDGET:
             raise BudgetError("no vertex found after %d phase-one pivots; the search "
                               "limit is %d" % (pivots, VERTEX_SEARCH_BUDGET))
-        best_s, best_r, h = None, None, None
-        for i, (s, rate) in enumerate(zip(slack, rows[j][n:])):
-            # a feasible facet that falls or an infeasible one that rises
-            if rate and (s < 0) == (rate > 0):
-                s, rate = abs(s), abs(rate)
-                if best_s is None or s * best_r < best_s * rate:
-                    best_s, best_r, h = s, rate, i
+        # |slack|, rates negated where infeasible: the first slack to reach 0 enters
+        h = _entering([abs(s) for s in slack],
+                      [-r if s < 0 else r for s, r in zip(slack, rows[j][n:])])
         tableau = _pivot(tableau, j, h)
         pivots += 1
-    zeros = tuple(i for i, s in enumerate(slack) if s == 0)
-    if len(zeros) > n:
-        raise NotSimpleError(_point(rows[n][:n], abs(d)), zeros)
-    return tableau
 
 
 @lru_cache(maxsize=256)
@@ -277,14 +284,15 @@ def enumerate_vertices(p):
 
     From a first vertex found by phase-one pivots (see _first_vertex), an
     exact pivot walk follows the edges of the vertex graph, which is
-    connected (Balinski).  Along e_j, of the facets with <e_j, lam_i> < 0,
-    those at the least ratio slack_i / -<e_j, lam_i> are tight at the
-    neighbour.  An edge no facet blocks is a ray; a neighbour on more than
-    n facets is not simple.  If every edge is blocked and the normals span,
-    P is bounded.  No determinant is eliminated: every tableau is pivoted
-    from another, the first from the coordinate frame.  The walk gives up
-    before it builds more than WALK_BUDGET charts.  A neighbour's integer
-    tableau is pivoted (see _pivot) from the one that pushed it, when popped.
+    connected (Balinski): along e_j the facet _entering names is tight at
+    the neighbour, whose integer tableau is pivoted (see _pivot) from the
+    one that pushed it, when popped; no determinant is eliminated.  Each
+    popped vertex is judged once: on more than n facets it raises
+    NotSimpleError.  An edge no facet blocks is a ray, named only when the
+    walk has ended, so the verdicts come in one order whatever the facet
+    order: normals that span, nonempty (both in _first_vertex), simple,
+    bounded.  The walk gives up before it builds more than WALK_BUDGET
+    charts, rays or not.
 
     On return the walk certifies that P is bounded, that every vertex lies
     on exactly n facets with independent normals and that every edge has
@@ -294,7 +302,7 @@ def enumerate_vertices(p):
     """
     n = p.dim
     first = _first_vertex(p)
-    charts = {}
+    charts, ray = {}, None
     # lazy pivots: (neighbour, tableau it is pivoted from, edge, entering facet)
     queue = [(first[0], first, None, None)]
     while queue:
@@ -308,32 +316,25 @@ def enumerate_vertices(p):
             tableau = _pivot(tableau, j, h)
         _, d, rows = tableau
         scale = abs(d)
-        mu = tuple(tuple(r[:n]) for r in rows[:n]) if scale == 1 else None
-        xnum = rows[n][:n]
-        charts[tight] = VertexChart(_point(xnum, scale), tight, d, mu)
+        vertex = _point(rows[n][:n], scale)
         slack = rows[n][n:]
+        zeros = tuple(i for i, s in enumerate(slack) if s == 0)
+        if len(zeros) > n:
+            raise NotSimpleError(vertex, zeros)
+        mu = tuple(tuple(r[:n]) for r in rows[:n]) if scale == 1 else None
+        charts[tight] = VertexChart(vertex, tight, d, mu)
         for j in range(n):
-            e = rows[j][:n]
-            best_s, best_r, hits = None, None, []
-            for i, rate in enumerate(rows[j][n:]):
-                if rate >= 0:
-                    continue
-                rate = -rate
-                if best_s is None or slack[i] * best_r < best_s * rate:
-                    best_s, best_r, hits = slack[i], rate, [i]
-                elif slack[i] * best_r == best_s * rate:
-                    hits.append(i)
-            if best_s is None:
-                g = vector_gcd(e)
-                raise UnboundedError("recession cone contains direction %s"
-                                     % (tuple(c // g for c in e),))
-            nbr = tuple(sorted(tight[:j] + tight[j + 1:] + tuple(hits)))
-            if len(nbr) > n:
-                # x + t e_j at t = best_s / (|d| best_r)
-                y = [best_r * c + best_s * ec for c, ec in zip(xnum, e)]
-                raise NotSimpleError(_point(y, scale * best_r), nbr)
+            h = _entering(slack, rows[j][n:])
+            if h is None:
+                ray = ray or rows[j][:n]
+                continue
+            nbr = tuple(sorted(tight[:j] + tight[j + 1:] + (h,)))
             if nbr not in charts:
-                queue.append((nbr, tableau, j, hits[0]))
+                queue.append((nbr, tableau, j, h))
+    if ray:
+        g = vector_gcd(ray)
+        raise UnboundedError("recession cone contains direction %s"
+                             % (tuple(c // g for c in ray),))
     return tuple(sorted(charts.values(), key=lambda c: c.vertex))
 
 
@@ -342,7 +343,7 @@ def validate(p):
 
     enumerate_vertices certifies all but irredundancy (see its docstring),
     and a facet that supports a face supports one of dimension n - 1, so
-    what is left is that every facet lies in some vertex chart.  Returns
+    what is left, and judged last, is that every facet lies in some chart.  Returns
     the vertex charts on success so callers do not recompute them.
     """
     charts = enumerate_vertices(p)
@@ -368,12 +369,12 @@ def face_lattice(p):
 
     Every face is cut out by a subset of the facets through any one of its
     vertices, so one pass over the subsets of each vertex's facet set finds
-    every face with its vertices.  The walk certifies that such a subset
-    cuts out a face of dimension n minus its size; its canonical facet set
-    (the facets containing every one of its vertices) must be the subset
-    itself, or the polytope is not simple.  Then g <= f exactly when the
-    facet set of f is a subset of that of g, so the faces above g are the
-    2^codim subsets of its facet set, and the order needs no storage.
+    every face with its vertices.  The walk's certificate (see
+    enumerate_vertices) says that such a subset cuts out a face of dimension
+    n minus its size on no other facet, so the subset is the face's facet
+    set and nothing is checked again.  Then g <= f exactly when the facet
+    set of f is a subset of that of g, so the faces above g are the 2^codim
+    subsets of its facet set, and the order needs no storage.
 
     A BudgetError comes first if the order may exceed FACE_BUDGET pairs: a
     vertex is on C(n, d) faces of dimension d, each with d + 1 vertices or
@@ -386,20 +387,12 @@ def face_lattice(p):
     if pairs > FACE_BUDGET:
         raise BudgetError("face order may hold about %d pairs (%d vertices in dimension "
                           "%d), over the limit of %d" % (pairs, len(charts), n, FACE_BUDGET))
-    vertex_facets = [frozenset(c.facet_set) for c in charts]
     found = {}
     for vid, c in enumerate(charts):
         for r in range(n + 1):
             for sub in combinations(c.facet_set, r):
                 found.setdefault(sub, []).append(vid)
-    faces = []
-    for sub, verts in found.items():
-        canon = frozenset.intersection(*(vertex_facets[w] for w in verts))
-        if len(canon) != len(sub):
-            raise NotSimpleError(charts[verts[0]].vertex, sorted(canon),
-                                 "facet subset %s cuts a face of wrong dimension"
-                                 % (list(sub),))
-        faces.append(Face(sub, n - len(sub), verts))
+    faces = [Face(sub, n - len(sub), verts) for sub, verts in found.items()]
     faces.sort(key=lambda f: (f.dim, f.facet_set))
     return FaceLattice(n, faces, (c.facet_set for c in charts))
 
@@ -426,26 +419,33 @@ def volume(p):
     Facets are triangulated recursively in dimension; each top simplex
     contributes |det of edge matrix| / n!.  With the vertices scaled by the
     lcm D of their denominators, the determinants are of integers and the
-    sum is divided once, by n! D^n.
+    sum is divided once, by n! D^n.  The simplices are counted first, once
+    per face, and a BudgetError comes before any determinant if their edge
+    matrices hold more than FACE_BUDGET entries.
     """
     fl = face_lattice(p)
     charts = enumerate_vertices(p)
     n = p.dim
     scale = lcm(*(x.denominator for c in charts for x in c.vertex))
     points = [tuple(int(x * scale) for x in c.vertex) for c in charts]
+    cones = {}  # face id: its base vertex, its facets off it, its simplices (a vertex: 1)
+
+    def count(fid):
+        if fid not in cones:
+            face = fl.faces[fid]
+            base = min(face.vertices, key=lambda w: points[w])
+            off = [g for g in fl.children(fid) if base not in fl.faces[g].vertices]
+            cones[fid] = base, off, sum(map(count, off)) or 1
+        return cones[fid][2]
+
+    entries = count(fl.top) * n * n
+    if entries > FACE_BUDGET:
+        raise BudgetError("volume triangulation has %d simplices (%d edge matrix entries), "
+                          "over the limit of %d" % (count(fl.top), entries, FACE_BUDGET))
 
     def simplices(fid):
-        face = fl.faces[fid]
-        if face.dim == 0:
-            return [(face.vertices[0],)]
-        base = min(face.vertices, key=lambda w: points[w])
-        out = []
-        for gid in fl.children(fid):
-            if base in fl.faces[gid].vertices:
-                continue
-            for s in simplices(gid):
-                out.append(s + (base,))
-        return out
+        base, off, _ = cones[fid]
+        return [s + (base,) for g in off for s in simplices(g)] if off else [(base,)]
 
     total = 0
     for s in simplices(fl.top):

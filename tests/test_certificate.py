@@ -11,9 +11,12 @@ subset scan's charts.  The first vertex is found by phase-one pivots, so two
 verdicts are also held to the scan: a system is an empty polytope exactly
 when some n of its normals are independent and none of the points where n
 facets meet is feasible, and normals that span a hyperplane are refused
-with the primitive generator of their integer kernel.
+with the primitive generator of their integer kernel.  The verdict class is
+a property of the input: each system keeps it, and the agreement with the
+rank checks, when its facets are listed in other orders.
 
-The full sweep (seeds 1 and 2) runs from the repository root with
+The full sweep (seeds 1 and 2, each system in SHUFFLES more facet orders)
+runs from the repository root with
 
     PYTHONPATH=src python tests/test_certificate.py
 """
@@ -23,6 +26,7 @@ from itertools import product
 
 import pytest
 
+from families import shuffled
 from oracles import (cramer_points, integer_kernel_basis, lambda_matrix,
                      rank_checked_validate, subset_scan)
 from toricpick.errors import ToricError
@@ -32,6 +36,9 @@ from toricpick.polytope import HPolytope, face_lattice, validate
 # systems per seed: the tier-1 share and the full sweep
 TIER1_SYSTEMS = 2000
 FULL_SYSTEMS = 20000
+
+# further facet orders each system is tried in
+SHUFFLES = 3
 
 
 # the primitive normals with entries in [-2, 2], by dimension
@@ -99,6 +106,22 @@ def sweep(seed, count):
     return len(systems), accepted, rejected, empty, corank1
 
 
+def reorder_sweep(seed, count):
+    """Facet orders tried; asserts that each gives its system's verdict
+    class and agrees with the rank checks."""
+    rng = random.Random(seed)
+    orders = 0
+    for p in random_systems(seed, count):
+        verdict = outcome(trusted, p)[0]
+        for _ in range(SHUFFLES):
+            q = shuffled(p, rng)
+            got = outcome(trusted, q)
+            assert got == outcome(rank_checked_validate, q), q.facets
+            assert got[0] == verdict, (p.facets, q.facets)
+            orders += 1
+    return orders
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_certificate_matches_rank_checks(seed):
     systems, accepted, rejected, empty, corank1 = sweep(seed, TIER1_SYSTEMS)
@@ -108,8 +131,16 @@ def test_certificate_matches_rank_checks(seed):
     assert empty >= 100 and corank1 >= 100
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_verdict_class_does_not_follow_facet_order(seed):
+    # a ray and a vertex that is not simple: NotSimpleError whatever the order
+    assert reorder_sweep(seed, TIER1_SYSTEMS) == SHUFFLES * TIER1_SYSTEMS
+
+
 if __name__ == "__main__":
     for seed in (1, 2):
         systems, accepted, rejected, empty, corank1 = sweep(seed, FULL_SYSTEMS)
         print("seed %d: %d systems, %d accepted, rejected %s, %d empty, %d of corank 1"
               % (seed, systems, accepted, dict(sorted(rejected.items())), empty, corank1))
+        print("seed %d: %d shuffled facet orders keep their system's verdict class"
+              % (seed, reorder_sweep(seed, FULL_SYSTEMS)))

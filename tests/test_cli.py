@@ -119,6 +119,24 @@ def test_unbounded_direction_message(case, tmp_path, capsys):
         "error: %s: normals do not span; direction %s is unbounded\n" % (path, direction))
 
 
+def test_one_facet_in_dimension_4000_exits_two_at_once(tmp_path):
+    """A system of m < n facets bounds nothing; the first-vertex search finds
+    the unbounded direction in the first m + 1 coordinates, not the whole
+    n x (n + m) frame."""
+    n = 4000
+    path = write(tmp_path, "slab.json", dump_polytope(HPolytope(n, [((1,) + (0,) * (n - 1), 0)])))
+    package_root = os.path.dirname(os.path.dirname(toricpick.__file__))
+    env_path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "toricpick", "compute", "count", path],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=env_path))
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2
+    assert proc.stderr == "error: %s: normals do not span; direction %s is unbounded\n" % (
+        path, (0, 1) + (0,) * (n - 2))
+
+
 def test_verify_pick_json_output(capsys):
     code = cli.main(["verify", "pick", corpus_file("square1"), "--format", "json"])
     out = capsys.readouterr().out

@@ -21,7 +21,7 @@ from math import atan2, comb, gcd
 import pytest
 
 from families import (box, corner_cut_polygon, cube, delzant_family, shear, simplex,
-                      unimodular_transform)
+                      times, unimodular_transform)
 from oracles import fiber_walk
 from test_certificate import random_systems
 from toricpick import lattice
@@ -297,6 +297,16 @@ def test_polygon_with_many_facets_costs_a_sweep_per_side():
     # Pick: A = I + B / 2 - 1, with B = m
     assert fc.total == (twice_area + m) // 2 + 1
     assert [fc.relint_by_dim(d) for d in range(2)] == [m, 0]
+
+def test_prism_over_a_polygon_with_many_facets():
+    # a row of the projection tight at no vertex is dropped: the 640 x 640
+    # pairs of lower and upper facets once gave some 10^7 steps
+    p, twice_area = primitive_polygon(16)
+    m = len(p.facets)
+    assert m == 640
+    fc = count_points(times(p, box((0,), (100,))))
+    assert fc.total == ((twice_area + m) // 2 + 1) * 101
+
 
 def sweep(seed, count):
     """(inputs, by dimension); asserts agreement on each."""

@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -247,6 +248,31 @@ def test_sixteen_simplex_exits_two_at_once(tmp_path, capsys):
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
     assert "about %d pairs" % (3 ** 17 - 2 ** 17) in err
+    assert "over the limit of %d" % polytope.FACE_BUDGET in err
+
+
+def test_volume_budget_boundary(monkeypatch):
+    """The 7-cube's triangulation has 7! simplices of 7 x 7 edge matrices."""
+    p = cube(7)
+    entries = factorial(7) * 7 * 7
+    assert entries == 246960
+    monkeypatch.setattr(polytope, "FACE_BUDGET", entries - 1)
+    with pytest.raises(BudgetError, match="has 5040 simplices \\(246960 edge matrix entries\\), "
+                                          "over the limit of 246959"):
+        volume.__wrapped__(p)
+    monkeypatch.setattr(polytope, "FACE_BUDGET", entries)
+    assert volume.__wrapped__(p) == 1
+
+
+def test_nine_cube_volume_exits_two_before_triangulating(tmp_path, capsys):
+    """9! simplices of 9 x 9 edge matrices; the determinants once took 28 s."""
+    path = tmp_path / "cube9.json"
+    path.write_text(dump_polytope(cube(9)))
+    start = time.perf_counter()
+    assert cli_main(["compute", "volume", str(path), "--format", "json"]) == 2
+    assert time.perf_counter() - start < 2
+    err = capsys.readouterr().err
+    assert "362880 simplices (29393280 edge matrix entries)" in err
     assert "over the limit of %d" % polytope.FACE_BUDGET in err
 
 
