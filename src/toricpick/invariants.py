@@ -6,15 +6,17 @@ Report whose verdict is exact rational equality.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
 from math import factorial, lcm
 from operator import mul
 
-from .errors import ShapeError
+from .errors import ShapeError, ToricError
 from .lattice import count_points, weighted_sum_closed, weighted_sum_relint
 from .localization import choose_generic, localize
 from .polytope import (enumerate_vertices, face_lattice, h_vector,
                        require_delzant, signature_from_h, volume)
-from .series import genus_series
+from .series import genus_series, log
 
 
 class Report:
@@ -34,33 +36,53 @@ class Report:
             self.identity, self.polytope, self.lhs, self.rhs, self.holds)
 
 
+@lru_cache(maxsize=64)  # face-todd asks once per face, for a few dimensions
+def _log_rows(kind, n):
+    """(scale, den, rows) for kind in degree n: scale = n! D^n, D the common
+    denominator of g, and log g = sum_k b_k x^k with rows the pairs
+    (k, k b_k den) for b_k != 0, den the common denominator of the b_k."""
+    g = genus_series(kind, n) if kind is not None else (1,) + (0,) * n
+    d = lcm(*(c.denominator for c in g))
+    b = log(g)
+    den = lcm(*(c.denominator for c in b))
+    return factorial(n) * d ** n, den, tuple((k, int(k * c * den)) for k, c in enumerate(b) if c)
+
+
 def _genus_restriction(p, kind, twist=True, face=None):
     """(restrict, scale) for exp(w_P) prod_i g(v_i), as localize() takes
     them; kind None drops the genus factor.
 
-    At a vertex x the twist exp(-sum a_i v_i) becomes exp(-sum_j a_{i_j} w_j t)
-    = exp(-<x, u> t) and g(v_{i_j}) becomes g(w_j t), so the class restricts
-    to a product of n univariate series truncated at degree n.  They are
-    multiplied over the integers as n! exp and D g, D the common denominator
-    of g, so restrict gives scale = n! D^n times the class; twist False is
-    exp(0 t) = 1.  On a face F, g runs over the edges in F and n is dim F.
+    At a vertex x the twist exp(-sum a_i v_i) becomes exp(s t) with
+    s = -<x, u>, and g(v_{i_j}) becomes g(w_j t); twist False sets s = 0.
+    A multiplicative class is fixed by its logarithm log g = sum_k b_k x^k,
+    so the class restricts to E = exp(A), A(t) = s t + sum_k b_k p_k t^k,
+    p_k = sum_j w_j^k the power sums of the weights.  restrict gives scale
+    times E truncated at degree n, with scale = n! D^n and D the common
+    denominator of g: that is the product of n! exp(s t) and the n factors
+    D g(w_j t), so it is integral.  Its coefficients follow from E' = A' E,
+    k E_k = sum_j j A_j E_{k-j}, with one exact division per degree.  On a
+    face F the power sums run over the edges in F and n is dim F.
     """
     n = p.dim if face is None else face.dim
     normal = () if face is None else face.facet_set
-    g = genus_series(kind, n) if kind is not None else (1,) + (0,) * n
-    d = lcm(*(c.denominator for c in g))
-    scaled_g = [int(c * d) for c in g]
-    scaled_exp = [factorial(n) // factorial(k) for k in range(n + 1)]
-    scale = factorial(n) * d ** n
+    scale, den, rows = _log_rows(kind, n)
 
     def restrict(chart, w):
-        s = -sum(p.offsets[i] * x for i, x in zip(chart.facet_set, w)) if twist else 0
-        out = [c * s ** k for k, c in enumerate(scaled_exp)]
-        for i, x in zip(chart.facet_set, w):
-            if i in normal:
-                continue
-            f = [c * x ** k for k, c in enumerate(scaled_g)]
-            out = [sum(map(mul, out[k::-1], f)) for k in range(n + 1)]
+        a = [0] * n  # a[j - 1] = den j A_j
+        if twist and n:
+            a[0] = -den * sum(map(mul, map(p.offsets.__getitem__, chart.facet_set), w))
+        if normal:
+            w = [x for i, x in zip(chart.facet_set, w) if i not in normal]
+        for k, c in rows:
+            a[k - 1] += c * sum(map(pow, w, repeat(k)))
+        out = [scale]
+        for k in range(1, n + 1):
+            num = sum(map(mul, a, reversed(out)))
+            q, r = divmod(num, k * den)
+            if r:
+                raise ToricError("the degree-%d coefficient of the genus restriction is %s, "
+                                 "not an integer (chart bug)" % (k, Fraction(num, k * den)))
+            out.append(q)
         return out
 
     return restrict, scale

@@ -3,10 +3,11 @@
 A univariate series truncated at degree d is the tuple of its d + 1
 exact coefficients c_0..c_d (Fraction).  The four genus series (Todd,
 SignatureHalf, AHat, L) are produced by exact division of truncated
-exponential and hyperbolic series.  A class in the facet classes is never
-expanded here: localization restricts each factor to a vertex as a series
-in one variable.  The e-to-m transition of symmetric functions is an
-integer count, elementary_to_monomial.
+exponential and hyperbolic series, and log gives the logarithm that fixes
+a multiplicative class.  A class in the facet classes is never expanded
+here: localization restricts it to a vertex as a series in one variable.
+The e-to-m transition of symmetric functions is an integer count,
+elementary_to_monomial.
 """
 
 from fractions import Fraction
@@ -38,6 +39,18 @@ def reciprocal(s):
     out = [Fraction(1) / c0]
     for k in range(1, len(s)):
         out.append(-sum(s[j] * out[k - j] for j in range(1, k + 1)) / c0)
+    return tuple(out)
+
+
+def log(s):
+    """Exact series logarithm, zero constant term; the constant term of s
+    must be 1.  From s' = s (log s)': k l_k = k s_k - sum_{0<j<k} j l_j s_{k-j}."""
+    if s[0] != 1:
+        raise DimensionError("cannot take the log of a series with constant term %s, not 1"
+                             % s[0])
+    out = [Fraction(0)]
+    for k in range(1, len(s)):
+        out.append(s[k] - Fraction(sum(j * out[j] * s[k - j] for j in range(1, k)), k))
     return tuple(out)
 
 

@@ -15,6 +15,7 @@ from toricpick.exact import det, dot
 from toricpick.localization import (_chart_weights, _fixed_point_sum,
                                     check_partition, partitions_of)
 from toricpick.polytope import enumerate_vertices, face_lattice
+from toricpick.series import genus_series
 
 
 def frac_rank(rows):
@@ -447,6 +448,37 @@ def exp_linear(coeffs, trunc):
     """exp(sum c_i v_i) = prod_i exp(c_i v_i) truncated at total degree."""
     return _facet_product([[Fraction(c) ** k / factorial(k) for k in range(trunc + 1)]
                            for c in coeffs], trunc)
+
+
+def factor_product_restriction(p, kind, twist=True, face=None):
+    """The genus restriction before the exponential of power sums: (restrict,
+    scale) for exp(w_P) prod_i g(v_i) as localize() takes them, kind None
+    dropping the genus factor.
+
+    At a vertex exp(s t), s = -<x, u>, and the n factors g(w_j t) (on a
+    face F, the edges in F, and n = dim F) are multiplied as n truncated
+    integer series n! exp and D g, D the common denominator of g, so
+    scale = n! D^n; twist False is exp(0 t) = 1.
+    """
+    n = p.dim if face is None else face.dim
+    normal = () if face is None else face.facet_set
+    g = genus_series(kind, n) if kind is not None else (1,) + (0,) * n
+    d = lcm(*(c.denominator for c in g))
+    scaled_g = [int(c * d) for c in g]
+    scaled_exp = [factorial(n) // factorial(k) for k in range(n + 1)]
+    scale = factorial(n) * d ** n
+
+    def restrict(chart, w):
+        s = -sum(p.offsets[i] * x for i, x in zip(chart.facet_set, w)) if twist else 0
+        out = [c * s ** k for k, c in enumerate(scaled_exp)]
+        for i, x in zip(chart.facet_set, w):
+            if i in normal:
+                continue
+            f = [c * x ** k for k, c in enumerate(scaled_g)]
+            out = [sum(map(mul, out[k::-1], f)) for k in range(n + 1)]
+        return out
+
+    return restrict, scale
 
 
 def integrate_terms(p, cls, u):

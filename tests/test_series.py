@@ -7,7 +7,7 @@ import pytest
 from oracles import (MultiPoly, bernoulli, elementary_symmetric, exp_linear,
                      product_over_facets)
 from toricpick.errors import DimensionError, ShapeError
-from toricpick.series import GENUS_KINDS, genus_series, mul, reciprocal
+from toricpick.series import GENUS_KINDS, genus_series, log, mul, reciprocal
 
 F = Fraction
 
@@ -82,6 +82,38 @@ def test_reciprocal_round_trip():
     for kind in GENUS_KINDS:
         g = genus_series(kind, 6)
         assert mul(g, reciprocal(g)) == (F(1),) + (F(0),) * 6
+
+
+def test_log_needs_constant_term_one():
+    for c0 in (F(0), F(2), F(-1), F(1, 2)):
+        with pytest.raises(DimensionError, match="constant term %s, not 1" % c0):
+            log((c0, F(1)))
+    assert log((F(1),)) == (F(0),)
+
+
+def _derivative(s):
+    return tuple(k * c for k, c in enumerate(s))[1:]
+
+
+def test_log_derivative_identity():
+    # g' = g (log g)', truncated at the degree of g'
+    for kind in GENUS_KINDS:
+        for deg in range(11):
+            g = genus_series(kind, deg)
+            lg = log(g)
+            assert lg[0] == 0, (kind, deg)
+            assert _derivative(g) == mul(g, _derivative(lg)), (kind, deg)
+
+
+def test_log_closed_forms_against_bernoulli_numbers():
+    # log (x/2)/sinh(x/2) = -sum_k B_2k x^2k / (2k (2k)!), and
+    # log Todd = x/2 + log AHat, as x/(1 - e^-x) = e^(x/2) (x/2)/sinh(x/2)
+    deg = 10
+    b = bernoulli(deg)
+    log_ahat = tuple(F(0) if k % 2 or k == 0 else -b[k] / (k * _fact(k))
+                     for k in range(deg + 1))
+    assert log(genus_series("AHat", deg)) == log_ahat
+    assert log(genus_series("Todd", deg)) == (F(0), F(1, 2)) + log_ahat[2:]
 
 
 def test_multipoly_product_truncates():
