@@ -1,13 +1,11 @@
 """Exact lattice point, signature and characteristic number identities for
 Delzant polytopes, computed by fixed point localization over the rationals."""
 
-from .agw import (expand_genus_product, pontryagin_label, to_pontryagin,
-                  twisted_ahat, verify_agw)
+from .agw import pontryagin_label, verify_agw
 from .cli import format_rational, load_polytope, main
 from .errors import (BudgetError, DimensionError, GenericityError,
-                     InputError, NotSimpleError, ParityError,
-                     RouteDisagreementError, ShapeError, ToricError,
-                     UnboundedError)
+                     InputError, NotSimpleError, RouteDisagreementError,
+                     ShapeError, ToricError, UnboundedError)
 from .exact import det
 from .invariants import (Report, check_face_todd, check_pick,
                          check_tetrahedron, check_todd,

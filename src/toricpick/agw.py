@@ -1,28 +1,27 @@
 """The 12-dimensional cancellation identity in Pontryagin classes.
 
-Three genus products over six formal Chern roots x_1..x_6 are expanded
-exactly: the L-genus, the A-hat genus, and the A-hat genus twisted by the
-character sum_j (e^{x_j} + e^{-x_j}).  Their degree-12 parts are rewritten
-in the basis p_k = e_k(x_1^2, ..., x_6^2) and compared coefficientwise in
+Three classes over six formal Chern roots x_1..x_6 are expanded exactly:
+the L-genus, the A-hat genus, and the A-hat genus twisted by the character
+sum_j (e^{x_j} + e^{-x_j}).  Each is a polynomial in p_k = e_k(x_1^2, ...,
+x_6^2), and their degree-12 parts are compared coefficientwise in
 {p_3, p_1 p_2, p_1^3}.  Degrees count cohomological grading, where each
-root has degree 2.
+root has degree 2, so p_k has degree 4k and weight k.
 
-A symmetric polynomial in the roots is a dict {lam: coefficient of the
-monomial symmetric m_lam}, and one in the p_k a dict {nu: coefficient of
-p_nu = prod_k p_{nu_k}} (weight sum(nu), cohomological degree 4 sum(nu));
-keys are partitions, and zero coefficients are left out.
+A polynomial in the p_k is a dict {nu: coefficient of p_nu =
+prod_k p_{nu_k}}, keyed by partitions nu of weight sum(nu) <= WEIGHT, with
+zero coefficients left out.
 """
 
 from fractions import Fraction
-from math import prod
+from math import factorial
 
-from .errors import DimensionError, ParityError
 from .invariants import Report
-from .localization import check_partition, partitions_of
-from .series import elementary_to_monomial, genus_series, hyperbolic, mul
+from .localization import partitions_of
+from .series import genus_series, log
 
 NUM_ROOTS = 6
 DEGREE = 12
+WEIGHT = DEGREE // 4
 
 
 def pontryagin_label(nu):
@@ -34,93 +33,58 @@ def pontryagin_label(nu):
         for part in sorted(set(nu)))
 
 
-def _root_partitions(xdeg):
-    out = [()]
-    for total in range(1, xdeg + 1):
-        out.extend(lam for lam in partitions_of(total) if len(lam) <= NUM_ROOTS)
-    return out
-
-
-def expand_genus_product(g):
-    """prod_i g(x_i) over the NUM_ROOTS roots, truncated at DEGREE.
-
-    g is an even coefficient tuple reaching root-degree DEGREE / 2.  The
-    product of one univariate series per root has coefficient prod_i c_{e_i}
-    on x^e, so each monomial symmetric coefficient is a plain product over
-    the padded partition.
-    """
-    xdeg = DEGREE // 2
-    if len(g) <= xdeg:
-        raise DimensionError("the genus series must reach degree %d" % xdeg)
-    for k in range(1, xdeg + 1, 2):
-        if g[k]:
-            raise ParityError("series has a nonzero odd coefficient at degree %d" % k)
-    coeffs = {}
-    for lam in _root_partitions(xdeg):
-        padded = lam + (0,) * (NUM_ROOTS - len(lam))
-        c = Fraction(1)
-        for e in padded:
-            c *= g[e]
-            if not c:
-                break
-        if c:
-            coeffs[lam] = c
-    return coeffs
-
-
-def twisted_ahat():
-    """prod_j A(x_j) times sum_j (e^{x_j} + e^{-x_j}), truncated at DEGREE.
-
-    Distributing the character sum leaves one distinguished root carrying
-    A(x) (e^x + e^-x) = 2 A(x) cosh(x) while the others carry A(x).
-    """
-    xdeg = DEGREE // 2
-    a = genus_series("AHat", xdeg)
-    d = tuple(2 * c for c in mul(a, hyperbolic(xdeg, 0)))
-    coeffs = {}
-    for lam in _root_partitions(xdeg):
-        # a root of exponent 0 carries A's constant term 1, so only the
-        # parts of lam multiply; the distinguished root is a part or not,
-        # and with two parts where A vanishes every term vanishes
-        f = [a[x] for x in lam]
-        if f.count(0) > 1:
-            continue
-        total = (NUM_ROOTS - len(lam)) * d[0] * prod(f)
-        for j, x in enumerate(lam):
-            total += d[x] * prod(f[:j] + f[j + 1:])
-        if total:
-            coeffs[lam] = total
-    return coeffs
-
-
-def to_pontryagin(r):
-    """Rewrite an even symmetric polynomial {lam: c} in the p_k =
-    e_k(squares) basis, up to root-degree DEGREE / 2.
-
-    Works one root-degree at a time.  In the squares, e_{lam'} (lam' the
-    conjugate partition) is m_lam plus monomials lower in dominance order
-    (Macdonald I.6), hence later in the decreasing lexicographic order of
-    partitions_of.  So the coefficient left on m_lam, in that order, is the
-    one of p_{lam'}, and e_{lam'}'s share of the later coefficients, counted
-    by elementary_to_monomial, is subtracted from them.  Keys other than ()
-    must be partitions.
-    """
-    for lam in r:
-        if lam:
-            check_partition(lam)
+def _combine(*terms):
+    """sum c * poly over the (c, poly) pairs."""
     out = {}
-    for d in sorted({sum(lam) for lam, c in r.items() if c and sum(lam) <= DEGREE // 2}):
-        if any(x % 2 for lam, c in r.items() if c and sum(lam) == d for x in lam):
-            raise ParityError("root-degree %d part has an odd exponent" % d)
-        lams = [lam for lam in partitions_of(d // 2) if len(lam) <= NUM_ROOTS]
-        left = {lam: Fraction(r.get(tuple(2 * x for x in lam), 0)) for lam in lams}
-        for k, lam in enumerate(lams):
-            c = left[lam]
-            if c:
-                nu = tuple(sum(x > i for x in lam) for i in range(max(lam, default=0)))
-                out[nu] = c
-                for mu in lams[k + 1:]:
-                    left[mu] -= c * elementary_to_monomial(nu, mu)
+    for c, poly in terms:
+        for nu, x in poly.items():
+            out[nu] = out.get(nu, 0) + c * x
+    return {nu: x for nu, x in out.items() if x}
+
+
+def _mul(a, b):
+    """Product of two polynomials in the p_k, truncated above WEIGHT."""
+    out = {}
+    for nu, c in a.items():
+        for mu, d in b.items():
+            if sum(nu) + sum(mu) <= WEIGHT:
+                key = tuple(sorted(nu + mu, reverse=True))
+                out[key] = out.get(key, 0) + c * d
+    return {nu: x for nu, x in out.items() if x}
+
+
+def _power_sums():
+    """[P_0, ..., P_WEIGHT], P_k = sum_i x_i^{2k} as a polynomial in the p_j.
+
+    Newton's identities in the squares (Macdonald, Symmetric Functions and
+    Hall Polynomials, I.2): P_k = sum_{0<i<k} (-1)^{i-1} p_i P_{k-i}
+    + (-1)^{k-1} k p_k, and P_0 = NUM_ROOTS.
+    """
+    sums = [{(): Fraction(NUM_ROOTS)}]
+    for k in range(1, WEIGHT + 1):
+        terms = [((-1) ** (i - 1), _mul({(i,): 1}, sums[k - i])) for i in range(1, k)]
+        sums.append(_combine((Fraction((-1) ** (k - 1) * k), {(k,): 1}), *terms))
+    return sums
+
+
+POWER_SUMS = _power_sums()
+# sum_j 2 cosh(x_j) = sum_k 2 P_k / (2k)!, whose constant term is 2 NUM_ROOTS
+CHARACTER = _combine(*((Fraction(2, factorial(2 * k)), s) for k, s in enumerate(POWER_SUMS)))
+
+
+def multiplicative_class(g):
+    """prod_i g(x_i) over the NUM_ROOTS roots as a polynomial in the p_k.
+
+    g is an even coefficient tuple with g_0 = 1 reaching degree 2 WEIGHT.
+    With log g = sum_k b_2k x^2k the product is exp(A), A = sum_k b_2k P_k,
+    and since A has no constant term exp(A) = sum_{j <= WEIGHT} A^j / j!.
+    """
+    b = log(g)
+    a = _combine(*((b[2 * k], s) for k, s in enumerate(POWER_SUMS)))  # b_0 = 0
+    out = term = {(): Fraction(1)}
+    for j in range(1, WEIGHT + 1):
+        term = _combine((Fraction(1, j), _mul(term, a)))
+        out = _combine((1, out), (1, term))
     return out
 
 
@@ -133,12 +97,11 @@ def verify_agw(ahat_coefficient=32):
     three genera for reference.  Passing 31 as the coefficient is the
     negative control and must fail.
     """
-    xdeg = DEGREE // 2
-    l_poly = to_pontryagin(expand_genus_product(genus_series("L", xdeg)))
-    a_poly = to_pontryagin(expand_genus_product(genus_series("AHat", xdeg)))
-    t_poly = to_pontryagin(twisted_ahat())
+    l_poly = multiplicative_class(genus_series("L", 2 * WEIGHT))
+    a_poly = multiplicative_class(genus_series("AHat", 2 * WEIGHT))
+    t_poly = _mul(a_poly, CHARACTER)
     zero = Fraction(0)
-    keys = sorted(partitions_of(DEGREE // 4))
+    keys = sorted(partitions_of(WEIGHT))
     lhs = {nu: l_poly.get(nu, zero) for nu in keys}
     rhs = {nu: 8 * t_poly.get(nu, zero) - ahat_coefficient * a_poly.get(nu, zero)
            for nu in keys}

@@ -41,9 +41,5 @@ class GenericityError(ToricError):
     """The chosen vector pairs to zero with some fixed point weight."""
 
 
-class ParityError(ToricError):
-    """A series or symmetric polynomial violates an evenness requirement."""
-
-
 class RouteDisagreementError(ToricError):
     """Two independent evaluation routes returned different values."""

@@ -10,12 +10,15 @@ from itertools import combinations, permutations, product
 from math import ceil, comb, factorial, floor, gcd, lcm, prod
 from operator import add, mul
 
-from toricpick.errors import InputError, NotSimpleError, ShapeError
+from toricpick.agw import DEGREE, NUM_ROOTS
+from toricpick.errors import (DimensionError, InputError, NotSimpleError,
+                              ShapeError, ToricError)
 from toricpick.exact import det, dot
 from toricpick.localization import (_chart_weights, _fixed_point_sum,
                                     check_partition, partitions_of)
 from toricpick.polytope import enumerate_vertices, face_lattice
-from toricpick.series import genus_series
+from toricpick.series import elementary_to_monomial, genus_series, hyperbolic
+from toricpick.series import mul as series_mul
 
 
 def frac_rank(rows):
@@ -607,3 +610,102 @@ def kahler_class(p):
             e = tuple(1 if j == i else 0 for j in range(m))
             terms[e] = -a
     return MultiPoly(m, p.dim, terms)
+
+
+# The degree-12 classes over six roots expanded on the monomial symmetric
+# functions {lam: c of m_lam}, and the change to the p_k basis that
+# agw.multiplicative_class replaced.
+
+
+class ParityError(ToricError):
+    """A series or symmetric polynomial violates an evenness requirement."""
+
+
+def _root_partitions(xdeg):
+    out = [()]
+    for total in range(1, xdeg + 1):
+        out.extend(lam for lam in partitions_of(total) if len(lam) <= NUM_ROOTS)
+    return out
+
+
+def expand_genus_product(g):
+    """prod_i g(x_i) over the NUM_ROOTS roots, truncated at DEGREE.
+
+    g is an even coefficient tuple reaching root-degree DEGREE / 2.  The
+    product of one univariate series per root has coefficient prod_i c_{e_i}
+    on x^e, so each monomial symmetric coefficient is a plain product over
+    the padded partition.
+    """
+    xdeg = DEGREE // 2
+    if len(g) <= xdeg:
+        raise DimensionError("the genus series must reach degree %d" % xdeg)
+    for k in range(1, xdeg + 1, 2):
+        if g[k]:
+            raise ParityError("series has a nonzero odd coefficient at degree %d" % k)
+    coeffs = {}
+    for lam in _root_partitions(xdeg):
+        padded = lam + (0,) * (NUM_ROOTS - len(lam))
+        c = Fraction(1)
+        for e in padded:
+            c *= g[e]
+            if not c:
+                break
+        if c:
+            coeffs[lam] = c
+    return coeffs
+
+
+def twisted_ahat():
+    """prod_j A(x_j) times sum_j (e^{x_j} + e^{-x_j}), truncated at DEGREE.
+
+    Distributing the character sum leaves one distinguished root carrying
+    A(x) (e^x + e^-x) = 2 A(x) cosh(x) while the others carry A(x).
+    """
+    xdeg = DEGREE // 2
+    a = genus_series("AHat", xdeg)
+    d = tuple(2 * c for c in series_mul(a, hyperbolic(xdeg, 0)))
+    coeffs = {}
+    for lam in _root_partitions(xdeg):
+        # a root of exponent 0 carries A's constant term 1, so only the
+        # parts of lam multiply; the distinguished root is a part or not,
+        # and with two parts where A vanishes every term vanishes
+        f = [a[x] for x in lam]
+        if f.count(0) > 1:
+            continue
+        total = (NUM_ROOTS - len(lam)) * d[0] * prod(f)
+        for j, x in enumerate(lam):
+            total += d[x] * prod(f[:j] + f[j + 1:])
+        if total:
+            coeffs[lam] = total
+    return coeffs
+
+
+def to_pontryagin(r):
+    """Rewrite an even symmetric polynomial {lam: c} in the p_k =
+    e_k(squares) basis, up to root-degree DEGREE / 2.
+
+    Works one root-degree at a time.  In the squares, e_{lam'} (lam' the
+    conjugate partition) is m_lam plus monomials lower in dominance order
+    (Macdonald I.6), hence later in the decreasing lexicographic order of
+    partitions_of.  So the coefficient left on m_lam, in that order, is the
+    one of p_{lam'}, and e_{lam'}'s share of the later coefficients, counted
+    by elementary_to_monomial, is subtracted from them.  Keys other than ()
+    must be partitions.
+    """
+    for lam in r:
+        if lam:
+            check_partition(lam)
+    out = {}
+    for d in sorted({sum(lam) for lam, c in r.items() if c and sum(lam) <= DEGREE // 2}):
+        if any(x % 2 for lam, c in r.items() if c and sum(lam) == d for x in lam):
+            raise ParityError("root-degree %d part has an odd exponent" % d)
+        lams = [lam for lam in partitions_of(d // 2) if len(lam) <= NUM_ROOTS]
+        left = {lam: Fraction(r.get(tuple(2 * x for x in lam), 0)) for lam in lams}
+        for k, lam in enumerate(lams):
+            c = left[lam]
+            if c:
+                nu = tuple(sum(x > i for x in lam) for i in range(max(lam, default=0)))
+                out[nu] = c
+                for mu in lams[k + 1:]:
+                    left[mu] -= c * elementary_to_monomial(nu, mu)
+    return out

@@ -1,20 +1,32 @@
-"""Degree-12 cancellation identity: genus expansions, the Pontryagin
-rewrite, and frozen coefficient tables for all three genera."""
+"""Degree-12 cancellation identity: the multiplicative classes in the p_k
+against the monomial expansion and Pontryagin rewrite of tests/oracles.py,
+Newton's identities, and frozen coefficient tables for all three genera.
+
+Run as a script, the differential test sweeps FULL_SERIES random even
+series against the oracle:
+
+    PYTHONPATH=src python tests/test_agw.py
+"""
 
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 
-from oracles import frac_solve
-from toricpick.agw import (DEGREE, NUM_ROOTS, expand_genus_product,
-                           pontryagin_label, to_pontryagin, twisted_ahat,
+from oracles import (ParityError, expand_genus_product, frac_solve,
+                     to_pontryagin, twisted_ahat)
+from toricpick.agw import (CHARACTER, DEGREE, NUM_ROOTS, POWER_SUMS, WEIGHT,
+                           _mul, multiplicative_class, pontryagin_label,
                            verify_agw)
-from toricpick.errors import DimensionError, ParityError
+from toricpick.errors import DimensionError
 from toricpick.localization import partitions_of
 from toricpick.series import elementary_to_monomial, genus_series
 
 F = Fraction
+FULL_SERIES = 3000
 
 # weight k below means cohomological degree 4k
 L_TABLE = {
@@ -36,6 +48,37 @@ TWISTED_TABLE = {
 
 def _weight_part(poly, weight):
     return {nu: c for nu, c in poly.items() if sum(nu) == weight}
+
+
+def twisted_class():
+    return _mul(multiplicative_class(genus_series("AHat", DEGREE // 2)), CHARACTER)
+
+
+def random_even_series(rng):
+    """1 + sum_k g_2k x^2k with random small rational g_2k, reaching DEGREE / 2."""
+    g = [Fraction(1)] + [Fraction(0)] * (DEGREE // 2)
+    for k in range(2, DEGREE // 2 + 1, 2):
+        g[k] = Fraction(rng.randint(-20, 20), rng.randint(1, 30))
+    return tuple(g)
+
+
+def _nonzero(poly):
+    return {nu: c for nu, c in poly.items() if c}
+
+
+def assert_agrees_with_the_oracle(g):
+    """multiplicative_class(g) equals the monomial route on every weight
+    0..WEIGHT, zero coefficients dropped on both sides."""
+    assert (_nonzero(multiplicative_class(g))
+            == _nonzero(to_pontryagin(expand_genus_product(g)))), g
+
+
+def sweep(seed, count):
+    """Compare count seeded random even series; returns count."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        assert_agrees_with_the_oracle(random_even_series(rng))
+    return count
 
 
 def test_pontryagin_label():
@@ -87,21 +130,46 @@ def test_twisted_expansion_distinguished_root():
 
 
 def test_l_genus_pontryagin_table():
-    poly = to_pontryagin(expand_genus_product(genus_series("L", DEGREE // 2)))
+    poly = multiplicative_class(genus_series("L", DEGREE // 2))
     for weight, table in L_TABLE.items():
         assert _weight_part(poly, weight) == table, weight
 
 
 def test_ahat_genus_pontryagin_table():
-    poly = to_pontryagin(expand_genus_product(genus_series("AHat", DEGREE // 2)))
+    poly = multiplicative_class(genus_series("AHat", DEGREE // 2))
     for weight, table in AHAT_TABLE.items():
         assert _weight_part(poly, weight) == table, weight
 
 
 def test_twisted_ahat_pontryagin_table():
-    poly = to_pontryagin(twisted_ahat())
+    poly = twisted_class()
     for weight, table in TWISTED_TABLE.items():
         assert _weight_part(poly, weight) == table, weight
+
+
+@pytest.mark.parametrize("kind", ["L", "AHat", "SignatureHalf"])
+def test_multiplicative_class_matches_the_monomial_route(kind):
+    assert_agrees_with_the_oracle(genus_series(kind, DEGREE // 2))
+
+
+def test_multiplicative_class_matches_the_monomial_route_on_random_series():
+    assert sweep(19, 50) == 50
+
+
+def test_twisted_class_matches_the_distinguished_root_route():
+    assert _nonzero(twisted_class()) == _nonzero(to_pontryagin(twisted_ahat()))
+
+
+def test_newton_identities_at_integer_roots():
+    """Each P_k, evaluated at p_j = e_j(x_1^2, ..., x_6^2) computed from the
+    roots, is the power sum of the squares x_i^2k."""
+    rng = random.Random(12)
+    for _ in range(20):
+        squares = [rng.randint(-9, 9) ** 2 for _ in range(NUM_ROOTS)]
+        e = [sum(prod(c) for c in combinations(squares, j)) for j in range(WEIGHT + 1)]
+        for k, poly in enumerate(POWER_SUMS):
+            value = sum(c * prod(e[part] for part in nu) for nu, c in poly.items())
+            assert value == sum(s ** k for s in squares), (k, squares)
 
 
 def test_pontryagin_rewrite_matches_fraction_elimination():
@@ -170,3 +238,8 @@ def test_verify_agw_negative_control():
     assert not r.holds
     assert r.lhs != r.rhs
 
+
+if __name__ == "__main__":
+    start = time.perf_counter()
+    print("%d random even series agree with the monomial route, %.1f s"
+          % (sweep(1, FULL_SERIES), time.perf_counter() - start))

@@ -54,8 +54,9 @@ def test_zero_one_matrix_counts_match_the_multipoly_expansion(d):
 
 @pytest.mark.parametrize("d", range(1, 9))
 def test_zero_one_matrix_counts_in_six_roots(d):
-    """The restriction to_pontryagin uses: six variables, so e_k with k > 6
-    vanishes and only lam with at most six parts occur."""
+    """The restriction the Pontryagin rewrite of tests/oracles.py uses: six
+    variables, so e_k with k > 6 vanishes and only lam with at most six
+    parts occur."""
     for omega in partitions_of(d):
         expanded = monomial_coefficients(omega, 6, d)
         counted = {lam: elementary_to_monomial(omega, lam)
