@@ -89,10 +89,12 @@ def _genus_restriction(p, kind, twist=True, face=None):
 
 
 def _localize_once(p, kind, u):
-    """The class of _genus_restriction at u, or at the first generic vector."""
+    """The class of _genus_restriction at u, or at the first generic vector,
+    with its per-vertex terms as (vertex, Fraction) pairs."""
     if u is None:
         u = choose_generic(enumerate_vertices(p))
-    return localize(p, u, *_genus_restriction(p, kind))
+    value, contributions = localize(p, u, *_genus_restriction(p, kind))
+    return value, _vertex_terms(contributions)
 
 
 def twisted_todd_breakdown(p, u=None):
@@ -110,9 +112,15 @@ def volume_breakdown(p, u=None):
     return _localize_once(p, None, u)
 
 
-def per_vertex_breakdown(contributions):
-    """Per-vertex contributions keyed by the rendered point "(x,y,...)"."""
-    return {"(%s)" % ",".join(str(x) for x in v): c for v, c in contributions}
+def _vertex_terms(contributions):
+    """localize's (vertex, numerator, denominator) triples as (vertex,
+    Fraction) pairs, built only where a breakdown is returned or printed."""
+    return tuple((v, Fraction(num, den)) for v, num, den in contributions)
+
+
+def per_vertex_breakdown(terms):
+    """Per-vertex (vertex, Fraction) terms keyed by the rendered point "(x,y,...)"."""
+    return {"(%s)" % ",".join(str(x) for x in v): c for v, c in terms}
 
 
 def _localized_check(identity, p, u, kind, twist, independent):
@@ -132,7 +140,7 @@ def _localized_check(identity, p, u, kind, twist, independent):
     lhs, per_vertex = localize(p, u1, restrict, scale)
     lhs2, _ = localize(p, u2, restrict, scale)
     breakdown["lhs_at_second_vector"] = lhs2
-    breakdown["per_vertex"] = per_vertex_breakdown(per_vertex)
+    breakdown["per_vertex"] = per_vertex_breakdown(_vertex_terms(per_vertex))
     return Report(identity, p.name, lhs, rhs, extra and lhs == rhs == lhs2,
                   breakdown, (u1, u2))
 

@@ -106,7 +106,8 @@ def localize(p, u, restrict, scale=1, face=None):
     as an integer numerator over the lcm of the Euler products and divided
     once; every degree below k must sum to exactly 0, and a nonzero value
     there signals a chart bug, not a user error.  Returns the degree-k
-    value and the per-vertex contributions, each summed over all degrees.
+    value and the per-vertex contributions, each summed over all degrees,
+    as integer triples (vertex, numerator, denominator), not reduced.
 
     k is n, or dim F for a face F of face_lattice(p): the sum is then over
     the vertices of F, its Euler products take only the w_j with facet_set[j]
@@ -132,7 +133,7 @@ def localize(p, u, restrict, scale=1, face=None):
         for d, cd in enumerate(coeffs):
             if cd:
                 nums[d] += cd * share
-        contributions.append((c.vertex, Fraction(sum(coeffs), euler * scale)))
+        contributions.append((c.vertex, sum(coeffs), euler * scale))
     for d in range(k):
         if nums[d]:
             raise ToricError(

@@ -21,8 +21,9 @@ from .exact import det, dot, vector_gcd
 # against a cycling bug: no corpus, test-family or benchmark input needs 10
 VERTEX_SEARCH_BUDGET = 5000
 
-# most vertex charts the walk may build, at some 0.2-0.4 ms and up to 20 kB each
-# (the 20-cube takes 4 s and 215 MB to be refused); a 13-cube has 8192
+# most vertex charts the walk may build; a chart costs a pivot and n - 1 ratio
+# tests over the m rates, some 0.035 ms on the 13-cube and 0.3 ms on a 1936-gon,
+# and up to 12 kB (the 20-cube is refused in 0.7 s at 118 MB); a 13-cube has 8192
 WALK_BUDGET = 10 ** 4
 
 # most pairs of the face order by face_lattice's estimate (the 8-cube's is 545 308),
@@ -171,6 +172,14 @@ class HVector:
         return "HVector(%s)" % (self.h,)
 
 
+def _swap(tight, j, h):
+    """The facet set `tight` (ascending) with the facet at position j
+    swapped for h, and the position of h in it."""
+    rest = tight[:j] + tight[j + 1:]
+    pos = bisect(rest, h)
+    return rest[:pos] + (h,) + rest[pos:], pos
+
+
 def _pivot(tableau, j, h):
     """The tableau of the neighbour across edge j, on which facet h is tight.
 
@@ -186,39 +195,56 @@ def _pivot(tableau, j, h):
     position j to its sorted place.  The walk steps onto a facet it meets
     (q > 0); the first-vertex search also onto one it crosses from the
     infeasible side (q < 0).
+
+    A row with row_k[h] = 0 is only scaled, by |q| / |d|; when |q| = |d|,
+    as on every step between unimodular charts, it is unchanged, and the
+    neighbour shares its list with this tableau (rows are never mutated).  When
+    |q| = |d| = 1 the other rows are row_k + row_k[h] sign(q) row_j, with no
+    multiply by |q| and no division.
     """
     tight, d, rows = tableau
-    n = len(tight)
     scale = abs(d)
     pivot_row = rows[j]
-    col = n + h
+    col = len(tight) + h
     q = -pivot_row[col]
     # sign(q) (q row_k + f row_j) = |q| row_k + f (sign(q) row_j)
     step, step_row = (q, pivot_row) if q > 0 else (-q, [-b for b in pivot_row])
     new_rows = []
     for row in rows[:j] + rows[j + 1:]:
         f = row[col]
-        new_rows.append([(step * a + f * b) // scale for a, b in zip(row, step_row)])
-    rest = tight[:j] + tight[j + 1:]
-    pos = bisect(rest, h)
+        if not f:
+            new_rows.append(row if step == scale else [step * a // scale for a in row])
+        elif step == scale == 1:
+            new_rows.append([a + f * b for a, b in zip(row, step_row)])
+        else:
+            new_rows.append([(step * a + f * b) // scale for a, b in zip(row, step_row)])
+    tight, pos = _swap(tight, j, h)
     new_rows.insert(pos, [-b for b in step_row])
     sign = (-1 if d > 0 else 1) * (-1 if (pos - j) % 2 else 1)
-    return rest[:pos] + (h,) + rest[pos:], sign * q, new_rows
+    return tight, sign * q, new_rows
 
 
 def _point(xnum, scale):
     """The point X / scale, with integer coordinates as int."""
+    if scale == 1:
+        return tuple(xnum)
     return tuple(c // scale if c % scale == 0 else Fraction(c, scale) for c in xnum)
 
 
 def _entering(slack, rates):
     """The facet that enters along an edge: of those whose rate is negative,
     the one at the least ratio slack_i / -rate_i, the smallest on a tie, or
-    None if no rate is negative."""
-    best_s, best_r, h = None, None, None
-    for i, (s, rate) in enumerate(zip(slack, rates)):
-        if rate < 0 and (h is None or s * best_r < best_s * -rate):
-            best_s, best_r, h = s, -rate, i
+    None if no rate is negative.  Only the facets with a negative rate,
+    collected first, are ratio-tested."""
+    falling = [i for i, rate in enumerate(rates) if rate < 0]
+    if not falling:
+        return None
+    h = falling[0]
+    best_s, best_r = slack[h], -rates[h]
+    for i in falling[1:]:
+        s, r = slack[i], -rates[i]
+        if s * best_r < best_s * r:
+            best_s, best_r, h = s, r, i
     return h
 
 
@@ -294,6 +320,12 @@ def enumerate_vertices(p):
     bounded.  The walk gives up before it builds more than WALK_BUDGET
     charts, rays or not.
 
+    The edge back to the vertex a chart was pivoted from is not
+    ratio-tested: along it the facet that entered leaves, the facet that
+    left enters (the parent was judged simple, so no other ties), and the
+    parent is already charted.  So V vertices cost V - 1 pivots and
+    n + (V - 1)(n - 1) ratio tests.
+
     On return the walk certifies that P is bounded, that every vertex lies
     on exactly n facets with independent normals and that every edge has
     positive length.  So P is simple and full-dimensional, and any k of the
@@ -303,32 +335,34 @@ def enumerate_vertices(p):
     n = p.dim
     first = _first_vertex(p)
     charts, ray = {}, None
-    # lazy pivots: (neighbour, tableau it is pivoted from, edge, entering facet)
+    # lazy pivots: (neighbour, tableau it is pivoted from, edge, entering facet),
+    # the entering facet leaving along the neighbour's edge back
     queue = [(first[0], first, None, None)]
     while queue:
-        tight, tableau, j, h = queue.pop()
+        tight, tableau, j, back = queue.pop()
         if tight in charts:
             continue
         if len(charts) == WALK_BUDGET:
             raise BudgetError("vertex walk reached %d charts with more to visit; "
                               "the limit is %d" % (len(charts), WALK_BUDGET))
         if j is not None:
-            tableau = _pivot(tableau, j, h)
+            tableau = _pivot(tableau, j, back)
         _, d, rows = tableau
         scale = abs(d)
         vertex = _point(rows[n][:n], scale)
         slack = rows[n][n:]
-        zeros = tuple(i for i, s in enumerate(slack) if s == 0)
-        if len(zeros) > n:
-            raise NotSimpleError(vertex, zeros)
+        if slack.count(0) > n:
+            raise NotSimpleError(vertex, tuple(i for i, s in enumerate(slack) if s == 0))
         mu = tuple(tuple(r[:n]) for r in rows[:n]) if scale == 1 else None
         charts[tight] = VertexChart(vertex, tight, d, mu)
         for j in range(n):
+            if tight[j] == back:
+                continue
             h = _entering(slack, rows[j][n:])
             if h is None:
                 ray = ray or rows[j][:n]
                 continue
-            nbr = tuple(sorted(tight[:j] + tight[j + 1:] + (h,)))
+            nbr = _swap(tight, j, h)[0]
             if nbr not in charts:
                 queue.append((nbr, tableau, j, h))
     if ray:

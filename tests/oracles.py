@@ -484,6 +484,13 @@ def factor_product_restriction(p, kind, twist=True, face=None):
     return restrict, scale
 
 
+def reduced(result):
+    """localize's (value, (vertex, numerator, denominator) triples) with each
+    triple reduced to a (vertex, Fraction) pair, the form the oracles give."""
+    value, terms = result
+    return value, tuple((v, Fraction(num, den)) for v, num, den in terms)
+
+
 def integrate_terms(p, cls, u):
     """Integral and per-vertex contributions of an m-variable class by
     evaluating every term at every vertex chart; degrees below n must

@@ -7,12 +7,21 @@ an integer tableau from vertex to vertex, and finds the first vertex by
 pivoting the same tableau from the coordinate frame.  Both must give the
 same charts: vertex, facet set, det, Lambda and mu, exactly.  The search
 for the first vertex stays far within its pivot budget, and no determinant
-is eliminated.
+is eliminated.  The walk pivots once per vertex after the first and skips
+the ratio test on the edge back, and the rows a pivot leaves unchanged are
+shared, so its memory peak stays near its result.
+
+The full sweep (delzant_family(8) and the pivot family, each in SHUFFLES
+more facet orders, against the subset scan) runs from the repository root
+with
+
+    PYTHONPATH=src python tests/test_vertex_walk.py
 """
 
 import random
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -24,6 +33,7 @@ from families import (CORPUS_NAMES, corner_cut_polygon, cube, delzant_family,
                       simplex, times, unimodular_transform, weighted_simplex)
 from oracles import (hermite_rows, identity, integer_kernel_basis,
                      lambda_matrix, mat_mul, subset_scan)
+from test_count_slabs import primitive_polygon
 from toricpick import polytope
 from toricpick.cli import load_polytope
 from toricpick.cli import main as cli_main
@@ -31,6 +41,10 @@ from toricpick.errors import BudgetError, InputError, UnboundedError
 from toricpick.exact import dot, vector_gcd
 from toricpick.polytope import (VERTEX_SEARCH_BUDGET, WALK_BUDGET, HPolytope,
                                 enumerate_vertices)
+
+
+# further facet orders each input of the full sweep is tried in
+SHUFFLES = 3
 
 
 def charts_of(p):
@@ -169,6 +183,58 @@ def test_first_vertex_search_stays_far_below_its_budget(monkeypatch):
         assert len(enumerate_vertices.__wrapped__(p)) == 2 ** n
 
 
+def walk_work(p, monkeypatch):
+    """The vertex count, and the pivots and ratio tests the walk takes after
+    the first-vertex search: the search runs once alone, and once more
+    inside the walk, so its calls are taken off twice."""
+    calls = {"_pivot": 0, "_entering": 0}
+    for name in calls:
+        def counted(*a, name=name, fn=getattr(polytope, name)):
+            calls[name] += 1
+            return fn(*a)
+        monkeypatch.setattr(polytope, name, counted)
+    polytope._first_vertex(p)
+    search = dict(calls)
+    vertices = len(enumerate_vertices.__wrapped__(p))
+    monkeypatch.undo()
+    return (vertices, calls["_pivot"] - 2 * search["_pivot"],
+            calls["_entering"] - 2 * search["_entering"])
+
+
+WALK_WORK_CASES = ([("cube%d" % n, cube(n)) for n in (1, 3, 6, 9)]
+                   + [("simplex4 (3)", simplex(4, 3)),
+                      ("polygon30", corner_cut_polygon(30, 120, random.Random(5))),
+                      ("rational simplex", weighted_simplex((1, 2, 3), 5)),
+                      ("lattice 1936-gon", primitive_polygon(28)[0])])
+
+
+@pytest.mark.parametrize("name,p", WALK_WORK_CASES, ids=[name for name, _ in WALK_WORK_CASES])
+def test_walk_pivots_once_per_vertex_and_skips_the_edge_back(name, p, monkeypatch):
+    """V - 1 pivots and n + (V - 1)(n - 1) ratio tests: every vertex but the
+    first is pivoted once, and its edge back is not ratio-tested."""
+    vertices, pivots, ratio_tests = walk_work(p, monkeypatch)
+    n = p.dim
+    assert pivots == vertices - 1
+    assert ratio_tests == n + (vertices - 1) * (n - 1)
+    if n == 2:
+        assert ratio_tests == len(p.facets) + 1
+
+
+def test_twelve_cube_walk_peaks_near_its_charts():
+    """A row whose pivot-column entry is 0 is kept, not rebuilt, when |det|
+    stays 1, so the 12-cube's tableaux share most rows: the walk once
+    peaked at 3.7 times the size of its charts."""
+    p = cube(12)
+    tracemalloc.start()
+    try:
+        charts = enumerate_vertices.__wrapped__(p)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(charts) == 2 ** 12
+    assert peak < 2.5 * size
+
+
 def test_enumerate_vertices_eliminates_no_determinant(monkeypatch):
     """Every chart is pivoted, the first from the coordinate frame."""
     calls = []
@@ -303,3 +369,20 @@ def test_fourteen_cube_exits_two_on_the_walk_budget(tmp_path, capsys):
     assert cli_main(["verify", "pick", str(path)]) == 2
     assert time.perf_counter() - start < 10
     assert "the limit is %d" % WALK_BUDGET in capsys.readouterr().err
+
+
+if __name__ == "__main__":
+    start = time.perf_counter()
+    rng = random.Random(67)
+    inputs = delzant_family(8) + pivot_family()
+    orders = charts = rational = 0
+    for name, p in inputs:
+        for q in [p] + [shuffled(p, rng) for _ in range(SHUFFLES)]:
+            got = charts_of(q)
+            assert got == subset_scan(q), name
+            orders += 1
+            charts += len(got)
+            rational += sum(abs(c[2]) > 1 for c in got)
+    print("%d inputs in %d facet orders agree with the subset scan: %d charts, "
+          "%d with |det| > 1, %.1f s"
+          % (len(inputs), orders, charts, rational, time.perf_counter() - start))
