@@ -8,11 +8,10 @@ the face cut out by its tight facets; counting shares no machinery with
 localization."""
 
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil, floor, gcd, prod
 
 from .errors import BudgetError
-from .polytope import enumerate_vertices, face_lattice
+from .polytope import derived, enumerate_vertices, face_lattice
 
 # most steps one count may take: a slab costs one per row of the projection
 # (facets included), which bounds its sweep too, and a projected row pair one
@@ -195,7 +194,7 @@ def _slab(slack, sides, flat, ulo, uhi, relint, face_id):
         u = t // 2 + 1
 
 
-@lru_cache(maxsize=256)
+@derived
 def count_points(p):
     """Count lattice points slab by slab and classify each by its face; raises
     BudgetError, before walking, when the steps would pass COUNT_BUDGET."""

@@ -19,7 +19,7 @@ from operator import mul
 from .errors import (DimensionError, GenericityError, InputError,
                      RouteDisagreementError, ToricError)
 from .exact import det
-from .polytope import enumerate_vertices, require_delzant
+from .polytope import derived, enumerate_vertices, require_delzant
 from .series import elementary_to_monomial
 
 
@@ -71,7 +71,7 @@ def _weights(c, u):
     return tuple(sum(map(mul, r, u)) for r in c.mu_matrix)
 
 
-@lru_cache(maxsize=4)  # a sweep over the faces of p at one u reuses them
+@derived  # a sweep over the faces of p at one u reuses them
 def _chart_weights(p, u):
     """Per-chart weight tuples <mu_{p,i_j}, u> with genericity enforced; u
     is a tuple; P passes the Delzant gate first."""

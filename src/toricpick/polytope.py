@@ -8,7 +8,7 @@ exact volume and face induction are all derived from it.
 
 from bisect import bisect
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from itertools import combinations
 from math import comb, factorial, lcm
 
@@ -63,6 +63,7 @@ class HPolytope:
         self.normals = tuple(nrm for nrm, _ in cleaned)
         self.offsets = tuple(off for _, off in cleaned)
         self.name = name
+        self._derived = {}
 
     def __eq__(self, other):
         return (isinstance(other, HPolytope) and self.dim == other.dim
@@ -74,6 +75,20 @@ class HPolytope:
     def __repr__(self):
         return "HPolytope(dim=%d, facets=%d, name=%r)" % (
             self.dim, len(self.facets), self.name)
+
+
+def derived(fn):
+    """fn(p, *args) computed once per HPolytope object and kept on it, so it
+    lives exactly as long as p: equal polytopes built apart share nothing,
+    and as no result refers back to p, dropping p frees it and all it holds.
+    A call that raises stores nothing; __wrapped__ computes afresh."""
+    @wraps(fn)
+    def once(p, *args):
+        key = fn, args
+        if key not in p._derived:
+            p._derived[key] = fn(p, *args)
+        return p._derived[key]
+    return once
 
 
 class VertexChart:
@@ -118,7 +133,7 @@ class FaceLattice:
     """
 
     def __init__(self, dim, faces, vertex_facets):
-        # cached per geometry, and HPolytope equality ignores the name: no polytope here
+        # kept on its polytope (see derived), so it holds no reference back
         self.dim = dim
         self.faces = tuple(faces)
         self.vertex_facets = tuple(vertex_facets)
@@ -304,7 +319,7 @@ def _first_vertex(p):
         pivots += 1
 
 
-@lru_cache(maxsize=256)
+@derived
 def enumerate_vertices(p):
     """All vertex charts, sorted by vertex coordinates.
 
@@ -397,7 +412,7 @@ def require_delzant(charts):
                              % (c.vertex, c.det))
 
 
-@lru_cache(maxsize=256)
+@derived
 def face_lattice(p):
     """Faces of a simple polytope, keyed by their facet sets.
 
@@ -446,7 +461,7 @@ def signature_from_h(hv):
     return sum(((-1) ** k) * hk for k, hk in enumerate(hv.h))
 
 
-@lru_cache(maxsize=256)
+@derived
 def volume(p):
     """Exact Euclidean volume by fanning a triangulation from a base vertex.
 

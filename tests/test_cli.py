@@ -12,7 +12,7 @@ import pytest
 import toricpick
 from families import (CORPUS_DIR, CORPUS_NAMES, P112, dump_polytope, get,
                       simplex)
-from toricpick import cli
+from toricpick import cli, localization
 from toricpick.errors import InputError
 from toricpick.invariants import Report, check_pick
 from toricpick.polytope import FACE_BUDGET
@@ -99,6 +99,24 @@ def test_unreadable_files_exit_two_naming_the_path(case, tmp_path, capsys):
     shutil.copy(corpus_file("square1"), target)
     assert cli.main(["corpus", str(target), "--format", "json"]) == 2
     assert capsys.readouterr().err.startswith("error: %s: " % (target / "bad.json"))
+
+
+# well-formed JSON whose fields have the wrong shape
+MISSHAPEN = {
+    "name": ('{"name": 5, "dim": 1, "facets": [{"normal": [1], "offset": 0}]}',
+             "name must be a string"),
+    "no facets": ('{"dim": 1, "facets": []}', "facets must be a non-empty list"),
+    "scalar normal": ('{"dim": 1, "facets": [{"normal": 3, "offset": 0}]}',
+                      "facet 0 normal must be a list"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSHAPEN))
+def test_misshapen_fields_exit_two_naming_the_file(case, tmp_path, capsys):
+    text, message = MISSHAPEN[case]
+    path = write(tmp_path, "bad.json", text)
+    assert cli.main(["verify", "pick", path, "--format", "json"]) == 2
+    assert capsys.readouterr().err == "error: %s: %s\n" % (path, message)
 
 
 # normals that do not span: a corank-1 pair in the plane, whose line has one
@@ -237,6 +255,11 @@ def test_identity_failure_exits_one(capsys, monkeypatch):
     assert cli.main(["verify", "pick", corpus_file("square1")]) == 1
 
 
+def test_verify_face_todd_takes_no_u(capsys):
+    assert cli.main(["verify", "face-todd", corpus_file("square1"), "--u", "1,2"]) == 2
+    assert capsys.readouterr().err == "error: --u does not apply to verify face-todd\n"
+
+
 def test_compute_chern(capsys):
     code = cli.main(["compute", "chern", corpus_file("triangle1"),
                      "--partition", "1,1", "--format", "json"])
@@ -256,6 +279,15 @@ def test_compute_chern(capsys):
     assert cli.main(["compute", "chern", corpus_file("cube1"),
                      "--partition", "1,2"]) == 2
     assert "weakly decreasing" in capsys.readouterr().err
+
+
+def test_compute_chern_route_disagreement_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(localization, "_chern_fixed_point", lambda p, omega, u: 4)
+    assert cli.main(["compute", "chern", corpus_file("triangle1"), "--partition", "2",
+                     "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: fixed point route 4 disagrees with class route 3")
 
 
 def test_compute_gysin(capsys):
@@ -285,6 +317,28 @@ def test_compute_count_faces(capsys):
     assert dims == [0, 0, 0, 0, 1, 1, 1, 1, 2]
 
 
+def test_compute_count_faces_table(capsys):
+    code = cli.main(["compute", "count", corpus_file("square2"), "--faces",
+                     "--format", "table"])
+    assert code == 0
+    assert capsys.readouterr().out == "\n".join([
+        "polytope   square2",
+        "kind       count",
+        "value      9",
+        "faces",
+        "  dim  facets             closed   relint",
+        "  0    0,1                     1        1",
+        "  0    0,3                     1        1",
+        "  0    1,2                     1        1",
+        "  0    2,3                     1        1",
+        "  1    0                       3        1",
+        "  1    1                       3        1",
+        "  1    2                       3        1",
+        "  1    3                       3        1",
+        "  2    -                       9        1",
+    ]) + "\n"
+
+
 def test_compute_hvector(capsys):
     code = cli.main(["compute", "hvector", corpus_file("prism"),
                      "--format", "json"])
@@ -293,6 +347,19 @@ def test_compute_hvector(capsys):
     assert data["value"] == [1, 2, 2, 1]
     assert data["breakdown"]["f_vector"] == [6, 9, 5, 1]
     assert data["breakdown"]["signature"] == 0
+
+
+def test_compute_hvector_table(capsys):
+    code = cli.main(["compute", "hvector", corpus_file("prism"), "--format", "table"])
+    assert code == 0
+    assert capsys.readouterr().out == "\n".join([
+        "polytope   prism",
+        "kind       hvector",
+        "value      [1, 2, 2, 1]",
+        "breakdown",
+        "  f_vector                 [6, 9, 5, 1]",
+        "  signature                0",
+    ]) + "\n"
 
 
 def test_compute_volume_breakdown(capsys):

@@ -1,13 +1,18 @@
 """Lattice point enumeration and the two weighted face-sum formulations."""
 
+import gc
 import os
+import weakref
 from fractions import Fraction
+from math import prod
 
-from families import CORPUS_NAMES, get
+from families import CORPUS_NAMES, box, get
 from oracles import inclusion_order
+from toricpick import lattice, polytope
 from toricpick.cli import main
 from toricpick.invariants import check_tetrahedron
 from toricpick.lattice import count_points, weighted_sum_closed, weighted_sum_relint
+from toricpick.localization import choose_generic, localize
 from toricpick.polytope import HPolytope, enumerate_vertices, face_lattice, volume
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
@@ -76,27 +81,46 @@ def test_pick_rhs_3d():
     assert check_tetrahedron(get("simplex3_2")).lhs == F(2)
 
 
-def test_cached_results_carry_no_polytope_name():
-    # HPolytope equality ignores the name, so A and B share one cache entry;
-    # what it holds must not name either of them.
+def test_equal_polytopes_with_other_names_share_nothing():
     facets = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -4), ((0, -1), -7)]
     a = HPolytope(2, facets, name="A")
     b = HPolytope(2, facets, name="B")
-    fa = count_points(a)
-    fb = count_points(b)
-    assert fb is fa and face_lattice(b) is fa.lattice
-    for cached in (fb, fb.lattice):
-        assert not hasattr(cached, "polytope")
-    assert fb.lattice.dim == 2 and fb.total == 40
+    assert a == b
+    fa, fb = count_points(a), count_points(b)
+    assert fb is not fa and fb.lattice is not fa.lattice
+    assert enumerate_vertices(b) is not enumerate_vertices(a)
+    assert fa.total == fb.total == 40 and fb.lattice is face_lattice(b)
+    # nothing kept on a polytope refers back to one
+    for held in (fb, fb.lattice, *fb.lattice.faces, *enumerate_vertices(b)):
+        assert not any(isinstance(x, HPolytope) for x in vars(held).values())
 
 
-def test_caches_are_bounded_and_a_corpus_batch_still_hits_them(capsys):
-    for fn in (count_points, face_lattice, enumerate_vertices, volume):
-        assert fn.cache_info().maxsize is not None
-        fn.cache_clear()
+def test_a_corpus_batch_walks_lays_out_and_counts_each_file_once(monkeypatch, capsys):
+    calls = {"walk": 0, "lattice": 0, "count": 0}
+
+    def counted(key, fn):
+        def call(*args):
+            calls[key] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(polytope, "_first_vertex", counted("walk", polytope._first_vertex))
+    monkeypatch.setattr(polytope, "FaceLattice", counted("lattice", polytope.FaceLattice))
+    monkeypatch.setattr(lattice, "_project", counted("count", lattice._project))
     assert main(["corpus", CORPUS_DIR, "--format", "json"]) == 0
     capsys.readouterr()
-    # pick, todd and face-todd read one count and one face lattice per file
-    assert count_points.cache_info().misses == len(CORPUS_NAMES)
-    assert count_points.cache_info().hits >= 2 * len(CORPUS_NAMES)
-    assert face_lattice.cache_info().misses == len(CORPUS_NAMES)
+    # pick, todd, face-todd and the rest read one walk, lattice and count per file
+    assert calls == dict.fromkeys(calls, len(CORPUS_NAMES))
+
+
+def test_a_polytope_is_freed_with_its_derived_geometry():
+    p = box((0, 0, 0), (2, 1, 3), name="freed")
+    charts, fl, fc = enumerate_vertices(p), face_lattice(p), count_points(p)
+    assert fc.total == 3 * 2 * 4 and volume(p) == 6
+    u = choose_generic(charts)
+    assert localize(p, u, lambda c, w: [0, 0, 0, prod(w)])[0] == len(charts)
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    # what the caller still holds of p's geometry does not hold p
+    assert ref() is None and fc.lattice is fl

@@ -8,8 +8,10 @@ import pytest
 
 from families import CORPUS_NAMES, P112, get
 from oracles import exp_linear, fixed_point_partition_sum
+from toricpick import localization
 from toricpick.cli import load_polytope
-from toricpick.errors import DimensionError, GenericityError, InputError
+from toricpick.errors import (DimensionError, GenericityError, InputError,
+                              RouteDisagreementError)
 from toricpick.invariants import volume_breakdown
 from toricpick.localization import (assert_generic, chern_number,
                                     check_partition, choose_generic,
@@ -42,6 +44,8 @@ def test_choose_generic_rejects_non_delzant():
     charts = enumerate_vertices(load_polytope(P112))
     with pytest.raises(InputError):
         choose_generic(charts)
+    with pytest.raises(InputError, match="no vertex charts"):
+        choose_generic(())
 
 
 def test_assert_generic():
@@ -146,6 +150,12 @@ def test_triple_product_route_agrees():
                 assert gysin_power_v3(p, i, u) == gysin_power(p, i, 3, u)
     with pytest.raises(DimensionError):
         gysin_power_v3(get("square1"), 0, (1, 2))
+    cube = get("cube1")
+    with pytest.raises(DimensionError, match="facet index 6 out of range"):
+        gysin_power_v3(cube, 6, (1, 2, 4))
+    # at the origin facet 0 meets facets 1 and 2, and <u, e_3, e_1> = 0
+    with pytest.raises(GenericityError, match=r"not generic at vertex \(0, 0, 0\)"):
+        gysin_power_v3(cube, 0, (1, 0, 1))
 
 
 def test_partitions_of():
@@ -201,6 +211,18 @@ def test_chern_numbers_are_integers_for_all_partitions():
         for omega in partitions_of(p.dim):
             value = chern_number(p, omega)
             assert value.denominator == 1, (name, omega, value)
+
+
+def test_chern_number_refuses_disagreeing_or_fractional_routes(monkeypatch):
+    p = get("triangle1")
+    monkeypatch.setattr(localization, "_chern_fixed_point", lambda p, omega, u: F(4))
+    with pytest.raises(RouteDisagreementError, match="route 4 disagrees with class route 3"):
+        chern_number(p, (2,))
+    # routes that agree on a fraction are reported, not rounded
+    monkeypatch.setattr(localization, "_chern_fixed_point", lambda p, omega, u: F(7, 2))
+    monkeypatch.setattr(localization, "localize", lambda p, u, restrict: (F(7, 2), ()))
+    with pytest.raises(RouteDisagreementError, match="7/2 for partition .* is not an integer"):
+        chern_number(p, (2,))
 
 
 def test_chern_rejects_wrong_partition_total():

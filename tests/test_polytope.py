@@ -174,6 +174,10 @@ def test_h_vector_validation_and_signature():
         HVector((1, 2, 3))
     with pytest.raises(InputError):
         HVector((2, 1, 2))
+    with pytest.raises(InputError, match="nonnegative"):
+        HVector((1, -1, 1))
+    with pytest.raises(InputError, match="not palindromic"):
+        HVector((1, 2, 3, 1))
     hv = HVector((1, 3, 3, 1))
     assert sum(h * (-1) ** (3 - k) for k, h in enumerate(hv.h)) == 0  # h_P(-1)
     assert signature_from_h(hv) == 0
@@ -319,6 +323,17 @@ def test_induce_face_polytope_needs_a_delzant_base_vertex():
     for facets in ((0,), (1,)):
         assert count_points(induce_face_polytope(p, fl.faces[fl.face_id[facets]])).total \
             == count_points(p).closed[fl.face_id[facets]]
+
+
+def test_induce_face_polytope_refuses_a_facet_off_the_face_lattice():
+    """x, y >= 0, x + 2y <= 1: the edge x = 0 starts at the Delzant origin and
+    ends at (0, 1/2), so in the edge's chart its end y <= 1/2 is no lattice
+    point; the edge y = 0 ends at (1, 0) and is induced."""
+    p = HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -2), -1)])
+    fl = face_lattice(p)
+    with pytest.raises(InputError, match="induced facet from 2 is not integral"):
+        induce_face_polytope(p, fl.faces[fl.face_id[(0,)]])
+    assert induce_face_polytope(p, fl.faces[fl.face_id[(1,)]]).facets == (((1,), 0), ((-1,), -1))
 
 
 def test_unimodular_transform_preserves_lattice_data():
