@@ -14,6 +14,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote
 
 from .agw import verify_agw
 from .errors import (InputError, RouteDisagreementError, ShapeError,
@@ -43,10 +44,7 @@ COMPUTE_KINDS = ("chern", "count", "hvector", "volume", "gysin",
 
 def format_rational(x):
     """Canonical rendering: "p/q", with "/q" omitted when q = 1."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return "%d/%d" % (x.numerator, x.denominator)
+    return str(Fraction(x))
 
 
 def _expect_int(value, what, source):
@@ -73,14 +71,19 @@ def polytope_from_dict(data, source="<input>"):
         raise InputError("%s: facets must be a non-empty list" % source)
     facets = []
     for pos, entry in enumerate(raw):
-        if not isinstance(entry, dict) or set(entry) != {"normal", "offset"}:
+        if not (isinstance(entry, dict) and len(entry) == 2
+                and "normal" in entry and "offset" in entry):
             raise InputError('%s: facet %d must be an object with exactly '
                              '"normal" and "offset"' % (source, pos))
         normal = entry["normal"]
         if not isinstance(normal, list):
             raise InputError("%s: facet %d normal must be a list" % (source, pos))
-        normal = [_expect_int(x, "facet %d normal entry" % pos, source) for x in normal]
-        offset = _expect_int(entry["offset"], "facet %d offset" % pos, source)
+        offset = entry["offset"]
+        # one exact type test over the facet; _expect_int names a bad entry
+        if {type(offset), *map(type, normal)} != {int}:
+            for x in normal:
+                _expect_int(x, "facet %d normal entry" % pos, source)
+            _expect_int(offset, "facet %d offset" % pos, source)
         facets.append((normal, offset))
     try:
         p = HPolytope(dim, facets, name)
@@ -127,20 +130,46 @@ def jsonable(value):
 
 
 def report_to_dict(report):
-    """The stable JSON shape of a verification report."""
+    """The stable JSON shape of a verification report, as a raw payload."""
     return {
         "identity": report.identity,
         "polytope": report.polytope or "",
         "lhs": format_rational(report.lhs),
         "rhs": format_rational(report.rhs),
         "holds": bool(report.holds),
-        "breakdown": jsonable(report.breakdown),
-        "generic_vectors": [list(u) for u in report.generic_vectors],
+        "breakdown": report.breakdown,
+        "generic_vectors": report.generic_vectors,
     }
 
 
 def render_json(data):
-    return json.dumps(data, sort_keys=True, indent=2)
+    """json.dumps(jsonable(data), sort_keys=True, indent=2) in one pass over
+    dicts with string keys, lists, tuples, str, int, bool and Fraction."""
+    return _render(data, "\n")
+
+
+def _render(value, pad):
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return str(value)
+    if kind is Fraction:
+        return '"%s"' % value  # as format_rational renders it
+    inner = pad + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = ["%s: %s" % (_quote(k), _render(value[k], inner)) for k in sorted(value)]
+        return "{%s%s%s}" % (inner, ("," + inner).join(items), pad)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [_render(v, inner) for v in value]
+        return "[%s%s%s]" % (inner, ("," + inner).join(items), pad)
+    if kind is bool:
+        return "true" if value else "false"
+    raise TypeError("cannot serialize %r" % (value,))
 
 
 def _plain(value):
@@ -238,7 +267,7 @@ def cmd_verify(args):
     if _chosen_format(args) == "json":
         print(render_json(data))
     else:
-        print(render_report_table(data))
+        print(render_report_table(jsonable(data)))
     return 0 if report.holds else 1
 
 
@@ -299,17 +328,18 @@ def _compute_value(args, p, u):
 
 
 def cmd_compute(args):
+    if args.u is not None and (args.kind in ("count", "hvector")
+                               or args.kind == "volume" and not args.breakdown):
+        raise InputError("--u does not apply to compute %s" % args.kind)
     p = load_polytope(args.file)
     u = _parse_u(args.u, p) if args.u is not None else None
     value, extras = _compute_value(args, p, u)
-    data = {"command": "compute", "kind": args.kind, "polytope": p.name or ""}
-    data["value"] = jsonable(value)
-    for key, payload in extras.items():
-        data[key] = jsonable(payload)
+    data = {"command": "compute", "kind": args.kind, "polytope": p.name or "",
+            "value": value, **extras}
     if _chosen_format(args) == "json":
         print(render_json(data))
     else:
-        print(render_value_table(data))
+        print(render_value_table(jsonable(data)))
     return 0
 
 
@@ -401,6 +431,7 @@ def build_parser():
     pk.add_argument("dir", help="directory of polytope JSON files")
     pk.add_argument("--format", choices=("json", "table"))
     pk.set_defaults(func=cmd_corpus)
+    parser.commands = {"verify": pv, "compute": pc, "corpus": pk}
     return parser
 
 
@@ -415,8 +446,22 @@ def _common_flags(sub):
 _parser = lru_cache(maxsize=1)(build_parser)
 
 
+def parse_command(argv=None):
+    """parse_args on the top-level parser, but a named command's arguments
+    go straight to its own parser, which saves a second argparse pass."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error("unrecognized arguments: %s" % " ".join(extra))
+    return args
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = parse_command(argv)
     try:
         return args.func(args)
     except RouteDisagreementError as e:

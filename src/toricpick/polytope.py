@@ -10,7 +10,7 @@ from bisect import bisect
 from fractions import Fraction
 from functools import wraps
 from itertools import combinations
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 from .errors import (BudgetError, DimensionError, InputError, NotSimpleError,
                      UnboundedError)
@@ -42,12 +42,12 @@ class HPolytope:
         cleaned = []
         seen = set()
         for normal, offset in facets:
-            normal = tuple(int(x) for x in normal)
+            normal = tuple(map(int, normal))
             offset = int(offset)
             if len(normal) != dim:
                 raise InputError("normal %s has length %d, expected %d" % (
                     (normal,), len(normal), dim))
-            g = vector_gcd(normal)
+            g = gcd(*normal)
             if g == 0:
                 raise InputError("zero facet normal")
             if g != 1:

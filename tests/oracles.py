@@ -4,12 +4,14 @@ Each is kept so that a differential test can hold the faster route in
 `src/` to the exact results of the slower, more literal one.
 """
 
+import json
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import ceil, comb, factorial, floor, gcd, lcm, prod
 from operator import add, mul
 
+from toricpick import cli
 from toricpick.agw import DEGREE, NUM_ROOTS
 from toricpick.errors import (DimensionError, InputError, NotSimpleError,
                               ShapeError, ToricError)
@@ -716,3 +718,9 @@ def to_pontryagin(r):
                 for mu in lams[k + 1:]:
                     left[mu] -= c * elementary_to_monomial(nu, mu)
     return out
+
+
+def render_json(data):
+    """The report text as the standard library writes it: jsonable maps the
+    payload onto JSON types, json.dumps sorts keys and indents by 2."""
+    return json.dumps(cli.jsonable(data), sort_keys=True, indent=2)

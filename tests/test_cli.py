@@ -82,6 +82,64 @@ def test_load_rejects_malformed_files(tmp_path):
         cli.load_polytope(str(tmp_path / "missing.json"))
 
 
+# the stderr of `compute count FILE` (exit 2) on each malformed file, as the
+# reader before the one-pass type test printed it; the other three facets
+# complete a unit square, so only the first one is at fault
+SQUARE_REST = ('{"normal": [0, 1], "offset": 0}, {"normal": [-1, 0], "offset": -1}, '
+               '{"normal": [0, -1], "offset": -1}')
+MALFORMED = {
+    "bool entry": ('{"normal": [true, 0], "offset": 0}',
+                   "facet 0 normal entry must be an integer, got True"),
+    "float entry": ('{"normal": [1.0, 0], "offset": 0}',
+                    "facet 0 normal entry must be an integer, got 1.0"),
+    "string entry": ('{"normal": ["1", 0], "offset": 0}',
+                     "facet 0 normal entry must be an integer, got '1'"),
+    "null entry": ('{"normal": [1, null], "offset": 0}',
+                   "facet 0 normal entry must be an integer, got None"),
+    "bool offset": ('{"normal": [1, 0], "offset": false}',
+                    "facet 0 offset must be an integer, got False"),
+    "scalar normal": ('{"normal": 5, "offset": 0}', "facet 0 normal must be a list"),
+    "dict normal": ('{"normal": {"x": 1}, "offset": 0}', "facet 0 normal must be a list"),
+    "third key": ('{"normal": [1, 0], "offset": 0, "label": "a"}',
+                  'facet 0 must be an object with exactly "normal" and "offset"'),
+    "no offset": ('{"normal": [1, 0]}',
+                  'facet 0 must be an object with exactly "normal" and "offset"'),
+    "duplicate normal": ('{"normal": [0, 1], "offset": 0}', "duplicate facet normal (0, 1)"),
+    "zero normal": ('{"normal": [0, 0], "offset": 0}', "zero facet normal"),
+    "non-primitive": ('{"normal": [2, 0], "offset": 0}',
+                      "facet normal ((2, 0),) is not primitive (gcd 2)"),
+    "wrong length": ('{"normal": [1, 0, 0], "offset": 0}',
+                     "normal ((1, 0, 0),) has length 3, expected 2"),
+    "long integer": ('{"normal": [1, 0], "offset": %s}' % ("9" * 4301), None),
+}
+WHOLE_FILE = {
+    "string dim": ('{"dim": "2", "facets": [{"normal": [1, 0], "offset": 0}]}',
+                   "dim must be an integer, got '2'"),
+    "deep nesting": ("[" * 10 ** 5 + "]" * 10 ** 5,
+                     "invalid JSON: maximum recursion depth exceeded while decoding "
+                     "a JSON array from a unicode string"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED) + sorted(WHOLE_FILE))
+def test_malformed_file_messages(case, tmp_path, capsys):
+    if case in WHOLE_FILE:
+        text, message = WHOLE_FILE[case]
+    else:
+        first, message = MALFORMED[case]
+        text = '{"dim": 2, "facets": [%s, %s]}' % (first, SQUARE_REST)
+    if message is None:
+        # past 4300 digits the reason is the interpreter's own, whose
+        # wording differs between Python releases
+        with pytest.raises(ValueError) as limit:
+            int("9" * 4301)
+        message = "invalid JSON: %s" % limit.value
+    path = write(tmp_path, "bad.json", text)
+    assert cli.main(["compute", "count", path]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: %s: %s\n" % (path, message))
+
+
 # bytes json cannot take: a byte order mark that is not UTF-8, and arrays
 # nested past the parser's recursion limit
 UNREADABLE = {"non-utf8": b'\xff\xfe{"dim": 1}', "nested": b"[" * 200000}
@@ -168,7 +226,7 @@ def test_verify_pick_json_output(capsys):
     assert data["holds"] is True
     assert data["generic_vectors"] == [[1, 2], [1, 3]]
     # round trip: the printed report is exactly its own parse
-    assert data == cli.report_to_dict(check_pick(get("square1")))
+    assert data == json.loads(cli.render_json(cli.report_to_dict(check_pick(get("square1")))))
 
 
 def test_output_is_byte_stable(capsys):
@@ -253,6 +311,16 @@ def test_identity_failure_exits_one(capsys, monkeypatch):
         return Report("pick", p.name, 0, 1, False, {}, ())
     monkeypatch.setitem(cli.CHECKS, "pick", (fake_check, True))
     assert cli.main(["verify", "pick", corpus_file("square1")]) == 1
+
+
+@pytest.mark.parametrize("argv", [["count", P112], ["volume", P112],
+                                  ["hvector", corpus_file("square1")]])
+def test_compute_kinds_without_a_vector_take_no_u(argv, capsys):
+    """count and hvector never localize, nor volume without --breakdown,
+    so --u is refused before the file is read, whatever it holds."""
+    for u in ("1,3", "1,0"):
+        assert cli.main(["compute", *argv, "--u", u]) == 2
+        assert capsys.readouterr().err == "error: --u does not apply to compute %s\n" % argv[0]
 
 
 def test_verify_face_todd_takes_no_u(capsys):
@@ -453,6 +521,50 @@ def test_back_to_back_calls_match_separate_runs(capsys):
                               text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
         assert (proc.returncode, proc.stdout) == (code, out), argv
     assert [code for code, _ in together] == [0, 0, 0, 0, 2, 0]
+
+
+# argv for the parser differential test: usage errors, help, and valid calls
+F = corpus_file("square1")
+PARSER_TABLE = [
+    [], ["-h"], ["--help"], ["-x"], ["frobnicate"], ["frobnicate", "pick", F],
+    ["verify"], ["compute"], ["corpus"], ["verify", "-h"], ["compute", "--help"],
+    ["corpus", "-h"], ["verify", "nonsense", F], ["compute", "count", F, "--format", "xml"],
+    ["compute", "gysin", F, "--facet", "x"], ["compute", "gysin", F, "--power"],
+    ["verify", "pick", F, "--bogus"], ["verify", "pick", F, "extra"],
+    ["corpus", "corpus", "--u", "1,2"], ["compute", "count"],
+    ["verify", "pick", F], ["verify", "agw", "--format", "table"],
+    ["verify", "todd", F, "--u=1,5", "--format", "json"],
+    ["verify", "pick", "--format", "json", F],
+    ["compute", "gysin", F, "--facet", "0", "--power", "2", "--breakdown"],
+    ["compute", "count", F, "--faces", "--form", "table"],
+    ["compute", "chern", F, "--partition", "1,1", "--u", "1,2"],
+    ["corpus", "corpus", "--format", "json"],
+]
+
+
+def _exit(call, argv, capsys):
+    """(result, exit code, stdout, stderr) of call(argv)."""
+    try:
+        result, code = call(argv), None
+    except SystemExit as e:
+        result, code = None, e.code
+    captured = capsys.readouterr()
+    return result, code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_TABLE, ids=" ".join)
+def test_one_pass_parse_matches_the_top_level_parser(argv, capsys):
+    """A command's own parser answers as the top-level one did, read live
+    so that each Python release's argparse wording is the reference."""
+    top, *top_exit = _exit(cli._parser().parse_args, argv, capsys)
+    if top is None:
+        assert _exit(cli.main, argv, capsys)[1:] == tuple(top_exit)
+    else:
+        args, *new_exit = _exit(cli.parse_command, argv, capsys)
+        assert new_exit == top_exit == [None, "", ""]
+        expected = vars(top)
+        assert expected.pop("command") == argv[0]
+        assert vars(args) == expected
 
 
 def test_verify_requires_file_for_polytope_kinds(capsys):
