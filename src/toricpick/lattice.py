@@ -3,43 +3,100 @@
 Each integer point of P's exact projection to the outer axes fixes a slab, a
 polygon over the two widest axes swept along u: each stretch of columns
 between breakpoints of the lower and upper envelopes, and each end or integer
-breakpoint column alone, is counted in closed form.  Each point is credited to
-the face cut out by its tight facets; counting shares no machinery with
+breakpoint column alone, is counted in closed form.  Each point is credited
+to the bit mask of its tight facets, and the per-face counts are closed over
+the face lattice only when they are read.  Counting shares no machinery with
 localization."""
 
+import weakref
+from collections import defaultdict
 from fractions import Fraction
-from math import ceil, floor, gcd, prod
+from functools import cached_property
+from math import ceil, comb, floor, gcd
 
-from .errors import BudgetError
-from .polytope import derived, enumerate_vertices, face_lattice
+from .errors import BudgetError, ToricError
+from .polytope import derived, enumerate_vertices, face_lattice, kept_on
 
 # most steps one count may take: a slab costs one per row of the projection
-# (facets included), which bounds its sweep too, and a projected row pair one
+# (facets included), which bounds its sweep too, a projected row pair one, and
+# each range of the outer axes one
 COUNT_BUDGET = 10 ** 6
 
 
 class FaceCounts:
-    """Closed and relative-interior lattice point counts for every face."""
+    """Lattice points by their tight facets, the histogram first.
 
-    def __init__(self, lattice, closed, relint):
-        self.lattice = lattice
-        self.closed = dict(closed)
-        self.relint = dict(relint)
+    by_mask maps the bit mask of a facet set to the number of points tight
+    on exactly those facets, and hist[k] counts the points on k facets.  P is
+    simple (the vertex walk certifies it), so a point on k facets lies in the
+    relative interior of a face of codimension k, which lies in C(k, j)
+    faces of codimension j: the counts by dimension need no face lattice.
+    lattice, relint and closed (by face id) are built on first access, once
+    per polytope: by_mask is read by face, then closed over the facet sets.
+    """
+
+    def __init__(self, p, by_mask):
+        self.dim, self.by_mask = p.dim, by_mask
+        self.hist = [0] * (p.dim + 1)
+        for mask, c in by_mask.items():
+            self.hist[mask.bit_count()] += c
+        # p is not kept alive: a face lattice it has is kept, one it lacks built from it
+        self._polytope, self._lattice = weakref.ref(p), kept_on(face_lattice, p)
 
     @property
     def total(self):
         """Number of lattice points of the whole polytope."""
-        return self.closed[self.lattice.top]
-
-    def closed_by_dim(self, d):
-        return sum(self.closed[i] for i in self.lattice.faces_of_dim(d))
+        return sum(self.hist)
 
     def relint_by_dim(self, d):
-        return sum(self.relint[i] for i in self.lattice.faces_of_dim(d))
+        return self.hist[self.dim - d]
+
+    def closed_by_dim(self, d):
+        return sum(h * comb(k, self.dim - d) for k, h in enumerate(self.hist))
+
+    @cached_property
+    def lattice(self):
+        p = self._polytope()
+        if p is None and self._lattice is None:
+            raise ToricError("the polytope is freed, and its face lattice was never built")
+        return self._lattice or face_lattice(p)
+
+    @cached_property
+    def _face_ids(self):
+        """Face ids by facet mask; points on facets that cut out no face raise."""
+        ids = {sum(map((1).__lshift__, f.facet_set)): fid
+               for fid, f in enumerate(self.lattice.faces)}
+        for mask, c in self.by_mask.items():
+            if mask not in ids:
+                raise ToricError("%d lattice points lie on facets %s, which cut out no face" % (
+                    c, tuple(i for i in range(mask.bit_length()) if mask >> i & 1)))
+        return ids
+
+    @cached_property
+    def relint(self):
+        relint = dict.fromkeys(self._face_ids.values(), 0)
+        for mask, c in self.by_mask.items():
+            relint[self._face_ids[mask]] = c
+        return relint
+
+    @cached_property
+    def closed(self):
+        # a point is in the closure of every face above its own: their facet
+        # sets are the subsets of its own
+        above = defaultdict(int)
+        for mask, c in self.by_mask.items():
+            sub = mask
+            while sub:
+                above[sub] += c
+                sub = (sub - 1) & mask
+            above[0] += c
+        return {fid: above[mask] for mask, fid in self._face_ids.items()}
 
 
 def floor_sum(n, a, b, c):
     """sum_{i<n} floor((a i + b) / c) for c > 0, in O(log) Euclid-like steps."""
+    if c == 1:
+        return a * (n * (n - 1) // 2) + b * n
     total = 0
     while n > 0:
         q, a = divmod(a, c)
@@ -51,6 +108,8 @@ def floor_sum(n, a, b, c):
 
 def progression_count(s, c, d, first, last):
     """How many integers u in first..last make s + c u divisible by d > 0."""
+    if d == 1:
+        return last - first + 1
     g = gcd(c, d)
     if s % g:
         return 0
@@ -59,26 +118,28 @@ def progression_count(s, c, d, first, last):
     return (last - r) // step - (first - 1 - r) // step
 
 
-def _charge(slabs, rows, pairs):
-    if slabs * rows + pairs > COUNT_BUDGET:
-        raise BudgetError("lattice count needs about %d steps (%d slabs x %d rows and %d "
-                          "row pairs of the projection), over the limit of %d"
-                          % (slabs * rows + pairs, slabs, rows, pairs, COUNT_BUDGET))
+def _charge(slabs, rows, pairs, ranges):
+    steps = slabs * rows + pairs + ranges
+    if steps > COUNT_BUDGET:
+        raise BudgetError("lattice count needs at least %d steps (%d slabs x %d rows, %d row "
+                          "pairs and %d outer ranges of the projection), over the limit of %d"
+                          % (steps, slabs, rows, pairs, ranges, COUNT_BUDGET))
 
 
-def _project(rows, tight, slabs):
+def _project(rows, tight):
     """Fourier-Motzkin with Chernikov's rule: the facet rows, then for each axis
     0 < j < n - 1 the rows of P's projection to axes 0..j that bound j (axis 0
-    keeps its box), as columns and starting slacks -a, and each axis's rows.
-    tight[i] is the bit mask of the vertices on facet i; a row is tight where
-    both rows it combines are, and one tight at no vertex is dropped."""
+    keeps its box), as columns and starting slacks -a, each axis's rows, and
+    the row pairs formed.  tight[i] is the bit mask of the vertices on facet
+    i; a row is tight where both rows it combines are, and one tight at no
+    vertex is dropped."""
     n = len(rows[0][0])
     system = [(lam, a, 1 << i, t) for i, ((lam, a), t) in enumerate(zip(rows, tight))]
     pool, levels, pairs = list(rows), [], 0
     for k in range(n - 1, 1, -1):
         pos, neg = ([r for r in system if sign * r[0][k] > 0] for sign in (1, -1))
         pairs += len(pos) * len(neg)
-        _charge(slabs, len(pool), pairs)
+        _charge(0, len(pool), pairs, 0)
         kept = dict.fromkeys((lam[:k], a, h, t) for lam, a, h, t in system if not lam[k])
         for lp, ap, hp, tp in pos:
             for ln, an, hn, tn in neg:
@@ -93,33 +154,36 @@ def _project(rows, tight, slabs):
         level = [(lam + (0,) * (n - k), a) for lam, a, *_ in system if lam[-1]]
         levels.insert(0, range(len(pool), len(pool) + len(level)))
         pool += level
-    _charge(slabs, len(pool), pairs)
-    return list(zip(*(lam for lam, _ in pool))), [()] + levels, [-a for _, a in pool]
+    return list(zip(*(lam for lam, _ in pool))), [()] + levels, [-a for _, a in pool], pairs
 
 
-def _sections(cols, levels, lo, hi, slack, j=0):
-    """(slack, ulo, uhi) for each slab that meets P: row r (facets first) then
-    reads slack[r] + (terms in u and v) >= 0, and ulo..uhi is the u-range."""
+def _sections(cols, levels, lo, hi, slack, last, j=0):
+    """(slack, low, high) wherever the walk over P's projection stops: at
+    each point of the axes before `last`, with low..high the range of axis
+    last, or at an empty range of an earlier axis.  Row r (facets first)
+    then reads slack[r] + (terms in the later axes) >= 0."""
     low, high, col = lo[j], hi[j], cols[j]
     for r in levels[j]:
         if col[r] > 0:
             low = max(low, -(slack[r] // col[r]))
         else:
             high = min(high, slack[r] // -col[r])
-    if j == len(levels) - 1:
-        if low <= high:
-            yield slack, low, high
+    if j == last or low > high:
+        yield slack, low, high
         return
     for x in range(low, high + 1):
-        yield from _sections(cols, levels, lo, hi, [k + c * x for k, c in zip(slack, col)], j + 1)
+        yield from _sections(cols, levels, lo, hi, [k + c * x for k, c in zip(slack, col)],
+                             last, j + 1)
 
 
-def _stretch(first, last, lower, upper, whole, relint, face_id):
-    """Credit the columns first..last, bounded by the lines of lower (v >= -(s
-    + c u) / d) and upper (v <= (s + c u) / d) alone, each (i, s, c, d), and
-    tight on the facets of whole; a point on both sides is on both their
-    lines, as on a slab that is a segment or pinched to one point."""
-    (_, sa, ca, da), (_, sb, cb, db) = lower[0], upper[0]
+def _stretch(first, last, lower, upper, whole, counts):
+    """Credit the columns first..last, bounded by the line lower (v >= -(s +
+    c u) / d) and the line upper (v <= (s + c u) / d) alone, each (mask of
+    its facets, s, c, d), to the facet masks whole | lower's, whole |
+    upper's and whole; a point on both sides is on both lines, as on a slab
+    that is a segment or pinched to one point."""
+    ma, sa, ca, da = lower
+    mb, sb, cb, db = upper
     if first == last:  # one column: the lines' values there, as lines of slope 0
         sa, sb, ca, cb = sa + ca * first, sb + cb * first, 0, 0
         total, on_a, on_b = 1 + sa // da + sb // db, sa % da == 0, sb % db == 0
@@ -129,55 +193,75 @@ def _stretch(first, last, lower, upper, whole, relint, face_id):
                  + floor_sum(cols, cb, sb + cb * first, db))
         on_a = progression_count(sa, ca, da, first, last)
         on_b = progression_count(sb, cb, db, first, last)
-    both = total if sa * db + sb * da == 0 and ca * db + cb * da == 0 else 0
-    for lines, k in ((lower + upper, both), (lower, on_a - both), (upper, on_b - both),
-                     ((), total - on_a - on_b + both)):
-        if k:
-            relint[face_id[tuple(sorted(whole + [x[0] for x in lines]))]] += k
+    if sa * db + sb * da == 0 and ca * db + cb * da == 0:  # one line: all on both
+        if total > 0:
+            counts[whole | ma | mb] += total
+        return
+    if on_a:
+        counts[whole | ma] += on_a
+    if on_b:
+        counts[whole | mb] += on_b
+    if total - on_a - on_b:
+        counts[whole] += total - on_a - on_b
 
 
 def _envelope(slack, classes, end):
-    """The pieces, left to right, of the least (s + c u) / d over the lines (i,
-    s = slack[i], c, d > 0) of classes ((i, c, d) of one slope, steepest first):
-    (key, lines through the left end, lines of the piece), the left end at u =
-    key / 2 (an odd key: between two columns); a last (end, None, None) closes
-    the list."""
+    """The pieces, left to right, of the least (s + c u) / d over the lines
+    (bit, i, c, d > 0; s = slack[i]) of classes (the lines of one slope,
+    steepest first): (key, line through the left end, line of the piece),
+    each line (mask of its facets, s, c, d), the left end at u = key / 2 (an
+    odd key: between two columns); a last (end, None, None) closes the
+    list."""
+    if len(classes) == 1 == len(classes[0]):  # one line: one piece
+        (bit, i, c, d), = classes[0]
+        return [(0, None, (bit, slack[i], c, d)), (end, None, None)]
     stack = []
     for ids in classes:
-        group = []  # the lines of least s / d in the class
-        for i, c, d in ids:
-            x = (i, slack[i], c, d)
-            t = x[1] * group[0][3] - group[0][1] * x[3] if group else -1
-            group = [x] if t < 0 else group + [x] if t == 0 else group
-        x, through = group[0], None
+        x = None  # the lines of least s / d in the class
+        for bit, i, c, d in ids:
+            s = slack[i]
+            if x is None or s * x[3] < x[1] * d:
+                x = [bit, s, c, d]
+            elif s * x[3] == x[1] * d:
+                x[0] |= bit
+        through = None
         # a line that meets the new one on its own left end is no piece: the
         # end keeps the lines through it, and a line below it drops them
         while len(stack) > 1:
-            p, q, lines, (y, *_) = stack[-1]
+            p, q, ends, y = stack[-1]
             t = (x[1] * q + x[2] * p) * y[3] - (y[1] * q + y[2] * p) * x[3]
             if t > 0:
                 break
             stack.pop()
-            through = lines if t == 0 else None
+            through = ends[0] if t == 0 else None
         if stack:
-            y = stack[-1][3][0]
+            y = stack[-1][3]
             p, q = x[1] * y[3] - y[1] * x[3], y[2] * x[3] - x[2] * y[3]
-            stack.append((p, q, (through or stack[-1][3]) + group, group))
+            stack.append((p, q, ((through or y[0]) | x[0], *x[1:]), x))
         else:
-            stack.append((0, 1, None, group))
+            stack.append((0, 1, None, x))
     stack.append((end, 2, None, None))
-    return [(2 * (p // q) + (p % q > 0), lines, group) for p, q, lines, group in stack]
+    return [(2 * (p // q) + (p % q > 0), ends, x) for p, q, ends, x in stack]
 
 
-def _slab(slack, sides, flat, ulo, uhi, relint, face_id):
+def _slab(slack, sides, flat, ulo, uhi, counts):
     """Credit the points of the columns ulo..uhi of one slab, where facet i
     reads slack[i] + c u + d v >= 0: sides holds the lower (d > 0) and upper
-    facets' slope classes with |d|, as in _envelope, and flat (i, c) the rest."""
+    facets' slope classes with |d|, as in _envelope, and flat (bit, i, c) the
+    rest."""
     # lower lines v >= -(s + c u) / d and upper ones v <= (s + c u) / |d|: the
     # least of each side bounds v, and a stretch ends where that one changes;
     # a facet with d = 0 is tight on the whole slab or on an end column alone
-    whole = {u: [i for i, c in flat if slack[i] + c * u == 0] for u in (ulo, ulo + 1, uhi)}
-    low, high = (_envelope(slack, side, 2 * uhi) for side in sides)
+    whole = first = final = 0
+    for bit, i, c in flat:
+        s = slack[i]
+        if s + c * ulo == 0:
+            first |= bit
+        if s + c * uhi == 0:
+            final |= bit
+        if not (c or s):
+            whole |= bit
+    low, high = _envelope(slack, sides[0], 2 * uhi), _envelope(slack, sides[1], 2 * uhi)
     u, a, b = ulo, 0, 0
     while u <= uhi:
         while low[a + 1][0] < 2 * u:
@@ -186,19 +270,19 @@ def _slab(slack, sides, flat, ulo, uhi, relint, face_id):
             b += 1
         t = min(2 * uhi, low[a + 1][0], high[b + 1][0]) if u > ulo else 2 * u
         if u <= (t - 1) // 2:
-            _stretch(u, (t - 1) // 2, low[a][2], high[b][2], whole[ulo + 1], relint, face_id)
+            _stretch(u, (t - 1) // 2, low[a][2], high[b][2], whole, counts)
         if t % 2 == 0:
             _stretch(t // 2, t // 2, low[a + 1][0] == t and low[a + 1][1] or low[a][2],
                      high[b + 1][0] == t and high[b + 1][1] or high[b][2],
-                     whole.get(t // 2, whole[ulo + 1]), relint, face_id)
+                     first if t == 2 * ulo else final if t == 2 * uhi else whole, counts)
         u = t // 2 + 1
 
 
 @derived
 def count_points(p):
-    """Count lattice points slab by slab and classify each by its face; raises
-    BudgetError, before walking, when the steps would pass COUNT_BUDGET."""
-    fl = face_lattice(p)
+    """Count lattice points slab by slab by their tight facets (see
+    FaceCounts); raises BudgetError, before sweeping, when the steps would
+    pass COUNT_BUDGET."""
     charts = enumerate_vertices(p)
     n, m = p.dim, len(p.facets)
     box = [(ceil(min(x)), floor(max(x))) for x in zip(*(c.vertex for c in charts))]
@@ -213,40 +297,41 @@ def count_points(p):
     for v, c in enumerate(charts):
         for i in c.facet_set:
             tight[i] |= 1 << v
-    cols, levels, slack = _project(rows, tight,
-                                   prod(hi[j] - lo[j] + 1 for j in range(len(lo) - 2)))
+    cols, levels, slack, pairs = _project(rows, tight)
+    # the slabs the sweep visits, the points of the projection to the outer
+    # axes, counted level by level; each range of the last outer axis a step
+    slabs = ranges = 0
+    if len(levels) > 1:
+        for _, low, high in _sections(cols, levels, lo, hi, slack, len(levels) - 2):
+            slabs, ranges = slabs + max(0, high - low + 1), ranges + 1
+            _charge(slabs, len(slack), pairs, ranges)
+    else:
+        slabs = 1
+    _charge(slabs, len(slack), pairs, ranges)
     slopes, flat = ({}, {}), []
     for i, c, d in zip(range(m), cols[-2], cols[-1]):
         if d:
-            slopes[d < 0].setdefault(Fraction(c, abs(d)), []).append((i, c, abs(d)))
+            slopes[d < 0].setdefault(Fraction(c, abs(d)), []).append((1 << i, i, c, abs(d)))
         else:
-            flat.append((i, c))
+            flat.append((1 << i, i, c))
     sides = [[side[k] for k in sorted(side, reverse=True)] for side in slopes]
-    relint = [0] * len(fl.faces)
-    for slack, ulo, uhi in _sections(cols, levels, lo, hi, slack):
-        _slab(slack, sides, flat, ulo, uhi, relint, fl.face_id)
-    # each point is in the closure of every face above its own
-    closed = [0] * len(fl.faces)
-    for gid, c in enumerate(relint):
-        if c:
-            for fid in fl.above(gid):
-                closed[fid] += c
-    return FaceCounts(fl, enumerate(closed), enumerate(relint))
+    counts = defaultdict(int)
+    for slack, ulo, uhi in _sections(cols, levels, lo, hi, slack, len(levels) - 1):
+        if ulo <= uhi:
+            _slab(slack, sides, flat, ulo, uhi, counts)
+    return FaceCounts(p, dict(counts))
 
 
 def weighted_sum_closed(fc):
-    """Closed-count formulation: #(P) + sum_k (-1/2)^k sum_{dim F = n-k} #(F)."""
-    n = fc.lattice.dim
-    total = Fraction(fc.total)
-    for k in range(1, n + 1):
-        total += Fraction(-1, 2) ** k * fc.closed_by_dim(n - k)
-    return total
+    """Closed-count formulation: #(P) + sum_k (-1/2)^k sum_{dim F = n-k} #(F),
+    summed over the faces of the face lattice."""
+    n, fl = fc.dim, fc.lattice
+    return Fraction(sum((-1) ** (n - f.dim) * 2 ** f.dim * fc.closed[fid]
+                        for fid, f in enumerate(fl.faces)), 2 ** n)
 
 
 def weighted_sum_relint(fc):
-    """Interior formulation: relint(P) + sum_k (1/2)^k over faces of codim k."""
-    n = fc.lattice.dim
-    total = Fraction(fc.relint_by_dim(n))
-    for k in range(1, n + 1):
-        total += Fraction(1, 2) ** k * fc.relint_by_dim(n - k)
-    return total
+    """Interior formulation: relint(P) + sum_k (1/2)^k over faces of codim k,
+    from the histogram."""
+    n = fc.dim
+    return Fraction(sum(h * 2 ** (n - k) for k, h in enumerate(fc.hist)), 2 ** n)

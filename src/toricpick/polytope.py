@@ -45,13 +45,13 @@ class HPolytope:
             normal = tuple(map(int, normal))
             offset = int(offset)
             if len(normal) != dim:
-                raise InputError("normal %s has length %d, expected %d" % (
-                    (normal,), len(normal), dim))
+                raise InputError("normal %s has length %d, expected %d"
+                                 % (normal, len(normal), dim))
             g = gcd(*normal)
             if g == 0:
                 raise InputError("zero facet normal")
             if g != 1:
-                raise InputError("facet normal %s is not primitive (gcd %d)" % ((normal,), g))
+                raise InputError("facet normal %s is not primitive (gcd %d)" % (normal, g))
             if normal in seen:
                 raise InputError("duplicate facet normal %s" % (normal,))
             seen.add(normal)
@@ -89,6 +89,11 @@ def derived(fn):
             p._derived[key] = fn(p, *args)
         return p._derived[key]
     return once
+
+
+def kept_on(fn, p, *args):
+    """What the derived fn has kept on p for args, or None."""
+    return p._derived.get((fn.__wrapped__, args))
 
 
 class VertexChart:

@@ -107,9 +107,9 @@ MALFORMED = {
     "duplicate normal": ('{"normal": [0, 1], "offset": 0}', "duplicate facet normal (0, 1)"),
     "zero normal": ('{"normal": [0, 0], "offset": 0}', "zero facet normal"),
     "non-primitive": ('{"normal": [2, 0], "offset": 0}',
-                      "facet normal ((2, 0),) is not primitive (gcd 2)"),
+                      "facet normal (2, 0) is not primitive (gcd 2)"),
     "wrong length": ('{"normal": [1, 0, 0], "offset": 0}',
-                     "normal ((1, 0, 0),) has length 3, expected 2"),
+                     "normal (1, 0, 0) has length 3, expected 2"),
     "long integer": ('{"normal": [1, 0], "offset": %s}' % ("9" * 4301), None),
 }
 WHOLE_FILE = {
@@ -273,10 +273,11 @@ def test_one_delzant_message_for_every_localized_command(capsys):
 
 
 def test_verify_refuses_the_50_simplex_before_localizing(tmp_path, capsys):
-    """The face budget refuses it before the degree-50 classes are localized."""
+    """The face budget refuses it before the degree-50 classes are localized
+    (verify todd builds no face lattice, so it is verify pick here)."""
     path = write(tmp_path, "simplex50.json", dump_polytope(simplex(50)))
     start = time.perf_counter()
-    assert cli.main(["verify", "todd", path, "--format", "json"]) == 2
+    assert cli.main(["verify", "pick", path, "--format", "json"]) == 2
     assert time.perf_counter() - start < 5
     assert "over the limit of %d" % FACE_BUDGET in capsys.readouterr().err
 

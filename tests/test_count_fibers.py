@@ -15,8 +15,8 @@ from math import comb
 
 import pytest
 
-from families import (CORPUS_NAMES, box, corner_cut_polygon, dilate, get, shear,
-                      simplex, times)
+from families import (CORPUS_NAMES, box, corner_cut_polygon, cube, dilate, dump_polytope,
+                      get, shear, simplex, times, unimodular_transform)
 from oracles import box_walk
 from toricpick import lattice
 from toricpick.cli import main
@@ -101,20 +101,26 @@ def tetrahedron_file(tmp_path, k):
 
 def test_over_budget_raises_before_walking(monkeypatch):
     # a 5 x 7 x 4 box no other test uses: v = y and u = x, 4 slabs across
-    # the narrowest axis z, and one row pair to project out v; each slab
-    # costs the 6 facets, and then the 2 projected rows that bound x too
+    # the narrowest axis z, one outer range, and one row pair to project
+    # out v; each slab costs the 6 facets and the 2 projected rows that
+    # bound x
     p = box((31, 17, 5), (35, 23, 8))
-    monkeypatch.setattr(lattice, "_sections", None)
-    monkeypatch.setattr(lattice, "COUNT_BUDGET", 24)
-    with pytest.raises(BudgetError, match=r"about 25 steps \(4 slabs x 6 rows and 1 row "
-                                          r"pairs of the projection\), over the limit of 24"):
+
+    def forbidden(*args):
+        raise AssertionError("a slab was swept")
+    monkeypatch.setattr(lattice, "_slab", forbidden)
+    monkeypatch.setattr(lattice, "COUNT_BUDGET", 0)
+    with pytest.raises(BudgetError, match=r"at least 1 steps \(0 slabs x 6 rows, 1 row pairs "
+                                          r"and 0 outer ranges of the projection\), over the "
+                                          r"limit of 0"):
         count_points(p)
-    monkeypatch.setattr(lattice, "COUNT_BUDGET", 32)
-    with pytest.raises(BudgetError, match=r"about 33 steps \(4 slabs x 8 rows and 1 row "
-                                          r"pairs of the projection\), over the limit of 32"):
+    monkeypatch.setattr(lattice, "COUNT_BUDGET", 33)
+    with pytest.raises(BudgetError, match=r"at least 34 steps \(4 slabs x 8 rows, 1 row pairs "
+                                          r"and 1 outer ranges of the projection\), over the "
+                                          r"limit of 33"):
         count_points(p)
     monkeypatch.undo()
-    monkeypatch.setattr(lattice, "COUNT_BUDGET", 33)
+    monkeypatch.setattr(lattice, "COUNT_BUDGET", 34)
     assert count_points(p).total == 140
 
 
@@ -123,7 +129,8 @@ def test_over_budget_exits_two(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(lattice, "COUNT_BUDGET", 100)
     assert main(["verify", "pick", path, "--format", "json"]) == 2
     err = capsys.readouterr().err
-    assert "105 steps (26 slabs x 4 rows and 1 row pairs" in err and "limit of 100" in err
+    assert "158 steps (26 slabs x 6 rows, 1 row pairs and 1 outer" in err
+    assert "limit of 100" in err
 
 
 def test_default_budget_answers_dilation_1e5_tetrahedron(tmp_path, capsys):
@@ -133,8 +140,9 @@ def test_default_budget_answers_dilation_1e5_tetrahedron(tmp_path, capsys):
 
 
 def test_default_budget_refuses_dilation_1e4_4_simplex(tmp_path, capsys):
-    # (10^4 + 1)^2 slabs over the two outer axes, times 5 facets, and one
-    # row pair to project out v
+    # the slabs are the points of a triangle over the two outer axes, some
+    # 5 x 10^7, counted row by row: the count stops at the 12th row, as the
+    # 119 946 slabs so far, at 9 projection rows each, pass the budget
     data = {"name": "simplex4", "dim": 4,
             "facets": [{"normal": [int(i == j) for j in range(4)], "offset": 0}
                        for i in range(4)] + [{"normal": [-1] * 4, "offset": -10 ** 4}]}
@@ -144,5 +152,21 @@ def test_default_budget_refuses_dilation_1e4_4_simplex(tmp_path, capsys):
     assert main(["compute", "count", str(path), "--format", "json"]) == 2
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert "500100006 steps (100020001 slabs x 5 rows" in err
-    assert "over the limit of %d" % lattice.COUNT_BUDGET in err
+    assert ("at least 1079528 steps (119946 slabs x 9 rows, 2 row pairs and 12 outer ranges "
+            "of the projection), over the limit of %d" % lattice.COUNT_BUDGET) in err
+
+
+def test_default_budget_answers_a_thin_sheared_5_cube(tmp_path, capsys):
+    # the unit 5-cube under U L, U upper and L lower unitriangular with every
+    # off-diagonal entry 5: the bounding box of the outer axes holds 528 748
+    # slabs, the projection the few the sweep visits
+    n = 5
+    u = [[int(i == j) or 5 * (j > i) for j in range(n)] for i in range(n)]
+    low = [[int(i == j) or 5 * (j < i) for j in range(n)] for i in range(n)]
+    m = [[sum(u[i][k] * low[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    path = tmp_path / "sheared_cube5.json"
+    path.write_text(dump_polytope(unimodular_transform(cube(n), m, (0,) * n)))
+    start = time.perf_counter()
+    assert main(["compute", "count", str(path), "--format", "json"]) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["value"] == 2 ** n

@@ -5,11 +5,14 @@ classifies the points on slanted facets one by one.  The program walks slabs
 over the exact projections of P and counts each stretch of columns between
 two breakpoints in closed form, with floor sums and progression counts.
 Both must give the same closed and relative-interior count for every face,
-exactly.  The two closed forms are held to brute force, and the traps the
-sweep along u can fall into are pinned by name.
+exactly, and the totals by dimension that the program reads from its
+histogram of tight facets must match its own per-face closure.  The two
+closed forms are held to brute force, and the traps the sweep along u can
+fall into are pinned by name.
 
 The full sweep (seeds 1 and 2, 4000 generated inputs and the accepted random
-systems of the certificate sweep) runs from the repository root with
+systems of the certificate sweep, each against the fiber walk and its
+histogram against the per-face closure) runs from the repository root with
 
     PYTHONPATH=src python tests/test_count_slabs.py
 """
@@ -41,6 +44,26 @@ BOX_SIDE = {1: 20, 2: 12, 3: 7, 4: 4, 5: 3}
 def agrees(p):
     fc = count_points(p)
     return (fc.closed, fc.relint) == fiber_walk(p)
+
+
+def by_dim(counts, fl):
+    """Per-face counts summed over the faces of each dimension."""
+    return [sum(counts[i] for i in fl.faces_of_dim(d)) for d in range(fl.dim + 1)]
+
+
+def histogram_agrees(p):
+    """The totals read from the histogram of tight facets against the
+    per-face closure summed by dimension."""
+    fc = count_points(p)
+    n, fl = p.dim, fc.lattice
+    return (fc.total == fc.closed[fl.top]
+            and [fc.closed_by_dim(d) for d in range(n + 1)] == by_dim(fc.closed, fl)
+            and [fc.relint_by_dim(d) for d in range(n + 1)] == by_dim(fc.relint, fl))
+
+
+def facets(line):
+    """The facets of a line (mask, s, c, d) of the sweep, ascending."""
+    return [i for i in range(line[0].bit_length()) if line[0] >> i & 1]
 
 
 def seeded_inputs(seed, count):
@@ -102,6 +125,21 @@ def test_slab_walk_matches_fiber_walk_on_delzant_family(name, p):
     assert agrees(p)
 
 
+@pytest.mark.parametrize("name,p", delzant_family(6), ids=[name for name, _ in delzant_family(6)])
+def test_histogram_totals_match_the_per_face_closure_and_the_fiber_walk(name, p):
+    # the histogram gives the totals by dimension with binomials, the
+    # per-face counts close the masks over the face lattice, and the fiber
+    # walk credits each point to a face by its facet set
+    fc = count_points(p)
+    closed, relint = fiber_walk(p)
+    n, fl = p.dim, fc.lattice
+    assert fc.total == closed[fl.top] == fc.closed[fl.top]
+    for counts, fiber, of_dim in ((fc.closed, closed, fc.closed_by_dim),
+                                  (fc.relint, relint, fc.relint_by_dim)):
+        assert [of_dim(d) for d in range(n + 1)] == by_dim(counts, fl) == by_dim(fiber, fl)
+    assert histogram_agrees(p)
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_slab_walk_matches_fiber_walk_on_seeded_inputs(seed):
     inputs = seeded_inputs(seed, TIER1_INPUTS)
@@ -134,10 +172,10 @@ def walked(monkeypatch, p):
     slab, stretch = lattice._slab, lattice._stretch
 
     def one_column(first, last, *args):
-        before = sum(args[-2])
+        before = sum(args[-1].values())
         stretch(first, last, *args)
         if first == last:
-            slabs[-1][2].append((first, sum(args[-2]) - before))
+            slabs[-1][2].append((first, sum(args[-1].values()) - before))
     monkeypatch.setattr(lattice, "_slab",
                         lambda *args: slabs.append((args[3], args[4], [])) or slab(*args))
     monkeypatch.setattr(lattice, "_stretch", one_column)
@@ -167,7 +205,7 @@ def test_facet_that_meets_a_slab_at_one_breakpoint(monkeypatch):
     log = []
     spy(monkeypatch, "_stretch", log)
     fc = lattice.count_points.__wrapped__(p)
-    assert any(first == last == 3 and [x[0] for x in lower] == [0, 1, 2]
+    assert any(first == last == 3 and facets(lower) == [0, 1, 2]
                for first, last, lower, *_ in log)
     assert (fc.closed, fc.relint) == fiber_walk(p)
     assert fc.total == 84 and fc.relint_by_dim(0) == 4
@@ -194,7 +232,7 @@ def test_section_collapses_to_a_segment(monkeypatch):
     log = []
     spy(monkeypatch, "_stretch", log)
     fc = lattice.count_points.__wrapped__(p)
-    assert any([x[0] for x in lower] == [2] and [x[0] for x in upper] == [3]
+    assert any(facets(lower) == [2] and facets(upper) == [3]
                for _, _, lower, upper, *_ in log)
     assert (fc.closed, fc.relint) == fiber_walk(p)
     # the edge y = z = 0 holds the six points strictly between its ends
@@ -229,7 +267,7 @@ def test_two_facets_on_one_line_in_a_slab(monkeypatch):
     log = []
     spy(monkeypatch, "_stretch", log)
     fc = lattice.count_points.__wrapped__(p)
-    assert any([x[0] for x in lower] == [2, 3] for _, _, lower, *_ in log)
+    assert any(facets(lower) == [2, 3] for _, _, lower, *_ in log)
     assert (fc.closed, fc.relint) == fiber_walk(p)
     assert fc.relint[fc.lattice.face_id[(2, 3)]] == 5
 
@@ -309,11 +347,12 @@ def test_prism_over_a_polygon_with_many_facets():
 
 
 def sweep(seed, count):
-    """(inputs, by dimension); asserts agreement on each."""
+    """(inputs, by dimension); asserts agreement with the fiber walk, and of
+    the histogram totals with the per-face closure, on each."""
     inputs = seeded_inputs(seed, count) + accepted_random_systems(seed, 2000)
     dims = {}
     for p in inputs:
-        assert agrees(p), p.facets
+        assert agrees(p) and histogram_agrees(p), p.facets
         dims[p.dim] = dims.get(p.dim, 0) + 1
     return len(inputs), dict(sorted(dims.items()))
 
@@ -323,5 +362,6 @@ if __name__ == "__main__":
     for seed in (1, 2):
         inputs, dims = sweep(seed, FULL_INPUTS)
         total += inputs
-        print("seed %d: %d inputs agree, by dimension %s" % (seed, inputs, dims))
+        print("seed %d: %d inputs agree, histograms included, by dimension %s"
+              % (seed, inputs, dims))
     print("%d inputs in all" % total)

@@ -14,7 +14,7 @@ from toricpick.invariants import (check_face_todd, check_pick,
                                   check_untwisted_signature,
                                   twisted_signature_breakdown,
                                   twisted_todd_breakdown, volume_breakdown)
-from toricpick.lattice import count_points, weighted_sum_closed
+from toricpick.lattice import count_points, weighted_sum_closed, weighted_sum_relint
 from toricpick.localization import choose_generic
 from toricpick.polytope import (enumerate_vertices, face_lattice, h_vector,
                                 signature_from_h, volume)
@@ -149,16 +149,30 @@ def test_checks_reject_non_delzant():
 
 
 def test_budgets_refuse_before_anything_is_localized(monkeypatch):
-    """Every check computes its budgeted side first: the 16-simplex, whose
-    face order is over FACE_BUDGET, is refused without a localize call."""
+    """Every check that reads the face lattice computes its budgeted side
+    first: the 16-simplex, whose face order is over FACE_BUDGET, is refused
+    without a localize call.  (check_todd reads no face lattice.)"""
     def forbidden(*args, **kwargs):
         raise AssertionError("localize called")
 
     monkeypatch.setattr(invariants, "localize", forbidden)
     p = simplex(16)
-    for check in (check_pick, check_todd, check_untwisted_signature, check_face_todd):
+    for check in (check_pick, check_untwisted_signature, check_face_todd):
         with pytest.raises(BudgetError, match="face order"):
             check(p)
+
+
+def test_pick_cross_check_compares_two_closures():
+    # the closed side closes the masks over the face lattice and the
+    # relative-interior side reads the histogram taken when they were
+    # counted, so a count moved in between shows as a disagreement
+    p = simplex(3, 4)
+    fc = count_points(p)
+    assert fc.by_mask[0] == 1
+    fc.by_mask[0], fc.by_mask[1] = 0, fc.by_mask[1] + 1
+    report = check_pick(p)
+    assert report.breakdown["relint_formulation_rhs"] == weighted_sum_relint(fc)
+    assert report.rhs != report.breakdown["relint_formulation_rhs"] and not report.holds
 
 
 def test_report_repr_mentions_verdict():

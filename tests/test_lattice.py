@@ -6,10 +6,13 @@ import weakref
 from fractions import Fraction
 from math import prod
 
+import pytest
+
 from families import CORPUS_NAMES, box, get
 from oracles import inclusion_order
 from toricpick import lattice, polytope
 from toricpick.cli import main
+from toricpick.errors import ToricError
 from toricpick.invariants import check_tetrahedron
 from toricpick.lattice import count_points, weighted_sum_closed, weighted_sum_relint
 from toricpick.localization import choose_generic, localize
@@ -111,6 +114,33 @@ def test_a_corpus_batch_walks_lays_out_and_counts_each_file_once(monkeypatch, ca
     capsys.readouterr()
     # pick, todd, face-todd and the rest read one walk, lattice and count per file
     assert calls == dict.fromkeys(calls, len(CORPUS_NAMES))
+
+
+def test_totals_build_no_face_lattice(monkeypatch, capsys):
+    # the histogram answers verify todd and compute count; verify pick closes
+    # the counts by face for its closed-count side, over one face lattice
+    built, lay_out = [], polytope.FaceLattice
+    monkeypatch.setattr(polytope, "FaceLattice",
+                        lambda *args: built.append(args) or lay_out(*args))
+    path = os.path.join(CORPUS_DIR, "simplex3_2.json")
+    for argv, lattices in ((["verify", "todd", path], 0), (["compute", "count", path], 0),
+                           (["verify", "pick", path], 1),
+                           (["compute", "count", path, "--faces"], 1)):
+        built.clear()
+        assert main(argv + ["--format", "json"]) == 0, argv
+        capsys.readouterr()
+        assert len(built) == lattices, argv
+
+
+def test_points_on_facets_that_cut_out_no_face_raise():
+    # facets 0 and 2 of the unit square are x >= 0 and x <= 1, which meet nowhere
+    p = get("square1")
+    assert p.normals[0] == (1, 0) and p.normals[2] == (-1, 0)
+    fc = lattice.FaceCounts(p, {0b0101: 1})
+    with pytest.raises(ToricError, match=r"1 lattice points lie on facets \(0, 2\), which "
+                                         r"cut out no face"):
+        fc.relint
+    assert fc.total == 1 and fc.relint_by_dim(0) == 1
 
 
 def test_a_polytope_is_freed_with_its_derived_geometry():
