@@ -14,7 +14,7 @@ from operator import mul
 from .errors import ShapeError, ToricError
 from .lattice import count_points, weighted_sum_closed, weighted_sum_relint
 from .localization import choose_generic, localize
-from .polytope import (enumerate_vertices, face_lattice, h_vector,
+from .polytope import (charge_faces, enumerate_vertices, face_lattice, h_vector,
                        require_delzant, signature_from_h, volume)
 from .series import genus_series, log
 
@@ -127,14 +127,22 @@ def _localized_check(identity, p, u, kind, twist, independent):
     """The skeleton of every check whose left side is localized.
 
     In this order: the gate picks both generic vectors (u first, when
-    given), which refuses a non-Delzant chart; independent() computes the
-    right side under its own budgets and returns (rhs, extra, breakdown);
-    the class is localized at both vectors; and the identity holds when
-    extra does and both localized values equal rhs.
+    given), which refuses a non-Delzant chart; the face budget is charged
+    (see charge_faces); independent() computes the right side under its
+    own budgets and returns (rhs, extra, breakdown); the class is localized
+    at both vectors; and the identity holds when extra does and both
+    localized values equal rhs.
+
+    The face budget is charged whether or not the right side lays out the
+    faces: its bound, V 3^(n+1) / (n + 1) roughly, grows with n far faster
+    than V localizations in degree n, so it bounds them too, and todd,
+    whose count reads no face lattice, is refused where pick and signature
+    are.
     """
     charts = enumerate_vertices(p)
     u1 = tuple(u) if u is not None else choose_generic(charts)
     u2 = choose_generic(charts, exclude=(u1,))
+    charge_faces(len(charts), p.dim)
     rhs, extra, breakdown = independent()
     restrict, scale = _genus_restriction(p, kind, twist)
     lhs, per_vertex = localize(p, u1, restrict, scale)
@@ -223,8 +231,8 @@ def check_face_todd(p):
     one generic vector for P, which pairs nonzero with every edge of P.
     """
     u = choose_generic(enumerate_vertices(p))
+    fl = face_lattice(p)
     fc = count_points(p)
-    fl = fc.lattice
     got = [localize(p, u, *_genus_restriction(p, "Todd", face=f), face=f)[0]
            for f in fl.faces]
     expected = [Fraction(fc.closed[fid]) for fid in range(len(fl.faces))]

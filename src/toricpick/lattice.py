@@ -8,14 +8,13 @@ to the bit mask of its tight facets, and the per-face counts are closed over
 the face lattice only when they are read.  Counting shares no machinery with
 localization."""
 
-import weakref
 from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, comb, floor, gcd
 
 from .errors import BudgetError, ToricError
-from .polytope import derived, enumerate_vertices, face_lattice, kept_on
+from .polytope import derived, enumerate_vertices, face_layout
 
 # most steps one count may take: a slab costs one per row of the projection
 # (facets included), which bounds its sweep too, a projected row pair one, and
@@ -31,8 +30,10 @@ class FaceCounts:
     simple (the vertex walk certifies it), so a point on k facets lies in the
     relative interior of a face of codimension k, which lies in C(k, j)
     faces of codimension j: the counts by dimension need no face lattice.
-    lattice, relint and closed (by face id) are built on first access, once
-    per polytope: by_mask is read by face, then closed over the facet sets.
+    lattice, relint and closed (by face id) are built on first access:
+    by_mask is read by face, then closed over the facet sets.  The lattice is
+    p's own face lattice, laid out once for p and its counts (see
+    FaceLayout), and the counts hold no reference to p.
     """
 
     def __init__(self, p, by_mask):
@@ -40,8 +41,7 @@ class FaceCounts:
         self.hist = [0] * (p.dim + 1)
         for mask, c in by_mask.items():
             self.hist[mask.bit_count()] += c
-        # p is not kept alive: a face lattice it has is kept, one it lacks built from it
-        self._polytope, self._lattice = weakref.ref(p), kept_on(face_lattice, p)
+        self._layout = face_layout(p)
 
     @property
     def total(self):
@@ -54,12 +54,9 @@ class FaceCounts:
     def closed_by_dim(self, d):
         return sum(h * comb(k, self.dim - d) for k, h in enumerate(self.hist))
 
-    @cached_property
+    @property
     def lattice(self):
-        p = self._polytope()
-        if p is None and self._lattice is None:
-            raise ToricError("the polytope is freed, and its face lattice was never built")
-        return self._lattice or face_lattice(p)
+        return self._layout.lattice
 
     @cached_property
     def _face_ids(self):
@@ -95,8 +92,6 @@ class FaceCounts:
 
 def floor_sum(n, a, b, c):
     """sum_{i<n} floor((a i + b) / c) for c > 0, in O(log) Euclid-like steps."""
-    if c == 1:
-        return a * (n * (n - 1) // 2) + b * n
     total = 0
     while n > 0:
         q, a = divmod(a, c)
@@ -108,8 +103,6 @@ def floor_sum(n, a, b, c):
 
 def progression_count(s, c, d, first, last):
     """How many integers u in first..last make s + c u divisible by d > 0."""
-    if d == 1:
-        return last - first + 1
     g = gcd(c, d)
     if s % g:
         return 0
@@ -212,9 +205,6 @@ def _envelope(slack, classes, end):
     each line (mask of its facets, s, c, d), the left end at u = key / 2 (an
     odd key: between two columns); a last (end, None, None) closes the
     list."""
-    if len(classes) == 1 == len(classes[0]):  # one line: one piece
-        (bit, i, c, d), = classes[0]
-        return [(0, None, (bit, slack[i], c, d)), (end, None, None)]
     stack = []
     for ids in classes:
         x = None  # the lines of least s / d in the class

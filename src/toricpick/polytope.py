@@ -8,7 +8,7 @@ exact volume and face induction are all derived from it.
 
 from bisect import bisect
 from fractions import Fraction
-from functools import wraps
+from functools import cached_property, wraps
 from itertools import combinations
 from math import comb, factorial, gcd, lcm
 
@@ -89,11 +89,6 @@ def derived(fn):
             p._derived[key] = fn(p, *args)
         return p._derived[key]
     return once
-
-
-def kept_on(fn, p, *args):
-    """What the derived fn has kept on p for args, or None."""
-    return p._derived.get((fn.__wrapped__, args))
 
 
 class VertexChart:
@@ -417,9 +412,50 @@ def require_delzant(charts):
                              % (c.vertex, c.det))
 
 
+def charge_faces(vertices, n):
+    """Raise BudgetError if the face order of a simple polytope with this
+    many vertices in dimension n may exceed FACE_BUDGET pairs: a vertex is
+    on C(n, d) faces of dimension d, each with d + 1 vertices or more and
+    2^(n-d) faces above it, so V vertices give at most
+    V (3^(n+1) - 2^(n+1)) / (n + 1) pairs, exactly that many for a simplex."""
+    pairs = vertices * (3 ** (n + 1) - 2 ** (n + 1)) // (n + 1)
+    if pairs > FACE_BUDGET:
+        raise BudgetError("face order may hold about %d pairs (%d vertices in dimension "
+                          "%d), over the limit of %d" % (pairs, vertices, n, FACE_BUDGET))
+
+
+class FaceLayout:
+    """The face lattice of one set of vertex charts, laid out on first read
+    and then kept.  A polytope keeps one (see face_layout) and its lattice
+    point counts hold the same one, so the lattice is laid out once for
+    both, whichever reads it first, and neither needs the other alive."""
+
+    def __init__(self, dim, charts):
+        self.dim, self.charts = dim, charts
+
+    @cached_property
+    def lattice(self):
+        n = self.dim
+        charge_faces(len(self.charts), n)
+        found = {}
+        for vid, c in enumerate(self.charts):
+            for r in range(n + 1):
+                for sub in combinations(c.facet_set, r):
+                    found.setdefault(sub, []).append(vid)
+        faces = [Face(sub, n - len(sub), verts) for sub, verts in found.items()]
+        faces.sort(key=lambda f: (f.dim, f.facet_set))
+        return FaceLattice(n, faces, (c.facet_set for c in self.charts))
+
+
 @derived
+def face_layout(p):
+    """p's FaceLayout, kept on p; its face lattice is face_lattice(p)."""
+    return FaceLayout(p.dim, enumerate_vertices(p))
+
+
 def face_lattice(p):
-    """Faces of a simple polytope, keyed by their facet sets.
+    """Faces of a simple polytope, keyed by their facet sets, laid out once
+    per polytope (see FaceLayout).
 
     Every face is cut out by a subset of the facets through any one of its
     vertices, so one pass over the subsets of each vertex's facet set finds
@@ -430,25 +466,14 @@ def face_lattice(p):
     set of f is a subset of that of g, so the faces above g are the 2^codim
     subsets of its facet set, and the order needs no storage.
 
-    A BudgetError comes first if the order may exceed FACE_BUDGET pairs: a
-    vertex is on C(n, d) faces of dimension d, each with d + 1 vertices or
-    more and 2^(n-d) faces above it, so V vertices give at most
-    V (3^(n+1) - 2^(n+1)) / (n + 1) pairs, exactly that many for a simplex.
+    A BudgetError (see charge_faces) comes first if the order may exceed
+    FACE_BUDGET pairs.
     """
-    charts = enumerate_vertices(p)
-    n = p.dim
-    pairs = len(charts) * (3 ** (n + 1) - 2 ** (n + 1)) // (n + 1)
-    if pairs > FACE_BUDGET:
-        raise BudgetError("face order may hold about %d pairs (%d vertices in dimension "
-                          "%d), over the limit of %d" % (pairs, len(charts), n, FACE_BUDGET))
-    found = {}
-    for vid, c in enumerate(charts):
-        for r in range(n + 1):
-            for sub in combinations(c.facet_set, r):
-                found.setdefault(sub, []).append(vid)
-    faces = [Face(sub, n - len(sub), verts) for sub, verts in found.items()]
-    faces.sort(key=lambda f: (f.dim, f.facet_set))
-    return FaceLattice(n, faces, (c.facet_set for c in charts))
+    return face_layout(p).lattice
+
+
+# as for a derived function, __wrapped__ lays out afresh
+face_lattice.__wrapped__ = lambda p: FaceLayout(p.dim, enumerate_vertices(p)).lattice
 
 
 def h_vector(fl):

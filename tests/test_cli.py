@@ -273,11 +273,10 @@ def test_one_delzant_message_for_every_localized_command(capsys):
 
 
 def test_verify_refuses_the_50_simplex_before_localizing(tmp_path, capsys):
-    """The face budget refuses it before the degree-50 classes are localized
-    (verify todd builds no face lattice, so it is verify pick here)."""
+    """The face budget refuses it before the degree-50 classes are localized."""
     path = write(tmp_path, "simplex50.json", dump_polytope(simplex(50)))
     start = time.perf_counter()
-    assert cli.main(["verify", "pick", path, "--format", "json"]) == 2
+    assert cli.main(["verify", "todd", path, "--format", "json"]) == 2
     assert time.perf_counter() - start < 5
     assert "over the limit of %d" % FACE_BUDGET in capsys.readouterr().err
 

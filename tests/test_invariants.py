@@ -149,15 +149,14 @@ def test_checks_reject_non_delzant():
 
 
 def test_budgets_refuse_before_anything_is_localized(monkeypatch):
-    """Every check that reads the face lattice computes its budgeted side
-    first: the 16-simplex, whose face order is over FACE_BUDGET, is refused
-    without a localize call.  (check_todd reads no face lattice.)"""
+    """Every check computes its budgeted side first: the 16-simplex, whose
+    face order is over FACE_BUDGET, is refused without a localize call."""
     def forbidden(*args, **kwargs):
         raise AssertionError("localize called")
 
     monkeypatch.setattr(invariants, "localize", forbidden)
     p = simplex(16)
-    for check in (check_pick, check_untwisted_signature, check_face_todd):
+    for check in (check_pick, check_todd, check_untwisted_signature, check_face_todd):
         with pytest.raises(BudgetError, match="face order"):
             check(p)
 

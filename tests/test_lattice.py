@@ -154,3 +154,10 @@ def test_a_polytope_is_freed_with_its_derived_geometry():
     gc.collect()
     # what the caller still holds of p's geometry does not hold p
     assert ref() is None and fc.lattice is fl
+    # counts taken before any face lattice still close by face once p is gone
+    q = box((0, 0, 0), (2, 1, 3), name="counted first")
+    fq, ref = count_points(q), weakref.ref(q)
+    del q
+    gc.collect()
+    assert ref() is None
+    assert (fq.closed, fq.relint) == (fc.closed, fc.relint)
