@@ -7,8 +7,20 @@ enters the computation path.
 """
 
 from math import gcd
+from operator import index
 
 from .errors import DimensionError
+
+
+def integers(values, error, what):
+    """values as a tuple of ints by operator.index, which refuses floats and
+    Fractions, whole or not: the first it refuses is named in an error."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        bad = next(x for x in values if not hasattr(type(x), "__index__"))
+        raise error("%s %r is not an integer" % (what, bad)) from None
 
 
 def dot(u, v):

@@ -231,13 +231,13 @@ def check_face_todd(p):
     one generic vector for P, which pairs nonzero with every edge of P.
     """
     u = choose_generic(enumerate_vertices(p))
-    fl = face_lattice(p)
+    # the face budget is charged here, before anything is counted
+    faces = face_lattice(p).faces
     fc = count_points(p)
-    got = [localize(p, u, *_genus_restriction(p, "Todd", face=f), face=f)[0]
-           for f in fl.faces]
-    expected = [Fraction(fc.closed[fid]) for fid in range(len(fl.faces))]
-    faces = {"dim%d/facets(%s)" % (f.dim, ",".join(map(str, f.facet_set))):
-             {"twisted_todd": lhs, "lattice_count": rhs}
-             for f, lhs, rhs in zip(fl.faces, got, expected)}
+    got = [localize(p, u, *_genus_restriction(p, "Todd", face=f), face=f)[0] for f in faces]
+    expected = [Fraction(fc.closed[fid]) for fid in range(len(faces))]
+    by_face = {"dim%d/facets(%s)" % (f.dim, ",".join(map(str, f.facet_set))):
+               {"twisted_todd": lhs, "lattice_count": rhs}
+               for f, lhs, rhs in zip(faces, got, expected)}
     return Report("face-todd", p.name, sum(got), sum(expected), got == expected,
-                  {"faces": faces}, ())
+                  {"faces": by_face}, ())

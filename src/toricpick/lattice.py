@@ -14,7 +14,7 @@ from functools import cached_property
 from math import ceil, comb, floor, gcd
 
 from .errors import BudgetError, ToricError
-from .polytope import derived, enumerate_vertices, face_layout
+from .polytope import derived, enumerate_vertices, face_lattice
 
 # most steps one count may take: a slab costs one per row of the projection
 # (facets included), which bounds its sweep too, a projected row pair one, and
@@ -30,10 +30,10 @@ class FaceCounts:
     simple (the vertex walk certifies it), so a point on k facets lies in the
     relative interior of a face of codimension k, which lies in C(k, j)
     faces of codimension j: the counts by dimension need no face lattice.
-    lattice, relint and closed (by face id) are built on first access:
-    by_mask is read by face, then closed over the facet sets.  The lattice is
-    p's own face lattice, laid out once for p and its counts (see
-    FaceLayout), and the counts hold no reference to p.
+    relint and closed (by face id) are built on first access: by_mask is
+    read by face, then closed over the facet sets.  lattice is p's own face
+    lattice, which lays itself out on first read, once for p and its counts
+    (see FaceLattice), and the counts hold no reference to p.
     """
 
     def __init__(self, p, by_mask):
@@ -41,7 +41,7 @@ class FaceCounts:
         self.hist = [0] * (p.dim + 1)
         for mask, c in by_mask.items():
             self.hist[mask.bit_count()] += c
-        self._layout = face_layout(p)
+        self.lattice = face_lattice(p)
 
     @property
     def total(self):
@@ -53,10 +53,6 @@ class FaceCounts:
 
     def closed_by_dim(self, d):
         return sum(h * comb(k, self.dim - d) for k, h in enumerate(self.hist))
-
-    @property
-    def lattice(self):
-        return self._layout.lattice
 
     @cached_property
     def _face_ids(self):

@@ -18,7 +18,7 @@ from operator import mul
 
 from .errors import (DimensionError, GenericityError, InputError,
                      RouteDisagreementError, ToricError)
-from .exact import det
+from .exact import det, integers
 from .polytope import derived, enumerate_vertices, require_delzant
 from .series import elementary_to_monomial
 
@@ -150,7 +150,7 @@ def integrate_monomial(p, exponents, u):
     vertex.  Degrees below n sum to exactly 0, degree n gives the
     intersection number.
     """
-    exponents = tuple(int(e) for e in exponents)
+    exponents = integers(exponents, DimensionError, "exponent")
     if len(exponents) != len(p.facets):
         raise DimensionError("exponent vector length %d, expected %d" % (
             len(exponents), len(p.facets)))
@@ -241,7 +241,7 @@ def partitions_of(n):
 
 def check_partition(omega, n=None):
     """Canonicalize a partition; optionally require a given total."""
-    omega = tuple(int(w) for w in omega)
+    omega = integers(omega, DimensionError, "partition part")
     if not omega or any(w < 1 for w in omega):
         raise DimensionError("partition parts must be positive: %s" % (omega,))
     if tuple(sorted(omega, reverse=True)) != omega:

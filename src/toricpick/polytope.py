@@ -14,7 +14,7 @@ from math import comb, factorial, gcd, lcm
 
 from .errors import (BudgetError, DimensionError, InputError, NotSimpleError,
                      UnboundedError)
-from .exact import det, dot, vector_gcd
+from .exact import det, dot, integers, vector_gcd
 
 
 # most phase-one pivots the search for a first vertex may take, a guard
@@ -36,14 +36,14 @@ class HPolytope:
     """Lattice polytope {x : <x, lam_i> >= a_i} with primitive inward normals."""
 
     def __init__(self, dim, facets, name=None):
-        dim = int(dim)
+        dim, = integers((dim,), InputError, "polytope dimension")
         if dim < 1:
             raise InputError("polytope dimension must be at least 1")
         cleaned = []
         seen = set()
         for normal, offset in facets:
-            normal = tuple(map(int, normal))
-            offset = int(offset)
+            normal = integers(normal, InputError, "facet normal entry")
+            offset, = integers((offset,), InputError, "facet offset")
             if len(normal) != dim:
                 raise InputError("normal %s has length %d, expected %d"
                                  % (normal, len(normal), dim))
@@ -125,23 +125,49 @@ class Face:
 
 
 class FaceLattice:
-    """All faces of a simple polytope, each keyed by its facet set.
+    """All faces of a simple polytope, each keyed by its facet set, laid
+    out from the vertex charts on first read of faces and then kept.
 
     The order is not stored: g is a face of f exactly when the facet set of
-    f is a subset of that of g.  face_id maps a facet set to its face id,
-    and vertex_facets holds the facet set of each vertex chart.
+    f is a subset of that of g.  face_id maps a facet set to its face id.
+    A polytope keeps one (see face_lattice) and its lattice point counts
+    hold the same one, so it is laid out once for both, whichever reads it
+    first; it holds no reference back to the polytope.
     """
 
-    def __init__(self, dim, faces, vertex_facets):
-        # kept on its polytope (see derived), so it holds no reference back
-        self.dim = dim
-        self.faces = tuple(faces)
-        self.vertex_facets = tuple(vertex_facets)
-        counts = [0] * (dim + 1)
+    def __init__(self, dim, charts):
+        self.dim, self.charts = dim, charts
+
+    @cached_property
+    def faces(self):
+        """Every face is cut out by a subset of the facets through any one
+        of its vertices, so one pass over the subsets of each vertex's facet
+        set finds every face with its vertices.  The walk's certificate (see
+        enumerate_vertices) says that such a subset cuts out a face of
+        dimension n minus its size on no other facet, so the subset is the
+        face's facet set and nothing is checked again.  A BudgetError (see
+        charge_faces) comes first if the order may exceed FACE_BUDGET pairs."""
+        n = self.dim
+        charge_faces(len(self.charts), n)
+        found = {}
+        for vid, c in enumerate(self.charts):
+            for r in range(n + 1):
+                for sub in combinations(c.facet_set, r):
+                    found.setdefault(sub, []).append(vid)
+        faces = [Face(sub, n - len(sub), verts) for sub, verts in found.items()]
+        faces.sort(key=lambda f: (f.dim, f.facet_set))
+        return tuple(faces)
+
+    @cached_property
+    def f_vector(self):
+        counts = [0] * (self.dim + 1)
         for f in self.faces:
             counts[f.dim] += 1
-        self.f_vector = tuple(counts)
-        self.face_id = {f.facet_set: i for i, f in enumerate(self.faces)}
+        return tuple(counts)
+
+    @cached_property
+    def face_id(self):
+        return {f.facet_set: i for i, f in enumerate(self.faces)}
 
     @property
     def leq(self):
@@ -165,7 +191,7 @@ class FaceLattice:
         """Ids of the facets of a face, ascending.  Each adds to the face's
         facet set one facet through a vertex of the face."""
         face = self.faces[fid]
-        extra = {i for w in face.vertices for i in self.vertex_facets[w]}
+        extra = {i for w in face.vertices for i in self.charts[w].facet_set}
         extra.difference_update(face.facet_set)
         return sorted(self.face_id[tuple(sorted(face.facet_set + (i,)))] for i in extra)
 
@@ -174,7 +200,7 @@ class HVector:
     """h-vector of a simple polytope, h_P(t) = sum_i f_i (t-1)^i."""
 
     def __init__(self, h):
-        self.h = tuple(int(x) for x in h)
+        self.h = integers(h, InputError, "h-vector entry")
         n = len(self.h) - 1
         if self.h[0] != 1 or self.h[n] != 1:
             raise InputError("h-vector must start and end with 1: %s" % (self.h,))
@@ -424,56 +450,16 @@ def charge_faces(vertices, n):
                           "%d), over the limit of %d" % (pairs, vertices, n, FACE_BUDGET))
 
 
-class FaceLayout:
-    """The face lattice of one set of vertex charts, laid out on first read
-    and then kept.  A polytope keeps one (see face_layout) and its lattice
-    point counts hold the same one, so the lattice is laid out once for
-    both, whichever reads it first, and neither needs the other alive."""
-
-    def __init__(self, dim, charts):
-        self.dim, self.charts = dim, charts
-
-    @cached_property
-    def lattice(self):
-        n = self.dim
-        charge_faces(len(self.charts), n)
-        found = {}
-        for vid, c in enumerate(self.charts):
-            for r in range(n + 1):
-                for sub in combinations(c.facet_set, r):
-                    found.setdefault(sub, []).append(vid)
-        faces = [Face(sub, n - len(sub), verts) for sub, verts in found.items()]
-        faces.sort(key=lambda f: (f.dim, f.facet_set))
-        return FaceLattice(n, faces, (c.facet_set for c in self.charts))
-
-
 @derived
-def face_layout(p):
-    """p's FaceLayout, kept on p; its face lattice is face_lattice(p)."""
-    return FaceLayout(p.dim, enumerate_vertices(p))
-
-
 def face_lattice(p):
-    """Faces of a simple polytope, keyed by their facet sets, laid out once
-    per polytope (see FaceLayout).
+    """Faces of a simple polytope, keyed by their facet sets, laid out on
+    first read (see FaceLattice) once per polytope.
 
-    Every face is cut out by a subset of the facets through any one of its
-    vertices, so one pass over the subsets of each vertex's facet set finds
-    every face with its vertices.  The walk's certificate (see
-    enumerate_vertices) says that such a subset cuts out a face of dimension
-    n minus its size on no other facet, so the subset is the face's facet
-    set and nothing is checked again.  Then g <= f exactly when the facet
-    set of f is a subset of that of g, so the faces above g are the 2^codim
-    subsets of its facet set, and the order needs no storage.
-
-    A BudgetError (see charge_faces) comes first if the order may exceed
-    FACE_BUDGET pairs.
+    g <= f exactly when the facet set of f is a subset of that of g, so the
+    faces above g are the 2^codim subsets of its facet set, and the order
+    needs no storage.
     """
-    return face_layout(p).lattice
-
-
-# as for a derived function, __wrapped__ lays out afresh
-face_lattice.__wrapped__ = lambda p: FaceLayout(p.dim, enumerate_vertices(p)).lattice
+    return FaceLattice(p.dim, enumerate_vertices(p))
 
 
 def h_vector(fl):

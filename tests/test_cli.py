@@ -281,6 +281,19 @@ def test_verify_refuses_the_50_simplex_before_localizing(tmp_path, capsys):
     assert "over the limit of %d" % FACE_BUDGET in capsys.readouterr().err
 
 
+def test_commands_that_read_faces_refuse_the_16_simplex_at_once(tmp_path, capsys):
+    """The face lattice lays itself out on first read; each command that
+    reads it is refused there, on the face budget, before other work."""
+    path = write(tmp_path, "simplex16.json", dump_polytope(simplex(16)))
+    for argv in (["verify", "face-todd"], ["verify", "pick"],
+                 ["compute", "hvector"], ["compute", "volume"]):
+        start = time.perf_counter()
+        assert cli.main(argv + [path, "--format", "json"]) == 2, argv
+        assert time.perf_counter() - start < 1, argv
+        err = capsys.readouterr().err
+        assert "face order may hold" in err and "over the limit of %d" % FACE_BUDGET in err, argv
+
+
 def test_verify_agw(capsys):
     code = cli.main(["verify", "agw", "--format", "json"])
     data = json.loads(capsys.readouterr().out)

@@ -109,6 +109,7 @@ def test_twelve_simplex_lattice_stays_small():
     tracemalloc.start()
     try:
         fl = face_lattice.__wrapped__(p)
+        fl.faces
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

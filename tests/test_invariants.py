@@ -161,6 +161,15 @@ def test_budgets_refuse_before_anything_is_localized(monkeypatch):
             check(p)
 
 
+def test_face_todd_reads_its_faces_before_it_counts(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("count_points called")
+
+    monkeypatch.setattr(invariants, "count_points", forbidden)
+    with pytest.raises(BudgetError, match="face order"):
+        check_face_todd(simplex(16))
+
+
 def test_pick_cross_check_compares_two_closures():
     # the closed side closes the masks over the face lattice and the
     # relative-interior side reads the histogram taken when they were

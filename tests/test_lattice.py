@@ -4,6 +4,7 @@ import gc
 import os
 import weakref
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 import pytest
@@ -98,8 +99,18 @@ def test_equal_polytopes_with_other_names_share_nothing():
         assert not any(isinstance(x, HPolytope) for x in vars(held).values())
 
 
+def count_layouts(monkeypatch, laid_out):
+    """Append each face lattice to laid_out when its faces are first read,
+    that is, when it is laid out."""
+    lay_out = polytope.FaceLattice.faces.func
+    faces = cached_property(lambda fl: laid_out.append(fl) or lay_out(fl))
+    faces.__set_name__(polytope.FaceLattice, "faces")
+    monkeypatch.setattr(polytope.FaceLattice, "faces", faces)
+
+
 def test_a_corpus_batch_walks_lays_out_and_counts_each_file_once(monkeypatch, capsys):
-    calls = {"walk": 0, "lattice": 0, "count": 0}
+    calls = {"walk": 0, "count": 0}
+    laid_out = []
 
     def counted(key, fn):
         def call(*args):
@@ -108,28 +119,27 @@ def test_a_corpus_batch_walks_lays_out_and_counts_each_file_once(monkeypatch, ca
         return call
 
     monkeypatch.setattr(polytope, "_first_vertex", counted("walk", polytope._first_vertex))
-    monkeypatch.setattr(polytope, "FaceLattice", counted("lattice", polytope.FaceLattice))
+    count_layouts(monkeypatch, laid_out)
     monkeypatch.setattr(lattice, "_project", counted("count", lattice._project))
     assert main(["corpus", CORPUS_DIR, "--format", "json"]) == 0
     capsys.readouterr()
     # pick, todd, face-todd and the rest read one walk, lattice and count per file
-    assert calls == dict.fromkeys(calls, len(CORPUS_NAMES))
+    assert calls == dict.fromkeys(calls, len(CORPUS_NAMES)) and len(laid_out) == len(CORPUS_NAMES)
 
 
 def test_totals_build_no_face_lattice(monkeypatch, capsys):
     # the histogram answers verify todd and compute count; verify pick closes
     # the counts by face for its closed-count side, over one face lattice
-    built, lay_out = [], polytope.FaceLattice
-    monkeypatch.setattr(polytope, "FaceLattice",
-                        lambda *args: built.append(args) or lay_out(*args))
+    laid_out = []
+    count_layouts(monkeypatch, laid_out)
     path = os.path.join(CORPUS_DIR, "simplex3_2.json")
     for argv, lattices in ((["verify", "todd", path], 0), (["compute", "count", path], 0),
                            (["verify", "pick", path], 1),
                            (["compute", "count", path, "--faces"], 1)):
-        built.clear()
+        laid_out.clear()
         assert main(argv + ["--format", "json"]) == 0, argv
         capsys.readouterr()
-        assert len(built) == lattices, argv
+        assert len(laid_out) == lattices, argv
 
 
 def test_points_on_facets_that_cut_out_no_face_raise():

@@ -51,6 +51,28 @@ def test_constructor_rejects_bad_input():
         HPolytope(2, [((1, 0, 0), 0)])
 
 
+def test_library_constructors_refuse_non_integers():
+    """Floats and Fractions are refused by name, never truncated: the 3 x 2
+    box below would otherwise count 12 points."""
+    unit = [((1,), 0), ((-1,), -3)]
+    cases = [
+        (InputError, "facet normal entry 1.9",
+         lambda: HPolytope(2, [((1.9, 0), 0), ((0, 1), 0), ((-1, 0), -3.7), ((0, -1), -2)])),
+        (InputError, "facet offset -3.7",
+         lambda: HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -3.7), ((0, -1), -2)])),
+        (InputError, r"facet offset Fraction\(1, 2\)",
+         lambda: HPolytope(1, [((1,), F(1, 2)), ((-1,), -3)])),
+        (InputError, "polytope dimension 2.5", lambda: HPolytope(2.5, unit)),
+        (InputError, "h-vector entry 0.5", lambda: HVector((1, 0.5, 1))),
+        (DimensionError, "partition part 2.9", lambda: localization.check_partition((2.9,), 2)),
+        (DimensionError, "exponent 1.0",
+         lambda: localization.integrate_monomial(HPolytope(1, unit), (1.0, 0), (1,))),
+    ]
+    for error, named, build in cases:
+        with pytest.raises(error, match=named + " is not an integer"):
+            build()
+
+
 def test_square_vertex_charts():
     p = get("square1")
     charts = enumerate_vertices(p)
@@ -231,7 +253,7 @@ def test_face_budget_boundary(monkeypatch):
     monkeypatch.setattr(polytope, "FACE_BUDGET", pairs - 1)
     with pytest.raises(BudgetError, match="about %d pairs \\(6 vertices in dimension 5\\), "
                                           "over the limit of %d" % (pairs, pairs - 1)):
-        face_lattice.__wrapped__(p)
+        face_lattice.__wrapped__(p).faces
     monkeypatch.setattr(polytope, "FACE_BUDGET", pairs)
     assert len(face_lattice.__wrapped__(p).leq) == pairs
 
