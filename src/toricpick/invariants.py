@@ -90,10 +90,12 @@ def _genus_restriction(p, kind, twist=True, face=None):
 
 def _localize_once(p, kind, u):
     """The class of _genus_restriction at u, or at the first generic vector,
-    with its per-vertex terms as (vertex, Fraction) pairs."""
-    if u is None:
-        u = choose_generic(enumerate_vertices(p))
-    value, contributions = localize(p, u, *_genus_restriction(p, kind))
+    and its (vertex, Fraction) terms, after the gate and the face budget."""
+    charts = enumerate_vertices(p)
+    require_delzant(charts)
+    charge_faces(len(charts), p.dim)
+    value, contributions = localize(p, choose_generic(charts) if u is None else u,
+                                    *_genus_restriction(p, kind))
     return value, _vertex_terms(contributions)
 
 

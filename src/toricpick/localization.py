@@ -74,9 +74,10 @@ def _weights(c, u):
 @derived  # a sweep over the faces of p at one u reuses them
 def _chart_weights(p, u):
     """Per-chart weight tuples <mu_{p,i_j}, u> with genericity enforced; u
-    is a tuple; P passes the Delzant gate first."""
+    is a tuple of integers; P passes the Delzant gate first."""
     charts = enumerate_vertices(p)
     require_delzant(charts)
+    u = integers(u, DimensionError, "generic vector entry")
     n = p.dim
     if len(u) != n:
         raise DimensionError("generic vector has length %d, expected %d" % (len(u), n))

@@ -11,10 +11,11 @@ from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import combinations
 from math import comb, factorial, gcd, lcm
+from operator import mul
 
 from .errors import (BudgetError, DimensionError, InputError, NotSimpleError,
                      UnboundedError)
-from .exact import det, dot, integers, vector_gcd
+from .exact import dot, integers, vector_gcd
 
 
 # most phase-one pivots the search for a first vertex may take, a guard
@@ -27,8 +28,8 @@ VERTEX_SEARCH_BUDGET = 5000
 WALK_BUDGET = 10 ** 4
 
 # most pairs of the face order by face_lattice's estimate (the 8-cube's is 545 308),
-# a step each when counts close over it, and most edge matrix entries volume's
-# simplices may hold (the 8-cube's 40 320 x 64; the 9-cube's 362 880 x 81 is refused)
+# a step each when counts close over it and at most one when volume gathers the
+# facets through each face's vertices
 FACE_BUDGET = 6 * 10 ** 6
 
 
@@ -479,44 +480,39 @@ def signature_from_h(hv):
 
 @derived
 def volume(p):
-    """Exact Euclidean volume by fanning a triangulation from a base vertex.
+    """Exact Euclidean volume by the pyramid recursion (Lasserre 1983).
 
-    Facets are triangulated recursively in dimension; each top simplex
-    contributes |det of edge matrix| / n!.  With the vertices scaled by the
-    lcm D of their denominators, the determinants are of integers and the
-    sum is divided once, by n! D^n.  The simplices are counted first, once
-    per face, and a BudgetError comes before any determinant if their edge
-    matrices hold more than FACE_BUDGET entries.
+    Pulled from its least vertex b, a face F of dimension d is cut into
+    pyramids over its facets G = F n H_i off b.  Measure F by the d-form
+    whose contraction with a z in F's direction with <z, lam_i> = 1 is G's
+    form; P's is the Euclidean one, a vertex v's is 1 / |det Lambda_v|, and
+    b's height over G is its slack <b, lam_i> - a_i.  So with D and L the
+    lcms of the vertex denominators and of the |det Lambda_v|, the integer
+    V(F) = d! D^d L vol F is L / |det Lambda_v| at a vertex and
+    sum_G (<D b, lam_i> - D a_i) V(G) above, taken once per face.  Finding
+    the facets of F takes a step per vertex of F, which the face budget
+    bounds; no determinant is taken and no chart need be Delzant.
     """
     fl = face_lattice(p)
     charts = enumerate_vertices(p)
-    n = p.dim
     scale = lcm(*(x.denominator for c in charts for x in c.vertex))
+    unit = lcm(*(abs(c.det) for c in charts))
     points = [tuple(int(x * scale) for x in c.vertex) for c in charts]
-    cones = {}  # face id: its base vertex, its facets off it, its simplices (a vertex: 1)
+    known = {fl.face_id[c.facet_set]: unit // abs(c.det) for c in charts}  # face id: V(F)
 
-    def count(fid):
-        if fid not in cones:
+    def measure(fid):
+        if fid not in known:
             face = fl.faces[fid]
-            base = min(face.vertices, key=lambda w: points[w])
-            off = [g for g in fl.children(fid) if base not in fl.faces[g].vertices]
-            cones[fid] = base, off, sum(map(count, off)) or 1
-        return cones[fid][2]
+            base, fs = points[face.vertices[0]], face.facet_set
+            total = 0
+            for i in set().union(*(charts[w].facet_set for w in face.vertices)).difference(fs):
+                height = sum(map(mul, base, p.normals[i])) - scale * p.offsets[i]
+                if height:
+                    total += height * measure(fl.face_id[tuple(sorted(fs + (i,)))])
+            known[fid] = total
+        return known[fid]
 
-    entries = count(fl.top) * n * n
-    if entries > FACE_BUDGET:
-        raise BudgetError("volume triangulation has %d simplices (%d edge matrix entries), "
-                          "over the limit of %d" % (count(fl.top), entries, FACE_BUDGET))
-
-    def simplices(fid):
-        base, off, _ = cones[fid]
-        return [s + (base,) for g in off for s in simplices(g)] if off else [(base,)]
-
-    total = 0
-    for s in simplices(fl.top):
-        apex = points[s[-1]]
-        total += abs(det([[a - b for a, b in zip(points[w], apex)] for w in s[:-1]]))
-    return Fraction(total, factorial(n) * scale ** n)
+    return Fraction(measure(fl.top), factorial(p.dim) * scale ** p.dim * unit)
 
 
 def induce_face_polytope(p, face):

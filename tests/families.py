@@ -9,6 +9,7 @@ import functools
 import json
 import os
 import random
+from math import gcd
 
 from oracles import _cofactor_inverse
 from toricpick.cli import load_polytope
@@ -171,6 +172,28 @@ def shuffled(p, rng):
     facets = list(p.facets)
     rng.shuffle(facets)
     return HPolytope(p.dim, facets, name=p.name)
+
+
+def weighted_family(rng, max_dim=5):
+    """(name, polytope) simple inputs that are not Delzant, with rational
+    vertices: a weighted simplex in each dimension 2..max_dim at dilations
+    1, 5 and 12, weights drawn from 1..7 with gcd 1, then the product of
+    each with the next and with a triangle, then a unimodular shear of
+    every one of these."""
+    simplices = []
+    for n in range(2, max_dim + 1):
+        for k in (1, 5, 12):
+            w = [rng.randint(1, 7) for _ in range(n)]
+            if gcd(*w) != 1:
+                w[rng.randrange(n)] = 1
+            simplices.append(("weighted%s (%d)" % (tuple(w), k), weighted_simplex(w, k)))
+    out = simplices + [("%s x %s" % (a, b), times(p, q))
+                       for (a, p), (b, q) in zip(simplices, simplices[1:])]
+    out += [("%s x triangle2" % a, times(p, get("triangle2"))) for a, p in simplices]
+    for a, p in list(out):
+        shift = tuple(rng.randint(-9, 9) for _ in range(p.dim))
+        out.append(("%s sheared" % a, unimodular_transform(p, random_shear(p.dim, rng), shift)))
+    return out
 
 
 def delzant_family(max_dim=8):

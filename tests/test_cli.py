@@ -281,6 +281,19 @@ def test_verify_refuses_the_50_simplex_before_localizing(tmp_path, capsys):
     assert "over the limit of %d" % FACE_BUDGET in capsys.readouterr().err
 
 
+def test_compute_refuses_the_50_simplex_before_localizing(tmp_path, capsys):
+    """The twisted genera and the volume breakdown localize once, after the
+    same face budget as verify; they once ran for seconds before answering."""
+    path = write(tmp_path, "simplex50.json", dump_polytope(simplex(50)))
+    for argv in (["compute", "todd-twisted", path], ["compute", "signature-twisted", path],
+                 ["compute", "volume", path, "--breakdown"]):
+        start = time.perf_counter()
+        assert cli.main(argv + ["--format", "json"]) == 2, argv
+        assert time.perf_counter() - start < 1, argv
+        err = capsys.readouterr().err
+        assert "face order may hold" in err and "over the limit of %d" % FACE_BUDGET in err, argv
+
+
 def test_commands_that_read_faces_refuse_the_16_simplex_at_once(tmp_path, capsys):
     """The face lattice lays itself out on first read; each command that
     reads it is refused there, on the face budget, before other work."""

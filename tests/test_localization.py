@@ -12,7 +12,7 @@ from toricpick import localization
 from toricpick.cli import load_polytope
 from toricpick.errors import (DimensionError, GenericityError, InputError,
                               RouteDisagreementError)
-from toricpick.invariants import volume_breakdown
+from toricpick.invariants import check_todd, volume_breakdown
 from toricpick.localization import (assert_generic, chern_number,
                                     check_partition, choose_generic,
                                     gysin_power, gysin_power_v3,
@@ -55,6 +55,21 @@ def test_assert_generic():
         assert_generic(p, (1, 0))
     with pytest.raises(DimensionError):
         assert_generic(p, (1, 2, 3))
+
+
+def test_a_non_integer_generic_vector_is_named():
+    """Every route reads u through _chart_weights, which refuses a float or
+    a Fraction entry by name instead of failing inside the sum."""
+    p = get("hirzebruch")
+    message = "generic vector entry 1.5 is not an integer"
+    with pytest.raises(DimensionError, match=message):
+        check_todd(p, u=(1.5, 7.25))
+    with pytest.raises(DimensionError, match=message):
+        assert_generic(p, (1.5, 7.25))
+    with pytest.raises(DimensionError, match="generic vector entry Fraction\\(1, 2\\)"):
+        gysin_power(p, 0, 2, (F(1, 2), 3))
+    with pytest.raises(DimensionError, match="generic vector entry 2.0 is not an integer"):
+        volume_breakdown(p, (2.0, 5))
 
 
 def test_integrate_monomial_known_values():
