@@ -16,11 +16,16 @@ from itertools import product
 from math import lcm, prod
 from operator import mul
 
-from .errors import (DimensionError, GenericityError, InputError,
+from .errors import (BudgetError, DimensionError, GenericityError, InputError,
                      RouteDisagreementError, ToricError)
 from .exact import det, integers
 from .polytope import derived, enumerate_vertices, require_delzant
 from .series import elementary_to_monomial
+
+# most steps chern_number's fixed point route may take by its estimate (see
+# there); it admits the n-simplex up to n = 18 (4.2 10^6 steps, some 2 s) and
+# the n-cube up to n = 10, and the 26-simplex (1.2 10^8) would run 42 s
+CHERN_BUDGET = 5 * 10 ** 6
 
 
 def _primes():
@@ -67,8 +72,11 @@ def choose_generic(charts, exclude=()):
 
 
 def _weights(c, u):
-    """<mu_{p,i_j}, u> for the facets i_j through a Delzant chart's vertex."""
-    return tuple(sum(map(mul, r, u)) for r in c.mu_matrix)
+    """<mu_{p,i_j}, u> for the facets i_j through a Delzant chart's vertex,
+    computed once per chart and u and kept on the chart for every reader."""
+    if u not in c.weights:
+        c.weights[u] = tuple(sum(map(mul, r, u)) for r in c.mu_matrix)
+    return c.weights[u]
 
 
 @derived  # a sweep over the faces of p at one u reuses them
@@ -317,13 +325,21 @@ def chern_number(p, omega, u=None):
     fixed point formula, without the e_k of the weights; route two localizes
     prod_j e_{w_j}(v_1..v_m), restricted at each vertex to prod_j e_{w_j} of
     the n weights.  Any disagreement or non-integrality is reported as an
-    error, never patched.
+    error, never patched.  A BudgetError comes first if route one may pass
+    CHERN_BUDGET steps.
     """
     n = p.dim
     omega = check_partition(omega, n)
     charts = enumerate_vertices(p)
     if u is None:
         u = choose_generic(charts)
+    # route one updates each state of the m_lam programme, prod (multiplicity
+    # + 1) of them for each partition lam of n, once per weight at each vertex
+    steps = n * len(charts) * sum(prod(lam.count(s) + 1 for s in set(lam))
+                                  for lam in partitions_of(n))
+    if steps > CHERN_BUDGET:
+        raise BudgetError("Chern number may take about %d steps (%d vertices in dimension "
+                          "%d), over the limit of %d" % (steps, len(charts), n, CHERN_BUDGET))
     route_fixed = _chern_fixed_point(p, omega, u)
     route_classes, _ = localize(p, u, lambda _c, w: _chern_restriction(omega, w))
     if route_fixed != route_classes:

@@ -27,9 +27,9 @@ VERTEX_SEARCH_BUDGET = 5000
 # and up to 12 kB (the 20-cube is refused in 0.7 s at 118 MB); a 13-cube has 8192
 WALK_BUDGET = 10 ** 4
 
-# most pairs of the face order by face_lattice's estimate (the 8-cube's is 545 308),
-# a step each when counts close over it and at most one when volume gathers the
-# facets through each face's vertices
+# most pairs of the face order by charge_faces's estimate (the 8-cube's is 545 308),
+# a step each when counts close over it, at most one when volume gathers the facets
+# through each face's vertices and fewer when faces are laid out or counted
 FACE_BUDGET = 6 * 10 ** 6
 
 
@@ -99,7 +99,8 @@ class VertexChart:
     determinant of Lambda, the matrix with their normals as columns.
     mu_matrix is the exact integer inverse M of Lambda as a tuple of n rows
     whenever |det| = 1 (row j, dual to facet facet_set[j], gives the
-    localization weight of that facet), and None otherwise.
+    localization weight of that facet), and None otherwise.  weights maps u
+    to the <row j, u>, each computed once, by localization._weights.
     """
 
     def __init__(self, vertex, facet_set, lambda_det, mu_matrix):
@@ -107,6 +108,7 @@ class VertexChart:
         self.facet_set = tuple(facet_set)
         self.det = lambda_det
         self.mu_matrix = mu_matrix
+        self.weights = {}
 
     def __repr__(self):
         return "VertexChart(vertex=%s, facets=%s, det=%d)" % (
@@ -127,7 +129,8 @@ class Face:
 
 class FaceLattice:
     """All faces of a simple polytope, each keyed by its facet set, laid
-    out from the vertex charts on first read of faces and then kept.
+    out from the vertex charts on first read of faces and then kept; the
+    f-vector is counted from the charts and lays nothing out.
 
     The order is not stored: g is a face of f exactly when the facet set of
     f is a subset of that of g.  face_id maps a facet set to its face id.
@@ -161,10 +164,11 @@ class FaceLattice:
 
     @cached_property
     def f_vector(self):
-        counts = [0] * (self.dim + 1)
-        for f in self.faces:
-            counts[f.dim] += 1
-        return tuple(counts)
+        """Faces of dimension d by the distinct (n - d)-subsets of the vertices'
+        facet sets (see faces), counted after the same budget, not laid out."""
+        charge_faces(len(self.charts), self.dim)
+        return tuple(len(set().union(*(combinations(c.facet_set, r) for c in self.charts)))
+                     for r in range(self.dim, -1, -1))
 
     @cached_property
     def face_id(self):
@@ -489,30 +493,33 @@ def volume(p):
     b's height over G is its slack <b, lam_i> - a_i.  So with D and L the
     lcms of the vertex denominators and of the |det Lambda_v|, the integer
     V(F) = d! D^d L vol F is L / |det Lambda_v| at a vertex and
-    sum_G (<D b, lam_i> - D a_i) V(G) above, taken once per face.  Finding
-    the facets of F takes a step per vertex of F, which the face budget
-    bounds; no determinant is taken and no chart need be Delzant.
+    sum_G (<D b, lam_i> - D a_i) V(G) above, once per face, each reached by
+    its facet set with its vertices in chart order, G's those of F on facet
+    i.  No face lattice or determinant is read and no chart need be Delzant;
+    the face budget bounds the steps, one per vertex of F, that find facets.
     """
-    fl = face_lattice(p)
     charts = enumerate_vertices(p)
+    charge_faces(len(charts), p.dim)
     scale = lcm(*(x.denominator for c in charts for x in c.vertex))
     unit = lcm(*(abs(c.det) for c in charts))
     points = [tuple(int(x * scale) for x in c.vertex) for c in charts]
-    known = {fl.face_id[c.facet_set]: unit // abs(c.det) for c in charts}  # face id: V(F)
+    known = {c.facet_set: unit // abs(c.det) for c in charts}  # facet set: V(F)
 
-    def measure(fid):
-        if fid not in known:
-            face = fl.faces[fid]
-            base, fs = points[face.vertices[0]], face.facet_set
-            total = 0
-            for i in set().union(*(charts[w].facet_set for w in face.vertices)).difference(fs):
+    def measure(fs, verts):
+        if fs not in known:
+            below = {}  # facet through a vertex of F: the vertices of F on it
+            for w in verts:
+                for i in charts[w].facet_set:
+                    below.setdefault(i, []).append(w)
+            base, total = points[verts[0]], 0
+            for i in below.keys() - fs:
                 height = sum(map(mul, base, p.normals[i])) - scale * p.offsets[i]
                 if height:
-                    total += height * measure(fl.face_id[tuple(sorted(fs + (i,)))])
-            known[fid] = total
-        return known[fid]
+                    total += height * measure(tuple(sorted(fs + (i,))), below[i])
+            known[fs] = total
+        return known[fs]
 
-    return Fraction(measure(fl.top), factorial(p.dim) * scale ** p.dim * unit)
+    return Fraction(measure((), range(len(charts))), factorial(p.dim) * scale ** p.dim * unit)
 
 
 def induce_face_polytope(p, face):

@@ -17,6 +17,7 @@ from families import cube, delzant_family, simplex
 from oracles import (fixed_point_partition_sum, monomial_coefficients,
                      permutation_partition_sum)
 from toricpick import localization
+from toricpick.errors import BudgetError
 from toricpick.localization import (chern_number, choose_generic, gysin_power,
                                     integrate_monomial, partitions_of)
 from toricpick.polytope import enumerate_vertices
@@ -98,6 +99,26 @@ def test_product_of_projective_lines_chern_numbers(n):
         assert value == 2 ** n * factorial(n) // prod(factorial(k) for k in omega), omega
     if n == 8:
         assert values[(1,) * 8] == 10321920
+
+
+def test_chern_budget_boundary(monkeypatch):
+    """Route one's estimate on the 3-simplex: the partitions (3), (2, 1) and
+    (1, 1, 1) of 3 have 2 + 4 + 4 states, each updated once per weight at
+    each of the 4 vertices, 120 steps; a refusal comes before either route."""
+    def forbidden(*_args):
+        raise AssertionError("a route ran past the budget")
+
+    p = simplex(3)
+    with monkeypatch.context() as m:
+        m.setattr(localization, "CHERN_BUDGET", 119)
+        m.setattr(localization, "_chern_fixed_point", forbidden)
+        m.setattr(localization, "localize", forbidden)
+        with pytest.raises(BudgetError, match=r"^Chern number may take about 120 steps "
+                                              r"\(4 vertices in dimension 3\), over the "
+                                              r"limit of 119$"):
+            chern_number(p, (1, 1, 1))
+    monkeypatch.setattr(localization, "CHERN_BUDGET", 120)
+    assert chern_number(p, (1, 1, 1)) == 4 ** 3
 
 
 def test_fixed_point_route_shares_nothing_with_the_class_route(monkeypatch):

@@ -128,12 +128,15 @@ def test_a_corpus_batch_walks_lays_out_and_counts_each_file_once(monkeypatch, ca
 
 
 def test_totals_build_no_face_lattice(monkeypatch, capsys):
-    # the histogram answers verify todd and compute count; verify pick closes
-    # the counts by face for its closed-count side, over one face lattice
+    # the histogram answers verify todd and compute count, the counted f-vector
+    # the h-vector, and volume reaches its faces by facet set; verify pick
+    # closes the counts by face for its closed-count side, over one face lattice
     laid_out = []
     count_layouts(monkeypatch, laid_out)
     path = os.path.join(CORPUS_DIR, "simplex3_2.json")
     for argv, lattices in ((["verify", "todd", path], 0), (["compute", "count", path], 0),
+                           (["verify", "signature", path], 0), (["compute", "hvector", path], 0),
+                           (["compute", "volume", path], 0), (["verify", "tetrahedron", path], 0),
                            (["verify", "pick", path], 1),
                            (["compute", "count", path, "--faces"], 1)):
         laid_out.clear()

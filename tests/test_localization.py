@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from families import CORPUS_NAMES, P112, get
+from families import CORPUS_NAMES, P112, corner_cut_polygon, get
 from oracles import exp_linear, fixed_point_partition_sum
 from toricpick import localization
 from toricpick.cli import load_polytope
 from toricpick.errors import (DimensionError, GenericityError, InputError,
                               RouteDisagreementError)
-from toricpick.invariants import check_todd, volume_breakdown
+from toricpick.invariants import check_pick, check_todd, volume_breakdown
 from toricpick.localization import (assert_generic, chern_number,
                                     check_partition, choose_generic,
                                     gysin_power, gysin_power_v3,
@@ -46,6 +46,32 @@ def test_choose_generic_rejects_non_delzant():
         choose_generic(charts)
     with pytest.raises(InputError, match="no vertex charts"):
         choose_generic(())
+
+
+def test_each_chart_is_weighed_once_per_vector():
+    """The 11-gon has an edge along (2, -1), so (1, 2) is refused at its
+    first such chart k: the first search weighs charts 0..k at (1, 2) and
+    every chart at (1, 3), the second tries (1, 2) again and then (1, 5),
+    and localize reads every chart at (1, 3) and (1, 5).  Each chart
+    computes its weights at a vector once and keeps them, so charts 0..k are
+    weighed three times, the rest twice, and no weighing is repeated."""
+    p = corner_cut_polygon(11, 120)
+    charts = enumerate_vertices(p)
+    k = min(v for v, c in enumerate(charts) if any(a + 2 * b == 0 for a, b in c.mu_matrix))
+    weighed = [0] * len(charts)
+
+    class Rows(tuple):
+        """A chart's M rows, counting each pass over them, one per weighing."""
+        def __iter__(self):
+            weighed[self.vid] += 1
+            return super().__iter__()
+
+    for vid, c in enumerate(charts):
+        c.mu_matrix = Rows(c.mu_matrix)
+        c.mu_matrix.vid = vid
+    report = check_pick(p)
+    assert report.holds and report.generic_vectors == ((1, 3), (1, 5))
+    assert weighed == [3] * (k + 1) + [2] * (len(charts) - k - 1)
 
 
 def test_assert_generic():

@@ -2,7 +2,8 @@
 
 The full volume sweep (delzant_family(7) and weighted_family, simple
 polytopes with rational vertices, against the triangulation oracle
-fraction_volume) runs from the repository root with
+fraction_volume, and each counted f-vector against the laid-out faces)
+runs from the repository root with
 
     PYTHONPATH=src python tests/test_polytope.py
 """
@@ -25,8 +26,9 @@ from toricpick.errors import (BudgetError, DimensionError, InputError,
                               NotSimpleError, ToricError, UnboundedError)
 from toricpick.exact import det, dot, vector_gcd
 from toricpick.lattice import count_points
-from toricpick.polytope import (HPolytope, HVector, enumerate_vertices,
-                                face_lattice, h_vector, induce_face_polytope,
+from toricpick.polytope import (FaceLattice, HPolytope, HVector,
+                                enumerate_vertices, face_lattice, h_vector,
+                                induce_face_polytope,
                                 require_delzant, signature_from_h, validate,
                                 volume)
 
@@ -255,6 +257,31 @@ def face_order_estimate(p):
     return len(enumerate_vertices(p)) * (3 ** (n + 1) - 2 ** (n + 1)) // (n + 1)
 
 
+def laid_out_f_vector(p):
+    """The faces of a fresh lattice laid out and counted by dimension."""
+    counts = [0] * (p.dim + 1)
+    for f in FaceLattice(p.dim, enumerate_vertices(p)).faces:
+        counts[f.dim] += 1
+    return tuple(counts)
+
+
+F_VECTOR_INPUTS = delzant_family(6) + weighted_family(random.Random(37))
+
+
+@pytest.mark.parametrize("name,p", F_VECTOR_INPUTS, ids=[name for name, _ in F_VECTOR_INPUTS])
+def test_counted_f_vector_matches_the_laid_out_faces(name, p, monkeypatch):
+    """f_vector counts the distinct facet subsets through the vertices
+    without laying out faces or localizing; the laid-out lattice agrees
+    dimension by dimension."""
+    fl = FaceLattice(p.dim, enumerate_vertices(p))
+    with monkeypatch.context() as m:
+        for fn in ("localize", "_weights", "choose_generic"):
+            m.setattr(localization, fn, None)
+        counted = fl.f_vector
+    assert "faces" not in vars(fl)
+    assert counted == laid_out_f_vector(p)
+
+
 def test_face_budget_boundary(monkeypatch):
     """For a simplex the estimate is the exact size of the order."""
     p = simplex(5, 3)
@@ -387,6 +414,8 @@ if __name__ == "__main__":
     inputs = delzant_family(7) + weighted_family(random.Random(31))
     for name, p in inputs:
         assert volume(p) == fraction_volume(p), name
-    print("%d inputs, %d not Delzant: the pyramid volume equals the triangulation, %.1f s"
+        assert face_lattice(p).f_vector == laid_out_f_vector(p), name
+    print("%d inputs, %d not Delzant: the pyramid volume equals the triangulation and the "
+          "counted f-vector the laid-out faces, %.1f s"
           % (len(inputs), sum(any(abs(c.det) != 1 for c in enumerate_vertices(p))
                               for _, p in inputs), time.perf_counter() - start))
