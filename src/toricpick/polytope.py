@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import combinations
 from math import comb, factorial, gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import (BudgetError, DimensionError, InputError, NotSimpleError,
                      UnboundedError)
@@ -23,8 +23,9 @@ from .exact import dot, integers, vector_gcd
 VERTEX_SEARCH_BUDGET = 5000
 
 # most vertex charts the walk may build; a chart costs a pivot and n - 1 ratio
-# tests over the m rates, some 0.035 ms on the 13-cube and 0.3 ms on a 1936-gon,
-# and up to 12 kB (the 20-cube is refused in 0.7 s at 118 MB); a 13-cube has 8192
+# tests over the m rates, some 0.035 ms on the 13-cube and 0.33 ms on a 1936-gon
+# (2-core VM), and up to 8 kB (the 20-cube is refused in about 1 s at 94 MB);
+# a 13-cube has 8192
 WALK_BUDGET = 10 ** 4
 
 # most pairs of the face order by charge_faces's estimate (the 8-cube's is 545 308),
@@ -240,13 +241,15 @@ def _pivot(tableau, j, h):
     facet's side.  Its det is -sign(d) q times the parity of moving h from
     position j to its sorted place.  The walk steps onto a facet it meets
     (q > 0); the first-vertex search also onto one it crosses from the
-    infeasible side (q < 0).
+    infeasible side (q < 0), where row_j itself is the row for h.  The one
+    _swap of a pivot sorts the neighbour's facet set.
 
     A row with row_k[h] = 0 is only scaled, by |q| / |d|; when |q| = |d|,
     as on every step between unimodular charts, it is unchanged, and the
     neighbour shares its list with this tableau (rows are never mutated).  When
     |q| = |d| = 1 the other rows are row_k + row_k[h] sign(q) row_j, with no
-    multiply by |q| and no division.
+    multiply by |q| and no division: a plain add or subtract where
+    row_k[h] = +-1.
     """
     tight, d, rows = tableau
     scale = abs(d)
@@ -254,18 +257,26 @@ def _pivot(tableau, j, h):
     col = len(tight) + h
     q = -pivot_row[col]
     # sign(q) (q row_k + f row_j) = |q| row_k + f (sign(q) row_j)
-    step, step_row = (q, pivot_row) if q > 0 else (-q, [-b for b in pivot_row])
+    if q > 0:
+        step, step_row, h_row = q, pivot_row, [-b for b in pivot_row]
+    else:
+        step, step_row, h_row = -q, [-b for b in pivot_row], pivot_row
+    unit = step == scale == 1
     new_rows = []
-    for row in rows[:j] + rows[j + 1:]:
+    for k, row in enumerate(rows):
+        if k == j:
+            continue
         f = row[col]
         if not f:
             new_rows.append(row if step == scale else [step * a // scale for a in row])
-        elif step == scale == 1:
-            new_rows.append([a + f * b for a, b in zip(row, step_row)])
-        else:
+        elif not unit:
             new_rows.append([(step * a + f * b) // scale for a, b in zip(row, step_row)])
+        elif f * f == 1:
+            new_rows.append(list(map(add if f > 0 else sub, row, step_row)))
+        else:
+            new_rows.append([a + f * b for a, b in zip(row, step_row)])
     tight, pos = _swap(tight, j, h)
-    new_rows.insert(pos, [-b for b in step_row])
+    new_rows.insert(pos, h_row)
     sign = (-1 if d > 0 else 1) * (-1 if (pos - j) % 2 else 1)
     return tight, sign * q, new_rows
 
@@ -277,21 +288,19 @@ def _point(xnum, scale):
     return tuple(c // scale if c % scale == 0 else Fraction(c, scale) for c in xnum)
 
 
-def _entering(slack, rates):
-    """The facet that enters along an edge: of those whose rate is negative,
-    the one at the least ratio slack_i / -rate_i, the smallest on a tie, or
-    None if no rate is negative.  Only the facets with a negative rate,
-    collected first, are ratio-tested."""
-    falling = [i for i, rate in enumerate(rates) if rate < 0]
-    if not falling:
-        return None
-    h = falling[0]
-    best_s, best_r = slack[h], -rates[h]
-    for i in falling[1:]:
-        s, r = slack[i], -rates[i]
-        if s * best_r < best_s * r:
-            best_s, best_r, h = s, r, i
-    return h
+def _entering(slack, rates, cols):
+    """The facet that enters along an edge, read from the slack row and the
+    edge's rate row at the columns cols of facets 0, 1, ... in order: of the
+    facets whose rate is negative, the one at the least ratio slack / -rate,
+    the smallest on a tie, or None if no rate is negative.  The walk passes
+    its tableau rows unsliced, with cols n..n + m - 1."""
+    # for negative rates s / -r < best_s / -best_r reads as below; 1 / 0 is last
+    h, best_s, best_r = None, 1, 0
+    for i in cols:
+        r = rates[i]
+        if r < 0 and slack[i] * best_r > best_s * r:
+            h, best_s, best_r = i, slack[i], r
+    return None if h is None else h - cols.start
 
 
 def _first_vertex(p):
@@ -345,7 +354,8 @@ def _first_vertex(p):
                               "limit is %d" % (pivots, VERTEX_SEARCH_BUDGET))
         # |slack|, rates negated where infeasible: the first slack to reach 0 enters
         h = _entering([abs(s) for s in slack],
-                      [-r if s < 0 else r for s, r in zip(slack, rows[j][n:])])
+                      [-r if s < 0 else r for s, r in zip(slack, rows[j][n:])],
+                      range(len(slack)))
         tableau = _pivot(tableau, j, h)
         pivots += 1
 
@@ -370,7 +380,11 @@ def enumerate_vertices(p):
     ratio-tested: along it the facet that entered leaves, the facet that
     left enters (the parent was judged simple, so no other ties), and the
     parent is already charted.  So V vertices cost V - 1 pivots and
-    n + (V - 1)(n - 1) ratio tests.
+    n + (V - 1)(n - 1) ratio tests.  Charts and the queue are keyed by the
+    bit mask of the facet set, so a neighbour's key is the mask with the
+    leaving facet's bit cleared and the entering facet's set: its sorted
+    facet set is made only by _pivot, once per vertex pivoted, and a ratio
+    test reads the tableau rows in place.
 
     On return the walk certifies that P is bounded, that every vertex lies
     on exactly n facets with independent normals and that every edge has
@@ -379,36 +393,38 @@ def enumerate_vertices(p):
     facet.
     """
     n = p.dim
+    cols = range(n, n + len(p.facets))
     first = _first_vertex(p)
     charts, ray = {}, None
-    # lazy pivots: (neighbour, tableau it is pivoted from, edge, entering facet),
-    # the entering facet leaving along the neighbour's edge back
-    queue = [(first[0], first, None, None)]
+    # lazy pivots: (neighbour's facet mask, tableau it is pivoted from, edge,
+    # entering facet), the entering facet leaving along the neighbour's edge back
+    queue = [(sum(1 << i for i in first[0]), first, None, None)]
     while queue:
-        tight, tableau, j, back = queue.pop()
-        if tight in charts:
+        key, tableau, j, back = queue.pop()
+        if key in charts:
             continue
         if len(charts) == WALK_BUDGET:
             raise BudgetError("vertex walk reached %d charts with more to visit; "
                               "the limit is %d" % (len(charts), WALK_BUDGET))
         if j is not None:
             tableau = _pivot(tableau, j, back)
-        _, d, rows = tableau
+        tight, d, rows = tableau
         scale = abs(d)
-        vertex = _point(rows[n][:n], scale)
-        slack = rows[n][n:]
+        x_row = rows[n]
+        vertex = _point(x_row[:n], scale)
+        slack = x_row[n:]
         if slack.count(0) > n:
             raise NotSimpleError(vertex, tuple(i for i, s in enumerate(slack) if s == 0))
-        mu = tuple(tuple(r[:n]) for r in rows[:n]) if scale == 1 else None
-        charts[tight] = VertexChart(vertex, tight, d, mu)
+        mu = tuple([tuple(r[:n]) for r in rows[:n]]) if scale == 1 else None
+        charts[key] = VertexChart(vertex, tight, d, mu)
         for j in range(n):
             if tight[j] == back:
                 continue
-            h = _entering(slack, rows[j][n:])
+            h = _entering(x_row, rows[j], cols)
             if h is None:
                 ray = ray or rows[j][:n]
                 continue
-            nbr = _swap(tight, j, h)[0]
+            nbr = key ^ (1 << tight[j]) | (1 << h)
             if nbr not in charts:
                 queue.append((nbr, tableau, j, h))
     if ray:

@@ -18,7 +18,7 @@ from toricpick.errors import (DimensionError, InputError, NotSimpleError,
 from toricpick.exact import det, dot
 from toricpick.localization import (_chart_weights, _fixed_point_sum,
                                     check_partition, partitions_of)
-from toricpick.polytope import enumerate_vertices, face_lattice
+from toricpick.polytope import _swap, enumerate_vertices, face_lattice
 from toricpick.series import elementary_to_monomial, genus_series, hyperbolic
 from toricpick.series import mul as series_mul
 
@@ -164,6 +164,48 @@ def subset_scan(p):
         d = det(lam)
         out.append((x, seen[x], d, lam, _cofactor_inverse(lam, d) if d in (1, -1) else None))
     return out
+
+
+def general_pivot(tableau, j, h):
+    """The walk's pivot (see toricpick.polytope._pivot) as it was before the
+    unit-step paths: every row but row_j is sliced out and rebuilt as
+    sign(q) (q row_k + row_k[h] row_j) / |d| by one multiply-add, unless
+    row_k[h] = 0 and |q| = |d|, and the row for h is sign(q) row_j negated."""
+    tight, d, rows = tableau
+    scale = abs(d)
+    pivot_row = rows[j]
+    col = len(tight) + h
+    q = -pivot_row[col]
+    step, step_row = (q, pivot_row) if q > 0 else (-q, [-b for b in pivot_row])
+    new_rows = []
+    for row in rows[:j] + rows[j + 1:]:
+        f = row[col]
+        if not f:
+            new_rows.append(row if step == scale else [step * a // scale for a in row])
+        elif step == scale == 1:
+            new_rows.append([a + f * b for a, b in zip(row, step_row)])
+        else:
+            new_rows.append([(step * a + f * b) // scale for a, b in zip(row, step_row)])
+    tight, pos = _swap(tight, j, h)
+    new_rows.insert(pos, [-b for b in step_row])
+    sign = (-1 if d > 0 else 1) * (-1 if (pos - j) % 2 else 1)
+    return tight, sign * q, new_rows
+
+
+def collected_ratio_test(slack, rates):
+    """The walk's ratio test (see toricpick.polytope._entering) on sliced
+    lists, facet i at index i: the facets with a negative rate are collected
+    first, then the least slack_i / -rate_i wins, the smallest i on a tie."""
+    falling = [i for i, rate in enumerate(rates) if rate < 0]
+    if not falling:
+        return None
+    h = falling[0]
+    best_s, best_r = slack[h], -rates[h]
+    for i in falling[1:]:
+        s, r = slack[i], -rates[i]
+        if s * best_r < best_s * r:
+            best_s, best_r, h = s, r, i
+    return h
 
 
 def lambda_matrix(p, chart):

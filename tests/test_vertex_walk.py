@@ -31,8 +31,9 @@ import pytest
 from families import (CORPUS_NAMES, corner_cut_polygon, cube, delzant_family,
                       dilate, dump_polytope, get, random_shear, shuffled,
                       simplex, times, unimodular_transform, weighted_simplex)
-from oracles import (hermite_rows, identity, integer_kernel_basis,
-                     lambda_matrix, mat_mul, subset_scan)
+from oracles import (collected_ratio_test, general_pivot, hermite_rows,
+                     identity, integer_kernel_basis, lambda_matrix, mat_mul,
+                     subset_scan)
 from test_count_slabs import primitive_polygon
 from toricpick import exact, polytope
 from toricpick.cli import load_polytope
@@ -218,6 +219,77 @@ def test_walk_pivots_once_per_vertex_and_skips_the_edge_back(name, p, monkeypatc
     assert ratio_tests == n + (vertices - 1) * (n - 1)
     if n == 2:
         assert ratio_tests == len(p.facets) + 1
+
+
+def walk_swaps(p, monkeypatch):
+    """The pivots of the first-vertex search alone, and the vertices, pivots
+    and facet-set swaps of the whole walk, the search included."""
+    calls = {"_pivot": 0, "_swap": 0}
+    for name in calls:
+        def counted(*a, name=name, fn=getattr(polytope, name)):
+            calls[name] += 1
+            return fn(*a)
+        monkeypatch.setattr(polytope, name, counted)
+    polytope._first_vertex(p)
+    search = calls["_pivot"]
+    calls.update(_pivot=0, _swap=0)
+    vertices = len(enumerate_vertices.__wrapped__(p))
+    monkeypatch.undo()
+    return search, vertices, calls["_pivot"], calls["_swap"]
+
+
+@pytest.mark.parametrize("name,p", WALK_WORK_CASES, ids=[name for name, _ in WALK_WORK_CASES])
+def test_walk_swaps_facets_once_per_pivot(name, p, monkeypatch):
+    """Charts and the queue are keyed by facet masks, so a facet set is
+    sorted only by _pivot, once for each vertex pivoted, and never for an
+    edge that is only ratio-tested."""
+    search, vertices, pivots, swaps = walk_swaps(p, monkeypatch)
+    assert pivots == search + vertices - 1
+    assert swaps == pivots
+
+
+def random_tableau(rng, n, m, d, j, h, q, rates):
+    """A tableau (tight, d, rows) of random integers over n tight facets of
+    range(-n, m) and m facet columns, with -q in row j at h's column and
+    the given rates at that column in the other rows, in order."""
+    tight = tuple(sorted(rng.sample([i for i in range(-n, m) if i != h], n)))
+    rows = [[rng.randint(-6, 6) for _ in range(n + m)] for _ in range(n + 1)]
+    others = iter(rates)
+    for k, row in enumerate(rows):
+        row[n + h] = -q if k == j else next(others)
+    return tight, d, rows
+
+
+def test_pivot_and_ratio_test_match_the_oracles():
+    """_pivot against general_pivot over unit and |d| > 1 steps, q of either
+    sign and rates of 0, +-1 and more at h, and _entering against
+    collected_ratio_test on whole rows and on sliced ones, with ties.  A row
+    whose rate at h is 0 is shared, not copied, when |q| = |d|."""
+    rng = random.Random(71)
+    seen = set()
+    for _ in range(3000):
+        n, m = rng.randint(1, 5), rng.randint(1, 7)
+        d = rng.choice([1, -1, 2, -3, 6])
+        q = rng.choice([1, -1, abs(d), -abs(d), 3, -4])
+        j, h = rng.randrange(n), rng.randrange(m)
+        tableau = random_tableau(rng, n, m, d, j, h, q,
+                                 [rng.choice([0, 0, 1, -1, 2, -5]) for _ in range(n)])
+        rows = tableau[2]
+        got = polytope._pivot(tableau, j, h)
+        assert got == general_pivot(tableau, j, h)
+        new_tight, _, new_rows = got
+        pos = new_tight.index(h)
+        kept = [row for k, row in enumerate(rows) if k != j]
+        for old, new in zip(kept, new_rows[:pos] + new_rows[pos + 1:]):
+            assert (new is old) == (old[n + h] == 0 and abs(q) == abs(d))
+            seen.add((abs(q) == abs(d) == 1, q > 0, max(-2, min(old[n + h], 2))))
+        slack = [rng.randint(0, 4) for _ in range(n + m)]
+        for row in rows:
+            want = collected_ratio_test(slack[n:], row[n:])
+            assert polytope._entering(slack, row, range(n, n + m)) == want
+            assert polytope._entering(slack[n:], row[n:], range(m)) == want
+    # unit and general steps, q of each sign, rates 0, +-1 and beyond
+    assert seen == set(product((True, False), (True, False), (-2, -1, 0, 1, 2)))
 
 
 def test_twelve_cube_walk_peaks_near_its_charts():
