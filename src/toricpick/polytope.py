@@ -289,12 +289,13 @@ def _point(xnum, scale):
 
 
 def _entering(slack, rates, cols):
-    """The facet that enters along an edge, read from the slack row and the
-    edge's rate row at the columns cols of facets 0, 1, ... in order: of the
-    facets whose rate is negative, the one at the least ratio slack / -rate,
-    the smallest on a tie, or None if no rate is negative.  The walk passes
-    its tableau rows unsliced, with cols n..n + m - 1."""
-    # for negative rates s / -r < best_s / -best_r reads as below; 1 / 0 is last
+    """The facet that enters along an edge, facet i's slack and rate read at
+    column cols[i] of the slack row and of the edge's row: of the facets
+    whose rate is negative, the one at the least ratio slack / -rate, the
+    smallest on a tie, or None if no rate is negative.  The walk passes its
+    tableau rows unsliced, with cols n..n + m - 1."""
+    # with r and best_r negative, s / -r < best_s / -best_r reads as below;
+    # the start 1 / 0 ranks after every ratio
     h, best_s, best_r = None, 1, 0
     for i in cols:
         r = rates[i]

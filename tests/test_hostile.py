@@ -84,6 +84,9 @@ ROWS = {
     "4-simplex dilated 10^4, count budget": (
         polytope_file(lambda: simplex(4, 10 ** 4)), ["compute", "count", "FILE"], 2,
         "over the limit of 1000000", 2, 40, True),
+    "tetrahedron dilated 10^300, count budget": (
+        polytope_file(lambda: simplex(3, 10 ** 300)), ["compute", "count", "FILE"], 2,
+        "over the limit of 1000000", 2, 40, True),
     "50-simplex, face budget": (
         polytope_file(lambda: simplex(50)), ["verify", "pick", "FILE"], 2,
         "face order may hold about", 2, 40, True),
@@ -106,7 +109,8 @@ def run_row(name, workdir):
     command = [sys.executable, "-m", "toricpick"] + [path if a == "FILE" else a for a in argv]
     report = subprocess.run([sys.executable, "-c", LAUNCHER, str(ADDRESS_SPACE),
                              str(seconds + 1), out, err] + command,
-                            env=env, capture_output=True, text=True, check=True).stdout
+                            env=env, capture_output=True, text=True, check=True,
+                            timeout=10 * seconds).stdout
     code, wall, rss = report.split()
     texts = []
     for stream in (out, err):
