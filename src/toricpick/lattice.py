@@ -5,7 +5,7 @@ polygon over the two widest axes swept along u: each stretch of columns
 between breakpoints of the lower and upper envelopes, and each end or integer
 breakpoint column alone, is counted in closed form.  Each point is credited
 to the bit mask of its tight facets, and the per-face counts are closed over
-the face lattice only when they are read.  Counting shares no machinery with
+its subsets only when they are read.  Counting shares no machinery with
 localization."""
 
 from collections import defaultdict
@@ -14,7 +14,7 @@ from functools import cached_property
 from math import ceil, comb, floor, gcd
 
 from .errors import BudgetError, ToricError
-from .polytope import derived, enumerate_vertices, face_lattice
+from .polytope import charge_faces, derived, enumerate_vertices, face_lattice
 
 # most steps one count may take: a slab costs one per row of the projection
 # (facets included), which bounds its sweep too, a projected row pair one, and
@@ -29,11 +29,10 @@ class FaceCounts:
     on exactly those facets, and hist[k] counts the points on k facets.  P is
     simple (the vertex walk certifies it), so a point on k facets lies in the
     relative interior of a face of codimension k, which lies in C(k, j)
-    faces of codimension j: the counts by dimension need no face lattice.
-    relint and closed (by face id) are built on first access: by_mask is
-    read by face, then closed over the facet sets.  lattice is p's own face
-    lattice, which lays itself out on first read, once for p and its counts
-    (see FaceLattice), and the counts hold no reference to p.
+    faces of codimension j: the counts by dimension, and closed_by_mask,
+    need no face lattice.  relint and closed read by_mask and closed_by_mask
+    by face id, which lays p's own face lattice out (see FaceLattice).  Each
+    of the three raises on points whose facets cut out no face.
     """
 
     def __init__(self, p, by_mask):
@@ -41,7 +40,7 @@ class FaceCounts:
         self.hist = [0] * (p.dim + 1)
         for mask, c in by_mask.items():
             self.hist[mask.bit_count()] += c
-        self.lattice = face_lattice(p)
+        self.lattice, self._vertices = face_lattice(p), facet_vertices(p)
 
     @property
     def total(self):
@@ -55,35 +54,50 @@ class FaceCounts:
         return sum(h * comb(k, self.dim - d) for k, h in enumerate(self.hist))
 
     @cached_property
-    def _face_ids(self):
-        """Face ids by facet mask; points on facets that cut out no face raise."""
-        ids = {sum(map((1).__lshift__, f.facet_set)): fid
-               for fid, f in enumerate(self.lattice.faces)}
+    def _on_faces(self):
+        """by_mask, once each mask cuts out a face: its facets, all of P's, share a vertex."""
         for mask, c in self.by_mask.items():
-            if mask not in ids:
+            common, rest = 0 if mask >> len(self._vertices) else -1, mask
+            while rest and common:
+                common &= self._vertices[(rest & -rest).bit_length() - 1]
+                rest &= rest - 1
+            if not common:
                 raise ToricError("%d lattice points lie on facets %s, which cut out no face" % (
                     c, tuple(i for i in range(mask.bit_length()) if mask >> i & 1)))
-        return ids
+        return self.by_mask
 
     @cached_property
-    def relint(self):
-        relint = dict.fromkeys(self._face_ids.values(), 0)
-        for mask, c in self.by_mask.items():
-            relint[self._face_ids[mask]] = c
-        return relint
-
-    @cached_property
-    def closed(self):
-        # a point is in the closure of every face above its own: their facet
-        # sets are the subsets of its own
-        above = defaultdict(int)
-        for mask, c in self.by_mask.items():
+    def closed_by_mask(self):
+        """Closed counts by facet mask of the faces that hold a point, which
+        lies in each face whose facet set is a subset of its own: at most a
+        step per pair of the face order, so the face budget comes first."""
+        charge_faces(len(self.lattice.charts), self.dim)
+        above = defaultdict(int, {0: self.total})
+        for mask, c in self._on_faces.items():
             sub = mask
             while sub:
                 above[sub] += c
                 sub = (sub - 1) & mask
-            above[0] += c
-        return {fid: above[mask] for mask, fid in self._face_ids.items()}
+        return dict(above)
+
+    @cached_property
+    def relint(self):
+        return {fid: self._on_faces.get(f.mask, 0) for fid, f in enumerate(self.lattice.faces)}
+
+    @cached_property
+    def closed(self):
+        return {fid: self.closed_by_mask.get(f.mask, 0)
+                for fid, f in enumerate(self.lattice.faces)}
+
+
+@derived
+def facet_vertices(p):
+    """The bit mask of the vertices on each facet, in chart order."""
+    tight = [0] * len(p.facets)
+    for v, c in enumerate(enumerate_vertices(p)):
+        for i in c.facet_set:
+            tight[i] |= 1 << v
+    return tuple(tight)
 
 
 def floor_sum(n, a, b, c):
@@ -279,11 +293,7 @@ def count_points(p):
     rows = [(tuple(lam[j] for j in axes), a) for lam, a in p.facets]
     if n == 1:  # a segment is the slab over the point u = 0
         rows, lo, hi = [((0,) + lam, a) for lam, a in rows], (0,) + lo, (0,) + hi
-    tight = [0] * m
-    for v, c in enumerate(charts):
-        for i in c.facet_set:
-            tight[i] |= 1 << v
-    cols, levels, slack, pairs = _project(rows, tight)
+    cols, levels, slack, pairs = _project(rows, facet_vertices(p))
     # the slabs the sweep visits, the points of the projection to the outer
     # axes, counted level by level; each range of the last outer axis a step
     slabs = ranges = 0
@@ -310,10 +320,9 @@ def count_points(p):
 
 def weighted_sum_closed(fc):
     """Closed-count formulation: #(P) + sum_k (-1/2)^k sum_{dim F = n-k} #(F),
-    summed over the faces of the face lattice."""
-    n, fl = fc.dim, fc.lattice
-    return Fraction(sum((-1) ** (n - f.dim) * 2 ** f.dim * fc.closed[fid]
-                        for fid, f in enumerate(fl.faces)), 2 ** n)
+    summed over the faces that hold a point, by facet mask."""
+    return Fraction(sum((-1) ** m.bit_count() * 2 ** (fc.dim - m.bit_count()) * c
+                        for m, c in fc.closed_by_mask.items()), 2 ** fc.dim)
 
 
 def weighted_sum_relint(fc):

@@ -28,9 +28,9 @@ VERTEX_SEARCH_BUDGET = 5000
 # a 13-cube has 8192
 WALK_BUDGET = 10 ** 4
 
-# most pairs of the face order by charge_faces's estimate (the 8-cube's is 545 308),
-# a step each when counts close over it, at most one when volume gathers the facets
-# through each face's vertices and fewer when faces are laid out or counted
+# most pairs of the face order by charge_faces's estimate (the 8-cube's is 545 308);
+# closing counts over the subsets of their facet masks or gathering the facets through
+# each face's vertices (volume) takes at most a step each, laying faces out or counting fewer
 FACE_BUDGET = 6 * 10 ** 6
 
 
@@ -117,10 +117,11 @@ class VertexChart:
 
 
 class Face:
-    """A face keyed by the facets containing it; vertices index the charts."""
+    """A face keyed by its facets, ascending and as a bit mask; vertices index the charts."""
 
     def __init__(self, facet_set, dim, vertices):
         self.facet_set = tuple(facet_set)
+        self.mask = sum(map((1).__lshift__, self.facet_set))
         self.dim = dim
         self.vertices = tuple(vertices)
 
@@ -129,15 +130,14 @@ class Face:
 
 
 class FaceLattice:
-    """All faces of a simple polytope, each keyed by its facet set, laid
+    """All faces of a simple polytope, each named by its facet set, laid
     out from the vertex charts on first read of faces and then kept; the
     f-vector is counted from the charts and lays nothing out.
 
     The order is not stored: g is a face of f exactly when the facet set of
-    f is a subset of that of g.  face_id maps a facet set to its face id.
-    A polytope keeps one (see face_lattice) and its lattice point counts
-    hold the same one, so it is laid out once for both, whichever reads it
-    first; it holds no reference back to the polytope.
+    f is a subset of that of g.  A polytope keeps one (see face_lattice) and
+    its lattice point counts hold the same one, so it is laid out once for
+    both, whichever reads it first; it holds no reference to the polytope.
     """
 
     def __init__(self, dim, charts):
@@ -171,35 +171,15 @@ class FaceLattice:
         return tuple(len(set().union(*(combinations(c.facet_set, r) for c in self.charts)))
                      for r in range(self.dim, -1, -1))
 
-    @cached_property
-    def face_id(self):
-        return {f.facet_set: i for i, f in enumerate(self.faces)}
-
     @property
     def leq(self):
-        """The order as a set of pairs (g, f) with g a face of f."""
-        return frozenset((g, f) for g in range(len(self.faces)) for f in self.above(g))
-
-    def faces_of_dim(self, d):
-        return tuple(i for i, f in enumerate(self.faces) if f.dim == d)
-
-    @property
-    def top(self):
-        return self.face_id[()]
-
-    def above(self, gid):
-        """Ids of the faces containing the given one (itself included): the
-        subsets of its facet set."""
-        fs = self.faces[gid].facet_set
-        return [self.face_id[sub] for r in range(len(fs) + 1) for sub in combinations(fs, r)]
-
-    def children(self, fid):
-        """Ids of the facets of a face, ascending.  Each adds to the face's
-        facet set one facet through a vertex of the face."""
-        face = self.faces[fid]
-        extra = {i for w in face.vertices for i in self.charts[w].facet_set}
-        extra.difference_update(face.facet_set)
-        return sorted(self.face_id[tuple(sorted(face.facet_set + (i,)))] for i in extra)
+        """The order as pairs (g, f) of positions in faces, g a face of f.
+        Only perfbench/replay.py reads it, until stage counters free the
+        replay (ROADMAP item 1)."""
+        at = {f.facet_set: i for i, f in enumerate(self.faces)}
+        return frozenset((g, at[sub]) for g, face in enumerate(self.faces)
+                         for r in range(len(face.facet_set) + 1)
+                         for sub in combinations(face.facet_set, r))
 
 
 class HVector:
@@ -475,12 +455,7 @@ def charge_faces(vertices, n):
 @derived
 def face_lattice(p):
     """Faces of a simple polytope, keyed by their facet sets, laid out on
-    first read (see FaceLattice) once per polytope.
-
-    g <= f exactly when the facet set of f is a subset of that of g, so the
-    faces above g are the 2^codim subsets of its facet set, and the order
-    needs no storage.
-    """
+    first read (see FaceLattice) once per polytope."""
     return FaceLattice(p.dim, enumerate_vertices(p))
 
 
@@ -547,13 +522,15 @@ def induce_face_polytope(p, face):
     face: they are orthogonal to the face's normals, and since M_p is
     unimodular they are a basis of the lattice points of the face's span.
     So lattice points of the face correspond bijectively to lattice points
-    of the result.  The base vertex must be Delzant.
+    of the result, whose facets are cut by those through a vertex of the
+    face and not through it.  The base vertex must be Delzant.  Only
+    perfbench/replay.py calls it, until stage counters free the replay
+    (ROADMAP item 1).
     """
     if face.dim == 0:
         raise DimensionError("a vertex needs no chart; use its point directly")
     if face.dim >= p.dim:
         raise DimensionError("face induction expects a proper face")
-    fl = face_lattice(p)
     charts = enumerate_vertices(p)
     chart = charts[min(face.vertices, key=lambda w: charts[w].facet_set)]
     if chart.mu_matrix is None:
@@ -562,15 +539,14 @@ def induce_face_polytope(p, face):
     basis = [r for i, r in zip(chart.facet_set, chart.mu_matrix) if i not in face.facet_set]
     base = chart.vertex
     new_facets = []
-    for gid in fl.children(fl.face_id[face.facet_set]):
-        i, = set(fl.faces[gid].facet_set) - set(face.facet_set)
+    for i in sorted({i for w in face.vertices for i in charts[w].facet_set}
+                    .difference(face.facet_set)):
         lam, a = p.facets[i]
         nu = tuple(dot(b, lam) for b in basis)
         off = a - dot(base, lam)
         g = vector_gcd(nu)
         if g == 0 or off % g:
             raise InputError("induced facet from %d is not integral" % i)
-        new_facets.append((i, tuple(x // g for x in nu), off // g))
-    new_facets.sort()
+        new_facets.append((tuple(x // g for x in nu), off // g))
     label = "%s/face%s" % (p.name or "polytope", "-".join(map(str, face.facet_set)))
-    return HPolytope(face.dim, [(nu, off) for _, nu, off in new_facets], name=label)
+    return HPolytope(face.dim, new_facets, name=label)

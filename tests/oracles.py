@@ -15,10 +15,11 @@ from toricpick import cli
 from toricpick.agw import DEGREE, NUM_ROOTS
 from toricpick.errors import (DimensionError, InputError, NotSimpleError,
                               ShapeError, ToricError)
-from toricpick.exact import det, dot
+from toricpick.exact import det, dot, vector_gcd
 from toricpick.localization import (_chart_weights, _fixed_point_sum,
                                     check_partition, partitions_of)
-from toricpick.polytope import _swap, enumerate_vertices, face_lattice
+from toricpick.polytope import (HPolytope, _swap, enumerate_vertices,
+                                face_lattice)
 from toricpick.series import elementary_to_monomial, genus_series, hyperbolic
 from toricpick.series import mul as series_mul
 
@@ -310,6 +311,48 @@ def inclusion_children(fl):
             for f, down in enumerate(inclusion_order(fl))]
 
 
+def face_ids(fl):
+    """Face ids by facet set, in the order of fl.faces."""
+    return {f.facet_set: i for i, f in enumerate(fl.faces)}
+
+
+def faces_of_dim(fl, d):
+    """Ids of the faces of dimension d, ascending."""
+    return [i for i, f in enumerate(fl.faces) if f.dim == d]
+
+
+def induced_by_children(p, face):
+    """induce_face_polytope by the route it replaced: one new facet for each
+    facet of the face in the face lattice, found here by vertex inclusion,
+    from the one facet it adds to the face's facet set."""
+    if face.dim == 0:
+        raise DimensionError("a vertex needs no chart; use its point directly")
+    if face.dim >= p.dim:
+        raise DimensionError("face induction expects a proper face")
+    charts = enumerate_vertices(p)
+    chart = charts[min(face.vertices, key=lambda w: charts[w].facet_set)]
+    if chart.mu_matrix is None:
+        raise InputError("a face chart requires a Delzant vertex; vertex %s has det %d"
+                         % (chart.vertex, chart.det))
+    basis = [r for i, r in zip(chart.facet_set, chart.mu_matrix) if i not in face.facet_set]
+    base = chart.vertex
+    new_facets = []
+    for child in face_lattice(p).faces:
+        if child.dim != face.dim - 1 or not set(child.vertices) <= set(face.vertices):
+            continue
+        i, = set(child.facet_set) - set(face.facet_set)
+        lam, a = p.facets[i]
+        nu = tuple(dot(b, lam) for b in basis)
+        off = a - dot(base, lam)
+        g = vector_gcd(nu)
+        if g == 0 or off % g:
+            raise InputError("induced facet from %d is not integral" % i)
+        new_facets.append((i, tuple(x // g for x in nu), off // g))
+    new_facets.sort()
+    label = "%s/face%s" % (p.name or "polytope", "-".join(map(str, face.facet_set)))
+    return HPolytope(face.dim, [(nu, off) for _, nu, off in new_facets], name=label)
+
+
 def box_walk(p):
     """(closed, relint) by face id from a walk over the whole bounding box.
 
@@ -351,6 +394,7 @@ def fiber_walk(p):
     others = [j for j in range(n) if j != k]
     rows = [(i, tuple(lam[j] for j in others), lam[k], a)
             for i, (lam, a) in enumerate(p.facets)]
+    ids = face_ids(fl)
     relint = [0] * len(fl.faces)
     for y in product(*(range(lo[j], hi[j] + 1) for j in others)):
         # facet i reads s + c x_k >= 0 along the fiber
@@ -377,16 +421,18 @@ def fiber_walk(p):
                 if low <= x <= high:
                     tight_at.setdefault(x, []).append(i)
             for extra in tight_at.values():
-                relint[fl.face_id[tuple(sorted(whole + extra))]] += 1
+                relint[ids[tuple(sorted(whole + extra))]] += 1
             plain = high - low + 1 - len(tight_at)
             if plain:
-                relint[fl.face_id[tuple(whole)]] += plain
-    # each point is in the closure of every face above its own
+                relint[ids[tuple(whole)]] += plain
+    # each point is in the closure of every face above its own, whose facet
+    # set is a subset of its own
     closed = [0] * len(fl.faces)
-    for gid, c in enumerate(relint):
+    for face, c in zip(fl.faces, relint):
         if c:
-            for fid in fl.above(gid):
-                closed[fid] += c
+            for r in range(len(face.facet_set) + 1):
+                for sub in combinations(face.facet_set, r):
+                    closed[ids[sub]] += c
     return dict(enumerate(closed)), dict(enumerate(relint))
 
 
@@ -407,7 +453,7 @@ def fraction_volume(p):
                 if base not in fl.faces[gid].vertices for s in simplices(gid)]
 
     total = Fraction(0)
-    for s in simplices(fl.top):
+    for s in simplices(face_ids(fl)[()]):
         scale, rows = 1, []
         for w in s[:-1]:
             r = [Fraction(a) - b for a, b in zip(points[w], points[s[-1]])]

@@ -5,31 +5,37 @@ classifies the points on slanted facets one by one.  The program walks slabs
 over the exact projections of P and counts each stretch of columns between
 two breakpoints in closed form, with floor sums and progression counts.
 Both must give the same closed and relative-interior count for every face,
-exactly, and the totals by dimension that the program reads from its
-histogram of tight facets must match its own per-face closure.  The two
+exactly; the program's closure over facet masks must hold the fiber walk's
+closed counts under the faces' masks, and its closed weighted sum over them
+must be the one the fiber walk's counts give.  The totals by dimension that
+the program reads from its histogram of tight facets must match its own
+per-face closure.  The two
 closed forms are held to brute force, and the traps the sweep along u can
 fall into are pinned by name.
 
 The full sweep (seeds 1 and 2, 4000 generated inputs and the accepted random
-systems of the certificate sweep, each against the fiber walk and its
-histogram against the per-face closure) runs from the repository root with
+systems of the certificate sweep, each against the fiber walk, mask closure
+and weighted sum included, and its histogram against the per-face closure)
+runs from the repository root with
 
     PYTHONPATH=src python tests/test_count_slabs.py
 """
 
 import random
 import time
+from fractions import Fraction
 from math import atan2, comb, gcd
 
 import pytest
 
 from families import (box, corner_cut_polygon, cube, delzant_family, shear, simplex,
                       times, unimodular_transform)
-from oracles import fiber_walk
+from oracles import face_ids, faces_of_dim, fiber_walk
 from test_certificate import random_systems
 from toricpick import lattice
 from toricpick.errors import ToricError
-from toricpick.lattice import count_points, floor_sum, progression_count
+from toricpick.lattice import (count_points, floor_sum, progression_count,
+                               weighted_sum_closed)
 from toricpick.polytope import HPolytope, face_lattice
 
 # generated inputs per seed: the tier-1 share and the full sweep
@@ -42,13 +48,23 @@ BOX_SIDE = {1: 20, 2: 12, 3: 7, 4: 4, 5: 3}
 
 
 def agrees(p):
+    """The per-face counts, the closure over facet masks and the closed
+    weighted sum over it against the fiber walk's per-face counts."""
     fc = count_points(p)
-    return (fc.closed, fc.relint) == fiber_walk(p)
+    closed, relint = fiber_walk(p)
+    faces, n = fc.lattice.faces, p.dim
+    by_mask = {sum(1 << i for i in f.facet_set): closed[fid] for fid, f in enumerate(faces)}
+    weighted = Fraction(sum((-1) ** (n - f.dim) * 2 ** f.dim * closed[fid]
+                            for fid, f in enumerate(faces)), 2 ** n)
+    return ((fc.closed, fc.relint) == (closed, relint)
+            and fc.closed_by_mask.keys() <= by_mask.keys()
+            and all(fc.closed_by_mask.get(m, 0) == c for m, c in by_mask.items())
+            and weighted_sum_closed(fc) == weighted)
 
 
 def by_dim(counts, fl):
     """Per-face counts summed over the faces of each dimension."""
-    return [sum(counts[i] for i in fl.faces_of_dim(d)) for d in range(fl.dim + 1)]
+    return [sum(counts[i] for i in faces_of_dim(fl, d)) for d in range(fl.dim + 1)]
 
 
 def histogram_agrees(p):
@@ -56,7 +72,7 @@ def histogram_agrees(p):
     per-face closure summed by dimension."""
     fc = count_points(p)
     n, fl = p.dim, fc.lattice
-    return (fc.total == fc.closed[fl.top]
+    return (fc.total == fc.closed[face_ids(fl)[()]]
             and [fc.closed_by_dim(d) for d in range(n + 1)] == by_dim(fc.closed, fl)
             and [fc.relint_by_dim(d) for d in range(n + 1)] == by_dim(fc.relint, fl))
 
@@ -128,12 +144,13 @@ def test_slab_walk_matches_fiber_walk_on_delzant_family(name, p):
 @pytest.mark.parametrize("name,p", delzant_family(6), ids=[name for name, _ in delzant_family(6)])
 def test_histogram_totals_match_the_per_face_closure_and_the_fiber_walk(name, p):
     # the histogram gives the totals by dimension with binomials, the
-    # per-face counts close the masks over the face lattice, and the fiber
+    # per-face counts close the masks over their subsets, and the fiber
     # walk credits each point to a face by its facet set
     fc = count_points(p)
     closed, relint = fiber_walk(p)
     n, fl = p.dim, fc.lattice
-    assert fc.total == closed[fl.top] == fc.closed[fl.top]
+    top = face_ids(fl)[()]
+    assert fc.total == closed[top] == fc.closed[top]
     for counts, fiber, of_dim in ((fc.closed, closed, fc.closed_by_dim),
                                   (fc.relint, relint, fc.relint_by_dim)):
         assert [of_dim(d) for d in range(n + 1)] == by_dim(counts, fl) == by_dim(fiber, fl)
@@ -236,7 +253,7 @@ def test_section_collapses_to_a_segment(monkeypatch):
                for _, _, lower, upper, *_ in log)
     assert (fc.closed, fc.relint) == fiber_walk(p)
     # the edge y = z = 0 holds the six points strictly between its ends
-    assert fc.relint[fc.lattice.face_id[(2, 3)]] == 6
+    assert fc.relint[face_ids(fc.lattice)[(2, 3)]] == 6
 
 
 # the tetrahedron x, y, z >= 0, x + y + z <= 4, and its mirror image in y
@@ -269,7 +286,7 @@ def test_two_facets_on_one_line_in_a_slab(monkeypatch):
     fc = lattice.count_points.__wrapped__(p)
     assert any(facets(lower) == [2, 3] for _, _, lower, *_ in log)
     assert (fc.closed, fc.relint) == fiber_walk(p)
-    assert fc.relint[fc.lattice.face_id[(2, 3)]] == 5
+    assert fc.relint[face_ids(fc.lattice)[(2, 3)]] == 5
 
 
 def test_outer_range_of_a_rational_polytope():
@@ -347,7 +364,8 @@ def test_prism_over_a_polygon_with_many_facets():
 
 
 def sweep(seed, count):
-    """(inputs, by dimension); asserts agreement with the fiber walk, and of
+    """(inputs, by dimension); asserts agreement with the fiber walk (the
+    per-face counts, the mask closure and the closed weighted sum), and of
     the histogram totals with the per-face closure, on each."""
     inputs = seeded_inputs(seed, count) + accepted_random_systems(seed, 2000)
     dims = {}
@@ -362,6 +380,7 @@ if __name__ == "__main__":
     for seed in (1, 2):
         inputs, dims = sweep(seed, FULL_INPUTS)
         total += inputs
-        print("seed %d: %d inputs agree, histograms included, by dimension %s"
+        print("seed %d: %d inputs agree, mask closures, weighted sums and histograms "
+              "included, by dimension %s"
               % (seed, inputs, dims))
     print("%d inputs in all" % total)

@@ -11,7 +11,7 @@ replaced presented each face as a polytope in its own integral chart
 import pytest
 
 from families import cube, delzant_family, get, simplex, times
-from oracles import reduced
+from oracles import face_ids, faces_of_dim, reduced
 from toricpick import invariants, lattice, localization, polytope
 from toricpick.errors import ToricError
 from toricpick.invariants import (_genus_restriction, check_face_todd,
@@ -125,10 +125,10 @@ def test_whole_polytope_and_vertices_as_faces():
     p = get("hirzebruch")
     fl = face_lattice(p)
     u = choose_generic(enumerate_vertices(p))
-    top = fl.faces[fl.top]
+    top = fl.faces[face_ids(fl)[()]]
     assert localize(p, u, *_genus_restriction(p, "Todd", face=top), face=top) == \
         localize(p, u, *_genus_restriction(p, "Todd"))
-    for fid in fl.faces_of_dim(0):
+    for fid in faces_of_dim(fl, 0):
         vertex = fl.faces[fid]
         value, contributions = reduced(localize(
             p, u, *_genus_restriction(p, "Todd", face=vertex), face=vertex))

@@ -3,7 +3,9 @@
 face_lattice stores no order.  The faces above g are the subsets of its
 facet set, and a facet of f adds to f's facet set one facet through a vertex
 of f.  The oracle takes g <= f when every vertex of g is a vertex of f, over
-all F^2 pairs, so the families stay small.
+all F^2 pairs, so the families stay small.  induce_face_polytope reads the
+facets of a face from the charts; the route it replaced read them from the
+face lattice and is its oracle.
 """
 
 import random
@@ -12,12 +14,15 @@ from collections import Counter
 
 import pytest
 
-from families import (corner_cut_polygon, cube, delzant_family, dilate, get,
-                      shear, simplex, times)
-from oracles import (box_walk, fraction_volume, hermite_rows,
-                     inclusion_children, inclusion_order, integer_kernel_basis)
+from families import (P112, corner_cut_polygon, cube, delzant_family, dilate,
+                      get, shear, simplex, times)
+from oracles import (box_walk, face_ids, fraction_volume, hermite_rows,
+                     inclusion_children, induced_by_children, inclusion_order,
+                     integer_kernel_basis)
+from toricpick.cli import load_polytope
+from toricpick.errors import InputError, ToricError
 from toricpick.lattice import count_points
-from toricpick.polytope import (enumerate_vertices, face_lattice,
+from toricpick.polytope import (HPolytope, enumerate_vertices, face_lattice,
                                 induce_face_polytope, volume)
 
 
@@ -44,12 +49,16 @@ IDS = [name for name, _ in FAMILY]
 
 @pytest.mark.parametrize("name,p", FAMILY, ids=IDS)
 def test_order_and_children_match_vertex_inclusion(name, p):
+    """leq, and the rule induce_face_polytope reads its facets by: a facet of
+    f adds to f's facet set one facet through a vertex of f."""
     fl = face_lattice(p)
     down = inclusion_order(fl)
     assert fl.leq == {(g, f) for f, gs in enumerate(down) for g in gs}
-    for g in range(len(fl.faces)):
-        assert sorted(fl.above(g)) == [f for f, gs in enumerate(down) if g in gs]
-    assert [tuple(fl.children(f)) for f in range(len(fl.faces))] == inclusion_children(fl)
+    ids, charts, children = face_ids(fl), enumerate_vertices(p), inclusion_children(fl)
+    for fid, face in enumerate(fl.faces):
+        extra = {i for w in face.vertices for i in charts[w].facet_set} - set(face.facet_set)
+        assert tuple(sorted(ids[tuple(sorted(face.facet_set + (i,)))] for i in extra)) \
+            == children[fid]
 
 
 @pytest.mark.parametrize("name,p", FAMILY, ids=IDS)
@@ -77,6 +86,36 @@ def test_induced_faces_match_the_inclusion_order(name, p):
         assert count_points(q).total == closed[fid]
         dims = Counter(fl.faces[g].dim for g in down[fid])
         assert face_lattice(q).f_vector == tuple(dims[d] for d in range(face.dim + 1))
+
+
+def induced(route, p, face):
+    """The facets and name that route gives the face, or its error."""
+    try:
+        q = route(p, face)
+    except ToricError as e:
+        return type(e), str(e)
+    return q.facets, q.name
+
+
+# the corpus is in delzant_family(5); p112's edge on facet 2 starts at a vertex
+# of det -2, and the edge x = 0 of the last triangle has a facet y <= 1/2
+INDUCE_CASES = delzant_family(5) + FAMILY + [
+    ("p112", load_polytope(P112)),
+    ("x + 2y <= 1", HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -2), -1)]))]
+
+
+@pytest.mark.parametrize("name,p", INDUCE_CASES, ids=[name for name, _ in INDUCE_CASES])
+def test_induced_faces_match_the_face_lattice_route(name, p):
+    """Facets, names and errors, vertices and P itself included."""
+    outcomes = {}
+    for face in face_lattice(p).faces:
+        new = induced(induce_face_polytope, p, face)
+        assert new == induced(induced_by_children, p, face), face
+        outcomes[face.facet_set] = new
+    if name == "x + 2y <= 1":
+        assert outcomes[(0,)] == (InputError, "induced facet from 2 is not integral")
+    if name == "p112":
+        assert outcomes[(2,)][0] is InputError
 
 
 CHART_CASES = FAMILY + delzant_family(6)

@@ -130,14 +130,15 @@ def test_a_corpus_batch_walks_lays_out_and_counts_each_file_once(monkeypatch, ca
 def test_totals_build_no_face_lattice(monkeypatch, capsys):
     # the histogram answers verify todd and compute count, the counted f-vector
     # the h-vector, and volume reaches its faces by facet set; verify pick
-    # closes the counts by face for its closed-count side, over one face lattice
+    # closes the counts over the subsets of their facet masks for its
+    # closed-count side, and only the per-face table lists the faces
     laid_out = []
     count_layouts(monkeypatch, laid_out)
     path = os.path.join(CORPUS_DIR, "simplex3_2.json")
     for argv, lattices in ((["verify", "todd", path], 0), (["compute", "count", path], 0),
                            (["verify", "signature", path], 0), (["compute", "hvector", path], 0),
                            (["compute", "volume", path], 0), (["verify", "tetrahedron", path], 0),
-                           (["verify", "pick", path], 1),
+                           (["verify", "pick", path], 0),
                            (["compute", "count", path, "--faces"], 1)):
         laid_out.clear()
         assert main(argv + ["--format", "json"]) == 0, argv
@@ -145,14 +146,28 @@ def test_totals_build_no_face_lattice(monkeypatch, capsys):
         assert len(laid_out) == lattices, argv
 
 
-def test_points_on_facets_that_cut_out_no_face_raise():
-    # facets 0 and 2 of the unit square are x >= 0 and x <= 1, which meet nowhere
+def test_points_on_facets_that_cut_out_no_face_raise(monkeypatch):
+    # facets 0 and 2 of the unit square are x >= 0 and x <= 1, which meet
+    # nowhere, and it has no facet 9
     p = get("square1")
-    assert p.normals[0] == (1, 0) and p.normals[2] == (-1, 0)
+    assert p.normals[0] == (1, 0) and p.normals[2] == (-1, 0) and len(p.facets) == 4
+    laid_out = []
+    count_layouts(monkeypatch, laid_out)
+    readers = {"weighted_sum_closed": weighted_sum_closed,
+               "closed_by_mask": lambda fc: fc.closed_by_mask,
+               "closed": lambda fc: fc.closed, "relint": lambda fc: fc.relint}
+    for name, read in readers.items():
+        p = get("square1")
+        for masks, facets in (({0b0101: 1}, r"\(0, 2\)"), ({0b1: 2, 1 << 9: 1}, r"\(9,\)")):
+            fc = lattice.FaceCounts(p, masks)
+            with pytest.raises(ToricError, match=r"^1 lattice points lie on facets %s, which "
+                                                 r"cut out no face$" % facets):
+                read(fc)
+            assert fc.total == sum(masks.values()), name
+        if name in ("weighted_sum_closed", "closed_by_mask"):
+            assert laid_out == [], name
+    # the histogram reads no face
     fc = lattice.FaceCounts(p, {0b0101: 1})
-    with pytest.raises(ToricError, match=r"1 lattice points lie on facets \(0, 2\), which "
-                                         r"cut out no face"):
-        fc.relint
     assert fc.total == 1 and fc.relint_by_dim(0) == 1
 
 
