@@ -17,7 +17,7 @@ from math import factorial
 
 from .invariants import Report
 from .localization import partitions_of
-from .series import genus_series, log
+from .series import genus_log
 
 NUM_ROOTS = 6
 DEGREE = 12
@@ -72,14 +72,13 @@ POWER_SUMS = _power_sums()
 CHARACTER = _combine(*((Fraction(2, factorial(2 * k)), s) for k, s in enumerate(POWER_SUMS)))
 
 
-def multiplicative_class(g):
+def multiplicative_class(b):
     """prod_i g(x_i) over the NUM_ROOTS roots as a polynomial in the p_k.
 
-    g is an even coefficient tuple with g_0 = 1 reaching degree 2 WEIGHT.
-    With log g = sum_k b_2k x^2k the product is exp(A), A = sum_k b_2k P_k,
+    b is the coefficient tuple of log g = sum_k b_2k x^2k for an even g,
+    b_0 = 0, reaching degree 2 WEIGHT.  The product is exp(A), A = sum_k b_2k P_k,
     and since A has no constant term exp(A) = sum_{j <= WEIGHT} A^j / j!.
     """
-    b = log(g)
     a = _combine(*((b[2 * k], s) for k, s in enumerate(POWER_SUMS)))  # b_0 = 0
     out = term = {(): Fraction(1)}
     for j in range(1, WEIGHT + 1):
@@ -97,8 +96,8 @@ def verify_agw(ahat_coefficient=32):
     three genera for reference.  Passing 31 as the coefficient is the
     negative control and must fail.
     """
-    l_poly = multiplicative_class(genus_series("L", 2 * WEIGHT))
-    a_poly = multiplicative_class(genus_series("AHat", 2 * WEIGHT))
+    l_poly = multiplicative_class(genus_log("L", 2 * WEIGHT))
+    a_poly = multiplicative_class(genus_log("AHat", 2 * WEIGHT))
     t_poly = _mul(a_poly, CHARACTER)
     zero = Fraction(0)
     keys = sorted(partitions_of(WEIGHT))

@@ -16,7 +16,7 @@ from .lattice import count_points, weighted_sum_closed, weighted_sum_relint
 from .localization import choose_generic, localize
 from .polytope import (charge_faces, enumerate_vertices, face_lattice, h_vector,
                        require_delzant, signature_from_h, volume)
-from .series import genus_series, log
+from .series import genus_log, genus_series
 
 
 class Report:
@@ -41,9 +41,10 @@ def _log_rows(kind, n):
     """(scale, den, rows) for kind in degree n: scale = n! D^n, D the common
     denominator of g, and log g = sum_k b_k x^k with rows the pairs
     (k, k b_k den) for b_k != 0, den the common denominator of the b_k."""
-    g = genus_series(kind, n) if kind is not None else (1,) + (0,) * n
-    d = lcm(*(c.denominator for c in g))
-    b = log(g)
+    if kind is None:
+        return factorial(n), 1, ()
+    d = lcm(*(c.denominator for c in genus_series(kind, n)))
+    b = genus_log(kind, n)
     den = lcm(*(c.denominator for c in b))
     return factorial(n) * d ** n, den, tuple((k, int(k * c * den)) for k, c in enumerate(b) if c)
 

@@ -56,10 +56,11 @@ class FaceCounts:
     @cached_property
     def _on_faces(self):
         """by_mask, once each mask cuts out a face: its facets, all of P's, share a vertex."""
+        vertices, m = self._vertices, len(self._vertices)
         for mask, c in self.by_mask.items():
-            common, rest = 0 if mask >> len(self._vertices) else -1, mask
+            common, rest = 0 if mask >> m else -1, mask
             while rest and common:
-                common &= self._vertices[(rest & -rest).bit_length() - 1]
+                common &= vertices[(rest & -rest).bit_length() - 1]
                 rest &= rest - 1
             if not common:
                 raise ToricError("%d lattice points lie on facets %s, which cut out no face" % (

@@ -12,8 +12,8 @@ and the fixed point Chern route sum their own weights, independently.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from math import lcm, prod
+from itertools import accumulate, product
+from math import comb, lcm, prod
 from operator import mul
 
 from .errors import (BudgetError, DimensionError, GenericityError, InputError,
@@ -22,9 +22,9 @@ from .exact import det, integers
 from .polytope import derived, enumerate_vertices, require_delzant
 from .series import elementary_to_monomial
 
-# most steps chern_number's fixed point route may take by its estimate (see
-# there); it admits the n-simplex up to n = 18 (4.2 10^6 steps, some 2 s) and
-# the n-cube up to n = 10, and the 26-simplex (1.2 10^8) would run 42 s
+# most steps chern_number's fixed point route may take by its estimate (see there); it
+# admits every partition on the n-simplex up to n = 18 (1^18: 4.2 10^6 steps, some 2 s) and
+# the n-cube up to n = 10, and (26) on the 26-simplex, but not 1^26, which would run 42 s
 CHERN_BUDGET = 5 * 10 ** 6
 
 
@@ -300,11 +300,26 @@ def _fixed_point_sum(p, terms, u):
         c * _monomial_symmetric(lam, w) for lam, c in terms))
 
 
+def _chern_support(omega):
+    """The partitions lam, in partitions_of's order, whose m_lam is in e_omega: by
+    Gale-Ryser, those whose partial sums stay within those of omega's conjugate."""
+    n = sum(omega)
+    bound = list(accumulate(sum(x > i for x in omega) for i in range(n)))
+
+    def gen(rest, cap, k):
+        if rest == 0:
+            yield ()
+            return
+        for first in range(min(rest, cap, bound[k] - n + rest), 0, -1):
+            for tail in gen(rest - first, first, k + 1):
+                yield (first,) + tail
+    return list(gen(n, n, 0))
+
+
 def _chern_fixed_point(p, omega, u):
     """Route one: e_omega = sum_lam c_lam m_lam with c_lam counted as 0-1
     matrices, each m_lam evaluated by the fixed point formula."""
-    terms = [(lam, c) for lam in partitions_of(p.dim)
-             if (c := elementary_to_monomial(omega, lam))]
+    terms = [(lam, elementary_to_monomial(omega, lam)) for lam in _chern_support(omega)]
     return _fixed_point_sum(p, terms, u)
 
 
@@ -333,10 +348,11 @@ def chern_number(p, omega, u=None):
     charts = enumerate_vertices(p)
     if u is None:
         u = choose_generic(charts)
-    # route one updates each state of the m_lam programme, prod (multiplicity
-    # + 1) of them for each partition lam of n, once per weight at each vertex
-    steps = n * len(charts) * sum(prod(lam.count(s) + 1 for s in set(lam))
-                                  for lam in partitions_of(n))
+    # route one updates each state of the m_lam programme, prod (multiplicity + 1)
+    # of them for each lam in the support, once per weight at each vertex, and counts
+    # c_lam by C(len(lam), omega_1) first-row choices, each of about omega_1 steps
+    steps = sum(n * len(charts) * prod(lam.count(s) + 1 for s in set(lam))
+                + omega[0] * comb(len(lam), omega[0]) for lam in _chern_support(omega))
     if steps > CHERN_BUDGET:
         raise BudgetError("Chern number may take about %d steps (%d vertices in dimension "
                           "%d), over the limit of %d" % (steps, len(charts), n, CHERN_BUDGET))

@@ -1,88 +1,70 @@
 """Genus power series and the e-to-m transition of symmetric functions.
 
-A univariate series truncated at degree d is the tuple of its d + 1
-exact coefficients c_0..c_d (Fraction).  The four genus series (Todd,
-SignatureHalf, AHat, L) are produced by exact division of truncated
-exponential and hyperbolic series, and log gives the logarithm that fixes
-a multiplicative class.  A class in the facet classes is never expanded
-here: localization restricts it to a vertex as a series in one variable.
-The e-to-m transition of symmetric functions is an integer count,
-elementary_to_monomial.
+A univariate series truncated at degree d is the tuple of its d + 1 exact
+coefficients c_0..c_d (Fraction).  A multiplicative class is fixed by the
+logarithm of its power series g (Hirzebruch, Topological Methods in Algebraic
+Geometry, 1.1): genus_log gives it for the four genera in closed form, and
+genus_series is its exponential.  Localization restricts a class to a vertex as
+a series in one variable, unexpanded in the facet classes.  The e-to-m
+transition of symmetric functions is an integer count, elementary_to_monomial.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 from .errors import DimensionError, ShapeError
 
-GENUS_KINDS = ("Todd", "SignatureHalf", "AHat", "L")
+# log g = a x + sum_{k >= 1} c_k B_2k x^2k / (2k (2k)!) as (a, c_k in q = 4^k): log (y/sinh y)
+# and log cosh y have terms -q and q (q - 1) times B_2k y^2k / (2k (2k)!); Todd = e^(x/2) AHat,
+# AHat is y/sinh y at y = x/2, and SignatureHalf and L are (y/sinh y) cosh y at y = x/2 and x.
+_LOG_FORMS = {
+    "Todd": (Fraction(1, 2), lambda q: -1),
+    "SignatureHalf": (0, lambda q: q - 2),
+    "AHat": (0, lambda q: -1),
+    "L": (0, lambda q: q * (q - 2)),
+}
+GENUS_KINDS = tuple(_LOG_FORMS)
 
 
-def mul(a, b):
-    """Product of two coefficient tuples, truncated at the lower degree."""
-    d = min(len(a), len(b))
-    out = [Fraction(0)] * d
-    for i, x in enumerate(a[:d]):
-        if x:
-            for j in range(d - i):
-                out[i + j] += x * b[j]
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _bernoulli(m):
+    """B_m (B_1 = -1/2), from sum_{j <= m} C(m + 1, j) B_j = 0 for m >= 1."""
+    if m == 0:
+        return Fraction(1)
+    return -Fraction(sum(comb(m + 1, j) * _bernoulli(j) for j in range(m)), m + 1)
 
 
-def reciprocal(s):
-    """Exact series inverse; the constant term must be nonzero."""
-    c0 = s[0]
-    if c0 == 0:
-        raise DimensionError("cannot invert a series with zero constant term")
-    out = [Fraction(1) / c0]
-    for k in range(1, len(s)):
-        out.append(-sum(s[j] * out[k - j] for j in range(1, k + 1)) / c0)
-    return tuple(out)
-
-
-def log(s):
-    """Exact series logarithm, zero constant term; the constant term of s
-    must be 1.  From s' = s (log s)': k l_k = k s_k - sum_{0<j<k} j l_j s_{k-j}."""
-    if s[0] != 1:
-        raise DimensionError("cannot take the log of a series with constant term %s, not 1"
-                             % s[0])
-    out = [Fraction(0)]
-    for k in range(1, len(s)):
-        out.append(s[k] - Fraction(sum(j * out[j] * s[k - j] for j in range(1, k)), k))
-    return tuple(out)
-
-
-def hyperbolic(degree, shift, scale=1):
-    """cosh(y) (shift 0) or sinh(y)/y (shift 1) at y = x/scale, truncated:
-    the coefficient of x^k is 1/((k + shift)! scale^k) for even k, else 0."""
-    return tuple(Fraction(0) if k % 2 else Fraction(1, factorial(k + shift) * scale ** k)
-                 for k in range(degree + 1))
+def genus_log(kind, degree):
+    """log g for the genus series g of kind, as the coefficient tuple
+    b_0..b_degree (b_0 = 0), in the closed form of _LOG_FORMS."""
+    if degree < 0:
+        raise DimensionError("degree must be nonnegative")
+    if kind not in _LOG_FORMS:
+        raise ShapeError("unknown genus kind %r; expected one of %s" % (kind, (GENUS_KINDS,)))
+    a, c = _LOG_FORMS[kind]
+    out = [Fraction(0), Fraction(a)] + [Fraction(0)] * (degree - 1)
+    for k in range(1, degree // 2 + 1):
+        out[2 * k] = c(4 ** k) * _bernoulli(2 * k) / (2 * k * factorial(2 * k))
+    return tuple(out[:degree + 1])
 
 
 @lru_cache(maxsize=64)
 def genus_series(kind, degree):
-    """Exact genus series as the coefficient tuple c_0..c_degree.
+    """Exact genus series as the coefficient tuple c_0..c_degree, exp(genus_log):
+    from g' = g (log g)', k c_k = sum_{0 < j <= k} j b_j c_{k-j}.
 
     Todd          x/(1 - e^-x)        = 1 + x/2 + x^2/12 - ...
     SignatureHalf (x/2)/tanh(x/2)     = 1 + x^2/12 - x^4/720 + ...
     AHat          (x/2)/sinh(x/2)     = 1 - x^2/24 + 7x^4/5760 - ...
     L             x/tanh(x)           = 1 + x^2/3 - x^4/45 + ...
     """
-    if degree < 0:
-        raise DimensionError("degree must be nonnegative")
-    if kind == "Todd":
-        # (1 - e^-x)/x = sum (-1)^k x^k/(k+1)!
-        return reciprocal(tuple(Fraction((-1) ** k, factorial(k + 1))
-                                for k in range(degree + 1)))
-    if kind == "L":
-        return mul(hyperbolic(degree, 0), reciprocal(hyperbolic(degree, 1)))
-    if kind == "SignatureHalf":
-        return mul(hyperbolic(degree, 0, 2), reciprocal(hyperbolic(degree, 1, 2)))
-    if kind == "AHat":
-        return reciprocal(hyperbolic(degree, 1, 2))
-    raise ShapeError("unknown genus kind %r; expected one of %s" % (kind, (GENUS_KINDS,)))
+    b = genus_log(kind, degree)
+    out = [Fraction(1)]
+    for k in range(1, degree + 1):
+        out.append(sum(j * b[j] * out[k - j] for j in range(1, k + 1)) / k)
+    return tuple(out)
 
 
 @lru_cache(maxsize=4096)

@@ -20,8 +20,7 @@ from toricpick.localization import (_chart_weights, _fixed_point_sum,
                                     check_partition, partitions_of)
 from toricpick.polytope import (HPolytope, _swap, enumerate_vertices,
                                 face_lattice)
-from toricpick.series import elementary_to_monomial, genus_series, hyperbolic
-from toricpick.series import mul as series_mul
+from toricpick.series import GENUS_KINDS, elementary_to_monomial, genus_series
 
 
 def frac_rank(rows):
@@ -526,6 +525,75 @@ def product_over_facets(g, num_vars, trunc):
         raise ShapeError("facet products need a series with constant term 1")
     return _facet_product([[g[k] if k < len(g) else 0 for k in range(trunc + 1)]]
                           * num_vars, trunc)
+
+
+# The genus series by exact division of truncated exponential and
+# hyperbolic series, and the series logarithm that took them apart again:
+# the construction that series.genus_log and its exponential replaced.
+
+
+def series_mul(a, b):
+    """Product of two coefficient tuples, truncated at the lower degree."""
+    d = min(len(a), len(b))
+    out = [Fraction(0)] * d
+    for i, x in enumerate(a[:d]):
+        if x:
+            for j in range(d - i):
+                out[i + j] += x * b[j]
+    return tuple(out)
+
+
+def reciprocal(s):
+    """Exact series inverse; the constant term must be nonzero."""
+    c0 = s[0]
+    if c0 == 0:
+        raise DimensionError("cannot invert a series with zero constant term")
+    out = [Fraction(1) / c0]
+    for k in range(1, len(s)):
+        out.append(-sum(s[j] * out[k - j] for j in range(1, k + 1)) / c0)
+    return tuple(out)
+
+
+def series_log(s):
+    """Exact series logarithm, zero constant term; the constant term of s
+    must be 1.  From s' = s (log s)': k l_k = k s_k - sum_{0<j<k} j l_j s_{k-j}."""
+    if s[0] != 1:
+        raise DimensionError("cannot take the log of a series with constant term %s, not 1"
+                             % s[0])
+    out = [Fraction(0)]
+    for k in range(1, len(s)):
+        out.append(s[k] - Fraction(sum(j * out[j] * s[k - j] for j in range(1, k)), k))
+    return tuple(out)
+
+
+def hyperbolic(degree, shift, scale=1):
+    """cosh(y) (shift 0) or sinh(y)/y (shift 1) at y = x/scale, truncated:
+    the coefficient of x^k is 1/((k + shift)! scale^k) for even k, else 0."""
+    return tuple(Fraction(0) if k % 2 else Fraction(1, factorial(k + shift) * scale ** k)
+                 for k in range(degree + 1))
+
+
+def divided_genus_series(kind, degree):
+    """The genus series of kind to degree, as series.genus_series gives it,
+    built by division:
+
+    Todd          x/(1 - e^-x), the reciprocal of sum (-1)^k x^k/(k+1)!
+    SignatureHalf cosh(x/2) / (sinh(x/2)/(x/2))
+    AHat          1 / (sinh(x/2)/(x/2))
+    L             cosh(x) / (sinh(x)/x)
+    """
+    if degree < 0:
+        raise DimensionError("degree must be nonnegative")
+    if kind == "Todd":
+        return reciprocal(tuple(Fraction((-1) ** k, factorial(k + 1))
+                                for k in range(degree + 1)))
+    if kind == "L":
+        return series_mul(hyperbolic(degree, 0), reciprocal(hyperbolic(degree, 1)))
+    if kind == "SignatureHalf":
+        return series_mul(hyperbolic(degree, 0, 2), reciprocal(hyperbolic(degree, 1, 2)))
+    if kind == "AHat":
+        return reciprocal(hyperbolic(degree, 1, 2))
+    raise ShapeError("unknown genus kind %r; expected one of %s" % (kind, (GENUS_KINDS,)))
 
 
 def bernoulli(n):

@@ -101,24 +101,50 @@ def test_product_of_projective_lines_chern_numbers(n):
         assert values[(1,) * 8] == 10321920
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_chern_support_is_the_gale_ryser_set(n):
+    """m_lam has a nonzero coefficient in e_omega exactly when lam is
+    dominated by the conjugate of omega; the support keeps partitions_of's
+    order."""
+    for omega in partitions_of(n):
+        assert localization._chern_support(omega) == [
+            lam for lam in partitions_of(n) if elementary_to_monomial(omega, lam)], omega
+
+
 def test_chern_budget_boundary(monkeypatch):
-    """Route one's estimate on the 3-simplex: the partitions (3), (2, 1) and
-    (1, 1, 1) of 3 have 2 + 4 + 4 states, each updated once per weight at
-    each of the 4 vertices, 120 steps; a refusal comes before either route."""
+    """Route one's estimate on the 3-simplex: every partition of 3 is in the
+    support of e_(1,1,1); (3), (2, 1) and (1, 1, 1) have 2 + 4 + 4 states,
+    each updated once per weight at each of the 4 vertices, 120 steps, and
+    1 + 2 + 3 first-row choices of one column each, charged 1 step each,
+    126 steps in all; a refusal comes before either route."""
     def forbidden(*_args):
         raise AssertionError("a route ran past the budget")
 
     p = simplex(3)
     with monkeypatch.context() as m:
-        m.setattr(localization, "CHERN_BUDGET", 119)
+        m.setattr(localization, "CHERN_BUDGET", 125)
         m.setattr(localization, "_chern_fixed_point", forbidden)
         m.setattr(localization, "localize", forbidden)
-        with pytest.raises(BudgetError, match=r"^Chern number may take about 120 steps "
+        with pytest.raises(BudgetError, match=r"^Chern number may take about 126 steps "
                                               r"\(4 vertices in dimension 3\), over the "
-                                              r"limit of 119$"):
+                                              r"limit of 125$"):
             chern_number(p, (1, 1, 1))
-    monkeypatch.setattr(localization, "CHERN_BUDGET", 120)
+    monkeypatch.setattr(localization, "CHERN_BUDGET", 126)
     assert chern_number(p, (1, 1, 1)) == 4 ** 3
+
+
+def test_chern_budget_charges_only_the_support(monkeypatch):
+    """e_3 = m_(1,1,1): on the 3-simplex route one's estimate is the 4
+    states of (1, 1, 1), once per weight at each of the 4 vertices, and the
+    one first-row choice of all three columns, charged 3 steps, 51 steps in
+    all; the 6 states of (3) and (2, 1), whose coefficients are 0, are not
+    charged."""
+    p = simplex(3)
+    monkeypatch.setattr(localization, "CHERN_BUDGET", 50)
+    with pytest.raises(BudgetError, match=r"about 51 steps \(4 vertices in dimension 3\)"):
+        chern_number(p, (3,))
+    monkeypatch.setattr(localization, "CHERN_BUDGET", 51)
+    assert chern_number(p, (3,)) == 4
 
 
 def test_fixed_point_route_shares_nothing_with_the_class_route(monkeypatch):

@@ -94,6 +94,13 @@ ROWS = {
         polytope_file(lambda: simplex(26)),
         ["compute", "chern", "FILE", "--partition", ",".join(["1"] * 26)], 2,
         "over the limit of 5000000", 2, 40, True),
+    "26-simplex, partition 13,13, Chern budget": (
+        polytope_file(lambda: simplex(26)), ["compute", "chern", "FILE", "--partition", "13,13"],
+        2, "about 261470430 steps (27 vertices in dimension 26), over the limit of 5000000", 2,
+        40, True),
+    "26-simplex, partition 26, answered": (
+        polytope_file(lambda: simplex(26)), ["compute", "chern", "FILE", "--partition", "26"], 0,
+        '"value": "27"', 2, 40, True),
 }
 FAST = sorted(name for name, row in ROWS.items() if row[6])
 

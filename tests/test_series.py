@@ -1,15 +1,25 @@
-"""Genus series coefficients against frozen values and classical identities."""
+"""Genus series coefficients against frozen values, classical identities
+and the series-division construction of tests/oracles.py.
 
+Run as a script, the differential test sweeps all four kinds at degrees
+0..FULL_DEGREE against the oracle:
+
+    PYTHONPATH=src python tests/test_series.py
+"""
+
+import time
 from fractions import Fraction
 
 import pytest
 
-from oracles import (MultiPoly, bernoulli, elementary_symmetric, exp_linear,
-                     product_over_facets)
+from oracles import (MultiPoly, bernoulli, divided_genus_series,
+                     elementary_symmetric, exp_linear, product_over_facets,
+                     reciprocal, series_log, series_mul)
 from toricpick.errors import DimensionError, ShapeError
-from toricpick.series import GENUS_KINDS, genus_series, log, mul, reciprocal
+from toricpick.series import GENUS_KINDS, genus_log, genus_series
 
 F = Fraction
+FULL_DEGREE = 80
 
 TODD = (F(1), F(1, 2), F(1, 12), F(0), F(-1, 720), F(0), F(1, 30240))
 SIGHALF = (F(1), F(0), F(1, 12), F(0), F(-1, 720), F(0), F(1, 30240))
@@ -44,15 +54,32 @@ def test_genus_series_against_bernoulli_numbers():
         assert genus_series(kind, deg) == expected, kind
 
 
+def sweep(max_degree):
+    """genus_log and genus_series against the oracle for every kind at
+    degrees 0..max_degree; returns the number of (kind, degree) pairs."""
+    for kind in GENUS_KINDS:
+        for deg in range(max_degree + 1):
+            g = divided_genus_series(kind, deg)
+            assert genus_series(kind, deg) == g, (kind, deg)
+            assert genus_log(kind, deg) == series_log(g), (kind, deg)
+    return len(GENUS_KINDS) * (max_degree + 1)
+
+
+def test_genus_log_and_series_match_the_division_oracle():
+    assert sweep(24) == 100
+
+
 def test_genus_kind_validation():
     assert set(GENUS_KINDS) == {"Todd", "SignatureHalf", "AHat", "L"}
-    with pytest.raises(ShapeError):
-        genus_series("Chi_y", 4)
+    for make in (genus_series, genus_log, divided_genus_series):
+        with pytest.raises(ShapeError, match="unknown genus kind 'Chi_y'"):
+            make("Chi_y", 4)
 
 
 def test_degree_and_constant_term_checks():
-    with pytest.raises(DimensionError, match="nonnegative"):
-        genus_series("L", -1)
+    for make in (genus_series, genus_log, divided_genus_series):
+        with pytest.raises(DimensionError, match="nonnegative"):
+            make("L", -1)
     with pytest.raises(DimensionError, match="zero constant term"):
         reciprocal((F(0), F(1)))
 
@@ -68,7 +95,7 @@ def test_todd_factors_through_exponential():
     # x/(1 - e^-x) = e^(x/2) * (x/2)/sinh(x/2)
     deg = 8
     expo = tuple(F(1, 2) ** k / _fact(k) for k in range(deg + 1))
-    assert mul(expo, genus_series("AHat", deg)) == genus_series("Todd", deg)
+    assert series_mul(expo, genus_series("AHat", deg)) == genus_series("Todd", deg)
 
 
 def _fact(k):
@@ -81,14 +108,14 @@ def _fact(k):
 def test_reciprocal_round_trip():
     for kind in GENUS_KINDS:
         g = genus_series(kind, 6)
-        assert mul(g, reciprocal(g)) == (F(1),) + (F(0),) * 6
+        assert series_mul(g, reciprocal(g)) == (F(1),) + (F(0),) * 6
 
 
 def test_log_needs_constant_term_one():
     for c0 in (F(0), F(2), F(-1), F(1, 2)):
         with pytest.raises(DimensionError, match="constant term %s, not 1" % c0):
-            log((c0, F(1)))
-    assert log((F(1),)) == (F(0),)
+            series_log((c0, F(1)))
+    assert series_log((F(1),)) == (F(0),)
 
 
 def _derivative(s):
@@ -100,9 +127,9 @@ def test_log_derivative_identity():
     for kind in GENUS_KINDS:
         for deg in range(11):
             g = genus_series(kind, deg)
-            lg = log(g)
+            lg = genus_log(kind, deg)
             assert lg[0] == 0, (kind, deg)
-            assert _derivative(g) == mul(g, _derivative(lg)), (kind, deg)
+            assert _derivative(g) == series_mul(g, _derivative(lg)), (kind, deg)
 
 
 def test_log_closed_forms_against_bernoulli_numbers():
@@ -112,8 +139,8 @@ def test_log_closed_forms_against_bernoulli_numbers():
     b = bernoulli(deg)
     log_ahat = tuple(F(0) if k % 2 or k == 0 else -b[k] / (k * _fact(k))
                      for k in range(deg + 1))
-    assert log(genus_series("AHat", deg)) == log_ahat
-    assert log(genus_series("Todd", deg)) == (F(0), F(1, 2)) + log_ahat[2:]
+    assert genus_log("AHat", deg) == log_ahat
+    assert genus_log("Todd", deg) == (F(0), F(1, 2)) + log_ahat[2:]
 
 
 def test_multipoly_product_truncates():
@@ -152,3 +179,9 @@ def test_exp_linear_degree_parts():
     assert e.terms == {(0, 0): 1, (1, 0): 1, (0, 1): 1,
                        (2, 0): F(1, 2), (1, 1): 1, (0, 2): F(1, 2),
                        (3, 0): F(1, 6), (2, 1): F(1, 2), (1, 2): F(1, 2), (0, 3): F(1, 6)}
+
+
+if __name__ == "__main__":
+    start = time.perf_counter()
+    print("%d (kind, degree) pairs agree with the series-division oracle, %.1f s"
+          % (sweep(FULL_DEGREE), time.perf_counter() - start))
