@@ -20,6 +20,6 @@ from .polytope import (Face, FaceLattice, HPolytope, HVector, VertexChart,
                        enumerate_vertices, face_lattice, h_vector,
                        induce_face_polytope, require_delzant,
                        signature_from_h, validate, volume)
-from .series import elementary_to_monomial, genus_series
+from .series import genus_series
 
 __version__ = "0.1.0"

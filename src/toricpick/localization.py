@@ -7,25 +7,24 @@ as a series in one variable and summing restriction/Euler quotients gives
 the pairing with the fundamental class, independent of the generic vector u.
 Monomials, genus classes and Chern classes all integrate through that one
 sum, localize; no class is expanded in the m facet classes.  Gysin powers
-and the fixed point Chern route sum their own weights, independently.
+and the fixed point Chern route sum their own weights, independently; that
+route takes the elementary symmetric functions of the weights from their
+power sums by Newton's identities.
 """
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import accumulate, product
-from math import comb, lcm, prod
+from math import lcm, prod
 from operator import mul
 
 from .errors import (BudgetError, DimensionError, GenericityError, InputError,
                      RouteDisagreementError, ToricError)
 from .exact import det, integers
 from .polytope import derived, enumerate_vertices, require_delzant
-from .series import elementary_to_monomial
 
-# most steps chern_number's fixed point route may take by its estimate (see there); it
-# admits every partition on the n-simplex up to n = 18 (1^18: 4.2 10^6 steps, some 2 s) and
-# the n-cube up to n = 10, and (26) on the 26-simplex, but not 1^26, which would run 42 s
-CHERN_BUDGET = 5 * 10 ** 6
+# most steps chern_number's fixed point route may take by its estimate (see there), 10-20 ns
+# each on a 2-core VM: it admits every partition on the n-simplex up to n = 79 and on each cube
+# the walk admits; the first (n) refused on the n-simplex is (80), 1.04 10^8 steps, about 1 s
+CHERN_BUDGET = 10 ** 8
 
 
 def _primes():
@@ -260,74 +259,32 @@ def check_partition(omega, n=None):
     return omega
 
 
-@lru_cache(maxsize=256)
-def _placements(lam):
-    """States of the m_lam dynamic programme (parts placed per distinct
-    size), ordered by the number placed: the sizes, that number per state,
-    and per state the (index, size position) of each state one part short."""
-    sizes = sorted(set(lam))
-    states = sorted(product(*(range(lam.count(s) + 1) for s in sizes)), key=sum)
-    index = {st: i for i, st in enumerate(states)}
-    return sizes, [sum(st) for st in states], [
-        [(index[st[:k] + (x - 1,) + st[k + 1:]], k) for k, x in enumerate(st) if x]
-        for st in states]
-
-
-def _monomial_symmetric(lam, w):
-    """m_lam(w), each distinct monomial of shape lam in the weights once.
-
-    Weight by weight, each takes one part of lam not yet placed or none.
-    After j of the n weights only states with between l - (n - j) and j of
-    the l parts placed can still finish, so only those are updated, the
-    most placed first, so that each reads the values from before weight j.
-    """
-    sizes, placed, steps = _placements(lam)
-    n, l = len(w), len(lam)
-    val = [1] + [0] * (len(steps) - 1)
-    for j, x in enumerate(w, 1):
-        power = [x ** s for s in sizes]
-        for i in range(len(steps) - 1, 0, -1):
-            if l - n + j <= placed[i] <= j:
-                for src, k in steps[i]:
-                    val[i] += val[src] * power[k]
-    return val[-1]
-
-
-def _fixed_point_sum(p, terms, u):
-    """Sum over the vertices of sum_lam c_lam m_lam(w) / prod w for the
-    (lam, c_lam) terms."""
-    return _vertex_sum(p, u, lambda _c, w: sum(
-        c * _monomial_symmetric(lam, w) for lam, c in terms))
-
-
-def _chern_support(omega):
-    """The partitions lam, in partitions_of's order, whose m_lam is in e_omega: by
-    Gale-Ryser, those whose partial sums stay within those of omega's conjugate."""
-    n = sum(omega)
-    bound = list(accumulate(sum(x > i for x in omega) for i in range(n)))
-
-    def gen(rest, cap, k):
-        if rest == 0:
-            yield ()
-            return
-        for first in range(min(rest, cap, bound[k] - n + rest), 0, -1):
-            for tail in gen(rest - first, first, k + 1):
-                yield (first,) + tail
-    return list(gen(n, n, 0))
-
-
 def _chern_fixed_point(p, omega, u):
-    """Route one: e_omega = sum_lam c_lam m_lam with c_lam counted as 0-1
-    matrices, each m_lam evaluated by the fixed point formula."""
-    terms = [(lam, elementary_to_monomial(omega, lam)) for lam in _chern_support(omega)]
-    return _fixed_point_sum(p, terms, u)
+    """Route one: prod_k e_{omega_k}(w) / prod w summed over the vertices, each
+    e_k from the power sums of the weights by Newton's identities,
+    k e_k = sum_{i <= k} (-1)^(i-1) e_{k-i} p_i (Macdonald, Symmetric Functions
+    and Hall Polynomials, I.2), each division exact."""
+    top = omega[0]
+
+    def numerator(_c, w):
+        # q_i = (-1)^(i-1) p_i(w), kept as -sum (-w_j)^i
+        minus = [-x for x in w]
+        powers, q = [-1] * len(w), [0]
+        for _ in range(top):
+            powers = list(map(mul, powers, minus))
+            q.append(sum(powers))
+        e = [1]
+        for k in range(1, top + 1):
+            e.append(sum(e[k - i] * q[i] for i in range(1, k + 1)) // k)
+        return prod(e[k] for k in omega)
+    return _vertex_sum(p, u, numerator)
 
 
 def _chern_restriction(omega, w):
     """prod_k e_{omega_k}(v) at a vertex; e_k(v_1..v_m) restricts to e_k(w) t^k."""
-    e = [1] + [0] * len(w)
+    e = [1] + [0] * omega[0]
     for x in w:
-        for k in range(len(w), 0, -1):
+        for k in range(omega[0], 0, -1):
             e[k] += e[k - 1] * x
     return [0] * len(w) + [prod(e[k] for k in omega)]
 
@@ -335,24 +292,24 @@ def _chern_restriction(omega, w):
 def chern_number(p, omega, u=None):
     """Chern number for a partition of n, computed two independent ways.
 
-    Route one expands the elementary symmetric product into monomial
-    symmetric functions by integer counts and evaluates each by the literal
-    fixed point formula, without the e_k of the weights; route two localizes
-    prod_j e_{w_j}(v_1..v_m), restricted at each vertex to prod_j e_{w_j} of
-    the n weights.  Any disagreement or non-integrality is reported as an
-    error, never patched.  A BudgetError comes first if route one may pass
-    CHERN_BUDGET steps.
+    Route one sums prod_j e_{omega_j}(w) / prod w over the vertices by the
+    fixed point formula, each e_k of the n weights w from their power sums by
+    Newton's identities; route two localizes prod_j e_{omega_j}(v_1..v_m),
+    restricted at each vertex to prod_j e_{omega_j} of the weights, built
+    factor by factor up to e_{omega_1}.  Any disagreement or non-integrality is
+    reported as an error, never patched.  A BudgetError comes first if route
+    one may pass CHERN_BUDGET steps.
     """
     n = p.dim
     omega = check_partition(omega, n)
     charts = enumerate_vertices(p)
     if u is None:
         u = choose_generic(charts)
-    # route one updates each state of the m_lam programme, prod (multiplicity + 1)
-    # of them for each lam in the support, once per weight at each vertex, and counts
-    # c_lam by C(len(lam), omega_1) first-row choices, each of about omega_1 steps
-    steps = sum(n * len(charts) * prod(lam.count(s) + 1 for s in set(lam))
-                + omega[0] * comb(len(lam), omega[0]) for lam in _chern_support(omega))
+    # route one takes n omega_1 products for the power sums and omega_1^2 for Newton's
+    # identities at each vertex, on numbers of up to omega_1 b bits, b the largest weight's
+    top = omega[0]
+    bits = max(abs(x) for _c, w in _chart_weights(p, tuple(u)) for x in w).bit_length()
+    steps = len(charts) * (n * top + top * top) * -(-top * bits // 64)
     if steps > CHERN_BUDGET:
         raise BudgetError("Chern number may take about %d steps (%d vertices in dimension "
                           "%d), over the limit of %d" % (steps, len(charts), n, CHERN_BUDGET))

@@ -1,17 +1,15 @@
-"""Genus power series and the e-to-m transition of symmetric functions.
+"""Genus power series.
 
 A univariate series truncated at degree d is the tuple of its d + 1 exact
 coefficients c_0..c_d (Fraction).  A multiplicative class is fixed by the
 logarithm of its power series g (Hirzebruch, Topological Methods in Algebraic
 Geometry, 1.1): genus_log gives it for the four genera in closed form, and
 genus_series is its exponential.  Localization restricts a class to a vertex as
-a series in one variable, unexpanded in the facet classes.  The e-to-m
-transition of symmetric functions is an integer count, elementary_to_monomial.
+a series in one variable, unexpanded in the facet classes.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb, factorial
 
 from .errors import DimensionError, ShapeError
@@ -65,20 +63,3 @@ def genus_series(kind, degree):
     for k in range(1, degree + 1):
         out.append(sum(j * b[j] * out[k - j] for j in range(1, k + 1)) / k)
     return tuple(out)
-
-
-@lru_cache(maxsize=4096)
-def elementary_to_monomial(omega, lam):
-    """Coefficient of the monomial symmetric m_lam in e_omega = prod_k e_{omega_k}.
-
-    It is the number of 0-1 matrices with row sums omega and column sums lam
-    (Macdonald, Symmetric Functions and Hall Polynomials, I.6), the same in
-    any number of variables at least the length of lam; both are tuples.
-    The first row puts its 1s in some of the columns that still need one,
-    and the other rows fill what those columns need then, sorted.
-    """
-    if not omega:
-        return int(not any(lam))
-    return sum(elementary_to_monomial(omega[1:], tuple(sorted(
-        (x - (i in ones) for i, x in enumerate(lam)), reverse=True)))
-        for ones in combinations([i for i, x in enumerate(lam) if x], omega[0]))

@@ -7,7 +7,7 @@ Each is kept so that a differential test can hold the faster route in
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from math import ceil, comb, factorial, floor, gcd, lcm, prod
 from operator import add, mul
 
@@ -16,11 +16,11 @@ from toricpick.agw import DEGREE, NUM_ROOTS
 from toricpick.errors import (DimensionError, InputError, NotSimpleError,
                               ShapeError, ToricError)
 from toricpick.exact import det, dot, vector_gcd
-from toricpick.localization import (_chart_weights, _fixed_point_sum,
+from toricpick.localization import (_chart_weights, _vertex_sum,
                                     check_partition, partitions_of)
 from toricpick.polytope import (HPolytope, _swap, enumerate_vertices,
                                 face_lattice)
-from toricpick.series import GENUS_KINDS, elementary_to_monomial, genus_series
+from toricpick.series import GENUS_KINDS, genus_series
 
 
 def frac_rank(rows):
@@ -723,6 +723,92 @@ def monomial_coefficients(omega, num_vars, degree):
     return out
 
 
+# Route one of chern_number before Newton's identities: e_omega expanded on the
+# monomial symmetric functions m_lam by 0-1 matrix counts, each m_lam evaluated
+# at a vertex by a dynamic programme over the weights.
+
+
+@lru_cache(maxsize=4096)
+def elementary_to_monomial(omega, lam):
+    """Coefficient of the monomial symmetric m_lam in e_omega = prod_k e_{omega_k}.
+
+    It is the number of 0-1 matrices with row sums omega and column sums lam
+    (Macdonald, Symmetric Functions and Hall Polynomials, I.6), the same in
+    any number of variables at least the length of lam; both are tuples.
+    The first row puts its 1s in some of the columns that still need one,
+    and the other rows fill what those columns need then, sorted.
+    """
+    if not omega:
+        return int(not any(lam))
+    return sum(elementary_to_monomial(omega[1:], tuple(sorted(
+        (x - (i in ones) for i, x in enumerate(lam)), reverse=True)))
+        for ones in combinations([i for i, x in enumerate(lam) if x], omega[0]))
+
+
+def chern_support(omega):
+    """The partitions lam, in partitions_of's order, whose m_lam is in e_omega: by
+    Gale-Ryser, those whose partial sums stay within those of omega's conjugate."""
+    n = sum(omega)
+    bound = list(accumulate(sum(x > i for x in omega) for i in range(n)))
+
+    def gen(rest, cap, k):
+        if rest == 0:
+            yield ()
+            return
+        for first in range(min(rest, cap, bound[k] - n + rest), 0, -1):
+            for tail in gen(rest - first, first, k + 1):
+                yield (first,) + tail
+    return list(gen(n, n, 0))
+
+
+@lru_cache(maxsize=256)
+def _placements(lam):
+    """States of the m_lam dynamic programme (parts placed per distinct
+    size), ordered by the number placed: the sizes, that number per state,
+    and per state the (index, size position) of each state one part short."""
+    sizes = sorted(set(lam))
+    states = sorted(product(*(range(lam.count(s) + 1) for s in sizes)), key=sum)
+    index = {st: i for i, st in enumerate(states)}
+    return sizes, [sum(st) for st in states], [
+        [(index[st[:k] + (x - 1,) + st[k + 1:]], k) for k, x in enumerate(st) if x]
+        for st in states]
+
+
+def monomial_symmetric(lam, w):
+    """m_lam(w), each distinct monomial of shape lam in the weights once.
+
+    Weight by weight, each takes one part of lam not yet placed or none.
+    After j of the n weights only states with between l - (n - j) and j of
+    the l parts placed can still finish, so only those are updated, the
+    most placed first, so that each reads the values from before weight j.
+    """
+    sizes, placed, steps = _placements(lam)
+    n, l = len(w), len(lam)
+    val = [1] + [0] * (len(steps) - 1)
+    for j, x in enumerate(w, 1):
+        power = [x ** s for s in sizes]
+        for i in range(len(steps) - 1, 0, -1):
+            if l - n + j <= placed[i] <= j:
+                for src, k in steps[i]:
+                    val[i] += val[src] * power[k]
+    return val[-1]
+
+
+def fixed_point_sum(p, terms, u):
+    """Sum over the vertices of sum_lam c_lam m_lam(w) / prod w for the
+    (lam, c_lam) terms, through the program's vertex sum."""
+    return _vertex_sum(p, u, lambda _c, w: sum(
+        c * monomial_symmetric(lam, w) for lam, c in terms))
+
+
+def monomial_chern_route(p, omega, u):
+    """e_omega = sum_lam c_lam m_lam with c_lam counted as 0-1 matrices, each
+    m_lam evaluated by the fixed point formula."""
+    omega = check_partition(omega, p.dim)
+    return fixed_point_sum(
+        p, [(lam, elementary_to_monomial(omega, lam)) for lam in chern_support(omega)], u)
+
+
 def _automorphisms(lam):
     out = 1
     for part in set(lam):
@@ -732,7 +818,7 @@ def _automorphisms(lam):
 
 def fixed_point_partition_sum(p, lam, u):
     """Literal fixed point formula for a partition of n, through the
-    program's m_lam dynamic programme.
+    m_lam dynamic programme above.
 
     At a vertex it sums, over ordered l-tuples of distinct incident facets
     and the parts of lam placed on them, prod w^part over the Euler product.
@@ -741,7 +827,7 @@ def fixed_point_partition_sum(p, lam, u):
     route takes for one term.
     """
     lam = check_partition(lam, p.dim)
-    return _fixed_point_sum(p, ((lam, _automorphisms(lam)),), u)
+    return fixed_point_sum(p, ((lam, _automorphisms(lam)),), u)
 
 
 def permutation_partition_sum(p, lam, u):

@@ -16,14 +16,15 @@ from math import prod
 
 import pytest
 
-from oracles import (ParityError, divided_genus_series, expand_genus_product,
-                     frac_solve, series_log, to_pontryagin, twisted_ahat)
+from oracles import (ParityError, divided_genus_series, elementary_to_monomial,
+                     expand_genus_product, frac_solve, series_log, to_pontryagin,
+                     twisted_ahat)
 from toricpick.agw import (CHARACTER, DEGREE, NUM_ROOTS, POWER_SUMS, WEIGHT,
                            _mul, multiplicative_class, pontryagin_label,
                            verify_agw)
 from toricpick.errors import DimensionError
 from toricpick.localization import partitions_of
-from toricpick.series import elementary_to_monomial, genus_log, genus_series
+from toricpick.series import genus_log, genus_series
 
 F = Fraction
 FULL_SERIES = 3000

@@ -1,27 +1,34 @@
-"""Chern numbers by integer symmetric-function counts.
+"""Chern numbers: route one by Newton's identities against the m_lam route.
 
-Route one of `chern_number` evaluates each monomial symmetric function m_lam
-at a vertex by a dynamic programme over the weights, and takes the
-coefficient of m_lam in e_omega as a count of 0-1 matrices.  Here both are
-held to the routes they replaced (every ordered index tuple and permutation
-of the parts; the product of elementary symmetric polynomials expanded
-term by term), and the Chern numbers to closed forms that need no oracle.
+Route one of `chern_number` takes e_k of the weights at each vertex from
+their power sums by Newton's identities.  Here it is held to the route it
+replaced, kept in tests/oracles.py: e_omega expanded on the monomial
+symmetric functions m_lam by 0-1 matrix counts over the Gale-Ryser support,
+each m_lam evaluated by a dynamic programme.  That route is held in turn to
+every ordered index tuple and permutation of the parts and to the product
+of elementary symmetric polynomials expanded term by term, and the Chern
+numbers to closed forms that need no oracle.  Run as a script, the
+differential test sweeps every partition of delzant_family(8) at two
+generic vectors:
+
+    PYTHONPATH=src python tests/test_chern_dp.py
 """
 
 import inspect
+import time
 from math import comb, factorial, prod
 
 import pytest
 
 from families import cube, delzant_family, simplex
-from oracles import (fixed_point_partition_sum, monomial_coefficients,
-                     permutation_partition_sum)
+from oracles import (chern_support, elementary_to_monomial,
+                     fixed_point_partition_sum, monomial_chern_route,
+                     monomial_coefficients, permutation_partition_sum)
 from toricpick import localization
 from toricpick.errors import BudgetError
 from toricpick.localization import (chern_number, choose_generic, gysin_power,
                                     integrate_monomial, partitions_of)
 from toricpick.polytope import enumerate_vertices
-from toricpick.series import elementary_to_monomial
 
 SMALL = delzant_family(6)
 
@@ -30,6 +37,23 @@ def two_vectors(p):
     charts = enumerate_vertices(p)
     u1 = choose_generic(charts)
     return u1, choose_generic(charts, exclude=(u1,))
+
+
+def newton_matches_the_monomial_route(p):
+    """Route one against the m_lam oracle for every partition of n at both
+    generic vectors; the number of pairs compared."""
+    pairs = 0
+    for u in two_vectors(p):
+        for omega in partitions_of(p.dim):
+            assert localization._chern_fixed_point(p, omega, u) == monomial_chern_route(
+                p, omega, u), (omega, u)
+            pairs += 1
+    return pairs
+
+
+@pytest.mark.parametrize("name,p", SMALL, ids=[name for name, _ in SMALL])
+def test_newton_route_matches_the_monomial_oracle(name, p):
+    newton_matches_the_monomial_route(p)
 
 
 @pytest.mark.parametrize("name,p", SMALL, ids=[name for name, _ in SMALL])
@@ -107,44 +131,61 @@ def test_chern_support_is_the_gale_ryser_set(n):
     dominated by the conjugate of omega; the support keeps partitions_of's
     order."""
     for omega in partitions_of(n):
-        assert localization._chern_support(omega) == [
+        assert chern_support(omega) == [
             lam for lam in partitions_of(n) if elementary_to_monomial(omega, lam)], omega
 
 
-def test_chern_budget_boundary(monkeypatch):
-    """Route one's estimate on the 3-simplex: every partition of 3 is in the
-    support of e_(1,1,1); (3), (2, 1) and (1, 1, 1) have 2 + 4 + 4 states,
-    each updated once per weight at each of the 4 vertices, 120 steps, and
-    1 + 2 + 3 first-row choices of one column each, charged 1 step each,
-    126 steps in all; a refusal comes before either route."""
-    def forbidden(*_args):
-        raise AssertionError("a route ran past the budget")
+@pytest.mark.parametrize("name,p", delzant_family(8), ids=[name for name, _ in delzant_family(8)])
+def test_top_chern_number_is_the_euler_characteristic(name, p):
+    assert chern_number(p, (p.dim,)) == len(enumerate_vertices(p))
 
+
+@pytest.mark.parametrize("n", [26, 40, 60])
+def test_simplex_chern_numbers_in_closed_form(n):
+    """c(CP^n) = (1 + h)^(n+1): c_1^n = (n+1)^n and c_k^2 = C(n+1, k)^2."""
+    p = simplex(n)
+    assert chern_number(p, (1,) * n) == (n + 1) ** n
+    k = n // 2
+    assert chern_number(p, (k, k)) == comb(2 * k + 1, k) ** 2
+
+
+def forbidden(*_args, **_kw):
+    raise AssertionError("a route ran past the budget")
+
+
+def test_chern_budget_boundary(monkeypatch):
+    """Route one's estimate on the 3-simplex at u = (1, 2, 4), whose largest
+    weight 4 has 3 bits: for (1, 1, 1), 4 vertices times n omega_1 + omega_1^2
+    = 4 products on one 64-bit word, 16 steps; a refusal comes before either
+    route."""
     p = simplex(3)
+    assert choose_generic(enumerate_vertices(p)) == (1, 2, 4)
     with monkeypatch.context() as m:
-        m.setattr(localization, "CHERN_BUDGET", 125)
+        m.setattr(localization, "CHERN_BUDGET", 15)
         m.setattr(localization, "_chern_fixed_point", forbidden)
         m.setattr(localization, "localize", forbidden)
-        with pytest.raises(BudgetError, match=r"^Chern number may take about 126 steps "
+        with pytest.raises(BudgetError, match=r"^Chern number may take about 16 steps "
                                               r"\(4 vertices in dimension 3\), over the "
-                                              r"limit of 125$"):
+                                              r"limit of 15$"):
             chern_number(p, (1, 1, 1))
-    monkeypatch.setattr(localization, "CHERN_BUDGET", 126)
+    monkeypatch.setattr(localization, "CHERN_BUDGET", 16)
     assert chern_number(p, (1, 1, 1)) == 4 ** 3
 
 
-def test_chern_budget_charges_only_the_support(monkeypatch):
-    """e_3 = m_(1,1,1): on the 3-simplex route one's estimate is the 4
-    states of (1, 1, 1), once per weight at each of the 4 vertices, and the
-    one first-row choice of all three columns, charged 3 steps, 51 steps in
-    all; the 6 states of (3) and (2, 1), whose coefficients are 0, are not
-    charged."""
+def test_chern_budget_charges_the_word_length(monkeypatch):
+    """At u = (1, 2^40, 2^80) the largest weight on the 3-simplex has 81
+    bits, so e_3 reaches 243 bits, 4 words: (3) costs 4 vertices times
+    3 * 3 + 3^2 products times 4, 288 steps."""
     p = simplex(3)
-    monkeypatch.setattr(localization, "CHERN_BUDGET", 50)
-    with pytest.raises(BudgetError, match=r"about 51 steps \(4 vertices in dimension 3\)"):
-        chern_number(p, (3,))
-    monkeypatch.setattr(localization, "CHERN_BUDGET", 51)
-    assert chern_number(p, (3,)) == 4
+    u = (1, 2 ** 40, 2 ** 80)
+    with monkeypatch.context() as m:
+        m.setattr(localization, "CHERN_BUDGET", 287)
+        m.setattr(localization, "_chern_fixed_point", forbidden)
+        m.setattr(localization, "localize", forbidden)
+        with pytest.raises(BudgetError, match=r"about 288 steps \(4 vertices in dimension 3\)"):
+            chern_number(p, (3,), u)
+    monkeypatch.setattr(localization, "CHERN_BUDGET", 288)
+    assert chern_number(p, (3,), u) == 4
 
 
 def test_fixed_point_route_shares_nothing_with_the_class_route(monkeypatch):
@@ -185,3 +226,11 @@ def test_class_route_restricts_once_per_vertex(monkeypatch):
     p = cube(5)
     chern_number(p, (2, 2, 1))
     assert len(calls) == len(enumerate_vertices(p))
+
+
+if __name__ == "__main__":
+    start = time.perf_counter()
+    family = delzant_family(8)
+    pairs = sum(newton_matches_the_monomial_route(p) for _, p in family)
+    print("%d (polytope, partition, vector) triples of %d polytopes agree with the m_lam "
+          "route in %.1f s" % (pairs, len(family), time.perf_counter() - start))

@@ -307,15 +307,22 @@ def test_commands_that_read_faces_refuse_the_16_simplex_at_once(tmp_path, capsys
         assert "face order may hold" in err and "over the limit of %d" % FACE_BUDGET in err, argv
 
 
-def test_compute_chern_refuses_the_26_simplex_at_once(tmp_path, capsys):
-    """Route one's estimate is 124 336 596 steps; unbudgeted it ran 42 s."""
+def test_compute_chern_answers_1_26_and_refuses_80_at_once(tmp_path, capsys):
+    """c_1^26 of CP^26 is 27^26; (80) on the 80-simplex is the first (n)
+    route one's estimate refuses: 81 vertices times 2 * 80^2 products on 100
+    words."""
     path = write(tmp_path, "simplex26.json", dump_polytope(simplex(26)))
     start = time.perf_counter()
     assert cli.main(["compute", "chern", path, "--partition", ",".join(["1"] * 26),
-                     "--format", "json"]) == 2
+                     "--format", "json"]) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["value"] == str(27 ** 26)
+    path = write(tmp_path, "simplex80.json", dump_polytope(simplex(80)))
+    start = time.perf_counter()
+    assert cli.main(["compute", "chern", path, "--partition", "80", "--format", "json"]) == 2
     assert time.perf_counter() - start < 1
     err = capsys.readouterr().err
-    assert "about 124336596 steps" in err
+    assert "about 103680000 steps (81 vertices in dimension 80)" in err
     assert "over the limit of %d" % localization.CHERN_BUDGET in err
 
 

@@ -18,6 +18,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from math import comb
 
 import pytest
 
@@ -90,17 +91,24 @@ ROWS = {
     "50-simplex, face budget": (
         polytope_file(lambda: simplex(50)), ["verify", "pick", "FILE"], 2,
         "face order may hold about", 2, 40, True),
-    "26-simplex, partition 1^26, Chern budget": (
+    "26-simplex, partition 1^26, answered": (
         polytope_file(lambda: simplex(26)),
-        ["compute", "chern", "FILE", "--partition", ",".join(["1"] * 26)], 2,
-        "over the limit of 5000000", 2, 40, True),
-    "26-simplex, partition 13,13, Chern budget": (
+        ["compute", "chern", "FILE", "--partition", ",".join(["1"] * 26)], 0,
+        '"value": "%d"' % 27 ** 26, 2, 40, True),
+    "26-simplex, partition 13,13, answered": (
         polytope_file(lambda: simplex(26)), ["compute", "chern", "FILE", "--partition", "13,13"],
-        2, "about 261470430 steps (27 vertices in dimension 26), over the limit of 5000000", 2,
-        40, True),
+        0, '"value": "%d"' % comb(27, 13) ** 2, 2, 40, True),
     "26-simplex, partition 26, answered": (
         polytope_file(lambda: simplex(26)), ["compute", "chern", "FILE", "--partition", "26"], 0,
         '"value": "27"', 2, 40, True),
+    "60-simplex, partition 1^60, answered": (
+        polytope_file(lambda: simplex(60)),
+        ["compute", "chern", "FILE", "--partition", ",".join(["1"] * 60)], 0,
+        '"value": "%d"' % 61 ** 60, 2, 40, True),
+    "80-simplex, partition 80, Chern budget": (
+        polytope_file(lambda: simplex(80)), ["compute", "chern", "FILE", "--partition", "80"], 2,
+        "about 103680000 steps (81 vertices in dimension 80), over the limit of 100000000", 2,
+        40, True),
 }
 FAST = sorted(name for name, row in ROWS.items() if row[6])
 

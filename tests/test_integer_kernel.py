@@ -151,6 +151,9 @@ def test_one_fraction_per_vertex_at_most(p, monkeypatch):
         CountedFraction.made = 0
         fixed_point_partition_sum(p, lam, u)
         assert CountedFraction.made == 1, lam
+        CountedFraction.made = 0
+        localization._chern_fixed_point(p, lam, u)
+        assert CountedFraction.made == 1, lam
     CountedFraction.made = 0
     gysin_power(p, 0, p.dim, u)
     assert CountedFraction.made == 1
