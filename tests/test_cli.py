@@ -246,6 +246,22 @@ def test_verify_table_output(capsys):
     assert "holds      yes" in out
 
 
+@pytest.mark.parametrize("tty,fmt", [(True, "table"), (False, "json")])
+def test_default_format_is_table_on_a_terminal_else_json(tty, fmt, capsys, monkeypatch):
+    """Without --format each command prints what --format table prints when
+    stdout is a terminal, and what --format json prints otherwise."""
+    for argv in (["verify", "pick", corpus_file("square1")],
+                 ["compute", "hvector", corpus_file("prism")],
+                 ["corpus", CORPUS_DIR]):
+        assert cli.main(argv + ["--format", fmt]) == 0
+        expected = capsys.readouterr()
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: tty)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr() == expected, argv
+        monkeypatch.undo()
+    assert expected.out.startswith("file ") if tty else json.loads(expected.out)["all_hold"]
+
+
 def test_verify_rejects_non_delzant(capsys):
     code = cli.main(["verify", "pick", P112])
     err = capsys.readouterr().err

@@ -3,9 +3,10 @@
 tests/data/golden_corpus.json holds the argument list, exit code, standard
 output and standard error of every verify/compute command on corpus/ (JSON
 format; --breakdown, --u at the second generic vector, gysin on every facet,
-chern for every partition), of `verify agw` and of `corpus corpus/`.  A
-speed-up must not change a byte of any of them.  After a deliberate change
-of output, rewrite the file from the repository root with
+chern for every partition), of `verify agw` and of `corpus corpus/`;
+tests/data/golden_corpus_table.json holds the same commands in table format.
+A speed-up must not change a byte of any of them.  After a deliberate change
+of output, rewrite both files from the repository root with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -23,11 +24,14 @@ from toricpick.polytope import enumerate_vertices
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-GOLDEN = os.path.join(HERE, "data", "golden_corpus.json")
+# format: the file that records every command in it
+GOLDEN = {"json": os.path.join(HERE, "data", "golden_corpus.json"),
+          "table": os.path.join(HERE, "data", "golden_corpus_table.json")}
 
 
-def command_set():
-    """Every argument list, with corpus paths relative to the repository root."""
+def command_set(fmt="json"):
+    """Every argument list in one format, with corpus paths relative to the
+    repository root."""
     commands = [["verify", "agw"], ["corpus", "corpus"]]
     for name in CORPUS_NAMES:
         p = get(name)
@@ -52,7 +56,7 @@ def command_set():
         for facet in range(m):
             commands.append(["compute", "gysin", path, "--facet", str(facet),
                              "--power", str(n), "--breakdown"])
-    return [argv + ["--format", "json"] for argv in commands]
+    return [argv + ["--format", fmt] for argv in commands]
 
 
 def run(argv):
@@ -63,19 +67,29 @@ def run(argv):
             "stderr": err.getvalue()}
 
 
-def test_corpus_commands_match_the_recorded_output(monkeypatch):
-    monkeypatch.chdir(ROOT)
-    with open(GOLDEN, "r", encoding="utf-8") as fh:
+def check_recorded(fmt):
+    with open(GOLDEN[fmt], "r", encoding="utf-8") as fh:
         recorded = json.load(fh)
-    assert [r["argv"] for r in recorded] == command_set()
+    assert [r["argv"] for r in recorded] == command_set(fmt)
     for expected in recorded:
         assert run(expected["argv"]) == expected, " ".join(expected["argv"])
 
 
+def test_corpus_commands_match_the_recorded_output(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    check_recorded("json")
+
+
+def test_corpus_commands_match_the_recorded_table(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    check_recorded("table")
+
+
 if __name__ == "__main__":
     os.chdir(ROOT)
-    rows = [run(argv) for argv in command_set()]
-    with open(GOLDEN, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=1)
-        fh.write("\n")
-    print("wrote %d commands to %s" % (len(rows), GOLDEN), file=sys.stderr)
+    for fmt, path in GOLDEN.items():
+        rows = [run(argv) for argv in command_set(fmt)]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(rows, fh, indent=1)
+            fh.write("\n")
+        print("wrote %d commands to %s" % (len(rows), path), file=sys.stderr)
