@@ -38,6 +38,7 @@ CHECKS = {
     "signature": (check_untwisted_signature, True),
     "tetrahedron": (check_tetrahedron, False),
 }
+CORPUS_CHECKS = (*CHECKS, "u-indep")
 COMPUTE_KINDS = ("chern", "count", "hvector", "volume", "gysin",
                  "signature-twisted", "todd-twisted")
 
@@ -226,10 +227,15 @@ def render_value_table(data):
     return "\n".join(lines)
 
 
-def _chosen_format(args):
-    if args.format:
-        return args.format
-    return "table" if sys.stdout.isatty() else "json"
+def render_corpus_table(data):
+    width = max(len(row["file"]) for row in data["files"])
+    lines = ["%-*s  %s" % (width, "file", "  ".join("%-11s" % c for c in CORPUS_CHECKS))]
+    for row in data["files"]:
+        checks = row["checks"]
+        cells = ("-" if c not in checks else "ok" if checks[c] else "FAIL" for c in CORPUS_CHECKS)
+        lines.append("%-*s  %s" % (width, row["file"], "  ".join("%-11s" % c for c in cells)))
+    lines.append("all identities hold" if data["all_hold"] else "FAILURES PRESENT")
+    return "\n".join(lines)
 
 
 def _parse_u(text, p):
@@ -250,6 +256,7 @@ def _parse_partition(text):
         raise InputError("--partition must be comma separated integers, got %r" % text)
 
 
+# each command returns (exit code, payload, table renderer); main prints it
 def cmd_verify(args):
     check, takes_u = CHECKS.get(args.kind, (None, False))
     if args.u is not None and not takes_u:
@@ -263,87 +270,60 @@ def cmd_verify(args):
     else:
         p = load_polytope(args.file)
         report = check(p) if args.u is None else check(p, u=_parse_u(args.u, p))
-    data = report_to_dict(report)
-    if _chosen_format(args) == "json":
-        print(render_json(data))
-    else:
-        print(render_report_table(jsonable(data)))
-    return 0 if report.holds else 1
-
-
-def _compute_value(args, p, u):
-    """Return (value, extras) for a compute sub-kind."""
-    kind = args.kind
-    n = p.dim
-    extras = {}
-    if kind == "chern":
-        omega = _parse_partition(args.partition)
-        value = chern_number(p, omega, u=u)
-        if args.breakdown:
-            extras["breakdown"] = {"partition": list(omega)}
-    elif kind == "count":
-        fc = count_points(p)
-        value = fc.total
-        if args.faces:
-            fl = fc.lattice
-            extras["faces"] = [
-                {"dim": f.dim, "facets": sorted(f.facet_set),
-                 "closed": fc.closed[i], "relint": fc.relint[i]}
-                for i, f in enumerate(fl.faces)]
-    elif kind == "hvector":
-        fl = face_lattice(p)
-        hv = h_vector(fl)
-        value = list(hv.h)
-        extras["breakdown"] = {
-            "f_vector": list(fl.f_vector),
-            "signature": signature_from_h(hv),
-        }
-    elif kind == "volume":
-        value = volume(p)
-        if args.breakdown:
-            total, per_vertex = volume_breakdown(p, u)
-            extras["breakdown"] = {
-                "localization_total": total,
-                "per_vertex": per_vertex_breakdown(per_vertex),
-            }
-    elif kind == "gysin":
-        if args.facet is None or args.power is None:
-            raise InputError("compute gysin requires --facet and --power")
-        uu = u if u is not None else choose_generic(enumerate_vertices(p))
-        value = gysin_power(p, args.facet, args.power, uu)
-        if args.breakdown:
-            exponents = tuple(args.power if i == args.facet else 0
-                              for i in range(len(p.facets)))
-            breakdown = {"monomial_route": integrate_monomial(p, exponents, uu)}
-            if n == 3:
-                breakdown["triple_product_route"] = gysin_power_v3(p, args.facet, uu)
-            extras["breakdown"] = breakdown
-    else:
-        twisted = (twisted_signature_breakdown if kind == "signature-twisted"
-                   else twisted_todd_breakdown)
-        value, per_vertex = twisted(p, u)
-        if args.breakdown:
-            extras["breakdown"] = {"per_vertex": per_vertex_breakdown(per_vertex)}
-    return value, extras
+    return (0 if report.holds else 1), report_to_dict(report), render_report_table
 
 
 def cmd_compute(args):
-    if args.u is not None and (args.kind in ("count", "hvector")
-                               or args.kind == "volume" and not args.breakdown):
-        raise InputError("--u does not apply to compute %s" % args.kind)
+    kind = args.kind
+    if args.u is not None and (kind in ("count", "hvector")
+                               or kind == "volume" and not args.breakdown):
+        raise InputError("--u does not apply to compute %s" % kind)
     p = load_polytope(args.file)
     u = _parse_u(args.u, p) if args.u is not None else None
-    value, extras = _compute_value(args, p, u)
-    data = {"command": "compute", "kind": args.kind, "polytope": p.name or "",
-            "value": value, **extras}
-    if _chosen_format(args) == "json":
-        print(render_json(data))
+    data = {"command": "compute", "kind": kind, "polytope": p.name or ""}
+    if kind == "chern":
+        omega = _parse_partition(args.partition)
+        data["value"] = chern_number(p, omega, u=u)
+        if args.breakdown:
+            data["breakdown"] = {"partition": list(omega)}
+    elif kind == "count":
+        fc = count_points(p)
+        data["value"] = fc.total
+        if args.faces:
+            data["faces"] = [
+                {"dim": f.dim, "facets": sorted(f.facet_set),
+                 "closed": fc.closed[i], "relint": fc.relint[i]}
+                for i, f in enumerate(fc.lattice.faces)]
+    elif kind == "hvector":
+        fl = face_lattice(p)
+        hv = h_vector(fl)
+        data["value"] = list(hv.h)
+        data["breakdown"] = {"f_vector": list(fl.f_vector), "signature": signature_from_h(hv)}
+    elif kind == "volume":
+        data["value"] = volume(p)
+        if args.breakdown:
+            total, per_vertex = volume_breakdown(p, u)
+            data["breakdown"] = {"localization_total": total,
+                                 "per_vertex": per_vertex_breakdown(per_vertex)}
+    elif kind == "gysin":
+        if args.facet is None or args.power is None:
+            raise InputError("compute gysin requires --facet and --power")
+        if u is None:
+            u = choose_generic(enumerate_vertices(p))
+        data["value"] = gysin_power(p, args.facet, args.power, u)
+        if args.breakdown:
+            exponents = tuple(args.power if i == args.facet else 0
+                              for i in range(len(p.facets)))
+            breakdown = data["breakdown"] = {"monomial_route": integrate_monomial(p, exponents, u)}
+            if p.dim == 3:
+                breakdown["triple_product_route"] = gysin_power_v3(p, args.facet, u)
     else:
-        print(render_value_table(jsonable(data)))
-    return 0
-
-
-CORPUS_CHECKS = (*CHECKS, "u-indep")
+        twisted = (twisted_signature_breakdown if kind == "signature-twisted"
+                   else twisted_todd_breakdown)
+        data["value"], per_vertex = twisted(p, u)
+        if args.breakdown:
+            data["breakdown"] = {"per_vertex": per_vertex_breakdown(per_vertex)}
+    return 0, data, render_value_table
 
 
 def _corpus_row(path):
@@ -367,40 +347,20 @@ def cmd_corpus(args):
         raise InputError("cannot list %s: %s" % (args.dir, e.strerror or e)) from e
     if not entries:
         raise InputError("no .json polytope files in %s" % args.dir)
-    rows = []
+    files = []
     for entry in entries:
         path = os.path.join(args.dir, entry)
         try:
-            p, results = _corpus_row(path)
+            p, checks = _corpus_row(path)
         except ToricError as e:
-            if str(e).startswith(path):
-                raise
-            raise InputError("%s: %s" % (path, e)) from e
-        holds = all(results.values())
-        rows.append((entry, p.name or "", results, holds))
-    all_hold = all(holds for _, _, _, holds in rows)
-    if _chosen_format(args) == "json":
-        payload = {
-            "files": [
-                {"file": entry, "polytope": name, "holds": holds,
-                 "checks": results}
-                for entry, name, results, holds in rows],
-            "all_hold": all_hold,
-        }
-        print(render_json(payload))
-    else:
-        width = max(len(entry) for entry, _, _, _ in rows)
-        header = "%-*s  %s" % (width, "file", "  ".join("%-11s" % c for c in CORPUS_CHECKS))
-        lines = [header]
-        for entry, _, results, _ in rows:
-            cells = []
-            for check in CORPUS_CHECKS:
-                value = results.get(check)
-                cells.append("%-11s" % ("-" if value is None else ("ok" if value else "FAIL")))
-            lines.append("%-*s  %s" % (width, entry, "  ".join(cells)))
-        lines.append("all identities hold" if all_hold else "FAILURES PRESENT")
-        print("\n".join(lines))
-    return 0 if all_hold else 1
+            # name the file but keep the class, which sets the exit code
+            if not str(e).startswith(path):
+                e.args = ("%s: %s" % (path, e),)
+            raise
+        files.append({"file": entry, "polytope": p.name or "",
+                      "holds": all(checks.values()), "checks": checks})
+    all_hold = all(row["holds"] for row in files)
+    return (0 if all_hold else 1), {"files": files, "all_hold": all_hold}, render_corpus_table
 
 
 def build_parser():
@@ -461,15 +421,22 @@ def parse_command(argv=None):
 
 
 def main(argv=None):
+    """Run one command; print its payload as JSON, or as a table with
+    --format table or, without --format, when stdout is a terminal."""
     args = parse_command(argv)
     try:
-        return args.func(args)
+        code, payload, render_table = args.func(args)
     except RouteDisagreementError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except ToricError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    if (args.format or ("table" if sys.stdout.isatty() else "json")) == "json":
+        print(render_json(payload))
+    else:
+        print(render_table(jsonable(payload)))
+    return code
 
 
 def entry():

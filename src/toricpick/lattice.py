@@ -135,25 +135,25 @@ def _project(rows, tight):
     0 < j < n - 1 the rows of P's projection to axes 0..j that bound j (axis 0
     keeps its box), as columns and starting slacks -a, each axis's rows, and
     the row pairs formed.  tight[i] is the bit mask of the vertices on facet
-    i; a row is tight where both rows it combines are, and one tight at no
-    vertex is dropped."""
+    i; a row is tight where both rows it combines are, and only rows tight at
+    a common vertex are paired."""
     n = len(rows[0][0])
     system = [(lam, a, 1 << i, t) for i, ((lam, a), t) in enumerate(zip(rows, tight))]
     pool, levels, pairs = list(rows), [], 0
     for k in range(n - 1, 1, -1):
         pos, neg = ([r for r in system if sign * r[0][k] > 0] for sign in (1, -1))
-        pairs += len(pos) * len(neg)
+        meeting = [(rp, rn) for rp in pos for rn in neg if rp[3] & rn[3]]
+        pairs += len(meeting)
         _charge(0, len(pool), pairs, 0)
         kept = dict.fromkeys((lam[:k], a, h, t) for lam, a, h, t in system if not lam[k])
-        for lp, ap, hp, tp in pos:
-            for ln, an, hn, tn in neg:
-                cp, cn = lp[k], -ln[k]
-                lam = tuple(cn * x + cp * y for x, y in zip(lp, ln[:k]))
-                # Chernikov: after n - k eliminations a row of more facets is redundant
-                if any(lam) and tp & tn and bin(hp | hn).count("1") <= n - k + 1:
-                    g = gcd(*lam, cn * ap + cp * an)
-                    kept[tuple(x // g for x in lam), (cn * ap + cp * an) // g, hp | hn,
-                         tp & tn] = None
+        for (lp, ap, hp, tp), (ln, an, hn, tn) in meeting:
+            cp, cn = lp[k], -ln[k]
+            lam = tuple(cn * x + cp * y for x, y in zip(lp, ln[:k]))
+            # Chernikov: after n - k eliminations a row of more facets is redundant
+            if any(lam) and bin(hp | hn).count("1") <= n - k + 1:
+                g = gcd(*lam, cn * ap + cp * an)
+                kept[tuple(x // g for x in lam), (cn * ap + cp * an) // g, hp | hn,
+                     tp & tn] = None
         system = list(kept)
         level = [(lam + (0,) * (n - k), a) for lam, a, *_ in system if lam[-1]]
         levels.insert(0, range(len(pool), len(pool) + len(level)))

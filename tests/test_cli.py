@@ -13,7 +13,7 @@ import toricpick
 from families import (CORPUS_DIR, CORPUS_NAMES, P112, dump_polytope, get,
                       simplex)
 from toricpick import cli, localization
-from toricpick.errors import InputError
+from toricpick.errors import InputError, RouteDisagreementError
 from toricpick.invariants import Report, check_pick
 from toricpick.polytope import FACE_BUDGET
 from toricpick.polytope import HPolytope
@@ -540,6 +540,41 @@ def test_corpus_command_rejects_bad_file(tmp_path, capsys):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert cli.main(["corpus", str(empty)]) == 2
+
+
+def test_corpus_keeps_the_class_of_a_check_error(capsys, monkeypatch):
+    """A check's error names the file and keeps its class, so routes that
+    disagree exit 1 under corpus as under verify, not 2 as bad input."""
+    def disagreeing(p, u=None):
+        raise RouteDisagreementError("routes disagree")
+    monkeypatch.setitem(cli.CHECKS, "pick", (disagreeing, True))
+    assert cli.main(["corpus", CORPUS_DIR, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: %s: routes disagree\n" % os.path.join(CORPUS_DIR, "cube1.json"))
+
+
+# inputs the vertex walk and validate refuse: the apex of a square pyramid
+# lies on four facets, a half-strip has a ray, and x + y >= -1 cuts out no
+# face of the unit square
+REFUSED = {
+    "pyramid": (3, [((0, 0, 1), 0), ((-1, 0, -1), -1), ((1, 0, -1), -1),
+                    ((0, -1, -1), -1), ((0, 1, -1), -1)],
+                "vertex (0, 0, 1) lies on facets (1, 2, 3, 4); polytope is not simple"),
+    "half-strip": (2, [((1, 0), 0), ((0, 1), 0), ((0, -1), -1)],
+                   "recession cone contains direction (1, 0)"),
+    "redundant": (2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1), ((1, 1), -1)],
+                  "facet 4 is redundant (supports no face)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_walk_refusals_exit_two_naming_the_file(case, tmp_path, capsys):
+    dim, facets, message = REFUSED[case]
+    path = write(tmp_path, case + ".json", dump_polytope(HPolytope(dim, facets)))
+    assert cli.main(["verify", "pick", path, "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: %s: %s\n" % (path, message))
 
 
 def test_argparse_rejects_unknown_usage():

@@ -101,26 +101,29 @@ def tetrahedron_file(tmp_path, k):
 
 def test_over_budget_raises_before_walking(monkeypatch):
     # a 5 x 7 x 4 box no other test uses: v = y and u = x, 4 slabs across
-    # the narrowest axis z, one outer range, and one row pair to project
-    # out v; each slab costs the 6 facets and the 2 projected rows that
-    # bound x
+    # the narrowest axis z and one outer range; v's two facets are opposite,
+    # share no vertex and so form no row pair, and each slab costs the 6
+    # facets and the 2 projected rows that bound x
     p = box((31, 17, 5), (35, 23, 8))
 
     def forbidden(*args):
         raise AssertionError("a slab was swept")
     monkeypatch.setattr(lattice, "_slab", forbidden)
+    for limit in (0, 32):
+        monkeypatch.setattr(lattice, "COUNT_BUDGET", limit)
+        with pytest.raises(BudgetError, match=r"at least 33 steps \(4 slabs x 8 rows, 0 row "
+                                              r"pairs and 1 outer ranges of the projection\), "
+                                              r"over the limit of %d" % limit):
+            count_points(p)
+    # a tetrahedron's facets x >= 0 and x + y + z <= 3 meet, so projecting
+    # out v = x charges their pair before any slab
     monkeypatch.setattr(lattice, "COUNT_BUDGET", 0)
-    with pytest.raises(BudgetError, match=r"at least 1 steps \(0 slabs x 6 rows, 1 row pairs "
+    with pytest.raises(BudgetError, match=r"at least 1 steps \(0 slabs x 4 rows, 1 row pairs "
                                           r"and 0 outer ranges of the projection\), over the "
                                           r"limit of 0"):
-        count_points(p)
-    monkeypatch.setattr(lattice, "COUNT_BUDGET", 33)
-    with pytest.raises(BudgetError, match=r"at least 34 steps \(4 slabs x 8 rows, 1 row pairs "
-                                          r"and 1 outer ranges of the projection\), over the "
-                                          r"limit of 33"):
-        count_points(p)
+        count_points(simplex(3, 3))
     monkeypatch.undo()
-    monkeypatch.setattr(lattice, "COUNT_BUDGET", 34)
+    monkeypatch.setattr(lattice, "COUNT_BUDGET", 33)
     assert count_points(p).total == 140
 
 

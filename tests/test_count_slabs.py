@@ -354,8 +354,8 @@ def test_polygon_with_many_facets_costs_a_sweep_per_side():
     assert [fc.relint_by_dim(d) for d in range(2)] == [m, 0]
 
 def test_prism_over_a_polygon_with_many_facets():
-    # a row of the projection tight at no vertex is dropped: the 640 x 640
-    # pairs of lower and upper facets once gave some 10^7 steps
+    # only rows tight at a common vertex are paired: the 640 x 640 pairs of
+    # lower and upper facets once gave some 10^7 steps
     p, twice_area = primitive_polygon(16)
     m = len(p.facets)
     assert m == 640

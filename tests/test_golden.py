@@ -29,7 +29,7 @@ GOLDEN = {"json": os.path.join(HERE, "data", "golden_corpus.json"),
           "table": os.path.join(HERE, "data", "golden_corpus_table.json")}
 
 
-def command_set(fmt="json"):
+def command_set(fmt):
     """Every argument list in one format, with corpus paths relative to the
     repository root."""
     commands = [["verify", "agw"], ["corpus", "corpus"]]

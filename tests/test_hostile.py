@@ -23,7 +23,7 @@ from math import comb
 import pytest
 
 import toricpick
-from families import cube, dump_polytope, simplex
+from families import box, cube, dump_polytope, simplex, times
 from test_count_slabs import primitive_polygon
 from test_vertex_walk import empty_cube_system
 from toricpick.polytope import HPolytope
@@ -82,6 +82,9 @@ ROWS = {
     "lattice 1936-gon, counted": (
         polytope_file(lambda: primitive_polygon(28)[0]), ["compute", "count", "FILE"], 0,
         '"value": 137858', 8, 50, False),
+    "prism over the 1936-gon, 0..100, counted": (
+        polytope_file(lambda: times(primitive_polygon(28)[0], box((0,), (100,)))),
+        ["compute", "count", "FILE"], 0, '"value": 13923703652', 15, 600, False),
     "4-simplex dilated 10^4, count budget": (
         polytope_file(lambda: simplex(4, 10 ** 4)), ["compute", "count", "FILE"], 2,
         "over the limit of 1000000", 2, 40, True),
