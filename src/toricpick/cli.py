@@ -406,18 +406,58 @@ def _common_flags(sub):
 _parser = lru_cache(maxsize=1)(build_parser)
 
 
+def _read_plain(command, tokens):
+    """The namespace _parser().parse_args([command, *tokens]) returns, read
+    straight from the command's own actions when the line is plain: the
+    positionals come first, and each later token is an exact option string
+    of a store or store_true action, given once, or the value after a store
+    option, which does not start with "-" and passes the action's type and
+    choices.  Any other line gives None, for argparse to answer: help,
+    prefixes, "=", "--", repeats and every usage error."""
+    sub = _parser().commands.get(command)
+    if sub is None:
+        return None
+    n = 0
+    while n < len(tokens) and tokens[n][:1] not in ("", "-"):
+        n += 1
+    given = {}  # action: the token of its value, or True for a store_true flag
+    rest = iter(tokens[n:])
+    for token in rest:
+        action = sub._option_string_actions.get(token)
+        kind = type(action)
+        if action in given or kind not in (argparse._StoreAction, argparse._StoreTrueAction):
+            return None
+        given[action] = next(rest, "") if kind is argparse._StoreAction else True
+    words = iter(tokens[:n])
+    args = argparse.Namespace(command=command, **sub._defaults)
+    for action in sub._actions:
+        token = given.get(action) if action.option_strings else next(words, None)
+        if token is None:
+            if action.required:
+                return None
+            if argparse.SUPPRESS not in (action.dest, action.default):
+                setattr(args, action.dest, action.default)
+            continue
+        if token is True:
+            value = action.const
+        elif token[:1] in ("", "-") or action.nargs not in (None, "?"):
+            return None
+        else:
+            try:
+                value = token if action.type is None else action.type(token)
+            except (TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        setattr(args, action.dest, value)
+    return None if next(words, None) is not None else args
+
+
 def parse_command(argv=None):
-    """parse_args on the top-level parser, but a named command's arguments
-    go straight to its own parser, which saves a second argparse pass."""
+    """_parser().parse_args(argv), read by _read_plain when it can."""
     argv = sys.argv[1:] if argv is None else argv
-    parser = _parser()
-    command = parser.commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extra = command.parse_known_args(argv[1:])
-    if extra:
-        parser.error("unrecognized arguments: %s" % " ".join(extra))
-    return args
+    args = _read_plain(argv[0], argv[1:]) if argv else None
+    return _parser().parse_args(argv) if args is None else args
 
 
 def main(argv=None):

@@ -1,7 +1,18 @@
-"""Command line behavior: file parsing, report schema, formats, exit codes."""
+"""Command line behavior: file parsing, report schema, formats, exit codes.
 
+The command line parser is checked against argparse itself: every line
+must give the namespace, or the exit code, stdout and stderr, that the
+top-level parser's parse_args gives.  Run as a script, the differential
+test sweeps FULL_ARGV seeded command lines:
+
+    PYTHONPATH=src python tests/test_cli.py
+"""
+
+import contextlib
+import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -605,7 +616,15 @@ def test_back_to_back_calls_match_separate_runs(capsys):
         ["verify", "pick", corpus_file("triangle2"), "--u", "3,5", "--format", "table"],
         ["compute", "chern", corpus_file("cube1"), "--format", "json"],
         ["verify", "todd", corpus_file("hirzebruch"), "--format", "table"],
+        # lines argparse reads, after and before ones the plain reader takes
+        ["verify", "pick", corpus_file("square1"), "--format=table"],
+        ["compute", "count", corpus_file("square2"), "--fo", "json"],
+        ["compute", "gysin", corpus_file("prism"), "--facet", "2", "--power", "3",
+         "--format", "json", "--format", "table"],
+        ["verify", "signature", corpus_file("hirzebruch"), "--format", "json"],
     ]
+    fallback = [cli._read_plain(argv[0], argv[1:]) is None for argv in runs]
+    assert fallback == [False] * 6 + [True] * 3 + [False]
     together = []
     for argv in runs:
         code = cli.main(argv)
@@ -616,51 +635,135 @@ def test_back_to_back_calls_match_separate_runs(capsys):
         proc = subprocess.run([sys.executable, "-m", "toricpick"] + argv, capture_output=True,
                               text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path))
         assert (proc.returncode, proc.stdout) == (code, out), argv
-    assert [code for code, _ in together] == [0, 0, 0, 0, 2, 0]
+    assert [code for code, _ in together] == [0, 0, 0, 0, 2, 0, 0, 0, 0, 0]
 
 
+FULL_ARGV = 12000
 # argv for the parser differential test: usage errors, help, and valid calls
 F = corpus_file("square1")
-PARSER_TABLE = [
+# lines the plain reader leaves to argparse, each for its own reason
+FALLBACK_TABLE = [
+    ["verify", "pick", F, "-h"], ["compute", "count", F, "--faces", "--help"],
+    ["verify", "pick", F, "--format=json"], ["verify", "pick", F, "--fo", "json"],
+    ["compute", "count", F, "--fa"],
+    ["compute", "gysin", F, "--facet", "-1", "--power", "2"],
+    ["verify", "pick", "--", F], ["verify", "pick", F, "--"],
+    ["verify", "pick", F, "--format", "json", "--format", "table"],
+    ["verify", "pick", ""], ["corpus", CORPUS_DIR, "extra"],
+    ["verify", "todd", F, "--u=1,5", "--format", "json"],
+    ["verify", "pick", "--format", "json", F], ["verify", "pick", F, "extra"],
+    ["compute", "count", F, "--faces", "--form", "table"],
+]
+PARSER_TABLE = FALLBACK_TABLE + [
     [], ["-h"], ["--help"], ["-x"], ["frobnicate"], ["frobnicate", "pick", F],
     ["verify"], ["compute"], ["corpus"], ["verify", "-h"], ["compute", "--help"],
     ["corpus", "-h"], ["verify", "nonsense", F], ["compute", "count", F, "--format", "xml"],
     ["compute", "gysin", F, "--facet", "x"], ["compute", "gysin", F, "--power"],
-    ["verify", "pick", F, "--bogus"], ["verify", "pick", F, "extra"],
+    ["verify", "pick", F, "--bogus"],
     ["corpus", "corpus", "--u", "1,2"], ["compute", "count"],
     ["verify", "pick", F], ["verify", "agw", "--format", "table"],
-    ["verify", "todd", F, "--u=1,5", "--format", "json"],
-    ["verify", "pick", "--format", "json", F],
     ["compute", "gysin", F, "--facet", "0", "--power", "2", "--breakdown"],
-    ["compute", "count", F, "--faces", "--form", "table"],
     ["compute", "chern", F, "--partition", "1,1", "--u", "1,2"],
     ["corpus", "corpus", "--format", "json"],
 ]
 
 
-def _exit(call, argv, capsys):
+def answer(call, argv):
     """(result, exit code, stdout, stderr) of call(argv)."""
+    out, err = io.StringIO(), io.StringIO()
     try:
-        result, code = call(argv), None
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            result, code = call(argv), None
     except SystemExit as e:
         result, code = None, e.code
-    captured = capsys.readouterr()
-    return result, code, captured.out, captured.err
+    return result, code, out.getvalue(), err.getvalue()
+
+
+def check_against_argparse(argv):
+    """parse_command returns the namespace the top-level parser's
+    parse_args returns, command included; where parse_args exits, main
+    exits with its code, stdout and stderr.  argparse is run live, so each
+    Python release's wording is the reference.  Returns whether the plain
+    reader answered."""
+    top = answer(cli._parser().parse_args, argv)
+    if top[0] is None:
+        assert answer(cli.main, argv)[1:] == top[1:], argv
+    else:
+        assert answer(cli.parse_command, argv) == top, argv
+    return bool(argv) and cli._read_plain(argv[0], argv[1:]) is not None
 
 
 @pytest.mark.parametrize("argv", PARSER_TABLE, ids=" ".join)
-def test_one_pass_parse_matches_the_top_level_parser(argv, capsys):
-    """A command's own parser answers as the top-level one did, read live
-    so that each Python release's argparse wording is the reference."""
-    top, *top_exit = _exit(cli._parser().parse_args, argv, capsys)
-    if top is None:
-        assert _exit(cli.main, argv, capsys)[1:] == tuple(top_exit)
-    else:
-        args, *new_exit = _exit(cli.parse_command, argv, capsys)
-        assert new_exit == top_exit == [None, "", ""]
-        expected = vars(top)
-        assert expected.pop("command") == argv[0]
-        assert vars(args) == expected
+def test_parse_command_matches_the_top_level_parser(argv):
+    check_against_argparse(argv)
+
+
+@pytest.mark.parametrize("argv", FALLBACK_TABLE, ids=" ".join)
+def test_plain_reader_leaves_the_line_to_argparse(argv):
+    assert cli._read_plain(argv[0], argv[1:]) is None
+
+
+# the sweep's word list: each option with good values first, the kinds of
+# each command, and the strays a mutation inserts (help, prefixes, "=",
+# "--", dashes, empty and extra words)
+OPTIONS = {"--format": ("json", "table", "xml"), "--u": ("1,2", "3,5", "x"),
+           "--partition": ("1,1", "2", "x"), "--facet": ("0", "2", "x", "-1"),
+           "--power": ("2", "3", "1.5"), "--faces": (), "--breakdown": ()}
+COMMANDS = {"verify": ((*cli.CHECKS, "agw"), ("--format", "--u")),
+            "compute": (cli.COMPUTE_KINDS, tuple(OPTIONS)),
+            "corpus": ((CORPUS_DIR,), ("--format",))}
+STRAYS = ("-h", "--help", "--h", "-1", "-x", "", "--", "-", "extra", "verify",
+          "nonsense", "--fo", "--fa", "--f", "--b", "--p", "--format=json",
+          "--u=1,2", "--facet=0", "--faces=1", F, "json", "0")
+
+
+def random_argv(rng):
+    """A command line built from its parts, mostly well formed, then
+    mutated half the time."""
+    command = rng.choice((*COMMANDS, "frobnicate"))
+    kinds, options = COMMANDS.get(command, ((), ()))
+    argv = [command]
+    if kinds:
+        argv.append(rng.choice(kinds))
+    if command != "corpus" and rng.random() < 0.9:
+        argv.append(F)
+    if rng.random() < 0.2:
+        options = tuple(OPTIONS)
+    for option in rng.sample(options, rng.randrange(min(4, len(options) + 1))):
+        values = OPTIONS[option]
+        value = [values[rng.randrange(2) if rng.random() < 0.9 else -1]] if values else []
+        pick = rng.random()
+        if pick < 0.05:
+            option = option[:rng.randrange(3, len(option) + 1)]
+        if pick > 0.95 and value:
+            argv.append("%s=%s" % (option, value[0]))
+        else:
+            argv += [option] + value
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        i, j = rng.randrange(len(argv)), rng.randrange(len(argv))
+        pick = rng.randrange(4)
+        if pick == 0:
+            argv.insert(i, rng.choice(STRAYS))
+        elif pick == 1 and len(argv) > 1:
+            del argv[i]
+        elif pick == 2:
+            argv[i], argv[j] = argv[j], argv[i]
+        else:
+            argv.append(argv[i])
+    return argv
+
+
+def sweep(seed, count):
+    """Check count seeded argv against argparse; returns how many the
+    plain reader answered and how many it left to argparse."""
+    rng = random.Random(seed)
+    plain = sum(check_against_argparse(random_argv(rng)) for _ in range(count))
+    return plain, count - plain
+
+
+def test_random_command_lines_parse_as_argparse_does():
+    plain, fallback = sweep(1, 600)
+    assert plain > 100 and fallback > 100
 
 
 def test_verify_requires_file_for_polytope_kinds(capsys):
@@ -696,3 +799,10 @@ def test_closed_pipe_exits_141_without_a_traceback():
         os.close(write_end)
     assert proc.returncode == 141, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+if __name__ == "__main__":
+    start = time.perf_counter()
+    plain, fallback = sweep(2, FULL_ARGV)
+    print("%d command lines parse as argparse does (%d read plain, %d left to "
+          "argparse), %.1f s" % (FULL_ARGV, plain, fallback, time.perf_counter() - start))

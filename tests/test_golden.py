@@ -5,8 +5,10 @@ output and standard error of every verify/compute command on corpus/ (JSON
 format; --breakdown, --u at the second generic vector, gysin on every facet,
 chern for every partition), of `verify agw` and of `corpus corpus/`;
 tests/data/golden_corpus_table.json holds the same commands in table format.
-A speed-up must not change a byte of any of them.  After a deliberate change
-of output, rewrite both files from the repository root with
+A speed-up must not change a byte of any of them, and every recorded line
+is read by the plain parser path, with no argparse pass.  After a
+deliberate change of output, rewrite both files from the repository root
+with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -67,11 +69,15 @@ def run(argv):
             "stderr": err.getvalue()}
 
 
-def check_recorded(fmt):
+def recorded(fmt):
     with open(GOLDEN[fmt], "r", encoding="utf-8") as fh:
-        recorded = json.load(fh)
-    assert [r["argv"] for r in recorded] == command_set(fmt)
-    for expected in recorded:
+        return json.load(fh)
+
+
+def check_recorded(fmt):
+    rows = recorded(fmt)
+    assert [r["argv"] for r in rows] == command_set(fmt)
+    for expected in rows:
         assert run(expected["argv"]) == expected, " ".join(expected["argv"])
 
 
@@ -83,6 +89,25 @@ def test_corpus_commands_match_the_recorded_output(monkeypatch):
 def test_corpus_commands_match_the_recorded_table(monkeypatch):
     monkeypatch.chdir(ROOT)
     check_recorded("table")
+
+
+def test_every_recorded_command_takes_the_plain_parser_path():
+    """A change that sent these lines back to argparse would keep every
+    output and lose the speed of reading them from the action table."""
+    for fmt in GOLDEN:
+        for expected in recorded(fmt):
+            argv = expected["argv"]
+            assert cli._read_plain(argv[0], argv[1:]) is not None, " ".join(argv)
+
+
+def test_recorded_commands_run_without_argparse(monkeypatch):
+    def refuse(argv=None, namespace=None):
+        raise AssertionError("argparse parsed %r" % (argv,))
+
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setattr(cli._parser(), "parse_args", refuse)
+    for expected in recorded("json")[::23] + recorded("table")[11::23]:
+        assert run(expected["argv"]) == expected, " ".join(expected["argv"])
 
 
 if __name__ == "__main__":
