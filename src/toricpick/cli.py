@@ -115,14 +115,10 @@ def load_polytope(path):
 
 def jsonable(value):
     """Map report payloads onto JSON types; rationals become strings."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):  # bool included
         return value
     if isinstance(value, Fraction):
         return format_rational(value)
-    if isinstance(value, str):
-        return value
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -278,6 +274,11 @@ def cmd_compute(args):
     if args.u is not None and (kind in ("count", "hvector")
                                or kind == "volume" and not args.breakdown):
         raise InputError("--u does not apply to compute %s" % kind)
+    # each option that one kind alone reads, and its value when not given
+    for option, owner, absent in (("partition", "chern", None), ("facet", "gysin", None),
+                                  ("power", "gysin", None), ("faces", "count", False)):
+        if kind != owner and getattr(args, option) is not absent:
+            raise InputError("--%s does not apply to compute %s" % (option, kind))
     p = load_polytope(args.file)
     u = _parse_u(args.u, p) if args.u is not None else None
     data = {"command": "compute", "kind": kind, "polytope": p.name or ""}

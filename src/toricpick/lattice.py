@@ -55,16 +55,22 @@ class FaceCounts:
 
     @cached_property
     def _on_faces(self):
-        """by_mask, once each mask cuts out a face: its facets, all of P's, share a vertex."""
-        vertices, m = self._vertices, len(self._vertices)
-        for mask, c in self.by_mask.items():
-            common, rest = 0 if mask >> m else -1, mask
-            while rest and common:
-                common &= vertices[(rest & -rest).bit_length() - 1]
-                rest &= rest - 1
-            if not common:
+        """by_mask, once each mask cuts out a face: its facets, all of P's, share a vertex;
+        in increasing order, from its mask less its lowest facet when that holds points."""
+        vertices, m, common = self._vertices, len(self._vertices), {}
+        for mask in sorted(self.by_mask):
+            shared = 0 if mask >> m else common.get(mask & mask - 1)
+            if shared is None:
+                shared, rest = -1, mask
+                while rest and shared:
+                    shared &= vertices[(rest & -rest).bit_length() - 1]
+                    rest &= rest - 1
+            elif shared:
+                shared &= vertices[(mask & -mask).bit_length() - 1]
+            if not shared:
                 raise ToricError("%d lattice points lie on facets %s, which cut out no face" % (
-                    c, tuple(i for i in range(mask.bit_length()) if mask >> i & 1)))
+                    self.by_mask[mask], facets_of(mask)))
+            common[mask] = shared
         return self.by_mask
 
     @cached_property
@@ -89,6 +95,15 @@ class FaceCounts:
     def closed(self):
         return {fid: self.closed_by_mask.get(f.mask, 0)
                 for fid, f in enumerate(self.lattice.faces)}
+
+
+def facets_of(mask):
+    """The facets of a bit mask, ascending."""
+    facets = []
+    while mask:
+        facets.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(facets)
 
 
 @derived

@@ -104,16 +104,39 @@ def assert_generic(p, u):
     _chart_weights(p, tuple(u))
 
 
+class FixedPointSum:
+    """Degrees 0..k of a sum of restriction/Euler quotients: integer numerators
+    over the running lcm of the Euler products, divided once by value(), where
+    a nonzero degree below k signals a chart bug, not a user error."""
+
+    def __init__(self, k):
+        self.nums, self.den = [0] * (k + 1), 1
+
+    def add(self, coeffs, euler):
+        if self.den % euler:
+            grown = lcm(self.den, euler)
+            self.nums = [x * (grown // self.den) for x in self.nums]
+            self.den = grown
+        share, nums = self.den // euler, self.nums
+        for d, cd in enumerate(coeffs):
+            nums[d] += cd * share
+
+    def value(self, scale):
+        for d, x in enumerate(self.nums[:-1]):
+            if x:
+                raise ToricError("localization of the degree-%d part is %s, expected 0 "
+                                 "(chart bug)" % (d, Fraction(x, self.den * scale)))
+        return Fraction(self.nums[-1], self.den * scale)
+
+
 def localize(p, u, restrict, scale=1, face=None):
     """Fixed point sum of a class given by its restrictions to the vertices.
 
     restrict(chart, w) returns the integer coefficients c_0..c_k of scale
     times the class at the chart's vertex as a series in t, where the j-th
     incident facet class restricts to w_j t and every other facet class to
-    0.  Degree d sums c_d / (scale prod w) over the vertices, accumulated
-    as an integer numerator over the lcm of the Euler products and divided
-    once; every degree below k must sum to exactly 0, and a nonzero value
-    there signals a chart bug, not a user error.  Returns the degree-k
+    0.  Degree d sums c_d / (scale prod w) over the vertices in a
+    FixedPointSum, whose degrees below k must vanish.  Returns the degree-k
     value and the per-vertex contributions, each summed over all degrees,
     as integer triples (vertex, numerator, denominator), not reduced.
 
@@ -126,28 +149,15 @@ def localize(p, u, restrict, scale=1, face=None):
     if face is not None:
         data = [data[v] for v in face.vertices]
         k = face.dim
-    nums = [0] * (k + 1)
-    den = 1
+    total = FixedPointSum(k)
     contributions = []
     for c, w in data:
         coeffs = restrict(c, w)
         euler = prod(w if face is None else
                      (x for i, x in zip(c.facet_set, w) if i not in face.facet_set))
-        grown = lcm(den, euler)
-        if grown != den:
-            nums = [x * (grown // den) for x in nums]
-            den = grown
-        share = den // euler
-        for d, cd in enumerate(coeffs):
-            if cd:
-                nums[d] += cd * share
+        total.add(coeffs, euler)
         contributions.append((c.vertex, sum(coeffs), euler * scale))
-    for d in range(k):
-        if nums[d]:
-            raise ToricError(
-                "localization of the degree-%d part is %s, expected 0 (chart bug)"
-                % (d, Fraction(nums[d], den * scale)))
-    return Fraction(nums[k], den * scale), tuple(contributions)
+    return total.value(scale), tuple(contributions)
 
 
 def integrate_monomial(p, exponents, u):

@@ -16,6 +16,7 @@ from toricpick.agw import DEGREE, NUM_ROOTS
 from toricpick.errors import (DimensionError, InputError, NotSimpleError,
                               ShapeError, ToricError)
 from toricpick.exact import det, dot, vector_gcd
+from toricpick.invariants import _log_rows
 from toricpick.localization import (_chart_weights, _vertex_sum,
                                     check_partition, partitions_of)
 from toricpick.polytope import (HPolytope, _swap, enumerate_vertices,
@@ -637,6 +638,38 @@ def factor_product_restriction(p, kind, twist=True, face=None):
                 continue
             f = [c * x ** k for k, c in enumerate(scaled_g)]
             out = [sum(map(mul, out[k::-1], f)) for k in range(n + 1)]
+        return out
+
+    return restrict, scale
+
+
+def face_todd_restriction(p, face):
+    """(restrict, scale) for the twisted Todd class of the face F as
+    localize(..., face=F) takes them: the restriction in degree dim F whose
+    power sums run over the edges in F only, each face on its own, the
+    route invariants._face_todd_sweep replaced.
+
+    At a vertex exp(s t) prod_j Td(w_j t) over the edges in F is exp(A),
+    A(t) = s t + sum_k b_k p_k t^k, from E' = A' E with one exact division
+    per degree, as invariants._exponential builds it."""
+    n = face.dim
+    scale, den, rows = _log_rows("Todd", n)
+
+    def restrict(chart, w):
+        a = [0] * n  # a[j - 1] = den j A_j
+        if n:
+            a[0] = -den * sum(p.offsets[i] * x for i, x in zip(chart.facet_set, w))
+        edges = [x for i, x in zip(chart.facet_set, w) if i not in face.facet_set]
+        for k, c in rows:
+            a[k - 1] += c * sum(x ** k for x in edges)
+        out = [scale]
+        for k in range(1, n + 1):
+            num = sum(map(mul, a, reversed(out)))
+            q, r = divmod(num, k * den)
+            if r:
+                raise ToricError("the degree-%d coefficient of the face restriction is %s"
+                                 % (k, Fraction(num, k * den)))
+            out.append(q)
         return out
 
     return restrict, scale

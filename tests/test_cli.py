@@ -395,6 +395,23 @@ def test_compute_kinds_without_a_vector_take_no_u(argv, capsys):
         assert capsys.readouterr().err == "error: --u does not apply to compute %s\n" % argv[0]
 
 
+@pytest.mark.parametrize("argv,option", [
+    (["volume", P112, "--faces"], "faces"),
+    (["chern", P112, "--partition", "3", "--faces"], "faces"),
+    (["hvector", P112, "--partition", "3"], "partition"),
+    (["gysin", P112, "--facet", "0", "--power", "2", "--partition", "2"], "partition"),
+    (["count", P112, "--facet", "0"], "facet"),
+    (["todd-twisted", P112, "--power", "2"], "power"),
+], ids=["faces", "faces-on-chern", "partition", "partition-on-gysin", "facet", "power"])
+def test_compute_refuses_options_its_kind_never_reads(argv, option, capsys):
+    """--faces is read by count alone, --partition by chern, --facet and
+    --power by gysin; like --u, each is refused elsewhere before the file
+    is read (a non-Delzant file here), even as 0."""
+    assert cli.main(["compute", *argv]) == 2
+    assert capsys.readouterr().err == "error: --%s does not apply to compute %s\n" % (
+        option, argv[0])
+
+
 def test_verify_face_todd_takes_no_u(capsys):
     assert cli.main(["verify", "face-todd", corpus_file("square1"), "--u", "1,2"]) == 2
     assert capsys.readouterr().err == "error: --u does not apply to verify face-todd\n"

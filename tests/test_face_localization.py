@@ -3,18 +3,28 @@
 A face F of a Delzant polytope is the submanifold dual to the product of
 its facet classes; at a vertex of F its tangent weights are the weights of
 the edges of P that stay in F.  So one generic vector for P and P's own
-vertex charts give the twisted Todd genus of every face.  The route it
-replaced presented each face as a polytope in its own integral chart
-(induce_face_polytope) and localized that; it is the oracle here.
+vertex charts give the twisted Todd genus of every face.  Two routes it
+replaced are oracles here: each face presented as a polytope in its own
+integral chart (induce_face_polytope) and localized, and each face
+localized from P's charts on its own, localize(..., face=F) with
+oracles.face_todd_restriction, against which the one sweep over the faces
+through each vertex (_face_todd_sweep) is held face by face.
+
+The full sweep differential (delzant_family(8), every face, both generic
+vectors) runs from the repository root with
+
+    PYTHONPATH=src python tests/test_face_localization.py
 """
+
+import time
 
 import pytest
 
 from families import cube, delzant_family, get, simplex, times
-from oracles import face_ids, faces_of_dim, reduced
+from oracles import face_ids, face_todd_restriction, faces_of_dim, reduced
 from toricpick import invariants, lattice, localization, polytope
 from toricpick.errors import ToricError
-from toricpick.invariants import (_genus_restriction, check_face_todd,
+from toricpick.invariants import (_face_todd_sweep, check_face_todd,
                                   twisted_todd_breakdown)
 from toricpick.localization import assert_generic, choose_generic, localize
 from toricpick.polytope import (enumerate_vertices, face_lattice,
@@ -49,7 +59,7 @@ def test_every_face_matches_its_induced_polytope(name, p):
         expected = induced_todd(p, face)
         assert faces[label(face)]["twisted_todd"] == expected, label(face)
         # the face's value does not depend on the generic vector either
-        restrict, scale = _genus_restriction(p, "Todd", face=face)
+        restrict, scale = face_todd_restriction(p, face)
         assert localize(p, u2, restrict, scale, face=face)[0] == expected, label(face)
 
 
@@ -110,14 +120,17 @@ def test_a_mutated_face_weight_set_is_a_chart_bug(p, monkeypatch):
     assert_generic(p, u)
     proper = [f for f in face_lattice(p).faces if 0 < f.dim < p.dim]
     for face in proper:
-        assert localize(p, u, *_genus_restriction(p, "Todd", face=face), face=face)[0] \
+        assert localize(p, u, *face_todd_restriction(p, face), face=face)[0] \
             == induced_todd(p, face)
         bad = swapped(p, u, face)
         with monkeypatch.context() as m:
-            m.setattr(localization, "_chart_weights", lambda q, uu: bad)
-            with pytest.raises(ToricError, match=r"^localization of the degree-\d part .* "
-                                                 r"expected 0 \(chart bug\)$"):
-                localize(p, u, *_genus_restriction(p, "Todd", face=face), face=face)
+            for module in (localization, invariants):
+                m.setattr(module, "_chart_weights", lambda q, uu: bad)
+            for localized in (lambda: localize(p, u, *face_todd_restriction(p, face), face=face),
+                              lambda: _face_todd_sweep(p, u)):
+                with pytest.raises(ToricError, match=r"^localization of the degree-\d part .* "
+                                                     r"expected 0 \(chart bug\)$"):
+                    localized()
 
 
 def test_whole_polytope_and_vertices_as_faces():
@@ -126,11 +139,65 @@ def test_whole_polytope_and_vertices_as_faces():
     fl = face_lattice(p)
     u = choose_generic(enumerate_vertices(p))
     top = fl.faces[face_ids(fl)[()]]
-    assert localize(p, u, *_genus_restriction(p, "Todd", face=top), face=top) == \
-        localize(p, u, *_genus_restriction(p, "Todd"))
+    assert localize(p, u, *face_todd_restriction(p, top), face=top) == \
+        localize(p, u, *invariants._genus_restriction(p, "Todd"))
     for fid in faces_of_dim(fl, 0):
         vertex = fl.faces[fid]
         value, contributions = reduced(localize(
-            p, u, *_genus_restriction(p, "Todd", face=vertex), face=vertex))
+            p, u, *face_todd_restriction(p, vertex), face=vertex))
         assert value == 1
         assert contributions == ((enumerate_vertices(p)[vertex.vertices[0]].vertex, 1),)
+
+
+def sweep_matches_each_face(p):
+    """At both generic vectors, the sweep's value of every face against
+    localize(..., face=F) on its own; returns the number of faces compared."""
+    faces = face_lattice(p).faces
+    charts = enumerate_vertices(p)
+    u1 = choose_generic(charts)
+    for u in (u1, choose_generic(charts, exclude=(u1,))):
+        swept = _face_todd_sweep(p, u)
+        assert sorted(swept) == sorted(f.mask for f in faces)
+        for face in faces:
+            assert swept[face.mask] == localize(p, u, *face_todd_restriction(p, face),
+                                                face=face)[0], (p.name, u, label(face))
+    return 2 * len(faces)
+
+
+@pytest.mark.parametrize("name,p", FAMILY, ids=[name for name, _ in FAMILY])
+def test_the_sweep_matches_each_face_localized_alone(name, p):
+    assert sweep_matches_each_face(p) > 0
+
+
+@pytest.mark.parametrize("p,restrictions", [(cube(3), 8 * 2 ** 3), (simplex(3), 4 * 2 ** 3)],
+                         ids=["cube3", "simplex3"])
+def test_the_sweep_restricts_once_per_vertex_and_face_through_it(p, restrictions, monkeypatch):
+    """V 2^n restrictions, no localize call, and the log rows of each
+    dimension 0..n read once."""
+    calls = {"restrictions": 0, "localize": 0}
+    exponential = invariants._exponential
+
+    def counted(*args):
+        calls["restrictions"] += 1
+        return exponential(*args)
+
+    def forbidden(*args, **kwargs):
+        calls["localize"] += 1
+        raise AssertionError("localize called")
+
+    monkeypatch.setattr(invariants, "_exponential", counted)
+    for module in (invariants, localization):
+        monkeypatch.setattr(module, "localize", forbidden)
+    invariants._log_rows.cache_clear()
+    assert check_face_todd(p).holds
+    info = invariants._log_rows.cache_info()
+    assert calls == {"restrictions": restrictions, "localize": 0}
+    assert (info.misses, info.hits) == (p.dim + 1, 0)
+
+
+if __name__ == "__main__":
+    start = time.perf_counter()
+    family = delzant_family(8)
+    compared = sum(sweep_matches_each_face(p) for _, p in family)
+    print("%d polytopes, %d face values agree with localize(face=F), %.1f s"
+          % (len(family), compared, time.perf_counter() - start))

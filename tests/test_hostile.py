@@ -108,6 +108,9 @@ ROWS = {
         polytope_file(lambda: simplex(60)),
         ["compute", "chern", "FILE", "--partition", ",".join(["1"] * 60)], 0,
         '"value": "%d"' % 61 ** 60, 2, 40, True),
+    "verify face-todd on the 9-cube": (
+        polytope_file(lambda: cube(9)), ["verify", "face-todd", "FILE"], 0,
+        '"holds": true', 10, 80, False),
     "80-simplex, partition 80, Chern budget": (
         polytope_file(lambda: simplex(80)), ["compute", "chern", "FILE", "--partition", "80"], 2,
         "about 103680000 steps (81 vertices in dimension 80), over the limit of 100000000", 2,

@@ -108,7 +108,7 @@ def count_layouts(monkeypatch, laid_out):
     monkeypatch.setattr(polytope.FaceLattice, "faces", faces)
 
 
-def test_a_corpus_batch_walks_lays_out_and_counts_each_file_once(monkeypatch, capsys):
+def test_a_corpus_batch_walks_and_counts_each_file_once(monkeypatch, capsys):
     calls = {"walk": 0, "count": 0}
     laid_out = []
 
@@ -123,22 +123,23 @@ def test_a_corpus_batch_walks_lays_out_and_counts_each_file_once(monkeypatch, ca
     monkeypatch.setattr(lattice, "_project", counted("count", lattice._project))
     assert main(["corpus", CORPUS_DIR, "--format", "json"]) == 0
     capsys.readouterr()
-    # pick, todd, face-todd and the rest read one walk, lattice and count per file
-    assert calls == dict.fromkeys(calls, len(CORPUS_NAMES)) and len(laid_out) == len(CORPUS_NAMES)
+    # pick, todd, face-todd and the rest read one walk and count per file, and
+    # face-todd sweeps its faces through each vertex, so no face lattice is laid out
+    assert calls == dict.fromkeys(calls, len(CORPUS_NAMES)) and laid_out == []
 
 
 def test_totals_build_no_face_lattice(monkeypatch, capsys):
     # the histogram answers verify todd and compute count, the counted f-vector
     # the h-vector, and volume reaches its faces by facet set; verify pick
-    # closes the counts over the subsets of their facet masks for its
-    # closed-count side, and only the per-face table lists the faces
+    # and face-todd close the counts over the subsets of their facet masks for
+    # their closed-count sides, and only the per-face table lists the faces
     laid_out = []
     count_layouts(monkeypatch, laid_out)
     path = os.path.join(CORPUS_DIR, "simplex3_2.json")
     for argv, lattices in ((["verify", "todd", path], 0), (["compute", "count", path], 0),
                            (["verify", "signature", path], 0), (["compute", "hvector", path], 0),
                            (["compute", "volume", path], 0), (["verify", "tetrahedron", path], 0),
-                           (["verify", "pick", path], 0),
+                           (["verify", "pick", path], 0), (["verify", "face-todd", path], 0),
                            (["compute", "count", path, "--faces"], 1)):
         laid_out.clear()
         assert main(argv + ["--format", "json"]) == 0, argv
@@ -158,7 +159,10 @@ def test_points_on_facets_that_cut_out_no_face_raise(monkeypatch):
                "closed": lambda fc: fc.closed, "relint": lambda fc: fc.relint}
     for name, read in readers.items():
         p = get("square1")
-        for masks, facets in (({0b0101: 1}, r"\(0, 2\)"), ({0b1: 2, 1 << 9: 1}, r"\(9,\)")):
+        # the masks are checked in increasing order, a mask from the one less
+        # its lowest facet where that was checked: both ways fail alike
+        for masks, facets in (({0b0101: 1}, r"\(0, 2\)"), ({0b0100: 2, 0b0101: 1}, r"\(0, 2\)"),
+                              ({0b1: 2, 1 << 9: 1}, r"\(9,\)"), ({0: 3, 1 << 9: 1}, r"\(9,\)")):
             fc = lattice.FaceCounts(p, masks)
             with pytest.raises(ToricError, match=r"^1 lattice points lie on facets %s, which "
                                                  r"cut out no face$" % facets):
