@@ -147,22 +147,26 @@ def render_json(data):
 
 def _render(value, pad):
     kind = type(value)
+    if kind is Fraction:
+        return '"%s"' % value  # as format_rational renders it
     if kind is str:
         return _quote(value)
     if kind is int:
         return str(value)
-    if kind is Fraction:
-        return '"%s"' % value  # as format_rational renders it
     inner = pad + "  "
     if kind is dict:
         if not value:
             return "{}"
-        items = ["%s: %s" % (_quote(k), _render(value[k], inner)) for k in sorted(value)]
+        items = []  # int members in place; a loop, unlike a comprehension, is no call
+        for k, v in sorted(value.items()):
+            items.append("%s: %s" % (_quote(k), str(v) if type(v) is int else _render(v, inner)))
         return "{%s%s%s}" % (inner, ("," + inner).join(items), pad)
     if kind is list or kind is tuple:
         if not value:
             return "[]"
-        items = [_render(v, inner) for v in value]
+        items = []
+        for v in value:
+            items.append(str(v) if type(v) is int else _render(v, inner))
         return "[%s%s%s]" % (inner, ("," + inner).join(items), pad)
     if kind is bool:
         return "true" if value else "false"
@@ -197,7 +201,7 @@ def render_report_table(data):
     ]
     if data["generic_vectors"]:
         lines.append("u vectors  %s" % "  ".join(
-            "(%s)" % ",".join(str(c) for c in u) for u in data["generic_vectors"]))
+            "(%s)" % ",".join(map(str, u)) for u in data["generic_vectors"]))
     if data["breakdown"]:
         lines.append("breakdown")
         _flatten(data["breakdown"], "  ", lines)
@@ -211,11 +215,10 @@ def render_value_table(data):
         "value      %s" % _plain(data["value"]),
     ]
     if "faces" in data:
-        lines.append("faces")
-        lines.append("  %-4s %-16s %8s %8s" % ("dim", "facets", "closed", "relint"))
+        lines += ["faces", "  %-4s %-16s %8s %8s" % ("dim", "facets", "closed", "relint")]
         for face in data["faces"]:
             lines.append("  %-4d %-16s %8d %8d" % (
-                face["dim"], ",".join(str(i) for i in face["facets"]) or "-",
+                face["dim"], ",".join(map(str, face["facets"])) or "-",
                 face["closed"], face["relint"]))
     if "breakdown" in data:
         lines.append("breakdown")
@@ -236,7 +239,7 @@ def render_corpus_table(data):
 
 def _parse_u(text, p):
     try:
-        u = tuple(int(part) for part in text.split(","))
+        u = tuple(map(int, text.split(",")))
     except ValueError:
         raise InputError("--u must be a comma separated integer vector, got %r" % text)
     assert_generic(p, u)
@@ -247,7 +250,7 @@ def _parse_partition(text):
     if text is None:
         raise InputError("compute chern requires --partition")
     try:
-        return tuple(int(x) for x in text.split(","))
+        return tuple(map(int, text.split(",")))
     except ValueError:
         raise InputError("--partition must be comma separated integers, got %r" % text)
 
@@ -291,10 +294,8 @@ def cmd_compute(args):
         fc = count_points(p)
         data["value"] = fc.total
         if args.faces:
-            data["faces"] = [
-                {"dim": f.dim, "facets": sorted(f.facet_set),
-                 "closed": fc.closed[i], "relint": fc.relint[i]}
-                for i, f in enumerate(fc.lattice.faces)]
+            data["faces"] = [{"dim": d, "facets": facets, "closed": closed, "relint": relint}
+                             for d, facets, closed, relint, _ in fc.face_rows()]
     elif kind == "hvector":
         fl = face_lattice(p)
         hv = h_vector(fl)
@@ -467,12 +468,9 @@ def main(argv=None):
     args = parse_command(argv)
     try:
         code, payload, render_table = args.func(args)
-    except RouteDisagreementError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
     except ToricError as e:
         print("error: %s" % e, file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, RouteDisagreementError) else 2
     if (args.format or ("table" if sys.stdout.isatty() else "json")) == "json":
         print(render_json(payload))
     else:

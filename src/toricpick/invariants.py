@@ -12,7 +12,7 @@ from math import factorial, lcm, prod
 from operator import mul, sub
 
 from .errors import ShapeError, ToricError
-from .lattice import count_points, facets_of, weighted_sum_closed, weighted_sum_relint
+from .lattice import count_points, weighted_sum_closed, weighted_sum_relint
 from .localization import FixedPointSum, _chart_weights, choose_generic, localize
 from .polytope import (charge_faces, enumerate_vertices, face_lattice, h_vector,
                        require_delzant, signature_from_h, volume)
@@ -265,14 +265,13 @@ def _face_todd_sweep(p, u):
 def check_face_todd(p):
     """Twisted Todd of every face against its closed lattice count: each face
     localized as a submanifold of the toric manifold of P at one generic
-    vector for P (see _face_todd_sweep), each count closed over facet masks,
-    so no face lattice is laid out."""
+    vector for P (see _face_todd_sweep), each count closed over facet masks
+    and read by FaceCounts.face_rows, so no face lattice is laid out."""
     charts = enumerate_vertices(p)
     u = choose_generic(charts)
     charge_faces(len(charts), p.dim)  # before anything is counted
-    closed = count_points(p).closed_by_mask
-    faces = sorted((p.dim - mask.bit_count(), facets_of(mask), lhs, closed.get(mask, 0))
-                   for mask, lhs in _face_todd_sweep(p, u).items())
+    rows, todd = count_points(p).face_rows(), _face_todd_sweep(p, u)
+    faces = [(d, facets, todd[mask], closed) for d, facets, closed, _, mask in rows]
     by_face = {"dim%d/facets(%s)" % (d, ",".join(map(str, facets))):
                {"twisted_todd": lhs, "lattice_count": Fraction(rhs)}
                for d, facets, lhs, rhs in faces}

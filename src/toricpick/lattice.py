@@ -11,7 +11,7 @@ localization."""
 from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, comb, floor, gcd
+from math import ceil, comb, floor, gcd, lcm
 
 from .errors import BudgetError, ToricError
 from .polytope import charge_faces, derived, enumerate_vertices, face_lattice
@@ -29,10 +29,10 @@ class FaceCounts:
     on exactly those facets, and hist[k] counts the points on k facets.  P is
     simple (the vertex walk certifies it), so a point on k facets lies in the
     relative interior of a face of codimension k, which lies in C(k, j)
-    faces of codimension j: the counts by dimension, and closed_by_mask,
-    need no face lattice.  relint and closed read by_mask and closed_by_mask
-    by face id, which lays p's own face lattice out (see FaceLattice).  Each
-    of the three raises on points whose facets cut out no face.
+    faces of codimension j: the counts by dimension, closed_by_mask and
+    face_rows need no face lattice.  relint and closed read by_mask and
+    closed_by_mask by face id, which lays p's own face lattice out (see
+    FaceLattice).  Each of these raises on points whose facets cut out no face.
     """
 
     def __init__(self, p, by_mask):
@@ -87,12 +87,27 @@ class FaceCounts:
                 sub = (sub - 1) & mask
         return dict(above)
 
+    def face_rows(self):
+        """(dim, facets, closed, relint, mask) of every face, by dim and facets: each face holds
+        a point, so is a key of closed_by_mask, or a vertex off the lattice (not in hist[n])."""
+        closed, relint, masks = self.closed_by_mask, self._on_faces, set(self.closed_by_mask)
+        for c in self.lattice.charts if self.hist[self.dim] < len(self.lattice.charts) else ():
+            mask = sum(1 << i for i in c.facet_set)
+            sub = 0 if mask in relint else mask
+            while sub:
+                masks.add(sub)
+                sub = (sub - 1) & mask
+        return sorted((self.dim - m.bit_count(), facets_of(m), closed.get(m, 0),
+                       relint.get(m, 0), m) for m in masks)
+
     @cached_property
     def relint(self):
+        """by_mask by face id; only perfbench/replay.py and the tests read it (ROADMAP item 1)."""
         return {fid: self._on_faces.get(f.mask, 0) for fid, f in enumerate(self.lattice.faces)}
 
     @cached_property
     def closed(self):
+        """closed_by_mask by face id; only perfbench/replay.py and the tests read it."""
         return {fid: self.closed_by_mask.get(f.mask, 0)
                 for fid, f in enumerate(self.lattice.faces)}
 
@@ -176,23 +191,33 @@ def _project(rows, tight):
     return list(zip(*(lam for lam, _ in pool))), [()] + levels, [-a for _, a in pool], pairs
 
 
-def _sections(cols, levels, lo, hi, slack, last, j=0):
-    """(slack, low, high) wherever the walk over P's projection stops: at
-    each point of the axes before `last`, with low..high the range of axis
-    last, or at an empty range of an earlier axis.  Row r (facets first)
-    then reads slack[r] + (terms in the later axes) >= 0."""
-    low, high, col = lo[j], hi[j], cols[j]
-    for r in levels[j]:
+def _bounds(col, rows, low, high, slack):
+    """low..high narrowed by the rows that bound an axis of column col."""
+    for r in rows:
         if col[r] > 0:
             low = max(low, -(slack[r] // col[r]))
         else:
             high = min(high, slack[r] // -col[r])
+    return low, high
+
+
+def _sections(cols, levels, lo, hi, slack, last, j=0):
+    """(slack, low, high) wherever the walk over P's projection stops: at
+    each point of the axes before `last`, with low..high the range of axis
+    last, or at an empty range of an earlier axis.  Row r (facets first)
+    then reads slack[r] + (terms in the later axes) >= 0.  Each axis steps
+    its slacks by adding its column."""
+    low, high = _bounds(cols[j], levels[j], lo[j], hi[j], slack)
     if j == last or low > high:
         yield slack, low, high
         return
-    for x in range(low, high + 1):
-        yield from _sections(cols, levels, lo, hi, [k + c * x for k, c in zip(slack, col)],
-                             last, j + 1)
+    col, slack = cols[j], [k + c * low for k, c in zip(slack, cols[j])]
+    for _ in range(low, high + 1):
+        if j + 1 < last:
+            yield from _sections(cols, levels, lo, hi, slack, last, j + 1)
+        else:  # a slab: no generator for it
+            yield (slack, *_bounds(cols[last], levels[last], lo[last], hi[last], slack))
+        slack = [k + c for k, c in zip(slack, col)]
 
 
 def _stretch(first, last, lower, upper, whole, counts):
@@ -240,6 +265,8 @@ def _envelope(slack, classes, end):
                 x = [bit, s, c, d]
             elif s * x[3] == x[1] * d:
                 x[0] |= bit
+        if len(classes) == 1:  # all lines parallel: one piece
+            return [(0, None, x), (end, None, None)]
         through = None
         # a line that meets the new one on its own left end is no piece: the
         # end keeps the lines through it, and a line below it drops them
@@ -294,6 +321,22 @@ def _slab(slack, sides, flat, ulo, uhi, counts):
         u = t // 2 + 1
 
 
+def _slope_classes(us, vs):
+    """Facet i, reading c u + d v in a slab (c = us[i], d = vs[i]), as _slab takes it: (bit, i,
+    c, |d|) in classes by its reduced slope c / |d|, per sign of d, ordered by c L / |d| (L the
+    lcm of the |d|), steepest first; (bit, i, c) where d = 0."""
+    slopes, flat = ({}, {}), []
+    for i, (c, d) in enumerate(zip(us, vs)):
+        if d:
+            g = gcd(c, d)
+            slopes[d < 0].setdefault((c // g, abs(d) // g), []).append((1 << i, i, c, abs(d)))
+        else:
+            flat.append((1 << i, i, c))
+    scale = lcm(*(d for side in slopes for _, d in side))
+    return [[side[k] for k in sorted(side, key=lambda k: k[0] * (scale // k[1]), reverse=True)]
+            for side in slopes], flat
+
+
 @derived
 def count_points(p):
     """Count lattice points slab by slab by their tight facets (see
@@ -320,13 +363,7 @@ def count_points(p):
     else:
         slabs = 1
     _charge(slabs, len(slack), pairs, ranges)
-    slopes, flat = ({}, {}), []
-    for i, c, d in zip(range(m), cols[-2], cols[-1]):
-        if d:
-            slopes[d < 0].setdefault(Fraction(c, abs(d)), []).append((1 << i, i, c, abs(d)))
-        else:
-            flat.append((1 << i, i, c))
-    sides = [[side[k] for k in sorted(side, reverse=True)] for side in slopes]
+    sides, flat = _slope_classes(cols[-2][:m], cols[-1][:m])
     counts = defaultdict(int)
     for slack, ulo, uhi in _sections(cols, levels, lo, hi, slack, len(levels) - 1):
         if ulo <= uhi:

@@ -151,7 +151,8 @@ class FaceLattice:
         enumerate_vertices) says that such a subset cuts out a face of
         dimension n minus its size on no other facet, so the subset is the
         face's facet set and nothing is checked again.  A BudgetError (see
-        charge_faces) comes first if the order may exceed FACE_BUDGET pairs."""
+        charge_faces) comes first if the order may exceed FACE_BUDGET pairs.
+        Only perfbench/replay.py and the tests read it (ROADMAP item 1)."""
         n = self.dim
         charge_faces(len(self.charts), n)
         found = {}

@@ -436,6 +436,26 @@ def fiber_walk(p):
     return dict(enumerate(closed)), dict(enumerate(relint))
 
 
+def fraction_slope_classes(us, vs):
+    """lattice._slope_classes by the route it replaced: each class keyed by
+    the Fraction c / |d| of its slope, and the classes ordered by it."""
+    slopes, flat = ({}, {}), []
+    for i, (c, d) in enumerate(zip(us, vs)):
+        if d:
+            slopes[d < 0].setdefault(Fraction(c, abs(d)), []).append((1 << i, i, c, abs(d)))
+        else:
+            flat.append((1 << i, i, c))
+    return [[side[k] for k in sorted(side, reverse=True)] for side in slopes], flat
+
+
+def face_id_rows(fc):
+    """FaceCounts.face_rows as the per-face table once read it: the faces
+    of the laid-out face lattice, in its order, each with its closed and
+    relint count read by face id."""
+    return [(f.dim, f.facet_set, fc.closed[i], fc.relint[i], f.mask)
+            for i, f in enumerate(fc.lattice.faces)]
+
+
 def fraction_volume(p):
     """The triangulation volume with a Fraction for every entry: each
     simplex's edge rows are cleared of denominators one row at a time, and

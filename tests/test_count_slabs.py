@@ -9,14 +9,18 @@ exactly; the program's closure over facet masks must hold the fiber walk's
 closed counts under the faces' masks, and its closed weighted sum over them
 must be the one the fiber walk's counts give.  The totals by dimension that
 the program reads from its histogram of tight facets must match its own
-per-face closure.  The two
+per-face closure.  The face rows the program reads from facet masks alone
+must be the rows the laid-out face lattice gives by face id, and its slope
+classes, keyed and ordered by integers, those keyed and ordered by Fraction
+(tests/oracles.py).  The two
 closed forms are held to brute force, and the traps the sweep along u can
 fall into are pinned by name.
 
 The full sweep (seeds 1 and 2, 4000 generated inputs and the accepted random
 systems of the certificate sweep, each against the fiber walk, mask closure
-and weighted sum included, and its histogram against the per-face closure)
-runs from the repository root with
+and weighted sum included, its histogram against the per-face closure, its
+face rows against the face-id views and its slope classes against the
+Fraction order) runs from the repository root with
 
     PYTHONPATH=src python tests/test_count_slabs.py
 """
@@ -29,8 +33,8 @@ from math import atan2, comb, gcd
 import pytest
 
 from families import (box, corner_cut_polygon, cube, delzant_family, shear, simplex,
-                      times, unimodular_transform)
-from oracles import face_ids, faces_of_dim, fiber_walk
+                      times, unimodular_transform, weighted_family)
+from oracles import face_id_rows, face_ids, faces_of_dim, fiber_walk, fraction_slope_classes
 from test_certificate import random_systems
 from toricpick import lattice
 from toricpick.errors import ToricError
@@ -75,6 +79,24 @@ def histogram_agrees(p):
     return (fc.total == fc.closed[face_ids(fl)[()]]
             and [fc.closed_by_dim(d) for d in range(n + 1)] == by_dim(fc.closed, fl)
             and [fc.relint_by_dim(d) for d in range(n + 1)] == by_dim(fc.relint, fl))
+
+
+def rows_agree(p):
+    """The face rows read from facet masks against the face-id views."""
+    fc = count_points(p)
+    return fc.face_rows() == face_id_rows(fc)
+
+
+def slopes_agree(p):
+    """A fresh count_points(p), its slope classes against the Fraction-keyed ones."""
+    real, seen = lattice._slope_classes, []
+    lattice._slope_classes = lambda us, vs: seen.append((us, vs, real(us, vs))) or seen[-1][2]
+    try:
+        lattice.count_points.__wrapped__(p)
+    finally:
+        lattice._slope_classes = real
+    (us, vs, got), = seen
+    return got == fraction_slope_classes(us, vs)
 
 
 def facets(line):
@@ -363,14 +385,53 @@ def test_prism_over_a_polygon_with_many_facets():
     assert fc.total == ((twice_area + m) // 2 + 1) * 101
 
 
+ROW_INPUTS = delzant_family(8) + weighted_family(random.Random(41), max_dim=4)
+
+
+def off_lattice(p):
+    """Whether some vertex of p is not a lattice point."""
+    return count_points(p).hist[p.dim] < len(face_lattice(p).charts)
+
+
+def test_row_inputs_hold_off_lattice_vertices():
+    # a face that holds no lattice point is found only through such a vertex
+    assert sum(map(off_lattice, (p for _, p in ROW_INPUTS))) >= 40
+
+
+@pytest.mark.parametrize("name,p", ROW_INPUTS, ids=[name for name, _ in ROW_INPUTS])
+def test_face_rows_match_the_face_id_views(name, p):
+    assert rows_agree(p)
+
+
+def sheared_dilations(rng):
+    """Sheared dilated simplices, boxes and prisms in dimensions 3 and 4."""
+    shapes = [simplex(3, 24), box((0, 0, 0), (11, 8, 14)), simplex(4, 9),
+              box((0, 0, 0, 0), (6, 4, 5, 7)), times(simplex(2, 13), box((0,), (9,))),
+              times(simplex(3, 6), box((0,), (5,)))]
+    return [shear(p, rng) for p in shapes]
+
+
+@pytest.mark.parametrize("p", [primitive_polygon(28)[0], *sheared_dilations(random.Random(43)),
+                               *(p for _, p in delzant_family(6))])
+def test_integer_slope_classes_match_the_fraction_order(p):
+    assert slopes_agree(p)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_integer_slope_classes_match_the_fraction_order_on_seeded_inputs(seed):
+    assert all(slopes_agree(p) for p in seeded_inputs(seed, TIER1_INPUTS))
+
+
 def sweep(seed, count):
     """(inputs, by dimension); asserts agreement with the fiber walk (the
-    per-face counts, the mask closure and the closed weighted sum), and of
-    the histogram totals with the per-face closure, on each."""
+    per-face counts, the mask closure and the closed weighted sum), of the
+    histogram totals with the per-face closure, of the face rows with the
+    face-id views and of the slope classes with the Fraction order, on each."""
     inputs = seeded_inputs(seed, count) + accepted_random_systems(seed, 2000)
     dims = {}
     for p in inputs:
         assert agrees(p) and histogram_agrees(p), p.facets
+        assert rows_agree(p) and slopes_agree(p), p.facets
         dims[p.dim] = dims.get(p.dim, 0) + 1
     return len(inputs), dict(sorted(dims.items()))
 
@@ -380,7 +441,7 @@ if __name__ == "__main__":
     for seed in (1, 2):
         inputs, dims = sweep(seed, FULL_INPUTS)
         total += inputs
-        print("seed %d: %d inputs agree, mask closures, weighted sums and histograms "
-              "included, by dimension %s"
+        print("seed %d: %d inputs agree, mask closures, weighted sums, histograms, face "
+              "rows and slope orders included, by dimension %s"
               % (seed, inputs, dims))
     print("%d inputs in all" % total)
