@@ -12,6 +12,7 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 from math import ceil, comb, floor, gcd, lcm
+from operator import add
 
 from .errors import BudgetError, ToricError
 from .polytope import charge_faces, derived, enumerate_vertices, face_lattice
@@ -37,9 +38,9 @@ class FaceCounts:
 
     def __init__(self, p, by_mask):
         self.dim, self.by_mask = p.dim, by_mask
-        self.hist = [0] * (p.dim + 1)
+        hist = self.hist = [0] * (p.dim + 1)
         for mask, c in by_mask.items():
-            self.hist[mask.bit_count()] += c
+            hist[mask.bit_count()] += c
         self.lattice, self._vertices = face_lattice(p), facet_vertices(p)
 
     @property
@@ -79,13 +80,13 @@ class FaceCounts:
         lies in each face whose facet set is a subset of its own: at most a
         step per pair of the face order, so the face budget comes first."""
         charge_faces(len(self.lattice.charts), self.dim)
-        above = defaultdict(int, {0: self.total})
+        above = {0: self.total}
         for mask, c in self._on_faces.items():
             sub = mask
             while sub:
-                above[sub] += c
+                above[sub] = above.get(sub, 0) + c
                 sub = (sub - 1) & mask
-        return dict(above)
+        return above
 
     def face_rows(self):
         """(dim, facets, closed, relint, mask) of every face, by dim and facets: each face holds
@@ -133,6 +134,8 @@ def facet_vertices(p):
 
 def floor_sum(n, a, b, c):
     """sum_{i<n} floor((a i + b) / c) for c > 0, in O(log) Euclid-like steps."""
+    if c == 1 and n > 0:
+        return a * (n * (n - 1) // 2) + b * n
     total = 0
     while n > 0:
         q, a = divmod(a, c)
@@ -144,6 +147,8 @@ def floor_sum(n, a, b, c):
 
 def progression_count(s, c, d, first, last):
     """How many integers u in first..last make s + c u divisible by d > 0."""
+    if d == 1:
+        return last - first + 1
     g = gcd(c, d)
     if s % g:
         return 0
@@ -171,33 +176,35 @@ def _project(rows, tight):
     system = [(lam, a, 1 << i, t) for i, ((lam, a), t) in enumerate(zip(rows, tight))]
     pool, levels, pairs = list(rows), [], 0
     for k in range(n - 1, 1, -1):
-        pos, neg = ([r for r in system if sign * r[0][k] > 0] for sign in (1, -1))
+        pos, neg = [r for r in system if r[0][k] > 0], [r for r in system if r[0][k] < 0]
         meeting = [(rp, rn) for rp in pos for rn in neg if rp[3] & rn[3]]
         pairs += len(meeting)
         _charge(0, len(pool), pairs, 0)
         kept = dict.fromkeys((lam[:k], a, h, t) for lam, a, h, t in system if not lam[k])
         for (lp, ap, hp, tp), (ln, an, hn, tn) in meeting:
             cp, cn = lp[k], -ln[k]
-            lam = tuple(cn * x + cp * y for x, y in zip(lp, ln[:k]))
+            lam = tuple([cn * x + cp * y for x, y in zip(lp, ln[:k])])
             # Chernikov: after n - k eliminations a row of more facets is redundant
-            if any(lam) and bin(hp | hn).count("1") <= n - k + 1:
+            if any(lam) and (hp | hn).bit_count() <= n - k + 1:
                 g = gcd(*lam, cn * ap + cp * an)
-                kept[tuple(x // g for x in lam), (cn * ap + cp * an) // g, hp | hn,
+                kept[tuple([x // g for x in lam]), (cn * ap + cp * an) // g, hp | hn,
                      tp & tn] = None
         system = list(kept)
         level = [(lam + (0,) * (n - k), a) for lam, a, *_ in system if lam[-1]]
         levels.insert(0, range(len(pool), len(pool) + len(level)))
         pool += level
-    return list(zip(*(lam for lam, _ in pool))), [()] + levels, [-a for _, a in pool], pairs
+    return list(zip(*[lam for lam, _ in pool])), [()] + levels, [-a for _, a in pool], pairs
 
 
 def _bounds(col, rows, low, high, slack):
     """low..high narrowed by the rows that bound an axis of column col."""
     for r in rows:
-        if col[r] > 0:
-            low = max(low, -(slack[r] // col[r]))
-        else:
-            high = min(high, slack[r] // -col[r])
+        c = col[r]
+        if c > 0:
+            if -(slack[r] // c) > low:
+                low = -(slack[r] // c)
+        elif slack[r] // -c < high:
+            high = slack[r] // -c
     return low, high
 
 
@@ -206,17 +213,15 @@ def _sections(cols, levels, lo, hi, slack, last, j=0):
     each point of the axes before `last`, with low..high the range of axis
     last, or at an empty range of an earlier axis.  Row r (facets first)
     then reads slack[r] + (terms in the later axes) >= 0.  Each axis steps
-    its slacks by adding its column."""
+    its slacks by adding its column; count_points steps the slabs of each
+    range of its innermost outer axis itself."""
     low, high = _bounds(cols[j], levels[j], lo[j], hi[j], slack)
     if j == last or low > high:
         yield slack, low, high
         return
     col, slack = cols[j], [k + c * low for k, c in zip(slack, cols[j])]
     for _ in range(low, high + 1):
-        if j + 1 < last:
-            yield from _sections(cols, levels, lo, hi, slack, last, j + 1)
-        else:  # a slab: no generator for it
-            yield (slack, *_bounds(cols[last], levels[last], lo[last], hi[last], slack))
+        yield from _sections(cols, levels, lo, hi, slack, last, j + 1)
         slack = [k + c for k, c in zip(slack, col)]
 
 
@@ -291,9 +296,8 @@ def _slab(slack, sides, flat, ulo, uhi, counts):
     """Credit the points of the columns ulo..uhi of one slab, where facet i
     reads slack[i] + c u + d v >= 0: sides holds the lower (d > 0) and upper
     facets' slope classes with |d|, as in _envelope, and flat (bit, i, c) the
-    rest."""
-    # lower lines v >= -(s + c u) / d and upper ones v <= (s + c u) / |d|: the
-    # least of each side bounds v, and a stretch ends where that one changes;
+    rest.  A slab whose envelopes are one line each is its first column, its
+    interior and its last column; _sweep_slab takes any other."""
     # a facet with d = 0 is tight on the whole slab or on an end column alone
     whole = first = final = 0
     for bit, i, c in flat:
@@ -305,7 +309,24 @@ def _slab(slack, sides, flat, ulo, uhi, counts):
         if not (c or s):
             whole |= bit
     low, high = _envelope(slack, sides[0], 2 * uhi), _envelope(slack, sides[1], 2 * uhi)
-    u, a, b = ulo, 0, 0
+    if len(low) > 2 or len(high) > 2:
+        _sweep_slab(low, high, ulo, uhi, (first, whole, final), counts)
+        return
+    lower, upper = low[0][2], high[0][2]
+    _stretch(ulo, ulo, lower, upper, first, counts)
+    if ulo + 1 < uhi:
+        _stretch(ulo + 1, uhi - 1, lower, upper, whole, counts)
+    if ulo < uhi:
+        _stretch(uhi, uhi, lower, upper, final, counts)
+
+
+def _sweep_slab(low, high, ulo, uhi, ends, counts):
+    """Credit a slab of _slab stretch by stretch between the breakpoints of
+    its envelopes low and high (_envelope), its end columns and any integer
+    breakpoint alone; ends holds the masks of _slab's first, whole and final."""
+    # lower lines v >= -(s + c u) / d and upper ones v <= (s + c u) / |d|: the
+    # least of each side bounds v, and a stretch ends where that one changes
+    (first, whole, final), u, a, b = ends, ulo, 0, 0
     while u <= uhi:
         while low[a + 1][0] < 2 * u:
             a += 1
@@ -332,7 +353,7 @@ def _slope_classes(us, vs):
             slopes[d < 0].setdefault((c // g, abs(d) // g), []).append((1 << i, i, c, abs(d)))
         else:
             flat.append((1 << i, i, c))
-    scale = lcm(*(d for side in slopes for _, d in side))
+    scale = lcm(*[d for side in slopes for _, d in side])
     return [[side[k] for k in sorted(side, key=lambda k: k[0] * (scale // k[1]), reverse=True)]
             for side in slopes], flat
 
@@ -341,33 +362,38 @@ def _slope_classes(us, vs):
 def count_points(p):
     """Count lattice points slab by slab by their tight facets (see
     FaceCounts); raises BudgetError, before sweeping, when the steps would
-    pass COUNT_BUDGET."""
+    pass COUNT_BUDGET.  The sweep steps each range of the innermost outer
+    axis (_sections) itself, one slack list per slab."""
     charts = enumerate_vertices(p)
     n, m = p.dim, len(p.facets)
-    box = [(ceil(min(x)), floor(max(x))) for x in zip(*(c.vertex for c in charts))]
+    box = [(ceil(min(x)), floor(max(x))) for x in zip(*[c.vertex for c in charts])]
     # v then u: the widest axes, the first of a tie; the outer axes narrowest first
     by_width = sorted(range(n), key=lambda j: (box[j][0] - box[j][1], j))
     axes = sorted(by_width[2:], key=lambda j: (box[j][1] - box[j][0], j)) + by_width[1::-1]
     lo, hi = zip(*(box[j] for j in axes))
-    rows = [(tuple(lam[j] for j in axes), a) for lam, a in p.facets]
+    rows = [(tuple([lam[j] for j in axes]), a) for lam, a in p.facets]
     if n == 1:  # a segment is the slab over the point u = 0
         rows, lo, hi = [((0,) + lam, a) for lam, a in rows], (0,) + lo, (0,) + hi
     cols, levels, slack, pairs = _project(rows, facet_vertices(p))
     # the slabs the sweep visits, the points of the projection to the outer
-    # axes, counted level by level; each range of the last outer axis a step
-    slabs = ranges = 0
-    if len(levels) > 1:
-        for _, low, high in _sections(cols, levels, lo, hi, slack, len(levels) - 2):
-            slabs, ranges = slabs + max(0, high - low + 1), ranges + 1
-            _charge(slabs, len(slack), pairs, ranges)
-    else:
-        slabs = 1
-    _charge(slabs, len(slack), pairs, ranges)
+    # axes 0..last - 1, counted level by level; each range of axis last - 1 a step
+    last, slabs, ranges = len(levels) - 1, 0, 0
+    for _, low, high in _sections(cols, levels, lo, hi, slack, last - 1) if last else ():
+        slabs, ranges = slabs + max(0, high - low + 1), ranges + 1
+        _charge(slabs, len(slack), pairs, ranges)
+    _charge(slabs if last else 1, len(slack), pairs, ranges)
     sides, flat = _slope_classes(cols[-2][:m], cols[-1][:m])
     counts = defaultdict(int)
-    for slack, ulo, uhi in _sections(cols, levels, lo, hi, slack, len(levels) - 1):
-        if ulo <= uhi:
-            _slab(slack, sides, flat, ulo, uhi, counts)
+    # each range stepped slab by slab; with no outer axis, one range of one slab
+    outer = _sections(cols, levels, lo, hi, slack, last - 1) if last else [(slack, 0, 0)]
+    col, ucol, urows = cols[last - 1], cols[last], levels[last]
+    for slack, low, high in outer:
+        slack = [k + c * low for k, c in zip(slack, col)]
+        for _ in range(low, high + 1):
+            ulo, uhi = _bounds(ucol, urows, lo[last], hi[last], slack)
+            if ulo <= uhi:
+                _slab(slack, sides, flat, ulo, uhi, counts)
+            slack = list(map(add, slack, col))
     return FaceCounts(p, dict(counts))
 
 

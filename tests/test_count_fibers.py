@@ -159,6 +159,17 @@ def test_default_budget_refuses_dilation_1e4_4_simplex(tmp_path, capsys):
             "of the projection), over the limit of %d" % lattice.COUNT_BUDGET) in err
 
 
+@pytest.mark.parametrize("p", [simplex(3, 10 ** 300), simplex(4, 10 ** 4)],
+                         ids=["tetrahedron dilated 10^300", "4-simplex dilated 10^4"])
+def test_huge_dilations_are_refused_before_any_slab_is_swept(monkeypatch, p):
+    # the budget counts the slabs of the ranges the sweep then steps through
+    def forbidden(*args):
+        raise AssertionError("a slab was swept")
+    monkeypatch.setattr(lattice, "_slab", forbidden)
+    with pytest.raises(BudgetError, match="over the limit of %d" % lattice.COUNT_BUDGET):
+        count_points(p)
+
+
 def test_default_budget_answers_a_thin_sheared_5_cube(tmp_path, capsys):
     # the unit 5-cube under U L, U upper and L lower unitriangular with every
     # off-diagonal entry 5: the bounding box of the outer axes holds 528 748

@@ -12,21 +12,26 @@ the program reads from its histogram of tight facets must match its own
 per-face closure.  The face rows the program reads from facet masks alone
 must be the rows the laid-out face lattice gives by face id, and its slope
 classes, keyed and ordered by integers, those keyed and ordered by Fraction
-(tests/oracles.py).  The two
-closed forms are held to brute force, and the traps the sweep along u can
-fall into are pinned by name.
+(tests/oracles.py).  A slab bounded by one line a side is counted as its
+first column, its interior and its last column; the breakpoint loop that
+sweeps every other slab must credit the same masks and counts to each such
+slab, and which inputs take which path is pinned.  The two closed forms are
+held to brute force, and the traps the sweep along u can fall into are
+pinned by name.
 
 The full sweep (seeds 1 and 2, 4000 generated inputs and the accepted random
 systems of the certificate sweep, each against the fiber walk, mask closure
 and weighted sum included, its histogram against the per-face closure, its
-face rows against the face-id views and its slope classes against the
-Fraction order) runs from the repository root with
+face rows against the face-id views, its slope classes against the Fraction
+order and each one-line slab against the breakpoint loop) runs from the
+repository root with
 
     PYTHONPATH=src python tests/test_count_slabs.py
 """
 
 import random
 import time
+from collections import defaultdict
 from fractions import Fraction
 from math import atan2, comb, gcd
 
@@ -97,6 +102,51 @@ def slopes_agree(p):
         lattice._slope_classes = real
     (us, vs, got), = seen
     return got == fraction_slope_classes(us, vs)
+
+
+def loop_route(slack, sides, flat, ulo, uhi):
+    """The counts by facet mask that the breakpoint loop (lattice._sweep_slab)
+    credits to a slab of _slab, whatever its envelopes; the masks of the
+    facets with d = 0 on the first column, the whole slab and the last column
+    are read here afresh."""
+    first = whole = final = 0
+    for bit, i, c in flat:
+        first |= bit if slack[i] + c * ulo == 0 else 0
+        final |= bit if slack[i] + c * uhi == 0 else 0
+        whole |= bit if c == slack[i] == 0 else 0
+    counts = defaultdict(int)
+    lattice._sweep_slab(lattice._envelope(slack, sides[0], 2 * uhi),
+                        lattice._envelope(slack, sides[1], 2 * uhi), ulo, uhi,
+                        (first, whole, final), counts)
+    return counts
+
+
+def routes(p):
+    """A fresh count_points(p), each slab credited apart: asserts that every
+    slab _slab counts on its one-line path credits the masks and counts the
+    loop credits to it, and returns (one-line slabs, slabs swept by the loop)
+    and the count."""
+    real_slab, real_sweep, swept, taken = lattice._slab, lattice._sweep_slab, [], [0, 0]
+
+    def sweep(*args):
+        swept.append(None)
+        return real_sweep(*args)
+
+    def slab(slack, sides, flat, ulo, uhi, counts):
+        own, before = defaultdict(int), len(swept)
+        real_slab(slack, sides, flat, ulo, uhi, own)
+        loop = len(swept) > before
+        if not loop:
+            assert own == loop_route(slack, sides, flat, ulo, uhi), (p.facets, slack, ulo, uhi)
+        taken[loop] += 1
+        for mask, c in own.items():
+            counts[mask] += c
+    lattice._slab, lattice._sweep_slab = slab, sweep
+    try:
+        fc = lattice.count_points.__wrapped__(p)
+    finally:
+        lattice._slab, lattice._sweep_slab = real_slab, real_sweep
+    return tuple(taken), fc
 
 
 def facets(line):
@@ -403,12 +453,23 @@ def test_face_rows_match_the_face_id_views(name, p):
     assert rows_agree(p)
 
 
+# dilated simplices, boxes and prisms in dimensions 3 and 4
+DILATIONS = [simplex(3, 24), box((0, 0, 0), (11, 8, 14)), simplex(4, 9),
+             box((0, 0, 0, 0), (6, 4, 5, 7)), times(simplex(2, 13), box((0,), (9,))),
+             times(simplex(3, 6), box((0,), (5,)))]
+
+
 def sheared_dilations(rng):
-    """Sheared dilated simplices, boxes and prisms in dimensions 3 and 4."""
-    shapes = [simplex(3, 24), box((0, 0, 0), (11, 8, 14)), simplex(4, 9),
-              box((0, 0, 0, 0), (6, 4, 5, 7)), times(simplex(2, 13), box((0,), (9,))),
-              times(simplex(3, 6), box((0,), (5,)))]
-    return [shear(p, rng) for p in shapes]
+    """DILATIONS, each under a random shear of 2n row additions."""
+    return [shear(p, rng) for p in DILATIONS]
+
+
+def row_added(p):
+    """p under x_0 += x_1 and shifted by 3 along each axis: one row addition,
+    like each of the two that every benchmark dilated-lattice input takes."""
+    n = p.dim
+    return unimodular_transform(p, [[int(i == j or (i, j) == (0, 1)) for j in range(n)]
+                                    for i in range(n)], (3,) * n)
 
 
 @pytest.mark.parametrize("p", [primitive_polygon(28)[0], *sheared_dilations(random.Random(43)),
@@ -422,16 +483,57 @@ def test_integer_slope_classes_match_the_fraction_order_on_seeded_inputs(seed):
     assert all(slopes_agree(p) for p in seeded_inputs(seed, TIER1_INPUTS))
 
 
+ROUTE_INPUTS = [*(p for _, p in delzant_family(8)),
+                *(p for _, p in weighted_family(random.Random(41), max_dim=4)),
+                *sheared_dilations(random.Random(43)), *seeded_inputs(1, TIER1_INPUTS)]
+
+
+def test_one_line_slabs_credit_what_the_breakpoint_loop_credits():
+    taken = [routes(p)[0] for p in ROUTE_INPUTS]
+    # both paths run: the polygons' and the sheared inputs' slabs take the loop
+    assert sum(one for one, _ in taken) > 1000 and sum(loop for _, loop in taken) > 100
+
+
+def denominators(monkeypatch):
+    """The list, as calls come, of the c of floor_sum and the d of progression_count."""
+    seen = []
+    for name, at in (("floor_sum", 3), ("progression_count", 2)):
+        def spied(*args, real=getattr(lattice, name), at=at):
+            seen.append(args[at])
+            return real(*args)
+        monkeypatch.setattr(lattice, name, spied)
+    return seen
+
+
+@pytest.mark.parametrize("p", DILATIONS + [row_added(p) for p in DILATIONS])
+def test_dilations_take_the_one_line_path_with_unit_denominators(monkeypatch, p):
+    # each side of every slab is one facet's line
+    seen = denominators(monkeypatch)
+    (one_line, swept), fc = routes(p)
+    assert one_line > 0 and swept == 0 and fc.by_mask == count_points(p).by_mask
+    assert seen and set(seen) == {1}
+
+
+def test_sheared_dilations_and_a_polygon_with_many_facets_take_the_loop():
+    # 2n row additions leave several lines on a side of the slabs of all but
+    # the 4-dimensional prism; the 1936-gon is one slab of 967 lines a side
+    taken = [routes(p)[0] for p in sheared_dilations(random.Random(43))]
+    assert [swept > 0 for _, swept in taken] == [True] * 5 + [False]
+    assert routes(primitive_polygon(28)[0])[0] == (0, 1)
+
+
 def sweep(seed, count):
     """(inputs, by dimension); asserts agreement with the fiber walk (the
     per-face counts, the mask closure and the closed weighted sum), of the
     histogram totals with the per-face closure, of the face rows with the
-    face-id views and of the slope classes with the Fraction order, on each."""
+    face-id views, of the slope classes with the Fraction order and of each
+    one-line slab with the breakpoint loop, on each."""
     inputs = seeded_inputs(seed, count) + accepted_random_systems(seed, 2000)
     dims = {}
     for p in inputs:
         assert agrees(p) and histogram_agrees(p), p.facets
         assert rows_agree(p) and slopes_agree(p), p.facets
+        assert routes(p)[1].by_mask == count_points(p).by_mask, p.facets
         dims[p.dim] = dims.get(p.dim, 0) + 1
     return len(inputs), dict(sorted(dims.items()))
 
@@ -442,6 +544,6 @@ if __name__ == "__main__":
         inputs, dims = sweep(seed, FULL_INPUTS)
         total += inputs
         print("seed %d: %d inputs agree, mask closures, weighted sums, histograms, face "
-              "rows and slope orders included, by dimension %s"
+              "rows, slope orders and one-line slabs included, by dimension %s"
               % (seed, inputs, dims))
     print("%d inputs in all" % total)
