@@ -97,14 +97,31 @@ def _genus_restriction(p, kind, twist=True):
     return restrict, log_rows[0]
 
 
-def _localize_once(p, kind, u):
-    """The class of _genus_restriction at u, or at the first generic vector,
-    and its (vertex, Fraction) terms, after the gate and the face budget."""
+def _prelude(p, u, count):
+    """The first steps of every localized check, in this order: the Delzant
+    gate; count generic vectors, u first when given, each further one the
+    first candidate that excludes those before it; and the face budget (see
+    charge_faces), before anything is counted or localized.
+
+    The face budget is charged whether or not the check lays out faces: its
+    bound, V 3^(n+1) / (n + 1) roughly, grows with n far faster than V
+    localizations in degree n, so it bounds them too, and todd, whose count
+    reads no face lattice, is refused where pick and signature are.
+    """
     charts = enumerate_vertices(p)
     require_delzant(charts)
+    vectors = [] if u is None else [tuple(u)]
+    while len(vectors) < count:
+        vectors.append(choose_generic(charts, exclude=vectors))
     charge_faces(len(charts), p.dim)
-    value, contributions = localize(p, choose_generic(charts) if u is None else u,
-                                    *_genus_restriction(p, kind))
+    return vectors
+
+
+def _localize_once(p, kind, u):
+    """The class of _genus_restriction at u, or at the first generic vector,
+    and its (vertex, Fraction) terms, after the prelude."""
+    u, = _prelude(p, u, 1)
+    value, contributions = localize(p, u, *_genus_restriction(p, kind))
     return value, _vertex_terms(contributions)
 
 
@@ -137,23 +154,13 @@ def per_vertex_breakdown(terms):
 def _localized_check(identity, p, u, kind, twist, independent):
     """The skeleton of every check whose left side is localized.
 
-    In this order: the gate picks both generic vectors (u first, when
-    given), which refuses a non-Delzant chart; the face budget is charged
-    (see charge_faces); independent() computes the right side under its
-    own budgets and returns (rhs, extra, breakdown); the class is localized
-    at both vectors; and the identity holds when extra does and both
-    localized values equal rhs.
-
-    The face budget is charged whether or not the right side lays out the
-    faces: its bound, V 3^(n+1) / (n + 1) roughly, grows with n far faster
-    than V localizations in degree n, so it bounds them too, and todd,
-    whose count reads no face lattice, is refused where pick and signature
-    are.
+    In this order: the prelude (gate, two generic vectors, face budget);
+    independent() computes the right side under its own budgets and
+    returns (rhs, extra, breakdown); the class is localized at both
+    vectors; and the identity holds when extra does and both localized
+    values equal rhs.
     """
-    charts = enumerate_vertices(p)
-    u1 = tuple(u) if u is not None else choose_generic(charts)
-    u2 = choose_generic(charts, exclude=(u1,))
-    charge_faces(len(charts), p.dim)
+    u1, u2 = _prelude(p, u, 2)
     rhs, extra, breakdown = independent()
     restrict, scale = _genus_restriction(p, kind, twist)
     lhs, per_vertex = localize(p, u1, restrict, scale)
@@ -236,12 +243,14 @@ def check_tetrahedron(p):
 
 
 def _face_todd_sweep(p, u):
-    """The twisted Todd genus of every face F at u by facet mask, as
-    localize(p, u, restrict, scale, face=F) gives it: at each vertex, the
-    faces through it are the subsets S of its facet positions, each built
-    from S less its lowest position j, so its power sums (see _power_sums)
-    drop the w_j^k, its Euler product drops w_j and its mask gains facet j;
-    u pairs nonzero with every edge of P, so it is generic for every face."""
+    """The twisted Todd genus of every face F at u by facet mask, summed
+    over the vertices of F with the Euler products of the weights of its
+    edges, as the per-face oracle tests/oracles.localize_face sums it: at
+    each vertex, the faces through it are the subsets S of its facet
+    positions, each built from S less its lowest position j, so its power
+    sums (see _power_sums) drop the w_j^k, its Euler product drops w_j and
+    its mask gains facet j; u pairs nonzero with every edge of P, so it is
+    generic for every face."""
     n = p.dim
     logs = [_log_rows("Todd", d) for d in range(n + 1)]
     degrees = [k for k, _ in logs[n][2]]  # those of dim F are the first ones
@@ -267,9 +276,7 @@ def check_face_todd(p):
     localized as a submanifold of the toric manifold of P at one generic
     vector for P (see _face_todd_sweep), each count closed over facet masks
     and read by FaceCounts.face_rows, so no face lattice is laid out."""
-    charts = enumerate_vertices(p)
-    u = choose_generic(charts)
-    charge_faces(len(charts), p.dim)  # before anything is counted
+    u, = _prelude(p, None, 1)
     rows, todd = count_points(p).face_rows(), _face_todd_sweep(p, u)
     faces = [(d, facets, todd[mask], closed) for d, facets, closed, _, mask in rows]
     by_face = {"dim%d/facets(%s)" % (d, ",".join(map(str, facets))):

@@ -129,32 +129,21 @@ class FixedPointSum:
         return Fraction(self.nums[-1], self.den * scale)
 
 
-def localize(p, u, restrict, scale=1, face=None):
+def localize(p, u, restrict, scale=1):
     """Fixed point sum of a class given by its restrictions to the vertices.
 
-    restrict(chart, w) returns the integer coefficients c_0..c_k of scale
+    restrict(chart, w) returns the integer coefficients c_0..c_n of scale
     times the class at the chart's vertex as a series in t, where the j-th
     incident facet class restricts to w_j t and every other facet class to
-    0.  Degree d sums c_d / (scale prod w) over the vertices in a
-    FixedPointSum, whose degrees below k must vanish.  Returns the degree-k
+    0.  Degree d sums c_d / (scale prod w) over the vertices of P in a
+    FixedPointSum, whose degrees below n must vanish.  Returns the degree-n
     value and the per-vertex contributions, each summed over all degrees,
     as integer triples (vertex, numerator, denominator), not reduced.
-
-    k is n, or dim F for a face F of face_lattice(p): the sum is then over
-    the vertices of F, its Euler products take only the w_j with facet_set[j]
-    not a facet of F (the edges in F), and restrict still gets all n w_j.
     """
-    data = _chart_weights(p, tuple(u))
-    k = p.dim
-    if face is not None:
-        data = [data[v] for v in face.vertices]
-        k = face.dim
-    total = FixedPointSum(k)
+    total = FixedPointSum(p.dim)
     contributions = []
-    for c, w in data:
-        coeffs = restrict(c, w)
-        euler = prod(w if face is None else
-                     (x for i, x in zip(c.facet_set, w) if i not in face.facet_set))
+    for c, w in _chart_weights(p, tuple(u)):
+        coeffs, euler = restrict(c, w), prod(w)
         total.add(coeffs, euler)
         contributions.append((c.vertex, sum(coeffs), euler * scale))
     return total.value(scale), tuple(contributions)

@@ -17,7 +17,7 @@ from toricpick.errors import (DimensionError, InputError, NotSimpleError,
                               ShapeError, ToricError)
 from toricpick.exact import det, dot, vector_gcd
 from toricpick.invariants import _log_rows
-from toricpick.localization import (_chart_weights, _vertex_sum,
+from toricpick.localization import (FixedPointSum, _chart_weights, _vertex_sum,
                                     check_partition, partitions_of)
 from toricpick.polytope import (HPolytope, _swap, enumerate_vertices,
                                 face_lattice)
@@ -634,8 +634,8 @@ def exp_linear(coeffs, trunc):
 
 def factor_product_restriction(p, kind, twist=True, face=None):
     """The genus restriction before the exponential of power sums: (restrict,
-    scale) for exp(w_P) prod_i g(v_i) as localize() takes them, kind None
-    dropping the genus factor.
+    scale) for exp(w_P) prod_i g(v_i) as localize() takes them, or with a
+    face as localize_face takes them, kind None dropping the genus factor.
 
     At a vertex exp(s t), s = -<x, u>, and the n factors g(w_j t) (on a
     face F, the edges in F, and n = dim F) are multiplied as n truncated
@@ -663,9 +663,26 @@ def factor_product_restriction(p, kind, twist=True, face=None):
     return restrict, scale
 
 
+def localize_face(p, u, restrict, scale, face):
+    """localize summed over the vertices of a face F of face_lattice(p)
+    only, in degree dim F, the route invariants._face_todd_sweep replaced:
+    the Euler products take only the w_j with facet_set[j] not a facet of F
+    (the edges in F), and restrict still gets all n w_j.  Returns what
+    localize returns."""
+    data = _chart_weights(p, tuple(u))
+    total = FixedPointSum(face.dim)
+    contributions = []
+    for c, w in (data[v] for v in face.vertices):
+        coeffs = restrict(c, w)
+        euler = prod(x for i, x in zip(c.facet_set, w) if i not in face.facet_set)
+        total.add(coeffs, euler)
+        contributions.append((c.vertex, sum(coeffs), euler * scale))
+    return total.value(scale), tuple(contributions)
+
+
 def face_todd_restriction(p, face):
     """(restrict, scale) for the twisted Todd class of the face F as
-    localize(..., face=F) takes them: the restriction in degree dim F whose
+    localize_face takes them: the restriction in degree dim F whose
     power sums run over the edges in F only, each face on its own, the
     route invariants._face_todd_sweep replaced.
 

@@ -6,7 +6,7 @@ the edges of P that stay in F.  So one generic vector for P and P's own
 vertex charts give the twisted Todd genus of every face.  Two routes it
 replaced are oracles here: each face presented as a polytope in its own
 integral chart (induce_face_polytope) and localized, and each face
-localized from P's charts on its own, localize(..., face=F) with
+localized from P's charts on its own, oracles.localize_face with
 oracles.face_todd_restriction, against which the one sweep over the faces
 through each vertex (_face_todd_sweep) is held face by face.
 
@@ -20,8 +20,10 @@ import time
 
 import pytest
 
+import oracles
 from families import cube, delzant_family, get, simplex, times
-from oracles import face_ids, face_todd_restriction, faces_of_dim, reduced
+from oracles import (face_ids, face_todd_restriction, faces_of_dim, localize_face,
+                     reduced)
 from toricpick import invariants, lattice, localization, polytope
 from toricpick.errors import ToricError
 from toricpick.invariants import (_face_todd_sweep, check_face_todd,
@@ -60,7 +62,7 @@ def test_every_face_matches_its_induced_polytope(name, p):
         assert faces[label(face)]["twisted_todd"] == expected, label(face)
         # the face's value does not depend on the generic vector either
         restrict, scale = face_todd_restriction(p, face)
-        assert localize(p, u2, restrict, scale, face=face)[0] == expected, label(face)
+        assert localize_face(p, u2, restrict, scale, face)[0] == expected, label(face)
 
 
 def test_family_reaches_the_corpus_and_dimension_six():
@@ -120,13 +122,13 @@ def test_a_mutated_face_weight_set_is_a_chart_bug(p, monkeypatch):
     assert_generic(p, u)
     proper = [f for f in face_lattice(p).faces if 0 < f.dim < p.dim]
     for face in proper:
-        assert localize(p, u, *face_todd_restriction(p, face), face=face)[0] \
+        assert localize_face(p, u, *face_todd_restriction(p, face), face)[0] \
             == induced_todd(p, face)
         bad = swapped(p, u, face)
         with monkeypatch.context() as m:
-            for module in (localization, invariants):
+            for module in (localization, invariants, oracles):
                 m.setattr(module, "_chart_weights", lambda q, uu: bad)
-            for localized in (lambda: localize(p, u, *face_todd_restriction(p, face), face=face),
+            for localized in (lambda: localize_face(p, u, *face_todd_restriction(p, face), face),
                               lambda: _face_todd_sweep(p, u)):
                 with pytest.raises(ToricError, match=r"^localization of the degree-\d part .* "
                                                      r"expected 0 \(chart bug\)$"):
@@ -139,19 +141,19 @@ def test_whole_polytope_and_vertices_as_faces():
     fl = face_lattice(p)
     u = choose_generic(enumerate_vertices(p))
     top = fl.faces[face_ids(fl)[()]]
-    assert localize(p, u, *face_todd_restriction(p, top), face=top) == \
+    assert localize_face(p, u, *face_todd_restriction(p, top), top) == \
         localize(p, u, *invariants._genus_restriction(p, "Todd"))
     for fid in faces_of_dim(fl, 0):
         vertex = fl.faces[fid]
-        value, contributions = reduced(localize(
-            p, u, *face_todd_restriction(p, vertex), face=vertex))
+        value, contributions = reduced(localize_face(
+            p, u, *face_todd_restriction(p, vertex), vertex))
         assert value == 1
         assert contributions == ((enumerate_vertices(p)[vertex.vertices[0]].vertex, 1),)
 
 
 def sweep_matches_each_face(p):
     """At both generic vectors, the sweep's value of every face against
-    localize(..., face=F) on its own; returns the number of faces compared."""
+    localize_face on its own; returns the number of faces compared."""
     faces = face_lattice(p).faces
     charts = enumerate_vertices(p)
     u1 = choose_generic(charts)
@@ -159,8 +161,8 @@ def sweep_matches_each_face(p):
         swept = _face_todd_sweep(p, u)
         assert sorted(swept) == sorted(f.mask for f in faces)
         for face in faces:
-            assert swept[face.mask] == localize(p, u, *face_todd_restriction(p, face),
-                                                face=face)[0], (p.name, u, label(face))
+            assert swept[face.mask] == localize_face(p, u, *face_todd_restriction(p, face),
+                                                     face)[0], (p.name, u, label(face))
     return 2 * len(faces)
 
 
@@ -199,5 +201,5 @@ if __name__ == "__main__":
     start = time.perf_counter()
     family = delzant_family(8)
     compared = sum(sweep_matches_each_face(p) for _, p in family)
-    print("%d polytopes, %d face values agree with localize(face=F), %.1f s"
+    print("%d polytopes, %d face values agree with localize_face, %.1f s"
           % (len(family), compared, time.perf_counter() - start))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from families import CORPUS_NAMES, P112, get, simplex
+from families import CORPUS_NAMES, P112, get, simplex, weighted_simplex
 from oracles import kahler_class
 from toricpick import invariants
 from toricpick.cli import load_polytope
@@ -150,15 +150,49 @@ def test_checks_reject_non_delzant():
 
 def test_budgets_refuse_before_anything_is_localized(monkeypatch):
     """Every check computes its budgeted side first: the 16-simplex, whose
-    face order is over FACE_BUDGET, is refused without a localize call."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("localize called")
+    face order is over FACE_BUDGET, is refused without a localize call.
 
-    monkeypatch.setattr(invariants, "localize", forbidden)
+    The localized checks take one prelude, in this order: the Delzant gate,
+    then the generic vectors, a given one first and each further one
+    excluding those before it, then the face budget; nothing is counted,
+    swept or localized before all three pass."""
+    steps = []
+
+    def logged(name, fn):
+        def call(*args, **kwargs):
+            steps.append((name, *map(tuple, kwargs.values())))
+            return fn(*args, **kwargs)
+        return call
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError("%s called" % name)
+        return call
+
+    for name in ("require_delzant", "choose_generic", "charge_faces"):
+        monkeypatch.setattr(invariants, name, logged(name, getattr(invariants, name)))
+    for name in ("localize", "_face_todd_sweep", "count_points"):
+        monkeypatch.setattr(invariants, name, forbidden(name))
     p = simplex(16)
     for check in (check_pick, check_todd, check_untwisted_signature, check_face_todd):
         with pytest.raises(BudgetError, match="face order"):
             check(p)
+    # not Delzant (det 2 at the vertex off the first facet) and over the face budget
+    not_delzant = weighted_simplex((2,) + (1,) * 15, 2)
+    first, given = tuple(2 ** k for k in range(16)), tuple(range(1, 17))
+    for check, vectors in ((check_pick, 2), (twisted_todd_breakdown, 1), (check_face_todd, 1)):
+        steps.clear()
+        with pytest.raises(InputError, match="not Delzant: vertex .* has det"):
+            check(not_delzant)
+        assert steps == [("require_delzant",)], check.__name__
+        # a given vector is taken as the first, and only the rest are picked
+        for args in [()] + ([] if check is check_face_todd else [(given,)]):
+            steps.clear()
+            with pytest.raises(BudgetError, match="face order"):
+                check(p, *args)
+            picked = [("choose_generic", (args or (first,))[:k]) for k in range(len(args), vectors)]
+            assert steps == [("require_delzant",)] + picked + [("charge_faces",)], \
+                (check.__name__, args)
 
 
 def test_face_todd_reads_its_faces_before_it_counts(monkeypatch):

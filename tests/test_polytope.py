@@ -416,6 +416,17 @@ def test_polytope_equality_and_hash():
     assert p != get("square2")
 
 
+
+def test_reprs_name_what_tells_each_object_apart():
+    p = get("square1")
+    assert repr(p) == "HPolytope(dim=2, facets=4, name='square1')"
+    assert repr(enumerate_vertices(p)[0]) == "VertexChart(vertex=(0, 0), facets=(0, 1), det=1)"
+    faces = face_lattice(p).faces
+    assert (repr(faces[0]), repr(faces[-1])) == ("Face(dim=0, facets=(0, 1))",
+                                                 "Face(dim=2, facets=())")
+    assert repr(h_vector(face_lattice(p))) == "HVector((1, 2, 1))"
+
+
 if __name__ == "__main__":
     start = time.perf_counter()
     inputs = delzant_family(7) + weighted_family(random.Random(31))
