@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import factorial, lcm, prod
-from operator import mul, sub
+from operator import add, floordiv, mod, mul, or_, sub
 
 from .errors import ShapeError, ToricError
 from .lattice import count_points, weighted_sum_closed, weighted_sum_relint
@@ -49,30 +49,38 @@ def _log_rows(kind, n):
     return factorial(n) * d ** n, den, tuple((k, int(k * c * den)) for k, c in enumerate(b) if c)
 
 
-def _power_sums(w, degrees):
-    """The power sums p_k = sum_j w_j^k of the weights at a vertex, k in degrees."""
-    return [sum(map(pow, w, repeat(k))) for k in degrees]
+def _power_sums(columns, degrees):
+    """The power sums p_k = sum_j w_j^k of the weight columns, a column per k in degrees."""
+    return [list(map(sum, zip(*[map(pow, column, repeat(k)) for column in columns])))
+            for k in degrees]
 
 
 def _exponential(n, log_rows, s, sums):
-    """scale times exp(A) to degree n, A(t) = s t + sum_k b_k p_k t^k, with
-    (scale, den, rows) = log_rows and sums the p_k of the k of rows in order
-    (more may follow), from E' = A' E: k E_k = sum_j j A_j E_{k-j}, with one
-    exact division per degree."""
+    """The columns E_0..E_n of scale times exp(A) at each pair, A(t) = s t +
+    sum_k b_k p_k t^k, (scale, den, rows) = log_rows, s the twist column and
+    sums the p_k columns of the k of rows in order (more may follow), from
+    E' = A' E: k E_k = sum_j j A_j E_{k-j}, one exact division per degree."""
     scale, den, rows = log_rows
-    a = [0] * n  # a[j - 1] = den j A_j
-    if n:
-        a[0] = den * s
+    a = {1: list(map(mul, s, repeat(den)))} if n and any(s) else {}  # a[j] = den j A_j, if not 0
     for (k, c), p_k in zip(rows, sums):
-        a[k - 1] += c * p_k
-    out = [scale]  # E_{k-1}, ..., E_0 while E_k is formed
-    for kd in range(den, den * n + 1, den):
-        q, r = divmod(sum(map(mul, a, out)), kd)
-        if r:
+        term = list(map(mul, p_k, repeat(c)))
+        a[k] = list(map(add, a[k], term)) if k in a else term
+    out, zero = [[scale] * len(s)], [0] * len(s)
+    for k in range(1, n + 1):
+        total = None
+        for j, column in a.items():
+            if j <= k and out[k - j] is not zero:
+                term = map(mul, column, out[k - j])
+                total = term if total is None else map(add, total, term)
+        if total is None:
+            out.append(zero)
+            continue
+        total, kd = list(total), k * den
+        if any(map(mod, total, repeat(kd))):
             raise ToricError("the degree-%d coefficient of the genus restriction is %s, "
-                             "not an integer (chart bug)" % (kd // den, Fraction(q * kd + r, kd)))
-        out.insert(0, q)
-    out.reverse()
+                             "not an integer (chart bug)"
+                             % (k, Fraction(next(x for x in total if x % kd), kd)))
+        out.append(list(map(floordiv, total, repeat(kd))))
     return out
 
 
@@ -90,9 +98,10 @@ def _genus_restriction(p, kind, twist=True):
     n, offset, log_rows = p.dim, p.offsets.__getitem__, _log_rows(kind, p.dim)
     degrees = [k for k, _ in log_rows[2]]
 
-    def restrict(chart, w):
-        s = -sum(map(mul, map(offset, chart.facet_set), w)) if twist else 0
-        return _exponential(n, log_rows, s, _power_sums(w, degrees))
+    def restrict(charts, weights):
+        s = ([-sum(map(mul, map(offset, c.facet_set), w)) for c, w in zip(charts, weights)]
+             if twist else [0] * len(weights))
+        return _exponential(n, log_rows, s, _power_sums(list(zip(*weights)), degrees))
 
     return restrict, log_rows[0]
 
@@ -121,7 +130,7 @@ def _localize_once(p, kind, u):
     """The class of _genus_restriction at u, or at the first generic vector,
     and its (vertex, Fraction) terms, after the prelude."""
     u, = _prelude(p, u, 1)
-    value, contributions = localize(p, u, *_genus_restriction(p, kind))
+    (value,), contributions = localize(p, (u,), *_genus_restriction(p, kind))
     return value, _vertex_terms(contributions)
 
 
@@ -162,9 +171,7 @@ def _localized_check(identity, p, u, kind, twist, independent):
     """
     u1, u2 = _prelude(p, u, 2)
     rhs, extra, breakdown = independent()
-    restrict, scale = _genus_restriction(p, kind, twist)
-    lhs, per_vertex = localize(p, u1, restrict, scale)
-    lhs2, _ = localize(p, u2, restrict, scale)
+    (lhs, lhs2), per_vertex = localize(p, (u1, u2), *_genus_restriction(p, kind, twist))
     breakdown["lhs_at_second_vector"] = lhs2
     breakdown["per_vertex"] = per_vertex_breakdown(_vertex_terms(per_vertex))
     return Report(identity, p.name, lhs, rhs, extra and lhs == rhs == lhs2,
@@ -245,29 +252,37 @@ def check_tetrahedron(p):
 def _face_todd_sweep(p, u):
     """The twisted Todd genus of every face F at u by facet mask, summed
     over the vertices of F with the Euler products of the weights of its
-    edges, as the per-face oracle tests/oracles.localize_face sums it: at
-    each vertex, the faces through it are the subsets S of its facet
-    positions, each built from S less its lowest position j, so its power
-    sums (see _power_sums) drop the w_j^k, its Euler product drops w_j and
-    its mask gains facet j; u pairs nonzero with every edge of P, so it is
-    generic for every face."""
+    edges, as the per-face oracle tests/oracles.localize_face sums it: the
+    faces through a vertex are the subsets S of its facet positions, each S
+    taken at all vertices at once and built from S less its lowest position
+    j (its power sums drop the w_j^k, its Euler products w_j, its masks gain
+    facet j), holding only the subsets on the way to S; each vertex's row is
+    added to its mask's FixedPointSum over den, the lcm of the full Euler
+    products; u pairs nonzero with every edge of P, so it is generic for all."""
     n = p.dim
     logs = [_log_rows("Todd", d) for d in range(n + 1)]
     degrees = [k for k, _ in logs[n][2]]  # those of dim F are the first ones
-    parents = [(t & t - 1, (t & -t).bit_length() - 1) for t in range(1, 1 << n)]
-    totals = {}
-    for c, w in _chart_weights(p, u):
-        drop = [(1 << i, [x ** k for k in degrees], x) for i, x in zip(c.facet_set, w)]
-        twist = -sum(map(mul, map(p.offsets.__getitem__, c.facet_set), w))
-        faces = [(0, _power_sums(w, degrees), prod(w))]
-        for parent, j in parents:
-            (mask, q, e), (bit, powers, x) = faces[parent], drop[j]
-            faces.append((mask | bit, list(map(sub, q, powers)), e // x))
-        for mask, q, e in faces:
-            d = n - mask.bit_count()
-            if mask not in totals:
-                totals[mask] = FixedPointSum(d)
-            totals[mask].add(_exponential(d, logs[d], twist, q), e)
+    charts, weights = zip(*_chart_weights(p, u))
+    columns, offset = list(zip(*weights)), p.offsets.__getitem__
+    bits = [[1 << i for i in facets] for facets in zip(*(c.facet_set for c in charts))]
+    drops = [_power_sums([column], degrees) for column in columns]
+    twist = [-sum(map(mul, map(offset, c.facet_set), w)) for c, w in zip(charts, weights)]
+    eulers = list(map(prod, weights))
+    den, totals = lcm(*eulers), {}
+
+    def visit(low, d, masks, sums, shares):
+        terms = [list(map(mul, column, shares)) for column in _exponential(d, logs[d], twist, sums)]
+        for mask, row in zip(masks, zip(*terms)):
+            total = totals.get(mask)
+            if total is None:
+                total = totals[mask] = FixedPointSum(d, den)
+            total.nums = list(map(add, total.nums, row))
+        for j in range(low):
+            visit(j, d - 1, list(map(or_, masks, bits[j])),
+                  [list(map(sub, q, dq)) for q, dq in zip(sums, drops[j])],
+                  list(map(mul, shares, columns[j])))
+
+    visit(n, n, [0] * len(charts), _power_sums(columns, degrees), [den // e for e in eulers])
     return {mask: total.value(logs[n - mask.bit_count()][0]) for mask, total in totals.items()}
 
 

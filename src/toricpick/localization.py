@@ -13,15 +13,16 @@ power sums by Newton's identities.
 """
 
 from fractions import Fraction
+from itertools import chain, repeat
 from math import lcm, prod
-from operator import mul
+from operator import add, attrgetter, floordiv, mul, neg
 
 from .errors import (BudgetError, DimensionError, GenericityError, InputError,
                      RouteDisagreementError, ToricError)
 from .exact import det, integers
 from .polytope import derived, enumerate_vertices, require_delzant
 
-# most steps chern_number's fixed point route may take by its estimate (see there), 10-20 ns
+# most steps chern_number's fixed point route may take by its estimate (see there), 9-13 ns
 # each on a 2-core VM: it admits every partition on the n-simplex up to n = 79 and on each cube
 # the walk admits; the first (n) refused on the n-simplex is (80), 1.04 10^8 steps, about 1 s
 CHERN_BUDGET = 10 ** 8
@@ -66,7 +67,7 @@ def choose_generic(charts, exclude=()):
     n = len(charts[0].vertex)
     skip = {tuple(e) for e in exclude}
     for u in _candidate_vectors(n):
-        if u not in skip and all(all(_weights(c, u)) for c in charts):
+        if u not in skip and all(map(all, map(_weights, charts, repeat(u)))):
             return u
 
 
@@ -74,7 +75,7 @@ def _weights(c, u):
     """<mu_{p,i_j}, u> for the facets i_j through a Delzant chart's vertex,
     computed once per chart and u and kept on the chart for every reader."""
     if u not in c.weights:
-        c.weights[u] = tuple(sum(map(mul, r, u)) for r in c.mu_matrix)
+        c.weights[u] = tuple([sum(map(mul, r, u)) for r in c.mu_matrix])
     return c.weights[u]
 
 
@@ -88,15 +89,12 @@ def _chart_weights(p, u):
     n = p.dim
     if len(u) != n:
         raise DimensionError("generic vector has length %d, expected %d" % (len(u), n))
-    data = []
-    for c in charts:
-        w = _weights(c, u)
-        if not all(w):
-            raise GenericityError(
-                "u = %s pairs to zero with a weight at vertex %s; pick another vector"
-                % (u, c.vertex))
-        data.append((c, w))
-    return tuple(data)
+    weights = list(map(_weights, charts, repeat(u)))
+    if not all(map(all, weights)):
+        raise GenericityError(
+            "u = %s pairs to zero with a weight at vertex %s; pick another vector"
+            % (u, next(c.vertex for c, w in zip(charts, weights) if not all(w))))
+    return tuple(zip(charts, weights))
 
 
 def assert_generic(p, u):
@@ -106,47 +104,57 @@ def assert_generic(p, u):
 
 class FixedPointSum:
     """Degrees 0..k of a sum of restriction/Euler quotients: integer numerators
-    over the running lcm of the Euler products, divided once by value(), where
-    a nonzero degree below k signals a chart bug, not a user error."""
+    nums over the running lcm den of the Euler products, divided once by
+    value(), where a nonzero degree below k signals a chart bug.  add(columns,
+    eulers) takes a batch, a column per degree with an entry per Euler product,
+    under one lcm; a den given up front lets terms already over it go to nums."""
 
-    def __init__(self, k):
-        self.nums, self.den = [0] * (k + 1), 1
+    def __init__(self, k, den=1):
+        self.nums, self.den = [0] * (k + 1), den
 
-    def add(self, coeffs, euler):
-        if self.den % euler:
-            grown = lcm(self.den, euler)
-            self.nums = [x * (grown // self.den) for x in self.nums]
+    def add(self, columns, eulers):
+        grown = lcm(self.den, *eulers)
+        if grown != self.den:
+            self.nums = list(map(mul, self.nums, repeat(grown // self.den)))
             self.den = grown
-        share, nums = self.den // euler, self.nums
-        for d, cd in enumerate(coeffs):
-            nums[d] += cd * share
+        shares, nums = list(map(floordiv, repeat(grown), eulers)), self.nums
+        for d, column in enumerate(columns):
+            nums[d] += sum(map(mul, column, shares))
 
     def value(self, scale):
-        for d, x in enumerate(self.nums[:-1]):
-            if x:
-                raise ToricError("localization of the degree-%d part is %s, expected 0 "
-                                 "(chart bug)" % (d, Fraction(x, self.den * scale)))
+        if any(self.nums[:-1]):
+            d, x = next((d, x) for d, x in enumerate(self.nums) if x)
+            raise ToricError("localization of the degree-%d part is %s, expected 0 "
+                             "(chart bug)" % (d, Fraction(x, self.den * scale)))
         return Fraction(self.nums[-1], self.den * scale)
 
 
-def localize(p, u, restrict, scale=1):
-    """Fixed point sum of a class given by its restrictions to the vertices.
+def localize(p, vectors, restrict, scale=1):
+    """Fixed point sums of a class given by its restrictions to the vertices,
+    at every generic vector of vectors in one pass.
 
-    restrict(chart, w) returns the integer coefficients c_0..c_n of scale
-    times the class at the chart's vertex as a series in t, where the j-th
-    incident facet class restricts to w_j t and every other facet class to
-    0.  Degree d sums c_d / (scale prod w) over the vertices of P in a
-    FixedPointSum, whose degrees below n must vanish.  Returns the degree-n
-    value and the per-vertex contributions, each summed over all degrees,
-    as integer triples (vertex, numerator, denominator), not reduced.
+    The (vector, vertex) pairs run over the vertices of P at vectors[0],
+    then at vectors[1], and so on.  restrict(charts, weights) gets the chart
+    and the weight tuple w of every pair, the j-th incident facet class
+    restricting to w_j t and every other facet class to 0, and returns n + 1
+    integer columns c_0..c_n, one per degree with one entry per pair: the
+    coefficients of scale times the class as a series in t.  At each vector,
+    degree d sums c_d / (scale prod w) over the vertices in a FixedPointSum,
+    whose degrees below n must vanish.  Returns the degree-n value at each
+    vector, in order, and the per-vertex contributions at vectors[0], each
+    summed over all degrees, as integer triples (vertex, numerator,
+    denominator), not reduced.
     """
-    total = FixedPointSum(p.dim)
-    contributions = []
-    for c, w in _chart_weights(p, tuple(u)):
-        coeffs, euler = restrict(c, w), prod(w)
-        total.add(coeffs, euler)
-        contributions.append((c.vertex, sum(coeffs), euler * scale))
-    return total.value(scale), tuple(contributions)
+    data = [_chart_weights(p, tuple(u)) for u in vectors]
+    charts, weights = zip(*chain.from_iterable(data))
+    columns, eulers, size = restrict(charts, weights), list(map(prod, weights)), len(data[0])
+    values = []
+    for start in range(0, len(eulers), size):
+        total = FixedPointSum(p.dim)
+        total.add([column[start:start + size] for column in columns], eulers[start:start + size])
+        values.append(total.value(scale))
+    return tuple(values), tuple(zip(map(attrgetter("vertex"), charts[:size]),
+                                    map(sum, zip(*columns)), map(mul, eulers, repeat(scale))))
 
 
 def integrate_monomial(p, exponents, u):
@@ -168,26 +176,25 @@ def integrate_monomial(p, exponents, u):
         raise DimensionError("monomial degree exceeds the polytope dimension")
     powers = [(i, k) for i, k in enumerate(exponents) if k]
 
-    def restrict(chart, w):
-        at = dict(zip(chart.facet_set, w))
-        if not all(i in at for i, _ in powers):
-            return ()
-        return [0] * degree + [prod(at[i] ** k for i, k in powers)]
+    def restrict(charts, weights):
+        column = [prod(w[c.facet_set.index(i)] ** k for i, k in powers)
+                  if all(i in c.facet_set for i, _ in powers) else 0
+                  for c, w in zip(charts, weights)]
+        zero = [0] * len(column)
+        return [zero] * degree + [column] + [zero] * (p.dim - degree)
 
-    return localize(p, u, restrict)[0]
+    return localize(p, (u,), restrict)[0][0]
 
 
 def _vertex_sum(p, u, numerator):
-    """Sum over the vertices of numerator(chart, w) / prod w, an integer
-    numerator accumulated over the lcm of the Euler products and divided
-    once; the fixed point routes' own sum, apart from localize."""
-    num, den = 0, 1
-    for c, w in _chart_weights(p, tuple(u)):
-        euler = prod(w)
-        grown = lcm(den, euler)
-        num = num * (grown // den) + numerator(c, w) * (grown // euler)
-        den = grown
-    return Fraction(num, den)
+    """Sum over the vertices of numerator / prod w, numerator(charts, weights)
+    a column of one integer per vertex, over the lcm of the Euler products
+    and divided once; the fixed point routes' own sum, apart from localize."""
+    charts, weights = zip(*_chart_weights(p, tuple(u)))
+    eulers = list(map(prod, weights))
+    den = lcm(*eulers)
+    return Fraction(sum(map(mul, numerator(charts, weights), map(floordiv, repeat(den), eulers))),
+                    den)
 
 
 def gysin_power(p, facet, k, u):
@@ -202,8 +209,9 @@ def gysin_power(p, facet, k, u):
     if not 0 <= facet < len(p.facets):
         raise DimensionError("facet index %d out of range" % facet)
     # w_i^(n-1) / prod_{j != i} w_j = w_i^n / prod w
-    return _vertex_sum(p, u, lambda c, w: (
-        w[c.facet_set.index(facet)] ** n if facet in c.facet_set else 0))
+    return _vertex_sum(p, u, lambda charts, weights: [
+        w[c.facet_set.index(facet)] ** n if facet in c.facet_set else 0
+        for c, w in zip(charts, weights)])
 
 
 def gysin_power_v3(p, facet, u):
@@ -265,27 +273,30 @@ def _chern_fixed_point(p, omega, u):
     and Hall Polynomials, I.2), each division exact."""
     top = omega[0]
 
-    def numerator(_c, w):
-        # q_i = (-1)^(i-1) p_i(w), kept as -sum (-w_j)^i
-        minus = [-x for x in w]
-        powers, q = [-1] * len(w), [0]
+    def numerator(_charts, weights):
+        # q_i = (-1)^(i-1) p_i(w), kept as -sum (-w_j)^i, a column over the vertices
+        minus = [list(map(neg, column)) for column in zip(*weights)]
+        powers, q = [[-1] * len(weights)] * len(minus), [None]
         for _ in range(top):
-            powers = list(map(mul, powers, minus))
-            q.append(sum(powers))
-        e = [1]
+            powers = [list(map(mul, a, b)) for a, b in zip(powers, minus)]
+            q.append(list(map(sum, zip(*powers))))
+        e = [[1] * len(weights)]
         for k in range(1, top + 1):
-            e.append(sum(e[k - i] * q[i] for i in range(1, k + 1)) // k)
-        return prod(e[k] for k in omega)
+            terms = zip(*[map(mul, e[k - i], q[i]) for i in range(1, k + 1)])
+            e.append(list(map(floordiv, map(sum, terms), repeat(k))))
+        return map(prod, zip(*(e[k] for k in omega)))
     return _vertex_sum(p, u, numerator)
 
 
-def _chern_restriction(omega, w):
-    """prod_k e_{omega_k}(v) at a vertex; e_k(v_1..v_m) restricts to e_k(w) t^k."""
-    e = [1] + [0] * omega[0]
-    for x in w:
-        for k in range(omega[0], 0, -1):
-            e[k] += e[k - 1] * x
-    return [0] * len(w) + [prod(e[k] for k in omega)]
+def _chern_restriction(omega, weights):
+    """prod_k e_{omega_k}(v) at each vertex as the n + 1 columns localize takes;
+    e_k(v_1..v_m) restricts to e_k(w) t^k, built weight by weight."""
+    size, top = len(weights), omega[0]
+    e = [[1] * size] + [[0] * size] * top
+    for j, column in enumerate(zip(*weights), 1):
+        for k in range(min(j, top), 0, -1):
+            e[k] = list(map(add, e[k], map(mul, e[k - 1], column)))
+    return [[0] * size] * len(weights[0]) + [list(map(prod, zip(*(e[k] for k in omega))))]
 
 
 def chern_number(p, omega, u=None):
@@ -313,7 +324,7 @@ def chern_number(p, omega, u=None):
         raise BudgetError("Chern number may take about %d steps (%d vertices in dimension "
                           "%d), over the limit of %d" % (steps, len(charts), n, CHERN_BUDGET))
     route_fixed = _chern_fixed_point(p, omega, u)
-    route_classes, _ = localize(p, u, lambda _c, w: _chern_restriction(omega, w))
+    (route_classes,), _ = localize(p, (u,), lambda _c, w: _chern_restriction(omega, w))
     if route_fixed != route_classes:
         raise RouteDisagreementError(
             "fixed point route %s disagrees with class route %s for partition %s"

@@ -18,7 +18,7 @@ from toricpick.errors import (DimensionError, InputError, NotSimpleError,
 from toricpick.exact import det, dot, vector_gcd
 from toricpick.invariants import _log_rows
 from toricpick.localization import (FixedPointSum, _chart_weights, _vertex_sum,
-                                    check_partition, partitions_of)
+                                    check_partition, localize, partitions_of)
 from toricpick.polytope import (HPolytope, _swap, enumerate_vertices,
                                 face_lattice)
 from toricpick.series import GENUS_KINDS, genus_series
@@ -634,8 +634,9 @@ def exp_linear(coeffs, trunc):
 
 def factor_product_restriction(p, kind, twist=True, face=None):
     """The genus restriction before the exponential of power sums: (restrict,
-    scale) for exp(w_P) prod_i g(v_i) as localize() takes them, or with a
-    face as localize_face takes them, kind None dropping the genus factor.
+    scale) for exp(w_P) prod_i g(v_i), one vertex at a time, as localize_rows
+    takes them, or with a face as localize_face takes them, kind None
+    dropping the genus factor.
 
     At a vertex exp(s t), s = -<x, u>, and the n factors g(w_j t) (on a
     face F, the edges in F, and n = dim F) are multiplied as n truncated
@@ -667,17 +668,72 @@ def localize_face(p, u, restrict, scale, face):
     """localize summed over the vertices of a face F of face_lattice(p)
     only, in degree dim F, the route invariants._face_todd_sweep replaced:
     the Euler products take only the w_j with facet_set[j] not a facet of F
-    (the edges in F), and restrict still gets all n w_j.  Returns what
-    localize returns."""
-    data = _chart_weights(p, tuple(u))
+    (the edges in F), and restrict(chart, w), one vertex at a time, still
+    gets all n w_j.  On the top face it is the per-vertex localize that the
+    columnar one replaced.  Returns the value and the per-vertex triples, as
+    localize returns them at one vector."""
+    weighed = _chart_weights(p, tuple(u))
+    data = [weighed[v] for v in face.vertices]
+    rows = [restrict(c, w) for c, w in data]
+    eulers = [prod(x for i, x in zip(c.facet_set, w) if i not in face.facet_set)
+              for c, w in data]
     total = FixedPointSum(face.dim)
-    contributions = []
-    for c, w in (data[v] for v in face.vertices):
-        coeffs = restrict(c, w)
-        euler = prod(x for i, x in zip(c.facet_set, w) if i not in face.facet_set)
-        total.add(coeffs, euler)
-        contributions.append((c.vertex, sum(coeffs), euler * scale))
-    return total.value(scale), tuple(contributions)
+    total.add(list(zip(*rows)), eulers)
+    return total.value(scale), tuple((c.vertex, sum(row), euler * scale)
+                                     for (c, _), row, euler in zip(data, rows, eulers))
+
+
+def localize_rows(p, u, restrict, scale=1):
+    """localize at the one vector u of a per-vertex restrict(chart, w), which
+    gives the n + 1 coefficients at one vertex, lifted to the restriction
+    localize takes, n + 1 columns with one entry per vertex: (value,
+    per-vertex triples)."""
+    def columns(charts, weights):
+        return [list(column) for column in zip(*map(restrict, charts, weights))]
+
+    (value,), contributions = localize(p, (u,), columns, scale)
+    return value, contributions
+
+
+def genus_restriction(p, kind, twist=True):
+    """(restrict, scale) for exp(w_P) prod_i g(v_i), one vertex at a time, as
+    localize_face and localize_rows take them: the per-vertex form of
+    invariants._genus_restriction, which the columnar one replaced.
+
+    At a vertex exp(s t), s = -<x, u> (0 untwisted), times prod_j g(w_j t)
+    is exp(A), A(t) = s t + sum_k b_k p_k t^k, p_k = sum_j w_j^k, from
+    E' = A' E with one exact division per degree, scale = n! D^n."""
+    n = p.dim
+    scale, den, rows = _log_rows(kind, n)
+
+    def restrict(chart, w):
+        a = [0] * n  # a[j - 1] = den j A_j
+        if n and twist:
+            a[0] = -den * sum(p.offsets[i] * x for i, x in zip(chart.facet_set, w))
+        for k, c in rows:
+            a[k - 1] += c * sum(x ** k for x in w)
+        out = [scale]
+        for k in range(1, n + 1):
+            num = sum(map(mul, a, reversed(out)))
+            if num % (k * den):
+                raise ToricError("the degree-%d coefficient of the genus restriction is %s, "
+                                 "not an integer (chart bug)" % (k, Fraction(num, k * den)))
+            out.append(num // (k * den))
+        return out
+
+    return restrict, scale
+
+
+def chern_restriction(omega, w):
+    """prod_k e_{omega_k}(v) at one vertex, e_k(v_1..v_m) restricting to
+    e_k(w) t^k, built weight by weight up to e_{omega_1}: the per-vertex
+    form of localization._chern_restriction, which the columnar one
+    replaced."""
+    e = [1] + [0] * omega[0]
+    for x in w:
+        for k in range(omega[0], 0, -1):
+            e[k] += e[k - 1] * x
+    return [0] * len(w) + [prod(e[k] for k in omega)]
 
 
 def face_todd_restriction(p, face):
@@ -867,8 +923,8 @@ def monomial_symmetric(lam, w):
 def fixed_point_sum(p, terms, u):
     """Sum over the vertices of sum_lam c_lam m_lam(w) / prod w for the
     (lam, c_lam) terms, through the program's vertex sum."""
-    return _vertex_sum(p, u, lambda _c, w: sum(
-        c * monomial_symmetric(lam, w) for lam, c in terms))
+    return _vertex_sum(p, u, lambda _charts, weights: [
+        sum(c * monomial_symmetric(lam, w) for lam, c in terms) for w in weights])
 
 
 def monomial_chern_route(p, omega, u):

@@ -214,18 +214,25 @@ def test_fixed_point_route_shares_nothing_with_the_class_route(monkeypatch):
 
 
 def test_class_route_restricts_once_per_vertex(monkeypatch):
-    """Inside chern_number only route two restricts e_omega to a vertex."""
-    calls = []
-    original = localization._chern_restriction
+    """Inside chern_number only route two restricts e_omega to the vertices:
+    one restriction call for its one localize, one entry per vertex."""
+    calls, localized = [], []
+    original, localize = localization._chern_restriction, localization.localize
 
-    def counted(omega, w):
-        calls.append(w)
-        return original(omega, w)
+    def counted(omega, weights):
+        columns = original(omega, weights)
+        calls.append((len(weights), [len(column) for column in columns]))
+        return columns
 
     monkeypatch.setattr(localization, "_chern_restriction", counted)
+    monkeypatch.setattr(localization, "localize",
+                        lambda p, vectors, *args: localized.append(vectors) or
+                        localize(p, vectors, *args))
     p = cube(5)
     chern_number(p, (2, 2, 1))
-    assert len(calls) == len(enumerate_vertices(p))
+    vertices = len(enumerate_vertices(p))
+    assert calls == [(vertices, [vertices] * (p.dim + 1))]
+    assert len(localized) == 1 and len(localized[0]) == 1
 
 
 if __name__ == "__main__":

@@ -22,8 +22,8 @@ import pytest
 
 import oracles
 from families import cube, delzant_family, get, simplex, times
-from oracles import (face_ids, face_todd_restriction, faces_of_dim, localize_face,
-                     reduced)
+from oracles import (face_ids, face_todd_restriction, faces_of_dim, genus_restriction,
+                     localize_face, localize_rows, reduced)
 from toricpick import invariants, lattice, localization, polytope
 from toricpick.errors import ToricError
 from toricpick.invariants import (_face_todd_sweep, check_face_todd,
@@ -141,8 +141,10 @@ def test_whole_polytope_and_vertices_as_faces():
     fl = face_lattice(p)
     u = choose_generic(enumerate_vertices(p))
     top = fl.faces[face_ids(fl)[()]]
-    assert localize_face(p, u, *face_todd_restriction(p, top), top) == \
-        localize(p, u, *invariants._genus_restriction(p, "Todd"))
+    whole = localize_face(p, u, *face_todd_restriction(p, top), top)
+    assert whole == localize_rows(p, u, *genus_restriction(p, "Todd"))
+    (value,), contributions = localize(p, (u,), *invariants._genus_restriction(p, "Todd"))
+    assert whole == (value, contributions)
     for fid in faces_of_dim(fl, 0):
         vertex = fl.faces[fid]
         value, contributions = reduced(localize_face(
@@ -174,14 +176,17 @@ def test_the_sweep_matches_each_face_localized_alone(name, p):
 @pytest.mark.parametrize("p,restrictions", [(cube(3), 8 * 2 ** 3), (simplex(3), 4 * 2 ** 3)],
                          ids=["cube3", "simplex3"])
 def test_the_sweep_restricts_once_per_vertex_and_face_through_it(p, restrictions, monkeypatch):
-    """V 2^n restrictions, no localize call, and the log rows of each
-    dimension 0..n read once."""
+    """V 2^n restrictions, in 2^n calls of V entries each, one per subset of
+    facet positions taken at every vertex at once, no localize call, and
+    the log rows of each dimension 0..n read once."""
     calls = {"restrictions": 0, "localize": 0}
-    exponential = invariants._exponential
+    exponential, sizes = invariants._exponential, []
 
     def counted(*args):
-        calls["restrictions"] += 1
-        return exponential(*args)
+        columns = exponential(*args)
+        calls["restrictions"] += len(columns[0])
+        sizes.append(len(columns[0]))
+        return columns
 
     def forbidden(*args, **kwargs):
         calls["localize"] += 1
@@ -194,6 +199,7 @@ def test_the_sweep_restricts_once_per_vertex_and_face_through_it(p, restrictions
     assert check_face_todd(p).holds
     info = invariants._log_rows.cache_info()
     assert calls == {"restrictions": restrictions, "localize": 0}
+    assert sizes == [len(enumerate_vertices(p))] * 2 ** p.dim
     assert (info.misses, info.hits) == (p.dim + 1, 0)
 
 

@@ -41,28 +41,38 @@ def two_vectors(p):
 
 
 def assert_same_restriction(p, data, kind, twist=True, face=None):
-    """Every coefficient at every chart of data; returns how many were compared."""
-    restrict, scale = (_genus_restriction(p, kind, twist) if face is None
-                       else face_todd_restriction(p, face))
+    """Every coefficient at every chart of data; returns how many were compared.
+    On P the program restricts every (chart, w) of data in one call, one
+    column per degree; a face's restriction takes one vertex at a time."""
     expected, expected_scale = factor_product_restriction(p, kind, twist, face)
-    assert scale == expected_scale, (kind, twist, face)
     n = p.dim if face is None else face.dim
-    for c, w in data:
-        got = restrict(c, w)
+    if face is None:
+        restrict, scale = _genus_restriction(p, kind, twist)
+        columns = restrict(*zip(*data))
+        assert len(columns) == n + 1 and {len(column) for column in columns} == {len(data)}
+        rows = [list(row) for row in zip(*columns)]
+    else:
+        restrict, scale = face_todd_restriction(p, face)
+        rows = [restrict(c, w) for c, w in data]
+    assert scale == expected_scale, (kind, twist, face)
+    for (c, w), got in zip(data, rows):
         assert len(got) == n + 1 and got == expected(c, w), (kind, twist, face, c.vertex, w)
     return len(data) * (n + 1)
 
 
 def restrictions_agree(p):
-    """Every kind, twisted and not, on P, and Todd on every face of P, at
-    both generic vectors; returns the number of coefficients compared."""
+    """Every kind, twisted and not, on P at both generic vectors in one batch,
+    and Todd on every face of P at each vector; returns the number of
+    coefficients compared."""
     compared = 0
     faces = face_lattice(p).faces
-    for u in two_vectors(p):
+    vectors = two_vectors(p)
+    both = sum((_chart_weights(p, u) for u in vectors), ())
+    for kind in GENUS_KINDS + (None,):
+        for twist in (True, False):
+            compared += assert_same_restriction(p, both, kind, twist)
+    for u in vectors:
         data = _chart_weights(p, u)
-        for kind in GENUS_KINDS + (None,):
-            for twist in (True, False):
-                compared += assert_same_restriction(p, data, kind, twist)
         for f in faces:
             compared += assert_same_restriction(p, [data[v] for v in f.vertices], "Todd",
                                                 face=f)
@@ -86,7 +96,7 @@ def test_inexact_division_names_its_degree(monkeypatch):
                         lambda kind, n: (1, 2 ** 61 - 1, ((2, 1),)))
     with pytest.raises(ToricError, match="degree-2 coefficient of the genus restriction"
                                          " is .*, not an integer"):
-        localize(p, two_vectors(p)[0], *_genus_restriction(p, "Todd", twist=False))
+        localize(p, two_vectors(p), *_genus_restriction(p, "Todd", twist=False))
 
 
 def test_face_todd_builds_log_rows_once_per_dimension():

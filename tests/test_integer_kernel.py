@@ -1,7 +1,8 @@
 """Integer-only fixed point sums against the Fraction-per-term code they replaced.
 
 The oracles below are the earlier `localize` (one Fraction per degree and
-vertex, restrictions given as rationals) and the earlier literal
+vertex, restrictions given as rationals, one vertex at a time, by
+oracles.genus_restriction) and the earlier literal
 `fixed_point_partition_sum` (one Fraction per index tuple and permutation).
 The program keeps every per-vertex sum in integers over one common
 denominator and divides once.  Both must give the same values and the same
@@ -17,7 +18,8 @@ import pytest
 
 from families import (CORPUS_NAMES, corner_cut_polygon, cube, get, simplex,
                       simplex2_squared)
-from oracles import fixed_point_partition_sum, reduced
+from oracles import (fixed_point_partition_sum, genus_restriction, localize_rows,
+                     reduced)
 from toricpick import localization
 from toricpick.errors import ToricError
 from toricpick.invariants import _genus_restriction
@@ -79,14 +81,20 @@ def as_rationals(restrict, scale):
     return lambda chart, w: [Fraction(c, scale) for c in restrict(chart, w)]
 
 
+def localized(p, u, restrict, scale=1):
+    """The program's localize at the one vector u, as (value, triples)."""
+    (value,), contributions = localize(p, (u,), restrict, scale)
+    return value, contributions
+
+
 @pytest.mark.parametrize("p", POLYTOPES, ids=lambda p: p.name)
 def test_localize_matches_the_fraction_per_term_sum(p):
     for u in two_vectors(p):
         for kind in GENUS_KINDS + (None,):
             for twist in (True, False):
-                restrict, scale = _genus_restriction(p, kind, twist)
-                expected = oracle_localize(p, u, as_rationals(restrict, scale))
-                assert reduced(localize(p, u, restrict, scale)) == expected, (kind, twist, u)
+                expected = oracle_localize(p, u, as_rationals(*genus_restriction(p, kind, twist)))
+                got = localized(p, u, *_genus_restriction(p, kind, twist))
+                assert reduced(got) == expected, (kind, twist, u)
 
 
 @pytest.mark.parametrize("p", POLYTOPES, ids=lambda p: p.name)
@@ -105,10 +113,9 @@ def test_sign_changing_euler_products():
         eulers = [prod(w) for _c, w in _chart_weights(p, u)]
         assert eulers[0] < 0 and max(eulers) > 0, (p.name, eulers)
         for kind in ("Todd", "SignatureHalf", None):
-            restrict, scale = _genus_restriction(p, kind)
-            got = localize(p, u, restrict, scale)
-            assert reduced(got) == oracle_localize(p, u, as_rationals(restrict, scale))
-            assert got[0] == localize(p, two_vectors(p)[0], restrict, scale)[0]
+            got = localized(p, u, *_genus_restriction(p, kind))
+            assert reduced(got) == oracle_localize(p, u, as_rationals(*genus_restriction(p, kind)))
+            assert got[0] == localized(p, two_vectors(p)[0], *_genus_restriction(p, kind))[0]
         for lam in partitions_of(p.dim):
             assert fixed_point_partition_sum(p, lam, u) == oracle_partition_sum(p, lam, u)
         m = len(p.facets)
@@ -122,7 +129,7 @@ def test_chart_bug_reports_the_rational_value():
     p = get("square1")
     u = two_vectors(p)[0]
     with pytest.raises(ToricError) as err:
-        localize(p, u, lambda _c, w: [prod(w), 0, 0], scale=3)
+        localize_rows(p, u, lambda _c, w: [prod(w), 0, 0], scale=3)
     assert str(err.value) == "localization of the degree-0 part is 4/3, expected 0 (chart bug)"
     with pytest.raises(ToricError, match=re.escape(str(err.value))):
         oracle_localize(p, u, lambda _c, w: [Fraction(prod(w), 3), 0, 0])
@@ -145,7 +152,7 @@ def test_one_fraction_per_vertex_at_most(p, monkeypatch):
     u = two_vectors(p)[0]
     for kind in ("Todd", "AHat"):
         CountedFraction.made = 0
-        localize(p, u, *_genus_restriction(p, kind))
+        localize(p, (u,), *_genus_restriction(p, kind))
         assert CountedFraction.made == 1, kind
     for lam in partitions_of(p.dim):
         CountedFraction.made = 0

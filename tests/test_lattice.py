@@ -10,13 +10,13 @@ from math import prod
 import pytest
 
 from families import CORPUS_NAMES, box, get
-from oracles import inclusion_order
+from oracles import inclusion_order, localize_rows
 from toricpick import lattice, polytope
 from toricpick.cli import main
 from toricpick.errors import ToricError
 from toricpick.invariants import check_tetrahedron
 from toricpick.lattice import count_points, weighted_sum_closed, weighted_sum_relint
-from toricpick.localization import choose_generic, localize
+from toricpick.localization import choose_generic
 from toricpick.polytope import HPolytope, enumerate_vertices, face_lattice, volume
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
@@ -181,7 +181,7 @@ def test_a_polytope_is_freed_with_its_derived_geometry():
     charts, fl, fc = enumerate_vertices(p), face_lattice(p), count_points(p)
     assert fc.total == 3 * 2 * 4 and volume(p) == 6
     u = choose_generic(charts)
-    assert localize(p, u, lambda c, w: [0, 0, 0, prod(w)])[0] == len(charts)
+    assert localize_rows(p, u, lambda c, w: [0, 0, 0, prod(w)])[0] == len(charts)
     ref = weakref.ref(p)
     del p
     gc.collect()

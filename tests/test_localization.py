@@ -261,7 +261,7 @@ def test_chern_number_refuses_disagreeing_or_fractional_routes(monkeypatch):
         chern_number(p, (2,))
     # routes that agree on a fraction are reported, not rounded
     monkeypatch.setattr(localization, "_chern_fixed_point", lambda p, omega, u: F(7, 2))
-    monkeypatch.setattr(localization, "localize", lambda p, u, restrict: (F(7, 2), ()))
+    monkeypatch.setattr(localization, "localize", lambda p, vectors, restrict: ((F(7, 2),), ()))
     with pytest.raises(RouteDisagreementError, match="7/2 for partition .* is not an integer"):
         chern_number(p, (2,))
 
