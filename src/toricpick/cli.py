@@ -322,7 +322,7 @@ def cmd_compute(args):
     else:
         twisted = (twisted_signature_breakdown if kind == "signature-twisted"
                    else twisted_todd_breakdown)
-        data["value"], per_vertex = twisted(p, u)
+        data["value"], per_vertex = twisted(p, u, terms=args.breakdown)
         if args.breakdown:
             data["breakdown"] = {"per_vertex": per_vertex_breakdown(per_vertex)}
     return 0, data, render_value_table

@@ -126,33 +126,27 @@ def _prelude(p, u, count):
     return vectors
 
 
-def _localize_once(p, kind, u):
+def _localize_once(p, kind, u, terms):
     """The class of _genus_restriction at u, or at the first generic vector,
-    and its (vertex, Fraction) terms, after the prelude."""
+    after the prelude, and its (vertex, Fraction) terms if terms, else None."""
     u, = _prelude(p, u, 1)
-    (value,), contributions = localize(p, (u,), *_genus_restriction(p, kind))
-    return value, _vertex_terms(contributions)
+    (value,), contributions = localize(p, (u,), *_genus_restriction(p, kind), terms=terms)
+    return value, contributions
 
 
-def twisted_todd_breakdown(p, u=None):
+def twisted_todd_breakdown(p, u=None, terms=True):
     """<exp(w_P) prod Td(v_i), [M_P]>, the lattice point count, and its vertex terms."""
-    return _localize_once(p, "Todd", u)
+    return _localize_once(p, "Todd", u, terms)
 
 
-def twisted_signature_breakdown(p, u=None):
+def twisted_signature_breakdown(p, u=None, terms=True):
     """<exp(w_P) prod (v_i/2)/tanh(v_i/2), [M_P]> and its per-vertex terms."""
-    return _localize_once(p, "SignatureHalf", u)
+    return _localize_once(p, "SignatureHalf", u, terms)
 
 
 def volume_breakdown(p, u=None):
     """Euclidean volume by fixed points with per-vertex contributions."""
-    return _localize_once(p, None, u)
-
-
-def _vertex_terms(contributions):
-    """localize's (vertex, numerator, denominator) triples as (vertex,
-    Fraction) pairs, built only where a breakdown is returned or printed."""
-    return tuple((v, Fraction(num, den)) for v, num, den in contributions)
+    return _localize_once(p, None, u, True)
 
 
 def per_vertex_breakdown(terms):
@@ -171,9 +165,9 @@ def _localized_check(identity, p, u, kind, twist, independent):
     """
     u1, u2 = _prelude(p, u, 2)
     rhs, extra, breakdown = independent()
-    (lhs, lhs2), per_vertex = localize(p, (u1, u2), *_genus_restriction(p, kind, twist))
+    (lhs, lhs2), terms = localize(p, (u1, u2), *_genus_restriction(p, kind, twist), terms=True)
     breakdown["lhs_at_second_vector"] = lhs2
-    breakdown["per_vertex"] = per_vertex_breakdown(_vertex_terms(per_vertex))
+    breakdown["per_vertex"] = per_vertex_breakdown(terms)
     return Report(identity, p.name, lhs, rhs, extra and lhs == rhs == lhs2,
                   breakdown, (u1, u2))
 
@@ -262,7 +256,7 @@ def _face_todd_sweep(p, u):
     n = p.dim
     logs = [_log_rows("Todd", d) for d in range(n + 1)]
     degrees = [k for k, _ in logs[n][2]]  # those of dim F are the first ones
-    charts, weights = zip(*_chart_weights(p, u))
+    charts, weights = _chart_weights(p, u)
     columns, offset = list(zip(*weights)), p.offsets.__getitem__
     bits = [[1 << i for i in facets] for facets in zip(*(c.facet_set for c in charts))]
     drops = [_power_sums([column], degrees) for column in columns]

@@ -13,14 +13,14 @@ power sums by Newton's identities.
 """
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from math import lcm, prod
 from operator import add, attrgetter, floordiv, mul, neg
 
 from .errors import (BudgetError, DimensionError, GenericityError, InputError,
                      RouteDisagreementError, ToricError)
 from .exact import det, integers
-from .polytope import derived, enumerate_vertices, require_delzant
+from .polytope import enumerate_vertices, require_delzant
 
 # most steps chern_number's fixed point route may take by its estimate (see there), 9-13 ns
 # each on a 2-core VM: it admits every partition on the n-simplex up to n = 79 and on each cube
@@ -58,43 +58,32 @@ def choose_generic(charts, exclude=()):
     """First candidate u = (1, t, t^2, ...) that avoids every weight row.
 
     Each bad hyperplane <mu, u> = 0 excludes finitely many t, so the search
-    terminates for any finite chart list.  The charts pass the Delzant
-    gate, require_delzant, first.
+    terminates for any finite chart list.  The charts, a ChartTable, pass
+    the Delzant gate, require_delzant, first; each candidate weighs them all.
     """
     if not charts:
         raise InputError("no vertex charts to choose a generic vector for")
     require_delzant(charts)
-    n = len(charts[0].vertex)
     skip = {tuple(e) for e in exclude}
-    for u in _candidate_vectors(n):
-        if u not in skip and all(map(all, map(_weights, charts, repeat(u)))):
+    for u in _candidate_vectors(len(charts[0].vertex)):
+        if u not in skip and charts.weigh(u)[1] is None:
             return u
 
 
-def _weights(c, u):
-    """<mu_{p,i_j}, u> for the facets i_j through a Delzant chart's vertex,
-    computed once per chart and u and kept on the chart for every reader."""
-    if u not in c.weights:
-        c.weights[u] = tuple([sum(map(mul, r, u)) for r in c.mu_matrix])
-    return c.weights[u]
-
-
-@derived  # a sweep over the faces of p at one u reuses them
 def _chart_weights(p, u):
-    """Per-chart weight tuples <mu_{p,i_j}, u> with genericity enforced; u
-    is a tuple of integers; P passes the Delzant gate first."""
+    """P's chart table and its weight tuples <mu_{p,i_j}, u>, genericity
+    enforced; every read passes the Delzant gate and checks that u is n
+    integers before it looks u up, since 1.0 == 1 (see ChartTable.weigh)."""
     charts = enumerate_vertices(p)
     require_delzant(charts)
     u = integers(u, DimensionError, "generic vector entry")
-    n = p.dim
-    if len(u) != n:
-        raise DimensionError("generic vector has length %d, expected %d" % (len(u), n))
-    weights = list(map(_weights, charts, repeat(u)))
-    if not all(map(all, weights)):
-        raise GenericityError(
-            "u = %s pairs to zero with a weight at vertex %s; pick another vector"
-            % (u, next(c.vertex for c, w in zip(charts, weights) if not all(w))))
-    return tuple(zip(charts, weights))
+    if len(u) != p.dim:
+        raise DimensionError("generic vector has length %d, expected %d" % (len(u), p.dim))
+    weights, zero = charts.weigh(u)
+    if zero is not None:
+        raise GenericityError("u = %s pairs to zero with a weight at vertex %s; pick another "
+                              "vector" % (u, zero.vertex))
+    return charts, weights
 
 
 def assert_generic(p, u):
@@ -129,7 +118,7 @@ class FixedPointSum:
         return Fraction(self.nums[-1], self.den * scale)
 
 
-def localize(p, vectors, restrict, scale=1):
+def localize(p, vectors, restrict, scale=1, terms=False):
     """Fixed point sums of a class given by its restrictions to the vertices,
     at every generic vector of vectors in one pass.
 
@@ -141,20 +130,22 @@ def localize(p, vectors, restrict, scale=1):
     coefficients of scale times the class as a series in t.  At each vector,
     degree d sums c_d / (scale prod w) over the vertices in a FixedPointSum,
     whose degrees below n must vanish.  Returns the degree-n value at each
-    vector, in order, and the per-vertex contributions at vectors[0], each
-    summed over all degrees, as integer triples (vertex, numerator,
-    denominator), not reduced.
+    vector, in order, and, only if terms, the per-vertex contributions at
+    vectors[0], each summed over all degrees, as (vertex, Fraction) pairs;
+    None otherwise, so a caller that reads only values divides once.
     """
-    data = [_chart_weights(p, tuple(u)) for u in vectors]
-    charts, weights = zip(*chain.from_iterable(data))
-    columns, eulers, size = restrict(charts, weights), list(map(prod, weights)), len(data[0])
-    values = []
+    charts = enumerate_vertices(p)
+    weights = [w for u in vectors for w in _chart_weights(p, tuple(u))[1]]
+    columns, eulers = restrict(charts * len(vectors), weights), list(map(prod, weights))
+    values, size = [], len(charts)
     for start in range(0, len(eulers), size):
         total = FixedPointSum(p.dim)
         total.add([column[start:start + size] for column in columns], eulers[start:start + size])
         values.append(total.value(scale))
-    return tuple(values), tuple(zip(map(attrgetter("vertex"), charts[:size]),
-                                    map(sum, zip(*columns)), map(mul, eulers, repeat(scale))))
+    if not terms:
+        return tuple(values), None
+    return tuple(values), tuple(zip(map(attrgetter("vertex"), charts), map(
+        Fraction, map(sum, zip(*columns)), map(mul, eulers, repeat(scale)))))
 
 
 def integrate_monomial(p, exponents, u):
@@ -186,11 +177,10 @@ def integrate_monomial(p, exponents, u):
     return localize(p, (u,), restrict)[0][0]
 
 
-def _vertex_sum(p, u, numerator):
+def _vertex_sum(charts, weights, numerator):
     """Sum over the vertices of numerator / prod w, numerator(charts, weights)
     a column of one integer per vertex, over the lcm of the Euler products
     and divided once; the fixed point routes' own sum, apart from localize."""
-    charts, weights = zip(*_chart_weights(p, tuple(u)))
     eulers = list(map(prod, weights))
     den = lcm(*eulers)
     return Fraction(sum(map(mul, numerator(charts, weights), map(floordiv, repeat(den), eulers))),
@@ -209,7 +199,7 @@ def gysin_power(p, facet, k, u):
     if not 0 <= facet < len(p.facets):
         raise DimensionError("facet index %d out of range" % facet)
     # w_i^(n-1) / prod_{j != i} w_j = w_i^n / prod w
-    return _vertex_sum(p, u, lambda charts, weights: [
+    return _vertex_sum(*_chart_weights(p, tuple(u)), lambda charts, weights: [
         w[c.facet_set.index(facet)] ** n if facet in c.facet_set else 0
         for c, w in zip(charts, weights)])
 
@@ -266,7 +256,7 @@ def check_partition(omega, n=None):
     return omega
 
 
-def _chern_fixed_point(p, omega, u):
+def _chern_fixed_point(omega, charts, weights):
     """Route one: prod_k e_{omega_k}(w) / prod w summed over the vertices, each
     e_k from the power sums of the weights by Newton's identities,
     k e_k = sum_{i <= k} (-1)^(i-1) e_{k-i} p_i (Macdonald, Symmetric Functions
@@ -285,7 +275,7 @@ def _chern_fixed_point(p, omega, u):
             terms = zip(*[map(mul, e[k - i], q[i]) for i in range(1, k + 1)])
             e.append(list(map(floordiv, map(sum, terms), repeat(k))))
         return map(prod, zip(*(e[k] for k in omega)))
-    return _vertex_sum(p, u, numerator)
+    return _vertex_sum(charts, weights, numerator)
 
 
 def _chern_restriction(omega, weights):
@@ -312,18 +302,18 @@ def chern_number(p, omega, u=None):
     """
     n = p.dim
     omega = check_partition(omega, n)
-    charts = enumerate_vertices(p)
     if u is None:
-        u = choose_generic(charts)
+        u = choose_generic(enumerate_vertices(p))
+    charts, weights = _chart_weights(p, tuple(u))  # the budget's and route one's
     # route one takes n omega_1 products for the power sums and omega_1^2 for Newton's
     # identities at each vertex, on numbers of up to omega_1 b bits, b the largest weight's
     top = omega[0]
-    bits = max(abs(x) for _c, w in _chart_weights(p, tuple(u)) for x in w).bit_length()
+    bits = max(abs(x) for w in weights for x in w).bit_length()
     steps = len(charts) * (n * top + top * top) * -(-top * bits // 64)
     if steps > CHERN_BUDGET:
         raise BudgetError("Chern number may take about %d steps (%d vertices in dimension "
                           "%d), over the limit of %d" % (steps, len(charts), n, CHERN_BUDGET))
-    route_fixed = _chern_fixed_point(p, omega, u)
+    route_fixed = _chern_fixed_point(omega, charts, weights)
     (route_classes,), _ = localize(p, (u,), lambda _c, w: _chern_restriction(omega, w))
     if route_fixed != route_classes:
         raise RouteDisagreementError(

@@ -100,8 +100,8 @@ class VertexChart:
     determinant of Lambda, the matrix with their normals as columns.
     mu_matrix is the exact integer inverse M of Lambda as a tuple of n rows
     whenever |det| = 1 (row j, dual to facet facet_set[j], gives the
-    localization weight of that facet), and None otherwise.  weights maps u
-    to the <row j, u>, each computed once, by localization._weights.
+    localization weight of that facet), and None otherwise.  A chart keeps
+    no weights: its table does (see ChartTable).
     """
 
     def __init__(self, vertex, facet_set, lambda_det, mu_matrix):
@@ -109,11 +109,29 @@ class VertexChart:
         self.facet_set = tuple(facet_set)
         self.det = lambda_det
         self.mu_matrix = mu_matrix
-        self.weights = {}
 
     def __repr__(self):
         return "VertexChart(vertex=%s, facets=%s, det=%d)" % (
             self.vertex, self.facet_set, self.det)
+
+
+class ChartTable(tuple):
+    """The vertex charts of a polytope in vertex order (see enumerate_vertices)
+    and what is read off them all, found once per table and freed with it: the
+    Delzant verdict non_delzant, the first chart with |det| != 1 or None, and the weights."""
+
+    def __init__(self, charts):
+        self.non_delzant = next((c for c in self if abs(c.det) != 1), None)
+        self.weighed = {}
+
+    def weigh(self, u):
+        """weighed[u], the one weight store, made the first time, refused or not:
+        at n integers u, the tuple <mu_{p,i_j}, u> of each Delzant chart, and the
+        first chart with a weight 0, or None if u is generic."""
+        if u not in self.weighed:
+            weights = tuple([tuple([sum(map(mul, r, u)) for r in c.mu_matrix]) for c in self])
+            self.weighed[u] = weights, next((c for c, w in zip(self, weights) if not all(w)), None)
+        return self.weighed[u]
 
 
 class Face:
@@ -344,7 +362,7 @@ def _first_vertex(p):
 
 @derived
 def enumerate_vertices(p):
-    """All vertex charts, sorted by vertex coordinates.
+    """All vertex charts, sorted by vertex coordinates, in one ChartTable.
 
     From a first vertex found by phase-one pivots (see _first_vertex), an
     exact pivot walk follows the edges of the vertex graph, which is
@@ -413,7 +431,7 @@ def enumerate_vertices(p):
         g = vector_gcd(ray)
         raise UnboundedError("recession cone contains direction %s"
                              % (tuple(c // g for c in ray),))
-    return tuple(sorted(charts.values(), key=lambda c: c.vertex))
+    return ChartTable(sorted(charts.values(), key=lambda c: c.vertex))
 
 
 def validate(p):
@@ -434,11 +452,11 @@ def validate(p):
 
 def require_delzant(charts):
     """The Delzant gate: raise InputError naming the first vertex whose
-    incident normals are not a lattice basis (|det Lambda_p| != 1)."""
-    for c in charts:
-        if abs(c.det) != 1:
-            raise InputError("polytope is not Delzant: vertex %s has det %d"
-                             % (c.vertex, c.det))
+    incident normals are not a lattice basis (|det Lambda_p| != 1), as the
+    chart table's verdict has it."""
+    c = charts.non_delzant
+    if c is not None:
+        raise InputError("polytope is not Delzant: vertex %s has det %d" % (c.vertex, c.det))
 
 
 def charge_faces(vertices, n):

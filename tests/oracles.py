@@ -670,16 +670,16 @@ def localize_face(p, u, restrict, scale, face):
     the Euler products take only the w_j with facet_set[j] not a facet of F
     (the edges in F), and restrict(chart, w), one vertex at a time, still
     gets all n w_j.  On the top face it is the per-vertex localize that the
-    columnar one replaced.  Returns the value and the per-vertex triples, as
-    localize returns them at one vector."""
-    weighed = _chart_weights(p, tuple(u))
-    data = [weighed[v] for v in face.vertices]
+    columnar one replaced.  Returns the value and the per-vertex (vertex,
+    Fraction) terms, as localize returns them at one vector."""
+    charts, weights = _chart_weights(p, tuple(u))
+    data = [(charts[v], weights[v]) for v in face.vertices]
     rows = [restrict(c, w) for c, w in data]
     eulers = [prod(x for i, x in zip(c.facet_set, w) if i not in face.facet_set)
               for c, w in data]
     total = FixedPointSum(face.dim)
     total.add(list(zip(*rows)), eulers)
-    return total.value(scale), tuple((c.vertex, sum(row), euler * scale)
+    return total.value(scale), tuple((c.vertex, Fraction(sum(row), euler * scale))
                                      for (c, _), row, euler in zip(data, rows, eulers))
 
 
@@ -687,11 +687,11 @@ def localize_rows(p, u, restrict, scale=1):
     """localize at the one vector u of a per-vertex restrict(chart, w), which
     gives the n + 1 coefficients at one vertex, lifted to the restriction
     localize takes, n + 1 columns with one entry per vertex: (value,
-    per-vertex triples)."""
+    per-vertex (vertex, Fraction) terms)."""
     def columns(charts, weights):
         return [list(column) for column in zip(*map(restrict, charts, weights))]
 
-    (value,), contributions = localize(p, (u,), columns, scale)
+    (value,), contributions = localize(p, (u,), columns, scale, terms=True)
     return value, contributions
 
 
@@ -766,13 +766,6 @@ def face_todd_restriction(p, face):
         return out
 
     return restrict, scale
-
-
-def reduced(result):
-    """localize's (value, (vertex, numerator, denominator) triples) with each
-    triple reduced to a (vertex, Fraction) pair, the form the oracles give."""
-    value, terms = result
-    return value, tuple((v, Fraction(num, den)) for v, num, den in terms)
 
 
 def integrate_terms(p, cls, u):
@@ -923,7 +916,7 @@ def monomial_symmetric(lam, w):
 def fixed_point_sum(p, terms, u):
     """Sum over the vertices of sum_lam c_lam m_lam(w) / prod w for the
     (lam, c_lam) terms, through the program's vertex sum."""
-    return _vertex_sum(p, u, lambda _charts, weights: [
+    return _vertex_sum(*_chart_weights(p, tuple(u)), lambda _charts, weights: [
         sum(c * monomial_symmetric(lam, w) for lam, c in terms) for w in weights])
 
 
@@ -963,7 +956,7 @@ def permutation_partition_sum(p, lam, u):
     lam = check_partition(lam, n)
     l = len(lam)
     num, den = 0, 1
-    for _c, w in _chart_weights(p, u):
+    for w in _chart_weights(p, u)[1]:
         vertex = 0
         for i1 in combinations(range(n), l):
             for sigma in permutations(range(l)):

@@ -45,8 +45,8 @@ def newton_matches_the_monomial_route(p):
     pairs = 0
     for u in two_vectors(p):
         for omega in partitions_of(p.dim):
-            assert localization._chern_fixed_point(p, omega, u) == monomial_chern_route(
-                p, omega, u), (omega, u)
+            fixed = localization._chern_fixed_point(omega, *localization._chart_weights(p, u))
+            assert fixed == monomial_chern_route(p, omega, u), (omega, u)
             pairs += 1
     return pairs
 
@@ -206,7 +206,7 @@ def test_fixed_point_route_shares_nothing_with_the_class_route(monkeypatch):
     monkeypatch.setattr(localization, "_chern_restriction", forbidden)
     monkeypatch.setattr(localization, "localize", forbidden)
     for omega, value in expected.items():
-        assert localization._chern_fixed_point(p, omega, u) == value
+        assert localization._chern_fixed_point(omega, *localization._chart_weights(p, u)) == value
         for lam in partitions_of(p.dim):
             fixed_point_partition_sum(p, lam, u)
     for f, value in enumerate(powers):

@@ -23,7 +23,7 @@ import pytest
 import toricpick
 from families import (CORPUS_DIR, CORPUS_NAMES, P112, dump_polytope, get,
                       simplex)
-from toricpick import cli, localization
+from toricpick import cli, invariants, localization
 from toricpick.errors import InputError, RouteDisagreementError
 from toricpick.invariants import Report, check_pick
 from toricpick.polytope import FACE_BUDGET
@@ -439,7 +439,7 @@ def test_compute_chern(capsys):
 
 
 def test_compute_chern_route_disagreement_exits_one(capsys, monkeypatch):
-    monkeypatch.setattr(localization, "_chern_fixed_point", lambda p, omega, u: 4)
+    monkeypatch.setattr(localization, "_chern_fixed_point", lambda omega, charts, weights: 4)
     assert cli.main(["compute", "chern", corpus_file("triangle1"), "--partition", "2",
                      "--format", "json"]) == 1
     captured = capsys.readouterr()
@@ -528,16 +528,21 @@ def test_compute_volume_breakdown(capsys):
     assert data["breakdown"]["localization_total"] == "3/2"
 
 
-def test_compute_twisted_genera(capsys):
+def test_compute_twisted_genera(capsys, monkeypatch):
+    """The per-vertex terms are built only when --breakdown prints them."""
+    asked, localize = [], invariants.localize
+    monkeypatch.setattr(invariants, "localize", lambda *args, terms=False:
+                        asked.append(terms) or localize(*args, terms=terms))
     code = cli.main(["compute", "todd-twisted", corpus_file("square1"),
                      "--format", "json"])
     data = json.loads(capsys.readouterr().out)
-    assert code == 0 and data["value"] == "4"
+    assert code == 0 and data["value"] == "4" and "breakdown" not in data
     code = cli.main(["compute", "signature-twisted", corpus_file("square1"),
                      "--breakdown", "--format", "json"])
     data = json.loads(capsys.readouterr().out)
     assert code == 0 and data["value"] == "1"
     assert len(data["breakdown"]["per_vertex"]) == 4
+    assert asked == [False, True]
 
 
 def test_corpus_command(tmp_path, capsys):

@@ -7,7 +7,7 @@ own.  The route it replaced restricted one vertex at a time: the per-vertex
 restrictions are kept as tests/oracles.genus_restriction and
 oracles.chern_restriction, and their per-vertex sum is oracles.localize_face
 on P's top face.  Both must give equal values and equal per-vertex
-(vertex, numerator, denominator) triples at both generic vectors, for every
+(vertex, Fraction) terms at both generic vectors, for every
 genus kind (and None), twisted and untwisted, and for every Chern partition
 on both routes; both must refuse a restriction whose low degrees do not
 cancel with the same ToricError.  Tier-1 runs a slice of delzant_family(8);
@@ -25,7 +25,7 @@ from families import delzant_family
 from oracles import chern_restriction, face_ids, genus_restriction, localize_face
 from toricpick.errors import ToricError
 from toricpick.invariants import _genus_restriction
-from toricpick.localization import (_chern_fixed_point, _chern_restriction,
+from toricpick.localization import (_chart_weights, _chern_fixed_point, _chern_restriction,
                                     choose_generic, localize, partitions_of)
 from toricpick.polytope import enumerate_vertices, face_lattice
 from toricpick.series import GENUS_KINDS
@@ -45,10 +45,10 @@ def assert_same_sums(p, restrict, scale, rows, vectors, top):
     of rows(chart, w) at each vector; returns the values."""
     expected = [localize_face(p, u, rows, scale, top) for u in vectors]
     for order in (vectors, vectors[::-1]):
-        values, triples = localize(p, order, restrict, scale)
+        values, terms = localize(p, order, restrict, scale, terms=True)
         at = expected if order == vectors else expected[::-1]
         assert values == tuple(value for value, _ in at), (p.name, order)
-        assert triples == at[0][1], (p.name, order)
+        assert terms == at[0][1], (p.name, order)
     return [value for value, _ in expected]
 
 
@@ -70,7 +70,7 @@ def columnar_matches_per_vertex(p):
     for omega in partitions_of(n):
         values = assert_same_sums(p, lambda _c, weights: _chern_restriction(omega, weights), 1,
                                   lambda _c, w: chern_restriction(omega, w), vectors, top)
-        assert [_chern_fixed_point(p, omega, u) for u in vectors] == values, omega
+        assert [_chern_fixed_point(omega, *_chart_weights(p, u)) for u in vectors] == values, omega
         compared += 4
 
     with pytest.raises(ToricError) as got:
@@ -96,5 +96,5 @@ def test_slice_reaches_every_dimension_of_the_family():
 if __name__ == "__main__":
     start = time.perf_counter()
     compared = sum(columnar_matches_per_vertex(p) for _, p in FAMILY)
-    print("%d polytopes, %d values and their per-vertex triples agree with the per-vertex "
+    print("%d polytopes, %d values and their per-vertex terms agree with the per-vertex "
           "sums, %.1f s" % (len(FAMILY), compared, time.perf_counter() - start))

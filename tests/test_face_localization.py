@@ -23,7 +23,7 @@ import pytest
 import oracles
 from families import cube, delzant_family, get, simplex, times
 from oracles import (face_ids, face_todd_restriction, faces_of_dim, genus_restriction,
-                     localize_face, localize_rows, reduced)
+                     localize_face, localize_rows)
 from toricpick import invariants, lattice, localization, polytope
 from toricpick.errors import ToricError
 from toricpick.invariants import (_face_todd_sweep, check_face_todd,
@@ -102,15 +102,15 @@ def test_only_p_is_walked_and_no_face_is_induced(monkeypatch):
 def swapped(p, u, face):
     """P's chart weights with, at each vertex of the face, the first weight
     of an edge in the face and the first of an edge off it swapped."""
-    data = list(localization._chart_weights(p, u))
+    charts, weights = localization._chart_weights(p, u)
+    weights = list(weights)
     for v in face.vertices:
-        c, w = data[v]
+        c, w = charts[v], list(weights[v])
         inside = [j for j, i in enumerate(c.facet_set) if i not in face.facet_set]
         off = [j for j, i in enumerate(c.facet_set) if i in face.facet_set]
-        w = list(w)
         w[inside[0]], w[off[0]] = w[off[0]], w[inside[0]]
-        data[v] = (c, tuple(w))
-    return tuple(data)
+        weights[v] = tuple(w)
+    return charts, tuple(weights)
 
 
 @pytest.mark.parametrize("p", [get("cube1"), get("prism"), get("simplex3_2"), cube(4),
@@ -143,12 +143,12 @@ def test_whole_polytope_and_vertices_as_faces():
     top = fl.faces[face_ids(fl)[()]]
     whole = localize_face(p, u, *face_todd_restriction(p, top), top)
     assert whole == localize_rows(p, u, *genus_restriction(p, "Todd"))
-    (value,), contributions = localize(p, (u,), *invariants._genus_restriction(p, "Todd"))
+    (value,), contributions = localize(p, (u,), *invariants._genus_restriction(p, "Todd"),
+                                       terms=True)
     assert whole == (value, contributions)
     for fid in faces_of_dim(fl, 0):
         vertex = fl.faces[fid]
-        value, contributions = reduced(localize_face(
-            p, u, *face_todd_restriction(p, vertex), vertex))
+        value, contributions = localize_face(p, u, *face_todd_restriction(p, vertex), vertex)
         assert value == 1
         assert contributions == ((enumerate_vertices(p)[vertex.vertices[0]].vertex, 1),)
 

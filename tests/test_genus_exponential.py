@@ -67,12 +67,12 @@ def restrictions_agree(p):
     compared = 0
     faces = face_lattice(p).faces
     vectors = two_vectors(p)
-    both = sum((_chart_weights(p, u) for u in vectors), ())
+    both = [pair for u in vectors for pair in zip(*_chart_weights(p, u))]
     for kind in GENUS_KINDS + (None,):
         for twist in (True, False):
             compared += assert_same_restriction(p, both, kind, twist)
     for u in vectors:
-        data = _chart_weights(p, u)
+        data = list(zip(*_chart_weights(p, u)))
         for f in faces:
             compared += assert_same_restriction(p, [data[v] for v in f.vertices], "Todd",
                                                 face=f)

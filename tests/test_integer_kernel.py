@@ -18,8 +18,7 @@ import pytest
 
 from families import (CORPUS_NAMES, corner_cut_polygon, cube, get, simplex,
                       simplex2_squared)
-from oracles import (fixed_point_partition_sum, genus_restriction, localize_rows,
-                     reduced)
+from oracles import fixed_point_partition_sum, genus_restriction, localize_rows
 from toricpick import localization
 from toricpick.errors import ToricError
 from toricpick.invariants import _genus_restriction
@@ -35,7 +34,7 @@ def oracle_localize(p, u, restrict):
     n = p.dim
     sums = [Fraction(0)] * (n + 1)
     contributions = []
-    for c, w in _chart_weights(p, u):
+    for c, w in zip(*_chart_weights(p, u)):
         coeffs = restrict(c, w)
         euler = prod(w)
         for d, cd in enumerate(coeffs):
@@ -55,7 +54,7 @@ def oracle_partition_sum(p, lam, u):
     lam = check_partition(lam, n)
     l = len(lam)
     total = Fraction(0)
-    for _c, w in _chart_weights(p, u):
+    for w in _chart_weights(p, u)[1]:
         for i1 in combinations(range(n), l):
             den = prod(w[j] for j in range(n) if j not in i1)
             for sigma in permutations(range(l)):
@@ -82,8 +81,8 @@ def as_rationals(restrict, scale):
 
 
 def localized(p, u, restrict, scale=1):
-    """The program's localize at the one vector u, as (value, triples)."""
-    (value,), contributions = localize(p, (u,), restrict, scale)
+    """The program's localize at the one vector u, as (value, per-vertex terms)."""
+    (value,), contributions = localize(p, (u,), restrict, scale, terms=True)
     return value, contributions
 
 
@@ -94,7 +93,7 @@ def test_localize_matches_the_fraction_per_term_sum(p):
             for twist in (True, False):
                 expected = oracle_localize(p, u, as_rationals(*genus_restriction(p, kind, twist)))
                 got = localized(p, u, *_genus_restriction(p, kind, twist))
-                assert reduced(got) == expected, (kind, twist, u)
+                assert got == expected, (kind, twist, u)
 
 
 @pytest.mark.parametrize("p", POLYTOPES, ids=lambda p: p.name)
@@ -110,11 +109,11 @@ def test_sign_changing_euler_products():
     cases = [(get("square1"), (-1, 2)), (get("simplex3_1"), (-1, 2, 4)),
              (corner_cut_polygon(14, 300), (-1, 3))]
     for p, u in cases:
-        eulers = [prod(w) for _c, w in _chart_weights(p, u)]
+        eulers = [prod(w) for w in _chart_weights(p, u)[1]]
         assert eulers[0] < 0 and max(eulers) > 0, (p.name, eulers)
         for kind in ("Todd", "SignatureHalf", None):
             got = localized(p, u, *_genus_restriction(p, kind))
-            assert reduced(got) == oracle_localize(p, u, as_rationals(*genus_restriction(p, kind)))
+            assert got == oracle_localize(p, u, as_rationals(*genus_restriction(p, kind)))
             assert got[0] == localized(p, two_vectors(p)[0], *_genus_restriction(p, kind))[0]
         for lam in partitions_of(p.dim):
             assert fixed_point_partition_sum(p, lam, u) == oracle_partition_sum(p, lam, u)
@@ -146,20 +145,23 @@ class CountedFraction(Fraction):
 @pytest.mark.parametrize("p", [cube(4), simplex(5), corner_cut_polygon(30, 300)],
                          ids=lambda p: p.name)
 def test_one_fraction_per_vertex_at_most(p, monkeypatch):
-    """Each sum divides once: localize's per-vertex terms are integer
-    triples, so it makes no Fraction per vertex either."""
+    """Each sum divides once: localize builds its per-vertex terms only
+    when asked, so it makes no Fraction per vertex either, and one per
+    vertex more when asked."""
     monkeypatch.setattr(localization, "Fraction", CountedFraction)
     u = two_vectors(p)[0]
     for kind in ("Todd", "AHat"):
         CountedFraction.made = 0
         localize(p, (u,), *_genus_restriction(p, kind))
         assert CountedFraction.made == 1, kind
+        localize(p, (u,), *_genus_restriction(p, kind), terms=True)
+        assert CountedFraction.made == 2 + len(enumerate_vertices(p)), kind
     for lam in partitions_of(p.dim):
         CountedFraction.made = 0
         fixed_point_partition_sum(p, lam, u)
         assert CountedFraction.made == 1, lam
         CountedFraction.made = 0
-        localization._chern_fixed_point(p, lam, u)
+        localization._chern_fixed_point(lam, *_chart_weights(p, u))
         assert CountedFraction.made == 1, lam
     CountedFraction.made = 0
     gysin_power(p, 0, p.dim, u)

@@ -1,12 +1,13 @@
 """End-to-end identity checks and the twisted genus evaluations."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from families import CORPUS_NAMES, P112, get, simplex, weighted_simplex
+from families import CORPUS_NAMES, P112, cube, get, simplex, weighted_simplex
 from oracles import kahler_class
-from toricpick import invariants
+from toricpick import invariants, localization, polytope
 from toricpick.cli import load_polytope
 from toricpick.errors import BudgetError, InputError, ShapeError
 from toricpick.invariants import (check_face_todd, check_pick,
@@ -16,8 +17,8 @@ from toricpick.invariants import (check_face_todd, check_pick,
                                   twisted_todd_breakdown, volume_breakdown)
 from toricpick.lattice import count_points, weighted_sum_closed, weighted_sum_relint
 from toricpick.localization import choose_generic
-from toricpick.polytope import (enumerate_vertices, face_lattice, h_vector,
-                                signature_from_h, volume)
+from toricpick.polytope import (VertexChart, enumerate_vertices, face_lattice,
+                                h_vector, signature_from_h, volume)
 
 F = Fraction
 
@@ -193,6 +194,47 @@ def test_budgets_refuse_before_anything_is_localized(monkeypatch):
             picked = [("choose_generic", (args or (first,))[:k]) for k in range(len(args), vectors)]
             assert steps == [("require_delzant",)] + picked + [("charge_faces",)], \
                 (check.__name__, args)
+
+
+def test_check_todd_gates_once_and_weighs_each_chart_once_per_vector(monkeypatch):
+    """On a fresh 8-cube the gate is asked five times (the prelude, each
+    generic-vector search and each of localize's two weight reads) and reads
+    the chart table's verdict, found when the walk made the table, by one
+    pass that reads every chart's det once; each chart is weighed once at
+    each of the two vectors, and localize reads the weights from the table."""
+    dets, weighed, asked = Counter(), Counter(), []
+
+    class Counted(VertexChart):
+        @property
+        def det(self):
+            dets[self.vertex] += 1
+            return self._det
+
+        @det.setter
+        def det(self, d):
+            self._det = d
+
+    class Rows(tuple):
+        """A chart's M rows, counting each pass over them, one per weighing."""
+        def __iter__(self):
+            weighed[self.vertex] += 1
+            return super().__iter__()
+
+    monkeypatch.setattr(polytope, "VertexChart", Counted)
+    p = cube(8)
+    charts = enumerate_vertices(p)
+    for c in charts:
+        c.mu_matrix = Rows(c.mu_matrix)
+        c.mu_matrix.vertex = c.vertex
+    for module in (invariants, localization):
+        monkeypatch.setattr(module, "require_delzant", lambda q, gate=module.require_delzant:
+                            asked.append(q) or gate(q))
+    report = check_todd(p)
+    assert report.holds and report.lhs == 2 ** 8
+    assert len(asked) == 5 and all(q is charts for q in asked)
+    assert len(charts) == 2 ** 8 and dets == Counter(c.vertex for c in charts)
+    assert weighed == Counter({c.vertex: 2 for c in charts})
+    assert list(charts.weighed) == list(report.generic_vectors)
 
 
 def test_face_todd_reads_its_faces_before_it_counts(monkeypatch):

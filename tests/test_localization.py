@@ -49,15 +49,14 @@ def test_choose_generic_rejects_non_delzant():
 
 
 def test_each_chart_is_weighed_once_per_vector():
-    """The 11-gon has an edge along (2, -1), so (1, 2) is refused at its
-    first such chart k: the first search weighs charts 0..k at (1, 2) and
-    every chart at (1, 3), the second tries (1, 2) again and then (1, 5),
-    and localize reads every chart at (1, 3) and (1, 5).  Each chart
-    computes its weights at a vector once and keeps them, so charts 0..k are
-    weighed three times, the rest twice, and no weighing is repeated."""
+    """The 11-gon has an edge along (2, -1), so (1, 2) is refused: the first
+    search weighs the whole table at (1, 2) and at (1, 3), the second finds
+    (1, 2) refused in the table and weighs it at (1, 5), and localize reads
+    the table at (1, 3) and (1, 5).  The table keeps the weights at each
+    vector it was weighed at, refused or not, so every chart is weighed
+    three times, once per vector, and no weighing is repeated."""
     p = corner_cut_polygon(11, 120)
     charts = enumerate_vertices(p)
-    k = min(v for v, c in enumerate(charts) if any(a + 2 * b == 0 for a, b in c.mu_matrix))
     weighed = [0] * len(charts)
 
     class Rows(tuple):
@@ -71,7 +70,8 @@ def test_each_chart_is_weighed_once_per_vector():
         c.mu_matrix.vid = vid
     report = check_pick(p)
     assert report.holds and report.generic_vectors == ((1, 3), (1, 5))
-    assert weighed == [3] * (k + 1) + [2] * (len(charts) - k - 1)
+    assert weighed == [3] * len(charts)
+    assert list(charts.weighed) == [(1, 2), (1, 3), (1, 5)]
 
 
 def test_assert_generic():
@@ -81,11 +81,26 @@ def test_assert_generic():
         assert_generic(p, (1, 0))
     with pytest.raises(DimensionError):
         assert_generic(p, (1, 2, 3))
+    # on the 11-gon (1, 2) pairs to zero first at chart 4 of 11, and the
+    # refusal names that vertex whichever read weighed (1, 2) first
+    message = (r"^u = \(1, 2\) pairs to zero with a weight at vertex \(31, 9\); "
+               r"pick another vector$")
+    for search_first in (False, True):
+        q = corner_cut_polygon(11, 120)
+        charts = enumerate_vertices(q)
+        assert charts[4].vertex == (31, 9) and len(charts) == 11
+        assert [all(a + 2 * b for a, b in c.mu_matrix) for c in charts[:5]] == [True] * 4 + [False]
+        if search_first:
+            assert choose_generic(charts) == (1, 3)
+        for _ in range(2):
+            with pytest.raises(GenericityError, match=message):
+                assert_generic(q, (1, 2))
 
 
 def test_a_non_integer_generic_vector_is_named():
     """Every route reads u through _chart_weights, which refuses a float or
-    a Fraction entry by name instead of failing inside the sum."""
+    a Fraction entry by name instead of failing inside the sum, also where
+    an equal integer vector was weighed before."""
     p = get("hirzebruch")
     message = "generic vector entry 1.5 is not an integer"
     with pytest.raises(DimensionError, match=message):
@@ -96,6 +111,13 @@ def test_a_non_integer_generic_vector_is_named():
         gysin_power(p, 0, 2, (F(1, 2), 3))
     with pytest.raises(DimensionError, match="generic vector entry 2.0 is not an integer"):
         volume_breakdown(p, (2.0, 5))
+    # 1.0 == 1 and hashes alike, so the table's entry at (1, 3) or at the
+    # refused (1, 2) must not let (1.0, 3) or (1.0, 2) skip the check
+    p = corner_cut_polygon(11, 120)
+    assert choose_generic(enumerate_vertices(p)) == (1, 3)
+    for u in ((1.0, 3), (1.0, 2)):
+        with pytest.raises(DimensionError, match="generic vector entry 1.0 is not an integer"):
+            volume_breakdown(p, u)
 
 
 def test_integrate_monomial_known_values():
@@ -256,11 +278,11 @@ def test_chern_numbers_are_integers_for_all_partitions():
 
 def test_chern_number_refuses_disagreeing_or_fractional_routes(monkeypatch):
     p = get("triangle1")
-    monkeypatch.setattr(localization, "_chern_fixed_point", lambda p, omega, u: F(4))
+    monkeypatch.setattr(localization, "_chern_fixed_point", lambda omega, charts, weights: F(4))
     with pytest.raises(RouteDisagreementError, match="route 4 disagrees with class route 3"):
         chern_number(p, (2,))
     # routes that agree on a fraction are reported, not rounded
-    monkeypatch.setattr(localization, "_chern_fixed_point", lambda p, omega, u: F(7, 2))
+    monkeypatch.setattr(localization, "_chern_fixed_point", lambda omega, charts, weights: F(7, 2))
     monkeypatch.setattr(localization, "localize", lambda p, vectors, restrict: ((F(7, 2),), ()))
     with pytest.raises(RouteDisagreementError, match="7/2 for partition .* is not an integer"):
         chern_number(p, (2,))

@@ -55,6 +55,8 @@ def test_constructor_rejects_bad_input():
         HPolytope(2, [((2, 4), 0)])
     with pytest.raises(InputError):
         HPolytope(2, [((0, 0), 0)])
+    with pytest.raises(InputError, match="^zero facet normal$"):
+        HPolytope(2, [((0, 0), 0), ((1, 0), 0)])
     with pytest.raises(InputError):
         HPolytope(2, [((1, 0), 0), ((1, 0), 3)])
     with pytest.raises(InputError):
@@ -116,6 +118,10 @@ SINGLE_FAULTS = {
                      "recession cone contains direction"),
     "unbounded-3d": (3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((1, 1, 1), 1),
                          ((-1, 1, 0), -2)], UnboundedError, "recession cone contains direction"),
+    # the ray's raw row is (-2, 4, -4), so the named direction is divided by its gcd
+    "unbounded-3d-common-factor": (3, [((1, 1, -2), -1), ((2, 2, 1), -2), ((-2, 0, 1), -1)],
+                                   UnboundedError,
+                                   "recession cone contains direction (-1, 2, -2)"),
     "empty": (2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), 1)], InputError, "empty polytope"),
     "not-simple": (3, square_pyramid().facets, NotSimpleError, "not simple"),
     "redundant": (2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1),
@@ -276,8 +282,9 @@ def test_counted_f_vector_matches_the_laid_out_faces(name, p, monkeypatch):
     dimension by dimension."""
     fl = FaceLattice(p.dim, enumerate_vertices(p))
     with monkeypatch.context() as m:
-        for fn in ("localize", "_weights", "choose_generic"):
+        for fn in ("localize", "_chart_weights", "choose_generic"):
             m.setattr(localization, fn, None)
+        m.setattr(polytope.ChartTable, "weigh", None)
         counted = fl.f_vector
     assert "faces" not in vars(fl)
     assert counted == laid_out_f_vector(p)

@@ -16,7 +16,7 @@ import pytest
 from families import (CORPUS_NAMES, cube, cut_octagon, delzant_family, get, simplex,
                       simplex2_squared)
 from oracles import (MultiPoly, elementary_symmetric, exp_linear, integrate_terms,
-                     localize_rows, product_over_facets, reduced)
+                     localize_rows, product_over_facets)
 from toricpick.errors import ToricError
 from toricpick.invariants import (_genus_restriction, twisted_signature_breakdown,
                                   twisted_todd_breakdown, volume_breakdown)
@@ -62,8 +62,9 @@ def test_genus_restriction_matches_m_variable_class(p):
             values, _ = localize(p, vectors, *_genus_restriction(p, kind, twist))
             for i, u in enumerate(vectors):
                 expected = integrate_terms(p, cls, u)
-                (value,), terms = localize(p, (u,), *_genus_restriction(p, kind, twist))
-                assert reduced((value, terms)) == expected, (kind, twist, u)
+                (value,), terms = localize(p, (u,), *_genus_restriction(p, kind, twist),
+                                           terms=True)
+                assert (value, terms) == expected, (kind, twist, u)
                 assert values[i] == value, (kind, twist, u)
                 if (kind, twist) in PUBLIC:
                     assert PUBLIC[kind, twist](p, u) == expected, (kind, u)

@@ -357,9 +357,12 @@ def test_search_budget_counts_phase_one_pivots(monkeypatch):
     p = family["polygon20"]
     monkeypatch.setattr(polytope, "VERTEX_SEARCH_BUDGET", 5)
     assert len(enumerate_vertices.__wrapped__(p)) == 20
-    monkeypatch.setattr(polytope, "VERTEX_SEARCH_BUDGET", 4)
-    with pytest.raises(BudgetError, match="after 4 phase-one pivots; the search limit is 4"):
-        enumerate_vertices.__wrapped__(p)
+    # an odd limit too, so that the count steps by one pivot
+    for budget in (4, 3):
+        monkeypatch.setattr(polytope, "VERTEX_SEARCH_BUDGET", budget)
+        with pytest.raises(BudgetError, match="^no vertex found after %d phase-one pivots; "
+                                              "the search limit is %d$" % (budget, budget)):
+            enumerate_vertices.__wrapped__(p)
 
 
 def rank_deficient_normals(rng, n):
