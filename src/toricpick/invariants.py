@@ -11,9 +11,10 @@ from itertools import repeat
 from math import factorial, lcm, prod
 from operator import add, floordiv, mod, mul, or_, sub
 
-from .errors import ShapeError, ToricError
+from .errors import DimensionError, ShapeError, ToricError
+from .exact import integers
 from .lattice import count_points, weighted_sum_closed, weighted_sum_relint
-from .localization import FixedPointSum, _chart_weights, choose_generic, localize
+from .localization import _chart_weights, _fixed_point_value, choose_generic, localize
 from .polytope import (charge_faces, enumerate_vertices, face_lattice, h_vector,
                        require_delzant, signature_from_h, volume)
 from .series import genus_log, genus_series
@@ -119,7 +120,9 @@ def _prelude(p, u, count):
     """
     charts = enumerate_vertices(p)
     require_delzant(charts)
-    vectors = [] if u is None else [tuple(u)]
+    vectors = [] if u is None else [integers(u, DimensionError, "generic vector entry")]
+    if vectors:  # a given u is reported as the ints it is weighed at, and refused before a count
+        _chart_weights(p, vectors[0])
     while len(vectors) < count:
         vectors.append(choose_generic(charts, exclude=vectors))
     charge_faces(len(charts), p.dim)
@@ -251,7 +254,7 @@ def _face_todd_sweep(p, u):
     taken at all vertices at once and built from S less its lowest position
     j (its power sums drop the w_j^k, its Euler products w_j, its masks gain
     facet j), holding only the subsets on the way to S; each vertex's row is
-    added to its mask's FixedPointSum over den, the lcm of the full Euler
+    added to its mask's integer numerators over den, the lcm of the full Euler
     products; u pairs nonzero with every edge of P, so it is generic for all."""
     n = p.dim
     logs = [_log_rows("Todd", d) for d in range(n + 1)]
@@ -268,16 +271,15 @@ def _face_todd_sweep(p, u):
         terms = [list(map(mul, column, shares)) for column in _exponential(d, logs[d], twist, sums)]
         for mask, row in zip(masks, zip(*terms)):
             total = totals.get(mask)
-            if total is None:
-                total = totals[mask] = FixedPointSum(d, den)
-            total.nums = list(map(add, total.nums, row))
+            totals[mask] = row if total is None else list(map(add, total, row))
         for j in range(low):
             visit(j, d - 1, list(map(or_, masks, bits[j])),
                   [list(map(sub, q, dq)) for q, dq in zip(sums, drops[j])],
                   list(map(mul, shares, columns[j])))
 
     visit(n, n, [0] * len(charts), _power_sums(columns, degrees), [den // e for e in eulers])
-    return {mask: total.value(logs[n - mask.bit_count()][0]) for mask, total in totals.items()}
+    return {mask: _fixed_point_value(nums, den, logs[n - mask.bit_count()][0])
+            for mask, nums in totals.items()}
 
 
 def check_face_todd(p):

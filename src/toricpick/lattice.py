@@ -103,7 +103,7 @@ class FaceCounts:
 
     @cached_property
     def relint(self):
-        """by_mask by face id; only perfbench/replay.py and the tests read it (ROADMAP item 1)."""
+        """by_mask by face id; only perfbench/replay.py and the tests read it (ROADMAP item 9)."""
         return {fid: self._on_faces.get(f.mask, 0) for fid, f in enumerate(self.lattice.faces)}
 
     @cached_property

@@ -91,31 +91,15 @@ def assert_generic(p, u):
     _chart_weights(p, tuple(u))
 
 
-class FixedPointSum:
-    """Degrees 0..k of a sum of restriction/Euler quotients: integer numerators
-    nums over the running lcm den of the Euler products, divided once by
-    value(), where a nonzero degree below k signals a chart bug.  add(columns,
-    eulers) takes a batch, a column per degree with an entry per Euler product,
-    under one lcm; a den given up front lets terms already over it go to nums."""
-
-    def __init__(self, k, den=1):
-        self.nums, self.den = [0] * (k + 1), den
-
-    def add(self, columns, eulers):
-        grown = lcm(self.den, *eulers)
-        if grown != self.den:
-            self.nums = list(map(mul, self.nums, repeat(grown // self.den)))
-            self.den = grown
-        shares, nums = list(map(floordiv, repeat(grown), eulers)), self.nums
-        for d, column in enumerate(columns):
-            nums[d] += sum(map(mul, column, shares))
-
-    def value(self, scale):
-        if any(self.nums[:-1]):
-            d, x = next((d, x) for d, x in enumerate(self.nums) if x)
-            raise ToricError("localization of the degree-%d part is %s, expected 0 "
-                             "(chart bug)" % (d, Fraction(x, self.den * scale)))
-        return Fraction(self.nums[-1], self.den * scale)
+def _fixed_point_value(nums, den, scale):
+    """The degree-n value nums[-1] / (den scale) of a sum of restriction/Euler
+    quotients, nums its integer numerators by degree 0..n over den, the lcm
+    of the Euler products; a nonzero degree below n signals a chart bug."""
+    if any(nums[:-1]):
+        d, x = next((d, x) for d, x in enumerate(nums) if x)
+        raise ToricError("localization of the degree-%d part is %s, expected 0 "
+                         "(chart bug)" % (d, Fraction(x, den * scale)))
+    return Fraction(nums[-1], den * scale)
 
 
 def localize(p, vectors, restrict, scale=1, terms=False):
@@ -128,8 +112,8 @@ def localize(p, vectors, restrict, scale=1, terms=False):
     restricting to w_j t and every other facet class to 0, and returns n + 1
     integer columns c_0..c_n, one per degree with one entry per pair: the
     coefficients of scale times the class as a series in t.  At each vector,
-    degree d sums c_d / (scale prod w) over the vertices in a FixedPointSum,
-    whose degrees below n must vanish.  Returns the degree-n value at each
+    degree d sums c_d / (scale prod w) over the vertices under one lcm; the
+    degrees below n must vanish.  Returns the degree-n value at each
     vector, in order, and, only if terms, the per-vertex contributions at
     vectors[0], each summed over all degrees, as (vertex, Fraction) pairs;
     None otherwise, so a caller that reads only values divides once.
@@ -139,9 +123,11 @@ def localize(p, vectors, restrict, scale=1, terms=False):
     columns, eulers = restrict(charts * len(vectors), weights), list(map(prod, weights))
     values, size = [], len(charts)
     for start in range(0, len(eulers), size):
-        total = FixedPointSum(p.dim)
-        total.add([column[start:start + size] for column in columns], eulers[start:start + size])
-        values.append(total.value(scale))
+        batch = eulers[start:start + size]
+        den = lcm(*batch)
+        shares = list(map(floordiv, repeat(den), batch))
+        nums = [sum(map(mul, column[start:start + size], shares)) for column in columns]
+        values.append(_fixed_point_value(nums, den, scale))
     if not terms:
         return tuple(values), None
     return tuple(values), tuple(zip(map(attrgetter("vertex"), charts), map(

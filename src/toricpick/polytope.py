@@ -170,7 +170,7 @@ class FaceLattice:
         dimension n minus its size on no other facet, so the subset is the
         face's facet set and nothing is checked again.  A BudgetError (see
         charge_faces) comes first if the order may exceed FACE_BUDGET pairs.
-        Only perfbench/replay.py and the tests read it (ROADMAP item 1)."""
+        Only perfbench/replay.py and the tests read it (ROADMAP item 9)."""
         n = self.dim
         charge_faces(len(self.charts), n)
         found = {}
@@ -193,8 +193,8 @@ class FaceLattice:
     @property
     def leq(self):
         """The order as pairs (g, f) of positions in faces, g a face of f.
-        Only perfbench/replay.py reads it, until stage counters free the
-        replay (ROADMAP item 1)."""
+        Only perfbench/replay.py reads it, until a benchmark change
+        repoints the replay (ROADMAP item 9)."""
         at = {f.facet_set: i for i, f in enumerate(self.faces)}
         return frozenset((g, at[sub]) for g, face in enumerate(self.faces)
                          for r in range(len(face.facet_set) + 1)
@@ -543,8 +543,8 @@ def induce_face_polytope(p, face):
     So lattice points of the face correspond bijectively to lattice points
     of the result, whose facets are cut by those through a vertex of the
     face and not through it.  The base vertex must be Delzant.  Only
-    perfbench/replay.py calls it, until stage counters free the replay
-    (ROADMAP item 1).
+    perfbench/replay.py calls it, until a benchmark change repoints the
+    replay (ROADMAP item 9).
     """
     if face.dim == 0:
         raise DimensionError("a vertex needs no chart; use its point directly")

@@ -17,8 +17,8 @@ from toricpick.errors import (DimensionError, InputError, NotSimpleError,
                               ShapeError, ToricError)
 from toricpick.exact import det, dot, vector_gcd
 from toricpick.invariants import _log_rows
-from toricpick.localization import (FixedPointSum, _chart_weights, _vertex_sum,
-                                    check_partition, localize, partitions_of)
+from toricpick.localization import (_chart_weights, _vertex_sum, check_partition, localize,
+                                    partitions_of)
 from toricpick.polytope import (HPolytope, _swap, enumerate_vertices,
                                 face_lattice)
 from toricpick.series import GENUS_KINDS, genus_series
@@ -670,17 +670,25 @@ def localize_face(p, u, restrict, scale, face):
     the Euler products take only the w_j with facet_set[j] not a facet of F
     (the edges in F), and restrict(chart, w), one vertex at a time, still
     gets all n w_j.  On the top face it is the per-vertex localize that the
-    columnar one replaced.  Returns the value and the per-vertex (vertex,
-    Fraction) terms, as localize returns them at one vector."""
+    columnar one replaced.  Each degree d <= dim F sums the rows' c_d over
+    the lcm of the Euler products here, apart from the program's own sum;
+    a nonzero degree below dim F raises the program's chart-bug message.
+    Returns the value and the per-vertex (vertex, Fraction) terms, as
+    localize returns them at one vector."""
     charts, weights = _chart_weights(p, tuple(u))
     data = [(charts[v], weights[v]) for v in face.vertices]
     rows = [restrict(c, w) for c, w in data]
     eulers = [prod(x for i, x in zip(c.facet_set, w) if i not in face.facet_set)
               for c, w in data]
-    total = FixedPointSum(face.dim)
-    total.add(list(zip(*rows)), eulers)
-    return total.value(scale), tuple((c.vertex, Fraction(sum(row), euler * scale))
-                                     for (c, _), row, euler in zip(data, rows, eulers))
+    den = lcm(*eulers)
+    nums = [sum(row[d] * (den // euler) for row, euler in zip(rows, eulers))
+            for d in range(face.dim + 1)]
+    low = [(d, x) for d, x in enumerate(nums[:-1]) if x]
+    if low:
+        raise ToricError("localization of the degree-%d part is %s, expected 0 (chart bug)"
+                         % (low[0][0], Fraction(low[0][1], den * scale)))
+    return Fraction(nums[-1], den * scale), tuple((c.vertex, Fraction(sum(row), euler * scale))
+                                                  for (c, _), row, euler in zip(data, rows, eulers))
 
 
 def localize_rows(p, u, restrict, scale=1):

@@ -2,8 +2,8 @@
 per-vertex sum it replaced.
 
 The program restricts every (vector, vertex) pair in one call, one integer
-column per degree, and sums each vector's pairs in a FixedPointSum of its
-own.  The route it replaced restricted one vertex at a time: the per-vertex
+column per degree, and sums each vector's pairs on their own, over the lcm of
+their Euler products, divided once.  The route it replaced restricted one vertex at a time: the per-vertex
 restrictions are kept as tests/oracles.genus_restriction and
 oracles.chern_restriction, and their per-vertex sum is oracles.localize_face
 on P's top face.  Both must give equal values and equal per-vertex

@@ -1,5 +1,6 @@
 """End-to-end identity checks and the twisted genus evaluations."""
 
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -8,8 +9,9 @@ import pytest
 from families import CORPUS_NAMES, P112, cube, get, simplex, weighted_simplex
 from oracles import kahler_class
 from toricpick import invariants, localization, polytope
-from toricpick.cli import load_polytope
-from toricpick.errors import BudgetError, InputError, ShapeError
+from toricpick.cli import load_polytope, render_json, report_to_dict
+from toricpick.errors import (BudgetError, DimensionError, GenericityError, InputError,
+                              ShapeError)
 from toricpick.invariants import (check_face_todd, check_pick,
                                   check_tetrahedron, check_todd,
                                   check_untwisted_signature,
@@ -59,6 +61,40 @@ def test_check_pick_with_explicit_vector():
     assert r.holds
     assert r.generic_vectors[0] == (2, 3)
     assert r.lhs == PICK_VALUES["square1"]
+
+
+class Index:
+    """An integer type that is not int: it has __index__ and nothing more."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_a_given_vector_is_reported_as_the_ints_it_is_weighed_at():
+    p = get("triangle1")
+    for given in ((True, 2), (Index(1), Index(2))):
+        r = check_todd(p, u=given)
+        assert r.holds and r.generic_vectors == ((1, 2), (1, 3))
+        assert all(type(x) is int for u in r.generic_vectors for x in u)
+        assert json.loads(render_json(report_to_dict(r)))["generic_vectors"] == [[1, 2], [1, 3]]
+
+
+def test_a_bad_given_vector_is_refused_before_any_count(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("count_points called")
+
+    monkeypatch.setattr(invariants, "count_points", forbidden)
+    p = get("square1")
+    for check in (check_pick, check_todd):
+        with pytest.raises(DimensionError, match=r"^generic vector entry 1\.5 is not an integer$"):
+            check(p, u=(1.5, 2))
+        with pytest.raises(DimensionError, match="generic vector has length 3, expected 2"):
+            check(p, u=(1, 2, 3))
+        with pytest.raises(GenericityError, match="pairs to zero"):
+            check(p, u=(1, 0))
 
 
 def test_check_todd_counts_lattice_points():

@@ -2,7 +2,7 @@
 
 Route one of chern_number (_chern_fixed_point, through its own vertex sum
 _vertex_sum) and the Gysin powers sum their own weights; the class route
-localizes a restriction (localize, FixedPointSum, _chern_restriction).  The
+localizes a restriction (localize, _fixed_point_value, _chern_restriction).  The
 source of toricpick.localization is parsed with ast, and every name the
 route-one functions use is followed through the module's own functions and
 classes, so a shared helper counts too.
@@ -16,7 +16,7 @@ import pytest
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src",
                       "toricpick", "localization.py")
 ROUTE_ONE = ("_chern_fixed_point", "_vertex_sum", "gysin_power")
-CLASS_ROUTE = {"localize", "FixedPointSum", "_chern_restriction"}
+CLASS_ROUTE = {"localize", "_fixed_point_value", "_chern_restriction"}
 
 
 def definitions(source):
@@ -58,8 +58,17 @@ def test_route_one_reaches_nothing_of_the_class_route(root):
 
 def test_the_class_route_is_reached_where_it_is_used():
     # so the walk above follows real edges: chern_number runs both routes
-    assert {"_chern_fixed_point", "_vertex_sum", "localize", "FixedPointSum",
+    assert {"_chern_fixed_point", "_vertex_sum", "localize", "_fixed_point_value",
             "_chern_restriction"} <= reached(read(), "chern_number")
+
+
+def test_a_vertex_sum_through_the_one_division_is_found():
+    # the last definition of a name wins, as at import: _vertex_sum redefined
+    # to divide by _fixed_point_value puts it in every route-one function's reach
+    source = read() + ("\ndef _vertex_sum(charts, weights, numerator):\n"
+                       "    return _fixed_point_value([0], 1, 1)\n")
+    for root in ROUTE_ONE:
+        assert "_fixed_point_value" in reached(source, root) & CLASS_ROUTE, root
 
 
 def test_a_shared_helper_is_found():
