@@ -16,7 +16,7 @@ from .lattice import (FaceCounts, count_points, weighted_sum_closed,
 from .localization import (assert_generic, chern_number, check_partition,
                            choose_generic, gysin_power, gysin_power_v3,
                            integrate_monomial, localize, partitions_of)
-from .polytope import (Face, FaceLattice, HPolytope, HVector, VertexChart,
+from .polytope import (Face, HPolytope, HVector, VertexChart,
                        enumerate_vertices, face_lattice, h_vector,
                        induce_face_polytope, require_delzant,
                        signature_from_h, validate, volume)

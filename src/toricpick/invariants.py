@@ -11,10 +11,9 @@ from itertools import repeat
 from math import factorial, lcm, prod
 from operator import add, floordiv, mod, mul, or_, sub
 
-from .errors import DimensionError, ShapeError, ToricError
-from .exact import integers
+from .errors import ShapeError, ToricError
 from .lattice import count_points, weighted_sum_closed, weighted_sum_relint
-from .localization import _chart_weights, _fixed_point_value, choose_generic, localize
+from .localization import _chart_weights, _fixed_point_value, _vector, choose_generic, localize
 from .polytope import (charge_faces, enumerate_vertices, face_lattice, h_vector,
                        require_delzant, signature_from_h, volume)
 from .series import genus_log, genus_series
@@ -120,7 +119,7 @@ def _prelude(p, u, count):
     """
     charts = enumerate_vertices(p)
     require_delzant(charts)
-    vectors = [] if u is None else [integers(u, DimensionError, "generic vector entry")]
+    vectors = [] if u is None else [_vector(p, u)]
     if vectors:  # a given u is reported as the ints it is weighed at, and refused before a count
         _chart_weights(p, vectors[0])
     while len(vectors) < count:

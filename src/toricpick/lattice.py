@@ -15,7 +15,7 @@ from math import ceil, comb, floor, gcd, lcm
 from operator import add
 
 from .errors import BudgetError, ToricError
-from .polytope import charge_faces, derived, enumerate_vertices, face_lattice
+from .polytope import charge_faces, derived, enumerate_vertices
 
 # most steps one count may take: a slab costs one per row of the projection
 # (facets included), which bounds its sweep too, a projected row pair one, and
@@ -32,8 +32,8 @@ class FaceCounts:
     relative interior of a face of codimension k, which lies in C(k, j)
     faces of codimension j: the counts by dimension, closed_by_mask and
     face_rows need no face lattice.  relint and closed read by_mask and
-    closed_by_mask by face id, which lays p's own face lattice out (see
-    FaceLattice).  Each of these raises on points whose facets cut out no face.
+    closed_by_mask by face id, which lays out the faces of charts, p's own
+    chart table.  Each of these raises on points whose facets cut out no face.
     """
 
     def __init__(self, p, by_mask):
@@ -41,7 +41,7 @@ class FaceCounts:
         hist = self.hist = [0] * (p.dim + 1)
         for mask, c in by_mask.items():
             hist[mask.bit_count()] += c
-        self.lattice, self._vertices = face_lattice(p), facet_vertices(p)
+        self.charts, self._vertices = enumerate_vertices(p), facet_vertices(p)
 
     @property
     def total(self):
@@ -79,7 +79,7 @@ class FaceCounts:
         """Closed counts by facet mask of the faces that hold a point, which
         lies in each face whose facet set is a subset of its own: at most a
         step per pair of the face order, so the face budget comes first."""
-        charge_faces(len(self.lattice.charts), self.dim)
+        charge_faces(len(self.charts), self.dim)
         above = {0: self.total}
         for mask, c in self._on_faces.items():
             sub = mask
@@ -92,7 +92,7 @@ class FaceCounts:
         """(dim, facets, closed, relint, mask) of every face, by dim and facets: each face holds
         a point, so is a key of closed_by_mask, or a vertex off the lattice (not in hist[n])."""
         closed, relint, masks = self.closed_by_mask, self._on_faces, set(self.closed_by_mask)
-        for c in self.lattice.charts if self.hist[self.dim] < len(self.lattice.charts) else ():
+        for c in self.charts if self.hist[self.dim] < len(self.charts) else ():
             mask = sum(1 << i for i in c.facet_set)
             sub = 0 if mask in relint else mask
             while sub:
@@ -104,13 +104,13 @@ class FaceCounts:
     @cached_property
     def relint(self):
         """by_mask by face id; only perfbench/replay.py and the tests read it (ROADMAP item 9)."""
-        return {fid: self._on_faces.get(f.mask, 0) for fid, f in enumerate(self.lattice.faces)}
+        return {fid: self._on_faces.get(f.mask, 0) for fid, f in enumerate(self.charts.faces)}
 
     @cached_property
     def closed(self):
         """closed_by_mask by face id; only perfbench/replay.py and the tests read it."""
         return {fid: self.closed_by_mask.get(f.mask, 0)
-                for fid, f in enumerate(self.lattice.faces)}
+                for fid, f in enumerate(self.charts.faces)}
 
 
 def facets_of(mask):

@@ -70,15 +70,21 @@ def choose_generic(charts, exclude=()):
             return u
 
 
+def _vector(p, u):
+    """u as n = dim P ints, or a DimensionError naming a non-integer entry or the length."""
+    u = integers(u, DimensionError, "generic vector entry")
+    if len(u) != p.dim:
+        raise DimensionError("generic vector has length %d, expected %d" % (len(u), p.dim))
+    return u
+
+
 def _chart_weights(p, u):
     """P's chart table and its weight tuples <mu_{p,i_j}, u>, genericity
     enforced; every read passes the Delzant gate and checks that u is n
     integers before it looks u up, since 1.0 == 1 (see ChartTable.weigh)."""
     charts = enumerate_vertices(p)
     require_delzant(charts)
-    u = integers(u, DimensionError, "generic vector entry")
-    if len(u) != p.dim:
-        raise DimensionError("generic vector has length %d, expected %d" % (len(u), p.dim))
+    u = _vector(p, u)
     weights, zero = charts.weigh(u)
     if zero is not None:
         raise GenericityError("u = %s pairs to zero with a weight at vertex %s; pick another "
@@ -201,7 +207,7 @@ def gysin_power_v3(p, facet, u):
         raise DimensionError("triple product form is specific to dimension 3")
     if not 0 <= facet < len(p.facets):
         raise DimensionError("facet index %d out of range" % facet)
-    uu = tuple(u)
+    uu = _vector(p, u)
     total = Fraction(0)
     for c in enumerate_vertices(p):
         if facet not in c.facet_set:

@@ -2,8 +2,8 @@
 
 The H-representation is the primary object: primitive inward normals lam_i
 and integer offsets a_i, with facet order fixed by the input.  Vertices,
-vertex charts (Lambda_p and its inverse M_p), the face lattice, h-vector,
-exact volume and face induction are all derived from it.
+vertex charts (Lambda_p and its inverse M_p), whose table is the face
+lattice, h-vector, exact volume and face induction are all derived from it.
 """
 
 from bisect import bisect
@@ -118,7 +118,10 @@ class VertexChart:
 class ChartTable(tuple):
     """The vertex charts of a polytope in vertex order (see enumerate_vertices)
     and what is read off them all, found once per table and freed with it: the
-    Delzant verdict non_delzant, the first chart with |det| != 1 or None, and the weights."""
+    Delzant verdict non_delzant, the first chart with |det| != 1 or None, the
+    weights, and the faces, each named by its facet set.  The face order is not
+    stored: g is a face of f exactly when f's facet set is a subset of g's.  A
+    polytope's lattice point counts hold its one table, so both share one layout."""
 
     def __init__(self, charts):
         self.non_delzant = next((c for c in self if abs(c.det) != 1), None)
@@ -133,6 +136,46 @@ class ChartTable(tuple):
             self.weighed[u] = weights, next((c for c, w in zip(self, weights) if not all(w)), None)
         return self.weighed[u]
 
+    @cached_property
+    def faces(self):
+        """Every face is cut out by a subset of the facets through any one
+        of its vertices, so one pass over the subsets of each vertex's facet
+        set finds every face with its vertices.  The walk's certificate (see
+        enumerate_vertices) says that such a subset cuts out a face of
+        dimension n minus its size on no other facet, so the subset is the
+        face's facet set and nothing is checked again.  A BudgetError (see
+        charge_faces) comes first if the order may exceed FACE_BUDGET pairs.
+        Only perfbench/replay.py and the tests read it (ROADMAP item 9)."""
+        n = len(self[0].facet_set)
+        charge_faces(len(self), n)
+        found = {}
+        for vid, c in enumerate(self):
+            for r in range(n + 1):
+                for sub in combinations(c.facet_set, r):
+                    found.setdefault(sub, []).append(vid)
+        faces = [Face(sub, n - len(sub), verts) for sub, verts in found.items()]
+        faces.sort(key=lambda f: (f.dim, f.facet_set))
+        return tuple(faces)
+
+    @cached_property
+    def f_vector(self):
+        """Faces of dimension d by the distinct (n - d)-subsets of the vertices'
+        facet sets (see faces), counted after the same budget, not laid out."""
+        n = len(self[0].facet_set)
+        charge_faces(len(self), n)
+        return tuple(len(set().union(*(combinations(c.facet_set, r) for c in self)))
+                     for r in range(n, -1, -1))
+
+    @property
+    def leq(self):
+        """The order as pairs (g, f) of positions in faces, g a face of f.
+        Only perfbench/replay.py reads it, until a benchmark change
+        repoints the replay (ROADMAP item 9)."""
+        at = {f.facet_set: i for i, f in enumerate(self.faces)}
+        return frozenset((g, at[sub]) for g, face in enumerate(self.faces)
+                         for r in range(len(face.facet_set) + 1)
+                         for sub in combinations(face.facet_set, r))
+
 
 class Face:
     """A face keyed by its facets, ascending and as a bit mask; vertices index the charts."""
@@ -145,60 +188,6 @@ class Face:
 
     def __repr__(self):
         return "Face(dim=%d, facets=%s)" % (self.dim, self.facet_set)
-
-
-class FaceLattice:
-    """All faces of a simple polytope, each named by its facet set, laid
-    out from the vertex charts on first read of faces and then kept; the
-    f-vector is counted from the charts and lays nothing out.
-
-    The order is not stored: g is a face of f exactly when the facet set of
-    f is a subset of that of g.  A polytope keeps one (see face_lattice) and
-    its lattice point counts hold the same one, so it is laid out once for
-    both, whichever reads it first; it holds no reference to the polytope.
-    """
-
-    def __init__(self, dim, charts):
-        self.dim, self.charts = dim, charts
-
-    @cached_property
-    def faces(self):
-        """Every face is cut out by a subset of the facets through any one
-        of its vertices, so one pass over the subsets of each vertex's facet
-        set finds every face with its vertices.  The walk's certificate (see
-        enumerate_vertices) says that such a subset cuts out a face of
-        dimension n minus its size on no other facet, so the subset is the
-        face's facet set and nothing is checked again.  A BudgetError (see
-        charge_faces) comes first if the order may exceed FACE_BUDGET pairs.
-        Only perfbench/replay.py and the tests read it (ROADMAP item 9)."""
-        n = self.dim
-        charge_faces(len(self.charts), n)
-        found = {}
-        for vid, c in enumerate(self.charts):
-            for r in range(n + 1):
-                for sub in combinations(c.facet_set, r):
-                    found.setdefault(sub, []).append(vid)
-        faces = [Face(sub, n - len(sub), verts) for sub, verts in found.items()]
-        faces.sort(key=lambda f: (f.dim, f.facet_set))
-        return tuple(faces)
-
-    @cached_property
-    def f_vector(self):
-        """Faces of dimension d by the distinct (n - d)-subsets of the vertices'
-        facet sets (see faces), counted after the same budget, not laid out."""
-        charge_faces(len(self.charts), self.dim)
-        return tuple(len(set().union(*(combinations(c.facet_set, r) for c in self.charts)))
-                     for r in range(self.dim, -1, -1))
-
-    @property
-    def leq(self):
-        """The order as pairs (g, f) of positions in faces, g a face of f.
-        Only perfbench/replay.py reads it, until a benchmark change
-        repoints the replay (ROADMAP item 9)."""
-        at = {f.facet_set: i for i, f in enumerate(self.faces)}
-        return frozenset((g, at[sub]) for g, face in enumerate(self.faces)
-                         for r in range(len(face.facet_set) + 1)
-                         for sub in combinations(face.facet_set, r))
 
 
 class HVector:
@@ -471,21 +460,19 @@ def charge_faces(vertices, n):
                           "%d), over the limit of %d" % (pairs, vertices, n, FACE_BUDGET))
 
 
-@derived
 def face_lattice(p):
-    """Faces of a simple polytope, keyed by their facet sets, laid out on
-    first read (see FaceLattice) once per polytope."""
-    return FaceLattice(p.dim, enumerate_vertices(p))
+    """P's chart table, which is its face lattice (see ChartTable.faces); the
+    name stays for perfbench/replay.py and the h_vector callers."""
+    return enumerate_vertices(p)
 
 
 def h_vector(fl):
-    """h-vector from the f-vector: expand sum_i f_i (t-1)^i, read coefficients."""
-    n = fl.dim
-    coeffs = [0] * (n + 1)
+    """h-vector from fl's f-vector (fl a chart table): expand sum_i f_i (t-1)^i."""
+    coeffs = [0] * len(fl.f_vector)
     for i, fi in enumerate(fl.f_vector):
         for j in range(i + 1):
             coeffs[j] += fi * comb(i, j) * ((-1) ** (i - j))
-    return HVector(tuple(coeffs[n - k] for k in range(n + 1)))
+    return HVector(coeffs[::-1])
 
 
 def signature_from_h(hv):

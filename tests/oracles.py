@@ -453,7 +453,7 @@ def face_id_rows(fc):
     of the laid-out face lattice, in its order, each with its closed and
     relint count read by face id."""
     return [(f.dim, f.facet_set, fc.closed[i], fc.relint[i], f.mask)
-            for i, f in enumerate(fc.lattice.faces)]
+            for i, f in enumerate(fc.charts.faces)]
 
 
 def fraction_volume(p):

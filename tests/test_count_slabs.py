@@ -61,7 +61,7 @@ def agrees(p):
     weighted sum over it against the fiber walk's per-face counts."""
     fc = count_points(p)
     closed, relint = fiber_walk(p)
-    faces, n = fc.lattice.faces, p.dim
+    faces, n = fc.charts.faces, p.dim
     by_mask = {sum(1 << i for i in f.facet_set): closed[fid] for fid, f in enumerate(faces)}
     weighted = Fraction(sum((-1) ** (n - f.dim) * 2 ** f.dim * closed[fid]
                             for fid, f in enumerate(faces)), 2 ** n)
@@ -72,15 +72,16 @@ def agrees(p):
 
 
 def by_dim(counts, fl):
-    """Per-face counts summed over the faces of each dimension."""
-    return [sum(counts[i] for i in faces_of_dim(fl, d)) for d in range(fl.dim + 1)]
+    """Per-face counts summed over the faces of each dimension, up to that of
+    P, the last face."""
+    return [sum(counts[i] for i in faces_of_dim(fl, d)) for d in range(fl.faces[-1].dim + 1)]
 
 
 def histogram_agrees(p):
     """The totals read from the histogram of tight facets against the
     per-face closure summed by dimension."""
     fc = count_points(p)
-    n, fl = p.dim, fc.lattice
+    n, fl = p.dim, fc.charts
     return (fc.total == fc.closed[face_ids(fl)[()]]
             and [fc.closed_by_dim(d) for d in range(n + 1)] == by_dim(fc.closed, fl)
             and [fc.relint_by_dim(d) for d in range(n + 1)] == by_dim(fc.relint, fl))
@@ -220,7 +221,7 @@ def test_histogram_totals_match_the_per_face_closure_and_the_fiber_walk(name, p)
     # walk credits each point to a face by its facet set
     fc = count_points(p)
     closed, relint = fiber_walk(p)
-    n, fl = p.dim, fc.lattice
+    n, fl = p.dim, fc.charts
     top = face_ids(fl)[()]
     assert fc.total == closed[top] == fc.closed[top]
     for counts, fiber, of_dim in ((fc.closed, closed, fc.closed_by_dim),
@@ -325,7 +326,7 @@ def test_section_collapses_to_a_segment(monkeypatch):
                for _, _, lower, upper, *_ in log)
     assert (fc.closed, fc.relint) == fiber_walk(p)
     # the edge y = z = 0 holds the six points strictly between its ends
-    assert fc.relint[face_ids(fc.lattice)[(2, 3)]] == 6
+    assert fc.relint[face_ids(fc.charts)[(2, 3)]] == 6
 
 
 # the tetrahedron x, y, z >= 0, x + y + z <= 4, and its mirror image in y
@@ -358,7 +359,7 @@ def test_two_facets_on_one_line_in_a_slab(monkeypatch):
     fc = lattice.count_points.__wrapped__(p)
     assert any(facets(lower) == [2, 3] for _, _, lower, *_ in log)
     assert (fc.closed, fc.relint) == fiber_walk(p)
-    assert fc.relint[face_ids(fc.lattice)[(2, 3)]] == 5
+    assert fc.relint[face_ids(fc.charts)[(2, 3)]] == 5
 
 
 def test_outer_range_of_a_rational_polytope():
@@ -440,7 +441,7 @@ ROW_INPUTS = delzant_family(8) + weighted_family(random.Random(41), max_dim=4)
 
 def off_lattice(p):
     """Whether some vertex of p is not a lattice point."""
-    return count_points(p).hist[p.dim] < len(face_lattice(p).charts)
+    return count_points(p).hist[p.dim] < len(face_lattice(p))
 
 
 def test_row_inputs_hold_off_lattice_vertices():

@@ -143,11 +143,10 @@ def test_family_reaches_the_cases_it_names():
 
 def test_twelve_simplex_lattice_stays_small():
     """The order of the 12-simplex has 1 586 131 pairs; it is not stored."""
-    p = simplex(12)
-    enumerate_vertices(p)
+    # a fresh chart table, walked before the traced window, lays its faces out
+    fl = enumerate_vertices.__wrapped__(simplex(12))
     tracemalloc.start()
     try:
-        fl = face_lattice.__wrapped__(p)
         fl.faces
         _, peak = tracemalloc.get_traced_memory()
     finally:

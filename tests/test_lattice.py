@@ -59,7 +59,7 @@ def test_face_classification_simplex():
 def test_closed_equals_relint_sum():
     for name in CORPUS_NAMES:
         fc = count_points(get(name))
-        for fid, down in enumerate(inclusion_order(fc.lattice)):
+        for fid, down in enumerate(inclusion_order(fc.charts)):
             assert fc.closed[fid] == sum(fc.relint[g] for g in down)
 
 
@@ -91,21 +91,28 @@ def test_equal_polytopes_with_other_names_share_nothing():
     b = HPolytope(2, facets, name="B")
     assert a == b
     fa, fb = count_points(a), count_points(b)
-    assert fb is not fa and fb.lattice is not fa.lattice
+    assert fb is not fa and fb.charts is not fa.charts
     assert enumerate_vertices(b) is not enumerate_vertices(a)
-    assert fa.total == fb.total == 40 and fb.lattice is face_lattice(b)
+    assert fa.total == fb.total == 40
     # nothing kept on a polytope refers back to one
-    for held in (fb, fb.lattice, *fb.lattice.faces, *enumerate_vertices(b)):
+    for held in (fb, fb.charts, *fb.charts.faces, *enumerate_vertices(b)):
         assert not any(isinstance(x, HPolytope) for x in vars(held).values())
 
 
+def test_the_counts_hold_the_chart_table_which_is_the_face_lattice():
+    for name in CORPUS_NAMES:
+        p = get(name)
+        assert face_lattice(p) is enumerate_vertices(p), name
+        assert count_points(p).charts is enumerate_vertices(p), name
+
+
 def count_layouts(monkeypatch, laid_out):
-    """Append each face lattice to laid_out when its faces are first read,
-    that is, when it is laid out."""
-    lay_out = polytope.FaceLattice.faces.func
-    faces = cached_property(lambda fl: laid_out.append(fl) or lay_out(fl))
-    faces.__set_name__(polytope.FaceLattice, "faces")
-    monkeypatch.setattr(polytope.FaceLattice, "faces", faces)
+    """Append each chart table to laid_out when its faces are first read,
+    that is, when they are laid out."""
+    lay_out = polytope.ChartTable.faces.func
+    faces = cached_property(lambda charts: laid_out.append(charts) or lay_out(charts))
+    faces.__set_name__(polytope.ChartTable, "faces")
+    monkeypatch.setattr(polytope.ChartTable, "faces", faces)
 
 
 def test_a_corpus_batch_walks_and_counts_each_file_once(monkeypatch, capsys):
@@ -186,7 +193,7 @@ def test_a_polytope_is_freed_with_its_derived_geometry():
     del p
     gc.collect()
     # what the caller still holds of p's geometry does not hold p
-    assert ref() is None and fc.lattice is fl
+    assert ref() is None and fc.charts is fl
     # counts taken before any face lattice still close by face once p is gone
     q = box((0, 0, 0), (2, 1, 3), name="counted first")
     fq, ref = count_points(q), weakref.ref(q)

@@ -111,6 +111,14 @@ def test_a_non_integer_generic_vector_is_named():
         gysin_power(p, 0, 2, (F(1, 2), 3))
     with pytest.raises(DimensionError, match="generic vector entry 2.0 is not an integer"):
         volume_breakdown(p, (2.0, 5))
+    # the triple product route checks u the same way, though it reads no
+    # chart weights, and gysin_power gives the same text
+    q = get("simplex3_2")
+    for route in (lambda u: gysin_power_v3(q, 0, u), lambda u: gysin_power(q, 0, 3, u)):
+        with pytest.raises(DimensionError, match=r"^generic vector entry 1\.5 is not an integer$"):
+            route((1.5, 2, 3))
+        with pytest.raises(DimensionError, match=r"^generic vector has length 2, expected 3$"):
+            route((1, 2))
     # 1.0 == 1 and hashes alike, so the table's entry at (1, 3) or at the
     # refused (1, 2) must not let (1.0, 3) or (1.0, 2) skip the check
     p = corner_cut_polygon(11, 120)

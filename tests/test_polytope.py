@@ -27,7 +27,7 @@ from toricpick.errors import (BudgetError, DimensionError, InputError,
                               NotSimpleError, ToricError, UnboundedError)
 from toricpick.exact import det, dot, vector_gcd
 from toricpick.lattice import count_points
-from toricpick.polytope import (FaceLattice, HPolytope, HVector,
+from toricpick.polytope import (HPolytope, HVector,
                                 enumerate_vertices, face_lattice, h_vector,
                                 induce_face_polytope,
                                 require_delzant, signature_from_h, validate,
@@ -267,7 +267,7 @@ def face_order_estimate(p):
 def laid_out_f_vector(p):
     """The faces of a fresh lattice laid out and counted by dimension."""
     counts = [0] * (p.dim + 1)
-    for f in FaceLattice(p.dim, enumerate_vertices(p)).faces:
+    for f in enumerate_vertices.__wrapped__(p).faces:
         counts[f.dim] += 1
     return tuple(counts)
 
@@ -280,7 +280,7 @@ def test_counted_f_vector_matches_the_laid_out_faces(name, p, monkeypatch):
     """f_vector counts the distinct facet subsets through the vertices
     without laying out faces or localizing; the laid-out lattice agrees
     dimension by dimension."""
-    fl = FaceLattice(p.dim, enumerate_vertices(p))
+    fl = enumerate_vertices.__wrapped__(p)
     with monkeypatch.context() as m:
         for fn in ("localize", "_chart_weights", "choose_generic"):
             m.setattr(localization, fn, None)
@@ -298,13 +298,13 @@ def test_face_budget_boundary(monkeypatch):
     monkeypatch.setattr(polytope, "FACE_BUDGET", pairs - 1)
     with pytest.raises(BudgetError, match="about %d pairs \\(6 vertices in dimension 5\\), "
                                           "over the limit of %d" % (pairs, pairs - 1)):
-        face_lattice.__wrapped__(p).faces
+        enumerate_vertices.__wrapped__(p).faces
     # closing the counts over the subsets of their facet masks takes up to a
     # step per pair, and is charged the same
     with pytest.raises(BudgetError, match="about %d pairs" % pairs):
         count_points.__wrapped__(p).closed_by_mask
     monkeypatch.setattr(polytope, "FACE_BUDGET", pairs)
-    assert len(face_lattice.__wrapped__(p).leq) == pairs
+    assert len(enumerate_vertices.__wrapped__(p).leq) == pairs
 
 
 def test_face_budget_bounds_the_order_and_admits_the_8_cube():

@@ -1,9 +1,10 @@
 """The library surface that perfbench/replay.py reads, held in tier-1.
 
 The traced benchmark smoke runs replay each op through the layer functions,
-looked up by name, and still read FaceLattice.leq and induce_face_polytope.
-A removal that would break those runs fails here first.  The replay is read
-from its file and run in memory, so nothing under perfbench/ is written.
+looked up by name, and still read ChartTable.leq (through face_lattice) and
+induce_face_polytope.  A removal that would break those runs fails here
+first.  The replay is read from its file and run in memory, so nothing under
+perfbench/ is written.
 """
 
 import os
