@@ -13,7 +13,7 @@ from .invariants import (Report, check_face_todd, check_pick,
                          twisted_todd_breakdown, volume_breakdown)
 from .lattice import (FaceCounts, count_points, weighted_sum_closed,
                       weighted_sum_relint)
-from .localization import (assert_generic, chern_number, check_partition,
+from .localization import (chart_weights, chern_number, check_partition,
                            choose_generic, gysin_power, gysin_power_v3,
                            integrate_monomial, localize, partitions_of)
 from .polytope import (Face, HPolytope, HVector, VertexChart,

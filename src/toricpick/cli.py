@@ -24,10 +24,10 @@ from .invariants import (check_face_todd, check_pick, check_tetrahedron,
                          per_vertex_breakdown, twisted_signature_breakdown,
                          twisted_todd_breakdown, volume_breakdown)
 from .lattice import count_points
-from .localization import (assert_generic, chern_number, choose_generic,
+from .localization import (chart_weights, chern_number, choose_generic,
                            gysin_power, gysin_power_v3, integrate_monomial)
-from .polytope import (HPolytope, enumerate_vertices, face_lattice, h_vector,
-                       signature_from_h, validate, volume)
+from .polytope import (HPolytope, enumerate_vertices, h_vector, signature_from_h,
+                       validate, volume)
 
 # kind: (check, takes --u) for the identities on one polytope file; corpus runs
 # them all in this order, and a ShapeError marks one not stated for the shape
@@ -242,7 +242,7 @@ def _parse_u(text, p):
         u = tuple(map(int, text.split(",")))
     except ValueError:
         raise InputError("--u must be a comma separated integer vector, got %r" % text)
-    assert_generic(p, u)
+    chart_weights(p, u)
     return u
 
 
@@ -297,10 +297,10 @@ def cmd_compute(args):
             data["faces"] = [{"dim": d, "facets": facets, "closed": closed, "relint": relint}
                              for d, facets, closed, relint, _ in fc.face_rows()]
     elif kind == "hvector":
-        fl = face_lattice(p)
-        hv = h_vector(fl)
+        charts = enumerate_vertices(p)
+        hv = h_vector(charts)
         data["value"] = list(hv.h)
-        data["breakdown"] = {"f_vector": list(fl.f_vector), "signature": signature_from_h(hv)}
+        data["breakdown"] = {"f_vector": list(charts.f_vector), "signature": signature_from_h(hv)}
     elif kind == "volume":
         data["value"] = volume(p)
         if args.breakdown:

@@ -6,7 +6,6 @@ and matrix entries are arbitrary-precision integers.  No floating point
 enters the computation path.
 """
 
-from math import gcd
 from operator import index
 
 from .errors import DimensionError
@@ -28,14 +27,6 @@ def dot(u, v):
     if len(u) != len(v):
         raise DimensionError("dot: length mismatch %d vs %d" % (len(u), len(v)))
     return sum(a * b for a, b in zip(u, v))
-
-
-def vector_gcd(v):
-    """gcd of the absolute entries; 0 for the zero vector."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g
 
 
 def det(rows):

@@ -13,9 +13,9 @@ from operator import add, floordiv, mod, mul, or_, sub
 
 from .errors import ShapeError, ToricError
 from .lattice import count_points, weighted_sum_closed, weighted_sum_relint
-from .localization import _chart_weights, _fixed_point_value, _vector, choose_generic, localize
-from .polytope import (charge_faces, enumerate_vertices, face_lattice, h_vector,
-                       require_delzant, signature_from_h, volume)
+from .localization import _fixed_point_value, _vector, chart_weights, choose_generic, localize
+from .polytope import (charge_faces, enumerate_vertices, h_vector, require_delzant,
+                       signature_from_h, volume)
 from .series import genus_log, genus_series
 
 
@@ -110,7 +110,8 @@ def _prelude(p, u, count):
     """The first steps of every localized check, in this order: the Delzant
     gate; count generic vectors, u first when given, each further one the
     first candidate that excludes those before it; and the face budget (see
-    charge_faces), before anything is counted or localized.
+    charge_faces), before anything is counted or localized.  Returns the
+    charts, the vectors and their weight tables, as localize takes them.
 
     The face budget is charged whether or not the check lays out faces: its
     bound, V 3^(n+1) / (n + 1) roughly, grows with n far faster than V
@@ -120,19 +121,20 @@ def _prelude(p, u, count):
     charts = enumerate_vertices(p)
     require_delzant(charts)
     vectors = [] if u is None else [_vector(p, u)]
-    if vectors:  # a given u is reported as the ints it is weighed at, and refused before a count
-        _chart_weights(p, vectors[0])
+    # a given u is reported as the ints it is weighed at, and refused before a count
+    tables = [chart_weights(p, v)[1] for v in vectors]
     while len(vectors) < count:
         vectors.append(choose_generic(charts, exclude=vectors))
+        tables.append(charts.weigh(vectors[-1])[0])  # just accepted: read unchecked
     charge_faces(len(charts), p.dim)
-    return vectors
+    return charts, vectors, tables
 
 
 def _localize_once(p, kind, u, terms):
     """The class of _genus_restriction at u, or at the first generic vector,
     after the prelude, and its (vertex, Fraction) terms if terms, else None."""
-    u, = _prelude(p, u, 1)
-    (value,), contributions = localize(p, (u,), *_genus_restriction(p, kind), terms=terms)
+    charts, _, tables = _prelude(p, u, 1)
+    (value,), contributions = localize(charts, tables, *_genus_restriction(p, kind), terms=terms)
     return value, contributions
 
 
@@ -165,9 +167,9 @@ def _localized_check(identity, p, u, kind, twist, independent):
     vectors; and the identity holds when extra does and both localized
     values equal rhs.
     """
-    u1, u2 = _prelude(p, u, 2)
+    charts, (u1, u2), tables = _prelude(p, u, 2)
     rhs, extra, breakdown = independent()
-    (lhs, lhs2), terms = localize(p, (u1, u2), *_genus_restriction(p, kind, twist), terms=True)
+    (lhs, lhs2), terms = localize(charts, tables, *_genus_restriction(p, kind, twist), terms=True)
     breakdown["lhs_at_second_vector"] = lhs2
     breakdown["per_vertex"] = per_vertex_breakdown(terms)
     return Report(identity, p.name, lhs, rhs, extra and lhs == rhs == lhs2,
@@ -215,7 +217,7 @@ def check_todd(p, u=None):
 def check_untwisted_signature(p, u=None):
     """Constant-twist genus term against the h-vector signature over 2^n."""
     def independent():
-        hv = h_vector(face_lattice(p))
+        hv = h_vector(enumerate_vertices(p))
         sigma = signature_from_h(hv)
         breakdown = {"h_vector": list(hv.h), "signature": sigma}
         if p.dim == 2:
@@ -245,20 +247,20 @@ def check_tetrahedron(p):
     return Report("tetrahedron", p.name, lhs, rhs, holds, breakdown, ())
 
 
-def _face_todd_sweep(p, u):
-    """The twisted Todd genus of every face F at u by facet mask, summed
-    over the vertices of F with the Euler products of the weights of its
-    edges, as the per-face oracle tests/oracles.localize_face sums it: the
-    faces through a vertex are the subsets S of its facet positions, each S
-    taken at all vertices at once and built from S less its lowest position
-    j (its power sums drop the w_j^k, its Euler products w_j, its masks gain
-    facet j), holding only the subsets on the way to S; each vertex's row is
-    added to its mask's integer numerators over den, the lcm of the full Euler
-    products; u pairs nonzero with every edge of P, so it is generic for all."""
+def _face_todd_sweep(p, charts, weights):
+    """The twisted Todd genus of every face F by facet mask, at the vector
+    of the weight table weights on P's charts, summed over the vertices of F
+    with the Euler products of the weights of its edges, as the per-face
+    oracle tests/oracles.localize_face sums it: the faces through a vertex
+    are the subsets S of its facet positions, each S taken at all vertices
+    at once and built from S less its lowest position j (its power sums drop
+    the w_j^k, its Euler products w_j, its masks gain facet j), holding only
+    the subsets on the way to S; each vertex's row is added to its mask's
+    integer numerators over den, the lcm of the full Euler products; the
+    vector pairs nonzero with every edge of P, so it is generic for all."""
     n = p.dim
     logs = [_log_rows("Todd", d) for d in range(n + 1)]
     degrees = [k for k, _ in logs[n][2]]  # those of dim F are the first ones
-    charts, weights = _chart_weights(p, u)
     columns, offset = list(zip(*weights)), p.offsets.__getitem__
     bits = [[1 << i for i in facets] for facets in zip(*(c.facet_set for c in charts))]
     drops = [_power_sums([column], degrees) for column in columns]
@@ -286,8 +288,8 @@ def check_face_todd(p):
     localized as a submanifold of the toric manifold of P at one generic
     vector for P (see _face_todd_sweep), each count closed over facet masks
     and read by FaceCounts.face_rows, so no face lattice is laid out."""
-    u, = _prelude(p, None, 1)
-    rows, todd = count_points(p).face_rows(), _face_todd_sweep(p, u)
+    charts, _, (weights,) = _prelude(p, None, 1)
+    rows, todd = count_points(p).face_rows(), _face_todd_sweep(p, charts, weights)
     faces = [(d, facets, todd[mask], closed) for d, facets, closed, _, mask in rows]
     by_face = {"dim%d/facets(%s)" % (d, ",".join(map(str, facets))):
                {"twisted_todd": lhs, "lattice_count": Fraction(rhs)}

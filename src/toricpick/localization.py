@@ -4,12 +4,12 @@ At the vertex p the facet class v_i restricts to <mu_{p,i}, u> when facet i
 passes through p and to 0 otherwise; the equivariant Euler class is the
 product of the n incident restrictions.  Restricting a class to each vertex
 as a series in one variable and summing restriction/Euler quotients gives
-the pairing with the fundamental class, independent of the generic vector u.
-Monomials, genus classes and Chern classes all integrate through that one
-sum, localize; no class is expanded in the m facet classes.  Gysin powers
-and the fixed point Chern route sum their own weights, independently; that
-route takes the elementary symmetric functions of the weights from their
-power sums by Newton's identities.
+the pairing with the fundamental class, independent of the generic vector u,
+so u is chosen and weighed once (chart_weights).  Monomials, genus classes
+and Chern classes all integrate through one sum of those weights, localize;
+no class is expanded in the m facet classes.  Gysin powers and the fixed
+point Chern route sum the weights apart from it, that route taking their
+elementary symmetric functions from power sums by Newton's identities.
 """
 
 from fractions import Fraction
@@ -78,10 +78,19 @@ def _vector(p, u):
     return u
 
 
-def _chart_weights(p, u):
+def _facet(p, facet):
+    """facet as an int, or a DimensionError naming a non-integer or an index out of range."""
+    facet, = integers((facet,), DimensionError, "facet index")
+    if not 0 <= facet < len(p.facets):
+        raise DimensionError("facet index %d out of range" % facet)
+    return facet
+
+
+def chart_weights(p, u):
     """P's chart table and its weight tuples <mu_{p,i_j}, u>, genericity
-    enforced; every read passes the Delzant gate and checks that u is n
-    integers before it looks u up, since 1.0 == 1 (see ChartTable.weigh)."""
+    enforced: the one read of a given u, which passes the Delzant gate and
+    checks that u is n integers before it looks u up, since 1.0 == 1 (see
+    ChartTable.weigh)."""
     charts = enumerate_vertices(p)
     require_delzant(charts)
     u = _vector(p, u)
@@ -90,11 +99,6 @@ def _chart_weights(p, u):
         raise GenericityError("u = %s pairs to zero with a weight at vertex %s; pick another "
                               "vector" % (u, zero.vertex))
     return charts, weights
-
-
-def assert_generic(p, u):
-    """Check a candidate vector against every weight; raise if any pairs to zero."""
-    _chart_weights(p, tuple(u))
 
 
 def _fixed_point_value(nums, den, scale):
@@ -108,25 +112,26 @@ def _fixed_point_value(nums, den, scale):
     return Fraction(nums[-1], den * scale)
 
 
-def localize(p, vectors, restrict, scale=1, terms=False):
+def localize(charts, tables, restrict, scale=1, terms=False):
     """Fixed point sums of a class given by its restrictions to the vertices,
-    at every generic vector of vectors in one pass.
+    at every generic vector in one pass, each given by its weight table.
 
-    The (vector, vertex) pairs run over the vertices of P at vectors[0],
-    then at vectors[1], and so on.  restrict(charts, weights) gets the chart
-    and the weight tuple w of every pair, the j-th incident facet class
-    restricting to w_j t and every other facet class to 0, and returns n + 1
-    integer columns c_0..c_n, one per degree with one entry per pair: the
-    coefficients of scale times the class as a series in t.  At each vector,
-    degree d sums c_d / (scale prod w) over the vertices under one lcm; the
-    degrees below n must vanish.  Returns the degree-n value at each
-    vector, in order, and, only if terms, the per-vertex contributions at
-    vectors[0], each summed over all degrees, as (vertex, Fraction) pairs;
+    tables holds one weight table per vector, read off the chart table charts
+    by chart_weights, or from the store for a vector choose_generic found;
+    nothing is checked again.  The (vector, vertex) pairs run over the charts
+    at tables[0], then tables[1], and so on.  restrict(charts, weights) gets
+    the chart and the weight tuple w of every pair, the j-th incident facet
+    class restricting to w_j t and every other facet class to 0, and returns
+    n + 1 integer columns c_0..c_n, one per degree with one entry per pair:
+    the coefficients of scale times the class as a series in t.  At each
+    vector, degree d sums c_d / (scale prod w) over the vertices under one
+    lcm; the degrees below n must vanish.  Returns the degree-n value at
+    each vector, in order, and, if terms, the per-vertex contributions at
+    tables[0], each summed over all degrees, as (vertex, Fraction) pairs;
     None otherwise, so a caller that reads only values divides once.
     """
-    charts = enumerate_vertices(p)
-    weights = [w for u in vectors for w in _chart_weights(p, tuple(u))[1]]
-    columns, eulers = restrict(charts * len(vectors), weights), list(map(prod, weights))
+    weights = [w for table in tables for w in table]
+    columns, eulers = restrict(charts * len(tables), weights), list(map(prod, weights))
     values, size = [], len(charts)
     for start in range(0, len(eulers), size):
         batch = eulers[start:start + size]
@@ -166,7 +171,8 @@ def integrate_monomial(p, exponents, u):
         zero = [0] * len(column)
         return [zero] * degree + [column] + [zero] * (p.dim - degree)
 
-    return localize(p, (u,), restrict)[0][0]
+    charts, weights = chart_weights(p, u)
+    return localize(charts, (weights,), restrict)[0][0]
 
 
 def _vertex_sum(charts, weights, numerator):
@@ -185,14 +191,13 @@ def gysin_power(p, facet, k, u):
     Sums <mu_{p,i}, u>^(n-1) over the product of the other incident weights,
     across the vertices on facet i; equals integrate_monomial at n*delta_i.
     """
-    n = p.dim
-    if k != n:
+    k, = integers((k,), DimensionError, "power")
+    if k != p.dim:
         raise DimensionError("the direct sum is stated for the top power k = n")
-    if not 0 <= facet < len(p.facets):
-        raise DimensionError("facet index %d out of range" % facet)
-    # w_i^(n-1) / prod_{j != i} w_j = w_i^n / prod w
-    return _vertex_sum(*_chart_weights(p, tuple(u)), lambda charts, weights: [
-        w[c.facet_set.index(facet)] ** n if facet in c.facet_set else 0
+    facet = _facet(p, facet)
+    # w_i^(n-1) / prod_{j != i} w_j = w_i^n / prod w, and k = n
+    return _vertex_sum(*chart_weights(p, u), lambda charts, weights: [
+        w[c.facet_set.index(facet)] ** k if facet in c.facet_set else 0
         for c, w in zip(charts, weights)])
 
 
@@ -205,8 +210,7 @@ def gysin_power_v3(p, facet, u):
     """
     if p.dim != 3:
         raise DimensionError("triple product form is specific to dimension 3")
-    if not 0 <= facet < len(p.facets):
-        raise DimensionError("facet index %d out of range" % facet)
+    facet = _facet(p, facet)
     uu = _vector(p, u)
     total = Fraction(0)
     for c in enumerate_vertices(p):
@@ -296,7 +300,7 @@ def chern_number(p, omega, u=None):
     omega = check_partition(omega, n)
     if u is None:
         u = choose_generic(enumerate_vertices(p))
-    charts, weights = _chart_weights(p, tuple(u))  # the budget's and route one's
+    charts, weights = chart_weights(p, u)  # the budget's and both routes'
     # route one takes n omega_1 products for the power sums and omega_1^2 for Newton's
     # identities at each vertex, on numbers of up to omega_1 b bits, b the largest weight's
     top = omega[0]
@@ -306,7 +310,7 @@ def chern_number(p, omega, u=None):
         raise BudgetError("Chern number may take about %d steps (%d vertices in dimension "
                           "%d), over the limit of %d" % (steps, len(charts), n, CHERN_BUDGET))
     route_fixed = _chern_fixed_point(omega, charts, weights)
-    (route_classes,), _ = localize(p, (u,), lambda _c, w: _chern_restriction(omega, w))
+    (route_classes,), _ = localize(charts, (weights,), lambda _c, w: _chern_restriction(omega, w))
     if route_fixed != route_classes:
         raise RouteDisagreementError(
             "fixed point route %s disagrees with class route %s for partition %s"

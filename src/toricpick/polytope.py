@@ -15,7 +15,7 @@ from operator import add, mul, sub
 
 from .errors import (BudgetError, DimensionError, InputError, NotSimpleError,
                      UnboundedError)
-from .exact import dot, integers, vector_gcd
+from .exact import dot, integers
 
 
 # most phase-one pivots the search for a first vertex may take, a guard
@@ -80,16 +80,15 @@ class HPolytope:
 
 
 def derived(fn):
-    """fn(p, *args) computed once per HPolytope object and kept on it, so it
-    lives exactly as long as p: equal polytopes built apart share nothing,
-    and as no result refers back to p, dropping p frees it and all it holds.
-    A call that raises stores nothing; __wrapped__ computes afresh."""
+    """fn(p) computed once per HPolytope object and kept on it, so it lives
+    exactly as long as p: equal polytopes built apart share nothing, and as
+    no result refers back to p, dropping p frees it and all it holds.  A
+    call that raises stores nothing; __wrapped__ computes afresh."""
     @wraps(fn)
-    def once(p, *args):
-        key = fn, args
-        if key not in p._derived:
-            p._derived[key] = fn(p, *args)
-        return p._derived[key]
+    def once(p):
+        if fn not in p._derived:
+            p._derived[fn] = fn(p)
+        return p._derived[fn]
     return once
 
 
@@ -322,7 +321,7 @@ def _first_vertex(p):
         h = next((i for i, rate in enumerate(row[k:]) if rate), None)
         if h is None:
             edge = row[:k] + [0] * (n - k)
-            g = vector_gcd(edge)
+            g = gcd(*edge)
             if next(c for c in edge if c) < 0:
                 g = -g
             raise UnboundedError("normals do not span; direction %s is unbounded"
@@ -417,7 +416,7 @@ def enumerate_vertices(p):
             if nbr not in charts:
                 queue.append((nbr, tableau, j, h))
     if ray:
-        g = vector_gcd(ray)
+        g = gcd(*ray)
         raise UnboundedError("recession cone contains direction %s"
                              % (tuple(c // g for c in ray),))
     return ChartTable(sorted(charts.values(), key=lambda c: c.vertex))
@@ -461,8 +460,7 @@ def charge_faces(vertices, n):
 
 
 def face_lattice(p):
-    """P's chart table, which is its face lattice (see ChartTable.faces); the
-    name stays for perfbench/replay.py and the h_vector callers."""
+    """P's chart table, its face lattice (ChartTable.faces), kept only for perfbench/replay.py."""
     return enumerate_vertices(p)
 
 
@@ -550,7 +548,7 @@ def induce_face_polytope(p, face):
         lam, a = p.facets[i]
         nu = tuple(dot(b, lam) for b in basis)
         off = a - dot(base, lam)
-        g = vector_gcd(nu)
+        g = gcd(*nu)
         if g == 0 or off % g:
             raise InputError("induced facet from %d is not integral" % i)
         new_facets.append((tuple(x // g for x in nu), off // g))

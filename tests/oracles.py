@@ -15,9 +15,9 @@ from toricpick import cli
 from toricpick.agw import DEGREE, NUM_ROOTS
 from toricpick.errors import (DimensionError, InputError, NotSimpleError,
                               ShapeError, ToricError)
-from toricpick.exact import det, dot, vector_gcd
+from toricpick.exact import det, dot
 from toricpick.invariants import _log_rows
-from toricpick.localization import (_chart_weights, _vertex_sum, check_partition, localize,
+from toricpick.localization import (_vertex_sum, chart_weights, check_partition, localize,
                                     partitions_of)
 from toricpick.polytope import (HPolytope, _swap, enumerate_vertices,
                                 face_lattice)
@@ -344,7 +344,7 @@ def induced_by_children(p, face):
         lam, a = p.facets[i]
         nu = tuple(dot(b, lam) for b in basis)
         off = a - dot(base, lam)
-        g = vector_gcd(nu)
+        g = gcd(*nu)
         if g == 0 or off % g:
             raise InputError("induced facet from %d is not integral" % i)
         new_facets.append((i, tuple(x // g for x in nu), off // g))
@@ -675,7 +675,7 @@ def localize_face(p, u, restrict, scale, face):
     a nonzero degree below dim F raises the program's chart-bug message.
     Returns the value and the per-vertex (vertex, Fraction) terms, as
     localize returns them at one vector."""
-    charts, weights = _chart_weights(p, tuple(u))
+    charts, weights = chart_weights(p, u)
     data = [(charts[v], weights[v]) for v in face.vertices]
     rows = [restrict(c, w) for c, w in data]
     eulers = [prod(x for i, x in zip(c.facet_set, w) if i not in face.facet_set)
@@ -691,6 +691,12 @@ def localize_face(p, u, restrict, scale, face):
                                                   for (c, _), row, euler in zip(data, rows, eulers))
 
 
+def weight_tables(p, vectors):
+    """(charts, tables) as localize takes them: p's chart table and the
+    weight table of each vector in vectors, each read by chart_weights."""
+    return enumerate_vertices(p), [chart_weights(p, u)[1] for u in vectors]
+
+
 def localize_rows(p, u, restrict, scale=1):
     """localize at the one vector u of a per-vertex restrict(chart, w), which
     gives the n + 1 coefficients at one vertex, lifted to the restriction
@@ -699,7 +705,7 @@ def localize_rows(p, u, restrict, scale=1):
     def columns(charts, weights):
         return [list(column) for column in zip(*map(restrict, charts, weights))]
 
-    (value,), contributions = localize(p, (u,), columns, scale, terms=True)
+    (value,), contributions = localize(*weight_tables(p, (u,)), columns, scale, terms=True)
     return value, contributions
 
 
@@ -924,7 +930,7 @@ def monomial_symmetric(lam, w):
 def fixed_point_sum(p, terms, u):
     """Sum over the vertices of sum_lam c_lam m_lam(w) / prod w for the
     (lam, c_lam) terms, through the program's vertex sum."""
-    return _vertex_sum(*_chart_weights(p, tuple(u)), lambda _charts, weights: [
+    return _vertex_sum(*chart_weights(p, u), lambda _charts, weights: [
         sum(c * monomial_symmetric(lam, w) for lam, c in terms) for w in weights])
 
 
@@ -964,7 +970,7 @@ def permutation_partition_sum(p, lam, u):
     lam = check_partition(lam, n)
     l = len(lam)
     num, den = 0, 1
-    for w in _chart_weights(p, u)[1]:
+    for w in chart_weights(p, u)[1]:
         vertex = 0
         for i1 in combinations(range(n), l):
             for sigma in permutations(range(l)):

@@ -23,6 +23,7 @@ runs from the repository root with
 
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -30,7 +31,7 @@ from families import shuffled
 from oracles import (cramer_points, integer_kernel_basis, lambda_matrix,
                      rank_checked_validate, subset_scan)
 from toricpick.errors import ToricError
-from toricpick.exact import dot, vector_gcd
+from toricpick.exact import dot
 from toricpick.polytope import HPolytope, face_lattice, validate
 
 # systems per seed: the tier-1 share and the full sweep
@@ -42,7 +43,7 @@ SHUFFLES = 3
 
 
 # the primitive normals with entries in [-2, 2], by dimension
-NORMALS = {n: [lam for lam in product(range(-2, 3), repeat=n) if vector_gcd(lam) == 1]
+NORMALS = {n: [lam for lam in product(range(-2, 3), repeat=n) if gcd(*lam) == 1]
            for n in (1, 2, 3)}
 
 

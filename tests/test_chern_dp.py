@@ -45,7 +45,7 @@ def newton_matches_the_monomial_route(p):
     pairs = 0
     for u in two_vectors(p):
         for omega in partitions_of(p.dim):
-            fixed = localization._chern_fixed_point(omega, *localization._chart_weights(p, u))
+            fixed = localization._chern_fixed_point(omega, *localization.chart_weights(p, u))
             assert fixed == monomial_chern_route(p, omega, u), (omega, u)
             pairs += 1
     return pairs
@@ -206,7 +206,7 @@ def test_fixed_point_route_shares_nothing_with_the_class_route(monkeypatch):
     monkeypatch.setattr(localization, "_chern_restriction", forbidden)
     monkeypatch.setattr(localization, "localize", forbidden)
     for omega, value in expected.items():
-        assert localization._chern_fixed_point(omega, *localization._chart_weights(p, u)) == value
+        assert localization._chern_fixed_point(omega, *localization.chart_weights(p, u)) == value
         for lam in partitions_of(p.dim):
             fixed_point_partition_sum(p, lam, u)
     for f, value in enumerate(powers):
@@ -226,8 +226,8 @@ def test_class_route_restricts_once_per_vertex(monkeypatch):
 
     monkeypatch.setattr(localization, "_chern_restriction", counted)
     monkeypatch.setattr(localization, "localize",
-                        lambda p, vectors, *args: localized.append(vectors) or
-                        localize(p, vectors, *args))
+                        lambda charts, tables, *args: localized.append(tables) or
+                        localize(charts, tables, *args))
     p = cube(5)
     chern_number(p, (2, 2, 1))
     vertices = len(enumerate_vertices(p))

@@ -22,10 +22,11 @@ from math import prod
 import pytest
 
 from families import delzant_family
-from oracles import chern_restriction, face_ids, genus_restriction, localize_face
+from oracles import (chern_restriction, face_ids, genus_restriction, localize_face,
+                     weight_tables)
 from toricpick.errors import ToricError
 from toricpick.invariants import _genus_restriction
-from toricpick.localization import (_chart_weights, _chern_fixed_point, _chern_restriction,
+from toricpick.localization import (_chern_fixed_point, _chern_restriction, chart_weights,
                                     choose_generic, localize, partitions_of)
 from toricpick.polytope import enumerate_vertices, face_lattice
 from toricpick.series import GENUS_KINDS
@@ -45,7 +46,7 @@ def assert_same_sums(p, restrict, scale, rows, vectors, top):
     of rows(chart, w) at each vector; returns the values."""
     expected = [localize_face(p, u, rows, scale, top) for u in vectors]
     for order in (vectors, vectors[::-1]):
-        values, terms = localize(p, order, restrict, scale, terms=True)
+        values, terms = localize(*weight_tables(p, order), restrict, scale, terms=True)
         at = expected if order == vectors else expected[::-1]
         assert values == tuple(value for value, _ in at), (p.name, order)
         assert terms == at[0][1], (p.name, order)
@@ -70,11 +71,11 @@ def columnar_matches_per_vertex(p):
     for omega in partitions_of(n):
         values = assert_same_sums(p, lambda _c, weights: _chern_restriction(omega, weights), 1,
                                   lambda _c, w: chern_restriction(omega, w), vectors, top)
-        assert [_chern_fixed_point(omega, *_chart_weights(p, u)) for u in vectors] == values, omega
+        assert [_chern_fixed_point(omega, *chart_weights(p, u)) for u in vectors] == values, omega
         compared += 4
 
     with pytest.raises(ToricError) as got:
-        localize(p, vectors,
+        localize(*weight_tables(p, vectors),
                  lambda _c, weights: [list(map(prod, weights))] + [[0] * len(weights)] * n)
     with pytest.raises(ToricError) as expected:
         localize_face(p, vectors[0], lambda _c, w: [prod(w)] + [0] * n, 1, top)

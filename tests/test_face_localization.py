@@ -23,12 +23,12 @@ import pytest
 import oracles
 from families import cube, delzant_family, get, simplex, times
 from oracles import (face_ids, face_todd_restriction, faces_of_dim, genus_restriction,
-                     localize_face, localize_rows)
+                     localize_face, localize_rows, weight_tables)
 from toricpick import invariants, lattice, localization, polytope
 from toricpick.errors import ToricError
 from toricpick.invariants import (_face_todd_sweep, check_face_todd,
                                   twisted_todd_breakdown)
-from toricpick.localization import assert_generic, choose_generic, localize
+from toricpick.localization import chart_weights, choose_generic, localize
 from toricpick.polytope import (enumerate_vertices, face_lattice,
                                 induce_face_polytope)
 
@@ -94,15 +94,15 @@ def test_only_p_is_walked_and_no_face_is_induced(monkeypatch):
     assert report.holds
     assert len(report.breakdown["faces"]) == len(face_lattice(p).faces) == 9 * 7
     assert walked and all(q is p for q in walked)
-    # once to choose the vector and once to weigh P's charts at it
-    assert checked == [walk(p)] * 2
+    # once to choose the vector; its weights are read from the store, ungated
+    assert checked == [walk(p)]
     assert chosen == [walk(p)]
 
 
 def swapped(p, u, face):
     """P's chart weights with, at each vertex of the face, the first weight
     of an edge in the face and the first of an edge off it swapped."""
-    charts, weights = localization._chart_weights(p, u)
+    charts, weights = localization.chart_weights(p, u)
     weights = list(weights)
     for v in face.vertices:
         c, w = charts[v], list(weights[v])
@@ -119,7 +119,7 @@ def test_a_mutated_face_weight_set_is_a_chart_bug(p, monkeypatch):
     # not (1, t, t^2, ...): at t = 2 one swap on an edge of simplex3_2 gives
     # weights 2 and -2, whose Euler sum is 0 by chance
     u = (7, 19, 53, 131)[:p.dim]
-    assert_generic(p, u)
+    chart_weights(p, u)
     proper = [f for f in face_lattice(p).faces if 0 < f.dim < p.dim]
     for face in proper:
         assert localize_face(p, u, *face_todd_restriction(p, face), face)[0] \
@@ -127,9 +127,9 @@ def test_a_mutated_face_weight_set_is_a_chart_bug(p, monkeypatch):
         bad = swapped(p, u, face)
         with monkeypatch.context() as m:
             for module in (localization, invariants, oracles):
-                m.setattr(module, "_chart_weights", lambda q, uu: bad)
+                m.setattr(module, "chart_weights", lambda q, uu: bad)
             for localized in (lambda: localize_face(p, u, *face_todd_restriction(p, face), face),
-                              lambda: _face_todd_sweep(p, u)):
+                              lambda: _face_todd_sweep(p, *bad)):
                 with pytest.raises(ToricError, match=r"^localization of the degree-\d part .* "
                                                      r"expected 0 \(chart bug\)$"):
                     localized()
@@ -143,8 +143,8 @@ def test_whole_polytope_and_vertices_as_faces():
     top = fl.faces[face_ids(fl)[()]]
     whole = localize_face(p, u, *face_todd_restriction(p, top), top)
     assert whole == localize_rows(p, u, *genus_restriction(p, "Todd"))
-    (value,), contributions = localize(p, (u,), *invariants._genus_restriction(p, "Todd"),
-                                       terms=True)
+    (value,), contributions = localize(*weight_tables(p, (u,)),
+                                       *invariants._genus_restriction(p, "Todd"), terms=True)
     assert whole == (value, contributions)
     for fid in faces_of_dim(fl, 0):
         vertex = fl.faces[fid]
@@ -160,7 +160,7 @@ def sweep_matches_each_face(p):
     charts = enumerate_vertices(p)
     u1 = choose_generic(charts)
     for u in (u1, choose_generic(charts, exclude=(u1,))):
-        swept = _face_todd_sweep(p, u)
+        swept = _face_todd_sweep(p, *chart_weights(p, u))
         assert sorted(swept) == sorted(f.mask for f in faces)
         for face in faces:
             assert swept[face.mask] == localize_face(p, u, *face_todd_restriction(p, face),

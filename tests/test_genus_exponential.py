@@ -23,11 +23,11 @@ import time
 import pytest
 
 from families import cube, delzant_family, get
-from oracles import face_todd_restriction, factor_product_restriction
+from oracles import face_todd_restriction, factor_product_restriction, weight_tables
 from toricpick import invariants
 from toricpick.errors import ToricError
 from toricpick.invariants import _genus_restriction, check_face_todd
-from toricpick.localization import _chart_weights, choose_generic, localize
+from toricpick.localization import chart_weights, choose_generic, localize
 from toricpick.polytope import enumerate_vertices, face_lattice
 from toricpick.series import GENUS_KINDS
 
@@ -67,12 +67,12 @@ def restrictions_agree(p):
     compared = 0
     faces = face_lattice(p).faces
     vectors = two_vectors(p)
-    both = [pair for u in vectors for pair in zip(*_chart_weights(p, u))]
+    both = [pair for u in vectors for pair in zip(*chart_weights(p, u))]
     for kind in GENUS_KINDS + (None,):
         for twist in (True, False):
             compared += assert_same_restriction(p, both, kind, twist)
     for u in vectors:
-        data = list(zip(*_chart_weights(p, u)))
+        data = list(zip(*chart_weights(p, u)))
         for f in faces:
             compared += assert_same_restriction(p, [data[v] for v in f.vertices], "Todd",
                                                 face=f)
@@ -96,7 +96,7 @@ def test_inexact_division_names_its_degree(monkeypatch):
                         lambda kind, n: (1, 2 ** 61 - 1, ((2, 1),)))
     with pytest.raises(ToricError, match="degree-2 coefficient of the genus restriction"
                                          " is .*, not an integer"):
-        localize(p, two_vectors(p), *_genus_restriction(p, "Todd", twist=False))
+        localize(*weight_tables(p, two_vectors(p)), *_genus_restriction(p, "Todd", twist=False))
 
 
 def test_face_todd_builds_log_rows_once_per_dimension():

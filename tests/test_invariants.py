@@ -233,11 +233,11 @@ def test_budgets_refuse_before_anything_is_localized(monkeypatch):
 
 
 def test_check_todd_gates_once_and_weighs_each_chart_once_per_vector(monkeypatch):
-    """On a fresh 8-cube the gate is asked five times (the prelude, each
-    generic-vector search and each of localize's two weight reads) and reads
-    the chart table's verdict, found when the walk made the table, by one
-    pass that reads every chart's det once; each chart is weighed once at
-    each of the two vectors, and localize reads the weights from the table."""
+    """On a fresh 8-cube the gate is asked three times (the prelude and each
+    generic-vector search) and reads the chart table's verdict, found when
+    the walk made the table, by one pass that reads every chart's det once;
+    each chart is weighed once at each of the two vectors, and localize sums
+    the weight tables the prelude read from the store."""
     dets, weighed, asked = Counter(), Counter(), []
 
     class Counted(VertexChart):
@@ -267,10 +267,37 @@ def test_check_todd_gates_once_and_weighs_each_chart_once_per_vector(monkeypatch
                             asked.append(q) or gate(q))
     report = check_todd(p)
     assert report.holds and report.lhs == 2 ** 8
-    assert len(asked) == 5 and all(q is charts for q in asked)
+    assert len(asked) == 3 and all(q is charts for q in asked)
     assert len(charts) == 2 ** 8 and dets == Counter(c.vertex for c in charts)
     assert weighed == Counter({c.vertex: 2 for c in charts})
     assert list(charts.weighed) == list(report.generic_vectors)
+
+
+def test_face_todd_sweeps_the_table_its_prelude_read(monkeypatch):
+    """check_face_todd's sweep reads no weights itself: with chart_weights
+    and the store out of reach it sums the table of the one vector the
+    prelude found, as the store holds it, and the prelude reads that table
+    from the store, not through chart_weights."""
+    handed, sweep = [], invariants._face_todd_sweep
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("weights read again")
+
+    def watched(q, charts, weights):
+        handed.append((charts, weights))
+        with monkeypatch.context() as m:
+            for module in (invariants, localization):
+                m.setattr(module, "chart_weights", forbidden)
+            m.setattr(polytope.ChartTable, "weigh", forbidden)
+            return sweep(q, charts, weights)
+
+    monkeypatch.setattr(invariants, "_face_todd_sweep", watched)
+    monkeypatch.setattr(invariants, "chart_weights", forbidden)
+    p = cube(3)
+    charts = enumerate_vertices(p)
+    assert check_face_todd(p).holds
+    (u,) = charts.weighed
+    assert len(handed) == 1 and handed[0][0] is charts and handed[0][1] is charts.weighed[u][0]
 
 
 def test_face_todd_reads_its_faces_before_it_counts(monkeypatch):

@@ -1,22 +1,25 @@
 """Fixed point sums: generic vectors, monomial integrals, Gysin powers,
 partition sums and Chern numbers."""
 
+import ast
+import inspect
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from families import CORPUS_NAMES, P112, corner_cut_polygon, get
-from oracles import exp_linear, fixed_point_partition_sum
-from toricpick import localization
+from oracles import exp_linear, fixed_point_partition_sum, weight_tables
+from toricpick import localization, polytope
 from toricpick.cli import load_polytope
 from toricpick.errors import (DimensionError, GenericityError, InputError,
                               RouteDisagreementError)
-from toricpick.invariants import check_pick, check_todd, volume_breakdown
-from toricpick.localization import (assert_generic, chern_number,
+from toricpick.invariants import _genus_restriction, check_pick, check_todd, volume_breakdown
+from toricpick.localization import (chart_weights, chern_number,
                                     check_partition, choose_generic,
                                     gysin_power, gysin_power_v3,
-                                    integrate_monomial, partitions_of)
+                                    integrate_monomial, localize, partitions_of)
 from toricpick.polytope import enumerate_vertices
 
 F = Fraction
@@ -74,13 +77,14 @@ def test_each_chart_is_weighed_once_per_vector():
     assert list(charts.weighed) == [(1, 2), (1, 3), (1, 5)]
 
 
-def test_assert_generic():
+def test_chart_weights():
     p = get("square1")
-    assert_generic(p, (1, 2))
+    charts, weights = chart_weights(p, (1, 2))
+    assert charts is enumerate_vertices(p) and weights is charts.weighed[(1, 2)][0]
     with pytest.raises(GenericityError):
-        assert_generic(p, (1, 0))
+        chart_weights(p, (1, 0))
     with pytest.raises(DimensionError):
-        assert_generic(p, (1, 2, 3))
+        chart_weights(p, (1, 2, 3))
     # on the 11-gon (1, 2) pairs to zero first at chart 4 of 11, and the
     # refusal names that vertex whichever read weighed (1, 2) first
     message = (r"^u = \(1, 2\) pairs to zero with a weight at vertex \(31, 9\); "
@@ -94,11 +98,11 @@ def test_assert_generic():
             assert choose_generic(charts) == (1, 3)
         for _ in range(2):
             with pytest.raises(GenericityError, match=message):
-                assert_generic(q, (1, 2))
+                chart_weights(q, (1, 2))
 
 
 def test_a_non_integer_generic_vector_is_named():
-    """Every route reads u through _chart_weights, which refuses a float or
+    """Every route reads u through chart_weights, which refuses a float or
     a Fraction entry by name instead of failing inside the sum, also where
     an equal integer vector was weighed before."""
     p = get("hirzebruch")
@@ -106,7 +110,7 @@ def test_a_non_integer_generic_vector_is_named():
     with pytest.raises(DimensionError, match=message):
         check_todd(p, u=(1.5, 7.25))
     with pytest.raises(DimensionError, match=message):
-        assert_generic(p, (1.5, 7.25))
+        chart_weights(p, (1.5, 7.25))
     with pytest.raises(DimensionError, match="generic vector entry Fraction\\(1, 2\\)"):
         gysin_power(p, 0, 2, (F(1, 2), 3))
     with pytest.raises(DimensionError, match="generic vector entry 2.0 is not an integer"):
@@ -229,6 +233,30 @@ def test_triple_product_route_agrees():
         gysin_power_v3(cube, 0, (1, 0, 1))
 
 
+def test_gysin_routes_name_a_facet_or_power_that_is_not_an_integer():
+    """Both routes read the facet index as integrate_monomial reads an
+    exponent, by operator.index, before the range check; gysin_power reads
+    its power the same way, before it compares it with n."""
+    p = get("simplex3_2")
+    u = choose_generic(enumerate_vertices(p))
+    for route in (lambda facet: gysin_power(p, facet, 3, u),
+                  lambda facet: gysin_power_v3(p, facet, u)):
+        for facet in (1.0, "1", None):
+            with pytest.raises(DimensionError, match="^facet index %s is not an integer$"
+                                                     % re.escape(repr(facet))):
+                route(facet)
+        for facet in (4, -1):
+            with pytest.raises(DimensionError, match="^facet index %d out of range$" % facet):
+                route(facet)
+        assert route(1) == 1
+    for power in (3.0, "3"):
+        with pytest.raises(DimensionError, match="^power %s is not an integer$"
+                                                 % re.escape(repr(power))):
+            gysin_power(p, 0, power, u)
+    with pytest.raises(DimensionError, match="^exponent 3.0 is not an integer$"):
+        integrate_monomial(p, (3.0, 0, 0, 0), u)
+
+
 def test_partitions_of():
     assert partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     assert len(partitions_of(6)) == 11
@@ -291,9 +319,58 @@ def test_chern_number_refuses_disagreeing_or_fractional_routes(monkeypatch):
         chern_number(p, (2,))
     # routes that agree on a fraction are reported, not rounded
     monkeypatch.setattr(localization, "_chern_fixed_point", lambda omega, charts, weights: F(7, 2))
-    monkeypatch.setattr(localization, "localize", lambda p, vectors, restrict: ((F(7, 2),), ()))
+    monkeypatch.setattr(localization, "localize", lambda charts, tables, restrict: ((F(7, 2),), ()))
     with pytest.raises(RouteDisagreementError, match="7/2 for partition .* is not an integer"):
         chern_number(p, (2,))
+
+
+def test_chern_number_reads_one_weight_table_for_both_routes(monkeypatch):
+    """chern_number reads its weights once, with chart_weights, at a given
+    or a found vector; the budget, route one and localize take that table."""
+    reads, handed = [], []
+    read, fixed, summed = (localization.chart_weights, localization._chern_fixed_point,
+                           localization.localize)
+    monkeypatch.setattr(localization, "chart_weights",
+                        lambda q, u: reads.append(u) or read(q, u))
+    monkeypatch.setattr(localization, "_chern_fixed_point", lambda omega, charts, weights:
+                        handed.append(weights) or fixed(omega, charts, weights))
+    monkeypatch.setattr(localization, "localize", lambda charts, tables, restrict:
+                        handed.extend(tables) or summed(charts, tables, restrict))
+    p = get("prism")
+    charts = enumerate_vertices(p)
+    for u in (None, two_vectors(p)[1]):
+        reads.clear()
+        handed.clear()
+        assert chern_number(p, (3,), u) == len(charts) == 6
+        assert len(reads) == 1 and len(handed) == 2
+        assert handed[0] is handed[1] is charts.weighed[reads[0]][0]
+
+
+def test_localize_sums_the_tables_it_is_given(monkeypatch):
+    """localize checks and reads nothing: its body calls none of the walk,
+    the gate, the vector check, chart_weights or the store, and with all of
+    them out of reach it sums the tables it is handed, in their order."""
+    calls = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+             for node in ast.walk(ast.parse(inspect.getsource(localize)))
+             if isinstance(node, ast.Call)}
+    assert not calls & {"enumerate_vertices", "require_delzant", "_vector", "chart_weights",
+                        "weigh"}, calls
+    p = get("prism")
+    vectors = two_vectors(p)
+    charts, tables = weight_tables(p, vectors)
+    restrict, scale = _genus_restriction(p, "Todd")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("localize read weights")
+
+    for name in ("enumerate_vertices", "require_delzant", "_vector", "chart_weights"):
+        monkeypatch.setattr(localization, name, forbidden)
+    monkeypatch.setattr(polytope.ChartTable, "weigh", forbidden)
+    values, terms = localize(charts, tables, restrict, scale, terms=True)
+    assert values == (6, 6)
+    swapped, second = localize(charts, tables[::-1], restrict, scale, terms=True)
+    assert swapped == values and second == localize(charts, tables[1:], restrict, scale,
+                                                    terms=True)[1] != terms
 
 
 def test_chern_rejects_wrong_partition_total():

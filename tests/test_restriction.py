@@ -16,7 +16,7 @@ import pytest
 from families import (CORPUS_NAMES, cube, cut_octagon, delzant_family, get, simplex,
                       simplex2_squared)
 from oracles import (MultiPoly, elementary_symmetric, exp_linear, integrate_terms,
-                     localize_rows, product_over_facets)
+                     localize_rows, product_over_facets, weight_tables)
 from toricpick.errors import ToricError
 from toricpick.invariants import (_genus_restriction, twisted_signature_breakdown,
                                   twisted_todd_breakdown, volume_breakdown)
@@ -59,11 +59,11 @@ def test_genus_restriction_matches_m_variable_class(p):
     for kind in GENUS_KINDS + (None,):
         for twist in (True, False) if kind is not None else (True,):
             cls = m_variable_class(p, kind, twist)
-            values, _ = localize(p, vectors, *_genus_restriction(p, kind, twist))
+            values, _ = localize(*weight_tables(p, vectors), *_genus_restriction(p, kind, twist))
             for i, u in enumerate(vectors):
                 expected = integrate_terms(p, cls, u)
-                (value,), terms = localize(p, (u,), *_genus_restriction(p, kind, twist),
-                                           terms=True)
+                (value,), terms = localize(*weight_tables(p, (u,)),
+                                           *_genus_restriction(p, kind, twist), terms=True)
                 assert (value, terms) == expected, (kind, twist, u)
                 assert values[i] == value, (kind, twist, u)
                 if (kind, twist) in PUBLIC:

@@ -39,7 +39,7 @@ from toricpick import exact, polytope
 from toricpick.cli import load_polytope
 from toricpick.cli import main as cli_main
 from toricpick.errors import BudgetError, InputError, UnboundedError
-from toricpick.exact import dot, vector_gcd
+from toricpick.exact import dot
 from toricpick.polytope import (VERTEX_SEARCH_BUDGET, WALK_BUDGET, HPolytope,
                                 enumerate_vertices)
 
@@ -375,7 +375,7 @@ def rank_deficient_normals(rng, n):
     for _ in range(rng.randint(1, n + 2)):
         coeffs = [rng.randint(-2, 2) for _ in range(r)]
         row = [sum(c * b[k] for c, b in zip(coeffs, base)) for k in range(n)]
-        g = vector_gcd(row)
+        g = gcd(*row)
         if g:
             normals.add(tuple(x // g for x in row))
     return sorted(normals)
@@ -391,7 +391,7 @@ def span_direction(n, normals):
         enumerate_vertices.__wrapped__(p)
     d = tuple(int(x) for x in str(err.value).split("(")[1].split(")")[0].split(","))
     basis = integer_kernel_basis(normals, n)
-    assert vector_gcd(d) == 1 and next(x for x in d if x) > 0, normals
+    assert gcd(*d) == 1 and next(x for x in d if x) > 0, normals
     assert all(dot(d, lam) == 0 for lam in normals), normals
     assert hermite_rows(list(basis) + [d]) == basis, normals
     if len(basis) == 1:
