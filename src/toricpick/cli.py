@@ -24,8 +24,8 @@ from .invariants import (check_face_todd, check_pick, check_tetrahedron,
                          per_vertex_breakdown, twisted_signature_breakdown,
                          twisted_todd_breakdown, volume_breakdown)
 from .lattice import count_points
-from .localization import (chart_weights, chern_number, choose_generic,
-                           gysin_power, gysin_power_v3, integrate_monomial)
+from .localization import (chern_number, choose_generic, gysin_power,
+                           gysin_power_v3, integrate_monomial)
 from .polytope import (HPolytope, enumerate_vertices, h_vector, signature_from_h,
                        validate, volume)
 
@@ -237,13 +237,11 @@ def render_corpus_table(data):
     return "\n".join(lines)
 
 
-def _parse_u(text, p):
+def _parse_u(text):
     try:
-        u = tuple(map(int, text.split(",")))
+        return tuple(map(int, text.split(",")))
     except ValueError:
         raise InputError("--u must be a comma separated integer vector, got %r" % text)
-    chart_weights(p, u)
-    return u
 
 
 def _parse_partition(text):
@@ -268,7 +266,7 @@ def cmd_verify(args):
         raise InputError("verify %s requires a polytope file" % args.kind)
     else:
         p = load_polytope(args.file)
-        report = check(p) if args.u is None else check(p, u=_parse_u(args.u, p))
+        report = check(p) if args.u is None else check(p, u=_parse_u(args.u))
     return (0 if report.holds else 1), report_to_dict(report), render_report_table
 
 
@@ -283,7 +281,7 @@ def cmd_compute(args):
         if kind != owner and getattr(args, option) is not absent:
             raise InputError("--%s does not apply to compute %s" % (option, kind))
     p = load_polytope(args.file)
-    u = _parse_u(args.u, p) if args.u is not None else None
+    u = _parse_u(args.u) if args.u is not None else None
     data = {"command": "compute", "kind": kind, "polytope": p.name or ""}
     if kind == "chern":
         omega = _parse_partition(args.partition)

@@ -13,7 +13,7 @@ from operator import add, floordiv, mod, mul, or_, sub
 
 from .errors import ShapeError, ToricError
 from .lattice import count_points, weighted_sum_closed, weighted_sum_relint
-from .localization import _fixed_point_value, _vector, chart_weights, choose_generic, localize
+from .localization import _fixed_point_value, chart_weights, localize
 from .polytope import (charge_faces, enumerate_vertices, h_vector, require_delzant,
                        signature_from_h, volume)
 from .series import genus_log, genus_series
@@ -107,25 +107,16 @@ def _genus_restriction(p, kind, twist=True):
 
 
 def _prelude(p, u, count):
-    """The first steps of every localized check, in this order: the Delzant
-    gate; count generic vectors, u first when given, each further one the
-    first candidate that excludes those before it; and the face budget (see
-    charge_faces), before anything is counted or localized.  Returns the
-    charts, the vectors and their weight tables, as localize takes them.
+    """The first steps of every localized check: chart_weights (the gate and
+    count generic vectors, u first when given), then the face budget (see
+    charge_faces), before anything is counted or localized.
 
     The face budget is charged whether or not the check lays out faces: its
     bound, V 3^(n+1) / (n + 1) roughly, grows with n far faster than V
     localizations in degree n, so it bounds them too, and todd, whose count
     reads no face lattice, is refused where pick and signature are.
     """
-    charts = enumerate_vertices(p)
-    require_delzant(charts)
-    vectors = [] if u is None else [_vector(p, u)]
-    # a given u is reported as the ints it is weighed at, and refused before a count
-    tables = [chart_weights(p, v)[1] for v in vectors]
-    while len(vectors) < count:
-        vectors.append(choose_generic(charts, exclude=vectors))
-        tables.append(charts.weigh(vectors[-1])[0])  # just accepted: read unchecked
+    charts, vectors, tables = chart_weights(p, u, count)
     charge_faces(len(charts), p.dim)
     return charts, vectors, tables
 

@@ -86,19 +86,29 @@ def _facet(p, facet):
     return facet
 
 
-def chart_weights(p, u):
-    """P's chart table and its weight tuples <mu_{p,i_j}, u>, genericity
-    enforced: the one read of a given u, which passes the Delzant gate and
-    checks that u is n integers before it looks u up, since 1.0 == 1 (see
-    ChartTable.weigh)."""
+def chart_weights(p, u=None, count=1):
+    """P's chart table, count generic vectors and their tables of weights
+    <mu_{p,i_j}, u>, as localize takes them: the one read of the generic
+    vectors.  In this order: the Delzant gate; u first when given, as the n
+    ints it is checked to be before it is looked up, since 1.0 == 1 (see
+    ChartTable.weigh), and refused if a weight is 0; then each further
+    vector the first candidate that excludes those before it, its table read
+    from the store unchecked, since choose_generic just accepted it."""
     charts = enumerate_vertices(p)
     require_delzant(charts)
-    u = _vector(p, u)
-    weights, zero = charts.weigh(u)
-    if zero is not None:
-        raise GenericityError("u = %s pairs to zero with a weight at vertex %s; pick another "
-                              "vector" % (u, zero.vertex))
-    return charts, weights
+    vectors, tables = [], []
+    if u is not None:
+        u = _vector(p, u)
+        weights, zero = charts.weigh(u)
+        if zero is not None:
+            raise GenericityError("u = %s pairs to zero with a weight at vertex %s; pick "
+                                  "another vector" % (u, zero.vertex))
+        vectors.append(u)
+        tables.append(weights)
+    while len(vectors) < count:
+        vectors.append(choose_generic(charts, exclude=vectors))
+        tables.append(charts.weigh(vectors[-1])[0])
+    return charts, vectors, tables
 
 
 def _fixed_point_value(nums, den, scale):
@@ -116,8 +126,7 @@ def localize(charts, tables, restrict, scale=1, terms=False):
     """Fixed point sums of a class given by its restrictions to the vertices,
     at every generic vector in one pass, each given by its weight table.
 
-    tables holds one weight table per vector, read off the chart table charts
-    by chart_weights, or from the store for a vector choose_generic found;
+    tables holds one weight table per vector, as chart_weights reads them;
     nothing is checked again.  The (vector, vertex) pairs run over the charts
     at tables[0], then tables[1], and so on.  restrict(charts, weights) gets
     the chart and the weight tuple w of every pair, the j-th incident facet
@@ -171,8 +180,8 @@ def integrate_monomial(p, exponents, u):
         zero = [0] * len(column)
         return [zero] * degree + [column] + [zero] * (p.dim - degree)
 
-    charts, weights = chart_weights(p, u)
-    return localize(charts, (weights,), restrict)[0][0]
+    charts, _, tables = chart_weights(p, u)
+    return localize(charts, tables, restrict)[0][0]
 
 
 def _vertex_sum(charts, weights, numerator):
@@ -195,8 +204,9 @@ def gysin_power(p, facet, k, u):
     if k != p.dim:
         raise DimensionError("the direct sum is stated for the top power k = n")
     facet = _facet(p, facet)
+    charts, _, (weights,) = chart_weights(p, u)
     # w_i^(n-1) / prod_{j != i} w_j = w_i^n / prod w, and k = n
-    return _vertex_sum(*chart_weights(p, u), lambda charts, weights: [
+    return _vertex_sum(charts, weights, lambda charts, weights: [
         w[c.facet_set.index(facet)] ** k if facet in c.facet_set else 0
         for c, w in zip(charts, weights)])
 
@@ -298,9 +308,7 @@ def chern_number(p, omega, u=None):
     """
     n = p.dim
     omega = check_partition(omega, n)
-    if u is None:
-        u = choose_generic(enumerate_vertices(p))
-    charts, weights = chart_weights(p, u)  # the budget's and both routes'
+    charts, _, (weights,) = chart_weights(p, u)  # the budget's and both routes'
     # route one takes n omega_1 products for the power sums and omega_1^2 for Newton's
     # identities at each vertex, on numbers of up to omega_1 b bits, b the largest weight's
     top = omega[0]

@@ -675,7 +675,7 @@ def localize_face(p, u, restrict, scale, face):
     a nonzero degree below dim F raises the program's chart-bug message.
     Returns the value and the per-vertex (vertex, Fraction) terms, as
     localize returns them at one vector."""
-    charts, weights = chart_weights(p, u)
+    charts, weights = weight_table(p, u)
     data = [(charts[v], weights[v]) for v in face.vertices]
     rows = [restrict(c, w) for c, w in data]
     eulers = [prod(x for i, x in zip(c.facet_set, w) if i not in face.facet_set)
@@ -691,10 +691,17 @@ def localize_face(p, u, restrict, scale, face):
                                                   for (c, _), row, euler in zip(data, rows, eulers))
 
 
+def weight_table(p, u):
+    """(charts, weights): p's chart table and the weight table of the one
+    vector u, read by chart_weights."""
+    charts, _, (weights,) = chart_weights(p, u)
+    return charts, weights
+
+
 def weight_tables(p, vectors):
     """(charts, tables) as localize takes them: p's chart table and the
     weight table of each vector in vectors, each read by chart_weights."""
-    return enumerate_vertices(p), [chart_weights(p, u)[1] for u in vectors]
+    return enumerate_vertices(p), [weight_table(p, u)[1] for u in vectors]
 
 
 def localize_rows(p, u, restrict, scale=1):
@@ -930,7 +937,7 @@ def monomial_symmetric(lam, w):
 def fixed_point_sum(p, terms, u):
     """Sum over the vertices of sum_lam c_lam m_lam(w) / prod w for the
     (lam, c_lam) terms, through the program's vertex sum."""
-    return _vertex_sum(*chart_weights(p, u), lambda _charts, weights: [
+    return _vertex_sum(*weight_table(p, u), lambda _charts, weights: [
         sum(c * monomial_symmetric(lam, w) for lam, c in terms) for w in weights])
 
 
@@ -970,7 +977,7 @@ def permutation_partition_sum(p, lam, u):
     lam = check_partition(lam, n)
     l = len(lam)
     num, den = 0, 1
-    for w in chart_weights(p, u)[1]:
+    for w in weight_table(p, u)[1]:
         vertex = 0
         for i1 in combinations(range(n), l):
             for sigma in permutations(range(l)):

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -543,6 +544,63 @@ def test_compute_twisted_genera(capsys, monkeypatch):
     assert code == 0 and data["value"] == "1"
     assert len(data["breakdown"]["per_vertex"]) == 4
     assert asked == [False, True]
+
+
+# the calls counted per command below: the Delzant gate, the check of a
+# given vector, the read of the generic vectors and the search for one
+COUNTED = ("require_delzant", "_vector", "chart_weights", "choose_generic")
+
+
+@pytest.mark.parametrize("argv,counts", [
+    (["verify", "todd", "hirzebruch"], (3, 0, 1, 2)),
+    (["verify", "todd", "hirzebruch", "--u", "1,3"], (2, 1, 1, 1)),
+    (["verify", "pick", "hirzebruch", "--u", "1,3"], (2, 1, 1, 1)),
+    (["verify", "signature", "hirzebruch", "--u", "1,3"], (2, 1, 1, 1)),
+    (["verify", "face-todd", "hirzebruch"], (2, 0, 1, 1)),
+    (["verify", "tetrahedron", "simplex3_1"], (1, 0, 0, 0)),
+    (["compute", "chern", "hirzebruch", "--partition", "2"], (2, 0, 1, 1)),
+    (["compute", "chern", "hirzebruch", "--partition", "2", "--u", "1,3"], (1, 1, 1, 0)),
+    (["compute", "volume", "hirzebruch", "--breakdown"], (2, 0, 1, 1)),
+    (["compute", "volume", "hirzebruch", "--breakdown", "--u", "1,3"], (1, 1, 1, 0)),
+    (["compute", "todd-twisted", "hirzebruch", "--u", "1,3"], (1, 1, 1, 0)),
+    (["compute", "gysin", "simplex3_1", "--facet", "1", "--power", "3"], (2, 1, 1, 1)),
+    (["compute", "gysin", "simplex3_1", "--facet", "1", "--power", "3", "--u", "1,3,7"],
+     (1, 1, 1, 0)),
+    (["compute", "count", "hirzebruch"], (0, 0, 0, 0)),
+], ids=lambda x: " ".join(x) if isinstance(x[0], str) else None)
+def test_each_command_reads_its_generic_vectors_once(argv, counts, capsys, monkeypatch):
+    """Each of COUNTED is wrapped wherever a module of the package binds it,
+    so a call is counted once whichever module makes it.  A given u is
+    checked and weighed once, by chart_weights, and a found one is not
+    checked at all; each generic-vector search passes the gate itself."""
+    calls = dict.fromkeys(COUNTED, 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("toricpick.")]:
+        for name in COUNTED:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert cli.main([*argv[:2], corpus_file(argv[2]), *argv[3:], "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)
+    assert tuple(calls.values()) == counts
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["chern", "--u", "1"], "compute chern requires --partition"),
+    (["chern", "--partition", "3", "--u", "1"], r"partition \(3,\) does not sum to 2"),
+    (["gysin", "--u", "1"], "compute gysin requires --facet and --power"),
+], ids=["chern", "chern-partition", "gysin"])
+def test_a_line_wrong_twice_names_its_other_error_first(argv, message, capsys):
+    """--u is only parsed on the command line and checked where the library
+    reads it, so a line with a short u that also lacks or misstates another
+    option reports that other error."""
+    assert cli.main(["compute", argv[0], corpus_file("hirzebruch"), *argv[1:]]) == 2
+    assert re.fullmatch("error: %s\n" % message, capsys.readouterr().err)
 
 
 def test_corpus_command(tmp_path, capsys):

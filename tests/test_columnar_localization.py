@@ -23,11 +23,11 @@ import pytest
 
 from families import delzant_family
 from oracles import (chern_restriction, face_ids, genus_restriction, localize_face,
-                     weight_tables)
+                     weight_table, weight_tables)
 from toricpick.errors import ToricError
 from toricpick.invariants import _genus_restriction
-from toricpick.localization import (_chern_fixed_point, _chern_restriction, chart_weights,
-                                    choose_generic, localize, partitions_of)
+from toricpick.localization import (_chern_fixed_point, _chern_restriction, choose_generic,
+                                    localize, partitions_of)
 from toricpick.polytope import enumerate_vertices, face_lattice
 from toricpick.series import GENUS_KINDS
 
@@ -71,7 +71,7 @@ def columnar_matches_per_vertex(p):
     for omega in partitions_of(n):
         values = assert_same_sums(p, lambda _c, weights: _chern_restriction(omega, weights), 1,
                                   lambda _c, w: chern_restriction(omega, w), vectors, top)
-        assert [_chern_fixed_point(omega, *chart_weights(p, u)) for u in vectors] == values, omega
+        assert [_chern_fixed_point(omega, *weight_table(p, u)) for u in vectors] == values, omega
         compared += 4
 
     with pytest.raises(ToricError) as got:

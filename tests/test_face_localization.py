@@ -23,7 +23,7 @@ import pytest
 import oracles
 from families import cube, delzant_family, get, simplex, times
 from oracles import (face_ids, face_todd_restriction, faces_of_dim, genus_restriction,
-                     localize_face, localize_rows, weight_tables)
+                     localize_face, localize_rows, weight_table, weight_tables)
 from toricpick import invariants, lattice, localization, polytope
 from toricpick.errors import ToricError
 from toricpick.invariants import (_face_todd_sweep, check_face_todd,
@@ -87,22 +87,23 @@ def test_only_p_is_walked_and_no_face_is_induced(monkeypatch):
     gate = localization.require_delzant
     monkeypatch.setattr(localization, "require_delzant",
                         lambda charts: checked.append(charts) or gate(charts))
-    choose = invariants.choose_generic
-    monkeypatch.setattr(invariants, "choose_generic",
+    choose = localization.choose_generic
+    monkeypatch.setattr(localization, "choose_generic",
                         lambda charts, **kw: chosen.append(charts) or choose(charts, **kw))
     report = check_face_todd(p)
     assert report.holds
     assert len(report.breakdown["faces"]) == len(face_lattice(p).faces) == 9 * 7
     assert walked and all(q is p for q in walked)
-    # once to choose the vector; its weights are read from the store, ungated
-    assert checked == [walk(p)]
+    # once by chart_weights and once to choose the vector; its weights are
+    # read from the store, ungated
+    assert checked == [walk(p)] * 2
     assert chosen == [walk(p)]
 
 
 def swapped(p, u, face):
     """P's chart weights with, at each vertex of the face, the first weight
     of an edge in the face and the first of an edge off it swapped."""
-    charts, weights = localization.chart_weights(p, u)
+    charts, weights = weight_table(p, u)
     weights = list(weights)
     for v in face.vertices:
         c, w = charts[v], list(weights[v])
@@ -127,7 +128,7 @@ def test_a_mutated_face_weight_set_is_a_chart_bug(p, monkeypatch):
         bad = swapped(p, u, face)
         with monkeypatch.context() as m:
             for module in (localization, invariants, oracles):
-                m.setattr(module, "chart_weights", lambda q, uu: bad)
+                m.setattr(module, "chart_weights", lambda q, uu: (bad[0], [uu], [bad[1]]))
             for localized in (lambda: localize_face(p, u, *face_todd_restriction(p, face), face),
                               lambda: _face_todd_sweep(p, *bad)):
                 with pytest.raises(ToricError, match=r"^localization of the degree-\d part .* "
@@ -160,7 +161,7 @@ def sweep_matches_each_face(p):
     charts = enumerate_vertices(p)
     u1 = choose_generic(charts)
     for u in (u1, choose_generic(charts, exclude=(u1,))):
-        swept = _face_todd_sweep(p, *chart_weights(p, u))
+        swept = _face_todd_sweep(p, *weight_table(p, u))
         assert sorted(swept) == sorted(f.mask for f in faces)
         for face in faces:
             assert swept[face.mask] == localize_face(p, u, *face_todd_restriction(p, face),

@@ -64,3 +64,30 @@ def test_the_independent_sides_never_reach_localization(module):
 def test_the_localized_modules_do_reach_the_independent_ones():
     # so the walk above follows real edges
     assert {"lattice", "polytope", "series", "localization"} <= reached("invariants")
+
+
+def calls_and_names(module):
+    """The names a module's source calls (a bare name or an attribute) and
+    the names it imports from other modules of the package."""
+    with open(os.path.join(SRC, module + ".py"), encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    called, imported = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+        elif isinstance(node, ast.ImportFrom) and (node.level
+                                                   or node.module.startswith("toricpick")):
+            imported.update(alias.name for alias in node.names)
+    return called, imported
+
+
+def test_only_localization_checks_and_weighs_generic_vectors():
+    """The generic vectors are read in one place, localization.chart_weights:
+    no other module calls the vector check _vector or the weight store's
+    weigh, and invariants imports neither _vector nor the search."""
+    modules = sorted(name[:-3] for name in os.listdir(SRC) if name.endswith(".py"))
+    readers = {m for m in modules if calls_and_names(m)[0] & {"_vector", "weigh"}}
+    assert readers == {"localization"}, readers
+    assert not calls_and_names("invariants")[1] & {"_vector", "choose_generic"}
+    assert "chart_weights" in calls_and_names("invariants")[1]

@@ -18,11 +18,12 @@ import pytest
 
 from families import (CORPUS_NAMES, corner_cut_polygon, cube, get, simplex,
                       simplex2_squared)
-from oracles import fixed_point_partition_sum, genus_restriction, localize_rows, weight_tables
+from oracles import (fixed_point_partition_sum, genus_restriction, localize_rows, weight_table,
+                     weight_tables)
 from toricpick import localization
 from toricpick.errors import ToricError
 from toricpick.invariants import _genus_restriction
-from toricpick.localization import (chart_weights, check_partition,
+from toricpick.localization import (check_partition,
                                     choose_generic, gysin_power,
                                     integrate_monomial, localize, partitions_of)
 from toricpick.polytope import enumerate_vertices
@@ -34,7 +35,7 @@ def oracle_localize(p, u, restrict):
     n = p.dim
     sums = [Fraction(0)] * (n + 1)
     contributions = []
-    for c, w in zip(*chart_weights(p, u)):
+    for c, w in zip(*weight_table(p, u)):
         coeffs = restrict(c, w)
         euler = prod(w)
         for d, cd in enumerate(coeffs):
@@ -54,7 +55,7 @@ def oracle_partition_sum(p, lam, u):
     lam = check_partition(lam, n)
     l = len(lam)
     total = Fraction(0)
-    for w in chart_weights(p, u)[1]:
+    for w in weight_table(p, u)[1]:
         for i1 in combinations(range(n), l):
             den = prod(w[j] for j in range(n) if j not in i1)
             for sigma in permutations(range(l)):
@@ -109,7 +110,7 @@ def test_sign_changing_euler_products():
     cases = [(get("square1"), (-1, 2)), (get("simplex3_1"), (-1, 2, 4)),
              (corner_cut_polygon(14, 300), (-1, 3))]
     for p, u in cases:
-        eulers = [prod(w) for w in chart_weights(p, u)[1]]
+        eulers = [prod(w) for w in weight_table(p, u)[1]]
         assert eulers[0] < 0 and max(eulers) > 0, (p.name, eulers)
         for kind in ("Todd", "SignatureHalf", None):
             got = localized(p, u, *_genus_restriction(p, kind))
@@ -161,7 +162,7 @@ def test_one_fraction_per_vertex_at_most(p, monkeypatch):
         fixed_point_partition_sum(p, lam, u)
         assert CountedFraction.made == 1, lam
         CountedFraction.made = 0
-        localization._chern_fixed_point(lam, *chart_weights(p, u))
+        localization._chern_fixed_point(lam, *weight_table(p, u))
         assert CountedFraction.made == 1, lam
     CountedFraction.made = 0
     gysin_power(p, 0, p.dim, u)

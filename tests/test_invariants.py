@@ -206,8 +206,9 @@ def test_budgets_refuse_before_anything_is_localized(monkeypatch):
             raise AssertionError("%s called" % name)
         return call
 
-    for name in ("require_delzant", "choose_generic", "charge_faces"):
-        monkeypatch.setattr(invariants, name, logged(name, getattr(invariants, name)))
+    for module, name in ((localization, "require_delzant"), (localization, "choose_generic"),
+                         (invariants, "charge_faces")):
+        monkeypatch.setattr(module, name, logged(name, getattr(module, name)))
     for name in ("localize", "_face_todd_sweep", "count_points"):
         monkeypatch.setattr(invariants, name, forbidden(name))
     p = simplex(16)
@@ -227,7 +228,9 @@ def test_budgets_refuse_before_anything_is_localized(monkeypatch):
             steps.clear()
             with pytest.raises(BudgetError, match="face order"):
                 check(p, *args)
-            picked = [("choose_generic", (args or (first,))[:k]) for k in range(len(args), vectors)]
+            # each search passes the gate itself
+            picked = [step for k in range(len(args), vectors) for step in
+                      (("choose_generic", (args or (first,))[:k]), ("require_delzant",))]
             assert steps == [("require_delzant",)] + picked + [("charge_faces",)], \
                 (check.__name__, args)
 
@@ -277,8 +280,8 @@ def test_face_todd_sweeps_the_table_its_prelude_read(monkeypatch):
     """check_face_todd's sweep reads no weights itself: with chart_weights
     and the store out of reach it sums the table of the one vector the
     prelude found, as the store holds it, and the prelude reads that table
-    from the store, not through chart_weights."""
-    handed, sweep = [], invariants._face_todd_sweep
+    by one chart_weights call."""
+    handed, reads, sweep, read = [], [], invariants._face_todd_sweep, invariants.chart_weights
 
     def forbidden(*args, **kwargs):
         raise AssertionError("weights read again")
@@ -292,12 +295,14 @@ def test_face_todd_sweeps_the_table_its_prelude_read(monkeypatch):
             return sweep(q, charts, weights)
 
     monkeypatch.setattr(invariants, "_face_todd_sweep", watched)
-    monkeypatch.setattr(invariants, "chart_weights", forbidden)
+    monkeypatch.setattr(invariants, "chart_weights",
+                        lambda *args: reads.append(args) or read(*args))
     p = cube(3)
     charts = enumerate_vertices(p)
     assert check_face_todd(p).holds
     (u,) = charts.weighed
     assert len(handed) == 1 and handed[0][0] is charts and handed[0][1] is charts.weighed[u][0]
+    assert reads == [(p, None, 1)]
 
 
 def test_face_todd_reads_its_faces_before_it_counts(monkeypatch):

@@ -79,8 +79,16 @@ def test_each_chart_is_weighed_once_per_vector():
 
 def test_chart_weights():
     p = get("square1")
-    charts, weights = chart_weights(p, (1, 2))
+    charts, vectors, (weights,) = chart_weights(p, (1, 2))
     assert charts is enumerate_vertices(p) and weights is charts.weighed[(1, 2)][0]
+    assert vectors == [(1, 2)]
+    # no u: the first count generic vectors, each table the one in the store
+    charts, vectors, tables = chart_weights(p, count=2)
+    assert vectors == [(1, 2), (1, 3)]
+    assert all(t is charts.weighed[v][0] for v, t in zip(vectors, tables))
+    # a given u comes first, as the ints it is weighed at; the rest exclude it
+    assert chart_weights(p, [1, 3], 3)[1] == [(1, 3), (1, 2), (1, 5)]
+    assert chart_weights(p, count=0)[1:] == ([], [])
     with pytest.raises(GenericityError):
         chart_weights(p, (1, 0))
     with pytest.raises(DimensionError):
@@ -99,6 +107,20 @@ def test_chart_weights():
         for _ in range(2):
             with pytest.raises(GenericityError, match=message):
                 chart_weights(q, (1, 2))
+
+
+def test_no_vector_means_the_first_generic_one():
+    """u = None reads the first generic vector, through chart_weights, in
+    every route that takes a u, as it does in chern_number: on a fresh
+    polytope the store then holds that vector alone."""
+    q = get("hirzebruch")
+    u = choose_generic(enumerate_vertices(q))
+    for route, value in ((lambda p, u: gysin_power(p, 1, 2, u), 1),
+                         (lambda p, u: integrate_monomial(p, (1, 1, 0, 0), u), 1),
+                         (lambda p, u: chern_number(p, (1, 1), u), 8)):
+        p = polytope.HPolytope(q.dim, q.facets)
+        assert route(p, None) == route(q, u) == value
+        assert list(enumerate_vertices(p).weighed) == [u] == [(1, 2)]
 
 
 def test_a_non_integer_generic_vector_is_named():
@@ -331,7 +353,7 @@ def test_chern_number_reads_one_weight_table_for_both_routes(monkeypatch):
     read, fixed, summed = (localization.chart_weights, localization._chern_fixed_point,
                            localization.localize)
     monkeypatch.setattr(localization, "chart_weights",
-                        lambda q, u: reads.append(u) or read(q, u))
+                        lambda q, u: reads.append(read(q, u)) or reads[-1])
     monkeypatch.setattr(localization, "_chern_fixed_point", lambda omega, charts, weights:
                         handed.append(weights) or fixed(omega, charts, weights))
     monkeypatch.setattr(localization, "localize", lambda charts, tables, restrict:
@@ -343,7 +365,7 @@ def test_chern_number_reads_one_weight_table_for_both_routes(monkeypatch):
         handed.clear()
         assert chern_number(p, (3,), u) == len(charts) == 6
         assert len(reads) == 1 and len(handed) == 2
-        assert handed[0] is handed[1] is charts.weighed[reads[0]][0]
+        assert handed[0] is handed[1] is charts.weighed[reads[0][1][0]][0]
 
 
 def test_localize_sums_the_tables_it_is_given(monkeypatch):

@@ -27,6 +27,7 @@ from toricpick.cli import main as cli_main
 from toricpick.errors import (BudgetError, DimensionError, InputError,
                               NotSimpleError, ToricError, UnboundedError)
 from toricpick.exact import det, dot
+from toricpick.invariants import check_todd, volume_breakdown
 from toricpick.lattice import count_points
 from toricpick.polytope import (HPolytope, HVector,
                                 enumerate_vertices, face_lattice, h_vector,
@@ -66,23 +67,37 @@ def test_constructor_rejects_bad_input():
 
 def test_library_constructors_refuse_non_integers():
     """Floats and Fractions are refused by name, never truncated: the 3 x 2
-    box below would otherwise count 12 points."""
+    box below would otherwise count 12 points.  A number where a sequence
+    of integers belongs is named in the same error class, not left to a
+    bare TypeError."""
     unit = [((1,), 0), ((-1,), -3)]
+    square = get("square1")
     cases = [
-        (InputError, "facet normal entry 1.9",
+        (InputError, "facet normal entry 1.9 is not an integer",
          lambda: HPolytope(2, [((1.9, 0), 0), ((0, 1), 0), ((-1, 0), -3.7), ((0, -1), -2)])),
-        (InputError, "facet offset -3.7",
+        (InputError, "facet offset -3.7 is not an integer",
          lambda: HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -3.7), ((0, -1), -2)])),
-        (InputError, r"facet offset Fraction\(1, 2\)",
+        (InputError, r"facet offset Fraction\(1, 2\) is not an integer",
          lambda: HPolytope(1, [((1,), F(1, 2)), ((-1,), -3)])),
-        (InputError, "polytope dimension 2.5", lambda: HPolytope(2.5, unit)),
-        (InputError, "h-vector entry 0.5", lambda: HVector((1, 0.5, 1))),
-        (DimensionError, "partition part 2.9", lambda: localization.check_partition((2.9,), 2)),
-        (DimensionError, "exponent 1.0",
+        (InputError, "polytope dimension 2.5 is not an integer", lambda: HPolytope(2.5, unit)),
+        (InputError, "h-vector entry 0.5 is not an integer", lambda: HVector((1, 0.5, 1))),
+        (DimensionError, "partition part 2.9 is not an integer",
+         lambda: localization.check_partition((2.9,), 2)),
+        (DimensionError, "exponent 1.0 is not an integer",
          lambda: localization.integrate_monomial(HPolytope(1, unit), (1.0, 0), (1,))),
+        (DimensionError, "expected a sequence of generic vector entry integers, got 5",
+         lambda: check_todd(square, u=5)),
+        (DimensionError, "expected a sequence of partition part integers, got 2",
+         lambda: localization.chern_number(square, 2)),
+        (DimensionError, "expected a sequence of exponent integers, got 3",
+         lambda: localization.integrate_monomial(square, 3, (1, 2))),
+        (DimensionError, "expected a sequence of generic vector entry integers, got 1",
+         lambda: volume_breakdown(square, 1)),
+        (InputError, "expected a sequence of facet normal entry integers, got 1",
+         lambda: HPolytope(2, [(1, 0)])),
     ]
-    for error, named, build in cases:
-        with pytest.raises(error, match=named + " is not an integer"):
+    for error, message, build in cases:
+        with pytest.raises(error, match="^%s$" % message):
             build()
 
 

@@ -7,7 +7,11 @@ the signature from the h-vector and both twisted genera multiply, the
 h-polynomials multiply, and the total Chern class splits,
 c_k(P x Q) = sum_{a + b = k} c_a(P) c_b(Q): c_omega[P x Q] is the sum over
 the splittings omega_k = i_k + j_k with sum i = dim P of
-c_{sort(i)}[P] c_{sort(j)}[Q], parts 0 dropped.  Each side is computed by
+c_{sort(i)}[P] c_{sort(j)}[Q], parts 0 dropped.  The faces of P x Q are the
+products F x G of faces, so each face row of P x Q is the product of a row
+of P and a row of Q: the dims add, the facet mask is the union of F's mask
+and G's shifted by the m_P facets of P, and the closed and relint lattice
+counts and the face's twisted Todd genus multiply.  Each side is computed by
 the program on its own polytope, so a law reads no weight of P x Q off P
 or Q: a third check on values whose routes share one weight table (the
 two Chern routes, the localized sides at one vector).
@@ -27,8 +31,9 @@ from itertools import product
 import pytest
 
 from families import delzant_family, times
-from toricpick.invariants import (check_pick, check_todd, check_untwisted_signature,
-                                  twisted_signature_breakdown, twisted_todd_breakdown)
+from toricpick.invariants import (check_face_todd, check_pick, check_todd,
+                                  check_untwisted_signature, twisted_signature_breakdown,
+                                  twisted_todd_breakdown)
 from toricpick.lattice import count_points
 from toricpick.localization import chern_number, partitions_of
 from toricpick.polytope import enumerate_vertices, h_vector, signature_from_h, volume
@@ -50,12 +55,24 @@ MULTIPLICATIVE = {
 }
 
 
+def face_table(p):
+    """Each face of p by facet mask: (dim, facets, closed count, relint
+    count, twisted Todd genus), the counts from the face rows of p's lattice
+    count and the genus from check_face_todd's per-face breakdown."""
+    todd = check_face_todd(p).breakdown["faces"]
+    return {mask: (d, facets, closed, relint,
+                   todd["dim%d/facets(%s)" % (d, ",".join(map(str, facets)))]["twisted_todd"])
+            for d, facets, closed, relint, mask in count_points(p).face_rows()}
+
+
 def values(p):
     """Every value the laws read off p: the multiplicative ones by name, the
-    h-vector as "h", and the Chern number of each partition of dim p."""
+    h-vector as "h", the Chern number of each partition of dim p, and the
+    face table as "faces"."""
     out = {name: value(p) for name, value in MULTIPLICATIVE.items()}
     out["h"] = h_vector(enumerate_vertices(p)).h
     out["chern"] = {omega: chern_number(p, omega) for omega in partitions_of(p.dim)}
+    out["faces"] = face_table(p)
     return out
 
 
@@ -105,10 +122,49 @@ def law_failures(a, b, factors=factor_values):
     return [law for law in laws if law[1] != law[2]], len(laws)
 
 
+def face_row_failures(a, b, factors=factor_values):
+    """(mask, expected, got) for each face of a x b whose row is not the
+    product of a row of a and a row of b, read by factors(name), or that
+    only one side has; and the number of product rows compared."""
+    shift = len(MEMBERS[a].facets)
+    expected = {mp | mq << shift: (dp + dq, fp + tuple(j + shift for j in fq), cp * cq, rp * rq,
+                                   tp * tq)
+                for mp, (dp, fp, cp, rp, tp) in factors(a)["faces"].items()
+                for mq, (dq, fq, cq, rq, tq) in factors(b)["faces"].items()}
+    got = product_values(a, b)["faces"]
+    return [(mask, expected.get(mask), got.get(mask)) for mask in sorted(expected.keys() | got)
+            if expected.get(mask) != got.get(mask)], len(expected)
+
+
 @pytest.mark.parametrize("a,b", SLICE, ids=["%s x %s" % pair for pair in SLICE])
 def test_product_laws(a, b):
     failures, compared = law_failures(a, b)
     assert not failures and compared == 9 + len(partitions_of(MEMBERS[a].dim + MEMBERS[b].dim))
+
+
+@pytest.mark.parametrize("a,b", SLICE, ids=["%s x %s" % pair for pair in SLICE])
+def test_face_rows_are_products(a, b):
+    failures, compared = face_row_failures(a, b)
+    assert not failures and compared == len(product_values(a, b)["faces"])
+
+
+def test_one_more_interior_point_breaks_the_face_row_law():
+    """Negative control: one more interior point of every factor, (r_P + 1)
+    (r_Q + 1) != r_P r_Q, breaks the law at P x Q itself on every pair of
+    the slice, and nowhere off the faces F x Q and P x G."""
+    def perturbed(name):
+        out = factor_values(name)
+        faces = dict(out["faces"])
+        d, facets, closed, relint, todd = faces[0]
+        faces[0] = (d, facets, closed, relint + 1, todd)
+        return dict(out, faces=faces)
+
+    for a, b in SLICE:
+        failures, _ = face_row_failures(a, b, perturbed)
+        masks = {mask for mask, _, _ in failures}
+        shift = len(MEMBERS[a].facets)
+        assert 0 in masks and all(not mask >> shift or not mask & ((1 << shift) - 1)
+                                  for mask in masks), (a, b)
 
 
 def test_the_members_and_pairs():
@@ -136,17 +192,22 @@ def test_a_wrong_c1_squared_on_surfaces_fails():
 
 
 def main():
-    start, compared, failed = time.perf_counter(), 0, []
+    start, compared, failed, rows, bad_rows = time.perf_counter(), 0, [], 0, []
     for a, b in PAIRS:
         failures, count = law_failures(a, b)
         compared += count
         failed += [(a, b) + law for law in failures]
+        failures, count = face_row_failures(a, b)
+        rows += count
+        bad_rows += [(a, b) + row for row in failures]
     for row in failed:
         print("FAIL %s x %s: %s expected %s, got %s" % row)
-    print("ring laws: %d of %d values agree on %d pairs of %d members, %.1f s"
-          % (compared - len(failed), compared, len(PAIRS), len(MEMBERS),
-             time.perf_counter() - start))
-    return 1 if failed else 0
+    for row in bad_rows:
+        print("FAIL %s x %s: face row of mask %d expected %s, got %s" % row)
+    print("ring laws: %d of %d values and %d of %d face rows agree on %d pairs of %d members, "
+          "%.1f s" % (compared - len(failed), compared, rows - len(bad_rows), rows, len(PAIRS),
+                      len(MEMBERS), time.perf_counter() - start))
+    return 1 if failed or bad_rows else 0
 
 
 if __name__ == "__main__":
