@@ -12,17 +12,19 @@ from .errors import DimensionError
 
 
 def integers(values, error, what):
-    """values as a tuple of ints by operator.index, which refuses floats and
-    Fractions, whole or not: the first it refuses is named in an error, as is
-    values itself when it is not a sequence."""
+    """values as a tuple of ints, the library's one integer test: what
+    operator.index refuses (floats and Fractions, whole or not) and bools,
+    which it takes as 0 and 1, are refused, the first of them named in an
+    error, as is values itself when it is not a sequence."""
     try:
         values = tuple(values)
-        return tuple(map(index, values))
+        if bool not in map(type, values):
+            return tuple(map(index, values))
     except TypeError:
         if not isinstance(values, tuple):
             raise error("expected a sequence of %s integers, got %r" % (what, values)) from None
-        bad = next(x for x in values if not hasattr(type(x), "__index__"))
-        raise error("%s %r is not an integer" % (what, bad)) from None
+    bad = next(x for x in values if type(x) is bool or not hasattr(type(x), "__index__"))
+    raise error("%s %r is not an integer" % (what, bad))
 
 
 def dot(u, v):

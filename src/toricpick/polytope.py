@@ -35,7 +35,8 @@ FACE_BUDGET = 6 * 10 ** 6
 
 
 class HPolytope:
-    """Lattice polytope {x : <x, lam_i> >= a_i} with primitive inward normals."""
+    """Lattice polytope {x : <x, lam_i> >= a_i} with primitive inward normals,
+    whose integers are checked here alone, a refused one named by its facet."""
 
     def __init__(self, dim, facets, name=None):
         dim, = integers((dim,), InputError, "polytope dimension")
@@ -43,9 +44,12 @@ class HPolytope:
             raise InputError("polytope dimension must be at least 1")
         cleaned = []
         seen = set()
-        for normal, offset in facets:
-            normal = integers(normal, InputError, "facet normal entry")
-            offset, = integers((offset,), InputError, "facet offset")
+        for pos, (normal, offset) in enumerate(facets):
+            try:
+                normal = integers(normal, InputError, "normal entry")
+                offset, = integers((offset,), InputError, "offset")
+            except InputError as e:  # the position is formatted only when refused
+                raise InputError("facet %d %s" % (pos, e)) from None
             if len(normal) != dim:
                 raise InputError("normal %s has length %d, expected %d"
                                  % (normal, len(normal), dim))

@@ -94,22 +94,23 @@ def test_load_rejects_malformed_files(tmp_path):
         cli.load_polytope(str(tmp_path / "missing.json"))
 
 
-# the stderr of `compute count FILE` (exit 2) on each malformed file, as the
-# reader before the one-pass type test printed it; the other three facets
-# complete a unit square, so only the first one is at fault
+# the stderr of `compute count FILE` (exit 2) on each malformed file; the
+# other three facets complete a unit square, so only the first one is at
+# fault.  An entry that is not an integer is named by HPolytope behind the
+# file name, in the words a library caller gets (test_polytope.BOOL_GATES)
 SQUARE_REST = ('{"normal": [0, 1], "offset": 0}, {"normal": [-1, 0], "offset": -1}, '
                '{"normal": [0, -1], "offset": -1}')
 MALFORMED = {
     "bool entry": ('{"normal": [true, 0], "offset": 0}',
-                   "facet 0 normal entry must be an integer, got True"),
+                   "facet 0 normal entry True is not an integer"),
     "float entry": ('{"normal": [1.0, 0], "offset": 0}',
-                    "facet 0 normal entry must be an integer, got 1.0"),
+                    "facet 0 normal entry 1.0 is not an integer"),
     "string entry": ('{"normal": ["1", 0], "offset": 0}',
-                     "facet 0 normal entry must be an integer, got '1'"),
+                     "facet 0 normal entry '1' is not an integer"),
     "null entry": ('{"normal": [1, null], "offset": 0}',
-                   "facet 0 normal entry must be an integer, got None"),
+                   "facet 0 normal entry None is not an integer"),
     "bool offset": ('{"normal": [1, 0], "offset": false}',
-                    "facet 0 offset must be an integer, got False"),
+                    "facet 0 offset False is not an integer"),
     "scalar normal": ('{"normal": 5, "offset": 0}', "facet 0 normal must be a list"),
     "dict normal": ('{"normal": {"x": 1}, "offset": 0}', "facet 0 normal must be a list"),
     "third key": ('{"normal": [1, 0], "offset": 0, "label": "a"}',
@@ -126,7 +127,7 @@ MALFORMED = {
 }
 WHOLE_FILE = {
     "string dim": ('{"dim": "2", "facets": [{"normal": [1, 0], "offset": 0}]}',
-                   "dim must be an integer, got '2'"),
+                   "polytope dimension '2' is not an integer"),
     "deep nesting": ("[" * 10 ** 5 + "]" * 10 ** 5,
                      "invalid JSON: maximum recursion depth exceeded while decoding "
                      "a JSON array from a unicode string"),
@@ -416,6 +417,39 @@ def test_compute_refuses_options_its_kind_never_reads(argv, option, capsys):
 def test_verify_face_todd_takes_no_u(capsys):
     assert cli.main(["verify", "face-todd", corpus_file("square1"), "--u", "1,2"]) == 2
     assert capsys.readouterr().err == "error: --u does not apply to verify face-todd\n"
+
+
+@pytest.mark.parametrize("argv,option,text", [
+    (["verify", "todd", "hirzebruch", "--u", "1,a"], "u", "1,a"),
+    (["compute", "volume", "hirzebruch", "--breakdown", "--u", "1.5,2"], "u", "1.5,2"),
+    (["compute", "chern", "hirzebruch", "--partition", "1,,1"], "partition", "1,,1"),
+], ids=["verify-u", "compute-u", "partition"])
+def test_option_integers_are_parsed_by_one_reader(argv, option, text, capsys):
+    """--u and --partition are read by one parser of comma separated integers,
+    which names the option and its text; what the integers must be is the
+    library's to say."""
+    argv[2] = corpus_file(argv[2])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: --%s must be comma separated integers, got %r\n" % (option, text))
+
+
+def test_exact_values_print_past_the_digit_limit_that_parsing_keeps(tmp_path, capsys):
+    """The volume of x, y >= 0, x + y <= 10^2200 has 4400 digits, past the
+    interpreter's default limit of 4300 on int to str: main prints it whole,
+    yet --u, like the file, is still parsed under the limit (quadratic time
+    past it), and the limit main found is the one it leaves."""
+    k = 10 ** 2200
+    path = write(tmp_path, "long.json", dump_polytope(
+        HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -k)])))
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    assert cli.main(["compute", "volume", path, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "5" + "0" * 4399
+    if limit:  # none on Python 3.10.0-3.10.6, nor under PYTHONINTMAXSTRDIGITS=0
+        assert cli.main(["verify", "todd", path, "--u", "1," + "9" * 4301]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --u must be comma separated integers, got '1,999")
+    assert getattr(sys, "get_int_max_str_digits", int)() == limit
 
 
 def test_compute_chern(capsys):

@@ -116,6 +116,35 @@ ROWS = {
         "about 103680000 steps (81 vertices in dimension 80), over the limit of 100000000", 2,
         40, True),
 }
+
+
+def decimal(x):
+    """str(x) for an int x >= 0 of any length, in chunks of 4000 digits, under
+    the interpreter's limit on int to str (4300 digits by default)."""
+    head, tail = divmod(x, 10 ** 4000)
+    return decimal(head) + "%04000d" % tail if head else str(tail)
+
+
+# the triangle x, y >= 0, x + y <= K: its 2201-digit offset parses under the
+# limit, and the exact results print past it, in both formats: the count
+# (K + 1)(K + 2) / 2, the todd side, the volume K^2 / 2 and pick's (2 K^2 + 1) / 4.
+# The rows guard only under a limit (not PYTHONINTMAXSTRDIGITS=0), as the
+# children inherit this process's environment
+K = 10 ** 2200
+COUNT, HALF_SQUARE = decimal((K + 1) * (K + 2) // 2), decimal(K * K // 2)
+for command, key, value in (
+        (["verify", "todd", "FILE"], "lhs", '"%s"' % COUNT),
+        (["verify", "pick", "FILE"], "lhs", '"%s/4"' % decimal(2 * K * K + 1)),
+        (["compute", "count", "FILE", "--faces"], "value", COUNT),
+        (["compute", "volume", "FILE"], "value", '"%s"' % HALF_SQUARE),
+        (["compute", "volume", "FILE", "--breakdown"], "value", '"%s"' % HALF_SQUARE),
+        (["compute", "todd-twisted", "FILE"], "value", '"%s"' % COUNT)):
+    for fmt in ("json", "table"):
+        fragment = ('"%s": %s' % (key, value) if fmt == "json"
+                    else "%-10s %s" % (key, value.strip('"')))
+        ROWS["output past 4300 digits, %s, %s" % (" ".join(command).replace(" FILE", ""), fmt)] = (
+            polytope_file(lambda: HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), -K)])),
+            command + ["--format", fmt], 0, fragment, 2, 40, True)
 FAST = sorted(name for name, row in ROWS.items() if row[6])
 
 
@@ -157,8 +186,9 @@ def test_hostile_input(name, tmp_path):
 
 
 if __name__ == "__main__":
+    width = max(map(len, ROWS))
     with tempfile.TemporaryDirectory() as workdir:
         for name in ROWS:
             wall, rss = check_row(name, workdir)
-            print("%-42s exit %d  %6.2f s  %6.1f MB" % (name, ROWS[name][2], wall, rss))
+            print("%-*s exit %d  %6.2f s  %6.1f MB" % (width, name, ROWS[name][2], wall, rss))
     print("%d hostile inputs end as expected" % len(ROWS))

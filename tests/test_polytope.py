@@ -73,11 +73,11 @@ def test_library_constructors_refuse_non_integers():
     unit = [((1,), 0), ((-1,), -3)]
     square = get("square1")
     cases = [
-        (InputError, "facet normal entry 1.9 is not an integer",
+        (InputError, "facet 0 normal entry 1.9 is not an integer",
          lambda: HPolytope(2, [((1.9, 0), 0), ((0, 1), 0), ((-1, 0), -3.7), ((0, -1), -2)])),
-        (InputError, "facet offset -3.7 is not an integer",
+        (InputError, "facet 2 offset -3.7 is not an integer",
          lambda: HPolytope(2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), -3.7), ((0, -1), -2)])),
-        (InputError, r"facet offset Fraction\(1, 2\) is not an integer",
+        (InputError, r"facet 0 offset Fraction\(1, 2\) is not an integer",
          lambda: HPolytope(1, [((1,), F(1, 2)), ((-1,), -3)])),
         (InputError, "polytope dimension 2.5 is not an integer", lambda: HPolytope(2.5, unit)),
         (InputError, "h-vector entry 0.5 is not an integer", lambda: HVector((1, 0.5, 1))),
@@ -93,12 +93,44 @@ def test_library_constructors_refuse_non_integers():
          lambda: localization.integrate_monomial(square, 3, (1, 2))),
         (DimensionError, "expected a sequence of generic vector entry integers, got 1",
          lambda: volume_breakdown(square, 1)),
-        (InputError, "expected a sequence of facet normal entry integers, got 1",
+        (InputError, "facet 0 expected a sequence of normal entry integers, got 1",
          lambda: HPolytope(2, [(1, 0)])),
     ]
     for error, message, build in cases:
         with pytest.raises(error, match="^%s$" % message):
             build()
+
+
+# gate: (error class, the name of the value, a call that reads the value b),
+# one for each reader of integers in the library
+BOOL_GATES = {
+    "dim": (InputError, "polytope dimension", lambda b: HPolytope(b, [((1,), 0), ((-1,), -3)])),
+    "normal": (InputError, "facet 0 normal entry",
+               lambda b: HPolytope(1, [((b,), 0), ((-1,), -3)])),
+    "offset": (InputError, "facet 1 offset", lambda b: HPolytope(1, [((1,), 0), ((-1,), b)])),
+    "generic vector": (DimensionError, "generic vector entry",
+                       lambda b: check_todd(get("triangle1"), u=(b, 2))),
+    "partition": (DimensionError, "partition part",
+                  lambda b: localization.check_partition((b,), 1)),
+    "exponent": (DimensionError, "exponent", lambda b: localization.integrate_monomial(
+        HPolytope(1, [((1,), 0), ((-1,), -3)]), (b, 0), (1,))),
+    "gysin facet": (DimensionError, "facet index",
+                    lambda b: localization.gysin_power(get("simplex3_2"), b, 3, (1, 2, 4))),
+    "gysin power": (DimensionError, "power",
+                    lambda b: localization.gysin_power(get("simplex3_2"), 0, b, (1, 2, 4))),
+    "h-vector": (InputError, "h-vector entry", lambda b: HVector((1, b, 1))),
+}
+
+
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize("gate", sorted(BOOL_GATES))
+def test_every_integer_gate_refuses_a_bool_by_name(gate, flag):
+    """operator.index reads True as 1 and False as 0; exact.integers, the
+    one gate, refuses both and names them, wherever the library reads an
+    integer, before the value is used: True is not facet 1 nor power 1."""
+    error, what, build = BOOL_GATES[gate]
+    with pytest.raises(error, match="^%s %r is not an integer$" % (what, flag)):
+        build(flag)
 
 
 def test_square_vertex_charts():
