@@ -20,6 +20,5 @@ from .polytope import (Face, HPolytope, HVector, VertexChart,
                        enumerate_vertices, face_lattice, h_vector,
                        induce_face_polytope, require_delzant,
                        signature_from_h, validate, volume)
-from .series import genus_series
 
 __version__ = "0.1.0"

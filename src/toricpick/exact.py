@@ -23,7 +23,13 @@ def integers(values, error, what):
     except TypeError:
         if not isinstance(values, tuple):
             raise error("expected a sequence of %s integers, got %r" % (what, values)) from None
-    bad = next(x for x in values if type(x) is bool or not hasattr(type(x), "__index__"))
+    for bad in values:  # the first bool, or the first value operator.index refuses
+        try:
+            if type(bad) is bool:
+                break
+            index(bad)
+        except TypeError:
+            break
     raise error("%s %r is not an integer" % (what, bad))
 
 

@@ -16,7 +16,7 @@ from .lattice import count_points, weighted_sum_closed, weighted_sum_relint
 from .localization import _fixed_point_value, chart_weights, localize
 from .polytope import (charge_faces, enumerate_vertices, h_vector, require_delzant,
                        signature_from_h, volume)
-from .series import genus_log, genus_series
+from .series import genus_log
 
 
 class Report:
@@ -38,15 +38,12 @@ class Report:
 
 @lru_cache(maxsize=64)  # face-todd asks once per dimension 0..n
 def _log_rows(kind, n):
-    """(scale, den, rows) for kind in degree n: scale = n! D^n, D the common
-    denominator of g, and log g = sum_k b_k x^k with rows the pairs
-    (k, k b_k den) for b_k != 0, den the common denominator of the b_k."""
-    if kind is None:
-        return factorial(n), 1, ()
-    d = lcm(*(c.denominator for c in genus_series(kind, n)))
-    b = genus_log(kind, n)
+    """(scale, den, rows) for kind in degree n: log g = sum_k b_k x^k with
+    rows the pairs (k, k b_k den) for b_k != 0, den the common denominator
+    of the b_k (1 for kind None, no genus factor), and scale = n! den^n."""
+    b = genus_log(kind, n) if kind else ()
     den = lcm(*(c.denominator for c in b))
-    return factorial(n) * d ** n, den, tuple((k, int(k * c * den)) for k, c in enumerate(b) if c)
+    return factorial(n) * den ** n, den, tuple((k, int(k * c * den)) for k, c in enumerate(b) if c)
 
 
 def _power_sums(columns, degrees):
@@ -92,8 +89,9 @@ def _genus_restriction(p, kind, twist=True):
     s = -<x, u>, and g(v_{i_j}) becomes g(w_j t); twist False sets s = 0.
     As log g = sum_k b_k x^k, the class restricts to exp(A) (see
     _exponential), p_k = sum_j w_j^k the power sums of the weights, times
-    scale = n! D^n, D the common denominator of g: the product of n! exp(s t)
-    and the n factors D g(w_j t), so it is integral.
+    scale = n! den^n, den the common denominator of the b_k (see _log_rows):
+    each A_j has a denominator dividing den, so the degree-k coefficient of
+    exp(A) has one dividing k! den^k, and every coefficient is integral.
     """
     n, offset, log_rows = p.dim, p.offsets.__getitem__, _log_rows(kind, p.dim)
     degrees = [k for k, _ in log_rows[2]]

@@ -42,13 +42,20 @@ class HPolytope:
         dim, = integers((dim,), InputError, "polytope dimension")
         if dim < 1:
             raise InputError("polytope dimension must be at least 1")
-        cleaned = []
-        seen = set()
-        for pos, (normal, offset) in enumerate(facets):
+        cleaned, seen = [], set()
+        try:
+            numbered = enumerate(facets)
+        except TypeError:
+            raise InputError("facets are not a sequence of (normal, offset) pairs") from None
+        for pos, facet in numbered:
+            try:  # the position is formatted only when refused
+                normal, offset = facet
+            except (TypeError, ValueError):
+                raise InputError("facet %d is not a (normal, offset) pair" % pos) from None
             try:
                 normal = integers(normal, InputError, "normal entry")
                 offset, = integers((offset,), InputError, "offset")
-            except InputError as e:  # the position is formatted only when refused
+            except InputError as e:
                 raise InputError("facet %d %s" % (pos, e)) from None
             if len(normal) != dim:
                 raise InputError("normal %s has length %d, expected %d"
@@ -66,8 +73,7 @@ class HPolytope:
             raise InputError("polytope needs at least one facet")
         self.dim = dim
         self.facets = tuple(cleaned)
-        self.normals = tuple(nrm for nrm, _ in cleaned)
-        self.offsets = tuple(off for _, off in cleaned)
+        self.normals, self.offsets = zip(*cleaned)
         self.name = name
         self._derived = {}
 

@@ -3,9 +3,9 @@
 A univariate series truncated at degree d is the tuple of its d + 1 exact
 coefficients c_0..c_d (Fraction).  A multiplicative class is fixed by the
 logarithm of its power series g (Hirzebruch, Topological Methods in Algebraic
-Geometry, 1.1): genus_log gives it for the four genera in closed form, and
-genus_series is its exponential.  Localization restricts a class to a vertex as
-a series in one variable, unexpanded in the facet classes.
+Geometry, 1.1): genus_log gives it for the four genera in closed form.
+Localization restricts a class to a vertex as the exponential of a series in
+one variable, unexpanded in the facet classes.
 """
 
 from fractions import Fraction
@@ -47,19 +47,3 @@ def genus_log(kind, degree):
         out[2 * k] = c(4 ** k) * _bernoulli(2 * k) / (2 * k * factorial(2 * k))
     return tuple(out[:degree + 1])
 
-
-@lru_cache(maxsize=64)
-def genus_series(kind, degree):
-    """Exact genus series as the coefficient tuple c_0..c_degree, exp(genus_log):
-    from g' = g (log g)', k c_k = sum_{0 < j <= k} j b_j c_{k-j}.
-
-    Todd          x/(1 - e^-x)        = 1 + x/2 + x^2/12 - ...
-    SignatureHalf (x/2)/tanh(x/2)     = 1 + x^2/12 - x^4/720 + ...
-    AHat          (x/2)/sinh(x/2)     = 1 - x^2/24 + 7x^4/5760 - ...
-    L             x/tanh(x)           = 1 + x^2/3 - x^4/45 + ...
-    """
-    b = genus_log(kind, degree)
-    out = [Fraction(1)]
-    for k in range(1, degree + 1):
-        out.append(sum(j * b[j] * out[k - j] for j in range(1, k + 1)) / k)
-    return tuple(out)

@@ -21,7 +21,7 @@ from toricpick.localization import (_vertex_sum, chart_weights, check_partition,
                                     partitions_of)
 from toricpick.polytope import (HPolytope, _swap, enumerate_vertices,
                                 face_lattice)
-from toricpick.series import GENUS_KINDS, genus_series
+from toricpick.series import GENUS_KINDS
 
 
 def frac_rank(rows):
@@ -595,8 +595,8 @@ def hyperbolic(degree, shift, scale=1):
 
 
 def divided_genus_series(kind, degree):
-    """The genus series of kind to degree, as series.genus_series gives it,
-    built by division:
+    """The genus series of kind to degree, exp(series.genus_log), built by
+    division:
 
     Todd          x/(1 - e^-x), the reciprocal of sum (-1)^k x^k/(k+1)!
     SignatureHalf cosh(x/2) / (sinh(x/2)/(x/2))
@@ -641,11 +641,12 @@ def factor_product_restriction(p, kind, twist=True, face=None):
     At a vertex exp(s t), s = -<x, u>, and the n factors g(w_j t) (on a
     face F, the edges in F, and n = dim F) are multiplied as n truncated
     integer series n! exp and D g, D the common denominator of g, so
-    scale = n! D^n; twist False is exp(0 t) = 1.
+    scale = n! D^n, not the program's n! den^n (see invariants._log_rows);
+    twist False is exp(0 t) = 1.
     """
     n = p.dim if face is None else face.dim
     normal = () if face is None else face.facet_set
-    g = genus_series(kind, n) if kind is not None else (1,) + (0,) * n
+    g = divided_genus_series(kind, n) if kind is not None else (1,) + (0,) * n
     d = lcm(*(c.denominator for c in g))
     scaled_g = [int(c * d) for c in g]
     scaled_exp = [factorial(n) // factorial(k) for k in range(n + 1)]
@@ -723,7 +724,7 @@ def genus_restriction(p, kind, twist=True):
 
     At a vertex exp(s t), s = -<x, u> (0 untwisted), times prod_j g(w_j t)
     is exp(A), A(t) = s t + sum_k b_k p_k t^k, p_k = sum_j w_j^k, from
-    E' = A' E with one exact division per degree, scale = n! D^n."""
+    E' = A' E with one exact division per degree, scale = n! den^n."""
     n = p.dim
     scale, den, rows = _log_rows(kind, n)
 
@@ -1053,7 +1054,7 @@ def twisted_ahat():
     A(x) (e^x + e^-x) = 2 A(x) cosh(x) while the others carry A(x).
     """
     xdeg = DEGREE // 2
-    a = genus_series("AHat", xdeg)
+    a = divided_genus_series("AHat", xdeg)
     d = tuple(2 * c for c in series_mul(a, hyperbolic(xdeg, 0)))
     coeffs = {}
     for lam in _root_partitions(xdeg):

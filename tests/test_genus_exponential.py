@@ -4,9 +4,11 @@ The program restricts exp(w_P) prod_i g(v_i) to a vertex as exp(A), A the
 twist plus the power sums of the weights times the coefficients of log g,
 with one exact division per degree.  The route it replaced multiplies n
 truncated series, one per incident facet (oracles.factor_product_restriction).
-Both must give the same scale and the same integer coefficient in every
-degree 0..n, at every chart and both generic vectors, for every genus kind
-with and without the twist.  The Todd class of every face, which
+The two integer scales differ (the program's n! den^n, den the common
+denominator of log g, against the product's n! D^n, D that of g), so every
+coefficient in every degree 0..n, at every chart and both generic vectors,
+for every genus kind with and without the twist, is compared as the exact
+rational coefficient over its scale.  The Todd class of every face, which
 check_face_todd sweeps (see tests/test_face_localization.py), is held to the
 product of factors through oracles.face_todd_restriction.  The degrees below
 n only have to sum to 0 in localize, so an integral check would not see
@@ -19,6 +21,7 @@ on every face) runs from the repository root with
 """
 
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -42,9 +45,10 @@ def two_vectors(p):
 
 
 def assert_same_restriction(p, data, kind, twist=True, face=None):
-    """Every coefficient at every chart of data; returns how many were compared.
-    On P the program restricts every (chart, w) of data in one call, one
-    column per degree; a face's restriction takes one vertex at a time."""
+    """Every coefficient at every chart of data, each over its own scale;
+    returns how many were compared.  On P the program restricts every
+    (chart, w) of data in one call, one column per degree; a face's
+    restriction takes one vertex at a time."""
     expected, expected_scale = factor_product_restriction(p, kind, twist, face)
     n = p.dim if face is None else face.dim
     if face is None:
@@ -55,9 +59,10 @@ def assert_same_restriction(p, data, kind, twist=True, face=None):
     else:
         restrict, scale = face_todd_restriction(p, face)
         rows = [restrict(c, w) for c, w in data]
-    assert scale == expected_scale, (kind, twist, face)
     for (c, w), got in zip(data, rows):
-        assert len(got) == n + 1 and got == expected(c, w), (kind, twist, face, c.vertex, w)
+        want = [Fraction(x, expected_scale) for x in expected(c, w)]
+        assert len(got) == n + 1 and all(type(x) is int for x in got), (kind, face, got)
+        assert [Fraction(x, scale) for x in got] == want, (kind, twist, face, c.vertex, w)
     return len(data) * (n + 1)
 
 

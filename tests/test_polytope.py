@@ -10,6 +10,7 @@ runs from the repository root with
 
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from math import gcd
@@ -98,6 +99,43 @@ def test_library_constructors_refuse_non_integers():
     ]
     for error, message, build in cases:
         with pytest.raises(error, match="^%s$" % message):
+            build()
+
+
+class StrIndex:
+    """A value whose __index__ returns a str, which operator.index refuses."""
+
+    def __index__(self):
+        return "1"
+
+    def __repr__(self):
+        return "StrIndex()"
+
+
+def test_a_value_whose_index_is_not_an_int_is_refused_by_name():
+    """operator.index raises TypeError when __index__ returns a str; the
+    gate names the value, as it names a float, not a bare StopIteration."""
+    with pytest.raises(InputError, match=r"^facet 0 normal entry StrIndex\(\) is not an integer$"):
+        HPolytope(1, [((StrIndex(),), 0), ((-1,), -3)])
+    for u in ((StrIndex(), 2), (2, StrIndex())):
+        with pytest.raises(DimensionError,
+                           match=r"^generic vector entry StrIndex\(\) is not an integer$"):
+            check_todd(get("triangle1"), u=u)
+
+
+def test_facets_that_are_not_normal_offset_pairs_are_refused_by_position():
+    """A facet that does not unpack as a pair is named by its position, and
+    facets that cannot be iterated are named as a whole, never left to a
+    bare TypeError or ValueError."""
+    cases = [
+        ("facet 0 is not a (normal, offset) pair", lambda: HPolytope(2, [5])),
+        ("facet 0 is not a (normal, offset) pair", lambda: HPolytope(2, [((1, 0),)])),
+        ("facet 1 is not a (normal, offset) pair",
+         lambda: HPolytope(2, [((1, 0), 0), ((0, 1), 0, 2)])),
+        ("facets are not a sequence of (normal, offset) pairs", lambda: HPolytope(2, 7)),
+    ]
+    for message, build in cases:
+        with pytest.raises(InputError, match="^%s$" % re.escape(message)):
             build()
 
 

@@ -26,11 +26,12 @@ REPLAY = load_replay()
 
 
 def test_the_replay_misses_only_the_removed_class_layer():
-    # the m-variable class and its integration left src/, and the replay
-    # reports their spans as 0
+    # the m-variable class, its integration and the genus series (the class
+    # restricts through genus_log alone) left src/, and the replay reports
+    # their spans as 0
     assert sorted(REPLAY.Api("toricpick").missing) == [
         "localization.integrate_poly", "localization.integrate_poly_breakdown",
-        "series.exp_linear", "series.product_over_facets"]
+        "series.exp_linear", "series.genus_series", "series.product_over_facets"]
 
 
 def test_the_replay_lays_out_orders_and_induces_the_faces():

@@ -15,15 +15,15 @@ import pytest
 
 from families import (CORPUS_NAMES, cube, cut_octagon, delzant_family, get, simplex,
                       simplex2_squared)
-from oracles import (MultiPoly, elementary_symmetric, exp_linear, integrate_terms,
-                     localize_rows, product_over_facets, weight_tables)
+from oracles import (MultiPoly, divided_genus_series, elementary_symmetric, exp_linear,
+                     integrate_terms, localize_rows, product_over_facets, weight_tables)
 from toricpick.errors import ToricError
 from toricpick.invariants import (_genus_restriction, twisted_signature_breakdown,
                                   twisted_todd_breakdown, volume_breakdown)
 from toricpick.localization import (chern_number, choose_generic,
                                     integrate_monomial, localize, partitions_of)
 from toricpick.polytope import enumerate_vertices
-from toricpick.series import GENUS_KINDS, genus_series
+from toricpick.series import GENUS_KINDS
 
 
 POLYTOPES = ([get(name) for name in CORPUS_NAMES]
@@ -38,7 +38,7 @@ def m_variable_class(p, kind, twist):
     if twist:
         cls = exp_linear([-a for a in p.offsets], n)
     if kind is not None:
-        cls = cls.mul(product_over_facets(genus_series(kind, n), m, n))
+        cls = cls.mul(product_over_facets(divided_genus_series(kind, n), m, n))
     return cls
 
 

@@ -1,8 +1,9 @@
-"""Genus series coefficients against frozen values, classical identities
-and the series-division construction of tests/oracles.py.
+"""Genus logarithms and the series-division construction of
+tests/oracles.py against frozen values, classical identities and each
+other, and the genus restriction's integer scale.
 
 Run as a script, the differential test sweeps all four kinds at degrees
-0..FULL_DEGREE against the oracle:
+0..FULL_DEGREE against the oracle, and the restriction at its scale:
 
     PYTHONPATH=src python tests/test_series.py
 """
@@ -16,7 +17,8 @@ from oracles import (MultiPoly, bernoulli, divided_genus_series,
                      elementary_symmetric, exp_linear, product_over_facets,
                      reciprocal, series_log, series_mul)
 from toricpick.errors import DimensionError, ShapeError
-from toricpick.series import GENUS_KINDS, genus_log, genus_series
+from toricpick.invariants import _exponential, _log_rows, _power_sums
+from toricpick.series import GENUS_KINDS, genus_log
 
 F = Fraction
 FULL_DEGREE = 80
@@ -28,10 +30,10 @@ LSER = (F(1), F(0), F(1, 3), F(0), F(-1, 45), F(0), F(2, 945))
 
 
 def test_genus_series_frozen_coefficients():
-    assert genus_series("Todd", 6) == TODD
-    assert genus_series("SignatureHalf", 6) == SIGHALF
-    assert genus_series("AHat", 6) == AHAT
-    assert genus_series("L", 6) == LSER
+    assert divided_genus_series("Todd", 6) == TODD
+    assert divided_genus_series("SignatureHalf", 6) == SIGHALF
+    assert divided_genus_series("AHat", 6) == AHAT
+    assert divided_genus_series("L", 6) == LSER
 
 
 def test_genus_series_against_bernoulli_numbers():
@@ -48,20 +50,34 @@ def test_genus_series_against_bernoulli_numbers():
         "SignatureHalf": lambda k: b[k],
         "AHat": lambda k: (F(2) ** (1 - k) - 1) * b[k],
     }
-    assert genus_series("Todd", deg) == tuple(b[k] / _fact(k) for k in range(deg + 1))
+    assert divided_genus_series("Todd", deg) == tuple(b[k] / _fact(k) for k in range(deg + 1))
     for kind, closed in even.items():
         expected = tuple(F(0) if k % 2 else closed(k) / _fact(k) for k in range(deg + 1))
-        assert genus_series(kind, deg) == expected, kind
+        assert divided_genus_series(kind, deg) == expected, kind
 
 
 def sweep(max_degree):
-    """genus_log and genus_series against the oracle for every kind at
+    """genus_log against the log of the oracle's series for every kind at
     degrees 0..max_degree; returns the number of (kind, degree) pairs."""
     for kind in GENUS_KINDS:
         for deg in range(max_degree + 1):
-            g = divided_genus_series(kind, deg)
-            assert genus_series(kind, deg) == g, (kind, deg)
-            assert genus_log(kind, deg) == series_log(g), (kind, deg)
+            assert genus_log(kind, deg) == series_log(divided_genus_series(kind, deg)), (kind, deg)
+    return len(GENUS_KINDS) * (max_degree + 1)
+
+
+def integral_sweep(max_degree):
+    """The restriction of every kind in degree 0..max_degree at one chart
+    with the unit weight, untwisted, is the genus series itself: at the
+    scale of _log_rows, n! den^n, each coefficient _exponential returns is
+    an int equal to the scale times the oracle's.  Returns the number of
+    (kind, degree) pairs."""
+    for kind in GENUS_KINDS:
+        for deg in range(max_degree + 1):
+            rows = _log_rows(kind, deg)
+            columns = _exponential(deg, rows, [0], _power_sums([[1]], [k for k, _ in rows[2]]))
+            got = [x for x, in columns]
+            assert all(type(x) is int for x in got), (kind, deg)
+            assert got == [rows[0] * c for c in divided_genus_series(kind, deg)], (kind, deg)
     return len(GENUS_KINDS) * (max_degree + 1)
 
 
@@ -69,15 +85,19 @@ def test_genus_log_and_series_match_the_division_oracle():
     assert sweep(24) == 100
 
 
+def test_the_restriction_scale_makes_every_coefficient_integral():
+    assert integral_sweep(12) == 52
+
+
 def test_genus_kind_validation():
     assert set(GENUS_KINDS) == {"Todd", "SignatureHalf", "AHat", "L"}
-    for make in (genus_series, genus_log, divided_genus_series):
+    for make in (genus_log, divided_genus_series):
         with pytest.raises(ShapeError, match="unknown genus kind 'Chi_y'"):
             make("Chi_y", 4)
 
 
 def test_degree_and_constant_term_checks():
-    for make in (genus_series, genus_log, divided_genus_series):
+    for make in (genus_log, divided_genus_series):
         with pytest.raises(DimensionError, match="nonnegative"):
             make("L", -1)
     with pytest.raises(DimensionError, match="zero constant term"):
@@ -86,8 +106,8 @@ def test_degree_and_constant_term_checks():
 
 def test_half_argument_relation():
     # the signature factor is the full L series with x halved
-    lf = genus_series("L", 8)
-    sh = genus_series("SignatureHalf", 8)
+    lf = divided_genus_series("L", 8)
+    sh = divided_genus_series("SignatureHalf", 8)
     assert all(lf[k] == sh[k] * 2 ** k for k in range(9))
 
 
@@ -95,7 +115,8 @@ def test_todd_factors_through_exponential():
     # x/(1 - e^-x) = e^(x/2) * (x/2)/sinh(x/2)
     deg = 8
     expo = tuple(F(1, 2) ** k / _fact(k) for k in range(deg + 1))
-    assert series_mul(expo, genus_series("AHat", deg)) == genus_series("Todd", deg)
+    todd = divided_genus_series("Todd", deg)
+    assert series_mul(expo, divided_genus_series("AHat", deg)) == todd
 
 
 def _fact(k):
@@ -107,7 +128,7 @@ def _fact(k):
 
 def test_reciprocal_round_trip():
     for kind in GENUS_KINDS:
-        g = genus_series(kind, 6)
+        g = divided_genus_series(kind, 6)
         assert series_mul(g, reciprocal(g)) == (F(1),) + (F(0),) * 6
 
 
@@ -126,7 +147,7 @@ def test_log_derivative_identity():
     # g' = g (log g)', truncated at the degree of g'
     for kind in GENUS_KINDS:
         for deg in range(11):
-            g = genus_series(kind, deg)
+            g = divided_genus_series(kind, deg)
             lg = genus_log(kind, deg)
             assert lg[0] == 0, (kind, deg)
             assert _derivative(g) == series_mul(g, _derivative(lg)), (kind, deg)
@@ -185,3 +206,6 @@ if __name__ == "__main__":
     start = time.perf_counter()
     print("%d (kind, degree) pairs agree with the series-division oracle, %.1f s"
           % (sweep(FULL_DEGREE), time.perf_counter() - start))
+    start = time.perf_counter()
+    print("%d (kind, degree) restrictions are integral at their scale, %.1f s"
+          % (integral_sweep(FULL_DEGREE), time.perf_counter() - start))
