@@ -8,7 +8,7 @@ lattice, h-vector, exact volume and face induction are all derived from it.
 
 from bisect import bisect
 from fractions import Fraction
-from functools import cached_property, wraps
+from functools import cached_property, cmp_to_key, wraps
 from itertools import combinations
 from math import comb, factorial, gcd, lcm
 from operator import add, mul, sub
@@ -22,10 +22,10 @@ from .exact import dot, integers
 # against a cycling bug: no corpus, test-family or benchmark input needs 10
 VERTEX_SEARCH_BUDGET = 5000
 
-# most vertex charts the walk may build; a chart costs a pivot and n - 1 ratio
-# tests over the m rates, some 0.035 ms on the 13-cube and 0.33 ms on a 1936-gon
-# (2-core VM), and up to 8 kB (the 20-cube is refused in about 1 s at 94 MB);
-# a 13-cube has 8192
+# most vertex charts the walk may build, the 13-cube's 8192 among them; a chart
+# costs a pivot and n - 1 ratio tests over the m rates, some 0.035 ms on the
+# 13-cube (2-core VM), and up to 8 kB (the 20-cube is refused in about 1 s at
+# 94 MB); a polygon, charted by a sort, takes 6 ms for 1936 charts
 WALK_BUDGET = 10 ** 4
 
 # most pairs of the face order by charge_faces's estimate (the 8-cube's is 545 308);
@@ -149,8 +149,8 @@ class ChartTable(tuple):
     def faces(self):
         """Every face is cut out by a subset of the facets through any one
         of its vertices, so one pass over the subsets of each vertex's facet
-        set finds every face with its vertices.  The walk's certificate (see
-        enumerate_vertices) says that such a subset cuts out a face of
+        set finds every face with its vertices.  The certificate of
+        enumerate_vertices says that such a subset cuts out a face of
         dimension n minus its size on no other facet, so the subset is the
         face's facet set and nothing is checked again.  A BudgetError (see
         charge_faces) comes first if the order may exceed FACE_BUDGET pairs.
@@ -360,7 +360,48 @@ def _first_vertex(p):
 
 @derived
 def enumerate_vertices(p):
-    """All vertex charts, sorted by vertex coordinates, in one ChartTable.
+    """All vertex charts, sorted by vertex coordinates, in one ChartTable:
+    a polygon's by an angular sort (see _planar), any other input's by the
+    pivot walk (see _walk), which alone judges what fails.  Either way P is
+    bounded, each vertex on exactly n facets with independent normals and
+    each edge of positive length, so any k facets through a vertex cut out
+    a face of dimension n - k on no other facet."""
+    charts = _planar(p) if p.dim == 2 else None
+    return _walk(p) if charts is None else charts
+
+
+def _planar(p):
+    """A polygon's ChartTable in O(m log m), or None for the walk to judge.
+
+    The facets are sorted exactly by the angle of their normals in
+    [0, 2 pi): by half plane, then by a cross product.  Corner k is on the
+    k-th and the next facet, a and b, by Cramer's rule with d = cross(a, b).
+    If every d > 0 and every edge runs forward (corner k has slack > 0 on
+    the facet before a), the corners bound a convex polygon that turns once
+    (Preparata and Shamos 1985), so P is bounded, simple and irredundant,
+    and the walk's own BudgetError is raised here above WALK_BUDGET corners.
+    """
+    normals, offsets = p.normals, p.offsets
+    lower = [y < 0 or y == 0 > x for x, y in normals]
+    ring = sorted(range(len(normals)), key=cmp_to_key(lambda i, j: lower[i] - lower[j] or (
+        normals[j][0] * normals[i][1] - normals[j][1] * normals[i][0])))
+    charts = []
+    for z, a, b in zip(ring[-1:] + ring, ring, ring[1:] + ring[:1]):
+        (ax, ay), (bx, by), oa, ob = normals[a], normals[b], offsets[a], offsets[b]
+        d, x = ax * by - ay * bx, (oa * by - ob * ay, ax * ob - oa * bx)
+        if d <= 0 or x[0] * normals[z][0] + x[1] * normals[z][1] <= offsets[z] * d:
+            return None
+        mu = ((by, -bx), (-ay, ax)) if d == 1 else None  # rows dual to a and b
+        s = 1 if a < b else -1  # Lambda's columns in facet-set order
+        charts.append(VertexChart(_point(x, d), (a, b)[::s], s * d, mu and mu[::s]))
+    if len(charts) > WALK_BUDGET:
+        raise BudgetError("vertex walk reached %d charts with more to visit; "
+                          "the limit is %d" % (WALK_BUDGET, WALK_BUDGET))
+    return ChartTable(sorted(charts, key=lambda c: c.vertex))
+
+
+def _walk(p):
+    """The ChartTable of enumerate_vertices by an exact pivot walk.
 
     From a first vertex found by phase-one pivots (see _first_vertex), an
     exact pivot walk follows the edges of the vertex graph, which is
@@ -383,12 +424,6 @@ def enumerate_vertices(p):
     leaving facet's bit cleared and the entering facet's set: its sorted
     facet set is made only by _pivot, once per vertex pivoted, and a ratio
     test reads the tableau rows in place.
-
-    On return the walk certifies that P is bounded, that every vertex lies
-    on exactly n facets with independent normals and that every edge has
-    positive length.  So P is simple and full-dimensional, and any k of the
-    facets through a vertex cut out a face of dimension n - k on no other
-    facet.
     """
     n = p.dim
     cols = range(n, n + len(p.facets))

@@ -81,7 +81,13 @@ ROWS = {
         "invalid JSON: maximum recursion depth exceeded", 2, 40, True),
     "lattice 1936-gon, counted": (
         polytope_file(lambda: primitive_polygon(28)[0]), ["compute", "count", "FILE"], 0,
-        '"value": 137858', 8, 50, False),
+        '"value": 137858452', 2, 40, True),
+    "lattice 7712-gon, counted": (
+        polytope_file(lambda: primitive_polygon(56)[0]), ["compute", "count", "FILE"], 0,
+        '"value": 8721131516', 2, 80, True),
+    "lattice 19 840-gon, walk budget": (
+        polytope_file(lambda: primitive_polygon(90)[0]), ["compute", "count", "FILE"], 2,
+        "vertex walk reached 10000 charts with more to visit", 2, 80, True),
     "prism over the 1936-gon, 0..100, counted": (
         polytope_file(lambda: times(primitive_polygon(28)[0], box((0,), (100,)))),
         ["compute", "count", "FILE"], 0, '"value": 13923703652', 15, 600, False),

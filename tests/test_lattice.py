@@ -116,7 +116,7 @@ def count_layouts(monkeypatch, laid_out):
 
 
 def test_a_corpus_batch_walks_and_counts_each_file_once(monkeypatch, capsys):
-    calls = {"walk": 0, "count": 0}
+    calls = {"vertices": 0, "count": 0}
     laid_out = []
 
     def counted(key, fn):
@@ -125,13 +125,17 @@ def test_a_corpus_batch_walks_and_counts_each_file_once(monkeypatch, capsys):
             return fn(*args)
         return call
 
-    monkeypatch.setattr(polytope, "_first_vertex", counted("walk", polytope._first_vertex))
+    # a polygon's charts come from the angular sort, any other file's from the
+    # walk, and a polygon the sort left to the walk would count twice
+    for name in ("_planar", "_walk"):
+        monkeypatch.setattr(polytope, name, counted("vertices", getattr(polytope, name)))
     count_layouts(monkeypatch, laid_out)
     monkeypatch.setattr(lattice, "_project", counted("count", lattice._project))
     assert main(["corpus", CORPUS_DIR, "--format", "json"]) == 0
     capsys.readouterr()
-    # pick, todd, face-todd and the rest read one walk and count per file, and
-    # face-todd sweeps its faces through each vertex, so no face lattice is laid out
+    # pick, todd, face-todd and the rest read one vertex enumeration and count per
+    # file, and face-todd sweeps its faces through each vertex, so no face lattice
+    # is laid out
     assert calls == dict.fromkeys(calls, len(CORPUS_NAMES)) and laid_out == []
 
 

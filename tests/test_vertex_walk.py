@@ -11,9 +11,17 @@ is eliminated.  The walk pivots once per vertex after the first and skips
 the ratio test on the edge back, and the rows a pivot leaves unchanged are
 shared, so its memory peak stays near its result.
 
+A polygon is charted by sorting its facets by angle (polytope._planar),
+and only what that cannot certify is walked: its charts must be the walk's,
+order included, and wherever the walk or validate refuses a system the
+sort must leave it to the walk, so every refusal stays the walk's.
+
 The full sweep (delzant_family(8) and the pivot family, each in SHUFFLES
-more facet orders, against the subset scan) runs from the repository root
-with
+more facet orders, against the subset scan; the polygons of
+delzant_family(8) and weighted_family in those orders, seeded corner-cut
+polygons and the lattice 1936- and 7712-gons charted by the sort against
+the walk; and RANDOM_SYSTEMS seeded planar systems, each charted alike or
+left to the walk) runs from the repository root with
 
     PYTHONPATH=src python tests/test_vertex_walk.py
 """
@@ -22,6 +30,7 @@ import random
 import re
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -30,7 +39,8 @@ import pytest
 
 from families import (CORPUS_NAMES, corner_cut_polygon, cube, delzant_family,
                       dilate, dump_polytope, get, random_shear, shuffled,
-                      simplex, times, unimodular_transform, weighted_simplex)
+                      simplex, times, unimodular_transform, weighted_family,
+                      weighted_simplex)
 from oracles import (collected_ratio_test, general_pivot, hermite_rows,
                      identity, integer_kernel_basis, lambda_matrix, mat_mul,
                      subset_scan)
@@ -38,7 +48,7 @@ from test_count_slabs import primitive_polygon
 from toricpick import exact, polytope
 from toricpick.cli import load_polytope
 from toricpick.cli import main as cli_main
-from toricpick.errors import BudgetError, InputError, UnboundedError
+from toricpick.errors import BudgetError, InputError, ToricError, UnboundedError
 from toricpick.exact import dot
 from toricpick.polytope import (VERTEX_SEARCH_BUDGET, WALK_BUDGET, HPolytope,
                                 enumerate_vertices)
@@ -46,6 +56,9 @@ from toricpick.polytope import (VERTEX_SEARCH_BUDGET, WALK_BUDGET, HPolytope,
 
 # further facet orders each input of the full sweep is tried in
 SHUFFLES = 3
+
+# seeded random planar systems of the full sweep, and of the tier-1 test
+RANDOM_SYSTEMS, RANDOM_SYSTEMS_FAST = 40000, 4000
 
 
 def charts_of(p):
@@ -187,7 +200,8 @@ def test_first_vertex_search_stays_far_below_its_budget(monkeypatch):
 def walk_work(p, monkeypatch):
     """The vertex count, and the pivots and ratio tests the walk takes after
     the first-vertex search: the search runs once alone, and once more
-    inside the walk, so its calls are taken off twice."""
+    inside the walk, so its calls are taken off twice.  The walk is called
+    itself, as enumerate_vertices charts a polygon by its sort."""
     calls = {"_pivot": 0, "_entering": 0}
     for name in calls:
         def counted(*a, name=name, fn=getattr(polytope, name)):
@@ -196,7 +210,7 @@ def walk_work(p, monkeypatch):
         monkeypatch.setattr(polytope, name, counted)
     polytope._first_vertex(p)
     search = dict(calls)
-    vertices = len(enumerate_vertices.__wrapped__(p))
+    vertices = len(polytope._walk(p))
     monkeypatch.undo()
     return (vertices, calls["_pivot"] - 2 * search["_pivot"],
             calls["_entering"] - 2 * search["_entering"])
@@ -233,7 +247,7 @@ def walk_swaps(p, monkeypatch):
     polytope._first_vertex(p)
     search = calls["_pivot"]
     calls.update(_pivot=0, _swap=0)
-    vertices = len(enumerate_vertices.__wrapped__(p))
+    vertices = len(polytope._walk(p))
     monkeypatch.undo()
     return search, vertices, calls["_pivot"], calls["_swap"]
 
@@ -246,6 +260,109 @@ def test_walk_swaps_facets_once_per_pivot(name, p, monkeypatch):
     search, vertices, pivots, swaps = walk_swaps(p, monkeypatch)
     assert pivots == search + vertices - 1
     assert swaps == pivots
+
+
+def planar_family():
+    """(name, polygon) inputs the sort must chart as the walk does: the
+    polygons of delzant_family(8), those of weighted_family (rational
+    vertices, charts without mu), and seeded corner-cut polygons."""
+    rng = random.Random(73)
+    out = [(name, p) for name, p in delzant_family(8) + weighted_family(random.Random(41))
+           if p.dim == 2]
+    for k in (3, 4, 7, 12, 19, 27, 36):
+        for side in (120, 360):
+            out.append(("corner cut %d of %d" % (k, side), corner_cut_polygon(k, side, rng)))
+    return out
+
+
+def planar_charts_are_the_walks(p, walked=None):
+    """The sort's charts of p against the walk's (walked, if given): vertex,
+    facet set, det and mu, in the same order."""
+    got, want = polytope._planar(p), walked or polytope._walk(p)
+    assert got is not None and [vars(c) for c in got] == [vars(c) for c in want], p.facets
+    return got
+
+
+PLANAR_FAMILY = planar_family() + [("lattice 1936-gon", dict(WALK_WORK_CASES)["lattice 1936-gon"])]
+
+
+@pytest.mark.parametrize("name,p", PLANAR_FAMILY, ids=[name for name, _ in PLANAR_FAMILY])
+def test_planar_charts_are_the_walks(name, p):
+    planar_charts_are_the_walks(p)
+
+
+def test_planar_family_reaches_rational_charts():
+    charts = [c for name, p in PLANAR_FAMILY if name.startswith("weighted")
+              for c in polytope._planar(p)]
+    assert len(charts) >= 18
+    assert any(c.mu_matrix is None for c in charts)
+    assert any(isinstance(x, Fraction) for c in charts for x in c.vertex)
+    assert any(c.det < 0 for c in charts) and any(c.det > 0 for c in charts)
+
+
+def random_planar_system(rng):
+    """1 to 9 distinct primitive normals with entries in -4..4, offsets in -4..2."""
+    facets, m = {}, rng.randint(1, 9)
+    while len(facets) < m:
+        lam = (rng.randint(-4, 4), rng.randint(-4, 4))
+        if gcd(*lam) == 1:
+            facets[lam] = rng.randint(-4, 2)
+    return HPolytope(2, list(facets.items()))
+
+
+def walk_verdict(p):
+    """The walk's charts of p and None where validate would admit them, else
+    None and the walk's error class name, or "redundant"."""
+    try:
+        charts = polytope._walk(p)
+    except ToricError as e:
+        return None, type(e).__name__
+    used = {i for c in charts for i in c.facet_set}
+    return (charts, None) if len(used) == len(p.facets) else (None, "redundant")
+
+
+def planar_sweep(count, seed=79):
+    """The verdicts on `count` seeded planar systems, counted: the sort
+    charts each one the walk and validate admit as the walk does, and
+    leaves each one they refuse to the walk."""
+    rng = random.Random(seed)
+    verdicts = Counter()
+    for _ in range(count):
+        p = random_planar_system(rng)
+        want, refusal = walk_verdict(p)
+        if want is None:
+            assert polytope._planar(p) is None, p.facets
+        else:
+            planar_charts_are_the_walks(p, want)
+        verdicts[refusal or "admitted"] += 1
+    return verdicts
+
+
+def test_planar_leaves_every_refusal_to_the_walk():
+    verdicts = planar_sweep(RANDOM_SYSTEMS_FAST)
+    assert verdicts.keys() == {"admitted", "redundant", "InputError", "NotSimpleError",
+                               "UnboundedError"}, verdicts
+    assert min(verdicts.values()) > 100, verdicts
+
+
+def test_planar_budget_refusal_is_the_walks(monkeypatch):
+    """A polygon with more corners than WALK_BUDGET is refused by the sort
+    with the walk's BudgetError, word for word, and one with as many is
+    charted; a system the sort cannot certify is left to the walk, budget
+    or not."""
+    p = dict(WALK_WORK_CASES)["polygon30"]
+    monkeypatch.setattr(polytope, "WALK_BUDGET", 30)
+    assert len(polytope._planar(p)) == 30
+    monkeypatch.setattr(polytope, "WALK_BUDGET", 29)
+    messages = []
+    for enumerate_charts in (polytope._planar, polytope._walk, enumerate_vertices.__wrapped__):
+        with pytest.raises(BudgetError) as err:
+            enumerate_charts(p)
+        messages.append(str(err.value))
+    assert messages == ["vertex walk reached 29 charts with more to visit; the limit is 29"] * 3
+    monkeypatch.setattr(polytope, "WALK_BUDGET", 2)
+    fan = HPolytope(2, [((1, 0), 0), ((1, 1), 0), ((1, 2), 0)])
+    assert polytope._planar(fan) is None
 
 
 def random_tableau(rng, n, m, d, j, h, q, rates):
@@ -351,18 +468,19 @@ def test_small_empty_systems_are_input_errors(monkeypatch):
 
 
 def test_search_budget_counts_phase_one_pivots(monkeypatch):
-    """The shuffled 20-gon of the Delzant family takes the most pivots."""
+    """The shuffled 20-gon of the Delzant family takes the most pivots (the
+    walk is called itself, as enumerate_vertices charts a polygon by its sort)."""
     family = dict(delzant_family(8))
     assert max(phase_one_pivots(p, monkeypatch) for p in family.values()) == 5
     p = family["polygon20"]
     monkeypatch.setattr(polytope, "VERTEX_SEARCH_BUDGET", 5)
-    assert len(enumerate_vertices.__wrapped__(p)) == 20
+    assert len(polytope._walk(p)) == 20
     # an odd limit too, so that the count steps by one pivot
     for budget in (4, 3):
         monkeypatch.setattr(polytope, "VERTEX_SEARCH_BUDGET", budget)
         with pytest.raises(BudgetError, match="^no vertex found after %d phase-one pivots; "
                                               "the search limit is %d$" % (budget, budget)):
-            enumerate_vertices.__wrapped__(p)
+            polytope._walk(p)
 
 
 def rank_deficient_normals(rng, n):
@@ -463,3 +581,19 @@ if __name__ == "__main__":
     print("%d inputs in %d facet orders agree with the subset scan: %d charts, "
           "%d with |det| > 1, %.1f s"
           % (len(inputs), orders, charts, rational, time.perf_counter() - start))
+    start = time.perf_counter()
+    polygons = planar_family() + [("corner cut %d" % k, corner_cut_polygon(k, 500, rng))
+                                  for k in range(3, 60)]
+    polygons += [("lattice %d-gon" % len(p.facets), p)
+                 for p in (primitive_polygon(28)[0], primitive_polygon(56)[0])]
+    orders = charts = 0
+    for _, p in polygons:
+        for q in [p] + [shuffled(p, rng) for _ in range(SHUFFLES if len(p.facets) < 100 else 0)]:
+            charts += len(planar_charts_are_the_walks(q))
+            orders += 1
+    verdicts = planar_sweep(RANDOM_SYSTEMS)
+    print("%d polygons in %d facet orders charted by the sort as by the walk: %d charts; "
+          "%d random planar systems: %d charted alike, the rest left to the walk (%s), %.1f s"
+          % (len(polygons), orders, charts, RANDOM_SYSTEMS, verdicts.pop("admitted"),
+             ", ".join("%s %d" % kv for kv in sorted(verdicts.items())),
+             time.perf_counter() - start))
